@@ -222,10 +222,6 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 }
 
 #[cfg(test)]
-#[global_allocator]
-static TEST_ALLOC: TrackingAlloc = TrackingAlloc::new();
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -235,21 +231,64 @@ mod tests {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// A heap block allocated and freed through [`TrackingAlloc`]
+    /// directly. The tests do not install it as this binary's global
+    /// allocator: libtest's own threads allocate and free concurrently,
+    /// and through a global tracking allocator they would move the
+    /// shared counters between a test's snapshots. Here only these
+    /// blocks touch the counters.
+    struct Block {
+        ptr: *mut u8,
+        layout: Layout,
+    }
+
+    #[allow(unsafe_code)]
+    impl Block {
+        fn new(bytes: usize) -> Self {
+            let layout = Layout::from_size_align(bytes, 8).expect("valid layout");
+            // SAFETY: every caller asks for a non-zero size.
+            let ptr = unsafe { TrackingAlloc.alloc(layout) };
+            assert!(!ptr.is_null(), "allocation failed");
+            Block { ptr, layout }
+        }
+
+        fn grow(mut self, new_size: usize) -> Self {
+            // SAFETY: `ptr` was allocated by `TrackingAlloc` with
+            // `layout`, and `new_size` is non-zero and rounds to a valid
+            // layout at the same alignment.
+            let ptr = unsafe { TrackingAlloc.realloc(self.ptr, self.layout, new_size) };
+            assert!(!ptr.is_null(), "reallocation failed");
+            self.ptr = ptr;
+            self.layout = Layout::from_size_align(new_size, 8).expect("valid layout");
+            self
+        }
+    }
+
+    #[allow(unsafe_code)]
+    impl Drop for Block {
+        fn drop(&mut self) {
+            // SAFETY: `ptr` was allocated by `TrackingAlloc` with
+            // `layout` and is freed exactly once, here.
+            unsafe { TrackingAlloc.dealloc(self.ptr, self.layout) }
+        }
+    }
+
     #[test]
     fn tracking_counts_allocations_and_bytes() {
         let _lock = test_lock();
         set_tracking(true);
         let before = stats();
-        let v: Vec<u8> = Vec::with_capacity(64 * 1024);
+        let block = Block::new(64 * 1024);
         let during = stats();
-        drop(v);
+        drop(block);
         let after = stats();
         set_tracking(false);
-        assert!(during.alloc_calls > before.alloc_calls);
-        assert!(during.allocated_bytes >= before.allocated_bytes + 64 * 1024);
-        assert!(during.current_bytes >= before.current_bytes + 64 * 1024);
-        assert!(after.dealloc_calls > during.dealloc_calls);
-        assert!(after.freed_bytes >= during.freed_bytes + 64 * 1024);
+        assert_eq!(during.alloc_calls, before.alloc_calls + 1);
+        assert_eq!(during.allocated_bytes, before.allocated_bytes + 64 * 1024);
+        assert_eq!(during.current_bytes, before.current_bytes + 64 * 1024);
+        assert_eq!(after.dealloc_calls, during.dealloc_calls + 1);
+        assert_eq!(after.freed_bytes, during.freed_bytes + 64 * 1024);
+        assert_eq!(after.current_bytes, before.current_bytes);
         assert!(after.peak_bytes >= during.current_bytes);
     }
 
@@ -258,12 +297,9 @@ mod tests {
         let _lock = test_lock();
         set_tracking(false);
         let before = stats();
-        let v: Vec<u8> = Vec::with_capacity(256 * 1024);
-        drop(v);
+        drop(Block::new(256 * 1024));
         let after = stats();
-        assert_eq!(before.alloc_calls, after.alloc_calls);
-        assert_eq!(before.allocated_bytes, after.allocated_bytes);
-        assert_eq!(before.current_bytes, after.current_bytes);
+        assert_eq!(before, after);
     }
 
     #[test]
@@ -271,17 +307,16 @@ mod tests {
         let _lock = test_lock();
         set_tracking(true);
         // Raise the process peak well above the live heap...
-        let big: Vec<u8> = Vec::with_capacity(1 << 20);
-        drop(big);
+        drop(Block::new(1 << 20));
         // ...then rebase: the span peak restarts from `current`, far
         // below the 1 MiB the process peak retains.
         let base = rebase_span_peak();
         assert_eq!(span_peak_bytes(), base);
-        let small: Vec<u8> = Vec::with_capacity(100 * 1024);
+        let small = Block::new(100 * 1024);
         let peak = span_peak_bytes();
         drop(small);
         set_tracking(false);
-        assert!(peak >= base + 100 * 1024, "{peak} vs base {base}");
+        assert_eq!(peak, base + 100 * 1024);
         assert!(stats().peak_bytes >= 1 << 20);
     }
 
@@ -290,16 +325,15 @@ mod tests {
         let _lock = test_lock();
         set_tracking(true);
         let before = stats();
-        let mut v: Vec<u8> = vec![0; 1024];
-        v.reserve(64 * 1024); // likely realloc; at minimum alloc+free
-        drop(v);
+        let block = Block::new(1024).grow(65 * 1024);
+        drop(block);
         let after = stats();
         set_tracking(false);
-        let allocs = after.alloc_calls - before.alloc_calls;
-        let frees = after.dealloc_calls - before.dealloc_calls;
-        assert_eq!(allocs, frees, "every grow pairs an alloc with a free");
-        // All of it was freed again: the live heap is back where it
-        // started (other test threads may have allocated, so >=).
-        assert!(after.allocated_bytes - before.allocated_bytes >= 65 * 1024);
+        // Every grow pairs an alloc with a free, so the two allocations
+        // and two frees balance and the live heap is back where it was.
+        assert_eq!(after.alloc_calls - before.alloc_calls, 2);
+        assert_eq!(after.dealloc_calls - before.dealloc_calls, 2);
+        assert_eq!(after.allocated_bytes - before.allocated_bytes, 66 * 1024);
+        assert_eq!(after.current_bytes, before.current_bytes);
     }
 }

@@ -8,9 +8,16 @@
 //! regression gates assert the pair is *bit-identical* — the speedups
 //! must come for free.
 //!
+//! The orbit-validate and latency kernels (hoisted Walker ephemeris with
+//! exact-preserving prefilters) run against the reference twins shared
+//! with `leo-orbit`'s property tests, on the `divide` CLI's own inputs.
+//!
 //! The run ends with a machine-readable `KERNELS_JSON: {...}` line of
 //! per-kernel medians; `scripts/bench.sh` copies it into
 //! `BENCH_tier1.json` so kernel regressions are tracked numbers.
+
+#[path = "../../orbit/tests/naive/mod.rs"]
+mod naive;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use leo_bench::shared_model;
@@ -20,6 +27,11 @@ use leo_demand::counts::CountCalibration;
 use leo_demand::field::SmoothField;
 use leo_demand::geography::{distance_to_nearest_metro_km, METRO_CENTERS};
 use leo_geomath::{great_circle_distance_km, pre_distance_km, GeoBBox, LatLng, PrePoint};
+use leo_orbit::coverage::{coverage, CoverageConfig};
+use leo_orbit::density::empirical_density_factor;
+use leo_orbit::gateway::{conus_gateways, Gateway};
+use leo_orbit::isl::{user_gateway_path, GatewayPath, IslTopology, PathMode};
+use leo_orbit::WalkerShell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use starlink_divide::coverage_sweep::served_fractions_row;
@@ -138,6 +150,56 @@ fn brute_seat(seats: &[LatLng], p: &LatLng) -> u32 {
             }
         })
         .1
+}
+
+/// `divide orbit-validate`'s density inputs: the 53°, 720-satellite
+/// shell at seven latitudes, 2° bands, 257 time samples.
+const DENSITY_LATS: [f64; 7] = [0.0, 10.0, 20.0, 30.0, 37.0, 45.0, 50.0];
+
+fn density_shell() -> WalkerShell {
+    WalkerShell::new(550.0, 53.0, 36, 20, 11)
+}
+
+/// `divide orbit-validate`'s coverage points.
+fn coverage_points() -> [LatLng; 4] {
+    [
+        LatLng::new(39.5, -98.35),
+        LatLng::new(25.8, -80.2),
+        LatLng::new(47.6, -122.3),
+        LatLng::new(37.0, -89.5),
+    ]
+}
+
+/// `divide latency`'s queries: five users, eight epochs, both modes.
+fn path_queries() -> Vec<(LatLng, f64, PathMode)> {
+    let users = [
+        (47.0, -109.0),
+        (37.0, -89.5),
+        (37.5, -81.5),
+        (38.0, -60.0),
+        (35.0, -38.0),
+    ];
+    let mut out = Vec::new();
+    for &(lat, lng) in &users {
+        for k in 0..8 {
+            for mode in [PathMode::BentPipe, PathMode::IslRelay] {
+                out.push((LatLng::new(lat, lng), k as f64 * 731.0, mode));
+            }
+        }
+    }
+    out
+}
+
+fn all_paths(
+    topo: &IslTopology,
+    gws: &[Gateway],
+    queries: &[(LatLng, f64, PathMode)],
+    f: impl Fn(&IslTopology, &[Gateway], &LatLng, f64, PathMode) -> Option<GatewayPath>,
+) -> Vec<Option<GatewayPath>> {
+    queries
+        .iter()
+        .map(|(u, t, m)| f(topo, gws, u, *t, *m))
+        .collect()
 }
 
 fn bench_kernels(c: &mut Criterion) {
@@ -289,6 +351,52 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
+    // Kernel 8: the Monte-Carlo density estimator — hoisted ephemeris
+    // with the sin-latitude prefilter versus full propagation of every
+    // sample.
+    let shell = density_shell();
+    let mut group = c.benchmark_group("kernels/orbit");
+    group.sample_size(10);
+    group.bench_function("density/naive", |b| {
+        b.iter(|| {
+            for lat in DENSITY_LATS {
+                black_box(naive::naive_density(&shell, lat, 2.0, 257));
+            }
+        })
+    });
+    group.bench_function("density/ephemeris", |b| {
+        b.iter(|| {
+            for lat in DENSITY_LATS {
+                black_box(empirical_density_factor(&shell, lat, 2.0, 257));
+            }
+        })
+    });
+
+    // Kernel 9: constellation coverage — band, dot and haversine
+    // stages versus the haversine test on every pair.
+    let shells = WalkerShell::starlink_current_2025();
+    let points = coverage_points();
+    let cov_cfg = CoverageConfig::default();
+    group.bench_function("coverage/naive", |b| {
+        b.iter(|| black_box(naive::naive_coverage(&shells, &points, &cov_cfg)))
+    });
+    group.bench_function("coverage/ephemeris", |b| {
+        b.iter(|| black_box(coverage(&shells, &points, &cov_cfg)))
+    });
+
+    // Kernel 10: user→gateway paths — lazy positions and prefiltered
+    // serving and gateway searches versus propagating the whole shell.
+    let topo = IslTopology::plus_grid(WalkerShell::starlink_gen1_shell1());
+    let gws = conus_gateways();
+    let queries = path_queries();
+    group.bench_function("path/naive", |b| {
+        b.iter(|| black_box(all_paths(&topo, &gws, &queries, naive::naive_path)))
+    });
+    group.bench_function("path/ephemeris", |b| {
+        b.iter(|| black_box(all_paths(&topo, &gws, &queries, user_gateway_path)))
+    });
+    group.finish();
+
     // Snapshot codec throughput over the shared test-scale dataset.
     let payload = encode_dataset(ds);
     let mut group = c.benchmark_group("cache");
@@ -372,6 +480,28 @@ fn bench_kernels(c: &mut Criterion) {
         );
     }
 
+    // Orbit-kernel gates: same bits as the reference twins on the
+    // inputs `divide orbit-validate` and `divide latency` use.
+    for lat in DENSITY_LATS {
+        assert_eq!(
+            empirical_density_factor(&shell, lat, 2.0, 257).to_bits(),
+            naive::naive_density(&shell, lat, 2.0, 257).to_bits(),
+            "density diverged at {lat}"
+        );
+    }
+    assert!(
+        naive::same_coverage(
+            &coverage(&shells, &points, &cov_cfg),
+            &naive::naive_coverage(&shells, &points, &cov_cfg)
+        ),
+        "coverage diverged"
+    );
+    let fast = all_paths(&topo, &gws, &queries, user_gateway_path);
+    let slow = all_paths(&topo, &gws, &queries, naive::naive_path);
+    for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
+        assert!(naive::same_path(a, b), "path {i} diverged: {a:?} vs {b:?}");
+    }
+
     // Codec throughput in engineering units for EXPERIMENTS.md.
     let mb = payload.len() as f64 / (1024.0 * 1024.0);
     let reps = 50;
@@ -420,6 +550,17 @@ fn bench_kernels(c: &mut Criterion) {
     let decode_ms = median_ms(31, || {
         black_box(decode_dataset(black_box(&payload)).expect("valid"));
     });
+    let density_ms = median_ms(11, || {
+        for lat in DENSITY_LATS {
+            black_box(empirical_density_factor(&shell, lat, 2.0, 257));
+        }
+    });
+    let coverage_ms = median_ms(11, || {
+        black_box(coverage(&shells, &points, &cov_cfg));
+    });
+    let path_ms = median_ms(11, || {
+        black_box(all_paths(&topo, &gws, &queries, user_gateway_path));
+    });
     println!(
         "KERNELS_JSON: {{\"sweep_row_scan_ms\":{sweep_ms:.6},\
          \"unserved_fold_ms\":{fold_ms:.6},\
@@ -427,7 +568,10 @@ fn bench_kernels(c: &mut Criterion) {
          \"cell_centers_ms\":{centers_ms:.6},\
          \"snapshot_encode_ms\":{encode_ms:.6},\
          \"snapshot_decode_ms\":{decode_ms:.6},\
-         \"decode_mib_per_s\":{:.3}}}",
+         \"decode_mib_per_s\":{:.3},\
+         \"empirical_density_factor_ms\":{density_ms:.6},\
+         \"coverage_ms\":{coverage_ms:.6},\
+         \"user_gateway_path_ms\":{path_ms:.6}}}",
         mb / (decode_ms / 1e3)
     );
 }

@@ -253,8 +253,15 @@ fn runs_append_to_the_ledger_unless_obs_or_ledger_is_off() {
         );
     }
 
-    // `history` over its own appends: two comparable runs, exit 0.
-    let out = run(divide().args(["history", "--ledger"]).arg(&ledger));
+    // `history` over its own appends: two comparable runs, exit 0. The
+    // thresholds cannot trip, so the check is about plumbing and exit
+    // codes, not the wall-clock noise between two real runs.
+    let out = run(divide().args(["history", "--ledger"]).arg(&ledger).args([
+        "--max-regress-pct",
+        "1000000",
+        "--min-wall-ms",
+        "1000000",
+    ]));
     assert_eq!(
         out.status.code(),
         Some(0),

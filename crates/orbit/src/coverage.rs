@@ -8,9 +8,10 @@
 //! The orbit-validate experiment (EXT-COV in DESIGN.md) reports the
 //! minimum and mean counts, and the `leo-bench` suite regenerates them.
 
+use crate::ephemeris::{SinLatBand, WalkerEphemeris};
 use crate::visibility;
 use crate::walker::WalkerShell;
-use leo_geomath::LatLng;
+use leo_geomath::{pre_central_angle_rad, LatLng, PrePoint, Vec3};
 use leo_parallel::par_map;
 
 /// Coverage statistics for one ground point.
@@ -45,12 +46,38 @@ impl Default for CoverageConfig {
     }
 }
 
+/// One shell's coverage invariants: its ephemeris, its cap angle, the
+/// latitude band its satellites must be in to reach any point, and the
+/// dot-product floor below which a satellite is certainly out of a
+/// point's view.
+struct ShellCover {
+    eph: WalkerEphemeris,
+    lambda: f64,
+    band: SinLatBand,
+    /// [`visibility::cap_dot_floor`] at the orbit radius, compared
+    /// against `p̂ · ecef`.
+    dot_floor: f64,
+}
+
+/// A ground point with its unit vector and haversine trigonometry
+/// hoisted.
+struct Ground {
+    lat_deg: f64,
+    pre: PrePoint,
+    unit: Vec3,
+}
+
 /// Computes coverage statistics for each ground point under the union
 /// of `shells`.
 ///
-/// Complexity is `O(time_samples × satellites × points)` with a cheap
-/// latitude-band prefilter; a full 8k-satellite constellation over a
-/// handful of points runs in well under a second.
+/// Complexity is `O(time_samples × satellites)` for propagation plus
+/// `O(time_samples × band satellites × points)` dot products, where the
+/// band satellites are those within one cap angle of the points'
+/// latitude range. Only pairs within the cap angle plus a 1e-6 rad
+/// margin (`visibility::cap_dot_floor`) build a sub-satellite point and
+/// run the exact haversine test, so the integer in-view counts are
+/// exactly those of testing every pair. A full 8k-satellite
+/// constellation over a few dozen points runs in tens of milliseconds.
 pub fn coverage(
     shells: &[WalkerShell],
     points: &[LatLng],
@@ -58,50 +85,76 @@ pub fn coverage(
 ) -> Vec<CoverageStats> {
     assert!(cfg.time_samples > 0, "need at least one sample");
     let _span = leo_obs::span!("orbit.mc_coverage");
-    let sats: Vec<_> = shells.iter().flat_map(|s| s.satellites()).collect();
-    leo_obs::metrics::counter_add(
-        "orbit.mc_samples",
-        cfg.time_samples as u64 * sats.len() as u64,
-    );
+    let (lat_min, lat_max) = points
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+            (lo.min(p.lat_deg()), hi.max(p.lat_deg()))
+        });
+    let covers: Vec<ShellCover> = shells
+        .iter()
+        .map(|s| {
+            let eph = WalkerEphemeris::new(s);
+            let lambda =
+                visibility::coverage_cap_angle_rad(eph.altitude_km(), cfg.min_elevation_deg);
+            ShellCover {
+                band: SinLatBand::new(lat_min - lambda.to_degrees(), lat_max + lambda.to_degrees()),
+                dot_floor: visibility::cap_dot_floor(eph.radius_km(), lambda),
+                eph,
+                lambda,
+            }
+        })
+        .collect();
+    let ground: Vec<Ground> = points
+        .iter()
+        .map(|p| Ground {
+            lat_deg: p.lat_deg(),
+            pre: PrePoint::new(p),
+            unit: p.to_unit_vec(),
+        })
+        .collect();
+    let sats: usize = covers.iter().map(|c| c.eph.len()).sum();
+    leo_obs::metrics::counter_add("orbit.mc_samples", cfg.time_samples as u64 * sats as u64);
     // Each time sample yields an independent per-point visibility
     // count; samples fan out across workers and merge with the
     // associative, order-insensitive (min, sum, count) fold below, so
     // the statistics are exact at any thread count.
     let samples: Vec<u32> = (0..cfg.time_samples).collect();
-    let per_sample: Vec<Vec<u32>> = par_map(&samples, |_, &k| {
+    let per_sample: Vec<(Vec<u32>, u64)> = par_map(&samples, |_, &k| {
         let t = cfg.span_s * k as f64 / cfg.time_samples as f64;
-        // Sub-satellite points at this instant, with per-sat cap angle.
-        let ssps: Vec<(LatLng, f64)> = sats
-            .iter()
-            .map(|s| {
-                (
-                    s.orbit.subsatellite(t),
-                    visibility::coverage_cap_angle_rad(
-                        s.orbit.altitude_km(),
-                        cfg.min_elevation_deg,
-                    ),
-                )
-            })
-            .collect();
-        points
-            .iter()
-            .map(|p| {
-                let mut count = 0u32;
-                for (ssp, lambda) in &ssps {
-                    // Latitude prefilter: |Δlat| alone can exceed λ.
-                    if (ssp.lat_deg() - p.lat_deg()).abs().to_radians() > *lambda {
+        let mut counts = vec![0u32; points.len()];
+        let mut exact = 0u64;
+        for c in &covers {
+            let epoch = c.eph.at(t);
+            for i in 0..c.eph.len() {
+                if !c.band.may_contain(epoch.sin_lat(i)) {
+                    continue;
+                }
+                let approx = epoch.ecef_approx(i);
+                let mut ssp: Option<(LatLng, PrePoint)> = None;
+                for (count, g) in counts.iter_mut().zip(&ground) {
+                    if g.unit.dot(approx) < c.dot_floor {
                         continue;
                     }
-                    if p.central_angle_rad(ssp) <= *lambda {
-                        count += 1;
+                    exact += 1;
+                    let (ssp, ssp_pre) = ssp.get_or_insert_with(|| {
+                        let p = epoch.subsatellite(i);
+                        (p, PrePoint::new(&p))
+                    });
+                    // Latitude prefilter: |Δlat| alone can exceed λ.
+                    if (ssp.lat_deg() - g.lat_deg).abs().to_radians() > c.lambda {
+                        continue;
+                    }
+                    if pre_central_angle_rad(&g.pre, ssp_pre) <= c.lambda {
+                        *count += 1;
                     }
                 }
-                count
-            })
-            .collect()
+            }
+        }
+        (counts, exact)
     });
     let mut totals = vec![(u32::MAX, 0u64, 0u64); points.len()];
-    for counts in &per_sample {
+    leo_obs::metrics::counter_add("orbit.mc_exact", per_sample.iter().map(|s| s.1).sum());
+    for (counts, _) in &per_sample {
         for (entry, &count) in totals.iter_mut().zip(counts) {
             entry.0 = entry.0.min(count);
             entry.1 += count as u64;

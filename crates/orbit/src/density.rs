@@ -35,9 +35,10 @@
 //! to sustain a required density at one latitude — exactly the paper's
 //! "work backwards from the satellite density at the peak demand cell".
 
+use crate::ephemeris::{SinLatBand, WalkerEphemeris};
 use crate::walker::WalkerShell;
 use leo_geomath::constants::EARTH_SURFACE_AREA_KM2;
-use leo_parallel::par_sum_u64;
+use leo_parallel::par_map;
 
 /// Dimensionless sub-satellite density factor `d(φ, i)` of an inclined
 /// Walker shell at latitude `lat_deg`; `None` when the latitude is at or
@@ -88,6 +89,12 @@ pub fn time_fraction_in_band(inclination_deg: f64, lat_lo_deg: f64, lat_hi_deg: 
 ///
 /// Converges to [`density_factor`] as samples grow; the orbit-validate
 /// experiment and tests compare the two.
+///
+/// Each sample first takes a `sin φ = sin i · sin u` latitude
+/// prefilter with no transcendental per sample; only samples it cannot
+/// rule out propagate in 3-D and run the exact band test, so the
+/// in-band count is the one a full propagation of every sample gives
+/// (see [`crate::ephemeris`]).
 pub fn empirical_density_factor(
     shell: &WalkerShell,
     lat_deg: f64,
@@ -96,21 +103,33 @@ pub fn empirical_density_factor(
 ) -> f64 {
     assert!(band_deg > 0.0 && time_samples > 0);
     let _span = leo_obs::span!("orbit.mc_density");
-    let sats = shell.satellites();
-    leo_obs::metrics::counter_add("orbit.mc_samples", time_samples as u64 * sats.len() as u64);
-    let n = sats.len() as f64;
-    let period = sats[0].orbit.period_s();
+    let eph = WalkerEphemeris::new(shell);
+    leo_obs::metrics::counter_add("orbit.mc_samples", time_samples as u64 * eph.len() as u64);
+    let n = eph.len() as f64;
+    let period = eph.period_s();
+    let band = SinLatBand::new(lat_deg - band_deg, lat_deg + band_deg);
     // Time samples are independent; hits are integer counts, so the
-    // parallel sum is exact and thread-count-invariant.
-    let in_band = par_sum_u64(time_samples as usize, |k| {
-        let t = period * k as f64 / time_samples as f64;
-        sats.iter()
-            .filter(|s| {
-                let lat = s.orbit.subsatellite(t).lat_deg();
-                (lat - lat_deg).abs() <= band_deg
-            })
-            .count() as u64
+    // parallel fold is exact and thread-count-invariant.
+    let samples: Vec<u32> = (0..time_samples).collect();
+    let per_sample: Vec<(u64, u64)> = par_map(&samples, |_, &k| {
+        let epoch = eph.at(period * k as f64 / time_samples as f64);
+        let (mut in_band, mut exact) = (0u64, 0u64);
+        for i in 0..eph.len() {
+            if !band.may_contain(epoch.sin_lat(i)) {
+                continue;
+            }
+            exact += 1;
+            let lat = epoch.subsatellite(i).lat_deg();
+            if (lat - lat_deg).abs() <= band_deg {
+                in_band += 1;
+            }
+        }
+        (in_band, exact)
     });
+    let (in_band, exact) = per_sample
+        .iter()
+        .fold((0, 0), |(a, b), &(c, d)| (a + c, b + d));
+    leo_obs::metrics::counter_add("orbit.mc_exact", exact);
     leo_obs::metrics::counter_add("orbit.mc_in_band", in_band);
     let frac = in_band as f64 / (n * time_samples as f64);
     // Convert band occupancy to a density factor: the band covers

@@ -23,8 +23,14 @@ pub fn earth_rotation_angle_rad(t_s: f64) -> f64 {
 
 /// Rotates an ECI position into ECEF at time `t_s`.
 pub fn eci_to_ecef(p_eci: Vec3, t_s: f64) -> Vec3 {
-    let theta = earth_rotation_angle_rad(t_s);
-    let (s, c) = theta.sin_cos();
+    rotate_eci_to_ecef(p_eci, earth_rotation_angle_rad(t_s).sin_cos())
+}
+
+/// [`eci_to_ecef`] with the Earth rotation angle's `(sin θ, cos θ)`
+/// already evaluated, so a caller propagating many satellites to one
+/// instant computes it once.
+#[inline]
+pub(crate) fn rotate_eci_to_ecef(p_eci: Vec3, (s, c): (f64, f64)) -> Vec3 {
     // ECEF = Rz(−θ)·ECI (the Earth rotates +θ, so fixed coordinates
     // rotate the other way).
     Vec3::new(

@@ -9,7 +9,7 @@
 //! gateways, and per-satellite bent-pipe feasibility at an instant.
 
 use crate::visibility;
-use leo_geomath::LatLng;
+use leo_geomath::{pre_central_angle_rad, LatLng, PrePoint, Vec3};
 
 /// Minimum elevation for gateway links (gateways use steerable dishes
 /// and a lower mask than user terminals).
@@ -76,24 +76,71 @@ pub fn conus_gateways() -> Vec<Gateway> {
         .collect()
 }
 
+/// A gateway fleet prepared for repeated visibility queries from one
+/// shell altitude: the gateway cap angle is evaluated once, and each
+/// site carries its unit vector and hoisted haversine trigonometry.
+#[derive(Debug, Clone)]
+pub(crate) struct GatewayView {
+    lambda: f64,
+    /// [`visibility::cap_dot_floor`] on the unit sphere.
+    dot_floor: f64,
+    altitude_km: f64,
+    sites: Vec<(Vec3, PrePoint)>,
+}
+
+impl GatewayView {
+    /// Prepares `gateways` for satellites at `altitude_km`.
+    pub(crate) fn new(gateways: &[Gateway], altitude_km: f64) -> Self {
+        let lambda = visibility::coverage_cap_angle_rad(altitude_km, GATEWAY_MIN_ELEVATION_DEG);
+        GatewayView {
+            lambda,
+            dot_floor: visibility::cap_dot_floor(1.0, lambda),
+            altitude_km,
+            sites: gateways
+                .iter()
+                .map(|g| (g.location.to_unit_vec(), PrePoint::new(&g.location)))
+                .collect(),
+        }
+    }
+
+    /// Gateways visible from a satellite with sub-satellite point
+    /// `ssp`, with the slant range (km) to each, in fleet order. Sites
+    /// the dot prefilter puts certainly outside the cap skip the exact
+    /// central-angle test.
+    pub(crate) fn visible<'a>(&'a self, ssp: &LatLng) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let unit = ssp.to_unit_vec();
+        let pre = PrePoint::new(ssp);
+        let r = leo_geomath::EARTH_RADIUS_KM;
+        let a = r + self.altitude_km;
+        self.sites
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, (site_unit, site))| {
+                if unit.dot(*site_unit) < self.dot_floor {
+                    return None;
+                }
+                let angle = pre_central_angle_rad(&pre, site);
+                if angle > self.lambda {
+                    return None;
+                }
+                // Slant range via the law of cosines on the central angle.
+                let range = (r * r + a * a - 2.0 * r * a * angle.cos()).sqrt();
+                Some((i, range))
+            })
+    }
+
+    /// The nearest visible gateway, if any (the first on ties).
+    pub(crate) fn nearest(&self, ssp: &LatLng) -> Option<(usize, f64)> {
+        self.visible(ssp)
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+    }
+}
+
 /// Gateways visible from a satellite with sub-satellite point `ssp` at
 /// `altitude_km`, with the slant range (km) to each.
 pub fn visible_gateways(gateways: &[Gateway], ssp: &LatLng, altitude_km: f64) -> Vec<(usize, f64)> {
-    let lambda = visibility::coverage_cap_angle_rad(altitude_km, GATEWAY_MIN_ELEVATION_DEG);
-    let r = leo_geomath::EARTH_RADIUS_KM;
-    let a = r + altitude_km;
-    gateways
-        .iter()
-        .enumerate()
-        .filter_map(|(i, g)| {
-            let angle = ssp.central_angle_rad(&g.location);
-            if angle > lambda {
-                return None;
-            }
-            // Slant range via the law of cosines on the central angle.
-            let range = (r * r + a * a - 2.0 * r * a * angle.cos()).sqrt();
-            Some((i, range))
-        })
+    GatewayView::new(gateways, altitude_km)
+        .visible(ssp)
         .collect()
 }
 
@@ -103,9 +150,7 @@ pub fn nearest_gateway(
     ssp: &LatLng,
     altitude_km: f64,
 ) -> Option<(usize, f64)> {
-    visible_gateways(gateways, ssp, altitude_km)
-        .into_iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+    GatewayView::new(gateways, altitude_km).nearest(ssp)
 }
 
 #[cfg(test)]

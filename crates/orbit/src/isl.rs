@@ -8,7 +8,9 @@
 //! connectivity question quantitatively: what is the user→gateway
 //! latency in a bent-pipe versus an ISL-relayed configuration?
 
-use crate::gateway::{nearest_gateway, Gateway};
+use crate::ephemeris::{Epoch, WalkerEphemeris};
+use crate::frames;
+use crate::gateway::{Gateway, GatewayView};
 use crate::visibility;
 use crate::walker::WalkerShell;
 use leo_geomath::{LatLng, Vec3};
@@ -22,6 +24,9 @@ pub const SPEED_OF_LIGHT_KM_S: f64 = 299_792.458;
 #[derive(Debug, Clone)]
 pub struct IslTopology {
     shell: WalkerShell,
+    /// The shell's propagation invariants, hoisted once for every path
+    /// query.
+    ephemeris: WalkerEphemeris,
     /// Adjacency: for each satellite, its four (or fewer) neighbours.
     adjacency: Vec<Vec<usize>>,
 }
@@ -52,7 +57,11 @@ impl IslTopology {
             neighbors.dedup();
             neighbors.retain(|&n| n != me);
         }
-        IslTopology { shell, adjacency }
+        IslTopology {
+            ephemeris: WalkerEphemeris::new(&shell),
+            shell,
+            adjacency,
+        }
     }
 
     /// The shell this topology spans.
@@ -107,38 +116,40 @@ pub fn user_gateway_path(
     t_s: f64,
     mode: PathMode,
 ) -> Option<GatewayPath> {
-    let sats = topo.shell.satellites();
     let alt = topo.shell.altitude_km;
-    // Positions and sub-satellite points at t.
-    let ecef: Vec<Vec3> = sats
-        .iter()
-        .map(|s| crate::frames::eci_to_ecef(s.orbit.position_eci(t_s), t_s))
-        .collect();
-    let ssps: Vec<LatLng> = ecef
-        .iter()
-        .map(|&p| crate::frames::subsatellite_point(p))
-        .collect();
+    let epoch = topo.ephemeris.at(t_s);
+    let n = topo.ephemeris.len();
+    let mut pos = Positions {
+        epoch,
+        cache: vec![None; n],
+    };
+    let gws = GatewayView::new(gateways, alt);
 
-    // Serving satellite: min slant among those above the UT mask.
-    let user_ecef = user.to_unit_vec() * leo_geomath::EARTH_RADIUS_KM;
-    let serving = ecef
-        .iter()
-        .enumerate()
-        .filter(|(i, p)| {
-            visibility::elevation_angle_deg(user, **p) >= visibility::STARLINK_MIN_ELEVATION_DEG
-                && ssps[*i].lat_deg().abs() <= 90.0
+    // Serving satellite: min slant among those above the UT mask. The
+    // elevation mask is a cap of angle λ around the user, so satellites
+    // the dot prefilter puts certainly outside it skip the exact test.
+    let up = user.to_unit_vec();
+    let user_ecef = up * leo_geomath::EARTH_RADIUS_KM;
+    let lambda = visibility::coverage_cap_angle_rad(alt, visibility::STARLINK_MIN_ELEVATION_DEG);
+    let floor = visibility::cap_dot_floor(topo.ephemeris.radius_km(), lambda);
+    let serving = (0..n)
+        .filter(|&i| up.dot(epoch.ecef_approx(i)) >= floor)
+        .map(|i| (i, pos.get(i)))
+        .filter(|(_, p)| {
+            visibility::elevation_from_unit_deg(up, *p) >= visibility::STARLINK_MIN_ELEVATION_DEG
         })
         .min_by(|a, b| {
-            let da = (*a.1 - user_ecef).norm();
-            let db = (*b.1 - user_ecef).norm();
+            let da = (a.1 - user_ecef).norm();
+            let db = (b.1 - user_ecef).norm();
             da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
         })
         .map(|(i, _)| i)?;
-    let up_km = (ecef[serving] - user_ecef).norm();
+    let up_km = (pos.get(serving) - user_ecef).norm();
 
     match mode {
         PathMode::BentPipe => {
-            let (gw, down_km) = nearest_gateway(gateways, &ssps[serving], alt)?;
+            let ssp = frames::subsatellite_point(pos.get(serving));
+            let (gw, down_km) = gws.nearest(&ssp)?;
             let distance = up_km + down_km;
             Some(GatewayPath {
                 latency_ms: distance / SPEED_OF_LIGHT_KM_S * 1000.0,
@@ -164,7 +175,6 @@ pub fn user_gateway_path(
                     Some(self.cmp(o))
                 }
             }
-            let n = ecef.len();
             let mut dist = vec![f64::INFINITY; n];
             let mut hops = vec![0u32; n];
             let mut heap = BinaryHeap::new();
@@ -182,7 +192,8 @@ pub fn user_gateway_path(
                         break;
                     }
                 }
-                if let Some((gw, down_km)) = nearest_gateway(gateways, &ssps[u], alt) {
+                let pu = pos.get(u);
+                if let Some((gw, down_km)) = gws.nearest(&frames::subsatellite_point(pu)) {
                     let total = d + down_km;
                     if best.as_ref().map(|b| total < b.distance_km).unwrap_or(true) {
                         best = Some(GatewayPath {
@@ -194,7 +205,7 @@ pub fn user_gateway_path(
                     }
                 }
                 for &v in &topo.adjacency[u] {
-                    let w = (ecef[u] - ecef[v]).norm();
+                    let w = (pu - pos.get(v)).norm();
                     if d + w < dist[v] {
                         dist[v] = d + w;
                         hops[v] = hops[u] + 1;
@@ -204,6 +215,21 @@ pub fn user_gateway_path(
             }
             best
         }
+    }
+}
+
+/// Exact ECEF positions at one instant, each computed on first use:
+/// a path query touches only the satellites near the user and those
+/// Dijkstra reaches.
+struct Positions<'a> {
+    epoch: Epoch<'a>,
+    cache: Vec<Option<Vec3>>,
+}
+
+impl Positions<'_> {
+    fn get(&mut self, i: usize) -> Vec3 {
+        let epoch = &self.epoch;
+        *self.cache[i].get_or_insert_with(|| epoch.ecef(i))
     }
 }
 

@@ -19,7 +19,9 @@
 //! (satellites "linger" at the top of their ground tracks). The
 //! [`density`] module provides both the analytic factor and a
 //! Monte-Carlo validation harness; [`walker`] generates the shells;
-//! [`propagate`] and [`frames`] supply the underlying mechanics;
+//! [`propagate`] and [`frames`] supply the underlying mechanics, and
+//! [`ephemeris`] hoists them across a whole shell for the Monte-Carlo
+//! kernels;
 //! [`visibility`] computes elevation-constrained coverage footprints
 //! used to sanity-check that beam count (not footprint area) is the
 //! binding constraint in the capacity model.
@@ -30,6 +32,7 @@
 pub mod coverage;
 pub mod density;
 pub mod doppler;
+pub mod ephemeris;
 pub mod frames;
 pub mod gateway;
 pub mod groundtrack;
@@ -41,6 +44,7 @@ pub mod visibility;
 pub mod walker;
 
 pub use density::{constellation_size_for_density, density_factor};
+pub use ephemeris::WalkerEphemeris;
 pub use propagate::CircularOrbit;
 pub use visibility::{coverage_cap_angle_rad, elevation_angle_deg};
 pub use walker::{Satellite, WalkerShell};

@@ -18,9 +18,29 @@ use leo_geomath::{LatLng, Vec3};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircularOrbit {
     altitude_km: f64,
-    inclination_rad: f64,
-    raan_rad: f64,
-    arg_lat_epoch_rad: f64,
+    pub(crate) inclination_rad: f64,
+    pub(crate) raan_rad: f64,
+    pub(crate) arg_lat_epoch_rad: f64,
+}
+
+/// ECI position on a circular orbit of radius `r` from the sine/cosine
+/// pairs of the argument of latitude `u`, inclination `i` and RAAN `Ω`:
+/// the in-plane position rotated by `i`, then by `Ω`. Shared by
+/// [`CircularOrbit::position_eci`] and the hoisted
+/// [`crate::ephemeris::WalkerEphemeris`], so both evaluate the same
+/// floating-point operations in the same order.
+#[inline]
+pub(crate) fn eci_position(
+    r: f64,
+    (su, cu): (f64, f64),
+    (si, ci): (f64, f64),
+    (so, co): (f64, f64),
+) -> Vec3 {
+    Vec3::new(
+        r * (co * cu - so * su * ci),
+        r * (so * cu + co * su * ci),
+        r * (su * si),
+    )
 }
 
 impl CircularOrbit {
@@ -70,15 +90,11 @@ impl CircularOrbit {
     /// ECI position at `t_s` seconds past epoch, km.
     pub fn position_eci(&self, t_s: f64) -> Vec3 {
         let u = self.arg_lat_epoch_rad + self.mean_motion_rad_s() * t_s;
-        let (su, cu) = u.sin_cos();
-        let (si, ci) = self.inclination_rad.sin_cos();
-        let (so, co) = self.raan_rad.sin_cos();
-        let r = self.radius_km();
-        // Position in the orbital plane rotated by inclination then RAAN.
-        Vec3::new(
-            r * (co * cu - so * su * ci),
-            r * (so * cu + co * su * ci),
-            r * (su * si),
+        eci_position(
+            self.radius_km(),
+            u.sin_cos(),
+            self.inclination_rad.sin_cos(),
+            self.raan_rad.sin_cos(),
         )
     }
 

@@ -28,6 +28,32 @@ pub fn coverage_cap_angle_rad(altitude_km: f64, elev_deg: f64) -> f64 {
     (ratio * eps.cos()).clamp(-1.0, 1.0).acos() - eps
 }
 
+/// Angular slack (radians) of [`cap_dot_floor`]: far beyond the
+/// rounding of the dot product and of the exact central-angle and
+/// elevation tests, far below any cap angle.
+pub(crate) const CAP_DOT_MARGIN_RAD: f64 = 1e-6;
+
+/// Further slack of [`cap_dot_floor`], as a fraction of the radius: it
+/// covers the error of a prefilter position (under 1e-8 km, see
+/// [`crate::ephemeris`]) and keeps the floor conservative even for a cap
+/// angle near zero, where the cosine is flat.
+pub(crate) const CAP_DOT_SLACK: f64 = 1e-9;
+
+/// Dot-product floor of a conservative coverage-cap prefilter. For a
+/// ground unit vector `û` and a position `p` at radius `radius` (km, or
+/// 1 for unit vectors), `û · p` below the floor means the central angle
+/// exceeds `lambda` by more than [`CAP_DOT_MARGIN_RAD`], so the exact
+/// test would reject the pair as well. Caps reaching past the antipode
+/// get no floor.
+pub(crate) fn cap_dot_floor(radius: f64, lambda: f64) -> f64 {
+    let reach = lambda + CAP_DOT_MARGIN_RAD;
+    if reach < std::f64::consts::PI {
+        radius * (reach.cos() - CAP_DOT_SLACK)
+    } else {
+        f64::NEG_INFINITY
+    }
+}
+
 /// Ground area (km²) of the coverage cap.
 pub fn coverage_cap_area_km2(altitude_km: f64, elev_deg: f64) -> f64 {
     leo_geomath::sphere::spherical_cap_area_km2(coverage_cap_angle_rad(altitude_km, elev_deg))
@@ -37,8 +63,13 @@ pub fn coverage_cap_area_km2(altitude_km: f64, elev_deg: f64) -> f64 {
 /// (km) as seen from ground point `ground` on the spherical Earth.
 /// Negative values mean the satellite is below the horizon.
 pub fn elevation_angle_deg(ground: &LatLng, sat_ecef: Vec3) -> f64 {
-    let gp = ground.to_unit_vec() * EARTH_RADIUS_KM;
-    let up = ground.to_unit_vec();
+    elevation_from_unit_deg(ground.to_unit_vec(), sat_ecef)
+}
+
+/// [`elevation_angle_deg`] from the ground point's unit vector `up`,
+/// for callers testing many satellites against one ground point.
+pub(crate) fn elevation_from_unit_deg(up: Vec3, sat_ecef: Vec3) -> f64 {
+    let gp = up * EARTH_RADIUS_KM;
     let los = sat_ecef - gp;
     let n = los.norm();
     if n < 1e-9 {

@@ -63,14 +63,19 @@ impl WalkerShell {
 
     /// Enumerates the shell's satellites with their epoch geometry.
     pub fn satellites(&self) -> Vec<Satellite> {
+        self.satellites_iter().collect()
+    }
+
+    /// [`WalkerShell::satellites`] without collecting: plane-major,
+    /// slot-minor.
+    pub(crate) fn satellites_iter(&self) -> impl Iterator<Item = Satellite> + '_ {
         let t = self.total();
-        let mut out = Vec::with_capacity(t as usize);
-        for plane in 0..self.planes {
+        (0..self.planes).flat_map(move |plane| {
             let raan = 360.0 * plane as f64 / self.planes as f64;
-            for slot in 0..self.sats_per_plane {
+            (0..self.sats_per_plane).map(move |slot| {
                 let arg_lat = 360.0 * slot as f64 / self.sats_per_plane as f64
                     + 360.0 * (self.phasing as f64) * (plane as f64) / (t as f64);
-                out.push(Satellite {
+                Satellite {
                     orbit: CircularOrbit::new(
                         self.altitude_km,
                         self.inclination_deg,
@@ -79,10 +84,9 @@ impl WalkerShell {
                     ),
                     plane,
                     slot,
-                });
-            }
-        }
-        out
+                }
+            })
+        })
     }
 
     /// The primary Starlink Gen1 shell: 53.0°, 550 km, 72 planes × 22

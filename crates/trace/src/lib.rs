@@ -429,15 +429,19 @@ pub fn reset() {
     *EPOCH.lock() = Some(Instant::now());
 }
 
+/// Serializes every test in this crate that touches the process-wide
+/// lanes or flags. One crate-level lock, not one per test module: the
+/// `lib` and `export` tests share the same globals, and two private
+/// locks let one module's `reset()` wipe the other's recording.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// One lock for every test that flips the process-wide flags.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn disabled_recorder_allocates_nothing() {

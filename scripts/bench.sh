@@ -28,7 +28,8 @@
 # payload bytes over the warm dataset stage's wall-clock) and a
 # `kernels` section of per-kernel medians parsed from the criterion
 # harness's KERNELS_JSON line (Fig 2 row scan, unserved fold,
-# stratified sampling, bulk centers, snapshot encode/decode). Under
+# stratified sampling, bulk centers, snapshot encode/decode, and the
+# orbit density, coverage and gateway-path kernels). Under
 # --gate, a decode throughput more than $BENCH_GATE_PCT percent below
 # the committed BENCH_tier1.json fails (BENCH_DECODE_SKIP=1 bypasses).
 #

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify: lint, build the whole workspace, run every test, smoke
 # the `divide` CLI end-to-end at small scale into a throwaway directory,
-# and prove a warm cached run is byte-identical to a cold one.
+# prove a warm cached run is byte-identical to a cold one, and prove
+# paper-scale runs reproduce the committed results/ byte for byte.
 # Exits non-zero on the first failure.
 set -euo pipefail
 
@@ -180,6 +181,29 @@ trap 'rm -rf "$out" "$cachedir" "$cold" "$warm" "$nocache"' EXIT
 ./target/release/divide --scale small all --out "$nocache" --no-cache -q
 diff -r --exclude run_manifest.json "$cold" "$nocache" \
     || { echo "[tier1] --no-cache artifacts differ" >&2; exit 1; }
+
+echo "[tier1] paper-scale runs reproduce the committed results/ byte for byte"
+# The committed artifacts are the oracle: a cold 1-thread run and a
+# warm 2-thread run (sharing one snapshot cache) must both regenerate
+# every committed CSV and SVG exactly. paper_run.txt is a console log,
+# not an artifact, so it is not compared.
+paper_cache="$(mktemp -d)"
+paper1="$(mktemp -d)"
+paper2="$(mktemp -d)"
+trap 'rm -rf "$out" "$cachedir" "$cold" "$warm" "$nocache" "$paper_cache" "$paper1" "$paper2"' EXIT
+./target/release/divide --scale paper --threads 1 all --out "$paper1" --cache "$paper_cache" -q >/dev/null
+./target/release/divide --scale paper --threads 2 all --out "$paper2" --cache "$paper_cache" -q >/dev/null
+compared=0
+for f in results/*.csv results/*.svg; do
+    for run in "$paper1" "$paper2"; do
+        cmp -s "$f" "$run/$(basename "$f")" \
+            || { echo "[tier1] $f differs from a fresh paper-scale run ($run)" >&2; exit 1; }
+    done
+    compared=$((compared + 1))
+done
+[ "$compared" -ge 14 ] || { echo "[tier1] only $compared committed artifacts compared" >&2; exit 1; }
+echo "[tier1] $compared committed artifacts match at 1 thread (cold) and 2 threads (warm)"
+rm -rf "$paper_cache" "$paper1" "$paper2"
 
 echo "[tier1] stale-schema snapshot fails closed and regenerates"
 # Rewind the on-disk dataset container to schema v1 (the little-endian
