@@ -1,204 +1,62 @@
-//! `divide history` — trend tables and the median-based regression
-//! gate over the run-history ledger.
+//! `divide history` — the run-ledger front end of the regression gate.
 //!
-//! Where `divide report` diffs exactly two records pairwise, `history`
-//! reads the append-only `runs.jsonl` ledger (`leo-obs/run-ledger/v2`,
+//! Reads the append-only `runs.jsonl` ledger (`leo-obs/run-ledger/v2`,
 //! see `leo_obs::ledger`), filters it to runs *comparable* with the
-//! newest one (same command, scale, and thread count), and renders one
-//! trend row per metric — per-stage and total wall-clock, per-stage
-//! pool busy time and chunk counts, per-stage and run-level peak heap,
-//! peak RSS — with min/median/max over the window, an ASCII sparkline,
-//! and the newest run's delta against the **median of its
-//! predecessors**. A median baseline makes the gate robust to a single
-//! outlier run in either direction, which pairwise diffing is not.
+//! newest one (same command, scale, and thread count), and hands the
+//! newest run plus up to `--last` predecessors to the shared gate in
+//! [`crate::compare`] as one [`Metric`] per quantity — per-stage and
+//! total wall-clock, per-stage pool busy time and chunk counts,
+//! per-stage and run-level peak heap, peak RSS. The baseline is the
+//! **median of the predecessors**, which absorbs a single outlier run
+//! in either direction.
 //!
 //! Records from older schemas (`v1` lacked the per-stage parallel
 //! fields) are skipped by the exact-schema filter, the same way
 //! corrupt lines are — an old ledger never breaks `history`, it just
 //! shrinks the window.
-//!
-//! Exit codes mirror `report`: 0 ok (including "not enough history to
-//! judge"), 3 when any metric regressed beyond `--max-regress-pct`,
-//! 1 on IO/parse errors, 2 on usage errors (handled by the caller).
 
+use crate::compare::{self, Gate, Metric, Record, Unit};
 use leo_obs::json::Json;
 use leo_obs::ledger;
-use leo_report::{sparkline, TextTable};
-use std::path::PathBuf;
+use std::path::Path;
 
-/// Exit code when at least one metric regressed beyond the threshold.
-pub const EXIT_REGRESSED: i32 = 3;
-
-/// Parsed `divide history` options.
-pub struct HistoryOpts {
-    /// The ledger file (`--ledger`, or the resolved cache directory's
-    /// `runs.jsonl`).
-    pub ledger: PathBuf,
-    /// Window size: the newest run gates against the median of up to
-    /// this many predecessors.
-    pub last: usize,
-    /// A metric regresses when the newest run exceeds the prior
-    /// median by more than this percentage.
-    pub max_regress_pct: f64,
-    /// Wall-clock metrics below this in both newest and median never
-    /// gate.
-    pub min_wall_ms: f64,
-}
-
-/// Memory metrics below these floors never gate: at a few hundred kB
-/// of heap or a few MB of RSS, allocator and kernel bookkeeping noise
-/// swamps any real signal (the wall-clock floor is `--min-wall-ms`).
-const MIN_HEAP_BYTES: f64 = 1024.0 * 1024.0;
-const MIN_RSS_KB: f64 = 4096.0;
-
-/// How a metric's values are scaled and floored.
-#[derive(Clone, Copy, PartialEq)]
-enum Unit {
-    Ms,
-    Bytes,
-    Kb,
-    /// Dimensionless counts (pool chunks). Trended for context but
-    /// never gated: a chunk-count change tracks workload shape, not a
-    /// performance regression — hence the infinite floor.
-    Count,
-}
-
-impl Unit {
-    fn floor(self, opts: &HistoryOpts) -> f64 {
-        match self {
-            Unit::Ms => opts.min_wall_ms,
-            Unit::Bytes => MIN_HEAP_BYTES,
-            Unit::Kb => MIN_RSS_KB,
-            Unit::Count => f64::INFINITY,
+/// One ledger record's measurements, each only where the run took it.
+fn record_of(rec: &Json) -> Record {
+    let num = |json: &Json, key: &str| json.get(key).and_then(Json::as_f64);
+    let stages: &[(String, Json)] = match rec.get("stages") {
+        Some(Json::Obj(fields)) => fields,
+        _ => &[],
+    };
+    let mut out = Record::new();
+    let mut push = |name: String, unit, value: Option<f64>| {
+        if let Some(v) = value {
+            out.push((name, unit, v));
         }
+    };
+    for (stage, f) in stages {
+        push(format!("{stage} wall"), Unit::Ms, num(f, "wall_ms"));
     }
-
-    /// Renders a value in the unit's display scale (ms, MiB, MB).
-    fn fmt(self, v: f64) -> String {
-        if !v.is_finite() {
-            return "-".to_string();
-        }
-        match self {
-            Unit::Ms => format!("{v:.2}"),
-            Unit::Bytes => format!("{:.1}", v / (1024.0 * 1024.0)),
-            Unit::Kb => format!("{:.1}", v / 1024.0),
-            Unit::Count => format!("{v:.0}"),
-        }
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            Unit::Ms => "ms",
-            Unit::Bytes => "MiB",
-            Unit::Kb => "MB rss",
-            Unit::Count => "count",
-        }
-    }
-}
-
-/// One trend row: a metric's value in each comparable run, oldest
-/// first (NaN where a run lacks the field).
-struct Metric {
-    name: String,
-    unit: Unit,
-    values: Vec<f64>,
-}
-
-fn stage_field(rec: &Json, stage: &str, field: &str) -> f64 {
-    rec.get("stages")
-        .and_then(|s| s.get(stage))
-        .and_then(|s| s.get(field))
-        .and_then(Json::as_f64)
-        .unwrap_or(f64::NAN)
-}
-
-fn top_field(rec: &Json, field: &str) -> f64 {
-    rec.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN)
-}
-
-/// The stage names of a record, in ledger (insertion) order.
-fn stage_names(rec: &Json) -> Vec<String> {
-    match rec.get("stages") {
-        Some(Json::Obj(fields)) => fields.iter().map(|(name, _)| name.clone()).collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// Builds the metric rows for `runs` (comparable, oldest first). The
-/// newest run's stages define which per-stage rows exist; memory rows
-/// appear only where some run actually measured them.
-fn metrics_of(runs: &[&Json]) -> Vec<Metric> {
-    let newest = runs.last().expect("at least one run");
-    let mut metrics = Vec::new();
-    let column = |f: &dyn Fn(&Json) -> f64| runs.iter().map(|r| f(r)).collect::<Vec<f64>>();
-    for stage in stage_names(newest) {
-        metrics.push(Metric {
-            name: format!("{stage} wall"),
-            unit: Unit::Ms,
-            values: column(&|r| stage_field(r, &stage, "wall_ms")),
-        });
-    }
-    metrics.push(Metric {
-        name: "total wall".to_string(),
-        unit: Unit::Ms,
-        values: column(&|r| top_field(r, "wall_ms")),
-    });
+    push("total wall".into(), Unit::Ms, num(rec, "wall_ms"));
     // Per-stage parallel-efficiency rows (v2 ledger fields): pool busy
     // time gates like any wall metric, chunk counts only trend.
-    for stage in stage_names(newest) {
-        let busy = column(&|r| stage_field(r, &stage, "busy_ns") / 1e6);
-        if busy.iter().any(|v| v.is_finite()) {
-            metrics.push(Metric {
-                name: format!("{stage} par busy"),
-                unit: Unit::Ms,
-                values: busy,
-            });
-        }
-        let chunks = column(&|r| stage_field(r, &stage, "chunks"));
-        if chunks.iter().any(|v| v.is_finite()) {
-            metrics.push(Metric {
-                name: format!("{stage} par chunks"),
-                unit: Unit::Count,
-                values: chunks,
-            });
-        }
+    for (stage, f) in stages {
+        let busy_ms = num(f, "busy_ns").map(|ns| ns / 1e6);
+        push(format!("{stage} par busy"), Unit::Ms, busy_ms);
+        push(format!("{stage} par chunks"), Unit::Count, num(f, "chunks"));
     }
-    for stage in stage_names(newest) {
-        let values = column(&|r| stage_field(r, &stage, "peak_heap_delta"));
-        if values.iter().any(|v| v.is_finite()) {
-            metrics.push(Metric {
-                name: format!("{stage} peak heap"),
-                unit: Unit::Bytes,
-                values,
-            });
-        }
+    for (stage, f) in stages {
+        let heap = num(f, "peak_heap_delta");
+        push(format!("{stage} peak heap"), Unit::Bytes, heap);
     }
-    for (name, field, unit) in [
-        ("run peak heap", "peak_heap_bytes", Unit::Bytes),
-        ("run peak rss", "peak_rss_kb", Unit::Kb),
-    ] {
-        let values = column(&|r| top_field(r, field));
-        if values.iter().any(|v| v.is_finite()) {
-            metrics.push(Metric {
-                name: name.to_string(),
-                unit,
-                values,
-            });
-        }
-    }
-    metrics
+    let (heap, rss) = (num(rec, "peak_heap_bytes"), num(rec, "peak_rss_kb"));
+    push("run peak heap".into(), Unit::Bytes, heap);
+    push("run peak rss".into(), Unit::Kb, rss);
+    out
 }
 
-fn median(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        return f64::NAN;
-    }
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
+/// The metric rows for `runs` (comparable, oldest first).
+fn metrics_of(runs: &[&Json]) -> Vec<Metric> {
+    compare::series(runs.iter().map(|r| record_of(r)).collect())
 }
 
 /// A short identity string for the header: command/scale/threads of
@@ -215,185 +73,94 @@ fn identity(rec: &Json) -> String {
 }
 
 fn same_identity(a: &Json, b: &Json) -> bool {
-    for key in ["command", "scale"] {
-        if a.get(key).and_then(Json::as_str) != b.get(key).and_then(Json::as_str) {
-            return false;
-        }
-    }
-    a.get("threads").and_then(Json::as_u64) == b.get("threads").and_then(Json::as_u64)
+    ["command", "scale", "threads"]
+        .iter()
+        .all(|key| a.get(key) == b.get(key))
 }
 
-/// Runs `divide history`; returns the process exit code.
-pub fn run(opts: &HistoryOpts) -> i32 {
-    let all = match ledger::read(&opts.ledger) {
-        Ok(records) => records,
+/// Runs `divide history` over the newest run and up to `last`
+/// predecessors; returns the process exit code (0 also when there is
+/// not enough history to judge).
+pub fn run(ledger_path: &Path, last: usize, gate: &Gate) -> i32 {
+    let all: Vec<Json> = match ledger::read(ledger_path) {
+        Ok(records) => records
+            .into_iter()
+            .filter(|r| r.get("schema").and_then(Json::as_str) == Some(ledger::SCHEMA))
+            .collect(),
         Err(e) => {
-            eprintln!("divide history: cannot read {}: {e}", opts.ledger.display());
+            eprintln!("divide history: cannot read {}: {e}", ledger_path.display());
             return 1;
         }
     };
-    let all: Vec<Json> = all
-        .into_iter()
-        .filter(|r| r.get("schema").and_then(Json::as_str) == Some(ledger::SCHEMA))
-        .collect();
     let Some(newest) = all.last() else {
         println!(
             "divide history: {} holds no {} records yet",
-            opts.ledger.display(),
+            ledger_path.display(),
             ledger::SCHEMA
         );
         return 0;
     };
 
-    // Comparable runs: same command/scale/threads as the newest, the
-    // newest itself last; window = up to `last` predecessors + newest.
     let comparable: Vec<&Json> = all.iter().filter(|r| same_identity(r, newest)).collect();
     let skipped = all.len() - comparable.len();
-    let window_start = comparable.len().saturating_sub(opts.last + 1);
-    let runs = &comparable[window_start..];
-
-    let mut table = TextTable::new(
-        format!(
-            "divide history: {} — {} over {} run(s){} (gate: newest > prior median +{:.0}%)",
-            opts.ledger.display(),
-            identity(newest),
-            runs.len(),
-            if skipped > 0 {
-                format!(", {skipped} other run(s) ignored")
-            } else {
-                String::new()
-            },
-            opts.max_regress_pct,
-        ),
-        &[
-            "metric",
-            "unit",
-            "runs",
-            "min",
-            "median",
-            "max",
-            "newest",
-            "vs median",
-            "trend",
-            "status",
-        ],
-    );
-
-    let mut regressed = 0usize;
-    let gate_possible = runs.len() >= 2;
-    for metric in metrics_of(runs) {
-        let newest_v = *metric.values.last().expect("window non-empty");
-        let mut prior: Vec<f64> = metric.values[..metric.values.len() - 1]
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .collect();
-        prior.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let med = median(&prior);
-        let finite: Vec<f64> = metric
-            .values
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .collect();
-        let min = finite.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let floor = metric.unit.floor(opts);
-        let (delta, status) = if !newest_v.is_finite() {
-            ("-".to_string(), "no data")
-        } else if prior.is_empty() {
-            ("-".to_string(), "first run")
-        } else if newest_v < floor && med < floor {
-            let pct = if med > 0.0 {
-                100.0 * (newest_v - med) / med
-            } else {
-                0.0
-            };
-            (format!("{pct:+.1}%"), "below floor")
+    let runs = &comparable[comparable.len().saturating_sub(last + 1)..];
+    let title = format!(
+        "divide history: {} — {} over {} run(s){}, baseline = median of the earlier runs",
+        ledger_path.display(),
+        identity(newest),
+        runs.len(),
+        if skipped > 0 {
+            format!(", {skipped} other run(s) ignored")
         } else {
-            let pct = if med > 0.0 {
-                100.0 * (newest_v - med) / med
-            } else {
-                0.0
-            };
-            let status = if pct > opts.max_regress_pct {
-                regressed += 1;
-                "REGRESSED"
-            } else if pct < -opts.max_regress_pct {
-                "improved"
-            } else {
-                "ok"
-            };
-            (format!("{pct:+.1}%"), status)
-        };
-        table.row(&[
-            metric.name.clone(),
-            metric.unit.label().to_string(),
-            finite.len().to_string(),
-            metric.unit.fmt(min),
-            metric.unit.fmt(med),
-            metric.unit.fmt(max),
-            metric.unit.fmt(newest_v),
-            delta,
-            sparkline(&metric.values),
-            status.to_string(),
-        ]);
-    }
-    print!("{}", table.render());
-
-    if !gate_possible {
+            String::new()
+        },
+    );
+    let code = compare::run("history", &title, &metrics_of(runs), gate);
+    if runs.len() < 2 {
         println!("divide history: fewer than 2 comparable runs — nothing to gate against");
-        return 0;
     }
-    if regressed > 0 {
-        eprintln!(
-            "divide history: {regressed} metric(s) regressed beyond +{:.0}% of the prior median",
-            opts.max_regress_pct
-        );
-        EXIT_REGRESSED
-    } else {
-        0
-    }
+    code
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn median_of_even_and_odd_windows() {
-        assert_eq!(median(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
-        assert!(median(&[]).is_nan());
-    }
-
-    fn rec(command: &str, wall: f64, heap: u64) -> Json {
+    /// A ledger record under `schema` (`Json::set` appends, so it must
+    /// be chosen up front, not overridden later) whose one `dataset`
+    /// stage holds half the run's wall plus the fields of `stage`.
+    fn rec(schema: &str, command: &str, wall: f64, stage: Json) -> Json {
         Json::obj()
-            .set("schema", ledger::SCHEMA)
+            .set("schema", schema)
             .set("command", command)
             .set("scale", "small")
             .set("threads", 2u64)
             .set("wall_ms", wall)
             .set(
                 "stages",
-                Json::obj().set(
-                    "dataset",
-                    Json::obj()
-                        .set("wall_ms", wall / 2.0)
-                        .set("alloc_bytes", heap)
-                        .set("alloc_count", 10u64)
-                        .set("peak_heap_delta", heap),
-                ),
+                Json::obj().set("dataset", stage.set("wall_ms", wall / 2.0)),
             )
-            .set("peak_heap_bytes", heap)
+    }
+
+    /// A record whose dataset stage carries the v2 parallel fields.
+    fn rec_par(schema: &str, wall: f64, busy_ns: u64) -> Json {
+        let stage = Json::obj().set("busy_ns", busy_ns).set("chunks", 4u64);
+        rec(schema, "all", wall, stage)
     }
 
     #[test]
     fn metric_rows_cover_stages_and_run_level() {
-        let a = rec("all", 100.0, 50 << 20);
-        let b = rec("all", 110.0, 51 << 20);
-        let runs = vec![&a, &b];
-        let metrics = metrics_of(&runs);
+        let run = |wall, heap: u64| {
+            rec(
+                ledger::SCHEMA,
+                "all",
+                wall,
+                Json::obj().set("peak_heap_delta", heap),
+            )
+            .set("peak_heap_bytes", heap)
+        };
+        let (a, b) = (run(100.0, 50 << 20), run(110.0, 51 << 20));
+        let metrics = metrics_of(&[&a, &b]);
         let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
             names,
@@ -409,68 +176,32 @@ mod tests {
 
     #[test]
     fn identity_filter_separates_commands() {
-        let a = rec("all", 100.0, 1);
-        let b = rec("fig2", 5.0, 1);
+        let a = rec(ledger::SCHEMA, "all", 100.0, Json::obj());
+        let b = rec(ledger::SCHEMA, "fig2", 5.0, Json::obj());
         assert!(same_identity(&a, &a));
         assert!(!same_identity(&a, &b));
     }
 
-    /// A record under `schema` whose dataset stage carries the
-    /// parallel fields (`Json::set` appends, so the schema must be
-    /// chosen up front, not overridden later).
-    fn rec_schema(schema: &str, wall: f64, busy_ns: u64, chunks: u64) -> Json {
-        Json::obj()
-            .set("schema", schema)
-            .set("command", "all")
-            .set("scale", "small")
-            .set("threads", 4u64)
-            .set("wall_ms", wall)
-            .set(
-                "stages",
-                Json::obj().set(
-                    "dataset",
-                    Json::obj()
-                        .set("wall_ms", wall / 2.0)
-                        .set("busy_ns", busy_ns)
-                        .set("chunks", chunks),
-                ),
-            )
-    }
-
-    fn rec_par(wall: f64, busy_ns: u64, chunks: u64) -> Json {
-        rec_schema(ledger::SCHEMA, wall, busy_ns, chunks)
-    }
-
     #[test]
     fn parallel_rows_trend_busy_and_chunks() {
-        let a = rec_par(100.0, 40_000_000, 4);
-        let b = rec_par(110.0, 44_000_000, 4);
-        let runs = vec![&a, &b];
-        let metrics = metrics_of(&runs);
+        let a = rec_par(ledger::SCHEMA, 100.0, 40_000_000);
+        let b = rec_par(ledger::SCHEMA, 110.0, 44_000_000);
+        let metrics = metrics_of(&[&a, &b]);
         let busy = metrics
             .iter()
             .find(|m| m.name == "dataset par busy")
             .expect("busy row");
         assert_eq!(busy.values, vec![40.0, 44.0], "busy_ns rendered as ms");
-        assert!(matches!(busy.unit, Unit::Ms));
+        assert_eq!(busy.unit, Unit::Ms);
         let chunks = metrics
             .iter()
             .find(|m| m.name == "dataset par chunks")
             .expect("chunks row");
         assert_eq!(chunks.values, vec![4.0, 4.0]);
-        assert!(
-            chunks.unit.floor(&HistoryOpts {
-                ledger: PathBuf::new(),
-                last: 10,
-                max_regress_pct: 10.0,
-                min_wall_ms: 0.0,
-            }) == f64::INFINITY,
-            "chunk counts never gate"
-        );
+        assert_eq!(chunks.unit, Unit::Count, "chunk counts never gate");
         // Records without the fields (an all-serial run) grow no rows.
-        let plain = rec("all", 100.0, 1);
-        let only = vec![&plain];
-        assert!(!metrics_of(&only)
+        let plain = rec(ledger::SCHEMA, "all", 100.0, Json::obj());
+        assert!(!metrics_of(&[&plain])
             .iter()
             .any(|m| m.name.contains("par busy") || m.name.contains("par chunks")));
     }
@@ -486,19 +217,23 @@ mod tests {
         // reader compared across schemas), a corrupt line, one v2 run.
         let mut file = std::fs::File::create(&path).unwrap();
         for _ in 0..2 {
-            let v1 = rec_schema("leo-obs/run-ledger/v1", 10.0, 4_000_000, 4);
+            let v1 = rec_par("leo-obs/run-ledger/v1", 10.0, 4_000_000);
             writeln!(file, "{}", v1.render()).unwrap();
         }
         writeln!(file, "{{\"truncated\": tr").unwrap();
-        writeln!(file, "{}", rec_par(100.0, 40_000_000, 4).render()).unwrap();
+        let v2 = rec_par(ledger::SCHEMA, 100.0, 40_000_000);
+        writeln!(file, "{}", v2.render()).unwrap();
         drop(file);
-        let code = run(&HistoryOpts {
-            ledger: path,
-            last: 10,
+        let gate = Gate {
             max_regress_pct: 10.0,
             min_wall_ms: 0.0,
-        });
-        assert_eq!(code, 0, "a lone v2 run gates against nothing");
+            csv_out: None,
+        };
+        assert_eq!(
+            run(&path, 10, &gate),
+            0,
+            "a lone v2 run gates against nothing"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

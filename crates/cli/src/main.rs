@@ -27,8 +27,9 @@
 //!   timeline        launch-cadence deployment timeline (extension)
 //!   export          dataset CSV export
 //!   all             everything above
-//!   report          diff two run manifests; exit 3 on perf regression
-//!   history         trend tables over the run ledger; exit 3 on
+//!   report          diff two run manifests or bench records; exit 3 on
+//!                   perf regression
+//!   history         trend table over the run ledger; exit 3 on
 //!                   regression vs the prior median
 //! ```
 //!
@@ -40,6 +41,7 @@
 //! `-v`); none of the instrumentation ever changes artifact bytes.
 
 mod checkpoint;
+mod compare;
 mod history_cmd;
 mod report_cmd;
 
@@ -109,22 +111,20 @@ options:
   -v, --verbose        debug-level progress on stderr
   -h, --help           print this help and exit
 
-report options:
-  --baseline FILE      'before' manifest or bench record (required)
-  --candidate FILE     'after' manifest or bench record (required)
-  --max-regress-pct P  fail when a stage slows by more than P% (20)
-  --min-wall-ms MS     ignore stages faster than MS in both runs (5)
+report/history options (one gate: the candidate against the median
+of the earlier values, which for report is the baseline record):
+  --baseline FILE      report: 'before' manifest or bench record
+                       (required)
+  --candidate FILE     report: 'after' manifest or bench record
+                       (required)
+  --ledger FILE        history: run ledger to read (default: runs.jsonl
+                       in the resolved cache directory)
+  --last N             history: gate the newest run against the median
+                       of up to N predecessors (default 10)
+  --max-regress-pct P  fail when a metric is worse than its baseline by
+                       more than P% (20)
+  --min-wall-ms MS     time metrics below MS in both runs never gate (5)
   --report-csv FILE    also write the comparison table as CSV
-
-history options:
-  --ledger FILE        run ledger to read (default: runs.jsonl in the
-                       resolved cache directory)
-  --last N             gate the newest run against the median of up to
-                       N predecessors (default 10)
-  --max-regress-pct P  fail when the newest run exceeds the prior
-                       median by more than P% (20)
-  --min-wall-ms MS     wall-clock floor below which metrics never
-                       gate (5)
 
 environment:
   DIVIDE_LOG           stderr threshold: error|warn|info|debug
@@ -172,10 +172,10 @@ commands:
   export          dataset CSV export
   all             everything above
   report          diff two run manifests / bench records; exit 3 on
-                  perf regression (see report options)
-  history         per-stage wall/memory trend tables over the run
+                  perf regression (see report/history options)
+  history         per-stage wall/memory trend table over the run
                   ledger; exit 3 when the newest run regresses vs the
-                  prior median (see history options)";
+                  prior median (see report/history options)";
 
 /// Prints the help to stdout and exits 0 (`-h`/`--help`).
 fn help() -> ! {
@@ -205,13 +205,13 @@ fn main() {
     let mut progress = false;
     let mut fault_spec: Option<String> = None;
     let mut resume = false;
-    let mut report = report_cmd::ReportOpts {
-        baseline: PathBuf::new(),
-        candidate: PathBuf::new(),
+    let mut gate = compare::Gate {
         max_regress_pct: 20.0,
         min_wall_ms: 5.0,
         csv_out: None,
     };
+    let mut baseline: Option<PathBuf> = None;
+    let mut candidate: Option<PathBuf> = None;
     let mut ledger_flag: Option<PathBuf> = None;
     let mut history_last: usize = 10;
     let mut command = None;
@@ -258,23 +258,23 @@ fn main() {
             }
             "--resume" => resume = true,
             "--baseline" => {
-                report.baseline = PathBuf::from(
+                baseline = Some(PathBuf::from(
                     args.next()
                         .unwrap_or_else(|| usage("--baseline needs a value")),
-                )
+                ))
             }
             "--candidate" => {
-                report.candidate = PathBuf::from(
+                candidate = Some(PathBuf::from(
                     args.next()
                         .unwrap_or_else(|| usage("--candidate needs a value")),
-                )
+                ))
             }
             "--max-regress-pct" => {
                 let v = args
                     .next()
                     .unwrap_or_else(|| usage("--max-regress-pct needs a value"));
                 match v.parse::<f64>() {
-                    Ok(p) if p.is_finite() && p >= 0.0 => report.max_regress_pct = p,
+                    Ok(p) if p.is_finite() && p >= 0.0 => gate.max_regress_pct = p,
                     _ => usage("--max-regress-pct expects a non-negative number"),
                 }
             }
@@ -283,12 +283,12 @@ fn main() {
                     .next()
                     .unwrap_or_else(|| usage("--min-wall-ms needs a value"));
                 match v.parse::<f64>() {
-                    Ok(ms) if ms.is_finite() && ms >= 0.0 => report.min_wall_ms = ms,
+                    Ok(ms) if ms.is_finite() && ms >= 0.0 => gate.min_wall_ms = ms,
                     _ => usage("--min-wall-ms expects a non-negative number"),
                 }
             }
             "--report-csv" => {
-                report.csv_out = Some(PathBuf::from(
+                gate.csv_out = Some(PathBuf::from(
                     args.next()
                         .unwrap_or_else(|| usage("--report-csv needs a value")),
                 ))
@@ -327,40 +327,16 @@ fn main() {
         ));
     }
     // Reject unknown commands *before* the expensive dataset build.
-    const COMMANDS: &[&str] = &[
-        "table1",
-        "table2",
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig4",
-        "findings",
-        "qoe",
-        "orbit-validate",
-        "strict",
-        "sensitivity",
-        "latency",
-        "uplink",
-        "cost",
-        "timeline",
-        "export",
-        "all",
-        "report",
-        "history",
-    ];
-    if !COMMANDS.contains(&command.as_str()) {
+    let known = STAGES.iter().any(|(name, _)| *name == command);
+    if !known && !matches!(command.as_str(), "all" | "report" | "history") {
         usage(&format!("unknown command {command:?}"));
     }
     // `report` only reads two JSON records — no dataset, no output
     // directory, no instrumentation of its own.
     if command == "report" {
-        if report.baseline.as_os_str().is_empty() {
-            usage("report needs --baseline FILE");
-        }
-        if report.candidate.as_os_str().is_empty() {
-            usage("report needs --candidate FILE");
-        }
-        std::process::exit(report_cmd::run(&report));
+        let baseline = baseline.unwrap_or_else(|| usage("report needs --baseline FILE"));
+        let candidate = candidate.unwrap_or_else(|| usage("report needs --candidate FILE"));
+        std::process::exit(report_cmd::run(&baseline, &candidate, &gate));
     }
     // `history` likewise: it only reads the ledger. The ledger path
     // defaults to runs.jsonl in whatever cache directory a normal run
@@ -375,12 +351,7 @@ fn main() {
         }) else {
             usage("history needs --ledger FILE when caching and DIVIDE_LEDGER are both disabled");
         };
-        std::process::exit(history_cmd::run(&history_cmd::HistoryOpts {
-            ledger: path,
-            last: history_last,
-            max_regress_pct: report.max_regress_pct,
-            min_wall_ms: report.min_wall_ms,
-        }));
+        std::process::exit(history_cmd::run(&path, history_last, &gate));
     }
     // Fault injection: the --fault-plan flag wins, then $DIVIDE_FAULT.
     // An unparsable plan is a usage error (exit 2) — silently running
@@ -542,42 +513,16 @@ fn main() {
         model.dataset.us_cell_count
     );
 
-    match command.as_str() {
-        "table1" => stage("table1", || table1(&model)),
-        "table2" => stage("table2", || table2(&model, &out)),
-        "fig1" => stage("fig1", || fig1(&model, &out)),
-        "fig2" => stage("fig2", || fig2(&model, &out, cache.as_ref(), &cfg)),
-        "fig3" => stage("fig3", || fig3(&model, &out)),
-        "fig4" => stage("fig4", || fig4(&model, &out)),
-        "findings" => stage("findings", || findings_cmd(&model)),
-        "qoe" => stage("qoe", || qoe(&out)),
-        "orbit-validate" => stage("orbit-validate", || orbit_validate(&out)),
-        "strict" => stage("strict", || strict_cmd(&model, &out)),
-        "sensitivity" => stage("sensitivity", || sensitivity_cmd(&model, &out)),
-        "latency" => stage("latency", || latency(&out)),
-        "uplink" => stage("uplink", || uplink(&model)),
-        "cost" => stage("cost", || cost_cmd(&model, &out)),
-        "timeline" => stage("timeline", || timeline_cmd(&model)),
-        "export" => stage("export", || export(&model, &out)),
-        "all" => {
-            stage("table1", || table1(&model));
-            stage("table2", || table2(&model, &out));
-            stage("fig1", || fig1(&model, &out));
-            stage("fig2", || fig2(&model, &out, cache.as_ref(), &cfg));
-            stage("fig3", || fig3(&model, &out));
-            stage("fig4", || fig4(&model, &out));
-            stage("findings", || findings_cmd(&model));
-            stage("qoe", || qoe(&out));
-            stage("orbit-validate", || orbit_validate(&out));
-            stage("strict", || strict_cmd(&model, &out));
-            stage("sensitivity", || sensitivity_cmd(&model, &out));
-            stage("latency", || latency(&out));
-            stage("uplink", || uplink(&model));
-            stage("cost", || cost_cmd(&model, &out));
-            stage("timeline", || timeline_cmd(&model));
-            stage("export", || export(&model, &out));
+    let ctx = Ctx {
+        model: &model,
+        out: &out,
+        cache: cache.as_ref(),
+        cfg: &cfg,
+    };
+    for (name, run) in STAGES {
+        if command == "all" || command == *name {
+            stage(name, || run(&ctx));
         }
-        other => unreachable!("command {other:?} passed the upfront check"),
     }
 
     let info = RunInfo {
@@ -692,6 +637,39 @@ fn resolve_ledger(explicit: Option<PathBuf>, cache_dir: Option<&Path>) -> Option
         Err(_) => cache_dir.map(|d| d.join("runs.jsonl")),
     }
 }
+
+/// What a pipeline stage reads: the model, the artifact directory, and
+/// the snapshot cache and config (Fig 2 snapshots its sweep rows).
+struct Ctx<'a> {
+    model: &'a PaperModel,
+    out: &'a Path,
+    cache: Option<&'a DatasetCache>,
+    cfg: &'a SynthConfig,
+}
+
+/// A pipeline stage's body.
+type StageFn = fn(&Ctx);
+
+/// Every pipeline stage, in `all` order. The up-front command check,
+/// single-stage dispatch and `all` all read this one table.
+const STAGES: &[(&str, StageFn)] = &[
+    ("table1", |c| table1(c.model)),
+    ("table2", |c| table2(c.model, c.out)),
+    ("fig1", |c| fig1(c.model, c.out)),
+    ("fig2", |c| fig2(c.model, c.out, c.cache, c.cfg)),
+    ("fig3", |c| fig3(c.model, c.out)),
+    ("fig4", |c| fig4(c.model, c.out)),
+    ("findings", |c| findings_cmd(c.model)),
+    ("qoe", |c| qoe(c.out)),
+    ("orbit-validate", |c| orbit_validate(c.out)),
+    ("strict", |c| strict_cmd(c.model, c.out)),
+    ("sensitivity", |c| sensitivity_cmd(c.model, c.out)),
+    ("latency", |c| latency(c.out)),
+    ("uplink", |c| uplink(c.model)),
+    ("cost", |c| cost_cmd(c.model, c.out)),
+    ("timeline", |c| timeline_cmd(c.model)),
+    ("export", |c| export(c.model, c.out)),
+];
 
 /// Runs one pipeline stage under a `stage.<name>` span; the manifest's
 /// per-stage wall-clock table is derived from exactly these spans.

@@ -1,353 +1,111 @@
-//! `divide report` — the manifest-diff and perf-regression gate.
+//! `divide report` — the two-record front end of the regression gate.
 //!
-//! Diffs two observability records — run manifests
+//! Loads two observability records — run manifests
 //! (`leo-obs/run-manifest/v1`), flat bench records (`leo-obs/bench/v1`),
-//! or the merged trajectory file (`divide/bench-tier1/v1`) — stage by
-//! stage, prints a stable comparison table (and optionally CSV), and
-//! exits non-zero when any stage slowed beyond `--max-regress-pct`.
-//! `scripts/bench.sh --gate` runs it against the previous
-//! `BENCH_tier1.json` so a perf regression fails the bench the way a
+//! or the merged trajectory file (`divide/bench-tier1/v1`), in any mix —
+//! and pairs them into two-value metrics for the shared gate in
+//! [`crate::compare`]: stage and total wall-clock, the bench file's
+//! `*_ms` fields and kernel medians, `decode_throughput_mbps` (where a
+//! drop is the regression), and counters, listed only when they changed
+//! and never gated. `scripts/bench.sh --gate` runs it against HEAD's
+//! `BENCH_tier1.json`, so a perf regression fails the bench the way a
 //! broken test fails tier-1.
-//!
-//! Stages faster than `--min-wall-ms` in *both* records are compared
-//! but never gate — at sub-millisecond scale, scheduler jitter swamps
-//! any real signal.
 
+use crate::compare::{self, Gate, Record, Unit};
 use leo_obs::json::Json;
-use leo_report::{CsvWriter, TextTable};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Exit code when at least one stage regressed beyond the threshold
-/// (distinct from 1 = IO/parse error and 2 = usage error).
-pub const EXIT_REGRESSED: i32 = 3;
-
-/// Parsed `divide report` options.
-pub struct ReportOpts {
-    /// The "before" record.
-    pub baseline: PathBuf,
-    /// The "after" record.
-    pub candidate: PathBuf,
-    /// A stage regresses when it slows by more than this percentage.
-    pub max_regress_pct: f64,
-    /// Stages below this wall-clock in both records never gate.
-    pub min_wall_ms: f64,
-    /// Optional CSV copy of the comparison table.
-    pub csv_out: Option<PathBuf>,
-}
-
-/// One record reduced to the shape the diff works on.
-struct Record {
-    /// Stage name → wall-clock ms (plus the `total` pseudo-stage).
-    stages: BTreeMap<String, f64>,
-    /// Counter name → value.
-    counters: BTreeMap<String, u64>,
-    /// Throughput name → value (higher is better, so the regression
-    /// direction is *reversed* relative to the stage gate).
-    throughputs: BTreeMap<String, f64>,
+/// The numeric fields of a JSON object, in order.
+fn numbers(obj: Option<&Json>) -> impl Iterator<Item = (&str, f64)> {
+    let fields = match obj {
+        Some(Json::Obj(fields)) => fields.as_slice(),
+        _ => &[],
+    };
+    fields
+        .iter()
+        .filter_map(|(name, v)| Some((name.as_str(), v.as_f64()?)))
 }
 
 fn load(path: &Path) -> Result<Record, String> {
     let body = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let doc = Json::parse(&body).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-    match schema {
-        "leo-obs/run-manifest/v1" => Ok(from_manifest(&doc)),
-        "leo-obs/bench/v1" => Ok(from_bench(&doc)),
-        "divide/bench-tier1/v1" => Ok(from_bench_tier1(&doc)),
-        other => Err(format!(
-            "{}: unsupported schema {other:?} (expected a run manifest or bench record)",
-            path.display()
-        )),
-    }
-}
-
-fn counters_of(obj: Option<&Json>) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    if let Some(Json::Obj(fields)) = obj {
-        for (name, value) in fields {
-            if let Some(v) = value.as_u64() {
-                out.insert(name.clone(), v);
+    let mut rec = Record::new();
+    let mut push = |name: String, unit, v| rec.push((name, unit, v));
+    let counters = match doc.get("schema").and_then(Json::as_str).unwrap_or("") {
+        "leo-obs/run-manifest/v1" => {
+            if let Some(Json::Arr(items)) = doc.get("stages") {
+                for item in items {
+                    let name = item.get("name").and_then(Json::as_str);
+                    if let (Some(name), Some(ms)) =
+                        (name, item.get("wall_ms").and_then(Json::as_f64))
+                    {
+                        push(format!("{name} wall"), Unit::Ms, ms);
+                    }
+                }
             }
+            doc.get("metrics").and_then(|m| m.get("counters"))
         }
-    }
-    out
-}
-
-fn from_manifest(doc: &Json) -> Record {
-    let mut stages = BTreeMap::new();
-    if let Some(Json::Arr(items)) = doc.get("stages") {
-        for item in items {
-            if let (Some(name), Some(ms)) = (
-                item.get("name").and_then(Json::as_str),
-                item.get("wall_ms").and_then(Json::as_f64),
-            ) {
-                stages.insert(name.to_string(), ms);
+        "leo-obs/bench/v1" => {
+            for (name, ms) in numbers(doc.get("stages")) {
+                push(format!("{name} wall"), Unit::Ms, ms);
             }
+            doc.get("counters")
         }
-    }
-    if let Some(ms) = doc.get("wall_ms").and_then(Json::as_f64) {
-        stages.insert("total".to_string(), ms);
-    }
-    let counters = counters_of(doc.get("metrics").and_then(|m| m.get("counters")));
-    Record {
-        stages,
-        counters,
-        throughputs: BTreeMap::new(),
-    }
-}
-
-fn from_bench(doc: &Json) -> Record {
-    let mut stages = BTreeMap::new();
-    if let Some(Json::Obj(fields)) = doc.get("stages") {
-        for (name, value) in fields {
-            if let Some(ms) = value.as_f64() {
-                stages.insert(name.clone(), ms);
-            }
-        }
-    }
-    if let Some(ms) = doc.get("wall_ms").and_then(Json::as_f64) {
-        stages.insert("total".to_string(), ms);
-    }
-    let counters = counters_of(doc.get("counters"));
-    Record {
-        stages,
-        counters,
-        throughputs: BTreeMap::new(),
-    }
-}
-
-/// Flattens `runs.threads_N.<field>` to `threads_N.<field>` rows and
-/// `kernels.<field>` medians. Only `*_ms` fields gate as stages
-/// (ratios like `warm_speedup` and byte counters are informational,
-/// not wall-clock); `decode_throughput_mbps` gates in the *reverse*
-/// direction, where lower is the regression.
-fn from_bench_tier1(doc: &Json) -> Record {
-    let mut stages = BTreeMap::new();
-    if let Some(Json::Obj(runs)) = doc.get("runs") {
-        for (run_name, run) in runs {
-            if let Json::Obj(fields) = run {
-                for (field, value) in fields {
-                    if field.ends_with("_ms") {
-                        if let Some(ms) = value.as_f64() {
-                            stages.insert(format!("{run_name}.{field}"), ms);
+        "divide/bench-tier1/v1" => {
+            // Only wall-clock fields gate; ratios and byte counts in the
+            // same objects are context for humans, not for the gate.
+            if let Some(Json::Obj(runs)) = doc.get("runs") {
+                for (run, fields) in runs {
+                    for (field, ms) in numbers(Some(fields)) {
+                        if field.ends_with("_ms") {
+                            push(format!("{run}.{field}"), Unit::Ms, ms);
                         }
                     }
                 }
             }
-        }
-    }
-    if let Some(Json::Obj(kernels)) = doc.get("kernels") {
-        for (field, value) in kernels {
-            if field.ends_with("_ms") {
-                if let Some(ms) = value.as_f64() {
-                    stages.insert(format!("kernels.{field}"), ms);
+            for (field, ms) in numbers(doc.get("kernels")) {
+                if field.ends_with("_ms") {
+                    push(format!("kernels.{field}"), Unit::Ms, ms);
                 }
             }
+            if let Some(v) = doc.get("decode_throughput_mbps").and_then(Json::as_f64) {
+                push("decode_throughput_mbps".to_string(), Unit::Mbps, v);
+            }
+            None
         }
+        other => {
+            return Err(format!(
+                "{}: unsupported schema {other:?} (expected a run manifest or bench record)",
+                path.display()
+            ))
+        }
+    };
+    if let Some(ms) = doc.get("wall_ms").and_then(Json::as_f64) {
+        push("total wall".to_string(), Unit::Ms, ms);
     }
-    let mut throughputs = BTreeMap::new();
-    if let Some(v) = doc.get("decode_throughput_mbps").and_then(Json::as_f64) {
-        throughputs.insert("decode_throughput_mbps".to_string(), v);
+    for (name, v) in numbers(counters) {
+        push(name.to_string(), Unit::Count, v);
     }
-    Record {
-        stages,
-        counters: BTreeMap::new(),
-        throughputs,
-    }
+    Ok(rec)
 }
 
 /// Runs the report; returns the process exit code.
-pub fn run(opts: &ReportOpts) -> i32 {
-    let (base, cand) = match (load(&opts.baseline), load(&opts.candidate)) {
+pub fn run(baseline: &Path, candidate: &Path, gate: &Gate) -> i32 {
+    let (base, cand) = match (load(baseline), load(candidate)) {
         (Ok(b), Ok(c)) => (b, c),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("divide report: {e}");
             return 1;
         }
     };
-
-    let mut names: Vec<&String> = base.stages.keys().collect();
-    for name in cand.stages.keys() {
-        if !base.stages.contains_key(name) {
-            names.push(name);
-        }
-    }
-    names.sort();
-
-    let mut table = TextTable::new(
-        format!(
-            "divide report: {} -> {} (gate: +{:.0}% on stages >= {:.1} ms)",
-            opts.baseline.display(),
-            opts.candidate.display(),
-            opts.max_regress_pct,
-            opts.min_wall_ms
-        ),
-        &[
-            "stage",
-            "baseline ms",
-            "candidate ms",
-            "delta ms",
-            "delta %",
-            "status",
-        ],
+    let mut metrics = compare::series(vec![base, cand]);
+    // Counters measure work shape, not speed: only a change is news.
+    metrics.retain(|m| m.unit != Unit::Count || m.values[0] != m.values[1]);
+    let title = format!(
+        "divide report: {} -> {}",
+        baseline.display(),
+        candidate.display()
     );
-    let mut csv = CsvWriter::new();
-    csv.record(&[
-        "stage",
-        "baseline_ms",
-        "candidate_ms",
-        "delta_ms",
-        "delta_pct",
-        "status",
-    ]);
-    let fmt_ms = |v: Option<f64>| v.map_or("-".to_string(), |ms| format!("{ms:.2}"));
-    let mut regressed = 0usize;
-    for name in names {
-        let b = base.stages.get(name).copied();
-        let c = cand.stages.get(name).copied();
-        let (delta_ms, delta_pct, status) = match (b, c) {
-            (Some(b_ms), Some(c_ms)) => {
-                let delta = c_ms - b_ms;
-                let pct = if b_ms > 0.0 {
-                    100.0 * delta / b_ms
-                } else {
-                    0.0
-                };
-                let status = if b_ms < opts.min_wall_ms && c_ms < opts.min_wall_ms {
-                    "below floor"
-                } else if pct > opts.max_regress_pct {
-                    regressed += 1;
-                    "REGRESSED"
-                } else if pct < -opts.max_regress_pct {
-                    "improved"
-                } else {
-                    "ok"
-                };
-                (format!("{delta:+.2}"), format!("{pct:+.1}"), status)
-            }
-            (None, Some(_)) => ("-".into(), "-".into(), "new"),
-            (Some(_), None) => ("-".into(), "-".into(), "removed"),
-            (None, None) => unreachable!("name came from one of the records"),
-        };
-        table.row(&[
-            name.clone(),
-            fmt_ms(b),
-            fmt_ms(c),
-            delta_ms.clone(),
-            delta_pct.clone(),
-            status.to_string(),
-        ]);
-        csv.record(&[
-            name.clone(),
-            fmt_ms(b),
-            fmt_ms(c),
-            delta_ms,
-            delta_pct,
-            status.to_string(),
-        ]);
-    }
-    print!("{}", table.render());
-
-    // Throughputs gate in the reverse direction: a *drop* beyond the
-    // threshold is the regression, a rise is the improvement.
-    if !base.throughputs.is_empty() || !cand.throughputs.is_empty() {
-        let mut tt = TextTable::new(
-            "throughputs (higher is better)",
-            &["metric", "baseline", "candidate", "delta %", "status"],
-        );
-        let mut tp_names: Vec<&String> = base.throughputs.keys().collect();
-        for name in cand.throughputs.keys() {
-            if !base.throughputs.contains_key(name) {
-                tp_names.push(name);
-            }
-        }
-        tp_names.sort();
-        let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.2}"));
-        for name in tp_names {
-            let b = base.throughputs.get(name).copied();
-            let c = cand.throughputs.get(name).copied();
-            let (delta_pct, status) = match (b, c) {
-                (Some(b_v), Some(c_v)) if b_v > 0.0 => {
-                    let pct = 100.0 * (c_v - b_v) / b_v;
-                    let status = if pct < -opts.max_regress_pct {
-                        regressed += 1;
-                        "REGRESSED"
-                    } else if pct > opts.max_regress_pct {
-                        "improved"
-                    } else {
-                        "ok"
-                    };
-                    (format!("{pct:+.1}"), status)
-                }
-                (None, Some(_)) => ("-".into(), "new"),
-                (Some(_), None) => ("-".into(), "removed"),
-                _ => ("-".into(), "ok"),
-            };
-            tt.row(&[
-                name.clone(),
-                fmt(b),
-                fmt(c),
-                delta_pct.clone(),
-                status.to_string(),
-            ]);
-            csv.record(&[
-                name.clone(),
-                fmt(b),
-                fmt(c),
-                "-".to_string(),
-                delta_pct,
-                status.to_string(),
-            ]);
-        }
-        print!("{}", tt.render());
-    }
-
-    // Counters that changed, for context (never gated: counts measure
-    // work shape, not speed).
-    let mut counter_names: Vec<&String> = base.counters.keys().collect();
-    for name in cand.counters.keys() {
-        if !base.counters.contains_key(name) {
-            counter_names.push(name);
-        }
-    }
-    counter_names.sort();
-    let changed: Vec<&String> = counter_names
-        .into_iter()
-        .filter(|n| base.counters.get(*n) != cand.counters.get(*n))
-        .collect();
-    if !changed.is_empty() {
-        let mut ct = TextTable::new(
-            "counters that changed",
-            &["counter", "baseline", "candidate"],
-        );
-        let fmt = |v: Option<&u64>| v.map_or("-".to_string(), u64::to_string);
-        for name in changed {
-            ct.row(&[
-                name.clone(),
-                fmt(base.counters.get(name)),
-                fmt(cand.counters.get(name)),
-            ]);
-        }
-        print!("{}", ct.render());
-    }
-
-    if let Some(path) = &opts.csv_out {
-        if let Err(e) = csv.write_to(path) {
-            eprintln!("divide report: cannot write {}: {e}", path.display());
-            return 1;
-        }
-        leo_obs::log_info!("wrote {}", path.display());
-    }
-
-    if regressed > 0 {
-        eprintln!(
-            "divide report: {regressed} stage(s) regressed beyond +{:.0}%",
-            opts.max_regress_pct
-        );
-        EXIT_REGRESSED
-    } else {
-        0
-    }
+    compare::run("report", &title, &metrics, gate)
 }

@@ -88,7 +88,7 @@ fn report_exit_codes_cover_ok_regression_io_and_usage() {
         "changed counter shown: {stdout}"
     );
     let csv = std::fs::read_to_string(&csv_path).expect("csv written");
-    assert!(csv.starts_with("stage,baseline_ms,candidate_ms"));
+    assert!(csv.starts_with("metric,unit,baseline,candidate"));
     assert!(csv.contains("REGRESSED"));
 
     // A generous threshold lets the same pair pass.

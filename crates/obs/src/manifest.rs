@@ -13,7 +13,7 @@
 
 use crate::json::Json;
 use crate::metrics::{self, MetricsSnapshot};
-use crate::scope::{Capture, StageParallel};
+use crate::scope::StageParallel;
 use crate::span::{self, SpanAllocStats, SpanStats};
 use std::collections::BTreeMap;
 
@@ -130,14 +130,12 @@ fn parallel_json(attr: &StageParallel) -> Json {
         .set("per_worker_busy_ns", attr.per_worker_busy_ns.clone())
 }
 
-fn metrics_json_inner(snap: &MetricsSnapshot, with_fault: bool) -> Json {
+fn metrics_json(snap: &MetricsSnapshot) -> Json {
     let mut counters = Json::obj();
     for (name, value) in &snap.counters {
         counters = counters.set(name, *value);
     }
-    if with_fault {
-        counters = with_fault_counters(counters);
-    }
+    let counters = with_fault_counters(counters);
     let mut gauges = Json::obj();
     for (name, value) in &snap.gauges {
         gauges = gauges.set(name, *value);
@@ -163,67 +161,6 @@ fn metrics_json_inner(snap: &MetricsSnapshot, with_fault: bool) -> Json {
         );
     }
     Json::obj()
-        .set("counters", counters)
-        .set("gauges", gauges)
-        .set("histograms", histograms)
-}
-
-fn metrics_json(snap: &MetricsSnapshot) -> Json {
-    metrics_json_inner(snap, true)
-}
-
-/// The manifest fragment of one [`Capture`]: span tree, metrics, and
-/// parallel attribution, timings included. `leo-fault` counters are
-/// *not* merged in — they are process-global, not scope-owned.
-pub(crate) fn capture_fragment(cap: &Capture) -> Json {
-    let mut parallel = Json::obj();
-    for (root, attr) in &cap.parallel {
-        parallel = parallel.set(root, parallel_json(attr));
-    }
-    Json::obj()
-        .set("schema", "leo-obs/capture/v1")
-        .set("spans", span_tree(&cap.spans, ""))
-        .set("metrics", metrics_json_inner(&cap.metrics, false))
-        .set("parallel", parallel)
-}
-
-/// The deterministic projection of one [`Capture`]: span paths with
-/// call counts and non-`parallel.*` metric values only. Everything
-/// scheduling-dependent is dropped — timings, chunk spans (leaf
-/// `parallel.*`), the `parallel.*` metric family, the attribution
-/// section, and allocator stats — so the rendering is byte-identical
-/// across thread counts and concurrent scopes (DESIGN.md §15).
-pub(crate) fn capture_stable_fragment(cap: &Capture) -> Json {
-    let mut spans = Json::obj();
-    for (path, stats) in &cap.spans {
-        let leaf = path.rsplit('/').next().unwrap_or(path);
-        if leaf.starts_with("parallel.") {
-            continue;
-        }
-        spans = spans.set(path, stats.count);
-    }
-    let mut counters = Json::obj();
-    for (name, value) in &cap.metrics.counters {
-        if !name.starts_with("parallel.") {
-            counters = counters.set(name, *value);
-        }
-    }
-    let mut gauges = Json::obj();
-    for (name, value) in &cap.metrics.gauges {
-        if !name.starts_with("parallel.") {
-            gauges = gauges.set(name, *value);
-        }
-    }
-    let mut histograms = Json::obj();
-    for (name, h) in &cap.metrics.histograms {
-        if name.starts_with("parallel.") {
-            continue;
-        }
-        histograms = histograms.set(name, Json::obj().set("count", h.count).set("sum", h.sum));
-    }
-    Json::obj()
-        .set("schema", "leo-obs/capture-stable/v1")
-        .set("spans", spans)
         .set("counters", counters)
         .set("gauges", gauges)
         .set("histograms", histograms)

@@ -22,11 +22,6 @@
 //! fan-out caller; [`ObsContext::enter`] installs both on the chunk's
 //! executing thread for the duration of the chunk. That is the entire
 //! propagation protocol: the pool itself stays observability-agnostic.
-//!
-//! [`ObsScope::capture`] is the `divide serve` building block: create
-//! a scope, run a closure inside it, and get back a [`Capture`] —
-//! a point-in-time snapshot of everything the closure recorded,
-//! isolated from every other scope in the process.
 
 use crate::metrics::{Histogram, MetricsSnapshot};
 use crate::span::{SpanAllocStats, SpanStats};
@@ -129,7 +124,7 @@ struct ThreadCtx {
     base: Option<String>,
     /// Whether top-level spans on this thread may use the process-wide
     /// allocator watermark. Only the default ambient context may: the
-    /// watermark cannot nest, so scoped captures and pool chunks skip
+    /// watermark cannot nest, so entered scopes and pool chunks skip
     /// heap accounting instead of corrupting each other's peaks.
     alloc_spans: bool,
 }
@@ -309,21 +304,10 @@ impl ObsScope {
         ScopeGuard { prev: Some(prev) }
     }
 
-    /// Runs `f` inside a fresh scope and returns its result together
-    /// with a [`Capture`] of everything it recorded — spans, metrics,
-    /// and parallel attribution, isolated from every other scope.
-    /// The capture is empty when observability is disabled.
-    pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Capture) {
-        let scope = ObsScope::new();
-        let out = {
-            let _guard = scope.enter();
-            f()
-        };
-        (out, scope.snapshot())
-    }
-
-    /// A point-in-time copy of everything recorded into this scope.
-    pub fn snapshot(&self) -> Capture {
+    /// A point-in-time copy of everything recorded into this scope:
+    /// spans, metrics and parallel attribution, isolated from every
+    /// other scope (empty when observability is disabled).
+    pub fn snapshot(&self) -> ScopeSnapshot {
         let reg = self.inner.reg.lock();
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         for shard in &self.inner.counters {
@@ -332,7 +316,7 @@ impl ObsScope {
                 *slot = slot.saturating_add(*value);
             }
         }
-        Capture {
+        ScopeSnapshot {
             spans: reg.spans.clone(),
             allocs: reg.span_allocs.clone(),
             metrics: MetricsSnapshot {
@@ -489,7 +473,7 @@ pub fn parallel_snapshot() -> BTreeMap<String, StageParallel> {
 
 /// Everything one scope recorded, frozen at snapshot time.
 #[derive(Debug, Clone, Default)]
-pub struct Capture {
+pub struct ScopeSnapshot {
     /// Span path → timing stats.
     pub spans: BTreeMap<String, SpanStats>,
     /// Top-level span path → allocator stats.
@@ -498,24 +482,6 @@ pub struct Capture {
     pub metrics: MetricsSnapshot,
     /// Attribution root → parallel stats.
     pub parallel: BTreeMap<String, StageParallel>,
-}
-
-impl Capture {
-    /// The full manifest fragment of this capture: span tree, metrics
-    /// and parallel attribution, timings included.
-    pub fn fragment(&self) -> crate::json::Json {
-        crate::manifest::capture_fragment(self)
-    }
-
-    /// The deterministic projection of this capture: what ran and
-    /// what it counted, with everything scheduling-dependent removed —
-    /// span timings, the `parallel.*` metric family, chunk spans, and
-    /// allocator stats. Two runs of the same work are byte-identical
-    /// here regardless of thread count or concurrent scopes; this is
-    /// the serve-readiness contract (DESIGN.md §15).
-    pub fn stable_fragment(&self) -> crate::json::Json {
-        crate::manifest::capture_stable_fragment(self)
-    }
 }
 
 #[cfg(test)]
@@ -545,21 +511,6 @@ mod tests {
         assert!(cap_b.spans.is_empty());
         // Nothing leaked into the default scope.
         assert_eq!(crate::metrics::counter_value("t_scope.hits"), 0);
-    }
-
-    #[test]
-    fn capture_returns_result_and_isolated_snapshot() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
-        let (out, cap) = ObsScope::capture(|| {
-            let _s = crate::span::enter("t_cap.stage");
-            crate::metrics::counter_add("t_cap.n", 7);
-            41 + 1
-        });
-        assert_eq!(out, 42);
-        assert_eq!(cap.metrics.counters["t_cap.n"], 7);
-        assert_eq!(cap.spans["t_cap.stage"].count, 1);
-        assert_eq!(crate::metrics::counter_value("t_cap.n"), 0);
     }
 
     #[test]
@@ -665,11 +616,13 @@ mod tests {
             let _g = ctx.enter();
             crate::metrics::counter_add("t_inert.n", 1);
         }
-        let (_, cap) = ObsScope::capture(|| {
+        let scope = ObsScope::new();
+        {
+            let _g = scope.enter();
             crate::metrics::counter_add("t_inert.m", 1);
-        });
+        }
         crate::set_enabled(true);
-        assert!(cap.metrics.counters.is_empty());
+        assert!(scope.snapshot().metrics.counters.is_empty());
         assert_eq!(crate::metrics::counter_value("t_inert.n"), 0);
     }
 }

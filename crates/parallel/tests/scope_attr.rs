@@ -1,10 +1,11 @@
 //! Scoped-observability integration tests across the pool boundary
-//! (DESIGN.md §15): concurrent per-request captures stay isolated and
-//! deterministic, worker attribution is thread-count-invariant, and
-//! `DIVIDE_OBS=off` stays zero-cost through the pool.
+//! (DESIGN.md §15): concurrent scopes stay isolated and deterministic,
+//! worker attribution is thread-count-invariant, and `DIVIDE_OBS=off`
+//! stays zero-cost through the pool.
 
-use leo_obs::scope::{Capture, ObsScope};
+use leo_obs::scope::{ObsScope, ScopeSnapshot};
 use leo_parallel::{mix64, par_map, with_serial_threshold, with_threads};
+use std::collections::BTreeMap;
 
 /// Serializes tests in this binary: they flip the process-wide
 /// observability flag and share the worker pool's default scope.
@@ -13,12 +14,14 @@ fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One small observed pipeline: a stage span, a tagged counter, a
-/// histogram sample, and a 257-item fan-out through the shared pool.
-/// Returns the (deterministic) fold of the mapped values plus the
-/// scope's capture.
-fn pipeline(tag: &str, threads: usize) -> (u64, Capture) {
-    ObsScope::capture(|| {
+/// One small observed pipeline in its own scope: a stage span, a
+/// tagged counter, a histogram sample, and a 257-item fan-out through
+/// the shared pool. Returns the (deterministic) fold of the mapped
+/// values plus the scope's snapshot.
+fn pipeline(tag: &str, threads: usize) -> (u64, ScopeSnapshot) {
+    let scope = ObsScope::new();
+    let out = {
+        let _guard = scope.enter();
         let _stage = leo_obs::span!("stage.sim");
         leo_obs::metrics::counter_add(&format!("{tag}.runs"), 1);
         leo_obs::metrics::observe("sim.value", 2.5);
@@ -27,18 +30,43 @@ fn pipeline(tag: &str, threads: usize) -> (u64, Capture) {
             with_threads(threads, || par_map(&items, |i, &x| mix64(x, i as u64)))
         });
         out.iter().fold(0u64, |acc, &v| acc ^ v)
-    })
+    };
+    (out, scope.snapshot())
+}
+
+/// Span-path call counts (the pool's `parallel.*` chunk spans left
+/// out) — what ran, independent of how it was scheduled.
+fn span_counts(snap: &ScopeSnapshot) -> BTreeMap<String, u64> {
+    snap.spans
+        .iter()
+        .filter(|(path, _)| {
+            !path
+                .rsplit('/')
+                .next()
+                .unwrap_or(path)
+                .starts_with("parallel.")
+        })
+        .map(|(path, stats)| (path.clone(), stats.count))
+        .collect()
+}
+
+/// Counters outside the scheduling-dependent `parallel.*` family.
+fn work_counters(snap: &ScopeSnapshot) -> BTreeMap<String, u64> {
+    snap.metrics
+        .counters
+        .iter()
+        .filter(|(name, _)| !name.starts_with("parallel."))
+        .map(|(name, &v)| (name.clone(), v))
+        .collect()
 }
 
 #[test]
-fn concurrent_captures_are_isolated_and_match_serial() {
+fn concurrent_scopes_are_isolated_and_match_serial() {
     let _lock = test_lock();
     leo_obs::set_enabled(true);
     // Serial references, one per request tag.
-    let (ref_a, cap_a1) = pipeline("t_a", 1);
-    let (ref_b, cap_b1) = pipeline("t_b", 1);
-    let stable_a = cap_a1.stable_fragment().render();
-    let stable_b = cap_b1.stable_fragment().render();
+    let (ref_a, snap_a) = pipeline("t_a", 1);
+    let (ref_b, snap_b) = pipeline("t_b", 1);
     // Two requests race through the shared pool at 4 threads each.
     let (got_a, got_b) = std::thread::scope(|s| {
         let a = s.spawn(|| pipeline("t_a", 4));
@@ -47,10 +75,12 @@ fn concurrent_captures_are_isolated_and_match_serial() {
     });
     assert_eq!(got_a.0, ref_a, "parallel result matches serial");
     assert_eq!(got_b.0, ref_b);
-    // The stable projection is byte-identical to the serial run's.
-    assert_eq!(got_a.1.stable_fragment().render(), stable_a);
-    assert_eq!(got_b.1.stable_fragment().render(), stable_b);
-    // No bleed: each capture carries its own tag only.
+    // What ran and what it counted match the serial runs exactly...
+    assert_eq!(span_counts(&got_a.1), span_counts(&snap_a));
+    assert_eq!(span_counts(&got_b.1), span_counts(&snap_b));
+    assert_eq!(work_counters(&got_a.1), work_counters(&snap_a));
+    assert_eq!(work_counters(&got_b.1), work_counters(&snap_b));
+    // ...so no bleed: each scope carries its own tag only.
     assert_eq!(got_a.1.metrics.counters.get("t_a.runs"), Some(&1));
     assert_eq!(got_a.1.metrics.counters.get("t_b.runs"), None);
     assert_eq!(got_b.1.metrics.counters.get("t_b.runs"), Some(&1));
@@ -61,20 +91,18 @@ fn concurrent_captures_are_isolated_and_match_serial() {
 }
 
 #[test]
-fn stable_capture_is_bit_identical_across_thread_counts() {
+fn scope_contents_are_identical_across_thread_counts() {
     let _lock = test_lock();
     leo_obs::set_enabled(true);
-    let (ref_out, ref_cap) = pipeline("t_n", 1);
-    let reference = ref_cap.stable_fragment().render();
-    assert!(reference.contains("t_n.runs"), "{reference}");
+    let (ref_out, ref_snap) = pipeline("t_n", 1);
+    let (ref_spans, ref_counters) = (span_counts(&ref_snap), work_counters(&ref_snap));
+    assert_eq!(ref_counters.get("t_n.runs"), Some(&1), "{ref_counters:?}");
+    assert_eq!(ref_spans.get("stage.sim"), Some(&1), "{ref_spans:?}");
     for threads in [4usize, 8] {
-        let (out, cap) = pipeline("t_n", threads);
+        let (out, snap) = pipeline("t_n", threads);
         assert_eq!(out, ref_out, "threads={threads}");
-        assert_eq!(
-            cap.stable_fragment().render(),
-            reference,
-            "stable capture must not depend on thread count (threads={threads})"
-        );
+        assert_eq!(span_counts(&snap), ref_spans, "threads={threads}");
+        assert_eq!(work_counters(&snap), ref_counters, "threads={threads}");
     }
 }
 
@@ -82,15 +110,15 @@ fn stable_capture_is_bit_identical_across_thread_counts() {
 fn fanout_attribution_reconciles_with_pool_counters() {
     let _lock = test_lock();
     leo_obs::set_enabled(true);
-    let (_, cap) = pipeline("t_rec", 4);
-    let attr = cap
+    let (_, snap) = pipeline("t_rec", 4);
+    let attr = snap
         .parallel
         .get("stage.sim")
         .expect("fan-out attributed to the owning stage");
     assert!(attr.fanouts >= 1);
     assert!(attr.chunks >= 4, "257 items over 4 workers");
     // Chunk spans nest under the dispatching span, one count per chunk.
-    let chunk = cap
+    let chunk = snap
         .spans
         .get("stage.sim/parallel.par_map")
         .expect("chunk spans recorded under the stage");
@@ -98,9 +126,9 @@ fn fanout_attribution_reconciles_with_pool_counters() {
     assert_eq!(chunk.total_ns, attr.busy_ns);
     // Per-stage busy time reconciles exactly with the pool counter:
     // both sides accumulate the same per-chunk busy values.
-    let busy_total: u64 = cap.parallel.values().map(|a| a.busy_ns).sum();
+    let busy_total: u64 = snap.parallel.values().map(|a| a.busy_ns).sum();
     assert_eq!(
-        cap.metrics
+        snap.metrics
             .counters
             .get("parallel.worker_busy_ns_total")
             .copied()
@@ -117,11 +145,11 @@ fn disabled_observability_is_inert_through_the_pool() {
     leo_obs::set_enabled(true);
     let (reference, _) = pipeline("t_off", 4);
     leo_obs::set_enabled(false);
-    let (out, cap) = pipeline("t_off", 4);
+    let (out, snap) = pipeline("t_off", 4);
     leo_obs::set_enabled(true);
     assert_eq!(out, reference, "results identical with observability off");
-    assert!(cap.spans.is_empty(), "{:?}", cap.spans.keys());
-    assert!(cap.metrics.counters.is_empty());
-    assert!(cap.metrics.histograms.is_empty());
-    assert!(cap.parallel.is_empty());
+    assert!(snap.spans.is_empty(), "{:?}", snap.spans.keys());
+    assert!(snap.metrics.counters.is_empty());
+    assert!(snap.metrics.histograms.is_empty());
+    assert!(snap.parallel.is_empty());
 }

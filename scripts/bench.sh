@@ -29,9 +29,7 @@
 # `kernels` section of per-kernel medians parsed from the criterion
 # harness's KERNELS_JSON line (Fig 2 row scan, unserved fold,
 # stratified sampling, bulk centers, snapshot encode/decode, and the
-# orbit density, coverage and gateway-path kernels). Under
-# --gate, a decode throughput more than $BENCH_GATE_PCT percent below
-# the committed BENCH_tier1.json fails (BENCH_DECODE_SKIP=1 bypasses).
+# orbit density, coverage and gateway-path kernels).
 #
 # The canonical warm runs append to a persistent run ledger
 # (BENCH_LEDGER, default .bench-runs.jsonl at the repo root,
@@ -39,11 +37,16 @@
 #
 # Usage:
 #   scripts/bench.sh          regenerate BENCH_tier1.json
-#   scripts/bench.sh --gate   regenerate, then `divide history` the
-#                             ledger: exits 3 when the newest warm run
-#                             regressed the wall-clock or peak heap of
-#                             any stage by more than $BENCH_GATE_PCT
-#                             percent (20) over the prior median.
+#   scripts/bench.sh --gate   regenerate, then gate through the shared
+#                             report/history gate (DESIGN.md §10):
+#                             `divide report` of the fresh
+#                             BENCH_tier1.json against HEAD's (its *_ms
+#                             fields, kernel medians and decode
+#                             throughput), then `divide history` of the
+#                             newest warm run against the ledger's
+#                             prior median. Either exits 3 when a
+#                             metric is worse by more than
+#                             $BENCH_GATE_PCT percent (20).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -378,49 +381,23 @@ else
     echo "[bench] $cores core(s) < 4: thread-scaling gate skipped (ratio recorded only)"
 fi
 
-# Decode-throughput gate (--gate only): the warm dataset stage is the
-# snapshot decode path; a throughput more than BENCH_GATE_PCT percent
-# below the committed BENCH_tier1.json means the codec or its consumers
-# regressed. The first bench on a branch with no committed baseline
-# (or one predating the field) passes.
+# Gates (--gate only), both through the one report/history gate: the
+# fresh BENCH_tier1.json against the committed one (a decode-throughput
+# drop regresses like a slower stage; a branch with no committed
+# baseline skips this), then the newest warm run, which the runs above
+# appended to $ledger, against the median of its predecessors (same
+# command/scale/threads; the first invocation has nothing to gate
+# against and passes). Time metrics under BENCH_GATE_MIN_MS never gate:
+# at paper scale the few-millisecond stages are scheduler noise.
 if [ $gate -eq 1 ]; then
-    if [ "${BENCH_DECODE_SKIP:-0}" = "1" ]; then
-        echo "[bench] BENCH_DECODE_SKIP=1: decode-throughput gate skipped"
-    elif git show HEAD:BENCH_tier1.json > "$work/bench-base.json" 2>/dev/null; then
-        python3 - BENCH_tier1.json "$work/bench-base.json" "${BENCH_GATE_PCT:-20}" <<'PY'
-import json, sys
-
-cur = json.load(open(sys.argv[1]))
-base = json.load(open(sys.argv[2]))
-budget = float(sys.argv[3])
-old = base.get("decode_throughput_mbps")
-new = cur.get("decode_throughput_mbps", 0.0)
-if not old:
-    print("[bench] committed BENCH_tier1.json has no decode_throughput_mbps: "
-          "gate skipped")
-    sys.exit(0)
-drop = 100.0 * (old - new) / old
-if drop > budget:
-    sys.exit(f"[bench] decode throughput {new:.1f} MB/s is {drop:.1f}% below the "
-             f"committed {old:.1f} MB/s (> {budget}% budget; "
-             "BENCH_DECODE_SKIP=1 to bypass)")
-print(f"[bench] decode-throughput gate passed: {new:.1f} MB/s "
-      f"vs {old:.1f} MB/s committed")
-PY
+    gate_flags=(--max-regress-pct "${BENCH_GATE_PCT:-20}" --min-wall-ms "${BENCH_GATE_MIN_MS:-10}")
+    if git show HEAD:BENCH_tier1.json > "$work/bench-base.json" 2>/dev/null; then
+        echo "[bench] gating BENCH_tier1.json against HEAD's"
+        ./target/release/divide report --baseline "$work/bench-base.json" \
+            --candidate BENCH_tier1.json "${gate_flags[@]}"
     else
-        echo "[bench] no committed BENCH_tier1.json: decode-throughput gate skipped"
+        echo "[bench] no committed BENCH_tier1.json: record gate skipped"
     fi
-fi
-
-# Trend gate: the warm runs above appended to $ledger; `divide
-# history` compares the newest against the median of its predecessors
-# (same command/scale/threads) and exits 3 on a regression. The first
-# invocation has nothing to gate against and passes. Stages under
-# BENCH_GATE_MIN_MS never gate: at paper scale the few-millisecond
-# stages are scheduler noise, not signal.
-if [ $gate -eq 1 ]; then
     echo "[bench] gating the newest warm run against the ledger trend"
-    ./target/release/divide history --ledger "$ledger" \
-        --max-regress-pct "${BENCH_GATE_PCT:-20}" \
-        --min-wall-ms "${BENCH_GATE_MIN_MS:-10}"
+    ./target/release/divide history --ledger "$ledger" "${gate_flags[@]}"
 fi

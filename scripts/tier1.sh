@@ -17,8 +17,19 @@ cargo build --release --workspace
 echo "[tier1] cargo test -q --workspace"
 cargo test -q --workspace
 
+# Flake detector: the crates that keep process-global state (recorders,
+# registries, allocator counters, signal slots, the pool) rerun their
+# unit tests 20 times, so a test that races on that state fails the
+# change that introduces it instead of flaking later.
+echo "[tier1] flake detector: 20 rounds of the global-state crates' unit tests"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
+for round in $(seq 20); do
+    cargo test -q --lib -p leo-obs -p leo-trace -p leo-fault -p leo-alloc -p leo-parallel \
+        >"$out/flake.log" 2>&1 \
+        || { cat "$out/flake.log" >&2; echo "[tier1] flake detector: round $round failed" >&2; exit 1; }
+done
+rm -f "$out/flake.log"
 
 echo "[tier1] divide --scale small all --out $out"
 ./target/release/divide --scale small all --out "$out"
