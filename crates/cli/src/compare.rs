@@ -1,15 +1,17 @@
 //! The comparison core behind `divide report` and `divide history`.
 //!
-//! Both commands reduce each run they read to a [`Record`], line the
-//! records up into [`Metric`]s with [`series`] — one named series of
-//! values, oldest first — and hand those to [`run`]. The last value is
-//! the candidate and the baseline is the median of the others, so
-//! `report`'s two-record diff and `history`'s ledger window are the
-//! same comparison: the median of a single predecessor is that
+//! Both commands reduce each run they read to a [`Record`] — a run
+//! manifest and its ledger line through the one reader [`record`] —
+//! line the records up into [`Metric`]s with [`series`] — one named
+//! series of values, oldest first — and hand those to [`run`]. The
+//! last value is the candidate and the baseline is the median of the
+//! others, so `report`'s two-record diff and `history`'s ledger window
+//! are the same comparison: the median of a single predecessor is that
 //! predecessor. A metric regresses when its candidate is worse than the
 //! baseline by more than `--max-regress-pct`, unless both sit below
 //! its unit's noise floor.
 
+use leo_obs::json::Json;
 use leo_report::{sparkline, CsvWriter, TextTable};
 use std::path::PathBuf;
 
@@ -111,8 +113,62 @@ pub struct Metric {
     pub values: Vec<f64>,
 }
 
+/// The measurements of one manifest-shaped record — a run manifest or
+/// its ledger line, which carry the same fields — each only where the
+/// run took it: per-stage wall, total wall, per-stage pool busy time
+/// and chunks, per-stage and run peak heap, peak RSS, and counters.
+pub fn record(doc: &Json) -> Record {
+    let num = |json: Option<&Json>, key: &str| json?.get(key)?.as_f64();
+    let stages: &[Json] = match doc.get("stages") {
+        Some(Json::Arr(items)) => items,
+        _ => &[],
+    };
+    let named = || {
+        stages
+            .iter()
+            .filter_map(|s| Some((s.get("name")?.as_str()?, s)))
+    };
+    let mut out = Record::new();
+    let mut push = |name: String, unit, value: Option<f64>| {
+        if let Some(v) = value {
+            out.push((name, unit, v));
+        }
+    };
+    for (stage, f) in named() {
+        push(format!("{stage} wall"), Unit::Ms, num(Some(f), "wall_ms"));
+    }
+    push("total wall".into(), Unit::Ms, num(Some(doc), "wall_ms"));
+    // Pool busy time gates like any wall metric; chunk counts only
+    // trend.
+    for (stage, f) in named() {
+        let busy_ms = num(f.get("parallel"), "busy_ns").map(|ns| ns / 1e6);
+        push(format!("{stage} par busy"), Unit::Ms, busy_ms);
+        let chunks = num(f.get("parallel"), "chunks");
+        push(format!("{stage} par chunks"), Unit::Count, chunks);
+    }
+    for (stage, f) in named() {
+        let heap = num(Some(f), "peak_heap_delta");
+        push(format!("{stage} peak heap"), Unit::Bytes, heap);
+    }
+    let resources = doc.get("resources");
+    let heap = num(resources, "peak_heap_bytes");
+    push("run peak heap".into(), Unit::Bytes, heap);
+    push(
+        "run peak rss".into(),
+        Unit::Kb,
+        num(resources, "peak_rss_kb"),
+    );
+    if let Some(Json::Obj(counters)) = doc.get("metrics").and_then(|m| m.get("counters")) {
+        for (name, v) in counters {
+            push(name.clone(), Unit::Count, v.as_f64());
+        }
+    }
+    out
+}
+
 /// Lines `runs` (oldest first) up into one metric per name, in the
-/// order names first appear.
+/// order names first appear. Counts measure work shape, not speed, so
+/// a count metric is kept only when its values differ.
 pub fn series(runs: Vec<Record>) -> Vec<Metric> {
     let n = runs.len();
     let mut metrics: Vec<Metric> = Vec::new();
@@ -129,6 +185,10 @@ pub fn series(runs: Vec<Record>) -> Vec<Metric> {
             metrics[at].values[i] = v;
         }
     }
+    metrics.retain(|m| {
+        let first = m.values[0].to_bits();
+        m.unit != Unit::Count || m.values.iter().any(|v| v.to_bits() != first)
+    });
     metrics
 }
 
@@ -261,6 +321,57 @@ mod tests {
         assert_eq!(names, ["a", "gone", "new"]);
         assert_eq!(metrics[0].values, [1.0, 4.0]);
         assert!(metrics[1].values[1].is_nan() && metrics[2].values[0].is_nan());
+    }
+
+    #[test]
+    fn count_rows_appear_only_when_their_values_differ() {
+        let row = |name: &str, v| (name.to_string(), Unit::Count, v);
+        let metrics = series(vec![
+            vec![row("same", 4.0), row("moved", 1.0), row("gone", 2.0)],
+            vec![row("same", 4.0), row("moved", 3.0)],
+        ]);
+        let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, ["moved", "gone"]);
+    }
+
+    #[test]
+    fn a_manifest_and_its_ledger_line_give_identical_records() {
+        use leo_obs::manifest::{run_manifest, RunInfo};
+        // A private scope keeps the registries this test records into
+        // apart from every other test's.
+        let scope = leo_obs::scope::ObsScope::new();
+        let _in_scope = scope.enter();
+        leo_obs::set_enabled(true);
+        {
+            let _stage = leo_obs::span!("stage.dataset");
+            leo_obs::scope::attribute_fanout("parallel.par_map", 64, &[3_000_000, 5_000_000], 9);
+            leo_obs::metrics::counter_add("cache.hit", 1);
+        }
+        {
+            let _stage = leo_obs::span!("stage.fig2");
+        }
+        let info = RunInfo {
+            command: "fig2".into(),
+            scale: "small".into(),
+            seed: 7,
+            threads: 2,
+            argv: vec!["divide".into(), "fig2".into()],
+        };
+        let manifest = run_manifest(&info, 25.0);
+        let line = leo_obs::ledger::project(&manifest, 1_700_000_000);
+        let (from_manifest, from_line) = (record(&manifest), record(&line));
+        assert_eq!(from_manifest, from_line);
+        let names: Vec<&str> = from_manifest.iter().map(|r| r.0.as_str()).collect();
+        for want in [
+            "dataset wall",
+            "fig2 wall",
+            "total wall",
+            "dataset par busy",
+            "dataset par chunks",
+            "cache.hit",
+        ] {
+            assert!(names.contains(&want), "{want} missing from {names:?}");
+        }
     }
 
     #[test]

@@ -1,62 +1,27 @@
 //! `divide history` — the run-ledger front end of the regression gate.
 //!
-//! Reads the append-only `runs.jsonl` ledger (`leo-obs/run-ledger/v2`,
+//! Reads the append-only `runs.jsonl` ledger (`leo-obs/run-ledger/v3`,
 //! see `leo_obs::ledger`), filters it to runs *comparable* with the
 //! newest one (same command, scale, and thread count), and hands the
 //! newest run plus up to `--last` predecessors to the shared gate in
-//! [`crate::compare`] as one [`Metric`] per quantity — per-stage and
-//! total wall-clock, per-stage pool busy time and chunk counts,
-//! per-stage and run-level peak heap, peak RSS. The baseline is the
+//! [`crate::compare`]. Each line is a run manifest without its span
+//! tree, so it goes through the same [`compare::record`] reader as
+//! `report`'s manifests and yields the same rows. The baseline is the
 //! **median of the predecessors**, which absorbs a single outlier run
 //! in either direction.
 //!
-//! Records from older schemas (`v1` lacked the per-stage parallel
-//! fields) are skipped by the exact-schema filter, the same way
-//! corrupt lines are — an old ledger never breaks `history`, it just
-//! shrinks the window.
+//! Records from older schemas are skipped by the exact-schema filter,
+//! the same way corrupt lines are — an old ledger never breaks
+//! `history`, it just shrinks the window.
 
-use crate::compare::{self, Gate, Metric, Record, Unit};
+use crate::compare::{self, Gate, Metric};
 use leo_obs::json::Json;
 use leo_obs::ledger;
 use std::path::Path;
 
-/// One ledger record's measurements, each only where the run took it.
-fn record_of(rec: &Json) -> Record {
-    let num = |json: &Json, key: &str| json.get(key).and_then(Json::as_f64);
-    let stages: &[(String, Json)] = match rec.get("stages") {
-        Some(Json::Obj(fields)) => fields,
-        _ => &[],
-    };
-    let mut out = Record::new();
-    let mut push = |name: String, unit, value: Option<f64>| {
-        if let Some(v) = value {
-            out.push((name, unit, v));
-        }
-    };
-    for (stage, f) in stages {
-        push(format!("{stage} wall"), Unit::Ms, num(f, "wall_ms"));
-    }
-    push("total wall".into(), Unit::Ms, num(rec, "wall_ms"));
-    // Per-stage parallel-efficiency rows (v2 ledger fields): pool busy
-    // time gates like any wall metric, chunk counts only trend.
-    for (stage, f) in stages {
-        let busy_ms = num(f, "busy_ns").map(|ns| ns / 1e6);
-        push(format!("{stage} par busy"), Unit::Ms, busy_ms);
-        push(format!("{stage} par chunks"), Unit::Count, num(f, "chunks"));
-    }
-    for (stage, f) in stages {
-        let heap = num(f, "peak_heap_delta");
-        push(format!("{stage} peak heap"), Unit::Bytes, heap);
-    }
-    let (heap, rss) = (num(rec, "peak_heap_bytes"), num(rec, "peak_rss_kb"));
-    push("run peak heap".into(), Unit::Bytes, heap);
-    push("run peak rss".into(), Unit::Kb, rss);
-    out
-}
-
 /// The metric rows for `runs` (comparable, oldest first).
 fn metrics_of(runs: &[&Json]) -> Vec<Metric> {
-    compare::series(runs.iter().map(|r| record_of(r)).collect())
+    compare::series(runs.iter().map(|r| compare::record(r)).collect())
 }
 
 /// A short identity string for the header: command/scale/threads of
@@ -125,10 +90,11 @@ pub fn run(ledger_path: &Path, last: usize, gate: &Gate) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::Unit;
 
-    /// A ledger record under `schema` (`Json::set` appends, so it must
-    /// be chosen up front, not overridden later) whose one `dataset`
-    /// stage holds half the run's wall plus the fields of `stage`.
+    /// A ledger line under `schema` (`Json::set` appends, so it must be
+    /// chosen up front, not overridden later) whose one `dataset` stage
+    /// holds half the run's wall plus the fields of `stage`.
     fn rec(schema: &str, command: &str, wall: f64, stage: Json) -> Json {
         Json::obj()
             .set("schema", schema)
@@ -138,14 +104,16 @@ mod tests {
             .set("wall_ms", wall)
             .set(
                 "stages",
-                Json::obj().set("dataset", stage.set("wall_ms", wall / 2.0)),
+                Json::Arr(vec![stage
+                    .set("name", "dataset")
+                    .set("wall_ms", wall / 2.0)]),
             )
     }
 
-    /// A record whose dataset stage carries the v2 parallel fields.
-    fn rec_par(schema: &str, wall: f64, busy_ns: u64) -> Json {
-        let stage = Json::obj().set("busy_ns", busy_ns).set("chunks", 4u64);
-        rec(schema, "all", wall, stage)
+    /// A line whose dataset stage carries a pool `parallel` section.
+    fn rec_par(schema: &str, wall: f64, busy_ns: u64, chunks: u64) -> Json {
+        let parallel = Json::obj().set("busy_ns", busy_ns).set("chunks", chunks);
+        rec(schema, "all", wall, Json::obj().set("parallel", parallel))
     }
 
     #[test]
@@ -157,7 +125,7 @@ mod tests {
                 wall,
                 Json::obj().set("peak_heap_delta", heap),
             )
-            .set("peak_heap_bytes", heap)
+            .set("resources", Json::obj().set("peak_heap_bytes", heap))
         };
         let (a, b) = (run(100.0, 50 << 20), run(110.0, 51 << 20));
         let metrics = metrics_of(&[&a, &b]);
@@ -184,8 +152,8 @@ mod tests {
 
     #[test]
     fn parallel_rows_trend_busy_and_chunks() {
-        let a = rec_par(ledger::SCHEMA, 100.0, 40_000_000);
-        let b = rec_par(ledger::SCHEMA, 110.0, 44_000_000);
+        let a = rec_par(ledger::SCHEMA, 100.0, 40_000_000, 4);
+        let b = rec_par(ledger::SCHEMA, 110.0, 44_000_000, 6);
         let metrics = metrics_of(&[&a, &b]);
         let busy = metrics
             .iter()
@@ -197,9 +165,9 @@ mod tests {
             .iter()
             .find(|m| m.name == "dataset par chunks")
             .expect("chunks row");
-        assert_eq!(chunks.values, vec![4.0, 4.0]);
+        assert_eq!(chunks.values, vec![4.0, 6.0]);
         assert_eq!(chunks.unit, Unit::Count, "chunk counts never gate");
-        // Records without the fields (an all-serial run) grow no rows.
+        // Records without the section (an all-serial run) grow no rows.
         let plain = rec(ledger::SCHEMA, "all", 100.0, Json::obj());
         assert!(!metrics_of(&[&plain])
             .iter()
@@ -209,20 +177,20 @@ mod tests {
     #[test]
     fn old_schema_lines_are_skipped_not_fatal() {
         use std::io::Write;
-        let dir = std::env::temp_dir().join(format!("divide_history_v1_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("divide_history_v2_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("runs.jsonl");
-        // Two v1-era records (10× faster — would trip the gate if the
-        // reader compared across schemas), a corrupt line, one v2 run.
+        // Two v2-era records (10× faster — would trip the gate if the
+        // reader compared across schemas), a corrupt line, one v3 run.
         let mut file = std::fs::File::create(&path).unwrap();
         for _ in 0..2 {
-            let v1 = rec_par("leo-obs/run-ledger/v1", 10.0, 4_000_000);
-            writeln!(file, "{}", v1.render()).unwrap();
+            let v2 = rec_par("leo-obs/run-ledger/v2", 10.0, 4_000_000, 4);
+            writeln!(file, "{}", v2.render()).unwrap();
         }
         writeln!(file, "{{\"truncated\": tr").unwrap();
-        let v2 = rec_par(ledger::SCHEMA, 100.0, 40_000_000);
-        writeln!(file, "{}", v2.render()).unwrap();
+        let v3 = rec_par(ledger::SCHEMA, 100.0, 40_000_000, 4);
+        writeln!(file, "{}", v3.render()).unwrap();
         drop(file);
         let gate = Gate {
             max_regress_pct: 10.0,
@@ -232,7 +200,7 @@ mod tests {
         assert_eq!(
             run(&path, 10, &gate),
             0,
-            "a lone v2 run gates against nothing"
+            "a lone v3 run gates against nothing"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

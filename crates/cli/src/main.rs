@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! divide [--scale small|paper] [--out DIR] [--threads N]
-//!        [--cache DIR|--no-cache] [--quiet|-v] [--metrics-out FILE]
-//!        <command>
+//!        [--cache DIR|--no-cache] [--quiet|-v] <command>
 //!
 //! commands:
 //!   table1          single-satellite capacity model
@@ -27,7 +26,7 @@
 //!   timeline        launch-cadence deployment timeline (extension)
 //!   export          dataset CSV export
 //!   all             everything above
-//!   report          diff two run manifests or bench records; exit 3 on
+//!   report          diff two run manifests or bench files; exit 3 on
 //!                   perf regression
 //!   history         trend table over the run ledger; exit 3 on
 //!                   regression vs the prior median
@@ -36,7 +35,8 @@
 //! Text renders to stdout; CSV and SVG artifacts land in the output
 //! directory (default `results/`), along with a `run_manifest.json`
 //! reproducibility record (command line, seed, per-stage wall-clock,
-//! span tree, metrics — see DESIGN.md §8). Progress goes to stderr
+//! span tree, metrics — see DESIGN.md §8); the run-ledger line is that
+//! manifest without its span tree. Progress goes to stderr
 //! through the leveled `leo-obs` logger (`DIVIDE_LOG`, `--quiet`,
 //! `-v`); none of the instrumentation ever changes artifact bytes.
 
@@ -48,6 +48,7 @@ mod report_cmd;
 use leo_cache::DatasetCache;
 use leo_demand::{BroadbandDataset, SynthConfig};
 use leo_obs::manifest::{self, RunInfo};
+use leo_obs::Switch;
 use leo_report::{CsvWriter, Heatmap, LineChart, PointMap, Series, TextTable};
 use starlink_divide::{
     afford, coverage_sweep, demand_stats, findings, sensitivity, sizing, strict, tail, PaperModel,
@@ -57,7 +58,7 @@ use std::time::Instant;
 
 /// The tracking allocator wrapping `std::alloc::System`. Tracking is
 /// off until `main` turns it on (observability enabled and
-/// `DIVIDE_ALLOC` not `off`), so the disabled path costs one relaxed
+/// `DIVIDE_ALLOC` not off), so the disabled path costs one relaxed
 /// load per allocation.
 #[global_allocator]
 static ALLOC: leo_alloc::TrackingAlloc = leo_alloc::TrackingAlloc::new();
@@ -91,7 +92,6 @@ options:
                        $DIVIDE_CACHE, else <out>/.divide-cache);
                        artifacts are byte-identical warm or cold
   --no-cache           always regenerate; read and write no snapshots
-  --metrics-out FILE   write a flat JSON bench record of the run
   --trace[=FILE]       record a timeline and write a Chrome trace
                        (default <out>/trace.json, Perfetto-loadable)
                        plus folded flamegraph stacks (trace.folded);
@@ -113,9 +113,9 @@ options:
 
 report/history options (one gate: the candidate against the median
 of the earlier values, which for report is the baseline record):
-  --baseline FILE      report: 'before' manifest or bench record
-                       (required)
-  --candidate FILE     report: 'after' manifest or bench record
+  --baseline FILE      report: 'before' run manifest or
+                       BENCH_tier1.json (required)
+  --candidate FILE     report: 'after' record of the same kind
                        (required)
   --ledger FILE        history: run ledger to read (default: runs.jsonl
                        in the resolved cache directory)
@@ -126,15 +126,17 @@ of the earlier values, which for report is the baseline record):
   --min-wall-ms MS     time metrics below MS in both runs never gate (5)
   --report-csv FILE    also write the comparison table as CSV
 
-environment:
+environment (a switch is off when empty, 0, off or false, in any case):
   DIVIDE_LOG           stderr threshold: error|warn|info|debug
-  DIVIDE_OBS           off|0|false disables spans/metrics collection
-  DIVIDE_CACHE         snapshot cache directory; 'off' disables caching
-  DIVIDE_TRACE         1 enables tracing, or a path for the trace file
+  DIVIDE_OBS           switch: off disables spans/metrics collection
+  DIVIDE_CACHE         switch: snapshot cache directory; off disables
+                       caching
+  DIVIDE_TRACE         switch: 1|on|true enables tracing, any other
+                       value names the trace file
   DIVIDE_PROGRESS      'force' shows --progress without a TTY
-  DIVIDE_ALLOC         off|0|false disables allocation tracking (heap
+  DIVIDE_ALLOC         switch: off disables allocation tracking (heap
                        telemetry in manifest, ledger, and trace)
-  DIVIDE_LEDGER        run-ledger destination; 'off' disables the
+  DIVIDE_LEDGER        switch: run-ledger destination; off disables the
                        append (default: <cache>/runs.jsonl)
   DIVIDE_FAULT         fault plan applied when --fault-plan is absent
                        (same SPEC grammar)
@@ -171,7 +173,7 @@ commands:
   timeline        launch-cadence deployment timeline (extension)
   export          dataset CSV export
   all             everything above
-  report          diff two run manifests / bench records; exit 3 on
+  report          diff two run manifests / bench files; exit 3 on
                   perf regression (see report/history options)
   history         per-stage wall/memory trend table over the run
                   ledger; exit 3 when the newest run regresses vs the
@@ -198,7 +200,6 @@ fn main() {
     let mut threads: Option<usize> = None;
     let mut cache_dir: Option<PathBuf> = None;
     let mut no_cache = false;
-    let mut metrics_out: Option<PathBuf> = None;
     // None = no tracing; Some(None) = trace to <out>/trace.json;
     // Some(Some(p)) = trace to p.
     let mut trace: Option<Option<PathBuf>> = None;
@@ -242,12 +243,6 @@ fn main() {
                 ))
             }
             "--no-cache" => no_cache = true,
-            "--metrics-out" => {
-                metrics_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| usage("--metrics-out needs a value")),
-                ))
-            }
             "--trace" => trace = Some(None),
             "--progress" => progress = true,
             "--fault-plan" => {
@@ -396,21 +391,18 @@ fn main() {
     // Clean up registered temp files and exit 130 on SIGINT/SIGTERM.
     leo_fault::signal::install();
     // The --trace flag wins; otherwise $DIVIDE_TRACE enables tracing
-    // ("1"/truthy) or names the trace file directly (path-like value).
+    // (1/on/true) or names the trace file directly (any other value).
+    // This is the only reader of $DIVIDE_TRACE.
     if trace.is_none() {
-        if let Ok(v) = std::env::var("DIVIDE_TRACE") {
-            let off = v.is_empty()
-                || v.eq_ignore_ascii_case("0")
-                || v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false");
-            if !off {
-                trace =
-                    if v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true") {
-                        Some(None)
-                    } else {
-                        Some(Some(PathBuf::from(v)))
-                    };
-            }
+        if let Switch::On(v) = Switch::env("DIVIDE_TRACE") {
+            let on_word = ["1", "on", "true"]
+                .iter()
+                .any(|w| v.trim().eq_ignore_ascii_case(w));
+            trace = Some(if on_word {
+                None
+            } else {
+                Some(PathBuf::from(v))
+            });
         }
     }
     // Explicit flag wins; otherwise leo-parallel falls back to
@@ -423,7 +415,7 @@ fn main() {
     // allocator on and register it as the leo-obs resource hook — the
     // hook is the single switch every consumer (manifest, ledger,
     // trace memory lane) keys off.
-    if leo_obs::enabled() && alloc_enabled() {
+    if leo_obs::enabled() && Switch::env("DIVIDE_ALLOC") != Switch::Off {
         leo_alloc::set_tracking(true);
         leo_obs::resource::set_alloc_hook(Some(leo_obs::resource::AllocHook {
             read: alloc_reading,
@@ -533,37 +525,11 @@ fn main() {
         argv,
     };
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    // Observability writers run before the manifest so their failures
-    // (counted via leo_fault::degrade) land in its `degraded` section.
-    // None of them can fail the run: the artifacts themselves already
-    // landed, and a dead ledger/trace/metrics file degrades
-    // bookkeeping, not results.
-    if leo_obs::enabled() {
-        if let Some(path) = &ledger_path {
-            let ts = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            let git = leo_obs::ledger::git_describe();
-            let record = leo_obs::ledger::build_record(&info, wall_ms, ts, git.as_deref());
-            match leo_obs::ledger::append(path, &record) {
-                Ok(()) => leo_obs::log_info!("appended run to {}", path.display()),
-                Err(e) => {
-                    leo_obs::log_warn!("cannot append to {}: {e}", path.display());
-                    leo_fault::degrade("ledger", &e.to_string());
-                }
-            }
-        }
-    }
-    if let Some(path) = metrics_out {
-        match manifest::write_json(&path, &manifest::bench_record(&info, wall_ms)) {
-            Ok(()) => leo_obs::log_info!("wrote {}", path.display()),
-            Err(e) => {
-                leo_obs::log_warn!("cannot write {}: {e}", path.display());
-                leo_fault::degrade("metrics", &e.to_string());
-            }
-        }
-    }
+    // The trace export runs before the manifest so its failure (counted
+    // via leo_fault::degrade) lands in the manifest's `degraded`
+    // section. No observability writer can fail the run: the artifacts
+    // themselves already landed, and a dead ledger/trace/manifest file
+    // degrades bookkeeping, not results.
     if let Some(dest) = trace {
         let chrome = dest.unwrap_or_else(|| out.join("trace.json"));
         let folded = chrome.with_extension("folded");
@@ -580,28 +546,37 @@ fn main() {
             }
         }
     }
+    let mut run_manifest = manifest::run_manifest(&info, wall_ms);
+    // The ledger line is a projection of the manifest. A failed append
+    // rebuilds the manifest so the failure lands in its `degraded`
+    // section and `degraded.ledger` counter.
+    if leo_obs::enabled() {
+        if let Some(path) = &ledger_path {
+            let ts = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_secs())
+                .unwrap_or(0);
+            let line = leo_obs::ledger::project(&run_manifest, ts);
+            match leo_obs::ledger::append(path, &line) {
+                Ok(()) => leo_obs::log_info!("appended run to {}", path.display()),
+                Err(e) => {
+                    leo_obs::log_warn!("cannot append to {}: {e}", path.display());
+                    leo_fault::degrade("ledger", &e.to_string());
+                    run_manifest = manifest::run_manifest(&info, wall_ms);
+                }
+            }
+        }
+    }
     let manifest_path = out.join("run_manifest.json");
-    match manifest::write_json(&manifest_path, &manifest::run_manifest(&info, wall_ms)) {
+    match manifest::write_json(&manifest_path, &run_manifest) {
         Ok(()) => leo_obs::log_info!("wrote {}", manifest_path.display()),
         Err(e) => leo_obs::log_warn!("cannot write {}: {e}", manifest_path.display()),
     }
 }
 
-/// Whether `DIVIDE_ALLOC` permits allocation tracking (default yes).
-fn alloc_enabled() -> bool {
-    match std::env::var("DIVIDE_ALLOC") {
-        Ok(v) => {
-            !(v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false")
-                || v == "0"
-                || v.is_empty())
-        }
-        Err(_) => true,
-    }
-}
-
 /// Snapshot cache resolution: --no-cache wins, then --cache, then
-/// $DIVIDE_CACHE ("off" disables), then <out>/.divide-cache.
+/// $DIVIDE_CACHE (off disables, anything else is the directory), then
+/// <out>/.divide-cache.
 fn resolve_cache_dir(no_cache: bool, cache_dir: &Option<PathBuf>, out: &Path) -> Option<PathBuf> {
     if no_cache {
         return None;
@@ -609,14 +584,14 @@ fn resolve_cache_dir(no_cache: bool, cache_dir: &Option<PathBuf>, out: &Path) ->
     if let Some(dir) = cache_dir {
         return Some(dir.clone());
     }
-    match std::env::var("DIVIDE_CACHE") {
-        Ok(v) if v.eq_ignore_ascii_case("off") => None,
-        Ok(v) if !v.is_empty() => Some(PathBuf::from(v)),
-        _ => Some(out.join(".divide-cache")),
+    match Switch::env("DIVIDE_CACHE") {
+        Switch::Off => None,
+        Switch::On(dir) => Some(PathBuf::from(dir)),
+        Switch::Unset => Some(out.join(".divide-cache")),
     }
 }
 
-/// Run-ledger resolution: --ledger wins, then $DIVIDE_LEDGER ("off"
+/// Run-ledger resolution: --ledger wins, then $DIVIDE_LEDGER (off
 /// disables, anything else is the file path), then runs.jsonl beside
 /// the dataset snapshots in the cache directory. `None` means "no
 /// ledger" — nothing is appended and `history` has nothing to read.
@@ -624,17 +599,10 @@ fn resolve_ledger(explicit: Option<PathBuf>, cache_dir: Option<&Path>) -> Option
     if explicit.is_some() {
         return explicit;
     }
-    match std::env::var("DIVIDE_LEDGER") {
-        Ok(v)
-            if v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false")
-                || v == "0"
-                || v.is_empty() =>
-        {
-            None
-        }
-        Ok(v) => Some(PathBuf::from(v)),
-        Err(_) => cache_dir.map(|d| d.join("runs.jsonl")),
+    match Switch::env("DIVIDE_LEDGER") {
+        Switch::Off => None,
+        Switch::On(path) => Some(PathBuf::from(path)),
+        Switch::Unset => cache_dir.map(|d| d.join("runs.jsonl")),
     }
 }
 

@@ -113,16 +113,18 @@ fn report_exit_codes_cover_ok_regression_io_and_usage() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A hand-built `leo-obs/run-ledger/v2` line as a real run appends it.
+/// A hand-built `leo-obs/run-ledger/v3` line as a real run appends it
+/// (a run manifest without its span tree, plus `ts_unix`).
 fn ledger_line(command: &str, wall_ms: f64, peak_heap: u64) -> String {
     format!(
         concat!(
-            "{{\"schema\":\"leo-obs/run-ledger/v2\",\"ts_unix\":1,",
+            "{{\"schema\":\"leo-obs/run-ledger/v3\",\"ts_unix\":1,",
             "\"command\":\"{}\",\"scale\":\"small\",\"seed\":7,\"threads\":2,",
             "\"argv\":[\"divide\"],\"wall_ms\":{},",
-            "\"stages\":{{\"dataset\":{{\"wall_ms\":{},\"alloc_bytes\":1000,",
-            "\"alloc_count\":10,\"peak_heap_delta\":{}}}}},",
-            "\"peak_heap_bytes\":{},\"io_bytes_read\":0,\"io_bytes_written\":0}}\n"
+            "\"stages\":[{{\"name\":\"dataset\",\"wall_ms\":{},\"calls\":1,",
+            "\"alloc_bytes\":1000,\"alloc_count\":10,\"peak_heap_delta\":{}}}],",
+            "\"resources\":{{\"peak_heap_bytes\":{}}},",
+            "\"metrics\":{{\"counters\":{{\"io.bytes_read\":0,\"io.bytes_written\":0}}}}}}\n"
         ),
         command,
         wall_ms,
@@ -240,17 +242,23 @@ fn runs_append_to_the_ledger_unless_obs_or_ledger_is_off() {
         let rec = Json::parse(line).expect("ledger line parses");
         assert_eq!(
             rec.get("schema").and_then(Json::as_str),
-            Some("leo-obs/run-ledger/v2")
+            Some("leo-obs/run-ledger/v3")
         );
         assert_eq!(rec.get("command").and_then(Json::as_str), Some("table1"));
+        let dataset = match rec.get("stages") {
+            Some(Json::Arr(stages)) => stages
+                .iter()
+                .find(|s| s.get("name").and_then(Json::as_str) == Some("dataset")),
+            _ => None,
+        };
         assert!(
-            rec.get("stages")
-                .and_then(|s| s.get("dataset"))
+            dataset
                 .and_then(|s| s.get("wall_ms"))
                 .and_then(Json::as_f64)
                 .is_some(),
             "per-stage wall recorded: {line}"
         );
+        assert!(rec.get("spans").is_none(), "no span tree: {line}");
     }
 
     // `history` over its own appends: two comparable runs, exit 0. The
@@ -288,6 +296,47 @@ fn runs_append_to_the_ledger_unless_obs_or_ledger_is_off() {
     assert!(alt.is_file(), "DIVIDE_LEDGER names the destination");
     let body = std::fs::read_to_string(&ledger).expect("ledger still there");
     assert_eq!(body.lines().count(), 2, "cache ledger untouched");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn off_switches_read_empty_zero_off_and_false_in_any_case() {
+    let dir = tmp("switches");
+    // DIVIDE_CACHE=0 disables the cache: no snapshot (and no ledger)
+    // lands in a directory named `0` under the working directory.
+    let out = run(divide()
+        .current_dir(&dir)
+        .args(["--scale", "small", "--out", "out"])
+        .env("DIVIDE_CACHE", "0")
+        .env_remove("DIVIDE_LEDGER")
+        .arg("table1"));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!dir.join("0").exists(), "DIVIDE_CACHE=0 created a 0/ cache");
+    assert!(
+        !dir.join("out/.divide-cache").exists(),
+        "DIVIDE_CACHE=0 fell back to the default cache"
+    );
+
+    // DIVIDE_OBS=OFF turns observability off: no ledger line appended.
+    let cache = dir.join("cache");
+    let out = run(divide()
+        .args(["--scale", "small", "--out"])
+        .arg(dir.join("obs_off"))
+        .arg("--cache")
+        .arg(&cache)
+        .env("DIVIDE_OBS", "OFF")
+        .env_remove("DIVIDE_LEDGER")
+        .arg("table1"));
+    assert!(out.status.success());
+    assert!(
+        !cache.join("runs.jsonl").exists(),
+        "DIVIDE_OBS=OFF appended a ledger line"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

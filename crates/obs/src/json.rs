@@ -1,12 +1,12 @@
 //! Minimal JSON document model, serializer, and parser.
 //!
 //! The workspace vendors no serde, so the run manifest and the
-//! `--metrics-out` bench records are emitted through this hand-rolled
-//! value type. Objects preserve insertion order (manifests diff
-//! cleanly), strings are RFC 8259-escaped, and non-finite floats
+//! run-ledger lines projected from it are emitted through this
+//! hand-rolled value type. Objects preserve insertion order (manifests
+//! diff cleanly), strings are RFC 8259-escaped, and non-finite floats
 //! serialize as `null` (JSON has no NaN/Infinity). [`Json::parse`]
-//! reads documents back — `divide report` uses it to diff run
-//! manifests and bench records.
+//! reads documents back — `divide report` and `divide history` use it
+//! to diff run manifests, ledger lines and bench files.
 
 use std::fmt::Write as _;
 

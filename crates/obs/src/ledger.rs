@@ -1,11 +1,13 @@
 //! The append-only run-history ledger.
 //!
-//! Every observed `divide` run appends one flat JSON record — schema
+//! Every observed `divide` run appends one JSON record — schema
 //! [`SCHEMA`] — as a single line to `runs.jsonl` (by default inside
 //! the snapshot-cache directory, since that is the one place that
-//! already persists across runs). `divide history` reads the file
-//! back to render per-stage trend tables and gate the newest run
-//! against the median of its predecessors.
+//! already persists across runs). The record is a projection of the
+//! run manifest ([`project`]): the manifest without its span tree,
+//! plus `ts_unix`. `divide history` reads the file back to render
+//! per-stage trend tables and gate the newest run against the median
+//! of its predecessors.
 //!
 //! ## Why JSONL, appended with `O_APPEND`
 //!
@@ -19,90 +21,28 @@
 //! rest of the history.
 
 use crate::json::Json;
-use crate::manifest::RunInfo;
-use crate::metrics;
-use crate::span;
 use std::io::Write;
 use std::path::Path;
 
-/// The ledger record schema identifier. `v2` added per-stage
-/// `busy_ns`/`chunks` parallel-efficiency fields; readers filter on
-/// this exact string, so `v1` lines in an old ledger are skipped the
-/// same way corrupt lines are.
-pub const SCHEMA: &str = "leo-obs/run-ledger/v2";
+/// The ledger record schema identifier. `v3` made the record a
+/// projection of the run manifest; readers filter on this exact
+/// string, so `v1`/`v2` lines in an old ledger are skipped the same
+/// way corrupt lines are.
+pub const SCHEMA: &str = "leo-obs/run-ledger/v3";
 
-/// Builds the flat ledger record of the current run from the span,
-/// allocator, metric, parallel-attribution, and RSS registries.
-/// `ts_unix` is seconds since the epoch (passed in so callers control
-/// clock access); `git` is the output of [`git_describe`], if any.
-pub fn build_record(info: &RunInfo, wall_ms: f64, ts_unix: u64, git: Option<&str>) -> Json {
-    let allocs = span::alloc_snapshot();
-    let parallel = crate::scope::parallel_snapshot();
-    let mut stages = Json::obj();
-    for (path, stats) in span::snapshot() {
-        let name = match path.strip_prefix("stage.") {
-            Some(rest) if !rest.contains('/') => rest.to_string(),
-            _ => continue,
-        };
-        let mut stage = Json::obj().set("wall_ms", stats.total_ns as f64 / 1e6);
-        if let Some(a) = allocs.get(&path) {
-            stage = stage
-                .set("alloc_bytes", a.alloc_bytes)
-                .set("alloc_count", a.alloc_count)
-                .set("peak_heap_delta", a.peak_heap_delta);
+/// The ledger line of a run: its `manifest` without the `spans` tree,
+/// under [`SCHEMA`], with `ts_unix` (seconds since the epoch, passed
+/// in so callers control clock access) after the schema.
+pub fn project(manifest: &Json, ts_unix: u64) -> Json {
+    let mut line = Json::obj().set("schema", SCHEMA).set("ts_unix", ts_unix);
+    if let Json::Obj(fields) = manifest {
+        for (key, value) in fields {
+            if key != "schema" && key != "spans" {
+                line = line.set(key, value.clone());
+            }
         }
-        if let Some(attr) = parallel.get(&path) {
-            stage = stage
-                .set("busy_ns", attr.busy_ns)
-                .set("chunks", attr.chunks);
-        }
-        stages = stages.set(&name, stage);
     }
-    let mut rec = Json::obj()
-        .set("schema", SCHEMA)
-        .set("ts_unix", ts_unix)
-        .set("command", info.command.as_str())
-        .set("scale", info.scale.as_str())
-        .set("seed", info.seed)
-        .set("threads", info.threads)
-        .set("argv", info.argv.clone());
-    if let Some(git) = git {
-        rec = rec.set("git", git);
-    }
-    rec = rec.set("wall_ms", wall_ms).set("stages", stages);
-    if let Some(hook) = crate::resource::alloc_hook() {
-        let r = (hook.read)();
-        rec = rec
-            .set("alloc_bytes_total", r.allocated_bytes)
-            .set("peak_heap_bytes", r.peak_bytes);
-    }
-    if let Some(rss) = crate::resource::rss_kb() {
-        rec = rec.set("peak_rss_kb", rss.peak_kb);
-    }
-    rec.set("io_bytes_read", metrics::counter_value("io.bytes_read"))
-        .set(
-            "io_bytes_written",
-            metrics::counter_value("io.bytes_written"),
-        )
-}
-
-/// Best-effort `git describe --always --dirty --tags` of the current
-/// working directory. `None` when git is absent, the directory is not
-/// a repository, or the output is empty.
-pub fn git_describe() -> Option<String> {
-    let out = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    let desc = String::from_utf8_lossy(&out.stdout).trim().to_string();
-    if desc.is_empty() {
-        None
-    } else {
-        Some(desc)
-    }
+    line
 }
 
 /// Appends one record to the ledger at `path` as a single line,
@@ -166,6 +106,7 @@ pub fn read(path: &Path) -> std::io::Result<Vec<Json>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::{run_manifest, RunInfo};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("leo_obs_ledger_{name}"));
@@ -174,54 +115,42 @@ mod tests {
         dir
     }
 
-    fn info() -> RunInfo {
-        RunInfo {
+    #[test]
+    fn line_is_the_manifest_without_spans_plus_ts_unix() {
+        let _lock = crate::test_lock();
+        crate::set_enabled(true);
+        crate::reset();
+        {
+            let _stage = crate::span::enter("stage.dataset");
+            crate::scope::attribute_fanout("parallel.par_map", 64, &[30, 50], 60);
+        }
+        let info = RunInfo {
             command: "all".into(),
             scale: "small".into(),
             seed: 7,
             threads: 2,
             argv: vec!["divide".into(), "all".into()],
-        }
-    }
-
-    #[test]
-    fn record_carries_schema_identity_and_stages() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
-        crate::reset();
-        {
-            let _stage = span::enter("stage.dataset");
-        }
-        let rec = build_record(&info(), 42.0, 1_700_000_000, Some("abc1234-dirty"));
-        assert_eq!(rec.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
-        assert_eq!(
-            rec.get("ts_unix").and_then(|v| v.as_u64()),
-            Some(1_700_000_000)
+        };
+        let manifest = run_manifest(&info, 42.0);
+        let line = project(&manifest, 1_700_000_000);
+        let (Json::Obj(fields), Json::Obj(got)) = (&manifest, &line) else {
+            panic!("manifest and line must be objects");
+        };
+        // Key for key: the manifest's fields in order, `spans` dropped,
+        // the schema swapped and `ts_unix` after it.
+        let mut want: Vec<(String, Json)> = fields
+            .iter()
+            .filter(|(key, _)| key != "spans")
+            .cloned()
+            .collect();
+        assert_eq!(want[0].0, "schema");
+        want[0].1 = Json::from(SCHEMA);
+        want.insert(1, ("ts_unix".into(), Json::from(1_700_000_000u64)));
+        assert_eq!(got, &want);
+        assert!(
+            line.render().contains("\"busy_ns\":80"),
+            "stage attribution kept"
         );
-        assert_eq!(
-            rec.get("git").and_then(|v| v.as_str()),
-            Some("abc1234-dirty")
-        );
-        assert!(rec.get("stages").unwrap().get("dataset").is_some());
-        assert!(rec.get("io_bytes_read").is_some());
-        assert!(rec.get("io_bytes_written").is_some());
-        crate::reset();
-    }
-
-    #[test]
-    fn v2_record_carries_per_stage_parallel_fields() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
-        crate::reset();
-        {
-            let _stage = span::enter("stage.dataset");
-            crate::scope::attribute_fanout("parallel.par_map", 64, &[30, 50], 60);
-        }
-        let rec = build_record(&info(), 9.0, 1_700_000_000, None);
-        assert_eq!(rec.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
-        let stage = rec.get("stages").unwrap().get("dataset").unwrap();
-        assert_eq!(stage.get("busy_ns").and_then(|v| v.as_u64()), Some(80));
-        assert_eq!(stage.get("chunks").and_then(|v| v.as_u64()), Some(2));
         crate::reset();
     }
 

@@ -15,8 +15,8 @@
 //! Instrumentation must **never** perturb artifact bytes. Everything in
 //! this crate therefore only *observes*: spans and metrics accumulate
 //! into global registries that are read back exclusively by the run
-//! manifest and the `--metrics-out` bench record — never by the model,
-//! the dataset generator, or the renderers. `tests/determinism.rs`
+//! manifest (and the ledger line projected from it) — never by the
+//! model, the dataset generator, or the renderers. `tests/determinism.rs`
 //! asserts the contract end to end: a run with observability enabled
 //! produces byte-identical CSVs/SVGs to one with `DIVIDE_OBS=off`, at 1
 //! and 4 worker threads.
@@ -26,8 +26,8 @@
 //! Observability defaults to on and costs a few atomic loads plus one
 //! short mutex hold per span/metric update (never per data item — the
 //! hot loops in `leo-parallel` record per *chunk*). `DIVIDE_OBS=off`
-//! (or `0`/`false`) disables every registry at the source, for
-//! overhead-sensitive benchmarking; [`set_enabled`] does the same
+//! (any [`Switch::Off`] value) disables every registry at the source,
+//! for overhead-sensitive benchmarking; [`set_enabled`] does the same
 //! programmatically.
 
 #![forbid(unsafe_code)]
@@ -45,22 +45,52 @@ pub mod span;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
+/// An on/off environment switch — `DIVIDE_OBS`, `DIVIDE_ALLOC`,
+/// `DIVIDE_LEDGER`, `DIVIDE_CACHE` and `DIVIDE_TRACE` — read the one
+/// way they all share.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Switch {
+    /// Not set (or not Unicode): the switch's default applies.
+    Unset,
+    /// Empty, `0`, `off` or `false`, trimmed, in any case.
+    Off,
+    /// Any other value, as given: on, or the path the switch names.
+    On(String),
+}
+
+impl Switch {
+    /// Classifies one raw value.
+    pub fn parse(value: &str) -> Switch {
+        let v = value.trim();
+        if v.is_empty()
+            || ["0", "off", "false"]
+                .iter()
+                .any(|w| v.eq_ignore_ascii_case(w))
+        {
+            Switch::Off
+        } else {
+            Switch::On(value.to_string())
+        }
+    }
+
+    /// Reads the environment variable `name`.
+    pub fn env(name: &str) -> Switch {
+        std::env::var(name).map_or(Switch::Unset, |v| Switch::parse(&v))
+    }
+}
+
 /// 0 = unresolved (consult `DIVIDE_OBS`), 1 = on, 2 = off.
 static ENABLED: AtomicU8 = AtomicU8::new(0);
 
 /// Whether observability is currently enabled. Resolved from the
-/// `DIVIDE_OBS` environment variable on first call (`off`, `0`, and
-/// `false` disable; anything else, including unset, enables) and cached;
-/// [`set_enabled`] overrides it.
+/// `DIVIDE_OBS` [`Switch`] on first call (on unless it is off) and
+/// cached; [`set_enabled`] overrides it.
 pub fn enabled() -> bool {
     match ENABLED.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
         _ => {
-            let on = !matches!(
-                std::env::var("DIVIDE_OBS").as_deref(),
-                Ok("off") | Ok("0") | Ok("false")
-            );
+            let on = Switch::env("DIVIDE_OBS") != Switch::Off;
             ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
             on
         }
@@ -109,6 +139,28 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
 
 #[cfg(test)]
 mod tests {
+    use super::Switch;
+
+    #[test]
+    fn switches_are_off_for_empty_zero_off_and_false_in_any_case() {
+        for off in [
+            "", "  ", "0", " 0 ", "off", "OFF", " Off\t", "false", "False ",
+        ] {
+            assert_eq!(Switch::parse(off), Switch::Off, "{off:?}");
+        }
+        for on in [
+            "1",
+            "on",
+            "TRUE",
+            "00",
+            "offline",
+            "results/0",
+            "/tmp/runs.jsonl",
+        ] {
+            assert_eq!(Switch::parse(on), Switch::On(on.to_string()), "{on:?}");
+        }
+    }
+
     #[test]
     fn set_enabled_overrides_env() {
         let _lock = super::test_lock();

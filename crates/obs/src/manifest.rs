@@ -1,21 +1,24 @@
-//! Run manifests and bench records.
+//! The run manifest: the one record of a run.
 //!
 //! Every `divide` invocation writes `<out>/run_manifest.json` — the
 //! full reproducibility record of the run: command line, seed, scale,
 //! thread count, workspace version, per-stage wall-clock, the complete
-//! span tree, and a dump of every metric. `--metrics-out FILE`
-//! additionally emits a *flat* bench record (one JSON object, stable
-//! keys) that the `BENCH_<command>.json` perf trajectory accumulates.
+//! span tree, and a dump of every metric. [`run_manifest`] is the only
+//! code that turns the span, allocator, parallel and resource
+//! registries into a record; the run ledger's line is a projection of
+//! its output (`crate::ledger::project`).
 //!
-//! Schemas are versioned by the `schema` field:
-//! `leo-obs/run-manifest/v1` and `leo-obs/bench/v1`; DESIGN.md §8
-//! documents both layouts.
+//! The schema is versioned by the `schema` field ([`SCHEMA`]);
+//! DESIGN.md §8 documents the layout.
 
 use crate::json::Json;
 use crate::metrics::{self, MetricsSnapshot};
 use crate::scope::StageParallel;
-use crate::span::{self, SpanAllocStats, SpanStats};
+use crate::span::{self, SpanStats};
 use std::collections::BTreeMap;
+
+/// The run manifest's schema identifier.
+pub const SCHEMA: &str = "leo-obs/run-manifest/v1";
 
 /// The workspace crates a manifest lists (all share the workspace
 /// version).
@@ -219,7 +222,7 @@ pub fn run_manifest(info: &RunInfo, wall_ms: f64) -> Json {
         }
     }
     let mut doc = Json::obj()
-        .set("schema", "leo-obs/run-manifest/v1")
+        .set("schema", SCHEMA)
         .set("command", info.command.as_str())
         .set("scale", info.scale.as_str())
         .set("seed", info.seed)
@@ -250,60 +253,6 @@ pub fn run_manifest(info: &RunInfo, wall_ms: f64) -> Json {
         doc = doc.set("degraded", section);
     }
     doc
-}
-
-/// The allocator registry keyed by stage name (the `stage.` prefix
-/// stripped), for ledger records.
-pub fn stage_alloc_stats() -> BTreeMap<String, SpanAllocStats> {
-    span::alloc_snapshot()
-        .into_iter()
-        .filter_map(|(path, stats)| {
-            path.strip_prefix("stage.")
-                .filter(|rest| !rest.contains('/'))
-                .map(|rest| (rest.to_string(), stats))
-        })
-        .collect()
-}
-
-/// Builds the flat bench record for `--metrics-out` /
-/// `BENCH_<command>.json`: one object, scalar values plus a flat
-/// `stages` map and the counter dump, so perf-trajectory tooling can
-/// diff runs without walking a tree.
-pub fn bench_record(info: &RunInfo, wall_ms: f64) -> Json {
-    let spans = span::snapshot();
-    let mut stages = Json::obj();
-    for (name, stats) in stage_spans(&spans) {
-        stages = stages.set(&name, ns_to_ms(stats.total_ns));
-    }
-    let mut counters = Json::obj();
-    for (name, value) in &metrics::snapshot().counters {
-        counters = counters.set(name, *value);
-    }
-    counters = with_fault_counters(counters);
-    let mut rec = Json::obj()
-        .set("schema", "leo-obs/bench/v1")
-        .set("command", info.command.as_str())
-        .set("scale", info.scale.as_str())
-        .set("seed", info.seed)
-        .set("threads", info.threads)
-        .set("wall_ms", wall_ms);
-    // Flat resource scalars, present only when measured (same
-    // absent-vs-zero distinction as the manifest's `resources`).
-    if let Some(hook) = crate::resource::alloc_hook() {
-        let r = (hook.read)();
-        rec = rec
-            .set("alloc_bytes_total", r.allocated_bytes)
-            .set("peak_heap_bytes", r.peak_bytes);
-    }
-    if let Some(rss) = crate::resource::rss_kb() {
-        rec = rec.set("peak_rss_kb", rss.peak_kb);
-    }
-    // CPU time (user+system): the stable basis for overhead A/Bs on a
-    // loaded host, where wall-clock is scheduler noise.
-    if let Some(cpu) = crate::resource::cpu_ms() {
-        rec = rec.set("cpu_ms", cpu);
-    }
-    rec.set("stages", stages).set("counters", counters)
 }
 
 /// Writes a JSON document to `path`, pretty-printed, creating parent
@@ -382,24 +331,6 @@ mod tests {
             let got = hist.get(key).and_then(|v| v.as_f64()).expect(key);
             assert!((got - want).abs() < 1e-9, "{key}: {got} != {want}");
         }
-        crate::reset();
-    }
-
-    #[test]
-    fn bench_record_is_flat() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
-        crate::reset();
-        {
-            let _stage = span::enter("stage.fig2");
-        }
-        let rec = bench_record(&info(), 3.25);
-        for key in [
-            "schema", "command", "scale", "seed", "threads", "wall_ms", "stages", "counters",
-        ] {
-            assert!(rec.get(key).is_some(), "missing key {key}");
-        }
-        assert!(rec.get("stages").unwrap().get("fig2").is_some());
         crate::reset();
     }
 

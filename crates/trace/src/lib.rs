@@ -21,9 +21,9 @@
 //!
 //! ## Switching it on
 //!
-//! Off by default. `DIVIDE_TRACE` (anything but empty/`0`/`off`/
-//! `false`) or [`set_enabled`] turns the recorder on, but events are
-//! only ever recorded while `leo_obs::enabled()` also holds —
+//! Off by default. [`set_enabled`] turns the recorder on — the `divide`
+//! CLI calls it for `--trace` or `DIVIDE_TRACE` — but events are only
+//! ever recorded while `leo_obs::enabled()` also holds —
 //! `DIVIDE_OBS=off` silences tracing along with everything else. While
 //! disabled, recording entry points return before touching any lane:
 //! no buffers are allocated, no events retained (asserted by
@@ -42,7 +42,7 @@ pub mod export;
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -120,8 +120,8 @@ static GENERATION: AtomicU64 = AtomicU64::new(0);
 /// The instant `ts_ns` counts from; set when tracing first turns on.
 static EPOCH: Mutex<Option<Instant>> = Mutex::new(None);
 
-/// 0 = unresolved (consult `DIVIDE_TRACE`), 1 = on, 2 = off.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+/// Whether tracing was requested ([`set_enabled`]).
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     /// This thread's lane buffer, tagged with the generation it was
@@ -129,36 +129,18 @@ thread_local! {
     static CURRENT: RefCell<Option<(u64, Buf)>> = const { RefCell::new(None) };
 }
 
-fn tracing_requested() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = match std::env::var("DIVIDE_TRACE") {
-                Err(_) => false,
-                Ok(v) => {
-                    let v = v.trim().to_ascii_lowercase();
-                    !(v.is_empty() || v == "0" || v == "off" || v == "false")
-                }
-            };
-            set_enabled(on);
-            on
-        }
-    }
-}
-
 /// Whether events are being recorded right now: tracing requested
-/// (`DIVIDE_TRACE` / [`set_enabled`]) *and* observability enabled —
-/// `DIVIDE_OBS=off` always wins.
+/// ([`set_enabled`]) *and* observability enabled — `DIVIDE_OBS=off`
+/// always wins.
 pub fn enabled() -> bool {
-    tracing_requested() && leo_obs::enabled()
+    ENABLED.load(Ordering::Relaxed) && leo_obs::enabled()
 }
 
-/// Turns the recorder on or off for the whole process, overriding
-/// `DIVIDE_TRACE`. Turning it on installs the `leo-obs` span sink so
-/// every span lands on the timeline from then on.
+/// Turns the recorder on or off for the whole process. Turning it on
+/// installs the `leo-obs` span sink so every span lands on the
+/// timeline from then on.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
     if on {
         ensure_epoch();
         leo_obs::span::set_sink(Some(span_sink));

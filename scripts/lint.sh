@@ -6,6 +6,20 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+echo "[lint] cargo metadata --offline --locked (root and benchmark lock files)"
+# A change to the crate graph that leaves a lock file stale fails here,
+# not in the benchmark's --locked build.
+for manifest in Cargo.toml benchmark/Cargo.toml; do
+    cargo metadata --offline --locked --format-version 1 --manifest-path "$manifest" >/dev/null
+done
+
+echo "[lint] bash -n scripts/*.sh"
+# Syntax-checks every script, including bench.sh, which tier-1 never
+# runs.
+for script in scripts/*.sh; do
+    bash -n "$script"
+done
+
 echo "[lint] cargo fmt --all --check"
 cargo fmt --all --check
 

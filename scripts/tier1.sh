@@ -67,7 +67,8 @@ assert counters.get("io.write_calls", 0) > 0, counters
 print("[tier1] manifest carries alloc/RSS telemetry and io.* counters")
 PY
 
-# Every observed run appends a ledger record beside the snapshots.
+# Every observed run appends a ledger record beside the snapshots: the
+# run manifest without its span tree, plus ts_unix.
 ledger="$out/.divide-cache/runs.jsonl"
 python3 - "$ledger" <<'PY'
 import json, sys
@@ -75,16 +76,18 @@ import json, sys
 lines = [l for l in open(sys.argv[1]) if l.strip()]
 assert len(lines) >= 1, "no ledger record appended"
 rec = json.loads(lines[-1])
-assert rec["schema"] == "leo-obs/run-ledger/v2", rec["schema"]
+assert rec["schema"] == "leo-obs/run-ledger/v3", rec["schema"]
 assert rec["command"] == "all" and rec["wall_ms"] > 0, rec
-assert "dataset" in rec["stages"], sorted(rec["stages"])
-assert rec.get("peak_heap_bytes", 0) > 0, rec
-# v2 per-stage parallel-efficiency fields: the dataset stage always
+stages = {s["name"]: s for s in rec["stages"]}
+assert "dataset" in stages, sorted(stages)
+assert rec["resources"].get("peak_heap_bytes", 0) > 0, rec["resources"]
+# Per-stage parallel-efficiency fields: the dataset stage always
 # dispatches (or serially accounts) fan-outs, so its record carries
-# busy_ns/chunks — zero is fine on a serial host, absence is not.
-dataset = rec["stages"]["dataset"]
-assert "busy_ns" in dataset and "chunks" in dataset, dataset
-print("[tier1] run appended a valid run-ledger/v2 record")
+# parallel.busy_ns/chunks — zero is fine on a serial host, absence is
+# not.
+parallel = stages["dataset"]["parallel"]
+assert "busy_ns" in parallel and "chunks" in parallel, parallel
+print("[tier1] run appended a valid run-ledger/v3 record")
 PY
 
 # Every run leaves a verifiable stage checkpoint beside the artifacts
@@ -116,35 +119,30 @@ assert checked >= 5, f"only {checked} artifact checksums recorded"
 print(f"[tier1] checkpoint validates ({checked} artifact checksums verified)")
 PY
 
-echo "[tier1] divide fig2 --quiet --metrics-out writes a valid bench record"
-bench="$out/BENCH_fig2.json"
+echo "[tier1] divide fig2 --quiet stays quiet and writes a valid manifest"
 quiet_err="$out/quiet_stderr.txt"
-./target/release/divide --scale small fig2 --out "$out" --quiet \
-    --metrics-out "$bench" 2>"$quiet_err"
+./target/release/divide --scale small fig2 --out "$out" --quiet 2>"$quiet_err"
 if grep -q '\[info\]' "$quiet_err"; then
     echo "[tier1] --quiet leaked info-level stderr:" >&2
     cat "$quiet_err" >&2
     exit 1
 fi
-python3 - "$bench" "$out/run_manifest.json" <<'PY'
+python3 - "$out/run_manifest.json" <<'PY'
 import json, sys
 
-bench = json.load(open(sys.argv[1]))
+manifest = json.load(open(sys.argv[1]))
 for key in ("schema", "command", "scale", "seed", "threads", "wall_ms",
-            "stages", "counters"):
-    assert key in bench, f"bench record missing {key!r}"
-assert bench["schema"] == "leo-obs/bench/v1", bench["schema"]
-assert bench["command"] == "fig2", bench["command"]
-assert bench["seed"] == 7, bench["seed"]
-assert bench["threads"] >= 1, bench["threads"]
-assert "dataset" in bench["stages"] and "fig2" in bench["stages"], bench["stages"]
-
-manifest = json.load(open(sys.argv[2]))
-for key in ("schema", "command", "seed", "threads", "stages", "spans", "metrics"):
+            "stages", "spans", "metrics"):
     assert key in manifest, f"run manifest missing {key!r}"
+assert manifest["schema"] == "leo-obs/run-manifest/v1", manifest["schema"]
+assert manifest["command"] == "fig2", manifest["command"]
+assert manifest["seed"] == 7, manifest["seed"]
+assert manifest["threads"] >= 1, manifest["threads"]
+assert "counters" in manifest["metrics"], sorted(manifest["metrics"])
 stage_names = [s["name"] for s in manifest["stages"]]
 assert stage_names[0] == "dataset", stage_names
-print("[tier1] bench record and manifest validate")
+assert "fig2" in stage_names, stage_names
+print("[tier1] manifest validates")
 PY
 
 echo "[tier1] cold vs warm cached runs produce identical artifact trees"
@@ -390,7 +388,7 @@ import json, sys
 path = sys.argv[1]
 rec = json.loads([l for l in open(path) if l.strip()][-1])
 rec["wall_ms"] = max(rec["wall_ms"] * 10, 1000.0)
-for stage in rec["stages"].values():
+for stage in rec["stages"]:
     stage["wall_ms"] = max(stage["wall_ms"] * 10, 1000.0)
 open(path, "a").write(json.dumps(rec) + "\n")
 PY
@@ -408,7 +406,6 @@ echo "[tier1] divide --help exits 0 and lists every command"
 # Capture first: `grep -q` closing the pipe early would EPIPE divide.
 help_out="$(./target/release/divide --help)"
 grep -q timeline <<<"$help_out"
-grep -q metrics-out <<<"$help_out"
 grep -q 'no-cache' <<<"$help_out"
 grep -q DIVIDE_CACHE <<<"$help_out"
 grep -q 'trace' <<<"$help_out"
