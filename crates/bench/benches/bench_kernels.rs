@@ -11,6 +11,9 @@
 //! The orbit-validate and latency kernels (hoisted Walker ephemeris with
 //! exact-preserving prefilters) run against the reference twins shared
 //! with `leo-orbit`'s property tests, on the `divide` CLI's own inputs.
+//! So do the paper-scale Fig 1 map render (the exact fixed-precision
+//! number writer against `write!`) and the one-pass strict bound (against
+//! the per-spread loop shared with `starlink-divide`'s tests).
 //!
 //! The run ends with a machine-readable `KERNELS_JSON: {...}` line of
 //! per-kernel medians; `scripts/bench.sh` copies it into
@@ -18,6 +21,8 @@
 
 #[path = "../../orbit/tests/naive/mod.rs"]
 mod naive;
+#[path = "../../core/tests/naive/mod.rs"]
+mod naive_strict;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use leo_bench::shared_model;
@@ -32,9 +37,13 @@ use leo_orbit::density::empirical_density_factor;
 use leo_orbit::gateway::{conus_gateways, Gateway};
 use leo_orbit::isl::{user_gateway_path, GatewayPath, IslTopology, PathMode};
 use leo_orbit::WalkerShell;
+use leo_report::svg::ramp_color_into;
+use leo_report::PointMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use starlink_divide::coverage_sweep::served_fractions_row;
+use starlink_divide::{demand_stats, strict, PaperModel};
+use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -200,6 +209,49 @@ fn all_paths(
         .iter()
         .map(|(u, t, m)| f(topo, gws, u, *t, *m))
         .collect()
+}
+
+/// `divide fig1`'s map size.
+const MAP_SIZE: (f64, f64) = (900.0, 560.0);
+
+/// The pre-rewrite Fig 1 map writer: the document `PointMap::render`
+/// builds, with every coordinate through `write!`'s `{:.2}` and the
+/// colors from the same ramp.
+fn write_fmt_point_map(map: &PointMap, (width, height): (f64, f64)) -> String {
+    let mut body = format!(
+        "<rect x=\"0.00\" y=\"0.00\" width=\"{width:.2}\" height=\"{height:.2}\" fill=\"#ffffff\"/>\n\
+         <text x=\"{:.2}\" y=\"18.00\" font-size=\"14\" font-family=\"sans-serif\" text-anchor=\"middle\">{}</text>\n",
+        width / 2.0,
+        map.title
+    );
+    let (mut lat0, mut lat1) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut lng0, mut lng1) = (f64::INFINITY, f64::NEG_INFINITY);
+    let mut wmax = 1u64;
+    for &(lat, lng, w) in &map.points {
+        lat0 = lat0.min(lat);
+        lat1 = lat1.max(lat);
+        lng0 = lng0.min(lng);
+        lng1 = lng1.max(lng);
+        wmax = wmax.max(w);
+    }
+    let (pw, ph) = (width - 40.0, height - 60.0);
+    let lmax = (wmax as f64).ln().max(1e-9);
+    let mut color = String::new();
+    for &(lat, lng, w) in &map.points {
+        let t = (w.max(1) as f64).ln() / lmax;
+        color.clear();
+        ramp_color_into(t, &mut color);
+        let cx = 20.0 + (lng - lng0) / (lng1 - lng0).max(1e-9) * pw;
+        let cy = 30.0 + (1.0 - (lat - lat0) / (lat1 - lat0).max(1e-9)) * ph;
+        let r = 1.1 + 2.2 * t;
+        let _ = writeln!(
+            body,
+            "<circle cx=\"{cx:.2}\" cy=\"{cy:.2}\" r=\"{r:.2}\" fill=\"{color}\"/>"
+        );
+    }
+    format!(
+        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width:.0}\" height=\"{height:.0}\" viewBox=\"0 0 {width:.0} {height:.0}\">\n{body}</svg>\n"
+    )
 }
 
 fn bench_kernels(c: &mut Criterion) {
@@ -397,6 +449,41 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.finish();
 
+    // Kernel 11: the paper-scale Fig 1 map and the strict bound, each
+    // checked against its reference twin before any timing.
+    let paper = PaperModel::paper_scale();
+    let map = PointMap {
+        title: "Fig 1: un(der)served locations per Starlink service cell".into(),
+        points: demand_stats::map_series(&paper),
+    };
+    assert_eq!(
+        map.render(MAP_SIZE.0, MAP_SIZE.1),
+        write_fmt_point_map(&map, MAP_SIZE),
+        "point map diverged from its write! twin"
+    );
+    assert!(
+        naive_strict::same_table(
+            &strict::strict_table(&paper),
+            &naive_strict::naive_strict_table(&paper)
+        ),
+        "strict table diverged from the per-spread loop"
+    );
+    let mut group = c.benchmark_group("kernels/render");
+    group.sample_size(10);
+    group.bench_function("point_map/write_fmt", |b| {
+        b.iter(|| black_box(write_fmt_point_map(black_box(&map), MAP_SIZE)))
+    });
+    group.bench_function("point_map/fixed", |b| {
+        b.iter(|| black_box(black_box(&map).render(MAP_SIZE.0, MAP_SIZE.1)))
+    });
+    group.bench_function("strict/per_spread", |b| {
+        b.iter(|| black_box(naive_strict::naive_strict_table(black_box(&paper))))
+    });
+    group.bench_function("strict/one_pass", |b| {
+        b.iter(|| black_box(strict::strict_table(black_box(&paper))))
+    });
+    group.finish();
+
     // Snapshot codec throughput over the shared test-scale dataset.
     let payload = encode_dataset(ds);
     let mut group = c.benchmark_group("cache");
@@ -561,6 +648,12 @@ fn bench_kernels(c: &mut Criterion) {
     let path_ms = median_ms(11, || {
         black_box(all_paths(&topo, &gws, &queries, user_gateway_path));
     });
+    let map_ms = median_ms(11, || {
+        black_box(black_box(&map).render(MAP_SIZE.0, MAP_SIZE.1));
+    });
+    let strict_ms = median_ms(11, || {
+        black_box(strict::strict_table(black_box(&paper)));
+    });
     println!(
         "KERNELS_JSON: {{\"sweep_row_scan_ms\":{sweep_ms:.6},\
          \"unserved_fold_ms\":{fold_ms:.6},\
@@ -571,7 +664,9 @@ fn bench_kernels(c: &mut Criterion) {
          \"decode_mib_per_s\":{:.3},\
          \"empirical_density_factor_ms\":{density_ms:.6},\
          \"coverage_ms\":{coverage_ms:.6},\
-         \"user_gateway_path_ms\":{path_ms:.6}}}",
+         \"user_gateway_path_ms\":{path_ms:.6},\
+         \"point_map_render_ms\":{map_ms:.6},\
+         \"strict_table_ms\":{strict_ms:.6}}}",
         mb / (decode_ms / 1e3)
     );
 }

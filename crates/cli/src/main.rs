@@ -1264,9 +1264,10 @@ fn fig4(model: &PaperModel, out: &Path) {
         "locations unable to afford (count)",
     );
     for r in &results {
+        let price = format!("{:.2}", r.plan.monthly_usd);
         t.row(&[
             r.plan.name.to_string(),
-            format!("{:.2}", r.plan.monthly_usd),
+            price.clone(),
             r.unaffordable_locations.to_string(),
             format!("{:.1}%", 100.0 * r.unaffordable_fraction()),
         ]);
@@ -1281,13 +1282,10 @@ fn fig4(model: &PaperModel, out: &Path) {
         pts.insert(0, (0.0, total as f64));
         chart.push(Series::steps(r.plan.name, pts));
         // The CDF has thousands of points per plan; stream each record
-        // through the writer's scratch instead of four strings a row.
+        // into the writer, the proportion through the exact fixed writer.
         for &(p, cum) in &r.cdf {
             csv.record_with(|row| {
-                row.field(r.plan.name)
-                    .field(format_args!("{:.2}", r.plan.monthly_usd))
-                    .field(format_args!("{p:.5}"))
-                    .field(cum);
+                row.field(r.plan.name).field(&price).fixed(p, 5).field(cum);
             });
         }
     }

@@ -30,7 +30,7 @@ use leo_capacity::oversub::{max_locations_servable, Oversubscription};
 use leo_capacity::scenario::DeploymentPolicy;
 use leo_demand::CellDemand;
 use leo_hexgrid::STARLINK_CELL_AREA_KM2;
-use leo_orbit::constellation_size_for_density;
+use leo_orbit::{constellation_size_for_factor, density_factor};
 
 /// One row of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,10 +53,22 @@ pub fn constellation_size_at(
     peak_beams: u32,
     spread: Beamspread,
 ) -> Option<u64> {
+    let d = density_factor(peak_lat_deg, SIZING_INCLINATION_DEG)?;
+    Some(constellation_size_at_factor(model, d, peak_beams, spread))
+}
+
+/// [`constellation_size_at`] for a peak cell whose sizing-inclination
+/// [`density_factor`] `d` is already known, so a caller sizing one cell
+/// under several beamspreads evaluates `d` once.
+pub(crate) fn constellation_size_at_factor(
+    model: &PaperModel,
+    d: f64,
+    peak_beams: u32,
+    spread: Beamspread,
+) -> u64 {
     let cells = cells_per_satellite(&model.capacity, peak_beams, spread);
     let required_density = 1.0 / (cells as f64 * STARLINK_CELL_AREA_KM2);
-    constellation_size_for_density(required_density, peak_lat_deg, SIZING_INCLINATION_DEG)
-        .map(|n| n.ceil() as u64)
+    constellation_size_for_factor(required_density, d).ceil() as u64
 }
 
 /// The binding (peak) cell of a deployment policy: the cell whose

@@ -18,9 +18,10 @@
 //! strict bound exceeds the paper's by a measurable margin —
 //! evidence that Table 2 is indeed a *lower* bound, and by how much.
 
-use crate::{sizing, PaperModel};
+use crate::{sizing, PaperModel, SIZING_INCLINATION_DEG};
 use leo_capacity::beamspread::{beams_required, Beamspread};
 use leo_capacity::oversub::{max_locations_servable, Oversubscription};
+use leo_orbit::density_factor;
 
 /// The strict bound and its decomposition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,37 +49,58 @@ impl StrictBound {
 
 /// Computes the strict bound at the FCC 20:1 cap for one beamspread.
 pub fn strict_bound(model: &PaperModel, spread: Beamspread) -> StrictBound {
+    strict_bounds(model, &[spread])[0]
+}
+
+/// The strict-bound table over the paper's beamspread factors.
+pub fn strict_table(model: &PaperModel) -> Vec<StrictBound> {
+    let spreads = [1u32, 2, 5, 10, 15].map(|b| Beamspread::new(b).expect("nonzero"));
+    strict_bounds(model, &spreads)
+}
+
+/// The strict bound for each of `spreads` in one pass over the cells:
+/// each cell's beam count and density factor are evaluated once and
+/// shared by every spread, which keeps its own running maximum.
+fn strict_bounds(model: &PaperModel, spreads: &[Beamspread]) -> Vec<StrictBound> {
     let oversub = Oversubscription::FCC_CAP;
     let limit = max_locations_servable(model.capacity.max_cell_capacity_gbps(), oversub);
-    let paper =
-        sizing::constellation_size(model, leo_capacity::DeploymentPolicy::fcc_capped(), spread);
-    let mut best = (0u64, 0.0f64, 0u32, 0u64);
+    // (size, latitude, beams, locations) of each spread's binding cell;
+    // the strict `>` keeps the first cell to reach the maximum.
+    let mut best = vec![(0u64, 0.0f64, 0u32, 0u64); spreads.len()];
     for c in &model.dataset.cells {
         let served = c.locations.min(limit);
         let beams = beams_required(&model.capacity, served, oversub)
             .expect("served fits by construction")
             .max(1); // every covered cell holds at least a beam share
-        if let Some(n) = sizing::constellation_size_at(model, c.center.lat_deg(), beams, spread) {
-            if n > best.0 {
-                best = (n, c.center.lat_deg(), beams, c.locations);
+        let lat = c.center.lat_deg();
+        let Some(d) = density_factor(lat, SIZING_INCLINATION_DEG) else {
+            continue; // never overflown: no requirement
+        };
+        for (b, &spread) in best.iter_mut().zip(spreads) {
+            let n = sizing::constellation_size_at_factor(model, d, beams, spread);
+            if n > b.0 {
+                *b = (n, lat, beams, c.locations);
             }
         }
     }
-    StrictBound {
-        beamspread: spread.factor(),
-        paper_bound: paper,
-        strict_bound: best.0.max(paper),
-        binding_lat_deg: best.1,
-        binding_beams: best.2,
-        binding_locations: best.3,
-    }
-}
-
-/// The strict-bound table over the paper's beamspread factors.
-pub fn strict_table(model: &PaperModel) -> Vec<StrictBound> {
-    [1u32, 2, 5, 10, 15]
+    spreads
         .iter()
-        .map(|&b| strict_bound(model, Beamspread::new(b).expect("nonzero")))
+        .zip(best)
+        .map(|(&spread, (n, lat, beams, locations))| {
+            let paper = sizing::constellation_size(
+                model,
+                leo_capacity::DeploymentPolicy::fcc_capped(),
+                spread,
+            );
+            StrictBound {
+                beamspread: spread.factor(),
+                paper_bound: paper,
+                strict_bound: n.max(paper),
+                binding_lat_deg: lat,
+                binding_beams: beams,
+                binding_locations: locations,
+            }
+        })
         .collect()
 }
 

@@ -64,7 +64,15 @@ pub fn constellation_size_for_density(
     inclination_deg: f64,
 ) -> Option<f64> {
     let d = density_factor(lat_deg, inclination_deg)?;
-    Some(required_sats_per_km2 * EARTH_SURFACE_AREA_KM2 / d)
+    Some(constellation_size_for_factor(required_sats_per_km2, d))
+}
+
+/// [`constellation_size_for_density`] at a latitude whose
+/// [`density_factor`] `d` is already known: `required × A_earth / d`.
+/// Callers sizing many requirements at one latitude evaluate `d` once.
+#[inline]
+pub fn constellation_size_for_factor(required_sats_per_km2: f64, d: f64) -> f64 {
+    required_sats_per_km2 * EARTH_SURFACE_AREA_KM2 / d
 }
 
 /// Fraction of an orbit a satellite spends with sub-satellite latitude

@@ -43,7 +43,7 @@ pub mod propagate;
 pub mod visibility;
 pub mod walker;
 
-pub use density::{constellation_size_for_density, density_factor};
+pub use density::{constellation_size_for_density, constellation_size_for_factor, density_factor};
 pub use ephemeris::WalkerEphemeris;
 pub use propagate::CircularOrbit;
 pub use visibility::{coverage_cap_angle_rad, elevation_angle_deg};

@@ -5,7 +5,7 @@
 //! map. Everything produces standalone SVG via [`crate::svg`].
 
 use crate::error::ReportError;
-use crate::svg::{ramp_color, ramp_color_into, SvgDoc, PALETTE};
+use crate::svg::{ramp_color_into, SvgDoc, PALETTE};
 
 const MARGIN_L: f64 = 70.0;
 const MARGIN_R: f64 = 20.0;
@@ -289,9 +289,12 @@ impl Heatmap {
         let span = (vmax - vmin).max(1e-12);
         let cw = pw / self.xs.len() as f64;
         let ch = ph / self.ys.len() as f64;
+        let mut color = String::with_capacity(7);
         for (yi, row) in self.values.iter().enumerate() {
             for (xi, &v) in row.iter().enumerate() {
                 let t = (v - vmin) / span;
+                color.clear();
+                ramp_color_into(t, &mut color);
                 // Row 0 at the bottom (y axis increases upward).
                 let y = MARGIN_T + ph - (yi as f64 + 1.0) * ch;
                 doc.rect(
@@ -299,7 +302,7 @@ impl Heatmap {
                     y,
                     cw + 0.5,
                     ch + 0.5,
-                    &ramp_color(t),
+                    &color,
                     None,
                 );
             }
@@ -340,12 +343,14 @@ impl Heatmap {
         for k in 0..bands {
             let t = k as f64 / (bands - 1) as f64;
             let y = MARGIN_T + ph * (1.0 - t);
+            color.clear();
+            ramp_color_into(t, &mut color);
             doc.rect(
                 lx,
                 y - ph / bands as f64,
                 16.0,
                 ph / bands as f64 + 0.5,
-                &ramp_color(t),
+                &color,
                 None,
             );
         }

@@ -1,5 +1,6 @@
 //! Minimal RFC-4180 CSV writing.
 
+use crate::num::push_fixed;
 use std::fmt::Write as _;
 
 /// Builds CSV text in memory; callers persist it with `std::fs`.
@@ -23,9 +24,10 @@ impl CsvWriter {
         Self::default()
     }
 
-    /// Appends one RFC-4180-escaped field to the buffer.
+    /// Appends one RFC-4180-escaped field to the buffer. A bare CR is
+    /// quoted too: readers treat it as a line break.
     fn push_escaped(&mut self, field: &str) {
-        if field.contains(',') || field.contains('"') || field.contains('\n') {
+        if field.contains([',', '"', '\n', '\r']) {
             self.buf.push('"');
             for ch in field.chars() {
                 if ch == '"' {
@@ -99,17 +101,30 @@ pub struct CsvRow<'a> {
 }
 
 impl CsvRow<'_> {
-    /// Appends one field, rendered through the writer's reused scratch.
-    pub fn field(&mut self, value: impl std::fmt::Display) -> &mut Self {
+    fn separate(&mut self) {
         if self.n > 0 {
             self.w.buf.push(',');
         }
         self.n += 1;
+    }
+
+    /// Appends one field, rendered through the writer's reused scratch.
+    pub fn field(&mut self, value: impl std::fmt::Display) -> &mut Self {
+        self.separate();
         let mut scratch = std::mem::take(&mut self.w.scratch);
         scratch.clear();
         let _ = write!(scratch, "{value}");
         self.w.push_escaped(&scratch);
         self.w.scratch = scratch;
+        self
+    }
+
+    /// Appends `x` with `p` decimals, the same bytes as
+    /// `field(format_args!("{x:.p$}"))` through [`crate::num::push_fixed`];
+    /// a number never needs quoting.
+    pub fn fixed(&mut self, x: f64, p: usize) -> &mut Self {
+        self.separate();
+        push_fixed(&mut self.w.buf, x, p);
         self
     }
 }
@@ -128,10 +143,10 @@ mod tests {
     #[test]
     fn escapes_commas_quotes_newlines() {
         let mut w = CsvWriter::new();
-        w.record(&["x,y", "he said \"hi\"", "line\nbreak"]);
+        w.record(&["x,y", "he said \"hi\"", "line\nbreak", "bare\rreturn"]);
         assert_eq!(
             w.finish(),
-            "\"x,y\",\"he said \"\"hi\"\"\",\"line\nbreak\"\n"
+            "\"x,y\",\"he said \"\"hi\"\"\",\"line\nbreak\",\"bare\rreturn\"\n"
         );
     }
 
@@ -158,6 +173,22 @@ mod tests {
                 .field(42u64);
         });
         assert_eq!(w.finish(), "\"plan, basic\",9.50,42\n");
+    }
+
+    #[test]
+    fn fixed_fields_match_formatted_fields() {
+        let (mut a, mut b) = (CsvWriter::new(), CsvWriter::new());
+        for x in [0.000_005, -0.0, 2.5, 1.0e30, f64::NAN] {
+            a.record_with(|r| {
+                r.field("p").fixed(x, 5).fixed(x, 0);
+            });
+            b.record_with(|r| {
+                r.field("p")
+                    .field(format_args!("{x:.5}"))
+                    .field(format_args!("{x:.0}"));
+            });
+        }
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

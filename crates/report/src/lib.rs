@@ -16,6 +16,7 @@ pub mod chart;
 pub mod csv;
 pub mod error;
 pub mod markdown;
+pub mod num;
 pub mod spark;
 pub mod svg;
 pub mod table;

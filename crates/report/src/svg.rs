@@ -5,6 +5,7 @@
 //! attribute values are numeric or from internal palettes, so no
 //! escaping machinery is needed beyond text content.
 
+use crate::num::{push_fixed, push_hex_byte};
 use std::fmt::Write as _;
 
 /// An SVG document under construction.
@@ -51,22 +52,39 @@ impl SvgDoc {
         self.body.reserve(bytes);
     }
 
+    /// Appends `lead` and then `v` at two decimals: every coordinate
+    /// and size an element carries.
+    fn coord(&mut self, lead: &str, v: f64) {
+        self.body.push_str(lead);
+        push_fixed(&mut self.body, v, 2);
+    }
+
     /// A filled (and optionally stroked) rectangle.
     pub fn rect(&mut self, x: f64, y: f64, w: f64, h: f64, fill: &str, stroke: Option<&str>) {
-        let s = stroke
-            .map(|s| format!(" stroke=\"{s}\" stroke-width=\"1\""))
-            .unwrap_or_default();
-        let _ = writeln!(
-            self.body,
-            "<rect x=\"{x:.2}\" y=\"{y:.2}\" width=\"{w:.2}\" height=\"{h:.2}\" fill=\"{fill}\"{s}/>"
-        );
+        self.coord("<rect x=\"", x);
+        self.coord("\" y=\"", y);
+        self.coord("\" width=\"", w);
+        self.coord("\" height=\"", h);
+        self.body.push_str("\" fill=\"");
+        self.body.push_str(fill);
+        self.body.push('"');
+        if let Some(s) = stroke {
+            self.body.push_str(" stroke=\"");
+            self.body.push_str(s);
+            self.body.push_str("\" stroke-width=\"1\"");
+        }
+        self.body.push_str("/>\n");
     }
 
     /// A line segment.
     pub fn line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) {
+        self.coord("<line x1=\"", x1);
+        self.coord("\" y1=\"", y1);
+        self.coord("\" x2=\"", x2);
+        self.coord("\" y2=\"", y2);
         let _ = writeln!(
             self.body,
-            "<line x1=\"{x1:.2}\" y1=\"{y1:.2}\" x2=\"{x2:.2}\" y2=\"{y2:.2}\" stroke=\"{stroke}\" stroke-width=\"{width}\"/>"
+            "\" stroke=\"{stroke}\" stroke-width=\"{width}\"/>"
         );
     }
 
@@ -77,11 +95,9 @@ impl SvgDoc {
             return;
         }
         self.body.push_str("<polyline points=\"");
-        for (i, (x, y)) in points.iter().enumerate() {
-            if i > 0 {
-                self.body.push(' ');
-            }
-            let _ = write!(self.body, "{x:.2},{y:.2}");
+        for (i, &(x, y)) in points.iter().enumerate() {
+            self.coord(if i > 0 { " " } else { "" }, x);
+            self.coord(",", y);
         }
         let _ = writeln!(
             self.body,
@@ -91,28 +107,36 @@ impl SvgDoc {
 
     /// A filled circle.
     pub fn circle(&mut self, cx: f64, cy: f64, r: f64, fill: &str) {
-        let _ = writeln!(
-            self.body,
-            "<circle cx=\"{cx:.2}\" cy=\"{cy:.2}\" r=\"{r:.2}\" fill=\"{fill}\"/>"
-        );
+        self.coord("<circle cx=\"", cx);
+        self.coord("\" cy=\"", cy);
+        self.coord("\" r=\"", r);
+        self.body.push_str("\" fill=\"");
+        self.body.push_str(fill);
+        self.body.push_str("\"/>\n");
     }
 
     /// Text with an anchor of `start`, `middle`, or `end`.
     pub fn text(&mut self, x: f64, y: f64, content: &str, size: f64, anchor: &str) {
+        self.coord("<text x=\"", x);
+        self.coord("\" y=\"", y);
         let _ = writeln!(
             self.body,
-            "<text x=\"{x:.2}\" y=\"{y:.2}\" font-size=\"{size}\" font-family=\"sans-serif\" text-anchor=\"{anchor}\">{}</text>",
+            "\" font-size=\"{size}\" font-family=\"sans-serif\" text-anchor=\"{anchor}\">{}</text>",
             esc(content)
         );
     }
 
     /// Vertical text (rotated −90°), for y-axis labels.
     pub fn vtext(&mut self, x: f64, y: f64, content: &str, size: f64) {
-        let _ = writeln!(
+        self.coord("<text x=\"", x);
+        self.coord("\" y=\"", y);
+        let _ = write!(
             self.body,
-            "<text x=\"{x:.2}\" y=\"{y:.2}\" font-size=\"{size}\" font-family=\"sans-serif\" text-anchor=\"middle\" transform=\"rotate(-90 {x:.2} {y:.2})\">{}</text>",
-            esc(content)
+            "\" font-size=\"{size}\" font-family=\"sans-serif\" text-anchor=\"middle\""
         );
+        self.coord(" transform=\"rotate(-90 ", x);
+        self.coord(" ", y);
+        let _ = writeln!(self.body, ")\">{}</text>", esc(content));
     }
 
     /// Serializes the document.
@@ -129,16 +153,9 @@ pub const PALETTE: [&str; 6] = [
     "#0072B2", "#D55E00", "#009E73", "#CC79A7", "#E69F00", "#56B4E9",
 ];
 
-/// Maps `t ∈ [0,1]` to a perceptually reasonable blue→yellow ramp for
-/// heatmaps (a compact viridis-like approximation).
-pub fn ramp_color(t: f64) -> String {
-    let mut out = String::with_capacity(7);
-    ramp_color_into(t, &mut out);
-    out
-}
-
-/// [`ramp_color`] into a caller-owned buffer, for per-point loops that
-/// would otherwise allocate one string per ramp lookup.
+/// Appends the `#rrggbb` color of `t ∈ [0,1]` on a perceptually
+/// reasonable blue→yellow ramp (a compact viridis-like approximation)
+/// to a caller-owned buffer, so per-cell and per-point loops reuse one.
 pub fn ramp_color_into(t: f64, out: &mut String) {
     let t = t.clamp(0.0, 1.0);
     // Piecewise-linear through viridis anchor colors.
@@ -164,13 +181,10 @@ pub fn ramp_color_into(t: f64, out: &mut String) {
         0.0
     };
     let mix = |a: u8, b: u8| -> u8 { (a as f64 + f * (b as f64 - a as f64)).round() as u8 };
-    let _ = write!(
-        out,
-        "#{:02x}{:02x}{:02x}",
-        mix(lo.1 .0, hi.1 .0),
-        mix(lo.1 .1, hi.1 .1),
-        mix(lo.1 .2, hi.1 .2)
-    );
+    out.push('#');
+    push_hex_byte(out, mix(lo.1 .0, hi.1 .0));
+    push_hex_byte(out, mix(lo.1 .1, hi.1 .1));
+    push_hex_byte(out, mix(lo.1 .2, hi.1 .2));
 }
 
 #[cfg(test)]
@@ -196,6 +210,40 @@ mod tests {
         assert!(!d.finish().contains("polyline"));
         d.polyline(&[(1.0, 1.0), (2.0, 2.0)], "#000", 1.0);
         assert!(d.finish().contains("polyline"));
+    }
+
+    #[test]
+    fn elements_match_their_core_fmt_templates() {
+        // Awkward values: a tie, a negative zero, a negative rounding to
+        // zero, a large coordinate, and a NaN that takes the fallback.
+        let (a, b, c, d) = (0.125, -0.0, -0.004, 1.0e7 + 0.005);
+        let mut doc = SvgDoc::new(640.0, 480.5);
+        doc.rect(a, b, c, d, "#fff", Some("#000"));
+        doc.line(a, b, c, f64::NAN, "#111", 0.5);
+        doc.polyline(&[(a, b), (c, d)], "#222", 1.8);
+        doc.circle(a, c, d, "#333");
+        doc.text(b, d, "t", 11.0, "end");
+        doc.vtext(c, a, "v", 12.0);
+        let n = f64::NAN;
+        let want = format!(
+            "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{:.0}\" viewBox=\"0 0 {:.0} {:.0}\">\n\
+             <rect x=\"0.00\" y=\"0.00\" width=\"640.00\" height=\"480.50\" fill=\"#ffffff\"/>\n\
+             <rect x=\"{a:.2}\" y=\"{b:.2}\" width=\"{c:.2}\" height=\"{d:.2}\" fill=\"#fff\" stroke=\"#000\" stroke-width=\"1\"/>\n\
+             <line x1=\"{a:.2}\" y1=\"{b:.2}\" x2=\"{c:.2}\" y2=\"{n:.2}\" stroke=\"#111\" stroke-width=\"0.5\"/>\n\
+             <polyline points=\"{a:.2},{b:.2} {c:.2},{d:.2}\" fill=\"none\" stroke=\"#222\" stroke-width=\"1.8\"/>\n\
+             <circle cx=\"{a:.2}\" cy=\"{c:.2}\" r=\"{d:.2}\" fill=\"#333\"/>\n\
+             <text x=\"{b:.2}\" y=\"{d:.2}\" font-size=\"11\" font-family=\"sans-serif\" text-anchor=\"end\">t</text>\n\
+             <text x=\"{c:.2}\" y=\"{a:.2}\" font-size=\"12\" font-family=\"sans-serif\" text-anchor=\"middle\" transform=\"rotate(-90 {c:.2} {a:.2})\">v</text>\n\
+             </svg>\n",
+            640.0, 480.5, 640.0, 480.5
+        );
+        assert_eq!(doc.finish(), want);
+    }
+
+    fn ramp_color(t: f64) -> String {
+        let mut out = String::new();
+        ramp_color_into(t, &mut out);
+        out
     }
 
     #[test]

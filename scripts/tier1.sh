@@ -212,6 +212,14 @@ for f in results/*.csv results/*.svg; do
 done
 [ "$compared" -ge 14 ] || { echo "[tier1] only $compared committed artifacts compared" >&2; exit 1; }
 echo "[tier1] $compared committed artifacts match at 1 thread (cold) and 2 threads (warm)"
+# The two large artifacts stay out of git (.gitignore); their SHA-256
+# digests are committed instead and pinned the same way.
+digests="$PWD/results/large_artifacts.sha256"
+for run in "$paper1" "$paper2"; do
+    (cd "$run" && sha256sum --quiet -c "$digests") \
+        || { echo "[tier1] a large artifact in $run differs from $digests" >&2; exit 1; }
+done
+echo "[tier1] fig1_map.svg and dataset_cells.csv match their committed digests"
 rm -rf "$paper_cache" "$paper1" "$paper2"
 
 echo "[tier1] stale-schema snapshot fails closed and regenerates"
