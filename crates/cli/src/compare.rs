@@ -211,7 +211,15 @@ impl Metric {
             (None, _) => return (None, "new"),
             (Some(_), None) => return (None, "removed"),
         };
-        let pct = if b > 0.0 { 100.0 * (c - b) / b } else { 0.0 };
+        // From zero to anything is an unbounded rise: a stage whose
+        // fan-outs all ran serially has 0 ms of pool busy time.
+        let pct = if b > 0.0 {
+            100.0 * (c - b) / b
+        } else if c > 0.0 {
+            f64::INFINITY
+        } else {
+            0.0
+        };
         let worse = if self.unit == Unit::Mbps { -pct } else { pct };
         let floor = self.unit.floor(gate);
         let status = if b < floor && c < floor {
@@ -390,6 +398,10 @@ mod tests {
         // The same pairs read the other way round for time.
         assert_eq!(status(Unit::Ms, &[300.0, 210.0]), "improved");
         assert_eq!(status(Unit::Ms, &[300.0, 450.0]), REGRESSED);
+        // A rise from zero is unbounded: throughput improves, time
+        // regresses.
+        assert_eq!(status(Unit::Mbps, &[0.0, 50.0]), "improved");
+        assert_eq!(status(Unit::Ms, &[0.0, 50.0]), REGRESSED);
     }
 
     #[test]
@@ -399,6 +411,11 @@ mod tests {
         assert_eq!(status(Unit::Bytes, &[1e5, 9e5]), "below floor");
         assert_eq!(status(Unit::Kb, &[1000.0, 4000.0]), "below floor");
         assert_eq!(status(Unit::Count, &[4.0, 4000.0]), "below floor");
+        // A zero baseline gates only once the candidate clears the floor.
+        assert_eq!(status(Unit::Ms, &[0.0, 4.0]), "below floor");
+        assert_eq!(status(Unit::Ms, &[0.0, 0.0]), "below floor");
+        assert_eq!(status(Unit::Ms, &[0.0, 6.0]), REGRESSED);
+        assert_eq!(status(Unit::Count, &[0.0, 4000.0]), "below floor");
     }
 
     #[test]

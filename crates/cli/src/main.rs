@@ -2,35 +2,8 @@
 //! synthetic dataset is generated once and snapshotted to a
 //! content-addressed cache (see `leo-cache`); later runs with the same
 //! configuration load the snapshot instead of regenerating, with
-//! byte-identical artifacts either way.
-//!
-//! ```text
-//! divide [--scale small|paper] [--out DIR] [--threads N]
-//!        [--cache DIR|--no-cache] [--quiet|-v] <command>
-//!
-//! commands:
-//!   table1          single-satellite capacity model
-//!   table2          constellation sizes vs beamspread
-//!   fig1            demand distribution (CDF + map)
-//!   fig2            fraction of cells served heatmap
-//!   fig3            constellation size vs locations unserved
-//!   fig4            affordability CDFs
-//!   findings        findings F1–F4
-//!   qoe             busy-hour QoE vs oversubscription (extension)
-//!   orbit-validate  Walker density/coverage validation (extension)
-//!   strict          strict all-cells sizing bound (extension)
-//!   sensitivity     ablations: efficiency, cell size, threshold, subsidy
-//!   latency         user->gateway latency, bent pipe vs ISL (extension)
-//!   uplink          uplink binding-direction check (extension)
-//!   cost            marginal dollars per tail location (extension)
-//!   timeline        launch-cadence deployment timeline (extension)
-//!   export          dataset CSV export
-//!   all             everything above
-//!   report          diff two run manifests or bench files; exit 3 on
-//!                   perf regression
-//!   history         trend table over the run ledger; exit 3 on
-//!                   regression vs the prior median
-//! ```
+//! byte-identical artifacts either way. `divide --help` (the `HELP`
+//! text) is the one list of every option and command.
 //!
 //! Text renders to stdout; CSV and SVG artifacts land in the output
 //! directory (default `results/`), along with a `run_manifest.json`
@@ -40,7 +13,6 @@
 //! through the leveled `leo-obs` logger (`DIVIDE_LOG`, `--quiet`,
 //! `-v`); none of the instrumentation ever changes artifact bytes.
 
-mod checkpoint;
 mod compare;
 mod history_cmd;
 mod report_cmd;
@@ -75,9 +47,10 @@ fn alloc_reading() -> leo_obs::resource::AllocReading {
     }
 }
 
-/// The full command list, kept in one place so `--help` and genuine
-/// usage errors can never drift apart (or omit a command, as an earlier
-/// revision did with `timeline`).
+/// The full option and command list, kept in one place so `--help` and
+/// genuine usage errors can never drift apart. A unit test pins its
+/// command list to [`STAGES`], since an earlier revision omitted
+/// `timeline`.
 const HELP: &str = "\
 usage: divide [--scale small|paper] [--out DIR] [--threads N] <command>
 
@@ -96,17 +69,12 @@ options:
                        (default <out>/trace.json, Perfetto-loadable)
                        plus folded flamegraph stacks (trace.folded);
                        never changes artifact bytes
-  --progress           print a one-line stage progress ticker to
-                       stderr (TTY only; DIVIDE_PROGRESS=force)
   --fault-plan SPEC    inject seeded deterministic faults at named
                        sites (robustness testing); SPEC grammar:
                        seed=N;site:p=F|nth=N[,mode=err|panic|delay]
                        [,delay_ms=N]  sites: io.write io.rename
                        io.fsync cache.decode ledger.append pool.chunk
                        stage.<name>
-  --resume             skip pipeline stages whose artifacts verify
-                       against <out>/run_checkpoint.json (same
-                       command, scale, seed, and version)
   --quiet, -q          only warnings and errors on stderr
   -v, --verbose        debug-level progress on stderr
   -h, --help           print this help and exit
@@ -133,7 +101,6 @@ environment (a switch is off when empty, 0, off or false, in any case):
                        caching
   DIVIDE_TRACE         switch: 1|on|true enables tracing, any other
                        value names the trace file
-  DIVIDE_PROGRESS      'force' shows --progress without a TTY
   DIVIDE_ALLOC         switch: off disables allocation tracking (heap
                        telemetry in manifest, ledger, and trace)
   DIVIDE_LEDGER        switch: run-ledger destination; off disables the
@@ -203,9 +170,7 @@ fn main() {
     // None = no tracing; Some(None) = trace to <out>/trace.json;
     // Some(Some(p)) = trace to p.
     let mut trace: Option<Option<PathBuf>> = None;
-    let mut progress = false;
     let mut fault_spec: Option<String> = None;
-    let mut resume = false;
     let mut gate = compare::Gate {
         max_regress_pct: 20.0,
         min_wall_ms: 5.0,
@@ -244,14 +209,12 @@ fn main() {
             }
             "--no-cache" => no_cache = true,
             "--trace" => trace = Some(None),
-            "--progress" => progress = true,
             "--fault-plan" => {
                 fault_spec = Some(
                     args.next()
                         .unwrap_or_else(|| usage("--fault-plan needs a value")),
                 )
             }
-            "--resume" => resume = true,
             "--baseline" => {
                 baseline = Some(PathBuf::from(
                     args.next()
@@ -436,11 +399,6 @@ fn main() {
             trace = None;
         }
     }
-    if progress {
-        if let Err(why) = leo_obs::progress::try_enable() {
-            leo_obs::log_debug!("--progress disabled: {why}");
-        }
-    }
     if let Err(e) = std::fs::create_dir_all(&out) {
         leo_obs::log_error!("cannot create output directory {}: {e}", out.display());
         std::process::exit(1);
@@ -467,10 +425,6 @@ fn main() {
         SynthConfig::small()
     };
     let seed = cfg.seed;
-    let skipped = checkpoint::init(&out, &command, &scale, seed, resume);
-    if skipped > 0 {
-        leo_obs::log_info!("resume: {skipped} stage(s) already complete and verified");
-    }
     match &cache {
         Some(c) => leo_obs::log_info!(
             "preparing {scale}-scale dataset (cache at {})...",
@@ -642,17 +596,13 @@ const STAGES: &[(&str, StageFn)] = &[
 /// Runs one pipeline stage under a `stage.<name>` span; the manifest's
 /// per-stage wall-clock table is derived from exactly these spans.
 ///
-/// Robustness wrapping, in order: `--resume` skips stages the
-/// checkpoint already verified; an active fault plan may inject a
-/// `stage.<name>` fault (delay, typed error, or panic); any panic that
-/// escapes the stage body — injected or genuine — becomes a typed
-/// exit 1 instead of unwinding through main; and a cleanly completed
-/// stage checkpoints itself with the artifacts it wrote.
+/// Robustness wrapping: an active fault plan may inject a
+/// `stage.<name>` fault (delay, typed error, or panic), and any panic
+/// that escapes the stage body — injected or genuine — becomes a typed
+/// exit 1 instead of unwinding through main. An interrupted run is
+/// recovered by rerunning it: every artifact lands atomically, so the
+/// rerun overwrites whole files only.
 fn stage(name: &str, f: impl FnOnce()) {
-    if checkpoint::should_skip(name) {
-        leo_obs::log_info!("resume: skipping completed stage {name}");
-        return;
-    }
     let _span = leo_obs::span::enter(&format!("stage.{name}"));
     leo_obs::log_debug!("stage {name}");
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -667,7 +617,7 @@ fn stage(name: &str, f: impl FnOnce()) {
         Ok(())
     }));
     match outcome {
-        Ok(Ok(())) => checkpoint::complete_stage(name),
+        Ok(Ok(())) => {}
         Ok(Err(e)) => {
             leo_obs::log_error!("stage {name} aborted: {e}");
             std::process::exit(1);
@@ -1040,7 +990,6 @@ fn write(out: &Path, name: &str, content: &str) {
         leo_obs::log_error!("cannot write {}: {e}", path.display());
         std::process::exit(1);
     }
-    checkpoint::record_write(name, content.as_bytes());
     // Artifact writes join the uniform io.* metric family the snapshot
     // store feeds, so the manifest accounts for all file traffic.
     leo_obs::metrics::counter_add("io.write_calls", 1);
@@ -1436,4 +1385,24 @@ fn orbit_validate(out: &Path) {
         ]);
     }
     print!("{}", t2.render());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{HELP, STAGES};
+
+    #[test]
+    fn help_lists_every_command() {
+        let (_, commands) = HELP
+            .split_once("\ncommands:\n")
+            .expect("a commands section");
+        let listed: Vec<&str> = commands
+            .lines()
+            .filter_map(|line| line.strip_prefix("  ")?.split_whitespace().next())
+            .collect();
+        let every = STAGES.iter().map(|(name, _)| *name);
+        for name in every.chain(["all", "report", "history"]) {
+            assert!(listed.contains(&name), "--help omits {name}: {listed:?}");
+        }
+    }
 }

@@ -1,9 +1,10 @@
-//! End-to-end tests of the `divide` binary: the `--trace` exporter,
-//! the `--progress` ticker's gating matrix, every exit code of
-//! `divide report` and `divide history`, and the resource-telemetry
-//! surface (manifest alloc/RSS fields, run-ledger appends, the trace
-//! memory lane) together with its `DIVIDE_OBS`/`DIVIDE_ALLOC`/
-//! `DIVIDE_LEDGER` off-switches.
+//! End-to-end tests of the `divide` binary: the top-level parser's
+//! usage errors, the `--trace` exporter, every exit code of `divide
+//! report` and `divide history`, the resource-telemetry surface
+//! (manifest alloc/RSS fields, run-ledger appends, the trace memory
+//! lane) together with its `DIVIDE_OBS`/`DIVIDE_ALLOC`/`DIVIDE_LEDGER`
+//! off-switches, and the typed failures of injected faults, including
+//! an aborted run that a plain rerun completes.
 
 use leo_obs::json::Json;
 use std::path::{Path, PathBuf};
@@ -43,6 +44,34 @@ fn manifest_json(dataset_ms: f64, table1_ms: f64, hits: u64) -> String {
 
 fn write(path: &Path, body: &str) {
     std::fs::write(path, body).expect("write fixture");
+}
+
+#[test]
+fn usage_errors_exit_2_before_any_work() {
+    let dir = tmp("usage");
+    let cases: &[(&str, &[&str])] = &[
+        ("removed --resume", &["--resume", "table1"]),
+        ("removed --progress", &["--progress", "table1"]),
+        ("unknown command", &["bogus"]),
+        ("unknown flag", &["--bogus", "table1"]),
+        ("bad scale", &["--scale", "bogus", "table1"]),
+        ("zero threads", &["--threads", "0", "table1"]),
+        ("trailing --threads", &["table1", "--threads"]),
+        ("empty --trace=", &["--trace=", "table1"]),
+        ("no command", &[]),
+    ];
+    for (i, (case, args)) in cases.iter().enumerate() {
+        let out_dir = dir.join(format!("out{i}"));
+        let out = run(divide()
+            .args(["--scale", "small", "--out"])
+            .arg(&out_dir)
+            .args(*args));
+        assert_eq!(out.status.code(), Some(2), "{case}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(stderr.starts_with("divide: "), "{case}: {stderr}");
+        assert!(!out_dir.exists(), "{case}: work started before the error");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -625,8 +654,8 @@ fn no_trace_flag_writes_no_trace_files() {
 }
 
 /// Byte-compares two artifact directories, ignoring the named files
-/// (manifest and checkpoint carry timings / may be degraded by
-/// injected faults; everything else must match exactly).
+/// (the manifest carries timings and may be degraded by injected
+/// faults; everything else must match exactly).
 fn assert_dirs_identical(a: &Path, b: &Path, exclude: &[&str]) {
     let names = |dir: &Path| -> Vec<String> {
         let mut v: Vec<String> = std::fs::read_dir(dir)
@@ -649,8 +678,8 @@ fn assert_dirs_identical(a: &Path, b: &Path, exclude: &[&str]) {
 }
 
 #[test]
-fn resume_completes_an_interrupted_run_byte_identically() {
-    let reference = tmp("resume_ref");
+fn a_plain_rerun_completes_an_aborted_run_byte_identically() {
+    let reference = tmp("rerun_ref");
     let out = run(divide()
         .args(["--scale", "small", "--no-cache", "--out"])
         .arg(&reference)
@@ -661,10 +690,9 @@ fn resume_completes_an_interrupted_run_byte_identically() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Kill the run at stage fig3 via an injected stage fault (the
-    // same shape as a crash after stage 2: earlier stages and their
-    // checkpoint survive, later artifacts don't exist).
-    let dir = tmp("resume_cut");
+    // Abort the run at stage fig3 via an injected stage fault: earlier
+    // stages' artifacts are on disk, later ones don't exist.
+    let dir = tmp("rerun_cut");
     let out = run(divide()
         .args(["--scale", "small", "--no-cache", "--out"])
         .arg(&dir)
@@ -676,18 +704,14 @@ fn resume_completes_an_interrupted_run_byte_identically() {
         "typed abort: {stderr}"
     );
     assert!(
-        dir.join("run_checkpoint.json").is_file(),
-        "completed stages checkpointed before the abort"
-    );
-    assert!(
         !dir.join("fig3_tail.csv").exists(),
         "aborted stage left no artifact"
     );
 
-    // Resume: completed stages skip, the rest run, artifacts match an
-    // uninterrupted run byte for byte.
+    // A plain rerun into the same directory completes the run, and its
+    // artifacts match an uninterrupted run byte for byte.
     let out = run(divide()
-        .args(["--scale", "small", "--no-cache", "--resume", "--out"])
+        .args(["--scale", "small", "--no-cache", "--out"])
         .arg(&dir)
         .arg("all"));
     assert!(
@@ -695,25 +719,7 @@ fn resume_completes_an_interrupted_run_byte_identically() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(
-        stderr.contains("resume: skipping completed stage table2"),
-        "verified stages skip: {stderr}"
-    );
     assert_dirs_identical(&reference, &dir, &["run_manifest.json"]);
-
-    // A second full resume is a no-op for every stage and leaves the
-    // checkpoint byte-identical to the uninterrupted run's.
-    let out = run(divide()
-        .args(["--scale", "small", "--no-cache", "--resume", "--out"])
-        .arg(&dir)
-        .arg("all"));
-    assert!(out.status.success());
-    assert_eq!(
-        std::fs::read(reference.join("run_checkpoint.json")).expect("ref checkpoint"),
-        std::fs::read(dir.join("run_checkpoint.json")).expect("resumed checkpoint"),
-        "checkpoints render identically regardless of interruption"
-    );
 
     let _ = std::fs::remove_dir_all(&reference);
     let _ = std::fs::remove_dir_all(&dir);
@@ -882,56 +888,5 @@ fn sigint_exits_130() {
     assert!(kill.success(), "kill -INT delivered");
     let status = child.wait().expect("wait for divide");
     assert_eq!(status.code(), Some(130), "SIGINT exits 130");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn progress_ticker_obeys_quiet_and_obs_gating() {
-    let progress_lines = |out: &Output| {
-        String::from_utf8_lossy(&out.stderr)
-            .lines()
-            .filter(|l| l.contains("[divide][progress]"))
-            .count()
-    };
-    let base = |dir: &Path| {
-        let mut c = divide();
-        c.args(["--scale", "small", "--no-cache", "--progress", "--out"])
-            .arg(dir)
-            // Tests run without a TTY; force stands in for one.
-            .env("DIVIDE_PROGRESS", "force")
-            .arg("table1");
-        c
-    };
-
-    let dir = tmp("progress_on");
-    let out = run(&mut base(&dir));
-    assert!(out.status.success());
-    let n = progress_lines(&out);
-    assert!(n >= 2, "expected dataset+table1 progress lines, got {n}");
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(stderr.contains("stage dataset"), "{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let dir = tmp("progress_quiet");
-    let out = run(base(&dir).arg("--quiet"));
-    assert!(out.status.success());
-    assert_eq!(progress_lines(&out), 0, "--quiet silences the ticker");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let dir = tmp("progress_obs_off");
-    let out = run(base(&dir).env("DIVIDE_OBS", "off"));
-    assert!(out.status.success());
-    assert_eq!(
-        progress_lines(&out),
-        0,
-        "DIVIDE_OBS=off silences the ticker"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Without the escape hatch, a non-TTY stderr stays quiet too.
-    let dir = tmp("progress_no_tty");
-    let out = run(base(&dir).env_remove("DIVIDE_PROGRESS"));
-    assert!(out.status.success());
-    assert_eq!(progress_lines(&out), 0, "non-TTY stderr stays quiet");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -52,7 +52,7 @@ pub fn mix64(seed: u64, salt: u64) -> u64 {
 }
 
 /// FNV-1a 64 — bit-identical to `leo_cache::fnv1a64`; used for site
-/// stream salts and checkpoint artifact checksums.
+/// stream salts.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut state = 0xCBF2_9CE4_8422_2325u64;

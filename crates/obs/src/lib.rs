@@ -5,10 +5,9 @@
 //! histograms), handle-based [`scope`] contexts that own every
 //! registry (with a process-default scope backing the free-function
 //! API), JSON [`manifest`] emission for reproducible runs, the leveled
-//! stderr [`log`]ger behind the `divide` CLI, the opt-in [`progress`]
-//! line it prints per pipeline stage, process [`resource`] telemetry
-//! (allocator hook + RSS sampling), and the append-only run-history
-//! [`ledger`].
+//! stderr [`log`]ger behind the `divide` CLI, process [`resource`]
+//! telemetry (allocator hook + RSS sampling), and the append-only
+//! run-history [`ledger`].
 //!
 //! ## The determinism contract
 //!
@@ -38,7 +37,6 @@ pub mod ledger;
 pub mod log;
 pub mod manifest;
 pub mod metrics;
-pub mod progress;
 pub mod resource;
 pub mod scope;
 pub mod span;

@@ -150,9 +150,6 @@ pub fn enter(name: &str) -> SpanGuard {
     } else {
         None
     };
-    // Progress printing is stderr I/O; do it before taking the start
-    // timestamp so it never inflates the span's own measurement.
-    crate::progress::on_span_begin(&pushed.path);
     let start = Instant::now();
     notify_sink(SpanPhase::Begin, name, start);
     SpanGuard {

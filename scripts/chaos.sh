@@ -101,11 +101,9 @@ PY
 
     # 5. A surviving run's artifacts are byte-identical to the
     #    fault-free reference. The manifest (timings, fault counters)
-    #    and checkpoint (io faults can degrade its write on otherwise
-    #    clean runs) are bookkeeping, not artifacts.
+    #    is bookkeeping, not an artifact.
     if [ "$code" -eq 0 ]; then
-        diff -r --exclude run_manifest.json --exclude run_checkpoint.json \
-            "$ref" "$out" >/dev/null \
+        diff -r --exclude run_manifest.json "$ref" "$out" >/dev/null \
             || fail "exit-0 run artifacts differ from the reference"
         identical=$((identical + 1))
     else
@@ -115,9 +113,12 @@ PY
 done
 echo "[chaos] $PLANS plans: $identical survived byte-identical, $typed failed typed"
 
-echo "[chaos] interrupt-and-resume leg"
-rout="$scratch/resume"
-errfile="$scratch/resume.stderr"
+echo "[chaos] interrupt-then-rerun leg"
+# An aborted run leaves whole artifacts of the stages before the abort
+# and nothing of the rest; rerunning the same command into the same
+# --out completes it.
+rout="$scratch/rerun"
+errfile="$scratch/rerun.stderr"
 plan="seed=99;stage.qoe:nth=1"
 set +e
 "$BIN" --scale small all --out "$rout" --cache "$cache" \
@@ -125,14 +126,15 @@ set +e
 code=$?
 set -e
 [ "$code" -eq 1 ] || fail "interrupted run expected exit 1, got $code"
-[ -s "$rout/run_checkpoint.json" ] || fail "no checkpoint after interrupt"
-# No -q here: the skip confirmation below is info-level.
-"$BIN" --scale small all --out "$rout" --cache "$cache" --resume \
-    2>"$errfile" >/dev/null \
-    || fail "resume run failed"
-grep -q "resume: skipping" "$errfile" || fail "resume skipped no stages"
+leftover="$(find "$rout" "$cache" -name '*.tmp*' 2>/dev/null || true)"
+[ -z "$leftover" ] || fail "leftover staging files after the interrupt: $leftover"
+[ ! -e "$rout/qoe_oversub.csv" ] || fail "aborted stage qoe wrote qoe_oversub.csv"
+plan="rerun without faults"
+"$BIN" --scale small all --out "$rout" --cache "$cache" -q \
+    >/dev/null 2>"$errfile" \
+    || fail "rerun failed"
 diff -r --exclude run_manifest.json "$ref" "$rout" >/dev/null \
-    || fail "resumed run differs from the reference"
-echo "[chaos] resumed run is byte-identical (checkpoint included)"
+    || fail "rerun differs from the reference"
+echo "[chaos] rerun after the interrupt is byte-identical to the reference"
 
 echo "[chaos] OK"
