@@ -11,20 +11,12 @@
 //! length-prefixed), so two different field sequences can't collide by
 //! concatenation ambiguity.
 
+pub use leo_fault::fnv1a64;
+
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 of a byte slice (used for payload checksums).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut state = FNV_OFFSET;
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
 
 /// Incremental FNV-1a 64 over typed fields.
 #[derive(Debug, Clone)]

@@ -352,7 +352,7 @@ mod tests {
         leo_obs::set_enabled(true);
         {
             let _stage = leo_obs::span!("stage.dataset");
-            leo_obs::scope::attribute_fanout("parallel.par_map", 64, &[3_000_000, 5_000_000], 9);
+            leo_obs::scope::attribute_fanout(64, &[3_000_000, 5_000_000], 9);
             leo_obs::metrics::counter_add("cache.hit", 1);
         }
         {

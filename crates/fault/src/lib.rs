@@ -6,7 +6,7 @@
 //! **trigger** (`p=<prob>` or `nth=<call>`) plus a **mode** (`err`,
 //! `panic`, `delay`). The decision for call `k` at a site is a pure
 //! function of `(plan.seed, site, k)` via the same [`mix64`] stream
-//! construction `leo-parallel` uses for per-item RNG, so a given
+//! construction the pipeline uses for per-item RNG, so a given
 //! (seed, plan) reproduces the exact same failure sequence at any
 //! thread count — call indices are assigned sequentially per site (or
 //! explicitly by the caller at sites reached from worker threads, see
@@ -27,9 +27,10 @@
 //!   their subsystem instead of failing the run.
 //!
 //! `leo-fault` deliberately depends on nothing else in the workspace
-//! (every other crate may depend on it), so it keeps private copies of
-//! `mix64` and `fnv1a64` and its own counter registry; `leo-obs`
-//! merges [`counter_snapshot`] into the run manifest.
+//! (every other crate may depend on it), so it holds the workspace's
+//! one copy of [`mix64`] and [`fnv1a64`] (`leo-parallel` and
+//! `leo-cache` re-export them) and its own counter registry;
+//! `leo-obs` merges [`counter_snapshot`] into the run manifest.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,9 +41,12 @@ use std::sync::Mutex;
 pub mod safe_io;
 pub mod signal;
 
-/// SplitMix64 finalizer over `(seed, salt)` — bit-identical to
-/// `leo_parallel::mix64` so fault streams and RNG streams share one
-/// derivation idiom.
+/// Mixes a seed with a salt into an independent 64-bit stream seed
+/// (SplitMix64 finalizer). This is how the dataset generator derives
+/// one RNG stream per cell/cluster: the draw for element `k` depends
+/// only on `(seed, k)`, never on how work was chunked across threads —
+/// the keystone of the parallel-equals-serial guarantee. Fault plans
+/// derive their per-site decision streams the same way.
 #[must_use]
 pub fn mix64(seed: u64, salt: u64) -> u64 {
     let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -51,8 +55,8 @@ pub fn mix64(seed: u64, salt: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a 64 — bit-identical to `leo_cache::fnv1a64`; used for site
-/// stream salts.
+/// FNV-1a 64 of a byte slice: fault-site stream salts here, snapshot
+/// payload checksums in `leo-cache`.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut state = 0xCBF2_9CE4_8422_2325u64;

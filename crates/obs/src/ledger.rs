@@ -122,7 +122,7 @@ mod tests {
         crate::reset();
         {
             let _stage = crate::span::enter("stage.dataset");
-            crate::scope::attribute_fanout("parallel.par_map", 64, &[30, 50], 60);
+            crate::scope::attribute_fanout(64, &[30, 50], 60);
         }
         let info = RunInfo {
             command: "all".into(),

@@ -1,8 +1,8 @@
 //! # leo-obs
 //!
 //! The workspace's observability substrate: hierarchical timing
-//! [`span`]s, a [`metrics`] registry (counters, gauges, fixed-bucket
-//! histograms), handle-based [`scope`] contexts that own every
+//! [`span`]s, named [`metrics`] counters, per-stage worker-pool
+//! attribution, handle-based [`scope`] contexts that own every
 //! registry (with a process-default scope backing the free-function
 //! API), JSON [`manifest`] emission for reproducible runs, the leveled
 //! stderr [`log`]ger behind the `divide` CLI, process [`resource`]
@@ -12,9 +12,9 @@
 //! ## The determinism contract
 //!
 //! Instrumentation must **never** perturb artifact bytes. Everything in
-//! this crate therefore only *observes*: spans and metrics accumulate
-//! into global registries that are read back exclusively by the run
-//! manifest (and the ledger line projected from it) — never by the
+//! this crate therefore only *observes*: spans and counters accumulate
+//! into scope-owned registries that are read back exclusively by the
+//! run manifest (and the ledger line projected from it) — never by the
 //! model, the dataset generator, or the renderers. `tests/determinism.rs`
 //! asserts the contract end to end: a run with observability enabled
 //! produces byte-identical CSVs/SVGs to one with `DIVIDE_OBS=off`, at 1
@@ -23,11 +23,11 @@
 //! ## Switching it off
 //!
 //! Observability defaults to on and costs a few atomic loads plus one
-//! short mutex hold per span/metric update (never per data item — the
-//! hot loops in `leo-parallel` record per *chunk*). `DIVIDE_OBS=off`
-//! (any [`Switch::Off`] value) disables every registry at the source,
-//! for overhead-sensitive benchmarking; [`set_enabled`] does the same
-//! programmatically.
+//! short mutex hold per span/counter update (never per data item —
+//! `leo-parallel` records once per *fan-out*, on the caller).
+//! `DIVIDE_OBS=off` (any [`Switch::Off`] value) disables every registry
+//! at the source, for overhead-sensitive benchmarking; [`set_enabled`]
+//! does the same programmatically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,13 +102,13 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }
 
-/// Clears every observability registry (spans and metrics) of the
-/// calling thread's current scope. Runs that reuse one process for
+/// Clears every observability registry (spans, counters, parallel
+/// attribution) of the calling thread's current scope; live span
+/// guards still record when they drop. Runs that reuse one process for
 /// several measured phases call this between phases; the CLI calls it
 /// once at startup so a manifest only covers its own invocation.
 pub fn reset() {
-    span::reset();
-    metrics::reset();
+    scope::with_reg(|reg| *reg = scope::Registries::default());
 }
 
 /// Opens a timing span and returns its RAII guard; the span ends when

@@ -2,17 +2,16 @@
 //!
 //! Every `divide` invocation writes `<out>/run_manifest.json` — the
 //! full reproducibility record of the run: command line, seed, scale,
-//! thread count, workspace version, per-stage wall-clock, the complete
-//! span tree, and a dump of every metric. [`run_manifest`] is the only
-//! code that turns the span, allocator, parallel and resource
-//! registries into a record; the run ledger's line is a projection of
-//! its output (`crate::ledger::project`).
+//! thread count, workspace version, per-stage wall-clock and
+//! worker-pool work, the complete span tree, and every counter.
+//! [`run_manifest`] is the only code that turns the span, allocator,
+//! parallel and resource registries into a record; the run ledger's
+//! line is a projection of its output (`crate::ledger::project`).
 //!
 //! The schema is versioned by the `schema` field ([`SCHEMA`]);
 //! DESIGN.md §8 documents the layout.
 
 use crate::json::Json;
-use crate::metrics::{self, MetricsSnapshot};
 use crate::scope::StageParallel;
 use crate::span::{self, SpanStats};
 use std::collections::BTreeMap;
@@ -105,23 +104,9 @@ fn span_tree(spans: &BTreeMap<String, SpanStats>, prefix: &str) -> Json {
     Json::Arr(nodes.into_iter().map(|(_, n)| n).collect())
 }
 
-/// Appends `leo-fault`'s own registry (`fault.*` / `degraded.*`) to a
-/// counters object. The fault crate sits below `leo-obs` in the
-/// dependency order, so its counters live in a private registry and
-/// are merged here; names are disjoint namespaces, sorted within each
-/// source.
-fn with_fault_counters(mut counters: Json) -> Json {
-    for (name, value) in leo_fault::counter_snapshot() {
-        counters = counters.set(&name, value);
-    }
-    counters
-}
-
 /// Renders one stage's parallel attribution (see
 /// [`crate::scope::StageParallel`]) as the manifest's `parallel`
-/// object. The `busy_ns` here sum — across stages — to the
-/// `parallel.worker_busy_ns_total` counter: both sides derive from
-/// the same per-chunk busy measurements.
+/// object, the run's one record of worker-pool work.
 fn parallel_json(attr: &StageParallel) -> Json {
     Json::obj()
         .set("fanouts", attr.fanouts)
@@ -133,40 +118,21 @@ fn parallel_json(attr: &StageParallel) -> Json {
         .set("per_worker_busy_ns", attr.per_worker_busy_ns.clone())
 }
 
-fn metrics_json(snap: &MetricsSnapshot) -> Json {
+/// The manifest's `metrics` object: `{"counters": {...}}`, the current
+/// scope's counters followed by `leo-fault`'s own registry (`fault.*` /
+/// `degraded.*`). The fault crate sits below `leo-obs` in the
+/// dependency order, so its counters live in a private registry and
+/// are merged here; names are disjoint namespaces, sorted within each
+/// source.
+fn metrics_json() -> Json {
     let mut counters = Json::obj();
-    for (name, value) in &snap.counters {
-        counters = counters.set(name, *value);
+    for (name, value) in crate::metrics::snapshot() {
+        counters = counters.set(&name, value);
     }
-    let counters = with_fault_counters(counters);
-    let mut gauges = Json::obj();
-    for (name, value) in &snap.gauges {
-        gauges = gauges.set(name, *value);
+    for (name, value) in leo_fault::counter_snapshot() {
+        counters = counters.set(&name, value);
     }
-    let mut histograms = Json::obj();
-    for (name, h) in &snap.histograms {
-        histograms = histograms.set(
-            name,
-            Json::obj()
-                .set(
-                    "bounds",
-                    Json::Arr(h.bounds.iter().map(|&b| Json::Num(b)).collect()),
-                )
-                .set("counts", h.counts.clone())
-                .set("count", h.count)
-                .set("sum", h.sum)
-                // Interpolated quantiles (non-finite → null); readers
-                // get latency percentiles without re-deriving them
-                // from the bucket vectors.
-                .set("p50", h.quantile(0.50))
-                .set("p90", h.quantile(0.90))
-                .set("p99", h.quantile(0.99)),
-        );
-    }
-    Json::obj()
-        .set("counters", counters)
-        .set("gauges", gauges)
-        .set("histograms", histograms)
+    Json::obj().set("counters", counters)
 }
 
 /// The run-level `resources` object: allocator totals (when the
@@ -241,7 +207,7 @@ pub fn run_manifest(info: &RunInfo, wall_ms: f64) -> Json {
         .set("stages", stages)
         .set("resources", resources_json())
         .set("spans", span_tree(&spans, ""))
-        .set("metrics", metrics_json(&metrics::snapshot()));
+        .set("metrics", metrics_json());
     // Subsystems that shut themselves off instead of failing the run;
     // absent when everything held.
     let degraded = leo_fault::degraded_snapshot();
@@ -289,7 +255,7 @@ mod tests {
         {
             let _stage = span::enter("stage.fig2");
         }
-        metrics::counter_add("t_manifest.counter", 3);
+        crate::metrics::counter_add("t_manifest.counter", 3);
         // A command name that is not also a stage name, so the textual
         // order check below cannot match the "command" field instead.
         let mut run = info();
@@ -314,23 +280,18 @@ mod tests {
     }
 
     #[test]
-    fn manifest_histograms_carry_quantiles() {
+    fn manifest_metrics_hold_only_counters() {
         let _lock = crate::test_lock();
         crate::set_enabled(true);
         crate::reset();
-        for _ in 0..10 {
-            metrics::observe_with("t_manifest.hist", &[10.0, 20.0, f64::INFINITY], 15.0);
-        }
-        let m = run_manifest(&info(), 1.0);
-        let hist = m
-            .get("metrics")
-            .and_then(|m| m.get("histograms"))
-            .and_then(|h| h.get("t_manifest.hist"))
-            .expect("histogram dumped");
-        for (key, want) in [("p50", 15.0), ("p90", 19.0), ("p99", 19.9)] {
-            let got = hist.get(key).and_then(|v| v.as_f64()).expect(key);
-            assert!((got - want).abs() < 1e-9, "{key}: {got} != {want}");
-        }
+        crate::metrics::counter_add("t_manifest.only", 1);
+        let rendered = run_manifest(&info(), 1.0).render_pretty();
+        let m = Json::parse(&rendered).expect("manifest parses");
+        let Some(Json::Obj(fields)) = m.get("metrics") else {
+            panic!("metrics is an object: {rendered}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["counters"]);
         crate::reset();
     }
 

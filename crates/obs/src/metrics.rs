@@ -1,190 +1,42 @@
-//! Scope-owned metric registry: named counters, gauges, and
-//! fixed-bucket histograms.
+//! Scope-owned named counters.
 //!
 //! Names follow the `subsystem.metric` convention documented in
-//! DESIGN.md §8 (`parallel.chunks`, `demand.cells`, `fig2.grid_points`,
+//! DESIGN.md §8 (`demand.cells`, `fig2.grid_points`,
 //! `orbit.mc_samples`, ...). Updates land in the calling thread's
 //! current [`crate::scope::ObsScope`] (the process-default scope when
-//! none was entered). Counters are *sharded* per scope: a thread
-//! hashes onto one of a few shard locks, so concurrent pool workers
-//! bumping the same counter name rarely contend; reads sum across
-//! shards. Gauges and histograms share the scope's registry lock —
-//! they record per *batch* (per worker chunk, per sweep), never per
-//! data item. All updates are no-ops while [`crate::enabled`] is
-//! false, and values are only ever read back by the run manifest —
-//! metrics can never perturb artifact bytes.
+//! none was entered), under the scope's one registry lock. Every
+//! update happens once per instrumented call — per sweep, per cache
+//! access, per file written — never per data item. All updates are
+//! no-ops while [`crate::enabled`] is false, and values are only ever
+//! read back by the run manifest — counters can never perturb artifact
+//! bytes.
 
 use crate::scope;
 use std::collections::BTreeMap;
 
-/// Default histogram buckets: log-spaced upper bounds suited to
-/// nanosecond timings (1 µs … ~17 s) and to medium item counts.
-pub const DEFAULT_BUCKETS: [f64; 11] = [
-    1e3,
-    1e4,
-    1e5,
-    1e6,
-    1e7,
-    1e8,
-    1e9,
-    4e9,
-    1.6e10,
-    6.4e10,
-    f64::INFINITY,
-];
-
-/// A fixed-bucket histogram (bucket bounds are upper-inclusive edges;
-/// the last bound should be `+inf` to catch everything).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Upper bucket bounds, ascending.
-    pub bounds: Vec<f64>,
-    /// Observation count per bucket.
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: f64,
-}
-
-impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bucket");
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len()],
-            count: 0,
-            sum: 0.0,
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len() - 1);
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Mean of observed values (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        self.sum / self.count as f64
-    }
-
-    /// Estimates the `q`-quantile (`q` clamped to `[0, 1]`) by linear
-    /// interpolation inside the bucket where the cumulative count
-    /// crosses `q * count` — the classic Prometheus-style estimator.
-    /// The first bucket interpolates from a lower edge of `0` (all
-    /// registered metrics are non-negative); a crossing in a bucket
-    /// with an infinite upper bound returns that bucket's lower edge,
-    /// the largest finite statement the histogram can make. `NaN` when
-    /// empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let target = q.clamp(0.0, 1.0) * self.count as f64;
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let next = cum + c;
-            if c > 0 && next as f64 >= target {
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let hi = self.bounds[i];
-                if !hi.is_finite() {
-                    return lo;
-                }
-                let frac = ((target - cum as f64) / c as f64).clamp(0.0, 1.0);
-                return lo + frac * (hi - lo);
-            }
-            cum = next;
-        }
-        // Unreachable while counts sum to count, but stay total.
-        f64::NAN
-    }
-}
-
-/// Adds `delta` to the named counter (creating it at zero). Lands in
-/// the calling thread's shard of the current scope; reads sum shards.
+/// Adds `delta` to the named counter (creating it at zero) in the
+/// current scope.
 pub fn counter_add(name: &str, delta: u64) {
     if !crate::enabled() {
         return;
     }
-    scope::with_counter_shard(|counters| match counters.get_mut(name) {
+    scope::with_reg(|reg| match reg.counters.get_mut(name) {
         Some(v) => *v += delta,
         None => {
-            counters.insert(name.to_string(), delta);
+            reg.counters.insert(name.to_string(), delta);
         }
     });
 }
 
-/// Sets the named gauge to `value` (last write wins).
-pub fn gauge_set(name: &str, value: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    scope::with_reg(|reg| {
-        reg.gauges.insert(name.to_string(), value);
-    });
-}
-
-/// Records `value` into the named histogram with [`DEFAULT_BUCKETS`].
-pub fn observe(name: &str, value: f64) {
-    observe_with(name, &DEFAULT_BUCKETS, value);
-}
-
-/// Records `value` into the named histogram, creating it with `bounds`
-/// on first use (later calls keep the first-registered bounds — bucket
-/// layouts are fixed for the life of the process).
-pub fn observe_with(name: &str, bounds: &[f64], value: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    scope::with_reg(|reg| match reg.histograms.get_mut(name) {
-        Some(h) => h.observe(value),
-        None => {
-            let mut h = Histogram::new(bounds);
-            h.observe(value);
-            reg.histograms.insert(name.to_string(), h);
-        }
-    });
-}
-
-/// The value of a counter (zero when never touched), summed across
-/// the current scope's shards.
+/// The value of a counter in the current scope (zero when never
+/// touched).
 pub fn counter_value(name: &str) -> u64 {
-    scope::counter_total(name)
+    scope::with_reg(|reg| reg.counters.get(name).copied().unwrap_or(0))
 }
 
-/// A point-in-time copy of every metric.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Counter name → value.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge name → value.
-    pub gauges: BTreeMap<String, f64>,
-    /// Histogram name → contents.
-    pub histograms: BTreeMap<String, Histogram>,
-}
-
-/// Snapshots every metric of the current scope (counters merged
-/// across shards).
-pub fn snapshot() -> MetricsSnapshot {
-    let counters = scope::counters_merged();
-    let (gauges, histograms) = scope::with_reg(|reg| (reg.gauges.clone(), reg.histograms.clone()));
-    MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-    }
-}
-
-/// Clears every metric (and the parallel attribution) of the current
-/// scope.
-pub fn reset() {
-    scope::reset_metrics();
+/// A copy of every counter of the current scope: name → value.
+pub fn snapshot() -> BTreeMap<String, u64> {
+    scope::with_reg(|reg| reg.counters.clone())
 }
 
 #[cfg(test)]
@@ -201,86 +53,12 @@ mod tests {
     }
 
     #[test]
-    fn gauges_take_last_write() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
-        gauge_set("t_m.gauge", 1.0);
-        gauge_set("t_m.gauge", 7.5);
-        assert_eq!(snapshot().gauges["t_m.gauge"], 7.5);
-    }
-
-    #[test]
-    fn histograms_bucket_and_sum() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
-        observe_with("t_m.hist", &[1.0, 10.0, f64::INFINITY], 0.5);
-        observe_with("t_m.hist", &[1.0, 10.0, f64::INFINITY], 5.0);
-        observe_with("t_m.hist", &[1.0, 10.0, f64::INFINITY], 500.0);
-        let h = &snapshot().histograms["t_m.hist"];
-        assert_eq!(h.counts, vec![1, 1, 1]);
-        assert_eq!(h.count, 3);
-        assert!((h.sum - 505.5).abs() < 1e-9);
-        assert!((h.mean() - 168.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantiles_interpolate_within_buckets() {
-        // 10 observations in (10, 20]: the q-quantile lands at
-        // 10 + q * 10 exactly under linear interpolation.
-        let mut h = Histogram::new(&[10.0, 20.0, f64::INFINITY]);
-        for _ in 0..10 {
-            h.observe(15.0);
-        }
-        assert!((h.quantile(0.50) - 15.0).abs() < 1e-9);
-        assert!((h.quantile(0.90) - 19.0).abs() < 1e-9);
-        assert!((h.quantile(0.99) - 19.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantiles_cross_buckets_and_clamp_edges() {
-        // 8 in (0, 10], 2 in (10, 100]: p50 is inside the first bucket
-        // (target 5 of its 8 → 10 * 5/8 = 6.25), p90 crosses into the
-        // second (needs 9, first holds 8 → 10 + 90 * 1/2 = 55).
-        let mut h = Histogram::new(&[10.0, 100.0, f64::INFINITY]);
-        for _ in 0..8 {
-            h.observe(5.0);
-        }
-        for _ in 0..2 {
-            h.observe(50.0);
-        }
-        assert!((h.quantile(0.50) - 6.25).abs() < 1e-9);
-        assert!((h.quantile(0.90) - 55.0).abs() < 1e-9);
-        // q=0 and q=1 clamp to the occupied range's edges.
-        assert!((h.quantile(0.0) - 0.0).abs() < 1e-9);
-        assert!((h.quantile(1.0) - 100.0).abs() < 1e-9);
-        // Out-of-range q clamps rather than extrapolating.
-        assert!((h.quantile(-3.0) - 0.0).abs() < 1e-9);
-        assert!((h.quantile(7.0) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantile_in_infinite_bucket_returns_lower_edge() {
-        let mut h = Histogram::new(&[10.0, f64::INFINITY]);
-        h.observe(5.0);
-        h.observe(1e12);
-        // p99 lands in the +inf bucket: the estimator answers with its
-        // lower edge, the largest finite bound it can stand behind.
-        assert!((h.quantile(0.99) - 10.0).abs() < 1e-9);
-        // Empty histograms have no quantiles.
-        assert!(Histogram::new(&[1.0, f64::INFINITY]).quantile(0.5).is_nan());
-    }
-
-    #[test]
     fn disabled_updates_are_dropped() {
         let _lock = crate::test_lock();
         crate::set_enabled(false);
         counter_add("t_m.off", 9);
-        gauge_set("t_m.off_gauge", 1.0);
-        observe("t_m.off_hist", 1.0);
         crate::set_enabled(true);
         assert_eq!(counter_value("t_m.off"), 0);
-        let snap = snapshot();
-        assert!(!snap.gauges.contains_key("t_m.off_gauge"));
-        assert!(!snap.histograms.contains_key("t_m.off_hist"));
+        assert!(!snapshot().contains_key("t_m.off"));
     }
 }

@@ -2,13 +2,13 @@
 //! measurement registry.
 //!
 //! An [`ObsScope`] owns the storage the rest of this crate writes
-//! into — the span registry, the allocator registry, gauge and
-//! histogram maps, per-stage parallel attribution, and a sharded
-//! counter table. The free functions in [`crate::span`] and
-//! [`crate::metrics`] record into whichever scope is *current* on the
-//! calling thread; threads that never entered a scope fall back to a
-//! lazily created process-default scope, which preserves the
-//! pre-scope, global-statics behaviour byte for byte.
+//! into — the span registry, the allocator registry, the counters and
+//! the per-stage parallel attribution — behind one lock. The free
+//! functions in [`crate::span`] and [`crate::metrics`] record into
+//! whichever scope is *current* on the calling thread; threads that
+//! never entered a scope fall back to a lazily created process-default
+//! scope, which preserves the pre-scope, global-statics behaviour byte
+//! for byte.
 //!
 //! Two pieces of thread state travel with a scope:
 //!
@@ -23,20 +23,11 @@
 //! executing thread for the duration of the chunk. That is the entire
 //! propagation protocol: the pool itself stays observability-agnostic.
 
-use crate::metrics::{Histogram, MetricsSnapshot};
 use crate::span::{SpanAllocStats, SpanStats};
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::hash_map::RandomState;
 use std::collections::BTreeMap;
-use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
-
-/// Number of counter shards per scope. Counter updates hash the
-/// calling thread onto one shard, so N pool workers bumping the same
-/// counter name usually touch N different locks instead of
-/// serialising on one; snapshots sum across shards.
-pub(crate) const COUNTER_SHARDS: usize = 8;
 
 /// Everything a scope owns behind its single registry lock. One lock
 /// hold covers a whole span exit (timing + allocator stats), which is
@@ -47,10 +38,8 @@ pub(crate) struct Registries {
     pub(crate) spans: BTreeMap<String, SpanStats>,
     /// Top-level span path → allocator stats.
     pub(crate) span_allocs: BTreeMap<String, SpanAllocStats>,
-    /// Gauge name → last written value.
-    pub(crate) gauges: BTreeMap<String, f64>,
-    /// Histogram name → contents.
-    pub(crate) histograms: BTreeMap<String, Histogram>,
+    /// Counter name → value.
+    pub(crate) counters: BTreeMap<String, u64>,
     /// Attribution root (a top-level span path, `stage.*` in the
     /// pipeline) → accumulated fan-out statistics.
     pub(crate) parallel: BTreeMap<String, StageParallel>,
@@ -77,7 +66,7 @@ impl Registries {
 /// Parallel work attributed to one owning top-level span (`stage.*`
 /// in the pipeline): how much pool time a stage consumed and how it
 /// was shared across workers. The manifest renders this as the
-/// per-stage `parallel` section.
+/// per-stage `parallel` section, the one record of pool work.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageParallel {
     /// Pooled fan-outs dispatched while this span owned the caller.
@@ -99,16 +88,11 @@ pub struct StageParallel {
     pub per_worker_busy_ns: Vec<u64>,
 }
 
-struct ScopeInner {
-    reg: Mutex<Registries>,
-    counters: [Mutex<BTreeMap<String, u64>>; COUNTER_SHARDS],
-}
-
 /// A handle to one isolated set of observability registries. Clones
 /// share the same storage; dropping the last handle drops the data.
 #[derive(Clone)]
 pub struct ObsScope {
-    inner: Arc<ScopeInner>,
+    reg: Arc<Mutex<Registries>>,
 }
 
 /// The ambient observability state of one thread: which scope it
@@ -142,11 +126,6 @@ impl ThreadCtx {
 
 thread_local! {
     static CTX: RefCell<ThreadCtx> = const { RefCell::new(ThreadCtx::ambient()) };
-    /// This thread's counter shard, hashed once from its ThreadId.
-    static SHARD: usize = {
-        let hash = RandomState::new().hash_one(std::thread::current().id());
-        (hash as usize) % COUNTER_SHARDS
-    };
 }
 
 static DEFAULT: OnceLock<ObsScope> = OnceLock::new();
@@ -166,62 +145,8 @@ pub(crate) fn current_scope() -> ObsScope {
 /// Runs `f` under the current scope's registry lock.
 pub(crate) fn with_reg<R>(f: impl FnOnce(&mut Registries) -> R) -> R {
     let scope = current_scope();
-    let mut reg = scope.inner.reg.lock();
+    let mut reg = scope.reg.lock();
     f(&mut reg)
-}
-
-/// Runs `f` on this thread's counter shard of the current scope.
-pub(crate) fn with_counter_shard<R>(f: impl FnOnce(&mut BTreeMap<String, u64>) -> R) -> R {
-    let scope = current_scope();
-    let shard = SHARD.with(|s| *s);
-    let mut counters = scope.inner.counters[shard].lock();
-    f(&mut counters)
-}
-
-/// The value of `name` summed across the current scope's shards.
-pub(crate) fn counter_total(name: &str) -> u64 {
-    let scope = current_scope();
-    scope
-        .inner
-        .counters
-        .iter()
-        .map(|shard| shard.lock().get(name).copied().unwrap_or(0))
-        .sum()
-}
-
-/// Counter name → value, merged across the current scope's shards.
-pub(crate) fn counters_merged() -> BTreeMap<String, u64> {
-    let scope = current_scope();
-    let mut merged: BTreeMap<String, u64> = BTreeMap::new();
-    for shard in &scope.inner.counters {
-        for (name, value) in shard.lock().iter() {
-            let slot = merged.entry(name.clone()).or_insert(0);
-            *slot = slot.saturating_add(*value);
-        }
-    }
-    merged
-}
-
-/// Clears every counter shard and the parallel attribution of the
-/// current scope (the metrics half of [`crate::reset`]).
-pub(crate) fn reset_metrics() {
-    let scope = current_scope();
-    for shard in &scope.inner.counters {
-        shard.lock().clear();
-    }
-    let mut reg = scope.inner.reg.lock();
-    reg.gauges.clear();
-    reg.histograms.clear();
-    reg.parallel.clear();
-}
-
-/// Clears the span and allocator registries of the current scope (the
-/// span half of [`crate::reset`]).
-pub(crate) fn reset_spans() {
-    let mut_scope = current_scope();
-    let mut reg = mut_scope.inner.reg.lock();
-    reg.spans.clear();
-    reg.span_allocs.clear();
 }
 
 /// Pushed-span bookkeeping returned by [`push_span`].
@@ -282,10 +207,7 @@ impl ObsScope {
     /// Creates a scope with empty registries.
     pub fn new() -> ObsScope {
         ObsScope {
-            inner: Arc::new(ScopeInner {
-                reg: Mutex::new(Registries::default()),
-                counters: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
-            }),
+            reg: Arc::new(Mutex::new(Registries::default())),
         }
     }
 
@@ -305,25 +227,14 @@ impl ObsScope {
     }
 
     /// A point-in-time copy of everything recorded into this scope:
-    /// spans, metrics and parallel attribution, isolated from every
+    /// spans, counters and parallel attribution, isolated from every
     /// other scope (empty when observability is disabled).
     pub fn snapshot(&self) -> ScopeSnapshot {
-        let reg = self.inner.reg.lock();
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        for shard in &self.inner.counters {
-            for (name, value) in shard.lock().iter() {
-                let slot = counters.entry(name.clone()).or_insert(0);
-                *slot = slot.saturating_add(*value);
-            }
-        }
+        let reg = self.reg.lock();
         ScopeSnapshot {
             spans: reg.spans.clone(),
             allocs: reg.span_allocs.clone(),
-            metrics: MetricsSnapshot {
-                counters,
-                gauges: reg.gauges.clone(),
-                histograms: reg.histograms.clone(),
-            },
+            counters: reg.counters.clone(),
             parallel: reg.parallel.clone(),
         }
     }
@@ -404,54 +315,39 @@ fn attribution_root() -> Option<String> {
     })
 }
 
-/// The innermost live span path (or inherited base) of the caller.
-fn attribution_parent() -> Option<String> {
-    CTX.with(|c| {
-        let c = c.borrow();
-        c.stack.last().cloned().or_else(|| c.base.clone())
-    })
-}
-
 /// Records one pooled fan-out against the caller's owning top-level
-/// span: chunk spans named `primitive` nest under the caller's
-/// innermost path, and busy/idle/chunk totals accumulate in the
-/// scope's [`StageParallel`] slot. `busy_ns[i]` is chunk `i`'s body
-/// time; `wall_ns` the fan-out's caller-observed wall time. Called by
-/// `leo-parallel` once per fan-out, on the caller, after the join.
-pub fn attribute_fanout(primitive: &str, items: u64, busy_ns: &[u64], wall_ns: u64) {
+/// span: busy/idle/chunk totals accumulate in the scope's
+/// [`StageParallel`] slot. `busy_ns[i]` is chunk `i`'s body time;
+/// `wall_ns` the fan-out's caller-observed wall time. A worker is idle
+/// from its own finish until the slowest worker's, because the fan-out
+/// only completes when every chunk joins. Called by `leo-parallel`
+/// once per fan-out, on the caller, after the join.
+pub fn attribute_fanout(items: u64, busy_ns: &[u64], wall_ns: u64) {
     if !crate::enabled() {
         return;
     }
-    let parent = attribution_parent();
-    let root = attribution_root();
-    let chunk_path = match &parent {
-        Some(p) => format!("{p}/{primitive}"),
-        None => primitive.to_string(),
+    let Some(root) = attribution_root() else {
+        return;
     };
     with_reg(|reg| {
-        for &ns in busy_ns {
-            reg.record_span(&chunk_path, ns);
+        let attr = reg.parallel.entry(root).or_default();
+        attr.fanouts += 1;
+        attr.items = attr.items.saturating_add(items);
+        attr.chunks += busy_ns.len() as u64;
+        if attr.per_worker_busy_ns.len() < busy_ns.len() {
+            attr.per_worker_busy_ns.resize(busy_ns.len(), 0);
         }
-        if let Some(root) = root {
-            let attr = reg.parallel.entry(root).or_default();
-            attr.fanouts += 1;
-            attr.items = attr.items.saturating_add(items);
-            attr.chunks += busy_ns.len() as u64;
-            if attr.per_worker_busy_ns.len() < busy_ns.len() {
-                attr.per_worker_busy_ns.resize(busy_ns.len(), 0);
-            }
-            for (slot, &ns) in busy_ns.iter().enumerate() {
-                attr.busy_ns = attr.busy_ns.saturating_add(ns);
-                attr.idle_ns = attr.idle_ns.saturating_add(wall_ns.saturating_sub(ns));
-                attr.per_worker_busy_ns[slot] = attr.per_worker_busy_ns[slot].saturating_add(ns);
-            }
+        for (slot, &ns) in busy_ns.iter().enumerate() {
+            attr.busy_ns = attr.busy_ns.saturating_add(ns);
+            attr.idle_ns = attr.idle_ns.saturating_add(wall_ns.saturating_sub(ns));
+            attr.per_worker_busy_ns[slot] = attr.per_worker_busy_ns[slot].saturating_add(ns);
         }
     });
 }
 
-/// Records one serial fan-out request against the caller's owning
-/// top-level span. Called by `leo-parallel` alongside its
-/// `parallel.serial_calls` counter.
+/// Records one serial fan-out request (one worker, one item, or a
+/// sub-threshold probe) against the caller's owning top-level span.
+/// Called by `leo-parallel` once per serial execution.
 pub fn attribute_serial(items: u64) {
     if !crate::enabled() {
         return;
@@ -478,8 +374,8 @@ pub struct ScopeSnapshot {
     pub spans: BTreeMap<String, SpanStats>,
     /// Top-level span path → allocator stats.
     pub allocs: BTreeMap<String, SpanAllocStats>,
-    /// Counters (merged across shards), gauges, histograms.
-    pub metrics: MetricsSnapshot,
+    /// Counter name → value.
+    pub counters: BTreeMap<String, u64>,
     /// Attribution root → parallel stats.
     pub parallel: BTreeMap<String, StageParallel>,
 }
@@ -505,8 +401,8 @@ mod tests {
         }
         let cap_a = a.snapshot();
         let cap_b = b.snapshot();
-        assert_eq!(cap_a.metrics.counters["t_scope.hits"], 2);
-        assert_eq!(cap_b.metrics.counters["t_scope.hits"], 5);
+        assert_eq!(cap_a.counters["t_scope.hits"], 2);
+        assert_eq!(cap_b.counters["t_scope.hits"], 5);
         assert!(cap_a.spans.contains_key("t_scope.a"));
         assert!(cap_b.spans.is_empty());
         // Nothing leaked into the default scope.
@@ -536,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_counters_sum_exactly_across_threads() {
+    fn counters_sum_exactly_across_threads() {
         let _lock = crate::test_lock();
         crate::set_enabled(true);
         let scope = ObsScope::new();
@@ -545,12 +441,12 @@ mod tests {
                 s.spawn(|| {
                     let _g = scope.enter();
                     for _ in 0..1000 {
-                        crate::metrics::counter_add("t_shard.n", 1);
+                        crate::metrics::counter_add("t_threads.n", 1);
                     }
                 });
             }
         });
-        assert_eq!(scope.snapshot().metrics.counters["t_shard.n"], 8000);
+        assert_eq!(scope.snapshot().counters["t_threads.n"], 8000);
     }
 
     #[test]
@@ -578,7 +474,7 @@ mod tests {
             "worker span nests under the caller's path: {:?}",
             cap.spans.keys().collect::<Vec<_>>()
         );
-        assert_eq!(cap.metrics.counters["t_ctx.worker"], 1);
+        assert_eq!(cap.counters["t_ctx.worker"], 1);
     }
 
     #[test]
@@ -589,7 +485,7 @@ mod tests {
         {
             let _g = scope.enter();
             let _stage = crate::span::enter("stage.t_attr");
-            attribute_fanout("parallel.par_map", 100, &[40, 60], 70);
+            attribute_fanout(100, &[40, 60], 70);
             attribute_serial(5);
         }
         let cap = scope.snapshot();
@@ -601,9 +497,9 @@ mod tests {
         assert_eq!(attr.busy_ns, 100);
         assert_eq!(attr.idle_ns, (70 - 40) + (70 - 60));
         assert_eq!(attr.per_worker_busy_ns, vec![40, 60]);
-        let chunk = &cap.spans["stage.t_attr/parallel.par_map"];
-        assert_eq!(chunk.count, 2);
-        assert_eq!(chunk.total_ns, 100);
+        // Pool work is recorded in the parallel section only: the span
+        // tree holds the stage span and no chunk spans.
+        assert_eq!(cap.spans.keys().collect::<Vec<_>>(), ["stage.t_attr"]);
     }
 
     #[test]
@@ -622,7 +518,7 @@ mod tests {
             crate::metrics::counter_add("t_inert.m", 1);
         }
         crate::set_enabled(true);
-        assert!(scope.snapshot().metrics.counters.is_empty());
+        assert!(scope.snapshot().counters.is_empty());
         assert_eq!(crate::metrics::counter_value("t_inert.n"), 0);
     }
 }

@@ -210,12 +210,6 @@ pub fn alloc_snapshot() -> BTreeMap<String, SpanAllocStats> {
     scope::with_reg(|reg| reg.span_allocs.clone())
 }
 
-/// Clears the current scope's span registries (live guards still
-/// record when they drop).
-pub fn reset() {
-    scope::reset_spans();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,13 +12,11 @@
 //! The contract holds because the primitives never let scheduling
 //! order reach the result:
 //!
-//! * [`par_map`] assigns contiguous index chunks to workers and
-//!   reassembles results **in input order**; each element's value
-//!   depends only on the element (callers derive per-element RNG
-//!   streams via [`mix64`] instead of sharing one sequential stream);
-//! * [`par_sum_u64`] folds chunk results with an associative,
-//!   commutative integer merge, which is order-insensitive by
-//!   construction (no float accumulation across chunk boundaries);
+//! * [`par_map`], the one fan-out primitive, assigns contiguous index
+//!   chunks to workers and reassembles results **in input order**;
+//!   each element's value depends only on the element (callers derive
+//!   per-element RNG streams via [`mix64`] instead of sharing one
+//!   sequential stream);
 //! * [`Memo`] caches a value computed once; racing initializers both
 //!   compute the same deterministic value, and one wins.
 //!
@@ -38,8 +36,9 @@
 //! * **Serial threshold.** Every fan-out of two or more items starts
 //!   with a short timed probe (~10 µs of leading items) that estimates
 //!   one chunk's duration; fan-outs whose chunks would run under the
-//!   threshold ([`effective_serial_threshold_ns`], default 100 µs,
-//!   `DIVIDE_PAR_THRESHOLD_NS` to override, 0 disables the probe)
+//!   threshold ([`effective_serial_threshold_ns`]: a
+//!   [`with_serial_threshold`] override, else
+//!   `DIVIDE_PAR_THRESHOLD_NS`, else 100 µs; 0 disables the probe)
 //!   finish serially — reusing the probed prefix — instead of paying
 //!   dispatch for sliver-sized chunks. This covers wide-but-shallow
 //!   fan-outs too (a handful of items over more workers): on a warm
@@ -60,29 +59,27 @@
 //! environment variable, and finally
 //! [`std::thread::available_parallelism`].
 //!
-//! Every pooled fan-out reports to the `leo-obs` metrics registry
-//! (chunk counts, per-worker busy/idle nanoseconds, memo hit/miss)
-//! under the `parallel.*` namespace — recorded once per primitive
-//! call, never per item, and dropped entirely when observability is
-//! off. Serial executions (one worker, single-item input, or
-//! sub-threshold work) count under `parallel.serial_calls` only, so
-//! manifests never overstate real parallelism with synthetic chunks.
-//!
-//! Fan-outs also carry the caller's *observability context* across
-//! the pool boundary (`leo_obs::scope::ObsContext`, DESIGN.md §15):
-//! the dispatching thread's current scope and innermost span path are
-//! captured before the fan-out and installed on each chunk's
-//! executing thread, so anything a chunk body records — spans,
-//! counters, histograms — lands in the owning scope, nested under the
-//! dispatching span. After the join the fan-out is attributed to the
-//! caller's owning top-level span (`stage.*` in the pipeline) via
-//! `attribute_fanout`, which the manifest renders as the per-stage
-//! `parallel` section. When the `leo-trace` timeline recorder is on,
-//! each completed chunk additionally lands as one complete event on
-//! its worker-index lane (chunk index, item range, busy duration,
+//! Fan-outs carry the caller's *observability context* across the
+//! pool boundary (`leo_obs::scope::ObsContext`, DESIGN.md §15): the
+//! dispatching thread's current scope and innermost span path are
+//! captured before the fan-out and installed on each chunk's executing
+//! thread, so anything a chunk body records — spans, counters — lands
+//! in the owning scope, nested under the dispatching span. After the
+//! join the caller attributes the fan-out (items, chunks, per-worker
+//! busy and idle nanoseconds) to its owning top-level span (`stage.*`
+//! in the pipeline) via `leo_obs::scope::attribute_fanout`; serial
+//! executions (one worker, single-item input, or sub-threshold work)
+//! go through `attribute_serial` instead, so the record never
+//! overstates real parallelism with synthetic chunks. The manifest
+//! renders both as the per-stage `parallel` section, the one record of
+//! pool work — written once per fan-out, never per item, and dropped
+//! entirely when observability is off. `Memo` hits and misses count
+//! under `parallel.memo_*`. When the `leo-trace` timeline recorder is
+//! on, each completed chunk additionally lands as one complete event
+//! on its worker-index lane (chunk index, item range, busy duration,
 //! owning span path), so `--trace` shows the fan-out shape per worker
 //! and folded stacks telescope worker time under the owning stage.
-//! Metrics and trace events feed the run manifest and trace export
+//! The record and trace events feed the run manifest and trace export
 //! only; they can never perturb results (the determinism contract
 //! holds with observability and tracing on or off).
 
@@ -91,50 +88,13 @@
 
 pub mod pool;
 
+pub use leo_fault::mix64;
+use leo_obs::scope::{attribute_fanout, attribute_serial};
 use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Records one pooled fan-out's worker stats into the `leo-obs`
-/// metrics registry (`parallel.*` namespace, DESIGN.md §8) and
-/// attributes the fan-out to the caller's owning `stage.*` span via
-/// `leo_obs::scope::attribute_fanout`. `primitive` is the chunk-span
-/// name (`parallel.par_map` / `parallel.par_sum`); its calls counter
-/// is `{primitive}_calls`. Called once per primitive invocation —
-/// never per item — so the instrumentation cost stays off the hot
-/// path. Callers must check [`leo_obs::enabled`] first.
-fn record_fanout(primitive: &str, items: usize, busy_ns: &[u64], wall_ns: u64) {
-    use leo_obs::metrics;
-    metrics::counter_add(&format!("{primitive}_calls"), 1);
-    metrics::counter_add("parallel.items", items as u64);
-    metrics::counter_add("parallel.chunks", busy_ns.len() as u64);
-    for &busy in busy_ns {
-        metrics::observe("parallel.worker_busy_ns", busy as f64);
-        metrics::counter_add("parallel.worker_busy_ns_total", busy);
-        // A worker is idle from its own finish until the slowest
-        // worker's: the fan-out only completes when every chunk joins.
-        metrics::counter_add(
-            "parallel.worker_idle_ns_total",
-            wall_ns.saturating_sub(busy),
-        );
-    }
-    leo_obs::scope::attribute_fanout(primitive, items as u64, busy_ns, wall_ns);
-}
-
-/// Records one serial primitive execution: the thread count resolved
-/// to one, the input couldn't be split, or the probe estimated
-/// sub-threshold chunks. Deliberately *not* a synthetic one-chunk
-/// fan-out — `parallel.chunks`/`parallel.worker_busy_ns` describe pool
-/// work only, so manifests don't overstate real parallelism.
-fn record_serial(items: usize) {
-    if leo_obs::enabled() {
-        leo_obs::metrics::counter_add("parallel.serial_calls", 1);
-        leo_obs::metrics::counter_add("parallel.items", items as u64);
-        leo_obs::scope::attribute_serial(items as u64);
-    }
-}
 
 /// Process-wide thread-count setting; 0 means "auto".
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -209,24 +169,9 @@ const DEFAULT_SERIAL_THRESHOLD_NS: u64 = 100_000;
 /// and keeps the measurement above clock granularity.
 const PROBE_BUDGET_NS: u64 = 10_000;
 
-/// Sentinel for "no value set" in the threshold resolution chain.
-const UNSET_THRESHOLD: u64 = u64::MAX;
-
-/// Process-wide serial-threshold setting; `UNSET_THRESHOLD` = unset.
-static GLOBAL_SERIAL_THRESHOLD: AtomicU64 = AtomicU64::new(UNSET_THRESHOLD);
-
 thread_local! {
-    /// Per-thread serial-threshold override; `UNSET_THRESHOLD` = none.
-    static SERIAL_THRESHOLD_OVERRIDE: Cell<u64> = const { Cell::new(UNSET_THRESHOLD) };
-}
-
-/// Sets the process-wide serial threshold in nanoseconds. `None`
-/// restores the default resolution (`DIVIDE_PAR_THRESHOLD_NS`, then
-/// [`DEFAULT_SERIAL_THRESHOLD_NS`]). `Some(0)` disables the probe so
-/// every eligible fan-out uses the pool.
-pub fn set_serial_threshold_ns(ns: Option<u64>) {
-    let stored = ns.map_or(UNSET_THRESHOLD, |n| n.min(UNSET_THRESHOLD - 1));
-    GLOBAL_SERIAL_THRESHOLD.store(stored, Ordering::Relaxed);
+    /// Per-thread serial-threshold override.
+    static SERIAL_THRESHOLD_OVERRIDE: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 /// Runs `f` with the serial threshold forced to `ns` nanoseconds on
@@ -235,13 +180,13 @@ pub fn set_serial_threshold_ns(ns: Option<u64>) {
 /// parallel path); a huge value forces every probed fan-out serial.
 /// Restores the previous value even if `f` panics.
 pub fn with_serial_threshold<R>(ns: u64, f: impl FnOnce() -> R) -> R {
-    struct Restore(u64);
+    struct Restore(Option<u64>);
     impl Drop for Restore {
         fn drop(&mut self) {
             SERIAL_THRESHOLD_OVERRIDE.with(|cell| cell.set(self.0));
         }
     }
-    let prev = SERIAL_THRESHOLD_OVERRIDE.with(|cell| cell.replace(ns.min(UNSET_THRESHOLD - 1)));
+    let prev = SERIAL_THRESHOLD_OVERRIDE.with(|cell| cell.replace(Some(ns)));
     let _restore = Restore(prev);
     f()
 }
@@ -252,20 +197,15 @@ fn env_serial_threshold() -> Option<u64> {
         .and_then(|v| v.trim().parse().ok())
 }
 
-/// The serial threshold in effect on this thread: thread-local
-/// override, else process setting, else `DIVIDE_PAR_THRESHOLD_NS`,
+/// The serial threshold in effect on this thread: the
+/// [`with_serial_threshold`] override, else `DIVIDE_PAR_THRESHOLD_NS`,
 /// else [`DEFAULT_SERIAL_THRESHOLD_NS`]. Fan-outs whose estimated
 /// per-chunk duration falls below it run serially.
 pub fn effective_serial_threshold_ns() -> u64 {
-    let over = SERIAL_THRESHOLD_OVERRIDE.with(|cell| cell.get());
-    if over != UNSET_THRESHOLD {
-        return over;
-    }
-    let global = GLOBAL_SERIAL_THRESHOLD.load(Ordering::Relaxed);
-    if global != UNSET_THRESHOLD {
-        return global;
-    }
-    env_serial_threshold().unwrap_or(DEFAULT_SERIAL_THRESHOLD_NS)
+    SERIAL_THRESHOLD_OVERRIDE
+        .with(Cell::get)
+        .or_else(env_serial_threshold)
+        .unwrap_or(DEFAULT_SERIAL_THRESHOLD_NS)
 }
 
 /// Splits `len` items into at most `workers` contiguous chunks of
@@ -308,7 +248,7 @@ where
     let workers = effective_threads();
     if workers <= 1 || items.len() <= 1 {
         let out: Vec<R> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        record_serial(items.len());
+        attribute_serial(items.len() as u64);
         return out;
     }
     let threshold = effective_serial_threshold_ns();
@@ -342,7 +282,7 @@ where
             for (i, item) in items.iter().enumerate().skip(prefix.len()) {
                 prefix.push(f(i, item));
             }
-            record_serial(items.len());
+            attribute_serial(items.len() as u64);
             return prefix;
         }
         if items.len() > workers {
@@ -350,7 +290,6 @@ where
         }
     }
     let base = prefix.len();
-    let obs = leo_obs::enabled();
     let tracing = leo_trace::enabled();
     // Capture the caller's scope and innermost span path so chunk
     // bodies (and their trace events) attribute under the owning
@@ -386,102 +325,12 @@ where
         out.extend(chunk);
         busy.push(busy_ns);
     }
-    if obs {
-        record_fanout(
-            "parallel.par_map",
-            items.len() - base,
-            &busy,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
+    attribute_fanout(
+        (items.len() - base) as u64,
+        &busy,
+        t0.elapsed().as_nanos() as u64,
+    );
     out
-}
-
-/// Sums `f(i)` for `i in 0..len` of `u64` terms in parallel on the
-/// persistent worker pool. Integer addition is associative and
-/// commutative, so the result is exact and independent of the chunking
-/// — safe for Monte-Carlo hit counting. The same serial-threshold
-/// probe as [`par_map`] keeps tiny sums off the pool.
-pub fn par_sum_u64<F>(len: usize, f: F) -> u64
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    let workers = effective_threads();
-    if workers <= 1 || len <= 1 {
-        let out = (0..len).map(&f).sum();
-        record_serial(len);
-        return out;
-    }
-    let threshold = effective_serial_threshold_ns();
-    let mut base = 0usize;
-    let mut acc = 0u64;
-    if threshold > 0 {
-        // Same probe policy as `par_map`: integer addition is exact,
-        // so the probed prefix's partial sum folds into the total no
-        // matter how the remainder is chunked. Deep fan-outs still
-        // discard it to keep the chunk plan identical to an unprobed
-        // run; shallow ones keep it.
-        let p0 = Instant::now();
-        let mut elapsed = 0u64;
-        while base < len {
-            acc += f(base);
-            base += 1;
-            elapsed = p0.elapsed().as_nanos() as u64;
-            if elapsed >= PROBE_BUDGET_NS {
-                break;
-            }
-        }
-        let chunk_items = (len / workers).max(1) as u64;
-        let per_chunk = (elapsed / base as u64).saturating_mul(chunk_items);
-        if base == len || per_chunk < threshold {
-            for i in base..len {
-                acc += f(i);
-            }
-            record_serial(len);
-            return acc;
-        }
-        if len > workers {
-            base = 0;
-            acc = 0;
-        }
-    }
-    let obs = leo_obs::enabled();
-    let tracing = leo_trace::enabled();
-    // Same scope/parent propagation as `par_map`.
-    let ctx = leo_obs::scope::ObsContext::current();
-    let t0 = Instant::now();
-    let plan: Vec<(usize, usize)> = chunks(len - base, workers)
-        .into_iter()
-        .map(|(lo, hi)| (lo + base, hi + base))
-        .collect();
-    let slots: Vec<ChunkSlot<u64>> = plan.iter().map(|_| Mutex::new(None)).collect();
-    pool::run_chunks(plan.len(), &|w| {
-        let _obs_ctx = ctx.enter();
-        let (lo, hi) = plan[w];
-        let w0 = Instant::now();
-        let sum = (lo..hi).map(&f).sum::<u64>();
-        let w1 = Instant::now();
-        if tracing {
-            leo_trace::worker_chunk(w, "parallel.par_sum", ctx.parent(), w0, w1, lo, hi);
-        }
-        *slots[w].lock() = Some((sum, w1.saturating_duration_since(w0).as_nanos() as u64));
-    });
-    let mut total = acc;
-    let mut busy = Vec::with_capacity(plan.len());
-    for slot in &slots {
-        let (sum, busy_ns) = slot.lock().take().expect("every chunk completed");
-        total += sum;
-        busy.push(busy_ns);
-    }
-    if obs {
-        record_fanout(
-            "parallel.par_sum",
-            len - base,
-            &busy,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-    total
 }
 
 /// A lazily-initialized, thread-safe memo cell.
@@ -548,18 +397,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Memo<T> {
     }
 }
 
-/// Mixes a seed with a salt into an independent 64-bit stream seed
-/// (SplitMix64 finalizer). This is how the dataset generator derives
-/// one RNG stream per cell/cluster: the draw for element `k` depends
-/// only on `(seed, k)`, never on how work was chunked across threads —
-/// the keystone of the parallel-equals-serial guarantee.
-pub fn mix64(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,17 +430,6 @@ mod tests {
             let probed = with_threads(n, || par_map(&items, |i, &x| x * 3 + i as u64));
             assert_eq!(serial, pooled, "threads={n} pooled");
             assert_eq!(serial, probed, "threads={n} probed");
-        }
-    }
-
-    #[test]
-    fn par_sum_is_exact_for_any_thread_count() {
-        let expect: u64 = (0..10_000u64).map(|i| i * i).sum();
-        for n in [1, 2, 5, 32] {
-            let got = with_serial_threshold(0, || {
-                with_threads(n, || par_sum_u64(10_000, |i| (i as u64) * (i as u64)))
-            });
-            assert_eq!(got, expect, "threads={n}");
         }
     }
 
@@ -703,8 +529,8 @@ mod tests {
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "chunk panic");
         // The worker that caught the panic keeps serving fan-outs.
-        let sum = with_serial_threshold(0, || with_threads(4, || par_sum_u64(64, |i| i as u64)));
-        assert_eq!(sum, (0..64u64).sum::<u64>());
+        let out = with_serial_threshold(0, || with_threads(4, || par_map(&[0u8; 64], |i, _| i)));
+        assert_eq!(out, (0..64).collect::<Vec<usize>>());
     }
 
     #[test]
@@ -757,10 +583,6 @@ mod tests {
             ids.iter().all(|&id| id == me),
             "shallow sub-threshold work left the caller"
         );
-        let sum = with_serial_threshold(u64::MAX, || {
-            with_threads(8, || par_sum_u64(3, |i| i as u64 + 10))
-        });
-        assert_eq!(sum, 33);
     }
 
     #[test]
@@ -779,50 +601,44 @@ mod tests {
         let serial = with_threads(1, || par_map(&items, slow));
         let probed = with_serial_threshold(1, || with_threads(16, || par_map(&items, slow)));
         assert_eq!(serial, probed);
-        let expect: u64 = (0..50).map(|i| i + 100).sum();
-        let got = with_serial_threshold(1, || {
-            with_threads(16, || {
-                par_sum_u64(50, |i| {
-                    let t0 = Instant::now();
-                    while t0.elapsed().as_micros() < 20 {
-                        std::hint::black_box(i);
-                    }
-                    i as u64 + 100
-                })
-            })
-        });
-        assert_eq!(got, expect);
+    }
+
+    /// The parallel section `run` leaves under `stage.t_attr` in a
+    /// scope of its own.
+    fn stage_parallel(run: impl FnOnce()) -> leo_obs::scope::StageParallel {
+        leo_obs::set_enabled(true);
+        let scope = leo_obs::scope::ObsScope::new();
+        {
+            let _guard = scope.enter();
+            let _stage = leo_obs::span!("stage.t_attr");
+            run();
+        }
+        scope.snapshot().parallel["stage.t_attr"].clone()
     }
 
     #[test]
     fn serial_fanouts_count_separately_from_pool_fanouts() {
-        use leo_obs::metrics;
-        leo_obs::set_enabled(true);
-        let serial0 = metrics::counter_value("parallel.serial_calls");
-        let _ = with_threads(1, || par_map(&[1u64; 10], |_, &x| x));
-        let _ = with_threads(4, || par_sum_u64(1, |i| i as u64));
-        assert!(
-            metrics::counter_value("parallel.serial_calls") >= serial0 + 2,
-            "one-worker and one-item executions must count as serial"
-        );
+        let attr = stage_parallel(|| {
+            let _ = with_threads(1, || par_map(&[1u64; 10], |_, &x| x));
+            let _ = with_threads(4, || par_map(&[1u64], |_, &x| x));
+        });
+        // One-worker and one-item executions count as serial calls,
+        // never as synthetic one-chunk fan-outs.
+        assert_eq!((attr.serial_calls, attr.fanouts, attr.chunks), (2, 0, 0));
+        assert_eq!(attr.items, 11);
     }
 
     #[test]
-    fn fanouts_record_worker_metrics() {
-        use leo_obs::metrics;
-        leo_obs::set_enabled(true);
-        let calls0 = metrics::counter_value("parallel.par_map_calls");
-        let items0 = metrics::counter_value("parallel.items");
-        let chunks0 = metrics::counter_value("parallel.chunks");
+    fn pooled_fanouts_are_attributed_to_the_owning_stage() {
         let items: Vec<u64> = (0..100).collect();
-        let _ = with_serial_threshold(0, || with_threads(4, || par_map(&items, |_, &x| x + 1)));
-        assert!(metrics::counter_value("parallel.par_map_calls") > calls0);
-        assert!(metrics::counter_value("parallel.items") >= items0 + 100);
-        // 100 items across 4 workers → at least 4 more chunks.
-        assert!(metrics::counter_value("parallel.chunks") >= chunks0 + 4);
-        let sums0 = metrics::counter_value("parallel.par_sum_calls");
-        let _ = with_serial_threshold(0, || with_threads(2, || par_sum_u64(10, |i| i as u64)));
-        assert!(metrics::counter_value("parallel.par_sum_calls") > sums0);
+        let attr = stage_parallel(|| {
+            let _ = with_serial_threshold(0, || with_threads(4, || par_map(&items, |_, &x| x + 1)));
+        });
+        // 100 items across 4 workers → one fan-out of 4 chunks.
+        assert_eq!((attr.fanouts, attr.serial_calls), (1, 0));
+        assert_eq!((attr.items, attr.chunks), (100, 4));
+        assert_eq!(attr.per_worker_busy_ns.len(), 4);
+        assert_eq!(attr.per_worker_busy_ns.iter().sum::<u64>(), attr.busy_ns);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Persistent worker pool: the process-wide threads behind [`par_map`]
-//! and [`par_sum_u64`].
+//! Persistent worker pool: the process-wide threads behind
+//! [`par_map`].
 //!
 //! The first fan-out that needs `k` chunks spawns pool workers
 //! `0..k-1` lazily (chunk 0 always runs on the calling thread); every
@@ -31,7 +31,6 @@
 //! [`run_chunks`] returns.
 //!
 //! [`par_map`]: crate::par_map
-//! [`par_sum_u64`]: crate::par_sum_u64
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -263,9 +262,6 @@ fn ensure_workers(n: usize) {
         }
     }
     POOL_SIZE.store(pool.len(), Ordering::Relaxed);
-    if leo_obs::enabled() {
-        leo_obs::metrics::gauge_set("parallel.pool_size", pool.len() as f64);
-    }
 }
 
 /// Runs `task(i)` for every chunk index `0..n_chunks` — chunk 0 on the

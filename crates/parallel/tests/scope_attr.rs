@@ -1,7 +1,8 @@
 //! Scoped-observability integration tests across the pool boundary
 //! (DESIGN.md §15): concurrent scopes stay isolated and deterministic,
-//! worker attribution is thread-count-invariant, and `DIVIDE_OBS=off`
-//! stays zero-cost through the pool.
+//! worker attribution is thread-count-invariant, pool work has one
+//! record (the stage's parallel section), and `DIVIDE_OBS=off` stays
+//! zero-cost through the pool.
 
 use leo_obs::scope::{ObsScope, ScopeSnapshot};
 use leo_parallel::{mix64, par_map, with_serial_threshold, with_threads};
@@ -15,16 +16,15 @@ fn test_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// One small observed pipeline in its own scope: a stage span, a
-/// tagged counter, a histogram sample, and a 257-item fan-out through
-/// the shared pool. Returns the (deterministic) fold of the mapped
-/// values plus the scope's snapshot.
+/// tagged counter, and a 257-item fan-out through the shared pool.
+/// Returns the (deterministic) fold of the mapped values plus the
+/// scope's snapshot.
 fn pipeline(tag: &str, threads: usize) -> (u64, ScopeSnapshot) {
     let scope = ObsScope::new();
     let out = {
         let _guard = scope.enter();
         let _stage = leo_obs::span!("stage.sim");
         leo_obs::metrics::counter_add(&format!("{tag}.runs"), 1);
-        leo_obs::metrics::observe("sim.value", 2.5);
         let items: Vec<u64> = (0..257).collect();
         let out = with_serial_threshold(0, || {
             with_threads(threads, || par_map(&items, |i, &x| mix64(x, i as u64)))
@@ -34,26 +34,18 @@ fn pipeline(tag: &str, threads: usize) -> (u64, ScopeSnapshot) {
     (out, scope.snapshot())
 }
 
-/// Span-path call counts (the pool's `parallel.*` chunk spans left
-/// out) — what ran, independent of how it was scheduled.
+/// Span-path call counts — what ran, independent of how it was
+/// scheduled.
 fn span_counts(snap: &ScopeSnapshot) -> BTreeMap<String, u64> {
     snap.spans
         .iter()
-        .filter(|(path, _)| {
-            !path
-                .rsplit('/')
-                .next()
-                .unwrap_or(path)
-                .starts_with("parallel.")
-        })
         .map(|(path, stats)| (path.clone(), stats.count))
         .collect()
 }
 
 /// Counters outside the scheduling-dependent `parallel.*` family.
 fn work_counters(snap: &ScopeSnapshot) -> BTreeMap<String, u64> {
-    snap.metrics
-        .counters
+    snap.counters
         .iter()
         .filter(|(name, _)| !name.starts_with("parallel."))
         .map(|(name, &v)| (name.clone(), v))
@@ -81,10 +73,10 @@ fn concurrent_scopes_are_isolated_and_match_serial() {
     assert_eq!(work_counters(&got_a.1), work_counters(&snap_a));
     assert_eq!(work_counters(&got_b.1), work_counters(&snap_b));
     // ...so no bleed: each scope carries its own tag only.
-    assert_eq!(got_a.1.metrics.counters.get("t_a.runs"), Some(&1));
-    assert_eq!(got_a.1.metrics.counters.get("t_b.runs"), None);
-    assert_eq!(got_b.1.metrics.counters.get("t_b.runs"), Some(&1));
-    assert_eq!(got_b.1.metrics.counters.get("t_a.runs"), None);
+    assert_eq!(got_a.1.counters.get("t_a.runs"), Some(&1));
+    assert_eq!(got_a.1.counters.get("t_b.runs"), None);
+    assert_eq!(got_b.1.counters.get("t_b.runs"), Some(&1));
+    assert_eq!(got_b.1.counters.get("t_a.runs"), None);
     // Nothing leaked into the process-default scope either.
     assert_eq!(leo_obs::metrics::counter_value("t_a.runs"), 0);
     assert_eq!(leo_obs::metrics::counter_value("t_b.runs"), 0);
@@ -107,7 +99,7 @@ fn scope_contents_are_identical_across_thread_counts() {
 }
 
 #[test]
-fn fanout_attribution_reconciles_with_pool_counters() {
+fn pool_work_is_recorded_once_in_the_stage_parallel_section() {
     let _lock = test_lock();
     leo_obs::set_enabled(true);
     let (_, snap) = pipeline("t_rec", 4);
@@ -115,28 +107,27 @@ fn fanout_attribution_reconciles_with_pool_counters() {
         .parallel
         .get("stage.sim")
         .expect("fan-out attributed to the owning stage");
-    assert!(attr.fanouts >= 1);
-    assert!(attr.chunks >= 4, "257 items over 4 workers");
-    // Chunk spans nest under the dispatching span, one count per chunk.
-    let chunk = snap
-        .spans
-        .get("stage.sim/parallel.par_map")
-        .expect("chunk spans recorded under the stage");
-    assert_eq!(chunk.count, attr.chunks);
-    assert_eq!(chunk.total_ns, attr.busy_ns);
-    // Per-stage busy time reconciles exactly with the pool counter:
-    // both sides accumulate the same per-chunk busy values.
-    let busy_total: u64 = snap.parallel.values().map(|a| a.busy_ns).sum();
-    assert_eq!(
-        snap.metrics
-            .counters
-            .get("parallel.worker_busy_ns_total")
-            .copied()
-            .unwrap_or(0),
-        busy_total
-    );
+    assert_eq!((attr.fanouts, attr.serial_calls), (1, 0));
+    // 257 items over 4 workers.
+    assert_eq!((attr.items, attr.chunks), (257, 4));
+    assert!(attr.busy_ns > 0, "{attr:?}");
     let per_worker: u64 = attr.per_worker_busy_ns.iter().sum();
     assert_eq!(per_worker, attr.busy_ns, "worker shares sum to the total");
+    // The section is the only record of the pool's work: no chunk spans
+    // in the span tree...
+    for path in snap.spans.keys() {
+        let leaf = path.rsplit('/').next().unwrap_or(path);
+        assert!(!leaf.starts_with("parallel."), "chunk span {path}");
+    }
+    // ...and no pool counters besides pool growth and the memo's.
+    for name in snap.counters.keys() {
+        assert!(
+            !name.starts_with("parallel.")
+                || name == "parallel.pool_spawned_threads"
+                || name.starts_with("parallel.memo_"),
+            "pool counter {name}"
+        );
+    }
 }
 
 #[test]
@@ -149,7 +140,6 @@ fn disabled_observability_is_inert_through_the_pool() {
     leo_obs::set_enabled(true);
     assert_eq!(out, reference, "results identical with observability off");
     assert!(snap.spans.is_empty(), "{:?}", snap.spans.keys());
-    assert!(snap.metrics.counters.is_empty());
-    assert!(snap.metrics.histograms.is_empty());
+    assert!(snap.counters.is_empty());
     assert!(snap.parallel.is_empty());
 }

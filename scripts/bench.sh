@@ -131,8 +131,8 @@ ab alloc "DIVIDE_ALLOC=on" "DIVIDE_ALLOC=off"
 # so nothing ever fires) adds one hash-and-compare per probe.
 ab fault "DIVIDE_FAULT=seed=1;io.write:p=0,mode=err" "DIVIDE_FAULT="
 # The allocator is off on both sides so only the scope machinery (span
-# stack, registry locks, sharded counters, scope propagation through
-# the pool) is in the delta.
+# stack, the registry lock, counters, scope propagation through the
+# pool) is in the delta.
 ab obs_scope "DIVIDE_ALLOC=off DIVIDE_OBS=on" "DIVIDE_ALLOC=off DIVIDE_OBS=off"
 
 # Per-kernel medians: bench_kernels ends with a machine-readable

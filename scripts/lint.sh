@@ -29,7 +29,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "[lint] unwrap/expect deny-list (scripts/unwrap_allowlist.txt)"
 # A panic on bad input is not a typed failure (DESIGN.md §13): new
 # non-test code must return errors. Provable invariants go on the
-# allowlist, keyed by "<path>: <trimmed line>".
+# allowlist, keyed by "<path>: <trimmed line>". An entry that matches
+# no line any more fails too, so the list cannot outlive its code.
 python3 - <<'PY'
 import pathlib, re, sys
 
@@ -59,6 +60,7 @@ for f in sorted(pathlib.Path("crates").glob("*/src/**/*.rs")):
         else:
             bad.append(key)
 
+stale = sorted(allow - used)
 if bad:
     print("[lint] .unwrap()/.expect( in non-test code (return a typed",
           file=sys.stderr)
@@ -66,9 +68,14 @@ if bad:
           file=sys.stderr)
     for key in bad:
         print(f"[lint]   {key}", file=sys.stderr)
+if stale:
+    print("[lint] stale allowlist entries (delete them from",
+          file=sys.stderr)
+    print("[lint] scripts/unwrap_allowlist.txt):", file=sys.stderr)
+    for key in stale:
+        print(f"[lint]   {key}", file=sys.stderr)
+if bad or stale:
     sys.exit(1)
-for key in sorted(allow - used):
-    print(f"[lint] warning: stale allowlist entry: {key}")
 print(f"[lint] unwrap deny-list clean ({len(used)} allowlisted)")
 PY
 
