@@ -2,7 +2,7 @@
 //! primitives on the hot paths of the experiment pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use leo_geomath::{great_circle_distance_km, AzimuthalEqualArea, LatLng, Projection};
+use leo_geomath::{great_circle_distance_km, AzimuthalEqualArea, LatLng};
 use leo_hexgrid::{GeoHexGrid, STARLINK_RESOLUTION};
 use leo_simnet::max_min_fair;
 use std::hint::black_box;

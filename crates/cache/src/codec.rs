@@ -47,11 +47,6 @@ pub struct Encoder {
 }
 
 impl Encoder {
-    /// An empty encoder.
-    pub fn new() -> Self {
-        Encoder::default()
-    }
-
     /// An empty encoder with `capacity` bytes pre-reserved.
     pub fn with_capacity(capacity: usize) -> Self {
         Encoder {
@@ -64,29 +59,14 @@ impl Encoder {
         self.buf.push(v);
     }
 
-    /// Appends a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `f64` as its raw IEEE-754 bits (exact round-trip).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Appends a length or count as a `u64` (platform-independent).
     pub fn put_len(&mut self, v: usize) {
         self.put_u64(v as u64);
-    }
-
-    /// Appends raw bytes with no framing.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
     }
 
     /// Appends a whole `u32` column as contiguous little-endian words.
@@ -109,22 +89,12 @@ impl Encoder {
     }
 
     /// Appends a whole `f64` column as raw IEEE-754 bit patterns
-    /// (exact round-trip, same contract as [`Encoder::put_f64`]).
+    /// (exact round-trip of every bit pattern, NaNs included).
     pub fn put_f64_slice(&mut self, vals: &[f64]) {
         self.buf.reserve(vals.len() * 8);
         for v in vals {
             self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// The finished byte buffer.
@@ -163,26 +133,10 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
-    /// Reads one byte.
-    pub fn take_u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn take_u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-    }
-
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self) -> Result<u64, DecodeError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    /// Reads an `f64` from raw bits.
-    pub fn take_f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.take_u64()?))
     }
 
     /// Reads a sequence length and validates it against the remaining
@@ -266,21 +220,15 @@ mod tests {
 
     #[test]
     fn scalar_round_trip() {
-        let mut e = Encoder::new();
+        let mut e = Encoder::default();
         e.put_u8(7);
-        e.put_u32(0xDEAD_BEEF);
         e.put_u64(u64::MAX - 1);
-        e.put_f64(-0.1);
-        e.put_f64(f64::NEG_INFINITY);
         e.put_len(3);
-        e.put_bytes(b"abc");
+        b"abc".iter().for_each(|&b| e.put_u8(b));
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
-        assert_eq!(d.take_u8().unwrap(), 7);
-        assert_eq!(d.take_u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(d.take_bytes(1).unwrap(), [7]);
         assert_eq!(d.take_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(d.take_f64().unwrap().to_bits(), (-0.1f64).to_bits());
-        assert_eq!(d.take_f64().unwrap(), f64::NEG_INFINITY);
         assert_eq!(d.take_len(1).unwrap(), 3);
         assert_eq!(d.take_bytes(3).unwrap(), b"abc");
         d.expect_empty().unwrap();
@@ -288,7 +236,7 @@ mod tests {
 
     #[test]
     fn truncation_is_reported_not_panicked() {
-        let mut e = Encoder::new();
+        let mut e = Encoder::default();
         e.put_u64(1);
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes[..5]);
@@ -303,7 +251,7 @@ mod tests {
 
     #[test]
     fn absurd_lengths_are_rejected() {
-        let mut e = Encoder::new();
+        let mut e = Encoder::default();
         e.put_len(usize::MAX / 2);
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
@@ -315,12 +263,12 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_an_error() {
-        let mut e = Encoder::new();
-        e.put_u32(1);
+        let mut e = Encoder::default();
+        e.put_u64(1);
         e.put_u8(0);
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
-        d.take_u32().unwrap();
+        d.take_u64().unwrap();
         assert!(d.expect_empty().is_err());
     }
 
@@ -334,18 +282,21 @@ mod tests {
             f64::INFINITY,
             f64::from_bits(0x7FF8_0000_0000_1234),
         ];
-        let mut bulk = Encoder::new();
+        let mut bulk = Encoder::default();
         bulk.put_u32_slice(&u32s);
         bulk.put_u64_slice(&u64s);
         bulk.put_f64_slice(&f64s);
-        // The bulk writers must produce byte-for-byte the scalar layout
-        // (the v2 container format depends on this equivalence).
-        let mut scalar = Encoder::new();
-        u32s.iter().for_each(|&v| scalar.put_u32(v));
-        u64s.iter().for_each(|&v| scalar.put_u64(v));
-        f64s.iter().for_each(|&v| scalar.put_f64(v));
+        // The bulk writers must produce byte-for-byte the scalar
+        // little-endian layout (the v2 container format depends on it).
+        let mut scalar = Vec::new();
+        u32s.iter()
+            .for_each(|v| scalar.extend_from_slice(&v.to_le_bytes()));
+        u64s.iter()
+            .for_each(|v| scalar.extend_from_slice(&v.to_le_bytes()));
+        f64s.iter()
+            .for_each(|v| scalar.extend_from_slice(&v.to_bits().to_le_bytes()));
         let bytes = bulk.finish();
-        assert_eq!(bytes, scalar.finish());
+        assert_eq!(bytes, scalar);
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.take_u32_vec(4).unwrap(), u32s);
         assert_eq!(d.take_u64_vec(4).unwrap(), u64s);
@@ -358,7 +309,7 @@ mod tests {
 
     #[test]
     fn bulk_reads_report_truncation() {
-        let mut e = Encoder::new();
+        let mut e = Encoder::default();
         e.put_u64_slice(&[1, 2, 3]);
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes[..20]);
@@ -377,10 +328,10 @@ mod tests {
     fn nan_bits_round_trip_exactly() {
         // A non-canonical NaN payload must survive (bits, not values).
         let weird_nan = f64::from_bits(0x7FF8_0000_0000_1234);
-        let mut e = Encoder::new();
-        e.put_f64(weird_nan);
+        let mut e = Encoder::default();
+        e.put_f64_slice(&[weird_nan]);
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
-        assert_eq!(d.take_f64().unwrap().to_bits(), weird_nan.to_bits());
+        assert_eq!(d.take_f64_vec(1).unwrap()[0].to_bits(), weird_nan.to_bits());
     }
 }

@@ -6,10 +6,10 @@
 //! typed error the store converts into regeneration; nothing here may
 //! panic.
 
-use leo_cache::{
-    decode_container, decode_dataset, decode_sweep, encode_container, encode_dataset, encode_sweep,
-    fnv1a64, ContainerError, Decoder, Encoder, SCHEMA_VERSION,
-};
+use leo_cache::codec::{Decoder, Encoder};
+use leo_cache::key::fnv1a64;
+use leo_cache::store::{decode_container, encode_container, ContainerError};
+use leo_cache::{decode_dataset, decode_sweep, encode_dataset, encode_sweep, SCHEMA_VERSION};
 use leo_demand::dataset::{BroadbandDataset, SynthConfig};
 use proptest::prelude::*;
 use starlink_divide::coverage_sweep::CoverageSweep;
@@ -39,17 +39,15 @@ proptest! {
         ints in proptest::collection::vec(0u64..=u64::MAX, 0..16),
         floats in proptest::collection::vec(float_bits(), 0..16),
     ) {
-        let mut e = Encoder::new();
+        let mut e = Encoder::default();
         e.put_len(raw.len());
-        e.put_bytes(&raw);
+        raw.iter().for_each(|&b| e.put_u8(b));
         e.put_len(ints.len());
         for &v in &ints {
             e.put_u64(v);
         }
         e.put_len(floats.len());
-        for &v in &floats {
-            e.put_f64(v);
-        }
+        e.put_f64_slice(&floats);
         let buf = e.finish();
         let mut d = Decoder::new(&buf);
         let n = d.take_len(1).unwrap();
@@ -61,9 +59,9 @@ proptest! {
         }
         let n = d.take_len(8).unwrap();
         prop_assert_eq!(n, floats.len());
-        for &v in &floats {
+        for (got, &v) in d.take_f64_vec(n).unwrap().iter().zip(&floats) {
             // Bits, not values: NaN payloads and -0.0 must survive.
-            prop_assert_eq!(d.take_f64().unwrap().to_bits(), v.to_bits());
+            prop_assert_eq!(got.to_bits(), v.to_bits());
         }
         d.expect_empty().unwrap();
     }

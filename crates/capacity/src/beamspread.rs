@@ -51,19 +51,6 @@ pub fn spread_cell_capacity_gbps(model: &SatelliteCapacityModel, spread: Beamspr
     model.max_cell_capacity_gbps() / spread.factor() as f64
 }
 
-/// Whether a cell with `locations` un(der)served locations receives
-/// "reliable broadband" service at oversubscription `oversub` and
-/// beamspread `spread` (the Fig 2 feasibility rule).
-pub fn cell_served(
-    model: &SatelliteCapacityModel,
-    locations: u64,
-    oversub: Oversubscription,
-    spread: Beamspread,
-) -> bool {
-    let cap = spread_cell_capacity_gbps(model, spread);
-    locations as f64 * BROADBAND_DL_MBPS / 1000.0 <= cap * oversub.ratio() + 1e-9
-}
-
 /// Number of dedicated (unspread) beams a cell needs so its demand fits
 /// at oversubscription `oversub`: `ceil(demand / ρ / beam_capacity)`.
 /// Returns `None` when even the full four-beam complement is
@@ -102,9 +89,21 @@ pub fn cells_per_satellite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oversub::max_locations_servable;
 
     fn model() -> SatelliteCapacityModel {
         SatelliteCapacityModel::starlink()
+    }
+
+    /// The Fig 2 feasibility rule as the coverage sweep applies it: a
+    /// cell is served when its count is within the servable limit.
+    fn served(
+        m: &SatelliteCapacityModel,
+        locations: u64,
+        o: Oversubscription,
+        b: Beamspread,
+    ) -> bool {
+        locations <= max_locations_servable(spread_cell_capacity_gbps(m, b), o)
     }
 
     #[test]
@@ -128,32 +127,22 @@ mod tests {
         let m = model();
         let rho30 = Oversubscription::new(30.0).unwrap();
         let b2 = Beamspread::new(2).unwrap();
-        assert!(cell_served(&m, 2598, rho30, b2));
-        assert!(!cell_served(&m, 2600, rho30, b2));
+        assert!(served(&m, 2598, rho30, b2));
+        assert!(!served(&m, 2600, rho30, b2));
         // (b=14, ρ=5): only tiny cells are served (~61 locations).
         let rho5 = Oversubscription::new(5.0).unwrap();
         let b14 = Beamspread::new(14).unwrap();
-        assert!(cell_served(&m, 61, rho5, b14));
-        assert!(!cell_served(&m, 63, rho5, b14));
+        assert!(served(&m, 61, rho5, b14));
+        assert!(!served(&m, 63, rho5, b14));
     }
 
     #[test]
     fn peak_cell_served_only_at_35_to_1_unspread() {
         let m = model();
         let b1 = Beamspread::ONE;
-        assert!(cell_served(
-            &m,
-            5998,
-            Oversubscription::new(35.0).unwrap(),
-            b1
-        ));
-        assert!(!cell_served(
-            &m,
-            5998,
-            Oversubscription::new(34.0).unwrap(),
-            b1
-        ));
-        assert!(!cell_served(&m, 5998, Oversubscription::FCC_CAP, b1));
+        assert!(served(&m, 5998, Oversubscription::new(35.0).unwrap(), b1));
+        assert!(!served(&m, 5998, Oversubscription::new(34.0).unwrap(), b1));
+        assert!(!served(&m, 5998, Oversubscription::FCC_CAP, b1));
     }
 
     #[test]
@@ -203,7 +192,7 @@ mod tests {
         let mut served_count = 0;
         for rho in 1..=30 {
             let o = Oversubscription::new(rho as f64).unwrap();
-            if cell_served(&m, locs, o, Beamspread::ONE) {
+            if served(&m, locs, o, Beamspread::ONE) {
                 served_count += 1;
                 // Once served, stays served at higher ρ (monotonicity
                 // check via the running pattern).
@@ -214,7 +203,7 @@ mod tests {
         let o = Oversubscription::FCC_CAP;
         let mut prev = true;
         for b in 1..=15 {
-            let s = cell_served(&m, locs, o, Beamspread::new(b).unwrap());
+            let s = served(&m, locs, o, Beamspread::new(b).unwrap());
             assert!(prev || !s, "service resumed at larger spread {b}");
             prev = s;
         }

@@ -16,26 +16,23 @@
 //!    demand and capacity with **oversubscription** ([`oversub`]).
 //! 3. A satellite may **spread** one beam over `b` cells, dividing its
 //!    capacity, to cover more cells than it has beams ([`beamspread`]).
-//! 4. Combining these yields per-cell service feasibility and the
-//!    per-satellite cell budget that drives constellation sizing
+//! 4. Combining these yields the per-satellite cell budget that drives
+//!    constellation sizing ([`beamspread`]), under a deployment policy
+//!    that either serves every location or caps oversubscription
 //!    ([`scenario`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod beamspread;
-pub mod flexbeam;
 pub mod oversub;
 pub mod scenario;
 pub mod spectrum;
 pub mod uplink;
 
-pub use beamspread::{cell_served, cells_per_satellite, spread_cell_capacity_gbps};
-pub use oversub::{
-    max_locations_servable, required_capacity_gbps, required_oversubscription, Oversubscription,
-};
-pub use scenario::{CellService, DeploymentPolicy};
-pub use spectrum::{BandUse, SatelliteCapacityModel, SpectrumBand};
+pub use oversub::{required_capacity_gbps, required_oversubscription, Oversubscription};
+pub use scenario::DeploymentPolicy;
+pub use spectrum::SatelliteCapacityModel;
 
 /// FCC "reliable broadband" downlink requirement, Mbps per location.
 pub const BROADBAND_DL_MBPS: f64 = 100.0;

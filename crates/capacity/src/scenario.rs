@@ -10,9 +10,7 @@
 //!   20:1 for the headline numbers); demand beyond the cap's capacity
 //!   is left unserved (99.89 % of locations are still served).
 
-use crate::beamspread::beams_required;
-use crate::oversub::{max_locations_servable, required_oversubscription, Oversubscription};
-use crate::spectrum::SatelliteCapacityModel;
+use crate::oversub::Oversubscription;
 
 /// How a deployment treats over-capacity cells.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,154 +30,5 @@ impl DeploymentPolicy {
     /// The paper's "maximum 20:1 oversubscription" deployment.
     pub fn fcc_capped() -> Self {
         DeploymentPolicy::OversubCap(Oversubscription::FCC_CAP)
-    }
-}
-
-/// The service outcome for one cell under a policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellService {
-    /// Locations receiving service.
-    pub served: u64,
-    /// Locations shed (only under a capped policy).
-    pub unserved: u64,
-    /// Dedicated beams assigned to the cell (0 for empty cells; such
-    /// cells still receive a coverage beam share, but it constrains
-    /// nothing).
-    pub beams: u32,
-    /// The oversubscription ratio the served locations experience.
-    pub oversub: f64,
-}
-
-impl CellService {
-    /// Whether every location in the cell is served.
-    pub fn fully_served(&self) -> bool {
-        self.unserved == 0
-    }
-}
-
-/// Evaluates the service outcome for a cell with `locations`
-/// un(der)served locations under `policy`.
-///
-/// Beam assignment follows the paper's model: the cell receives the
-/// fewest dedicated beams that keep its ratio within the FCC benchmark
-/// (or within the policy's cap), topping out at the four-beam spectrum
-/// limit.
-pub fn evaluate_cell(
-    model: &SatelliteCapacityModel,
-    locations: u64,
-    policy: DeploymentPolicy,
-) -> CellService {
-    if locations == 0 {
-        return CellService {
-            served: 0,
-            unserved: 0,
-            beams: 0,
-            oversub: 0.0,
-        };
-    }
-    let beam_cap = model.beam_capacity_gbps();
-    match policy {
-        DeploymentPolicy::FullService => {
-            // Aim for the FCC benchmark; overflow cells take the full
-            // complement and float above it.
-            let beams = beams_required(model, locations, Oversubscription::FCC_CAP)
-                .unwrap_or(model.beams_per_full_cell);
-            let oversub = required_oversubscription(locations, beams as f64 * beam_cap);
-            CellService {
-                served: locations,
-                unserved: 0,
-                beams,
-                oversub,
-            }
-        }
-        DeploymentPolicy::OversubCap(cap) => match beams_required(model, locations, cap) {
-            Some(beams) => CellService {
-                served: locations,
-                unserved: 0,
-                beams,
-                oversub: required_oversubscription(locations, beams as f64 * beam_cap),
-            },
-            None => {
-                let beams = model.beams_per_full_cell;
-                let served = max_locations_servable(beams as f64 * beam_cap, cap).min(locations);
-                CellService {
-                    served,
-                    unserved: locations - served,
-                    beams,
-                    oversub: cap.ratio(),
-                }
-            }
-        },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn model() -> SatelliteCapacityModel {
-        SatelliteCapacityModel::starlink()
-    }
-
-    #[test]
-    fn empty_cell_consumes_nothing() {
-        let s = evaluate_cell(&model(), 0, DeploymentPolicy::full_service());
-        assert_eq!(s.served, 0);
-        assert_eq!(s.beams, 0);
-    }
-
-    #[test]
-    fn peak_cell_full_service_floats_to_35_to_1() {
-        let s = evaluate_cell(&model(), 5998, DeploymentPolicy::full_service());
-        assert!(s.fully_served());
-        assert_eq!(s.beams, 4);
-        assert!((s.oversub - 34.62).abs() < 0.05, "{}", s.oversub);
-    }
-
-    #[test]
-    fn peak_cell_capped_sheds_excess() {
-        let s = evaluate_cell(&model(), 5998, DeploymentPolicy::fcc_capped());
-        assert_eq!(s.served, 3465);
-        assert_eq!(s.unserved, 5998 - 3465);
-        assert_eq!(s.oversub, 20.0);
-    }
-
-    #[test]
-    fn small_cell_is_identical_under_both_policies() {
-        let a = evaluate_cell(&model(), 500, DeploymentPolicy::full_service());
-        let b = evaluate_cell(&model(), 500, DeploymentPolicy::fcc_capped());
-        assert_eq!(a, b);
-        assert_eq!(a.beams, 1);
-        assert!(a.fully_served());
-    }
-
-    #[test]
-    fn beams_scale_with_demand_under_cap() {
-        let m = model();
-        let p = DeploymentPolicy::fcc_capped();
-        assert_eq!(evaluate_cell(&m, 800, p).beams, 1);
-        assert_eq!(evaluate_cell(&m, 1500, p).beams, 2);
-        assert_eq!(evaluate_cell(&m, 2400, p).beams, 3);
-        assert_eq!(evaluate_cell(&m, 3400, p).beams, 4);
-    }
-
-    #[test]
-    fn oversub_never_exceeds_cap_under_capped_policy() {
-        let m = model();
-        let cap = Oversubscription::new(15.0).unwrap();
-        for locs in [1u64, 100, 866, 2000, 3465, 5998, 10_000] {
-            let s = evaluate_cell(&m, locs, DeploymentPolicy::OversubCap(cap));
-            assert!(s.oversub <= 15.0 + 1e-9, "locs {locs}: {}", s.oversub);
-            assert_eq!(s.served + s.unserved, locs);
-        }
-    }
-
-    #[test]
-    fn full_service_never_sheds() {
-        let m = model();
-        for locs in [1u64, 3465, 3466, 5998, 50_000] {
-            let s = evaluate_cell(&m, locs, DeploymentPolicy::full_service());
-            assert!(s.fully_served(), "locs {locs}");
-        }
     }
 }

@@ -102,11 +102,6 @@ impl SatelliteCapacityModel {
             .sum()
     }
 
-    /// Total spectrum across all downlink bands, MHz (8850 for Starlink).
-    pub fn total_downlink_mhz(&self) -> f64 {
-        self.bands.iter().map(SpectrumBand::width_mhz).sum()
-    }
-
     /// Number of beams that can carry user-terminal traffic (24).
     pub fn ut_beams(&self) -> u32 {
         self.bands
@@ -148,7 +143,8 @@ mod tests {
     #[test]
     fn table1_total_spectrum_is_8850_mhz() {
         let m = SatelliteCapacityModel::starlink();
-        assert!((m.total_downlink_mhz() - 8850.0).abs() < 1e-9);
+        let total: f64 = m.bands().iter().map(SpectrumBand::width_mhz).sum();
+        assert!((total - 8850.0).abs() < 1e-9);
     }
 
     #[test]
@@ -187,6 +183,7 @@ mod tests {
     fn gateway_only_band_excluded_from_ut_capacity() {
         let m = SatelliteCapacityModel::starlink();
         // 8850 total − 5000 gateway-only = 3850 UT-capable.
-        assert!((m.total_downlink_mhz() - m.ut_downlink_mhz() - 5000.0).abs() < 1e-9);
+        let total: f64 = m.bands().iter().map(SpectrumBand::width_mhz).sum();
+        assert!((total - m.ut_downlink_mhz() - 5000.0).abs() < 1e-9);
     }
 }

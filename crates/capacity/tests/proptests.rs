@@ -1,10 +1,11 @@
 //! Property-based tests for the capacity model's arithmetic.
 
-use leo_capacity::beamspread::{beams_required, cell_served, cells_per_satellite, Beamspread};
+use leo_capacity::beamspread::{
+    beams_required, cells_per_satellite, spread_cell_capacity_gbps, Beamspread,
+};
 use leo_capacity::oversub::{
     max_locations_servable, required_capacity_gbps, required_oversubscription, Oversubscription,
 };
-use leo_capacity::scenario::{evaluate_cell, DeploymentPolicy};
 use leo_capacity::SatelliteCapacityModel;
 use proptest::prelude::*;
 
@@ -14,6 +15,11 @@ fn oversub() -> impl Strategy<Value = Oversubscription> {
 
 fn spread() -> impl Strategy<Value = Beamspread> {
     (1u32..=20).prop_map(|b| Beamspread::new(b).unwrap())
+}
+
+/// The Fig 2 feasibility rule as the coverage sweep applies it.
+fn served(m: &SatelliteCapacityModel, locations: u64, o: Oversubscription, b: Beamspread) -> bool {
+    locations <= max_locations_servable(spread_cell_capacity_gbps(m, b), o)
 }
 
 proptest! {
@@ -38,8 +44,8 @@ proptest! {
         let lo = Oversubscription::new(r1).unwrap();
         let hi = Oversubscription::new(r1 + dr).unwrap();
         // Serving at a low ratio implies serving at a higher one.
-        if cell_served(&m, locs, lo, b) {
-            prop_assert!(cell_served(&m, locs, hi, b));
+        if served(&m, locs, lo, b) {
+            prop_assert!(served(&m, locs, hi, b));
         }
     }
 
@@ -48,8 +54,8 @@ proptest! {
         let m = SatelliteCapacityModel::starlink();
         let narrow = Beamspread::new(b).unwrap();
         let wide = Beamspread::new(b + 1).unwrap();
-        if cell_served(&m, locs, rho, wide) {
-            prop_assert!(cell_served(&m, locs, rho, narrow));
+        if served(&m, locs, rho, wide) {
+            prop_assert!(served(&m, locs, rho, narrow));
         }
     }
 
@@ -79,27 +85,5 @@ proptest! {
         let m = SatelliteCapacityModel::starlink();
         let got = cells_per_satellite(&m, peak, b);
         prop_assert_eq!(got, (24 - peak) * b.factor() + 1);
-    }
-
-    #[test]
-    fn scenario_conserves_locations(locs in 0u64..20_000, cap_r in 1.0..40.0f64) {
-        let m = SatelliteCapacityModel::starlink();
-        let cap = Oversubscription::new(cap_r).unwrap();
-        let s = evaluate_cell(&m, locs, DeploymentPolicy::OversubCap(cap));
-        prop_assert_eq!(s.served + s.unserved, locs);
-        prop_assert!(s.oversub <= cap.ratio() + 1e-9);
-        let f = evaluate_cell(&m, locs, DeploymentPolicy::FullService);
-        prop_assert_eq!(f.served, locs);
-        prop_assert_eq!(f.unserved, 0);
-    }
-
-    #[test]
-    fn full_service_oversub_bounded_by_peak_requirement(locs in 1u64..20_000) {
-        let m = SatelliteCapacityModel::starlink();
-        let s = evaluate_cell(&m, locs, DeploymentPolicy::FullService);
-        // The experienced ratio equals demand over assigned-beam
-        // capacity and never exceeds the all-beams requirement.
-        let min_possible = required_oversubscription(locs, m.max_cell_capacity_gbps());
-        prop_assert!(s.oversub >= min_possible - 1e-9);
     }
 }

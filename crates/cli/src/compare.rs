@@ -12,8 +12,7 @@
 //! its unit's noise floor.
 
 use leo_obs::json::Json;
-use leo_report::{sparkline, CsvWriter, TextTable};
-use std::path::PathBuf;
+use leo_report::{sparkline, TextTable};
 
 /// Exit code when at least one metric regressed beyond the threshold
 /// (distinct from 1 = IO/parse error and 2 = usage error).
@@ -21,8 +20,7 @@ pub const EXIT_REGRESSED: i32 = 3;
 
 const REGRESSED: &str = "REGRESSED";
 
-/// The columns of both commands' table; the CSV copy leaves out the
-/// trend sparkline.
+/// The columns of both commands' table.
 const COLUMNS: [&str; 7] = [
     "metric",
     "unit",
@@ -40,8 +38,6 @@ pub struct Gate {
     pub max_regress_pct: f64,
     /// `Ms` metrics below this in both baseline and candidate never gate.
     pub min_wall_ms: f64,
-    /// Optional CSV copy of the comparison table.
-    pub csv_out: Option<PathBuf>,
 }
 
 /// What a metric measures: its display scale, its noise floor, and
@@ -247,10 +243,9 @@ fn median(values: &[f64]) -> Option<f64> {
     }
 }
 
-/// Prints `metrics` as one table under `title` (and writes the CSV
-/// copy when asked), reports regressions on stderr as `divide
-/// <command>: ...`, and returns the exit code: 0, 1 when the CSV
-/// cannot be written, or [`EXIT_REGRESSED`].
+/// Prints `metrics` as one table under `title`, reports regressions on
+/// stderr as `divide <command>: ...`, and returns the exit code: 0 or
+/// [`EXIT_REGRESSED`].
 pub fn run(command: &str, title: &str, metrics: &[Metric], gate: &Gate) -> i32 {
     let mut table = TextTable::new(
         format!(
@@ -259,35 +254,24 @@ pub fn run(command: &str, title: &str, metrics: &[Metric], gate: &Gate) -> i32 {
         ),
         &COLUMNS,
     );
-    let mut csv = CsvWriter::new();
-    csv.record(&COLUMNS[..6]);
     let mut regressed = 0usize;
     for m in metrics {
         let (pct, status) = m.status(gate);
         regressed += usize::from(status == REGRESSED);
-        let mut row = vec![
+        table.row(&[
             m.name.clone(),
             m.unit.label().to_string(),
             m.unit.fmt(m.baseline()),
             m.unit.fmt(m.candidate()),
             pct.map_or("-".to_string(), |p| format!("{p:+.1}")),
             status.to_string(),
-        ];
-        csv.record(&row);
-        // Last column: the sparkline's multi-byte glyphs would throw off
-        // the byte-width alignment of any column after it.
-        row.push(sparkline(&m.values));
-        table.row(&row);
+            // Last column: the sparkline's multi-byte glyphs would throw
+            // off the byte-width alignment of any column after it.
+            sparkline(&m.values),
+        ]);
     }
     print!("{}", table.render());
 
-    if let Some(path) = &gate.csv_out {
-        if let Err(e) = csv.write_to(path) {
-            eprintln!("divide {command}: cannot write {}: {e}", path.display());
-            return 1;
-        }
-        leo_obs::log_info!("wrote {}", path.display());
-    }
     if regressed > 0 {
         eprintln!(
             "divide {command}: {regressed} metric(s) regressed beyond {:.0}% of the baseline",
@@ -306,7 +290,6 @@ mod tests {
     const GATE: Gate = Gate {
         max_regress_pct: 20.0,
         min_wall_ms: 5.0,
-        csv_out: None,
     };
 
     fn status(unit: Unit, values: &[f64]) -> &'static str {

@@ -3,7 +3,7 @@
 //! Reads the append-only `runs.jsonl` ledger (`leo-obs/run-ledger/v3`,
 //! see `leo_obs::ledger`), filters it to runs *comparable* with the
 //! newest one (same command, scale, and thread count), and hands the
-//! newest run plus up to `--last` predecessors to the shared gate in
+//! newest run plus up to [`LAST`] predecessors to the shared gate in
 //! [`crate::compare`]. Each line is a run manifest without its span
 //! tree, so it goes through the same [`compare::record`] reader as
 //! `report`'s manifests and yields the same rows. The baseline is the
@@ -43,10 +43,13 @@ fn same_identity(a: &Json, b: &Json) -> bool {
         .all(|key| a.get(key) == b.get(key))
 }
 
-/// Runs `divide history` over the newest run and up to `last`
+/// How many predecessors of the newest run form its baseline.
+pub const LAST: usize = 10;
+
+/// Runs `divide history` over the newest run and up to [`LAST`]
 /// predecessors; returns the process exit code (0 also when there is
 /// not enough history to judge).
-pub fn run(ledger_path: &Path, last: usize, gate: &Gate) -> i32 {
+pub fn run(ledger_path: &Path, gate: &Gate) -> i32 {
     let all: Vec<Json> = match ledger::read(ledger_path) {
         Ok(records) => records
             .into_iter()
@@ -68,7 +71,7 @@ pub fn run(ledger_path: &Path, last: usize, gate: &Gate) -> i32 {
 
     let comparable: Vec<&Json> = all.iter().filter(|r| same_identity(r, newest)).collect();
     let skipped = all.len() - comparable.len();
-    let runs = &comparable[comparable.len().saturating_sub(last + 1)..];
+    let runs = &comparable[comparable.len().saturating_sub(LAST + 1)..];
     let title = format!(
         "divide history: {} — {} over {} run(s){}, baseline = median of the earlier runs",
         ledger_path.display(),
@@ -195,13 +198,8 @@ mod tests {
         let gate = Gate {
             max_regress_pct: 10.0,
             min_wall_ms: 0.0,
-            csv_out: None,
         };
-        assert_eq!(
-            run(&path, 10, &gate),
-            0,
-            "a lone v3 run gates against nothing"
-        );
+        assert_eq!(run(&path, &gate), 0, "a lone v3 run gates against nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

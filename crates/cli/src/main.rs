@@ -10,8 +10,8 @@
 //! reproducibility record (command line, seed, per-stage wall-clock,
 //! span tree, metrics — see DESIGN.md §8); the run-ledger line is that
 //! manifest without its span tree. Progress goes to stderr
-//! through the leveled `leo-obs` logger (`DIVIDE_LOG`, `--quiet`,
-//! `-v`); none of the instrumentation ever changes artifact bytes.
+//! through the leveled `leo-obs` logger (`--quiet`, `-v`); none of
+//! the instrumentation ever changes artifact bytes.
 
 mod compare;
 mod history_cmd;
@@ -57,13 +57,13 @@ usage: divide [--scale small|paper] [--out DIR] [--threads N] <command>
 options:
   --scale small|paper  dataset scale (default: paper)
   --out DIR            artifact output directory (default: results/)
-  --threads N          worker-pool size (default: $DIVIDE_THREADS, else
-                       available parallelism): N-1 persistent workers
-                       are spawned once and reused by every fan-out;
+  --threads N          worker-pool size (default: available
+                       parallelism): N-1 persistent workers are
+                       spawned once and reused by every fan-out;
                        output is identical for every N
   --cache DIR          dataset snapshot cache directory (default:
-                       $DIVIDE_CACHE, else <out>/.divide-cache);
-                       artifacts are byte-identical warm or cold
+                       <out>/.divide-cache); artifacts are
+                       byte-identical warm or cold
   --no-cache           always regenerate; read and write no snapshots
   --trace[=FILE]       record a timeline and write a Chrome trace
                        (default <out>/trace.json, Perfetto-loadable)
@@ -86,19 +86,14 @@ of the earlier values, which for report is the baseline record):
   --candidate FILE     report: 'after' record of the same kind
                        (required)
   --ledger FILE        history: run ledger to read (default: runs.jsonl
-                       in the resolved cache directory)
-  --last N             history: gate the newest run against the median
-                       of up to N predecessors (default 10)
+                       in the resolved cache directory); the newest run
+                       gates against the median of up to 10 predecessors
   --max-regress-pct P  fail when a metric is worse than its baseline by
                        more than P% (20)
   --min-wall-ms MS     time metrics below MS in both runs never gate (5)
-  --report-csv FILE    also write the comparison table as CSV
 
 environment (a switch is off when empty, 0, off or false, in any case):
-  DIVIDE_LOG           stderr threshold: error|warn|info|debug
   DIVIDE_OBS           switch: off disables spans/metrics collection
-  DIVIDE_CACHE         switch: snapshot cache directory; off disables
-                       caching
   DIVIDE_TRACE         switch: 1|on|true enables tracing, any other
                        value names the trace file
   DIVIDE_ALLOC         switch: off disables allocation tracking (heap
@@ -174,12 +169,10 @@ fn main() {
     let mut gate = compare::Gate {
         max_regress_pct: 20.0,
         min_wall_ms: 5.0,
-        csv_out: None,
     };
     let mut baseline: Option<PathBuf> = None;
     let mut candidate: Option<PathBuf> = None;
     let mut ledger_flag: Option<PathBuf> = None;
-    let mut history_last: usize = 10;
     let mut command = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -245,24 +238,11 @@ fn main() {
                     _ => usage("--min-wall-ms expects a non-negative number"),
                 }
             }
-            "--report-csv" => {
-                gate.csv_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| usage("--report-csv needs a value")),
-                ))
-            }
             "--ledger" => {
                 ledger_flag = Some(PathBuf::from(
                     args.next()
                         .unwrap_or_else(|| usage("--ledger needs a value")),
                 ))
-            }
-            "--last" => {
-                let v = args.next().unwrap_or_else(|| usage("--last needs a value"));
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => history_last = n,
-                    _ => usage("--last expects a positive integer"),
-                }
             }
             "--quiet" | "-q" => leo_obs::log::set_level(leo_obs::log::Level::Warn),
             "-v" | "--verbose" => leo_obs::log::set_level(leo_obs::log::Level::Debug),
@@ -309,7 +289,7 @@ fn main() {
         }) else {
             usage("history needs --ledger FILE when caching and DIVIDE_LEDGER are both disabled");
         };
-        std::process::exit(history_cmd::run(&path, history_last, &gate));
+        std::process::exit(history_cmd::run(&path, &gate));
     }
     // Fault injection: the --fault-plan flag wins, then $DIVIDE_FAULT.
     // An unparsable plan is a usage error (exit 2) — silently running
@@ -369,7 +349,7 @@ fn main() {
         }
     }
     // Explicit flag wins; otherwise leo-parallel falls back to
-    // $DIVIDE_THREADS, then to available parallelism.
+    // available parallelism.
     leo_parallel::set_global_threads(threads);
     // The manifest must describe this invocation only.
     leo_obs::reset();
@@ -529,20 +509,16 @@ fn main() {
 }
 
 /// Snapshot cache resolution: --no-cache wins, then --cache, then
-/// $DIVIDE_CACHE (off disables, anything else is the directory), then
 /// <out>/.divide-cache.
 fn resolve_cache_dir(no_cache: bool, cache_dir: &Option<PathBuf>, out: &Path) -> Option<PathBuf> {
     if no_cache {
         return None;
     }
-    if let Some(dir) = cache_dir {
-        return Some(dir.clone());
-    }
-    match Switch::env("DIVIDE_CACHE") {
-        Switch::Off => None,
-        Switch::On(dir) => Some(PathBuf::from(dir)),
-        Switch::Unset => Some(out.join(".divide-cache")),
-    }
+    Some(
+        cache_dir
+            .clone()
+            .unwrap_or_else(|| out.join(".divide-cache")),
+    )
 }
 
 /// Run-ledger resolution: --ledger wins, then $DIVIDE_LEDGER (off

@@ -52,6 +52,11 @@ fn usage_errors_exit_2_before_any_work() {
     let cases: &[(&str, &[&str])] = &[
         ("removed --resume", &["--resume", "table1"]),
         ("removed --progress", &["--progress", "table1"]),
+        (
+            "removed --report-csv",
+            &["--report-csv", "out.csv", "table1"],
+        ),
+        ("removed --last", &["--last", "3", "table1"]),
         ("unknown command", &["bogus"]),
         ("unknown flag", &["--bogus", "table1"]),
         ("bad scale", &["--scale", "bogus", "table1"]),
@@ -100,14 +105,11 @@ fn report_exit_codes_cover_ok_regression_io_and_usage() {
     assert!(stdout.contains("dataset"), "table lists stages: {stdout}");
     assert!(!stdout.contains("REGRESSED"), "no regression row: {stdout}");
 
-    let csv_path = dir.join("report.csv");
     let out = run(divide()
         .args(["report", "--baseline"])
         .arg(&base)
         .arg("--candidate")
-        .arg(&slow)
-        .arg("--report-csv")
-        .arg(&csv_path));
+        .arg(&slow));
     assert_eq!(out.status.code(), Some(3), "regression must exit 3");
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(stdout.contains("REGRESSED"), "regression flagged: {stdout}");
@@ -116,9 +118,6 @@ fn report_exit_codes_cover_ok_regression_io_and_usage() {
         stdout.contains("cache.hit"),
         "changed counter shown: {stdout}"
     );
-    let csv = std::fs::read_to_string(&csv_path).expect("csv written");
-    assert!(csv.starts_with("metric,unit,baseline,candidate"));
-    assert!(csv.contains("REGRESSED"));
 
     // A generous threshold lets the same pair pass.
     let out = run(divide()
@@ -219,17 +218,10 @@ fn history_exit_codes_cover_ok_regression_io_and_usage() {
         .arg(dir.join("missing.jsonl")));
     assert_eq!(out.status.code(), Some(1), "unreadable ledger must exit 1");
 
-    let out = run(divide()
-        .args(["history", "--ledger"])
-        .arg(&ledger)
-        .args(["--last", "0"]));
-    assert_eq!(out.status.code(), Some(2), "--last 0 is a usage error");
-
     // No --ledger, caching and DIVIDE_LEDGER both off: nowhere to read.
     let out = run(divide()
         .args(["history", "--no-cache"])
-        .env_remove("DIVIDE_LEDGER")
-        .env_remove("DIVIDE_CACHE"));
+        .env_remove("DIVIDE_LEDGER"));
     assert_eq!(
         out.status.code(),
         Some(2),
@@ -332,23 +324,25 @@ fn runs_append_to_the_ledger_unless_obs_or_ledger_is_off() {
 #[test]
 fn off_switches_read_empty_zero_off_and_false_in_any_case() {
     let dir = tmp("switches");
-    // DIVIDE_CACHE=0 disables the cache: no snapshot (and no ledger)
-    // lands in a directory named `0` under the working directory.
+    // DIVIDE_LEDGER=0 disables the ledger: no ledger file named `0`
+    // under the working directory, and none beside the snapshots.
     let out = run(divide()
         .current_dir(&dir)
         .args(["--scale", "small", "--out", "out"])
-        .env("DIVIDE_CACHE", "0")
-        .env_remove("DIVIDE_LEDGER")
+        .env("DIVIDE_LEDGER", "0")
         .arg("table1"));
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(!dir.join("0").exists(), "DIVIDE_CACHE=0 created a 0/ cache");
     assert!(
-        !dir.join("out/.divide-cache").exists(),
-        "DIVIDE_CACHE=0 fell back to the default cache"
+        !dir.join("0").exists(),
+        "DIVIDE_LEDGER=0 created a ledger named 0"
+    );
+    assert!(
+        !dir.join("out/.divide-cache/runs.jsonl").exists(),
+        "DIVIDE_LEDGER=0 fell back to the default ledger"
     );
 
     // DIVIDE_OBS=OFF turns observability off: no ledger line appended.

@@ -39,15 +39,10 @@ impl LaunchModel {
         self.sats_per_year * self.lifetime_years
     }
 
-    /// Fleet size after `t` years: exponential relaxation toward the
-    /// steady state (`dN/dt = cadence − N/lifetime`).
-    pub fn fleet_at(&self, t_years: f64) -> f64 {
-        let ss = self.steady_state_fleet();
-        ss + (self.initial_fleet - ss) * (-t_years / self.lifetime_years).exp()
-    }
-
     /// Years until the fleet first reaches `target`, or `None` if the
-    /// steady-state ceiling is below it (it is never reached).
+    /// steady-state ceiling is below it (it is never reached). The
+    /// fleet relaxes exponentially toward the steady state
+    /// (`dN/dt = cadence − N/lifetime`).
     pub fn years_to_reach(&self, target: f64) -> Option<f64> {
         if self.initial_fleet >= target {
             return Some(0.0);
@@ -101,25 +96,20 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_and_relaxation() {
+    fn steady_state_is_cadence_times_lifetime() {
         let l = LaunchModel::current_estimate();
         assert_eq!(l.steady_state_fleet(), 10_000.0);
-        // Monotone approach to the ceiling.
-        let mut prev = l.fleet_at(0.0);
-        assert!((prev - 8_000.0).abs() < 1e-9);
-        for k in 1..40 {
-            let n = l.fleet_at(k as f64 * 0.5);
-            assert!(n > prev && n < 10_000.0);
-            prev = n;
-        }
     }
 
     #[test]
-    fn years_to_reach_inverts_fleet_at() {
+    fn years_to_reach_inverts_the_fleet_relaxation() {
         let l = LaunchModel::current_estimate();
+        // Fleet after `t` years: N(t) = ss + (N0 − ss)·e^(−t/L).
+        let ss = l.steady_state_fleet();
+        let fleet_at = |t: f64| ss + (l.initial_fleet - ss) * (-t / l.lifetime_years).exp();
         for target in [8_500.0, 9_000.0, 9_900.0] {
             let t = l.years_to_reach(target).unwrap();
-            assert!((l.fleet_at(t) - target).abs() < 1e-6, "target {target}");
+            assert!((fleet_at(t) - target).abs() < 1e-6, "target {target}");
         }
         assert_eq!(l.years_to_reach(7_000.0), Some(0.0));
         assert!(l.years_to_reach(10_001.0).is_none());

@@ -174,6 +174,25 @@ mod tests {
     }
 
     #[test]
+    fn requirement_varies_mildly_with_oversub() {
+        // ρ changes which cell binds and its beam count — the effect is
+        // second-order relative to beamspread (the binding cell keeps
+        // its 4 beams across the upper ρ range).
+        let m = model();
+        let spread = Beamspread::new(5).unwrap();
+        let row: Vec<u64> = [15.0, 20.0, 25.0, 30.0, 35.0]
+            .into_iter()
+            .map(|r| {
+                let cap = DeploymentPolicy::OversubCap(Oversubscription::new(r).unwrap());
+                constellation_size(m, cap, spread)
+            })
+            .collect();
+        let min = *row.iter().min().unwrap() as f64;
+        let max = *row.iter().max().unwrap() as f64;
+        assert!(max / min < 1.35, "min {min} max {max}");
+    }
+
+    #[test]
     fn paper_finding2_shape() {
         // F2: serving all US cells within acceptable oversubscription
         // (beamspread < 2) needs > 40,000 satellites — more than
@@ -214,69 +233,5 @@ mod tests {
     fn polar_latitude_is_rejected() {
         let m = model();
         assert!(constellation_size_at(m, 80.0, 4, Beamspread::ONE).is_none());
-    }
-}
-
-/// The constellation-size requirement over the full (beamspread,
-/// oversubscription) plane — Table 2 generalized into Fig 2's axes
-/// (the EXT-REQ heatmap). Entry `[bi][ri]` is the satellites needed to
-/// serve every cell servable at that operating point.
-pub fn requirement_sweep(
-    model: &PaperModel,
-    beamspreads: &[u32],
-    oversubs: &[u32],
-) -> Vec<Vec<u64>> {
-    beamspreads
-        .iter()
-        .map(|&b| {
-            let spread = Beamspread::new(b).expect("beamspread >= 1");
-            oversubs
-                .iter()
-                .map(|&r| {
-                    let rho = Oversubscription::new(r as f64).expect("oversub >= 1");
-                    constellation_size(model, DeploymentPolicy::OversubCap(rho), spread)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod requirement_tests {
-    use super::*;
-
-    #[test]
-    fn sweep_contains_table2_column() {
-        let m = crate::testutil::model();
-        let sweep = requirement_sweep(m, &[1, 2, 5], &[10, 20, 30]);
-        assert_eq!(sweep.len(), 3);
-        assert_eq!(sweep[0].len(), 3);
-        // The ρ=20 column matches Table 2's capped values.
-        let t2 = table2(m);
-        assert_eq!(sweep[0][1], t2[0].capped);
-        assert_eq!(sweep[1][1], t2[1].capped);
-        assert_eq!(sweep[2][1], t2[2].capped);
-    }
-
-    #[test]
-    fn requirement_decreases_with_beamspread() {
-        let m = crate::testutil::model();
-        let sweep = requirement_sweep(m, &[1, 2, 5, 10, 15], &[20]);
-        for w in sweep.windows(2) {
-            assert!(w[0][0] > w[1][0]);
-        }
-    }
-
-    #[test]
-    fn requirement_varies_mildly_with_oversub() {
-        // ρ changes which cell binds and its beam count — the effect is
-        // second-order relative to beamspread (the binding cell keeps
-        // its 4 beams across the upper ρ range).
-        let m = crate::testutil::model();
-        let sweep = requirement_sweep(m, &[5], &[15, 20, 25, 30, 35]);
-        let row = &sweep[0];
-        let min = *row.iter().min().unwrap() as f64;
-        let max = *row.iter().max().unwrap() as f64;
-        assert!(max / min < 1.35, "min {min} max {max}");
     }
 }

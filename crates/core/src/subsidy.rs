@@ -121,7 +121,7 @@ mod tests {
         // program-design terms.
         let prog = size_program(model(), IspPlan::starlink_residential());
         assert!(
-            prog.mean_monthly_usd > 2.0 * leo_demand::LIFELINE_SUBSIDY_USD,
+            prog.mean_monthly_usd > 2.0 * leo_demand::plans::LIFELINE_SUBSIDY_USD,
             "mean {}",
             prog.mean_monthly_usd
         );

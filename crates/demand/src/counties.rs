@@ -58,8 +58,7 @@ pub fn generate_seats(seed: u64, n: usize, poly: &GeoPolygon) -> Vec<LatLng> {
 /// Tile size of the seat bucket grid, degrees.
 const SEAT_TILE_DEG: f64 = 1.0;
 /// Conservative km-per-degree used for window padding (slightly below
-/// the true ~111.195, so pads are generous — same constant the old
-/// `GridIndex` used).
+/// the true ~111.195, so pads are generous).
 const KM_PER_DEG: f64 = 111.19;
 /// The expanding search rings, km.
 const SEAT_RINGS: [f64; 7] = [80.0, 160.0, 320.0, 640.0, 1280.0, 2560.0, 5120.0];
@@ -130,8 +129,7 @@ impl SeatIndex {
     }
 
     /// Visits every seat id whose tile intersects the window of
-    /// `radius_km` around `p` (conservatively padded, like the old
-    /// `GridIndex::for_each_within`).
+    /// `radius_km` around `p` (conservatively padded).
     fn for_each_in_window(&self, p: &LatLng, radius_km: f64, f: &mut impl FnMut(u32)) {
         let lat_pad = radius_km / KM_PER_DEG;
         let cos_lat = p.lat_rad().cos().max(0.05);

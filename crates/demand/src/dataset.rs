@@ -503,11 +503,6 @@ impl BroadbandDataset {
         self.cols.peak_index_at_most(limit).map(|i| &self.cells[i])
     }
 
-    /// Median household income of a cell's county, USD/year.
-    pub fn cell_income(&self, cell: &CellDemand) -> f64 {
-        self.counties[cell.county as usize].median_income_usd
-    }
-
     /// Scatters individual location points inside each cell
     /// (deterministic in `seed` and thread count: each cell draws from
     /// its own `mix64(seed, cell)` stream). Points are placed uniformly
@@ -602,7 +597,7 @@ mod tests {
         let below: u64 = ds
             .cells
             .iter()
-            .filter(|c| ds.cell_income(c) < 72_000.0)
+            .filter(|c| ds.counties[c.county as usize].median_income_usd < 72_000.0)
             .map(|c| c.locations)
             .sum();
         let frac = below as f64 / ds.total_locations as f64;

@@ -62,12 +62,6 @@ pub fn conus_polygon() -> GeoPolygon {
     GeoPolygon::from_degrees(CONUS_OUTLINE).expect("CONUS outline is a valid ring")
 }
 
-/// Geographic center of the contiguous US (the hex grid's tangent
-/// point).
-pub fn conus_center() -> LatLng {
-    LatLng::new(39.5, -98.35)
-}
-
 /// Major metropolitan anchor points (lat, lng). Demand *clusters away*
 /// from these in the synthetic model: un- and underserved locations are
 /// predominantly rural, so the remoteness field scores distance from

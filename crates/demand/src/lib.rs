@@ -42,9 +42,7 @@ pub mod geography;
 pub mod income;
 pub mod plans;
 pub mod scenario;
-pub mod states;
 pub mod stats;
 
-pub use counties::County;
-pub use dataset::{BroadbandDataset, CellDemand, Location, SynthConfig};
-pub use plans::{IspPlan, AFFORDABILITY_THRESHOLD, LIFELINE_SUBSIDY_USD};
+pub use dataset::{BroadbandDataset, CellDemand, SynthConfig};
+pub use plans::{IspPlan, AFFORDABILITY_THRESHOLD};

@@ -1,55 +1,13 @@
-//! What-if transformations over a generated dataset.
+//! What-if transformation over a generated dataset.
 //!
 //! The paper analyzes a snapshot; policy questions are about change:
-//! what if the BEAD buildout serves part of the backlog, what if
-//! incomes shift, what if demand keeps growing? These transformations
-//! produce modified datasets that flow through the *same* model
-//! pipeline, so every figure can be regenerated under a scenario.
-//! (They operate on the aggregate tables; the grid and county geometry
-//! are shared unchanged.)
+//! what if the BEAD buildout serves part of the backlog?
+//! [`terrestrial_buildout`] produces a modified dataset that flows
+//! through the *same* model pipeline, so every figure can be
+//! regenerated under that scenario. (It operates on the aggregate
+//! tables; the grid and county geometry are shared unchanged.)
 
-use crate::counties::County;
 use crate::dataset::{BroadbandDataset, CellDemand};
-
-fn rebuild(
-    base: &BroadbandDataset,
-    cells: Vec<CellDemand>,
-    counties: Vec<County>,
-) -> BroadbandDataset {
-    BroadbandDataset::from_parts(base.grid.clone(), cells, base.us_cell_count, counties)
-}
-
-fn recount_counties(counties: &[County], cells: &[CellDemand]) -> Vec<County> {
-    let mut out: Vec<County> = counties.to_vec();
-    for c in &mut out {
-        c.locations = 0;
-    }
-    for cell in cells {
-        out[cell.county as usize].locations += cell.locations;
-    }
-    out
-}
-
-/// Scales every cell's demand by `factor` (rounding half-up), dropping
-/// cells that reach zero. `factor > 1` models demand growth; `< 1`
-/// models terrestrial buildout reaching a share of all locations
-/// uniformly.
-pub fn scale_demand(base: &BroadbandDataset, factor: f64) -> BroadbandDataset {
-    assert!(factor >= 0.0 && factor.is_finite(), "bad scale factor");
-    let cells: Vec<CellDemand> = base
-        .cells
-        .iter()
-        .filter_map(|c| {
-            let scaled = (c.locations as f64 * factor).round() as u64;
-            (scaled > 0).then_some(CellDemand {
-                locations: scaled,
-                ..*c
-            })
-        })
-        .collect();
-    let counties = recount_counties(&base.counties, &cells);
-    rebuild(base, cells, counties)
-}
 
 /// A fiber/fixed-wireless buildout that serves up to `per_cell`
 /// locations in every cell — the "easy" locations first, mirroring how
@@ -69,22 +27,14 @@ pub fn terrestrial_buildout(base: &BroadbandDataset, per_cell: u64) -> Broadband
             })
         })
         .collect();
-    let counties = recount_counties(&base.counties, &cells);
-    rebuild(base, cells, counties)
-}
-
-/// Shifts every county's median income by `factor` (e.g. 1.1 = +10 %).
-pub fn income_shift(base: &BroadbandDataset, factor: f64) -> BroadbandDataset {
-    assert!(factor > 0.0 && factor.is_finite(), "bad income factor");
-    let counties: Vec<County> = base
-        .counties
-        .iter()
-        .map(|c| County {
-            median_income_usd: c.median_income_usd * factor,
-            ..c.clone()
-        })
-        .collect();
-    rebuild(base, base.cells.clone(), counties)
+    let mut counties = base.counties.clone();
+    for c in &mut counties {
+        c.locations = 0;
+    }
+    for cell in &cells {
+        counties[cell.county as usize].locations += cell.locations;
+    }
+    BroadbandDataset::from_parts(base.grid.clone(), cells, base.us_cell_count, counties)
 }
 
 #[cfg(test)]
@@ -97,64 +47,21 @@ mod tests {
     }
 
     #[test]
-    fn scale_by_one_is_identity() {
-        let ds = base();
-        let same = scale_demand(&ds, 1.0);
-        assert_eq!(same.total_locations, ds.total_locations);
-        assert_eq!(same.cells.len(), ds.cells.len());
-    }
-
-    #[test]
-    fn scale_down_drops_empty_cells_and_preserves_totals() {
-        let ds = base();
-        let half = scale_demand(&ds, 0.5);
-        assert!(half.total_locations < ds.total_locations);
-        assert!(half.cells.len() <= ds.cells.len());
-        assert!(half.cells.iter().all(|c| c.locations > 0));
-        // County totals stay consistent.
-        let county_total: u64 = half.counties.iter().map(|c| c.locations).sum();
-        assert_eq!(county_total, half.total_locations);
-        // The peak cell scales with everything else.
-        assert_eq!(half.peak_cell().locations, 2999);
-    }
-
-    #[test]
-    fn scale_to_zero_empties_the_dataset() {
-        let ds = scale_demand(&base(), 0.0);
-        assert_eq!(ds.total_locations, 0);
-        assert!(ds.cells.is_empty());
-    }
-
-    #[test]
     fn buildout_flattens_the_head_not_the_tail() {
         let ds = base();
         let built = terrestrial_buildout(&ds, 500);
         // The peak cell lost exactly 500; 1-location cells vanished.
         assert_eq!(built.peak_cell().locations, 5998 - 500);
         assert!(built.cells.len() < ds.cells.len());
+        // County totals are recounted from the surviving cells.
+        assert_eq!(
+            built.counties.iter().map(|c| c.locations).sum::<u64>(),
+            built.total_locations
+        );
         // The surviving backlog concentrates in the head: the peak
         // cell's share of remaining demand grows.
         let before = ds.peak_cell().locations as f64 / ds.total_locations as f64;
         let after = built.peak_cell().locations as f64 / built.total_locations as f64;
         assert!(after > before, "before {before} after {after}");
-    }
-
-    #[test]
-    fn income_shift_moves_affordability_only() {
-        let ds = base();
-        let richer = income_shift(&ds, 1.25);
-        assert_eq!(richer.total_locations, ds.total_locations);
-        for (a, b) in ds.counties.iter().zip(richer.counties.iter()) {
-            assert!((b.median_income_usd - 1.25 * a.median_income_usd).abs() < 1e-9);
-            assert_eq!(a.locations, b.locations);
-        }
-    }
-
-    #[test]
-    fn scenarios_compose() {
-        let ds = base();
-        let combined = income_shift(&terrestrial_buildout(&ds, 100), 1.1);
-        assert!(combined.total_locations < ds.total_locations);
-        assert!(combined.counties[0].median_income_usd > ds.counties[0].median_income_usd);
     }
 }

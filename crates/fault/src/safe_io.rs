@@ -44,8 +44,9 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 /// Transient failures are retried up to [`ATTEMPTS`] times with
 /// deterministic backoff (counted under `fault.retries`); the staged
 /// temp is registered with [`crate::signal`] so SIGINT/SIGTERM cannot
-/// leave it behind, and is removed on final failure. Readers therefore
-/// see either the old bytes or the new bytes, never a torn file.
+/// leave it behind, and is removed on final failure or a panic.
+/// Readers therefore see either the old bytes or the new bytes, never
+/// a torn file.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -53,19 +54,43 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         }
     }
     let tmp = tmp_path(path);
-    let _cleanup = crate::signal::register_tmp(&tmp);
+    let mut staged = Staged {
+        tmp: &tmp,
+        renamed: false,
+        _signal: crate::signal::register_tmp(&tmp),
+    };
     let mut last_err: Option<io::Error> = None;
     for attempt in 0..ATTEMPTS {
         if attempt > 0 {
             backoff(attempt);
         }
         match write_attempt(path, &tmp, bytes) {
-            Ok(()) => return Ok(()),
+            Ok(()) => {
+                staged.renamed = true;
+                return Ok(());
+            }
             Err(e) => last_err = Some(e),
         }
     }
-    let _ = fs::remove_file(&tmp);
     Err(last_err.unwrap_or_else(|| io::Error::other("atomic write failed")))
+}
+
+/// A staged temp file that is removed on drop unless it was renamed
+/// into place: one guard covers the error return and a panic unwinding
+/// out of an injection site. It also holds the temp's signal-cleanup
+/// registration, released after the removal.
+struct Staged<'a> {
+    tmp: &'a Path,
+    renamed: bool,
+    _signal: crate::signal::TmpGuard,
+}
+
+impl Drop for Staged<'_> {
+    fn drop(&mut self) {
+        if !self.renamed {
+            let _ = fs::remove_file(self.tmp);
+        }
+    }
 }
 
 /// One staged-write attempt; each step passes its injection site first
@@ -228,6 +253,26 @@ mod tests {
             crate::counter_value("fault.injected.io.write"),
             u64::from(ATTEMPTS)
         );
+        crate::reset();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn injected_io_panic_leaves_no_staging_file() {
+        let _guard = lock_registry();
+        crate::reset();
+        crate::set_plan(Some(
+            FaultPlan::parse("seed=1;io.fsync:nth=1,mode=panic").expect("plan"),
+        ));
+        let dir = tmp_dir("panic");
+        let path = dir.join("artifact.csv");
+        let unwound = std::panic::catch_unwind(|| write_atomic(&path, b"a,b\n"));
+        assert!(
+            unwound.is_err(),
+            "the injected panic unwinds out of write_atomic"
+        );
+        assert!(!path.exists(), "no artifact after the panic");
+        assert!(no_tmp_left(&dir), "no staging file after the panic");
         crate::reset();
         let _ = fs::remove_dir_all(&dir);
     }

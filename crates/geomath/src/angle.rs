@@ -1,116 +1,7 @@
-//! Angle newtypes and normalization helpers.
+//! Angle normalization helpers.
 //!
 //! Latitude/longitude inputs arrive in degrees from the (synthetic)
-//! broadband-map datasets; all trigonometry happens in radians. The
-//! [`Deg`] and [`Rad`] newtypes keep the two unit systems from mixing
-//! silently, which is by far the most common class of bug in geodesy
-//! code.
-
-use std::fmt;
-use std::ops::{Add, Div, Mul, Neg, Sub};
-
-/// An angle in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct Deg(pub f64);
-
-/// An angle in radians.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct Rad(pub f64);
-
-impl Deg {
-    /// Converts to radians.
-    #[inline]
-    pub fn to_rad(self) -> Rad {
-        Rad(self.0.to_radians())
-    }
-
-    /// Sine of the angle.
-    #[inline]
-    pub fn sin(self) -> f64 {
-        self.0.to_radians().sin()
-    }
-
-    /// Cosine of the angle.
-    #[inline]
-    pub fn cos(self) -> f64 {
-        self.0.to_radians().cos()
-    }
-
-    /// Tangent of the angle.
-    #[inline]
-    pub fn tan(self) -> f64 {
-        self.0.to_radians().tan()
-    }
-
-    /// Absolute value.
-    #[inline]
-    pub fn abs(self) -> Deg {
-        Deg(self.0.abs())
-    }
-}
-
-impl Rad {
-    /// Converts to degrees.
-    #[inline]
-    pub fn to_deg(self) -> Deg {
-        Deg(self.0.to_degrees())
-    }
-}
-
-impl fmt::Display for Deg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.6}°", self.0)
-    }
-}
-
-impl fmt::Display for Rad {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.8} rad", self.0)
-    }
-}
-
-macro_rules! impl_arith {
-    ($t:ident) => {
-        impl Add for $t {
-            type Output = $t;
-            #[inline]
-            fn add(self, rhs: $t) -> $t {
-                $t(self.0 + rhs.0)
-            }
-        }
-        impl Sub for $t {
-            type Output = $t;
-            #[inline]
-            fn sub(self, rhs: $t) -> $t {
-                $t(self.0 - rhs.0)
-            }
-        }
-        impl Neg for $t {
-            type Output = $t;
-            #[inline]
-            fn neg(self) -> $t {
-                $t(-self.0)
-            }
-        }
-        impl Mul<f64> for $t {
-            type Output = $t;
-            #[inline]
-            fn mul(self, rhs: f64) -> $t {
-                $t(self.0 * rhs)
-            }
-        }
-        impl Div<f64> for $t {
-            type Output = $t;
-            #[inline]
-            fn div(self, rhs: f64) -> $t {
-                $t(self.0 / rhs)
-            }
-        }
-    };
-}
-
-impl_arith!(Deg);
-impl_arith!(Rad);
+//! broadband-map datasets; all trigonometry happens in radians.
 
 /// Normalizes a longitude in degrees to the half-open interval
 /// `[-180, 180)`.
@@ -140,13 +31,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deg_rad_round_trip() {
-        let d = Deg(37.42);
-        let back = d.to_rad().to_deg();
-        assert!((back.0 - d.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn lng_normalization_basic() {
         assert_eq!(normalize_lng_deg(0.0), 0.0);
         assert_eq!(normalize_lng_deg(180.0), -180.0);
@@ -172,22 +56,5 @@ mod tests {
         assert_eq!(normalize_lat_deg(95.0), 90.0);
         assert_eq!(normalize_lat_deg(-95.0), -90.0);
         assert_eq!(normalize_lat_deg(45.0), 45.0);
-    }
-
-    #[test]
-    fn trig_helpers_match_std() {
-        let d = Deg(30.0);
-        assert!((d.sin() - 0.5).abs() < 1e-12);
-        assert!((d.cos() - 3f64.sqrt() / 2.0).abs() < 1e-12);
-        assert!((d.tan() - (1.0 / 3f64.sqrt())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn arithmetic_ops() {
-        assert_eq!((Deg(10.0) + Deg(5.0)).0, 15.0);
-        assert_eq!((Deg(10.0) - Deg(5.0)).0, 5.0);
-        assert_eq!((-Deg(10.0)).0, -10.0);
-        assert_eq!((Deg(10.0) * 2.0).0, 20.0);
-        assert_eq!((Deg(10.0) / 2.0).0, 5.0);
     }
 }

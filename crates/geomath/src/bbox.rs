@@ -43,11 +43,6 @@ impl GeoBBox {
         }
     }
 
-    /// Whether the box contains no points.
-    pub fn is_empty(&self) -> bool {
-        self.lat_min > self.lat_max || self.lng_min > self.lng_max
-    }
-
     /// Grows the box to include `p`.
     pub fn expand(&mut self, p: &LatLng) {
         self.lat_min = self.lat_min.min(p.lat_deg());
@@ -64,31 +59,12 @@ impl GeoBBox {
             && p.lng_deg() <= self.lng_max
     }
 
-    /// Whether this box and `o` overlap (inclusive).
-    pub fn intersects(&self, o: &GeoBBox) -> bool {
-        !(self.is_empty() || o.is_empty())
-            && self.lat_min <= o.lat_max
-            && o.lat_min <= self.lat_max
-            && self.lng_min <= o.lng_max
-            && o.lng_min <= self.lng_max
-    }
-
     /// Center point of the box.
     pub fn center(&self) -> LatLng {
         LatLng::new(
             (self.lat_min + self.lat_max) / 2.0,
             (self.lng_min + self.lng_max) / 2.0,
         )
-    }
-
-    /// Box enclosing both `self` and `o`.
-    pub fn union(&self, o: &GeoBBox) -> GeoBBox {
-        GeoBBox {
-            lat_min: self.lat_min.min(o.lat_min),
-            lat_max: self.lat_max.max(o.lat_max),
-            lng_min: self.lng_min.min(o.lng_min),
-            lng_max: self.lng_max.max(o.lng_max),
-        }
     }
 }
 
@@ -109,9 +85,7 @@ mod tests {
     #[test]
     fn expand_from_empty() {
         let mut b = GeoBBox::empty();
-        assert!(b.is_empty());
         b.expand(&LatLng::new(10.0, 20.0));
-        assert!(!b.is_empty());
         b.expand(&LatLng::new(-5.0, 30.0));
         assert_eq!(b.lat_min, -5.0);
         assert_eq!(b.lat_max, 10.0);
@@ -120,24 +94,8 @@ mod tests {
     }
 
     #[test]
-    fn intersection_cases() {
-        let a = GeoBBox::new(0.0, 10.0, 0.0, 10.0);
-        let b = GeoBBox::new(5.0, 15.0, 5.0, 15.0);
-        let c = GeoBBox::new(11.0, 20.0, 0.0, 10.0);
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-        assert!(!a.intersects(&GeoBBox::empty()));
-    }
-
-    #[test]
-    fn union_and_center() {
-        let a = GeoBBox::new(0.0, 10.0, 0.0, 10.0);
-        let b = GeoBBox::new(20.0, 30.0, 20.0, 30.0);
-        let u = a.union(&b);
-        assert_eq!(u.lat_min, 0.0);
-        assert_eq!(u.lat_max, 30.0);
-        let c = u.center();
+    fn center_is_the_midpoint() {
+        let c = GeoBBox::new(0.0, 30.0, 0.0, 30.0).center();
         assert_eq!(c.lat_deg(), 15.0);
         assert_eq!(c.lng_deg(), 15.0);
     }

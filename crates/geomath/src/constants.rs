@@ -15,26 +15,11 @@ pub const EARTH_RADIUS_KM: f64 = 6_371.007_180_918_475;
 pub const EARTH_SURFACE_AREA_KM2: f64 =
     4.0 * std::f64::consts::PI * EARTH_RADIUS_KM * EARTH_RADIUS_KM;
 
-/// WGS84 semi-major axis (equatorial radius), kilometers.
-pub const WGS84_A_KM: f64 = 6378.137;
-
-/// WGS84 flattening `f = (a - b) / a`.
-pub const WGS84_F: f64 = 1.0 / 298.257_223_563;
-
-/// WGS84 semi-minor axis (polar radius), kilometers.
-pub const WGS84_B_KM: f64 = WGS84_A_KM * (1.0 - WGS84_F);
-
-/// WGS84 first eccentricity squared, `e² = f (2 − f)`.
-pub const WGS84_E2: f64 = WGS84_F * (2.0 - WGS84_F);
-
 /// Standard gravitational parameter of Earth, km³/s² (WGS84 value).
 pub const EARTH_MU_KM3_S2: f64 = 398_600.441_8;
 
 /// Earth's sidereal rotation rate, radians per second.
 pub const EARTH_ROTATION_RATE_RAD_S: f64 = 7.292_115_146_706_979e-5;
-
-/// Seconds in one sidereal day (2π / rotation rate).
-pub const SIDEREAL_DAY_S: f64 = 86_164.090_5;
 
 #[cfg(test)]
 mod tests {
@@ -47,25 +32,17 @@ mod tests {
     }
 
     #[test]
-    fn wgs84_polar_radius() {
-        assert!((WGS84_B_KM - 6_356.752_314).abs() < 1e-3);
-    }
-
-    #[test]
-    fn eccentricity_squared() {
-        assert!((WGS84_E2 - 6.694_379_990_14e-3).abs() < 1e-12);
-    }
-
-    #[test]
     #[allow(clippy::assertions_on_constants)]
     fn authalic_radius_between_polar_and_equatorial() {
-        assert!(EARTH_RADIUS_KM > WGS84_B_KM);
-        assert!(EARTH_RADIUS_KM < WGS84_A_KM);
+        // WGS84 polar and equatorial radii, km.
+        assert!(EARTH_RADIUS_KM > 6_356.752);
+        assert!(EARTH_RADIUS_KM < 6_378.137);
     }
 
     #[test]
     fn sidereal_day_consistent_with_rotation_rate() {
         let day = 2.0 * std::f64::consts::PI / EARTH_ROTATION_RATE_RAD_S;
-        assert!((day - SIDEREAL_DAY_S).abs() < 0.5);
+        // The sidereal day is 86,164.0905 s.
+        assert!((day - 86_164.090_5).abs() < 0.5);
     }
 }

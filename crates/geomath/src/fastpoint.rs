@@ -67,18 +67,6 @@ impl PrePoint {
             cos_lat: lat_rad.cos(),
         }
     }
-
-    /// Latitude in radians.
-    #[inline]
-    pub fn lat_rad(&self) -> f64 {
-        self.lat_rad
-    }
-
-    /// Longitude in radians.
-    #[inline]
-    pub fn lng_rad(&self) -> f64 {
-        self.lng_rad
-    }
 }
 
 /// Central angle (radians) between two precomputed points.
@@ -111,11 +99,10 @@ pub fn dot_for_radius_km(radius_km: f64) -> f64 {
     (radius_km / EARTH_RADIUS_KM).cos()
 }
 
-/// A construction-time anchor point: original coordinate, hoisted
-/// trigonometry, and geocentric unit vector.
+/// A construction-time anchor point: hoisted trigonometry and
+/// geocentric unit vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitPoint {
-    point: LatLng,
     pre: PrePoint,
     unit: Vec3,
 }
@@ -124,16 +111,9 @@ impl UnitPoint {
     /// Precomputes everything for `p`.
     pub fn new(p: &LatLng) -> Self {
         UnitPoint {
-            point: *p,
             pre: PrePoint::new(p),
             unit: p.to_unit_vec(),
         }
-    }
-
-    /// The original coordinate.
-    #[inline]
-    pub fn point(&self) -> &LatLng {
-        &self.point
     }
 
     /// The hoisted trigonometry (for exact haversine evaluation).
@@ -244,9 +224,7 @@ mod tests {
     fn unit_point_exposes_consistent_views() {
         let p = LatLng::new(47.61, -122.33);
         let u = UnitPoint::new(&p);
-        assert_eq!(u.point(), &p);
         assert!((u.unit().norm() - 1.0).abs() < 1e-12);
-        assert_eq!(u.pre().lat_rad().to_bits(), p.lat_rad().to_bits());
-        assert_eq!(u.pre().lng_rad().to_bits(), p.lng_rad().to_bits());
+        assert_eq!(u.pre(), &PrePoint::new(&p));
     }
 }

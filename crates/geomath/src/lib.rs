@@ -17,19 +17,16 @@
 //!    area computation must be consistent and equal-area projections must
 //!    actually preserve area.
 //!
-//! This crate provides the shared vocabulary: angles, geodetic
-//! coordinates, unit vectors on the sphere, great-circle math, spherical
-//! caps, map projections (equirectangular, Lambert azimuthal equal-area,
-//! gnomonic), polygons with point-in-polygon tests, bounding boxes, and a
-//! spatial hash index for bulk point binning.
+//! This crate provides the shared vocabulary: angle normalization,
+//! geodetic coordinates, unit vectors on the sphere, great-circle math,
+//! spherical caps, the Lambert azimuthal equal-area projection, polygons
+//! with point-in-polygon tests, and bounding boxes.
 //!
 //! ## Design notes
 //!
 //! * A **spherical Earth** of authalic radius `EARTH_RADIUS_KM` is used
 //!   everywhere, matching the paper's own back-of-envelope treatment
-//!   (cell areas quoted from H3 are themselves spherical). WGS84
-//!   constants are provided for reference and for the geodetic/ECEF
-//!   conversions in `leo-orbit`.
+//!   (cell areas quoted from H3 are themselves spherical).
 //! * All angles at API boundaries are **degrees** (the unit of the
 //!   underlying datasets); internal trigonometry converts to radians.
 //! * No `unsafe`, no panics on valid inputs, and deterministic `f64`
@@ -42,26 +39,21 @@
 pub mod angle;
 pub mod bbox;
 pub mod constants;
-pub mod ellipsoid;
 pub mod fastpoint;
-pub mod gridindex;
 pub mod latlng;
 pub mod polygon;
 pub mod projection;
 pub mod sphere;
 pub mod vec3;
 
-pub use angle::{normalize_lat_deg, normalize_lng_deg, Deg, Rad};
 pub use bbox::GeoBBox;
 pub use constants::{EARTH_RADIUS_KM, EARTH_SURFACE_AREA_KM2};
-pub use ellipsoid::vincenty_distance_km;
 pub use fastpoint::{
     dot_for_radius_km, pre_central_angle_rad, pre_distance_km, PrePoint, UnitPoint,
     DOT_RERANK_MARGIN,
 };
-pub use gridindex::GridIndex;
 pub use latlng::LatLng;
 pub use polygon::GeoPolygon;
-pub use projection::{AzimuthalEqualArea, Equirectangular, Gnomonic, PlanePoint, Projection};
-pub use sphere::{destination, great_circle_distance_km, initial_bearing_deg, interpolate};
+pub use projection::{AzimuthalEqualArea, PlanePoint};
+pub use sphere::{destination, great_circle_distance_km};
 pub use vec3::Vec3;

@@ -1,15 +1,15 @@
 //! Geographic polygons with containment and area.
 //!
-//! The synthetic geography layer (`leo-demand`) represents states and
-//! counties as polygons; `leo-hexgrid` fills polygons with cells. The
+//! The synthetic geography layer (`leo-demand`) represents the CONUS
+//! boundary as a polygon; `leo-hexgrid` fills polygons with cells. The
 //! polygons involved are all well within one hemisphere (continental
 //! US scale), so containment is evaluated on the Lambert azimuthal
-//! equal-area plane tangent at the polygon centroid — this also makes
-//! area computation exact for the sphere.
+//! equal-area plane tangent at the center of the polygon's bounding
+//! box — this also makes area computation exact for the sphere.
 
 use crate::bbox::GeoBBox;
 use crate::latlng::LatLng;
-use crate::projection::{AzimuthalEqualArea, PlanePoint, Projection};
+use crate::projection::{AzimuthalEqualArea, PlanePoint};
 
 /// A simple (non-self-intersecting) polygon on the sphere, defined by a
 /// ring of vertices in order (either winding), without a closing
@@ -96,28 +96,6 @@ impl GeoPolygon {
         }
         (acc / 2.0).abs()
     }
-
-    /// Area-weighted centroid (computed on the equal-area plane and
-    /// inverse-projected).
-    pub fn centroid(&self) -> LatLng {
-        let n = self.plane_ring.len();
-        let mut a2 = 0.0;
-        let mut cx = 0.0;
-        let mut cy = 0.0;
-        for i in 0..n {
-            let p = self.plane_ring[i];
-            let q = self.plane_ring[(i + 1) % n];
-            let w = p.x * q.y - q.x * p.y;
-            a2 += w;
-            cx += (p.x + q.x) * w;
-            cy += (p.y + q.y) * w;
-        }
-        if a2.abs() < 1e-12 {
-            return self.bbox.center();
-        }
-        self.proj
-            .inverse(&PlanePoint::new(cx / (3.0 * a2), cy / (3.0 * a2)))
-    }
 }
 
 #[cfg(test)]
@@ -154,14 +132,6 @@ mod tests {
             * (40f64.to_radians().sin() - 39f64.to_radians().sin());
         let rel = (q.area_km2() - exact).abs() / exact;
         assert!(rel < 1e-3, "area {} vs exact {exact}", q.area_km2());
-    }
-
-    #[test]
-    fn centroid_of_symmetric_quad() {
-        let q = unit_quad();
-        let c = q.centroid();
-        assert!((c.lat_deg() - 39.5).abs() < 0.01);
-        assert!((c.lng_deg() + 98.5).abs() < 0.01);
     }
 
     #[test]

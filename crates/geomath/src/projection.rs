@@ -1,18 +1,11 @@
 //! Map projections.
 //!
-//! Three projections cover the needs of the system:
-//!
-//! * [`Equirectangular`] — fast approximate plate carrée used for
-//!   choropleth rendering (`leo-report`) and the coarse spatial hash.
-//! * [`AzimuthalEqualArea`] — Lambert azimuthal equal-area, the
-//!   workhorse: the hex service grid is laid out on this projection so
-//!   that every cell covers the same ground area, which the
-//!   constellation-sizing arithmetic requires (see DESIGN.md §4).
-//! * [`Gnomonic`] — great circles map to straight lines; used for
-//!   satellite-footprint membership tests.
-//!
-//! All projections are centered on an arbitrary tangent point and
-//! produce planar coordinates in kilometers.
+//! [`AzimuthalEqualArea`] — Lambert azimuthal equal-area — is the one
+//! projection the system needs: the hex service grid is laid out on it
+//! so that every cell covers the same ground area, which the
+//! constellation-sizing arithmetic requires (see DESIGN.md §4). It is
+//! centered on an arbitrary tangent point and produces planar
+//! coordinates in kilometers.
 
 use crate::constants::EARTH_RADIUS_KM;
 use crate::latlng::LatLng;
@@ -30,55 +23,6 @@ impl PlanePoint {
     /// Creates a plane point.
     pub const fn new(x: f64, y: f64) -> Self {
         PlanePoint { x, y }
-    }
-
-    /// Euclidean distance to another plane point, km.
-    pub fn distance(&self, o: &PlanePoint) -> f64 {
-        ((self.x - o.x).powi(2) + (self.y - o.y).powi(2)).sqrt()
-    }
-}
-
-/// A bidirectional map projection between the sphere and a plane.
-pub trait Projection {
-    /// Projects a geodetic coordinate to the plane.
-    fn forward(&self, p: &LatLng) -> PlanePoint;
-    /// Inverse-projects a plane point back to the sphere.
-    fn inverse(&self, p: &PlanePoint) -> LatLng;
-}
-
-/// Plate carrée (equirectangular) projection with a configurable
-/// standard parallel. Not equal-area; use only for rendering and coarse
-/// indexing.
-#[derive(Debug, Clone, Copy)]
-pub struct Equirectangular {
-    center: LatLng,
-    cos_phi1: f64,
-}
-
-impl Equirectangular {
-    /// Creates a projection with standard parallel / center at `center`.
-    pub fn new(center: LatLng) -> Self {
-        Equirectangular {
-            center,
-            cos_phi1: center.lat_rad().cos(),
-        }
-    }
-}
-
-impl Projection for Equirectangular {
-    fn forward(&self, p: &LatLng) -> PlanePoint {
-        let dlng = crate::angle::normalize_lng_deg(p.lng_deg() - self.center.lng_deg());
-        PlanePoint::new(
-            EARTH_RADIUS_KM * dlng.to_radians() * self.cos_phi1,
-            EARTH_RADIUS_KM * (p.lat_rad() - self.center.lat_rad()),
-        )
-    }
-
-    fn inverse(&self, p: &PlanePoint) -> LatLng {
-        LatLng::from_radians(
-            self.center.lat_rad() + p.y / EARTH_RADIUS_KM,
-            self.center.lng_rad() + p.x / (EARTH_RADIUS_KM * self.cos_phi1),
-        )
     }
 }
 
@@ -107,14 +51,8 @@ impl AzimuthalEqualArea {
         }
     }
 
-    /// The tangent (center) point.
-    pub fn center(&self) -> LatLng {
-        self.center
-    }
-}
-
-impl Projection for AzimuthalEqualArea {
-    fn forward(&self, p: &LatLng) -> PlanePoint {
+    /// Projects a geodetic coordinate to the plane.
+    pub fn forward(&self, p: &LatLng) -> PlanePoint {
         let phi = p.lat_rad();
         let dl = (p.lng_deg() - self.center.lng_deg()).to_radians();
         let (sphi, cphi) = phi.sin_cos();
@@ -132,72 +70,13 @@ impl Projection for AzimuthalEqualArea {
         )
     }
 
-    fn inverse(&self, p: &PlanePoint) -> LatLng {
+    /// Inverse-projects a plane point back to the sphere.
+    pub fn inverse(&self, p: &PlanePoint) -> LatLng {
         let rho = (p.x * p.x + p.y * p.y).sqrt();
         if rho < 1e-12 {
             return self.center;
         }
         let c = 2.0 * ((rho / (2.0 * EARTH_RADIUS_KM)).clamp(-1.0, 1.0)).asin();
-        let (sc, cc) = c.sin_cos();
-        let phi = (cc * self.sin_phi0 + p.y * sc * self.cos_phi0 / rho)
-            .clamp(-1.0, 1.0)
-            .asin();
-        let lng = self.center.lng_rad()
-            + (p.x * sc).atan2(rho * self.cos_phi0 * cc - p.y * self.sin_phi0 * sc);
-        LatLng::from_radians(phi, lng)
-    }
-}
-
-/// Gnomonic projection centered at a tangent point.
-///
-/// Maps great circles to straight lines; only valid within the
-/// hemisphere facing the tangent point.
-#[derive(Debug, Clone, Copy)]
-pub struct Gnomonic {
-    center: LatLng,
-    sin_phi0: f64,
-    cos_phi0: f64,
-}
-
-impl Gnomonic {
-    /// Creates a projection tangent at `center`.
-    pub fn new(center: LatLng) -> Self {
-        let (s, c) = center.lat_rad().sin_cos();
-        Gnomonic {
-            center,
-            sin_phi0: s,
-            cos_phi0: c,
-        }
-    }
-
-    /// Whether `p` lies strictly within the projectable hemisphere.
-    pub fn in_hemisphere(&self, p: &LatLng) -> bool {
-        self.cos_c(p) > 1e-9
-    }
-
-    fn cos_c(&self, p: &LatLng) -> f64 {
-        let dl = (p.lng_deg() - self.center.lng_deg()).to_radians();
-        self.sin_phi0 * p.lat_rad().sin() + self.cos_phi0 * p.lat_rad().cos() * dl.cos()
-    }
-}
-
-impl Projection for Gnomonic {
-    fn forward(&self, p: &LatLng) -> PlanePoint {
-        let dl = (p.lng_deg() - self.center.lng_deg()).to_radians();
-        let (sphi, cphi) = p.lat_rad().sin_cos();
-        let cos_c = self.cos_c(p).max(1e-9); // clamp at the horizon
-        PlanePoint::new(
-            EARTH_RADIUS_KM * cphi * dl.sin() / cos_c,
-            EARTH_RADIUS_KM * (self.cos_phi0 * sphi - self.sin_phi0 * cphi * dl.cos()) / cos_c,
-        )
-    }
-
-    fn inverse(&self, p: &PlanePoint) -> LatLng {
-        let rho = (p.x * p.x + p.y * p.y).sqrt();
-        if rho < 1e-12 {
-            return self.center;
-        }
-        let c = (rho / EARTH_RADIUS_KM).atan();
         let (sc, cc) = c.sin_cos();
         let phi = (cc * self.sin_phi0 + p.y * sc * self.cos_phi0 / rho)
             .clamp(-1.0, 1.0)
@@ -215,7 +94,7 @@ mod tests {
 
     const CONUS_CENTER: (f64, f64) = (39.5, -98.35);
 
-    fn round_trip<P: Projection>(proj: &P, pts: &[(f64, f64)], tol_km: f64) {
+    fn round_trip(proj: &AzimuthalEqualArea, pts: &[(f64, f64)], tol_km: f64) {
         for &(lat, lng) in pts {
             let p = LatLng::new(lat, lng);
             let back = proj.inverse(&proj.forward(&p));
@@ -235,20 +114,8 @@ mod tests {
     ];
 
     #[test]
-    fn equirectangular_round_trip() {
-        let proj = Equirectangular::new(LatLng::new(CONUS_CENTER.0, CONUS_CENTER.1));
-        round_trip(&proj, US_POINTS, 1e-6);
-    }
-
-    #[test]
     fn azimuthal_round_trip() {
         let proj = AzimuthalEqualArea::new(LatLng::new(CONUS_CENTER.0, CONUS_CENTER.1));
-        round_trip(&proj, US_POINTS, 1e-6);
-    }
-
-    #[test]
-    fn gnomonic_round_trip_within_hemisphere() {
-        let proj = Gnomonic::new(LatLng::new(CONUS_CENTER.0, CONUS_CENTER.1));
         round_trip(&proj, US_POINTS, 1e-6);
     }
 
@@ -303,32 +170,6 @@ mod tests {
         let planar = (area2 / 2.0).abs();
         let rel = (planar - exact).abs() / exact;
         assert!(rel < 1e-4, "planar {planar} vs exact {exact} (rel {rel})");
-    }
-
-    #[test]
-    fn gnomonic_great_circle_is_straight() {
-        // Three points on one great circle must be collinear on the
-        // gnomonic plane.
-        let c = LatLng::new(30.0, 0.0);
-        let proj = Gnomonic::new(c);
-        let a = LatLng::new(20.0, -10.0);
-        let b = LatLng::new(45.0, 15.0);
-        let mid = crate::sphere::interpolate(&a, &b, 0.37);
-        let pa = proj.forward(&a);
-        let pb = proj.forward(&b);
-        let pm = proj.forward(&mid);
-        // Cross product of (pb-pa) and (pm-pa) should vanish.
-        let cross = (pb.x - pa.x) * (pm.y - pa.y) - (pb.y - pa.y) * (pm.x - pa.x);
-        let scale = pa.distance(&pb).powi(2).max(1.0);
-        assert!((cross / scale).abs() < 1e-9, "cross={cross}");
-    }
-
-    #[test]
-    fn gnomonic_hemisphere_test() {
-        let proj = Gnomonic::new(LatLng::new(0.0, 0.0));
-        assert!(proj.in_hemisphere(&LatLng::new(0.0, 45.0)));
-        assert!(!proj.in_hemisphere(&LatLng::new(0.0, 135.0)));
-        assert!(!proj.in_hemisphere(&LatLng::new(0.0, 180.0)));
     }
 
     #[test]

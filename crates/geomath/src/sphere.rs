@@ -23,17 +23,6 @@ pub fn great_circle_distance_km(a: &LatLng, b: &LatLng) -> f64 {
     central_angle_rad(a, b) * EARTH_RADIUS_KM
 }
 
-/// Initial bearing (forward azimuth) from `a` to `b`, degrees clockwise
-/// from north, normalized to `[0, 360)`.
-pub fn initial_bearing_deg(a: &LatLng, b: &LatLng) -> f64 {
-    let dlng = b.lng_rad() - a.lng_rad();
-    let y = dlng.sin() * b.lat_rad().cos();
-    let x =
-        a.lat_rad().cos() * b.lat_rad().sin() - a.lat_rad().sin() * b.lat_rad().cos() * dlng.cos();
-    let deg = y.atan2(x).to_degrees();
-    (deg + 360.0) % 360.0
-}
-
 /// Destination point after traveling `distance_km` along the great
 /// circle leaving `start` at `bearing_deg` (degrees clockwise from
 /// north).
@@ -49,33 +38,12 @@ pub fn destination(start: &LatLng, bearing_deg: f64, distance_km: f64) -> LatLng
     LatLng::from_radians(lat2, lng2)
 }
 
-/// Point a fraction `t ∈ [0, 1]` of the way from `a` to `b` along the
-/// great circle (spherical linear interpolation).
-pub fn interpolate(a: &LatLng, b: &LatLng, t: f64) -> LatLng {
-    let va = a.to_unit_vec();
-    let vb = b.to_unit_vec();
-    let omega = va.angle_to(vb);
-    if omega < 1e-12 {
-        return *a;
-    }
-    let so = omega.sin();
-    let v = va * (((1.0 - t) * omega).sin() / so) + vb * ((t * omega).sin() / so);
-    LatLng::from_vec(v)
-}
-
 /// Area of a spherical cap of angular radius `theta_rad`, km².
 ///
 /// The constellation-coverage model uses this for satellite footprints:
 /// `A = 2π R² (1 − cos θ)`.
 pub fn spherical_cap_area_km2(theta_rad: f64) -> f64 {
     2.0 * std::f64::consts::PI * EARTH_RADIUS_KM * EARTH_RADIUS_KM * (1.0 - theta_rad.cos())
-}
-
-/// Angular radius (radians) of the spherical cap with the given area.
-/// Inverse of [`spherical_cap_area_km2`].
-pub fn cap_angular_radius_rad(area_km2: f64) -> f64 {
-    let c = 1.0 - area_km2 / (2.0 * std::f64::consts::PI * EARTH_RADIUS_KM * EARTH_RADIUS_KM);
-    c.clamp(-1.0, 1.0).acos()
 }
 
 #[cfg(test)]
@@ -100,15 +68,6 @@ mod tests {
     }
 
     #[test]
-    fn bearing_cardinal_directions() {
-        let o = LatLng::new(0.0, 0.0);
-        assert!((initial_bearing_deg(&o, &LatLng::new(1.0, 0.0)) - 0.0).abs() < 1e-9);
-        assert!((initial_bearing_deg(&o, &LatLng::new(0.0, 1.0)) - 90.0).abs() < 1e-9);
-        assert!((initial_bearing_deg(&o, &LatLng::new(-1.0, 0.0)) - 180.0).abs() < 1e-9);
-        assert!((initial_bearing_deg(&o, &LatLng::new(0.0, -1.0)) - 270.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn destination_round_trip() {
         let start = LatLng::new(39.5, -98.35); // geographic center of CONUS
         for bearing in [0.0, 45.0, 133.7, 270.0] {
@@ -124,20 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn interpolation_endpoints_and_midpoint() {
-        let a = LatLng::new(10.0, 20.0);
-        let b = LatLng::new(-30.0, 80.0);
-        let p0 = interpolate(&a, &b, 0.0);
-        let p1 = interpolate(&a, &b, 1.0);
-        assert!(great_circle_distance_km(&a, &p0) < 1e-6);
-        assert!(great_circle_distance_km(&b, &p1) < 1e-6);
-        let mid = interpolate(&a, &b, 0.5);
-        let da = great_circle_distance_km(&a, &mid);
-        let db = great_circle_distance_km(&b, &mid);
-        assert!((da - db).abs() < 1e-6);
-    }
-
-    #[test]
     fn hemisphere_cap_is_half_earth() {
         let hemi = spherical_cap_area_km2(std::f64::consts::FRAC_PI_2);
         assert!((hemi - crate::constants::EARTH_SURFACE_AREA_KM2 / 2.0).abs() < 1.0);
@@ -145,9 +90,12 @@ mod tests {
 
     #[test]
     fn cap_area_round_trip() {
+        // Inverse of `spherical_cap_area_km2`: θ = acos(1 − A / 2πR²).
+        let radius_of = |area: f64| {
+            (1.0 - area / (2.0 * std::f64::consts::PI * EARTH_RADIUS_KM * EARTH_RADIUS_KM)).acos()
+        };
         for theta in [0.01, 0.1, 0.5, 1.0, 2.0] {
-            let a = spherical_cap_area_km2(theta);
-            let back = cap_angular_radius_rad(a);
+            let back = radius_of(spherical_cap_area_km2(theta));
             assert!((back - theta).abs() < 1e-10);
         }
     }

@@ -4,7 +4,7 @@
 //! numeric behaviour (plain `f64`, no SIMD reassociation) fully
 //! deterministic, which the calibrated synthetic datasets rely on.
 
-use std::ops::{Add, Div, Mul, Neg, Sub};
+use std::ops::{Div, Mul, Sub};
 
 /// A 3-dimensional vector of `f64` components.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -24,35 +24,16 @@ impl Vec3 {
         Vec3 { x, y, z }
     }
 
-    /// The zero vector.
-    pub const ZERO: Vec3 = Vec3::new(0.0, 0.0, 0.0);
-
     /// Dot product.
     #[inline]
     pub fn dot(self, o: Vec3) -> f64 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
 
-    /// Cross product.
-    #[inline]
-    pub fn cross(self, o: Vec3) -> Vec3 {
-        Vec3::new(
-            self.y * o.z - self.z * o.y,
-            self.z * o.x - self.x * o.z,
-            self.x * o.y - self.y * o.x,
-        )
-    }
-
     /// Euclidean norm.
     #[inline]
     pub fn norm(self) -> f64 {
         self.dot(self).sqrt()
-    }
-
-    /// Squared norm (avoids the square root when comparing lengths).
-    #[inline]
-    pub fn norm_sq(self) -> f64 {
-        self.dot(self)
     }
 
     /// Unit vector in the same direction.
@@ -68,27 +49,6 @@ impl Vec3 {
             self / n
         }
     }
-
-    /// Angle between two vectors in radians, numerically robust near 0
-    /// and π (uses `atan2` of the cross/dot pair rather than `acos`).
-    pub fn angle_to(self, o: Vec3) -> f64 {
-        self.cross(o).norm().atan2(self.dot(o))
-    }
-
-    /// Rotates this vector around `axis` (a unit vector) by `angle`
-    /// radians, using Rodrigues' rotation formula.
-    pub fn rotate_about(self, axis: Vec3, angle: f64) -> Vec3 {
-        let (s, c) = angle.sin_cos();
-        self * c + axis.cross(self) * s + axis * (axis.dot(self) * (1.0 - c))
-    }
-}
-
-impl Add for Vec3 {
-    type Output = Vec3;
-    #[inline]
-    fn add(self, o: Vec3) -> Vec3 {
-        Vec3::new(self.x + o.x, self.y + o.y, self.z + o.z)
-    }
 }
 
 impl Sub for Vec3 {
@@ -96,14 +56,6 @@ impl Sub for Vec3 {
     #[inline]
     fn sub(self, o: Vec3) -> Vec3 {
         Vec3::new(self.x - o.x, self.y - o.y, self.z - o.z)
-    }
-}
-
-impl Neg for Vec3 {
-    type Output = Vec3;
-    #[inline]
-    fn neg(self) -> Vec3 {
-        Vec3::new(-self.x, -self.y, -self.z)
     }
 }
 
@@ -130,14 +82,11 @@ mod tests {
     const EPS: f64 = 1e-12;
 
     #[test]
-    fn dot_and_cross_orthonormal_basis() {
+    fn dot_of_orthonormal_basis() {
         let x = Vec3::new(1.0, 0.0, 0.0);
         let y = Vec3::new(0.0, 1.0, 0.0);
-        let z = Vec3::new(0.0, 0.0, 1.0);
         assert_eq!(x.dot(y), 0.0);
-        assert!((x.cross(y) - z).norm() < EPS);
-        assert!((y.cross(z) - x).norm() < EPS);
-        assert!((z.cross(x) - y).norm() < EPS);
+        assert_eq!(x.dot(x), 1.0);
     }
 
     #[test]
@@ -145,36 +94,7 @@ mod tests {
         let v = Vec3::new(3.0, 4.0, 0.0);
         assert!((v.norm() - 5.0).abs() < EPS);
         assert!((v.normalized().norm() - 1.0).abs() < EPS);
-        assert_eq!(Vec3::ZERO.normalized(), Vec3::ZERO);
-    }
-
-    #[test]
-    fn angle_to_is_robust() {
-        let x = Vec3::new(1.0, 0.0, 0.0);
-        let y = Vec3::new(0.0, 1.0, 0.0);
-        assert!((x.angle_to(y) - std::f64::consts::FRAC_PI_2).abs() < EPS);
-        assert!(x.angle_to(x) < EPS);
-        assert!((x.angle_to(-x) - std::f64::consts::PI).abs() < EPS);
-        // Nearly parallel vectors: acos would lose precision here.
-        let almost = Vec3::new(1.0, 1e-9, 0.0);
-        let a = x.angle_to(almost);
-        assert!((a - 1e-9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rodrigues_rotation_quarter_turn() {
-        let x = Vec3::new(1.0, 0.0, 0.0);
-        let z = Vec3::new(0.0, 0.0, 1.0);
-        let r = x.rotate_about(z, std::f64::consts::FRAC_PI_2);
-        assert!((r - Vec3::new(0.0, 1.0, 0.0)).norm() < 1e-12);
-    }
-
-    #[test]
-    fn rotation_preserves_norm_and_axis_component() {
-        let v = Vec3::new(0.3, -1.2, 2.5);
-        let axis = Vec3::new(1.0, 2.0, -0.5).normalized();
-        let r = v.rotate_about(axis, 1.234);
-        assert!((r.norm() - v.norm()).abs() < 1e-12);
-        assert!((r.dot(axis) - v.dot(axis)).abs() < 1e-12);
+        let zero = Vec3::new(0.0, 0.0, 0.0);
+        assert_eq!(zero.normalized(), zero);
     }
 }

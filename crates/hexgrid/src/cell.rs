@@ -85,31 +85,6 @@ impl CellId {
         }
         Some(id)
     }
-
-    /// This cell's parent at the next coarser resolution, or `None` at
-    /// resolution 0.
-    pub fn parent(&self) -> Option<CellId> {
-        let res = self.resolution();
-        if res == 0 {
-            return None;
-        }
-        CellId::new(res - 1, crate::hierarchy::parent(&self.coord()))
-    }
-
-    /// This cell's seven children at the next finer resolution, or
-    /// `None` at the maximum resolution.
-    pub fn children(&self) -> Option<[CellId; 7]> {
-        let res = self.resolution();
-        if res >= MAX_RES {
-            return None;
-        }
-        let cs = crate::hierarchy::children(&self.coord());
-        let mut out = [CellId(0); 7];
-        for (slot, c) in out.iter_mut().zip(cs.iter()) {
-            *slot = CellId::new(res + 1, *c)?;
-        }
-        Some(out)
-    }
 }
 
 impl fmt::Display for CellId {
@@ -140,7 +115,7 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range() {
-        assert!(CellId::new(16, Axial::ORIGIN).is_none());
+        assert!(CellId::new(16, Axial::new(0, 0)).is_none());
         assert!(CellId::new(5, Axial::new(1 << 28, 0)).is_none());
         assert!(CellId::from_u64(u64::MAX).is_none());
     }
@@ -150,20 +125,6 @@ mod tests {
         let a = CellId::new(4, Axial::new(1000, 1000)).unwrap();
         let b = CellId::new(5, Axial::new(0, 0)).unwrap();
         assert!(a < b);
-    }
-
-    #[test]
-    fn parent_child_navigation() {
-        let id = CellId::new(5, Axial::new(12, -7)).unwrap();
-        let kids = id.children().unwrap();
-        for k in kids {
-            assert_eq!(k.resolution(), 6);
-            assert_eq!(k.parent().unwrap(), id);
-        }
-        let root = CellId::new(0, Axial::ORIGIN).unwrap();
-        assert!(root.parent().is_none());
-        let deepest = CellId::new(15, Axial::ORIGIN).unwrap();
-        assert!(deepest.children().is_none());
     }
 
     #[test]

@@ -2,10 +2,8 @@
 //!
 //! Cells at one resolution form an infinite hexagonal lattice indexed by
 //! axial coordinates `(q, r)`. Geometrically these are the Eisenstein
-//! integers `q + r·ω` with `ω = e^{iπ/3}` (basis vectors 60° apart),
-//! which is what makes the exact aperture-7 hierarchy in
-//! [`crate::hierarchy`] possible. The implicit third cube coordinate is
-//! `s = −q − r`.
+//! integers `q + r·ω` with `ω = e^{iπ/3}` (basis vectors 60° apart).
+//! The implicit third cube coordinate is `s = −q − r`.
 
 /// Axial coordinates of a hexagonal cell within one resolution's lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -34,71 +32,16 @@ impl Axial {
         Axial { q, r }
     }
 
-    /// The origin cell.
-    pub const ORIGIN: Axial = Axial::new(0, 0);
-
-    /// The implicit third cube coordinate, `s = −q − r`.
-    #[inline]
-    pub const fn s(&self) -> i32 {
-        -self.q - self.r
-    }
-
     /// Component-wise addition.
     #[inline]
     pub const fn add(&self, o: Axial) -> Axial {
         Axial::new(self.q + o.q, self.r + o.r)
     }
 
-    /// Component-wise subtraction.
-    #[inline]
-    pub const fn sub(&self, o: Axial) -> Axial {
-        Axial::new(self.q - o.q, self.r - o.r)
-    }
-
     /// Scalar multiplication.
     #[inline]
     pub const fn scale(&self, k: i32) -> Axial {
         Axial::new(self.q * k, self.r * k)
-    }
-
-    /// Grid distance to another cell (minimum number of cell-to-cell
-    /// steps).
-    pub fn distance(&self, o: &Axial) -> u32 {
-        let d = self.sub(*o);
-        ((d.q.abs() + d.r.abs() + d.s().abs()) / 2) as u32
-    }
-
-    /// The six adjacent cells, counterclockwise.
-    pub fn neighbors(&self) -> [Axial; 6] {
-        let mut out = [Axial::ORIGIN; 6];
-        for (i, off) in NEIGHBOR_OFFSETS.iter().enumerate() {
-            out[i] = self.add(*off);
-        }
-        out
-    }
-
-    /// Rotates the coordinate 60° counterclockwise about the origin.
-    ///
-    /// In cube coordinates `(x, y, z) → (−z, −x, −y)`; equivalently this
-    /// is multiplication by the Eisenstein unit `ω`.
-    pub fn rotate_ccw(&self) -> Axial {
-        Axial::new(-self.r, self.q + self.r)
-    }
-
-    /// Rotates the coordinate 60° clockwise about the origin.
-    pub fn rotate_cw(&self) -> Axial {
-        Axial::new(self.q + self.r, -self.q)
-    }
-
-    /// Exact Eisenstein-integer product `(self)·(o)` where coordinates
-    /// are read as `q + r·ω`, `ω² = ω − 1`.
-    ///
-    /// Used by the aperture-7 hierarchy; exposed because the orbit layer
-    /// also exploits it for fast lattice scaling in tests.
-    pub fn eisenstein_mul(&self, o: &Axial) -> Axial {
-        // (a + bω)(c + dω) = (ac − bd) + (ad + bc + bd)ω
-        let (a, b, c, d) = (self.q as i64, self.r as i64, o.q as i64, o.r as i64);
-        Axial::new((a * c - b * d) as i32, (a * d + b * c + b * d) as i32)
     }
 
     /// All cells at exactly `radius` steps from `self`, counterclockwise
@@ -132,26 +75,6 @@ impl Axial {
         }
         out
     }
-
-    /// The cells on the straight line between `self` and `o`, inclusive
-    /// of both endpoints (linear interpolation in cube space with hex
-    /// rounding — the hex analogue of Bresenham).
-    pub fn line_to(&self, o: &Axial) -> Vec<Axial> {
-        let n = self.distance(o);
-        if n == 0 {
-            return vec![*self];
-        }
-        let mut out = Vec::with_capacity(n as usize + 1);
-        for i in 0..=n {
-            let t = i as f64 / n as f64;
-            // Nudge toward positive s to break ties deterministically,
-            // matching the usual epsilon trick.
-            let q = self.q as f64 + (o.q - self.q) as f64 * t + 1e-9;
-            let r = self.r as f64 + (o.r - self.r) as f64 * t + 1e-9;
-            out.push(round_frac(q, r));
-        }
-        out
-    }
 }
 
 /// Rounds fractional axial coordinates to the containing cell (cube
@@ -177,51 +100,10 @@ pub fn round_frac(qf: f64, rf: f64) -> Axial {
 mod tests {
     use super::*;
 
-    #[test]
-    fn cube_invariant() {
-        let a = Axial::new(3, -7);
-        assert_eq!(a.q + a.r + a.s(), 0);
-    }
-
-    #[test]
-    fn distance_examples() {
-        let o = Axial::ORIGIN;
-        assert_eq!(o.distance(&o), 0);
-        for n in o.neighbors() {
-            assert_eq!(o.distance(&n), 1);
-        }
-        assert_eq!(o.distance(&Axial::new(3, 0)), 3);
-        assert_eq!(o.distance(&Axial::new(2, 2)), 4);
-        assert_eq!(o.distance(&Axial::new(3, -2)), 3);
-        assert_eq!(o.distance(&Axial::new(-2, -2)), 4);
-    }
-
-    #[test]
-    fn neighbors_are_mutual() {
-        let a = Axial::new(5, -3);
-        for n in a.neighbors() {
-            assert!(n.neighbors().contains(&a));
-        }
-    }
-
-    #[test]
-    fn rotation_is_order_six() {
-        let a = Axial::new(4, -1);
-        let mut cur = a;
-        for _ in 0..6 {
-            cur = cur.rotate_ccw();
-        }
-        assert_eq!(cur, a);
-        assert_eq!(a.rotate_ccw().rotate_cw(), a);
-    }
-
-    #[test]
-    fn rotation_preserves_distance() {
-        let a = Axial::new(7, -2);
-        assert_eq!(
-            Axial::ORIGIN.distance(&a),
-            Axial::ORIGIN.distance(&a.rotate_ccw())
-        );
+    /// Grid distance: the minimum number of cell-to-cell steps.
+    fn steps(a: &Axial, b: &Axial) -> u32 {
+        let (dq, dr) = (a.q - b.q, a.r - b.r);
+        ((dq.abs() + dr.abs() + (dq + dr).abs()) / 2) as u32
     }
 
     #[test]
@@ -232,7 +114,7 @@ mod tests {
             let ring = c.ring(radius);
             assert_eq!(ring.len(), 6 * radius as usize, "radius {radius}");
             for cell in &ring {
-                assert_eq!(c.distance(cell), radius);
+                assert_eq!(steps(&c, cell), radius);
             }
             // No duplicates.
             let mut sorted = ring.clone();
@@ -244,45 +126,19 @@ mod tests {
 
     #[test]
     fn ring_is_connected_cycle() {
-        let ring = Axial::ORIGIN.ring(3);
+        let ring = Axial::new(0, 0).ring(3);
         for i in 0..ring.len() {
             let next = ring[(i + 1) % ring.len()];
-            assert_eq!(ring[i].distance(&next), 1, "gap at {i}");
+            assert_eq!(steps(&ring[i], &next), 1, "gap at {i}");
         }
     }
 
     #[test]
     fn disk_size_formula() {
         for radius in 0..6u32 {
-            let disk = Axial::ORIGIN.disk(radius);
+            let disk = Axial::new(0, 0).disk(radius);
             assert_eq!(disk.len(), (1 + 3 * radius * (radius + 1)) as usize);
         }
-    }
-
-    #[test]
-    fn line_endpoints_and_step_size() {
-        let a = Axial::new(-3, 1);
-        let b = Axial::new(4, -2);
-        let line = a.line_to(&b);
-        assert_eq!(*line.first().unwrap(), a);
-        assert_eq!(*line.last().unwrap(), b);
-        assert_eq!(line.len() as u32, a.distance(&b) + 1);
-        for w in line.windows(2) {
-            assert_eq!(w[0].distance(&w[1]), 1);
-        }
-    }
-
-    #[test]
-    fn eisenstein_mul_norm_is_multiplicative() {
-        // |z|² = q² + r² + qr for z = q + rω.
-        fn norm(a: &Axial) -> i64 {
-            let (q, r) = (a.q as i64, a.r as i64);
-            q * q + r * r + q * r
-        }
-        let a = Axial::new(3, -1);
-        let b = Axial::new(2, 1);
-        let p = a.eisenstein_mul(&b);
-        assert_eq!(norm(&p), norm(&a) * norm(&b));
     }
 
     #[test]

@@ -10,16 +10,14 @@
 //!
 //! Consecutive resolutions are geometrically nested: the resolution
 //! `k+1` lattice is the resolution-`k` lattice scaled by `1/√7` and
-//! rotated by `−arg(2+ω) ≈ −19.107°`, so a parent's center child (in the
-//! sense of [`crate::hierarchy`]) sits at exactly the parent's center
-//! point, as in H3.
+//! rotated by `−arg(2+ω) ≈ −19.107°`, as in H3's aperture-7 hierarchy.
 
 use crate::cell::CellId;
 use crate::coord::Axial;
 
 use crate::layout::Layout;
 use crate::{STARLINK_CELL_AREA_KM2, STARLINK_RESOLUTION};
-use leo_geomath::{AzimuthalEqualArea, GeoPolygon, LatLng, PlanePoint, Projection};
+use leo_geomath::{AzimuthalEqualArea, GeoPolygon, LatLng, PlanePoint};
 
 /// Rotation between consecutive resolutions: `arg(2 + ω)` with
 /// `ω = e^{iπ/3}`, i.e. `atan2(√3/2, 5/2)` radians (≈ 19.1066°).
@@ -61,7 +59,7 @@ impl ResTransform {
     }
 }
 
-/// A hierarchical hex grid bound to the Earth's surface.
+/// A multi-resolution hex grid bound to the Earth's surface.
 #[derive(Debug, Clone)]
 pub struct GeoHexGrid {
     proj: AzimuthalEqualArea,
@@ -101,11 +99,6 @@ impl GeoHexGrid {
             STARLINK_RESOLUTION,
             STARLINK_CELL_AREA_KM2,
         )
-    }
-
-    /// The projection tangent point.
-    pub fn center(&self) -> LatLng {
-        self.proj.center()
     }
 
     /// Ground area of one cell at `res`, km².
@@ -184,16 +177,6 @@ impl GeoHexGrid {
             .collect()
     }
 
-    /// All cells at exactly `k` grid steps from `id`.
-    pub fn ring(&self, id: CellId, k: u32) -> Vec<CellId> {
-        let res = id.resolution();
-        id.coord()
-            .ring(k)
-            .into_iter()
-            .map(|c| CellId::pack(res, c))
-            .collect()
-    }
-
     /// All cells at resolution `res` whose centers fall inside `poly`.
     ///
     /// Returned sorted by identifier for determinism.
@@ -263,11 +246,6 @@ impl GeoHexGrid {
         out.sort_unstable();
         out
     }
-
-    /// Great-circle distance between the centers of two cells, km.
-    pub fn center_distance_km(&self, a: CellId, b: CellId) -> f64 {
-        leo_geomath::great_circle_distance_km(&self.cell_center(a), &self.cell_center(b))
-    }
 }
 
 #[cfg(test)]
@@ -319,31 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn center_child_shares_parent_center_point() {
-        let g = grid();
-        let parent = g.cell_for(&LatLng::new(41.3, -95.0), 5);
-        let center_child = parent.children().unwrap()[0];
-        let d = leo_geomath::great_circle_distance_km(
-            &g.cell_center(parent),
-            &g.cell_center(center_child),
-        );
-        assert!(d < 1e-6, "parent/center-child offset {d} km");
-    }
-
-    #[test]
-    fn hierarchy_is_geometrically_consistent() {
-        // A random point's res-6 cell must have a parent equal to the
-        // point's res-5 cell for the overwhelming majority of points;
-        // cell centers make it exact.
-        let g = grid();
-        for &(lat, lng) in &[(39.5, -98.35), (36.2, -112.0), (45.0, -90.0)] {
-            let fine = g.cell_for(&LatLng::new(lat, lng), 6);
-            let coarse = g.cell_for(&g.cell_center(fine), 5);
-            assert_eq!(fine.parent().unwrap(), coarse);
-        }
-    }
-
-    #[test]
     fn boundary_vertices_enclose_center() {
         let g = grid();
         let id = g.cell_for(&LatLng::new(38.0, -104.0), 5);
@@ -360,8 +313,8 @@ mod tests {
         let g = grid();
         let id = g.cell_for(&LatLng::new(39.5, -98.35), 5);
         let expected = g.center_spacing_km(5);
-        for n in g.ring(id, 1) {
-            let d = g.center_distance_km(id, n);
+        for n in g.disk(id, 1).into_iter().filter(|&n| n != id) {
+            let d = leo_geomath::great_circle_distance_km(&g.cell_center(id), &g.cell_center(n));
             let rel = (d - expected).abs() / expected;
             assert!(rel < 1e-3, "spacing {d} vs {expected}");
         }
@@ -420,6 +373,6 @@ mod tests {
         let g = grid();
         let id = g.cell_for(&LatLng::new(39.5, -98.35), 5);
         assert_eq!(g.disk(id, 2).len(), 19);
-        assert_eq!(g.ring(id, 3).len(), 18);
+        assert_eq!(g.disk(id, 3).len(), 37);
     }
 }

@@ -30,11 +30,6 @@ impl Layout {
         Layout::new((2.0 * area_km2 / (3.0 * SQRT3)).sqrt())
     }
 
-    /// The circumradius, km.
-    pub fn size_km(&self) -> f64 {
-        self.size_km
-    }
-
     /// Planar area of one cell, km².
     pub fn cell_area_km2(&self) -> f64 {
         1.5 * SQRT3 * self.size_km * self.size_km
@@ -83,6 +78,7 @@ impl Layout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coord::NEIGHBOR_OFFSETS;
 
     #[test]
     fn area_round_trip() {
@@ -93,7 +89,7 @@ mod tests {
     #[test]
     fn center_of_origin_is_origin() {
         let layout = Layout::new(10.0);
-        let c = layout.center(&Axial::ORIGIN);
+        let c = layout.center(&Axial::new(0, 0));
         assert_eq!(c.x, 0.0);
         assert_eq!(c.y, 0.0);
     }
@@ -101,9 +97,9 @@ mod tests {
     #[test]
     fn neighbors_are_equidistant() {
         let layout = Layout::new(9.0);
-        let o = layout.center(&Axial::ORIGIN);
-        for n in Axial::ORIGIN.neighbors() {
-            let d = layout.center(&n).distance(&o);
+        for n in NEIGHBOR_OFFSETS {
+            let c = layout.center(&n);
+            let d = c.x.hypot(c.y);
             assert!(
                 (d - layout.center_spacing_km()).abs() < 1e-9,
                 "neighbor {n:?} at distance {d}"
@@ -128,7 +124,7 @@ mod tests {
         let a = Axial::new(3, -2);
         let c = layout.center(&a);
         // In-radius of a pointy-top hex is (√3/2)·size; stay inside it.
-        let inr = 0.86 * layout.size_km() * 0.99;
+        let inr = 0.86 * 5.0 * 0.99;
         for k in 0..12 {
             let ang = k as f64 * std::f64::consts::PI / 6.0;
             let p = PlanePoint::new(c.x + 0.9 * inr * ang.cos(), c.y + 0.9 * inr * ang.sin());
@@ -142,14 +138,14 @@ mod tests {
         let a = Axial::new(-1, 5);
         let c = layout.center(&a);
         for corner in layout.corners(&a) {
-            assert!((corner.distance(&c) - 4.0).abs() < 1e-12);
+            assert!(((corner.x - c.x).hypot(corner.y - c.y) - 4.0).abs() < 1e-12);
         }
     }
 
     #[test]
     fn corner_polygon_area_matches_formula() {
         let layout = Layout::new(6.0);
-        let corners = layout.corners(&Axial::ORIGIN);
+        let corners = layout.corners(&Axial::new(0, 0));
         let mut a2 = 0.0;
         for i in 0..6 {
             let p = corners[i];

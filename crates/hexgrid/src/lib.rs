@@ -1,7 +1,7 @@
 //! # leo-hexgrid
 //!
-//! A hierarchical hexagonal discrete global grid (DGGS) — the service
-//! cell substrate for the Starlink capacity model.
+//! A multi-resolution hexagonal discrete global grid (DGGS) — the
+//! service cell substrate for the Starlink capacity model.
 //!
 //! Prior work identified that Starlink's terrestrial planning cells are
 //! taken from Uber's H3 geospatial indexing system at resolution 5
@@ -9,12 +9,11 @@
 //! such a system that the paper's analysis actually exercises, from
 //! scratch:
 //!
-//! * **Axial/cube hex coordinates** ([`coord`]) with distance, rings,
-//!   disks, lines, and rotation — the neighbourhood algebra used when a
-//!   satellite spreads beams over the cells around the peak-demand cell.
-//! * **Aperture-7 hierarchy** ([`hierarchy`]) via exact Eisenstein-
-//!   integer arithmetic: every resolution-`k` cell has exactly seven
-//!   resolution-`k+1` children, as in H3/GBT.
+//! * **Axial hex coordinates** ([`coord`]) with rings and disks — the
+//!   neighbourhood algebra used when a satellite spreads beams over the
+//!   cells around the peak-demand cell.
+//! * **Aperture-7 resolutions**: each resolution's cells cover one
+//!   seventh of the area of the next coarser one, as in H3.
 //! * **Plane layout** ([`layout`]) mapping hex coordinates to planar
 //!   centers/corners and back (fractional hex rounding).
 //! * **Geographic binding** ([`grid`]): cells are laid out on a Lambert
@@ -33,18 +32,12 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod compact;
 pub mod coord;
-pub mod edge;
 pub mod grid;
-pub mod hierarchy;
 pub mod layout;
 
 pub use cell::CellId;
-pub use compact::{compact, uncompact};
-pub use coord::Axial;
 pub use grid::GeoHexGrid;
-pub use layout::Layout;
 
 /// Average area of an H3 resolution-5 cell, km² — the paper's service
 /// cell size. Our equal-area construction makes every cell exactly this

@@ -1,7 +1,7 @@
 //! Property-based tests for the hex grid substrate.
 
 use leo_geomath::LatLng;
-use leo_hexgrid::{cell::CellId, coord::Axial, hierarchy, GeoHexGrid};
+use leo_hexgrid::{cell::CellId, coord::Axial, GeoHexGrid};
 use proptest::prelude::*;
 
 fn axial() -> impl Strategy<Value = Axial> {
@@ -14,51 +14,11 @@ fn conus_point() -> impl Strategy<Value = LatLng> {
 
 proptest! {
     #[test]
-    fn hex_distance_is_a_metric(a in axial(), b in axial(), c in axial()) {
-        prop_assert_eq!(a.distance(&b), b.distance(&a));
-        prop_assert_eq!(a.distance(&a), 0);
-        prop_assert!(a.distance(&c) <= a.distance(&b) + b.distance(&c));
-    }
-
-    #[test]
-    fn distance_is_translation_invariant(a in axial(), b in axial(), t in axial()) {
-        prop_assert_eq!(a.distance(&b), a.add(t).distance(&b.add(t)));
-    }
-
-    #[test]
-    fn rotation_preserves_origin_distance(a in axial()) {
-        let r = a.rotate_ccw();
-        prop_assert_eq!(Axial::ORIGIN.distance(&a), Axial::ORIGIN.distance(&r));
-    }
-
-    #[test]
-    fn parent_of_every_child_is_the_parent(p in axial()) {
-        for c in hierarchy::children(&p) {
-            prop_assert_eq!(hierarchy::parent(&c), p);
-        }
-    }
-
-    #[test]
-    fn every_cell_is_a_child_of_its_parent(c in axial()) {
-        let p = hierarchy::parent(&c);
-        prop_assert!(hierarchy::children(&p).contains(&c));
-    }
-
-    #[test]
     fn cell_id_round_trip(res in 0u8..=15, a in axial()) {
         let id = CellId::new(res, a).unwrap();
         prop_assert_eq!(id.resolution(), res);
         prop_assert_eq!(id.coord(), a);
         prop_assert_eq!(CellId::from_u64(id.as_u64()), Some(id));
-    }
-
-    #[test]
-    fn line_is_a_connected_shortest_path(a in axial(), b in axial()) {
-        let line = a.line_to(&b);
-        prop_assert_eq!(line.len() as u32, a.distance(&b) + 1);
-        for w in line.windows(2) {
-            prop_assert_eq!(w[0].distance(&w[1]), 1);
-        }
     }
 
     #[test]
@@ -85,46 +45,5 @@ proptest! {
         all.sort_unstable();
         all.dedup();
         prop_assert_eq!(all.len(), n);
-    }
-}
-
-mod compaction {
-    use leo_hexgrid::cell::CellId;
-    use leo_hexgrid::coord::Axial;
-    use leo_hexgrid::edge::DirectedEdge;
-    use leo_hexgrid::{compact, uncompact};
-    use proptest::prelude::*;
-
-    fn small_axial() -> impl Strategy<Value = Axial> {
-        (-40..40i32, -40..40i32).prop_map(|(q, r)| Axial::new(q, r))
-    }
-
-    proptest! {
-        #[test]
-        fn compact_uncompact_is_identity(cells in proptest::collection::hash_set(small_axial(), 1..60)) {
-            let ids: Vec<CellId> = cells.iter().map(|&c| CellId::pack(6, c)).collect();
-            let compacted = compact(&ids);
-            let mut back = uncompact(&compacted, 6);
-            back.sort_unstable();
-            let mut expect = ids.clone();
-            expect.sort_unstable();
-            prop_assert_eq!(back, expect);
-        }
-
-        #[test]
-        fn compaction_never_grows(cells in proptest::collection::hash_set(small_axial(), 1..60)) {
-            let ids: Vec<CellId> = cells.iter().map(|&c| CellId::pack(6, c)).collect();
-            prop_assert!(compact(&ids).len() <= ids.len());
-        }
-
-        #[test]
-        fn edge_reversal_round_trips(a in small_axial(), d in 0u8..6) {
-            let e = DirectedEdge::new(CellId::pack(5, a), d).unwrap();
-            prop_assert_eq!(e.reversed().reversed(), e);
-            prop_assert_eq!(
-                DirectedEdge::between(e.origin(), e.destination()),
-                Some(e)
-            );
-        }
     }
 }

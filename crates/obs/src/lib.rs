@@ -44,8 +44,8 @@ pub mod span;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// An on/off environment switch — `DIVIDE_OBS`, `DIVIDE_ALLOC`,
-/// `DIVIDE_LEDGER`, `DIVIDE_CACHE` and `DIVIDE_TRACE` — read the one
-/// way they all share.
+/// `DIVIDE_LEDGER` and `DIVIDE_TRACE` — read the one way they all
+/// share.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Switch {
     /// Not set (or not Unicode): the switch's default applies.

@@ -2,10 +2,9 @@
 //!
 //! Replaces the CLI's ad-hoc `eprintln!` lines with one structured
 //! format: `[divide][LEVEL] message`, written to stderr so artifact
-//! streams on stdout stay clean. The threshold resolves from the
-//! `DIVIDE_LOG` environment variable (`error|warn|info|debug`, default
-//! `info`) and can be overridden programmatically ([`set_level`] — the
-//! CLI's `--quiet` maps to [`Level::Warn`], `-v` to [`Level::Debug`]).
+//! streams on stdout stay clean. The threshold defaults to
+//! [`Level::Info`] and is set with [`set_level`] (the CLI's `--quiet`
+//! maps to [`Level::Warn`], `-v` to [`Level::Debug`]).
 //!
 //! Use through the macros: [`crate::log_error!`], [`crate::log_warn!`],
 //! [`crate::log_info!`], [`crate::log_debug!`].
@@ -27,7 +26,7 @@ pub enum Level {
 }
 
 impl Level {
-    /// Lowercase name, as used in `DIVIDE_LOG` and in the output tag.
+    /// Lowercase name, as used in the output tag.
     pub fn as_str(self) -> &'static str {
         match self {
             Level::Error => "error",
@@ -36,21 +35,10 @@ impl Level {
             Level::Debug => "debug",
         }
     }
-
-    /// Parses a `DIVIDE_LOG` value, case-insensitively.
-    pub fn parse(s: &str) -> Option<Level> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "error" => Some(Level::Error),
-            "warn" | "warning" => Some(Level::Warn),
-            "info" => Some(Level::Info),
-            "debug" => Some(Level::Debug),
-            _ => None,
-        }
-    }
 }
 
-/// 255 = unresolved (consult `DIVIDE_LOG`); otherwise a `Level` as u8.
-static THRESHOLD: AtomicU8 = AtomicU8::new(255);
+/// The threshold, a `Level` as u8.
+static THRESHOLD: AtomicU8 = AtomicU8::new(Level::Info as u8);
 
 /// The current threshold: messages at this level or more severe print.
 pub fn max_level() -> Level {
@@ -58,19 +46,11 @@ pub fn max_level() -> Level {
         0 => Level::Error,
         1 => Level::Warn,
         2 => Level::Info,
-        3 => Level::Debug,
-        _ => {
-            let level = std::env::var("DIVIDE_LOG")
-                .ok()
-                .and_then(|v| Level::parse(&v))
-                .unwrap_or(Level::Info);
-            THRESHOLD.store(level as u8, Ordering::Relaxed);
-            level
-        }
+        _ => Level::Debug,
     }
 }
 
-/// Overrides the threshold (wins over `DIVIDE_LOG`).
+/// Sets the threshold.
 pub fn set_level(level: Level) {
     THRESHOLD.store(level as u8, Ordering::Relaxed);
 }
@@ -117,14 +97,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn levels_order_and_parse() {
+    fn levels_order() {
         assert!(Level::Error < Level::Warn);
         assert!(Level::Warn < Level::Info);
         assert!(Level::Info < Level::Debug);
-        assert_eq!(Level::parse("WARN"), Some(Level::Warn));
-        assert_eq!(Level::parse("warning"), Some(Level::Warn));
-        assert_eq!(Level::parse(" debug "), Some(Level::Debug));
-        assert_eq!(Level::parse("nope"), None);
     }
 
     #[test]

@@ -75,21 +75,6 @@ pub fn constellation_size_for_factor(required_sats_per_km2: f64, d: f64) -> f64 
     required_sats_per_km2 * EARTH_SURFACE_AREA_KM2 / d
 }
 
-/// Fraction of an orbit a satellite spends with sub-satellite latitude
-/// inside `[lat_lo_deg, lat_hi_deg]` (exact closed form, used to verify
-/// the analytic density against Monte-Carlo propagation).
-pub fn time_fraction_in_band(inclination_deg: f64, lat_lo_deg: f64, lat_hi_deg: f64) -> f64 {
-    assert!(lat_lo_deg <= lat_hi_deg, "inverted band");
-    let si = inclination_deg.to_radians().sin();
-    // Clamp the band to the reachable latitudes [−i, i].
-    let clamp = |lat_deg: f64| (lat_deg.to_radians().sin() / si).clamp(-1.0, 1.0);
-    let u_lo = clamp(lat_lo_deg).asin();
-    let u_hi = clamp(lat_hi_deg).asin();
-    // Each latitude corresponds to two arg-of-latitude arcs per orbit
-    // (ascending and descending): total fraction = (u_hi − u_lo)/π.
-    (u_hi - u_lo) / std::f64::consts::PI
-}
-
 /// Empirical density factor of a shell at a latitude, estimated by
 /// propagating every satellite over `time_samples` instants spanning one
 /// orbital period and counting sub-satellite points in a band of
@@ -213,19 +198,6 @@ mod tests {
         let sigma = n * d / EARTH_SURFACE_AREA_KM2;
         let back = constellation_size_for_density(sigma, lat, 53.0).unwrap();
         assert!((back - n).abs() < 1e-6);
-    }
-
-    #[test]
-    fn band_fractions_sum_to_one() {
-        let incl = 53.0;
-        let bands = 50;
-        let mut acc = 0.0;
-        for k in 0..bands {
-            let lo = -60.0 + 120.0 * k as f64 / bands as f64;
-            let hi = -60.0 + 120.0 * (k + 1) as f64 / bands as f64;
-            acc += time_fraction_in_band(incl, lo, hi);
-        }
-        assert!((acc - 1.0).abs() < 1e-9, "sum {acc}");
     }
 
     #[test]

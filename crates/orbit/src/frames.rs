@@ -10,10 +10,9 @@
 //!   to constellation statistics).
 //!
 //! Sub-satellite points use the spherical-Earth model for consistency
-//! with the rest of the system; a WGS84 geodetic conversion is provided
-//! for completeness and tested against known identities.
+//! with the rest of the system.
 
-use leo_geomath::constants::{EARTH_ROTATION_RATE_RAD_S, WGS84_A_KM, WGS84_E2};
+use leo_geomath::constants::EARTH_ROTATION_RATE_RAD_S;
 use leo_geomath::{LatLng, Vec3};
 
 /// Earth rotation angle at `t` seconds past epoch, radians.
@@ -56,41 +55,6 @@ pub fn subsatellite_point(p_ecef: Vec3) -> LatLng {
     LatLng::from_vec(p_ecef)
 }
 
-/// Converts a geodetic coordinate and height to WGS84 ECEF, km.
-pub fn geodetic_to_ecef_wgs84(p: &LatLng, height_km: f64) -> Vec3 {
-    let (slat, clat) = p.lat_rad().sin_cos();
-    let (slng, clng) = p.lng_rad().sin_cos();
-    let n = WGS84_A_KM / (1.0 - WGS84_E2 * slat * slat).sqrt();
-    Vec3::new(
-        (n + height_km) * clat * clng,
-        (n + height_km) * clat * slng,
-        (n * (1.0 - WGS84_E2) + height_km) * slat,
-    )
-}
-
-/// Converts WGS84 ECEF (km) back to geodetic latitude/longitude and
-/// height, via Bowring's iteration (converges to sub-millimeter in a
-/// few rounds for Earth-surface and LEO points).
-pub fn ecef_to_geodetic_wgs84(p: Vec3) -> (LatLng, f64) {
-    let rho = (p.x * p.x + p.y * p.y).sqrt();
-    let lng = p.y.atan2(p.x);
-    if rho < 1e-9 {
-        // On the polar axis.
-        let lat = if p.z >= 0.0 { 90.0 } else { -90.0 };
-        let b = WGS84_A_KM * (1.0 - WGS84_E2).sqrt();
-        return (LatLng::new(lat, lng.to_degrees()), p.z.abs() - b);
-    }
-    let mut lat = (p.z / (rho * (1.0 - WGS84_E2))).atan();
-    let mut n = WGS84_A_KM;
-    for _ in 0..8 {
-        let slat = lat.sin();
-        n = WGS84_A_KM / (1.0 - WGS84_E2 * slat * slat).sqrt();
-        lat = ((p.z + WGS84_E2 * n * slat) / rho).atan();
-    }
-    let h = rho / lat.cos() - n;
-    (LatLng::from_radians(lat, lng), h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,44 +76,12 @@ mod tests {
 
     #[test]
     fn quarter_sidereal_day_rotates_90_degrees() {
-        let t = leo_geomath::constants::SIDEREAL_DAY_S / 4.0;
+        let t = std::f64::consts::FRAC_PI_2 / EARTH_ROTATION_RATE_RAD_S;
         let p_eci = Vec3::new(7000.0, 0.0, 0.0);
         let p_ecef = eci_to_ecef(p_eci, t);
         // A point fixed in inertial space appears to move westward:
         // its ECEF longitude decreases by ~90°.
         let ll = subsatellite_point(p_ecef);
         assert!((ll.lng_deg() + 90.0).abs() < 0.01, "lng={}", ll.lng_deg());
-    }
-
-    #[test]
-    fn geodetic_round_trip() {
-        for &(lat, lng, h) in &[
-            (0.0, 0.0, 0.0),
-            (37.0, -122.0, 0.5),
-            (-45.0, 170.0, 2.0),
-            (89.0, 10.0, 550.0),
-            (53.0, -98.0, 550.0),
-        ] {
-            let p = LatLng::new(lat, lng);
-            let ecef = geodetic_to_ecef_wgs84(&p, h);
-            let (back, hb) = ecef_to_geodetic_wgs84(ecef);
-            assert!((back.lat_deg() - lat).abs() < 1e-9, "lat {lat}");
-            assert!((back.lng_deg() - lng).abs() < 1e-9, "lng {lng}");
-            assert!((hb - h).abs() < 1e-6, "h {h} vs {hb}");
-        }
-    }
-
-    #[test]
-    fn equator_ecef_matches_semimajor_axis() {
-        let p = geodetic_to_ecef_wgs84(&LatLng::new(0.0, 0.0), 0.0);
-        assert!((p.x - WGS84_A_KM).abs() < 1e-9);
-        assert!(p.y.abs() < 1e-9 && p.z.abs() < 1e-9);
-    }
-
-    #[test]
-    fn pole_ecef_matches_semiminor_axis() {
-        let p = geodetic_to_ecef_wgs84(&LatLng::new(90.0, 0.0), 0.0);
-        let b = WGS84_A_KM * (1.0 - WGS84_E2).sqrt();
-        assert!((p.z - b).abs() < 1e-9, "z={} b={b}", p.z);
     }
 }

@@ -136,14 +136,6 @@ impl GatewayView {
     }
 }
 
-/// Gateways visible from a satellite with sub-satellite point `ssp` at
-/// `altitude_km`, with the slant range (km) to each.
-pub fn visible_gateways(gateways: &[Gateway], ssp: &LatLng, altitude_km: f64) -> Vec<(usize, f64)> {
-    GatewayView::new(gateways, altitude_km)
-        .visible(ssp)
-        .collect()
-}
-
 /// The nearest visible gateway, if any.
 pub fn nearest_gateway(
     gateways: &[Gateway],
@@ -165,7 +157,9 @@ mod tests {
     #[test]
     fn satellite_over_kansas_sees_gateways() {
         let gws = conus_gateways();
-        let vis = visible_gateways(&gws, &LatLng::new(39.0, -98.0), 550.0);
+        let vis: Vec<_> = GatewayView::new(&gws, 550.0)
+            .visible(&LatLng::new(39.0, -98.0))
+            .collect();
         assert!(vis.len() >= 3, "only {} gateways visible", vis.len());
         // All ranges are between the altitude and the horizon range.
         for (_, range) in &vis {
@@ -176,16 +170,17 @@ mod tests {
     #[test]
     fn satellite_over_mid_atlantic_sees_none() {
         let gws = conus_gateways();
-        let vis = visible_gateways(&gws, &LatLng::new(35.0, -50.0), 550.0);
-        assert!(vis.is_empty());
+        let view = GatewayView::new(&gws, 550.0);
+        assert!(view.visible(&LatLng::new(35.0, -50.0)).next().is_none());
     }
 
     #[test]
     fn nearest_is_minimal() {
         let gws = conus_gateways();
         let ssp = LatLng::new(40.0, -100.0);
-        let all = visible_gateways(&gws, &ssp, 550.0);
-        let nearest = nearest_gateway(&gws, &ssp, 550.0).unwrap();
+        let view = GatewayView::new(&gws, 550.0);
+        let nearest = view.nearest(&ssp).unwrap();
+        let all = view.visible(&ssp);
         for (_, range) in all {
             assert!(nearest.1 <= range + 1e-9);
         }

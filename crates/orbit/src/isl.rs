@@ -73,11 +73,6 @@ impl IslTopology {
     pub fn adjacency(&self) -> &[Vec<usize>] {
         &self.adjacency
     }
-
-    /// Number of ISLs (undirected).
-    pub fn link_count(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
-    }
 }
 
 /// How user traffic reaches a gateway.
@@ -248,7 +243,8 @@ mod tests {
         for (i, adj) in t.adjacency().iter().enumerate() {
             assert_eq!(adj.len(), 4, "satellite {i} degree {}", adj.len());
         }
-        assert_eq!(t.link_count(), 2 * 24 * 16);
+        let links = t.adjacency().iter().map(Vec::len).sum::<usize>() / 2;
+        assert_eq!(links, 2 * 24 * 16);
     }
 
     #[test]

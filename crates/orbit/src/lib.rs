@@ -35,16 +35,12 @@ pub mod doppler;
 pub mod ephemeris;
 pub mod frames;
 pub mod gateway;
-pub mod groundtrack;
 pub mod isl;
-pub mod j2;
 pub mod passes;
 pub mod propagate;
 pub mod visibility;
 pub mod walker;
 
 pub use density::{constellation_size_for_density, constellation_size_for_factor, density_factor};
-pub use ephemeris::WalkerEphemeris;
 pub use propagate::CircularOrbit;
-pub use visibility::{coverage_cap_angle_rad, elevation_angle_deg};
-pub use walker::{Satellite, WalkerShell};
+pub use walker::WalkerShell;

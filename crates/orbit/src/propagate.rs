@@ -66,11 +66,6 @@ impl CircularOrbit {
         EARTH_RADIUS_KM + self.altitude_km
     }
 
-    /// Inclination, degrees.
-    pub fn inclination_deg(&self) -> f64 {
-        self.inclination_rad.to_degrees()
-    }
-
     /// Orbital period, seconds (`T = 2π √(a³/μ)`).
     pub fn period_s(&self) -> f64 {
         let a = self.radius_km();
@@ -95,20 +90,6 @@ impl CircularOrbit {
             u.sin_cos(),
             self.inclination_rad.sin_cos(),
             self.raan_rad.sin_cos(),
-        )
-    }
-
-    /// ECI velocity at `t_s` seconds past epoch, km/s.
-    pub fn velocity_eci(&self, t_s: f64) -> Vec3 {
-        let u = self.arg_lat_epoch_rad + self.mean_motion_rad_s() * t_s;
-        let (su, cu) = u.sin_cos();
-        let (si, ci) = self.inclination_rad.sin_cos();
-        let (so, co) = self.raan_rad.sin_cos();
-        let v = self.speed_km_s();
-        Vec3::new(
-            v * (-co * su - so * cu * ci),
-            v * (-so * su + co * cu * ci),
-            v * (cu * si),
         )
     }
 
@@ -144,26 +125,6 @@ mod tests {
         for t in [0.0, 100.0, 2000.0, 5000.0] {
             assert!((o.position_eci(t).norm() - o.radius_km()).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn velocity_is_orthogonal_to_position() {
-        let o = starlink_orbit();
-        for t in [0.0, 321.0, 4321.0] {
-            let r = o.position_eci(t);
-            let v = o.velocity_eci(t);
-            assert!(r.dot(v).abs() < 1e-6, "t={t}");
-            assert!((v.norm() - o.speed_km_s()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn velocity_matches_finite_difference() {
-        let o = starlink_orbit();
-        let t = 777.0;
-        let h = 1e-3;
-        let fd = (o.position_eci(t + h) - o.position_eci(t - h)) / (2.0 * h);
-        assert!((fd - o.velocity_eci(t)).norm() < 1e-6);
     }
 
     #[test]

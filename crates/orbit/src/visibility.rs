@@ -78,25 +78,6 @@ pub(crate) fn elevation_from_unit_deg(up: Vec3, sat_ecef: Vec3) -> f64 {
     (up.dot(los) / n).clamp(-1.0, 1.0).asin().to_degrees()
 }
 
-/// Slant range (km) from a ground point to a satellite at altitude `h`
-/// observed at elevation `elev_deg` (law of cosines on the triangle
-/// Earth-center / ground / satellite).
-pub fn slant_range_km(altitude_km: f64, elev_deg: f64) -> f64 {
-    let eps = elev_deg.to_radians();
-    let r = EARTH_RADIUS_KM;
-    let a = r + altitude_km;
-    // range = −R sin ε + sqrt(a² − R² cos² ε)
-    -r * eps.sin() + (a * a - (r * eps.cos()).powi(2)).sqrt()
-}
-
-/// Whether a satellite with sub-satellite point `ssp` at altitude `h`
-/// is visible from `ground` above `elev_deg` (central-angle test —
-/// cheaper than computing the elevation explicitly).
-pub fn in_view(ground: &LatLng, ssp: &LatLng, altitude_km: f64, elev_deg: f64) -> bool {
-    let lambda = coverage_cap_angle_rad(altitude_km, elev_deg);
-    ground.central_angle_rad(ssp) <= lambda
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,19 +132,6 @@ mod tests {
         let sat = ssp.to_unit_vec() * (EARTH_RADIUS_KM + 550.0);
         let e = elevation_angle_deg(&g, sat);
         assert!((e - 25.0).abs() < 0.01, "elevation {e}");
-        assert!(in_view(&g, &ssp, 550.0, 24.99));
-        assert!(!in_view(&g, &ssp, 550.0, 25.01));
-    }
-
-    #[test]
-    fn slant_range_bounds() {
-        // Overhead: range = h. At the horizon: range = sqrt(a² − R²).
-        assert!((slant_range_km(550.0, 90.0) - 550.0).abs() < 1e-9);
-        let horizon = ((EARTH_RADIUS_KM + 550.0).powi(2) - EARTH_RADIUS_KM.powi(2)).sqrt();
-        assert!((slant_range_km(550.0, 0.0) - horizon).abs() < 1e-9);
-        // 25° elevation at 550 km is ~1123 km slant range.
-        let r25 = slant_range_km(550.0, 25.0);
-        assert!((r25 - 1123.0).abs() < 10.0, "range {r25}");
     }
 
     #[test]

@@ -96,16 +96,6 @@ impl WalkerShell {
         WalkerShell::new(550.0, 53.0, 72, 22, 17)
     }
 
-    /// The four remaining FCC-authorized Gen1 shells.
-    pub fn starlink_gen1_rest() -> Vec<Self> {
-        vec![
-            WalkerShell::new(540.0, 53.2, 72, 22, 17),
-            WalkerShell::new(570.0, 70.0, 36, 20, 11),
-            WalkerShell::new(560.0, 97.6, 6, 58, 1),
-            WalkerShell::new(560.0, 97.6, 4, 43, 1),
-        ]
-    }
-
     /// An approximation of the constellation size the paper calls
     /// "current": ~8000 satellites, dominated by 53°-inclined shells.
     /// Used only for the `orbit-validate` experiment; Table 2's outputs

@@ -1,6 +1,6 @@
 //! Reference twins of the Monte-Carlo and path kernels: the loops
 //! `empirical_density_factor`, `coverage` and `user_gateway_path` ran
-//! before the hoisted [`leo_orbit::WalkerEphemeris`] and its prefilters.
+//! before the hoisted [`leo_orbit::ephemeris::WalkerEphemeris`] and its prefilters.
 //! Every satellite is propagated through [`CircularOrbit`] and every
 //! pair takes the exact test, so these are the oracle the fast kernels
 //! must match bit for bit. Serial, and free of observability calls.

@@ -4,8 +4,9 @@ mod naive;
 
 use leo_geomath::constants::EARTH_RADIUS_KM;
 use leo_geomath::LatLng;
-use leo_orbit::frames::{ecef_to_eci, ecef_to_geodetic_wgs84, eci_to_ecef, geodetic_to_ecef_wgs84};
-use leo_orbit::{coverage_cap_angle_rad, density_factor, CircularOrbit, WalkerShell};
+use leo_orbit::frames::{ecef_to_eci, eci_to_ecef};
+use leo_orbit::visibility::coverage_cap_angle_rad;
+use leo_orbit::{density_factor, CircularOrbit, WalkerShell};
 use proptest::prelude::*;
 
 proptest! {
@@ -19,23 +20,12 @@ proptest! {
     ) {
         let o = CircularOrbit::new(alt, incl, raan, arg);
         let p = o.position_eci(t);
-        let v = o.velocity_eci(t);
+        // Central-difference velocity of the propagated position.
+        let h = 1e-3;
+        let v = (o.position_eci(t + h) - o.position_eci(t - h)) / (2.0 * h);
         prop_assert!((p.norm() - o.radius_km()).abs() < 1e-6);
-        prop_assert!((v.norm() - o.speed_km_s()).abs() < 1e-9);
-        prop_assert!(p.dot(v).abs() < 1e-5);
-    }
-
-    #[test]
-    fn angular_momentum_is_conserved(
-        alt in 300.0..2000.0f64,
-        incl in 1.0..99.0f64,
-        t1 in 0.0..50_000.0f64,
-        t2 in 0.0..50_000.0f64,
-    ) {
-        let o = CircularOrbit::new(alt, incl, 123.0, 45.0);
-        let h1 = o.position_eci(t1).cross(o.velocity_eci(t1));
-        let h2 = o.position_eci(t2).cross(o.velocity_eci(t2));
-        prop_assert!((h1 - h2).norm() < 1e-6);
+        prop_assert!((v.norm() - o.speed_km_s()).abs() < 1e-6);
+        prop_assert!(p.normalized().dot(v).abs() < 1e-6);
     }
 
     #[test]
@@ -54,16 +44,6 @@ proptest! {
         let p = leo_geomath::Vec3::new(x, y, z);
         let back = ecef_to_eci(eci_to_ecef(p, t), t);
         prop_assert!((back - p).norm() < 1e-6);
-    }
-
-    #[test]
-    fn geodetic_round_trip(lat in -89.0..89.0f64, lng in -180.0..180.0f64,
-                           h in 0.0..2000.0f64) {
-        let p = LatLng::new(lat, lng);
-        let (back, hb) = ecef_to_geodetic_wgs84(geodetic_to_ecef_wgs84(&p, h));
-        prop_assert!((back.lat_deg() - lat).abs() < 1e-8);
-        prop_assert!((back.lng_deg() - lng).abs() < 1e-8);
-        prop_assert!((hb - h).abs() < 1e-5);
     }
 
     #[test]
@@ -102,7 +82,6 @@ mod extended {
     use super::*;
     use leo_orbit::doppler::{doppler_shift_hz, range_rate_km_s};
     use leo_orbit::isl::IslTopology;
-    use leo_orbit::j2::{arg_perigee_drift_deg_per_day, raan_drift_deg_per_day};
 
     proptest! {
         #[test]
@@ -114,26 +93,8 @@ mod extended {
                     prop_assert!(adj[v].contains(&u), "edge {u}->{v} not symmetric");
                 }
             }
-            prop_assert_eq!(t.link_count(), 2 * (planes * per) as usize);
-        }
-
-        #[test]
-        fn raan_drift_sign_follows_inclination(alt in 300.0..1500.0f64, incl in 1.0..179.0f64) {
-            let rate = raan_drift_deg_per_day(alt, incl);
-            if incl < 89.9 {
-                prop_assert!(rate < 0.0, "prograde must regress: {rate}");
-            } else if incl > 90.1 {
-                prop_assert!(rate > 0.0, "retrograde must progress: {rate}");
-            }
-            // Magnitude bounded by the J2 envelope (≈10°/day at LEO).
-            prop_assert!(rate.abs() < 10.0);
-        }
-
-        #[test]
-        fn perigee_drift_zero_only_at_critical_inclination(alt in 300.0..1500.0f64) {
-            let below = arg_perigee_drift_deg_per_day(alt, 60.0);
-            let above = arg_perigee_drift_deg_per_day(alt, 70.0);
-            prop_assert!(below > 0.0 && above < 0.0);
+            let links = adj.iter().map(Vec::len).sum::<usize>() / 2;
+            prop_assert_eq!(links, 2 * (planes * per) as usize);
         }
 
         #[test]
@@ -160,9 +121,9 @@ mod hoisted {
     use super::*;
     use leo_orbit::coverage::{coverage, CoverageConfig};
     use leo_orbit::density::empirical_density_factor;
+    use leo_orbit::ephemeris::WalkerEphemeris;
     use leo_orbit::gateway::{conus_gateways, nearest_gateway, GATEWAY_MIN_ELEVATION_DEG};
     use leo_orbit::isl::{user_gateway_path, IslTopology, PathMode};
-    use leo_orbit::WalkerEphemeris;
     use rand::rngs::StdRng;
     use rand::Rng;
     use std::ops::Range;

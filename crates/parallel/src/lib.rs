@@ -55,8 +55,7 @@
 //! Thread-count resolution (highest priority first): a thread-local
 //! override ([`with_threads`], used by the determinism tests), the
 //! process-wide setting ([`set_global_threads`], wired to the CLI's
-//! `--threads N`, which also pre-warms the pool), the `DIVIDE_THREADS`
-//! environment variable, and finally
+//! `--threads N`, which also pre-warms the pool), and finally
 //! [`std::thread::available_parallelism`].
 //!
 //! Fan-outs carry the caller's *observability context* across the
@@ -105,7 +104,7 @@ thread_local! {
 }
 
 /// Sets the process-wide worker count. `None` restores the default
-/// resolution (environment variable, then available parallelism).
+/// (available parallelism).
 pub fn set_global_threads(n: Option<usize>) {
     GLOBAL_THREADS.store(n.unwrap_or(0), Ordering::Relaxed);
 }
@@ -131,16 +130,9 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-fn env_threads() -> Option<usize> {
-    std::env::var("DIVIDE_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-}
-
 /// The worker count parallel primitives use right now on this thread:
-/// thread-local override, else global setting, else `DIVIDE_THREADS`,
-/// else available parallelism.
+/// thread-local override, else global setting, else available
+/// parallelism.
 pub fn effective_threads() -> usize {
     let over = THREAD_OVERRIDE.with(|cell| cell.get());
     if over > 0 {
@@ -150,11 +142,9 @@ pub fn effective_threads() -> usize {
     if global > 0 {
         return global;
     }
-    env_threads().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Default minimum estimated per-chunk duration that justifies

@@ -545,184 +545,3 @@ mod tests {
         assert_ne!(normal, reversed);
     }
 }
-
-/// A vertical-bar histogram.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    /// Chart title.
-    pub title: String,
-    /// X-axis label.
-    pub x_label: String,
-    /// Y-axis label.
-    pub y_label: String,
-    /// Bin edges (length = bars + 1), ascending.
-    pub edges: Vec<f64>,
-    /// Bar heights (length = edges.len() − 1).
-    pub counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Bins `values` into `bins` equal-width bins over their range.
-    pub fn from_values(
-        title: impl Into<String>,
-        x_label: impl Into<String>,
-        values: &[f64],
-        bins: usize,
-    ) -> Self {
-        assert!(bins > 0, "need at least one bin");
-        let (lo, hi) = values
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| {
-                (a.min(v), b.max(v))
-            });
-        let (lo, hi) = if lo.is_finite() && hi > lo {
-            (lo, hi)
-        } else {
-            (0.0, 1.0)
-        };
-        let width = (hi - lo) / bins as f64;
-        let mut counts = vec![0u64; bins];
-        for &v in values {
-            let k = (((v - lo) / width) as usize).min(bins - 1);
-            counts[k] += 1;
-        }
-        Histogram {
-            title: title.into(),
-            x_label: x_label.into(),
-            y_label: "count".into(),
-            edges: (0..=bins).map(|k| lo + width * k as f64).collect(),
-            counts,
-        }
-    }
-
-    /// Renders to SVG. Panics on malformed data (empty or mismatched
-    /// edges — [`Histogram::from_values`] never produces either); use
-    /// [`Histogram::try_render`] for directly-constructed histograms
-    /// whose shape is not known good.
-    pub fn render(&self, width: f64, height: f64) -> String {
-        self.try_render(width, height)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Renders to SVG, rejecting empty edges (which used to crash with
-    /// an opaque `unwrap` on `edges.last()`) and edge/count mismatches
-    /// with a [`ReportError`].
-    pub fn try_render(&self, width: f64, height: f64) -> Result<String, ReportError> {
-        if self.edges.is_empty() {
-            return Err(ReportError::EmptyData {
-                what: "histogram edges",
-            });
-        }
-        if self.edges.len() != self.counts.len() + 1 {
-            return Err(ReportError::ShapeMismatch {
-                what: "edge/count mismatch",
-                expected: self.counts.len() + 1,
-                got: self.edges.len(),
-            });
-        }
-        let mut doc = SvgDoc::new(width, height);
-        let pw = width - MARGIN_L - MARGIN_R;
-        let ph = height - MARGIN_T - MARGIN_B;
-        let max = *self.counts.iter().max().unwrap_or(&1) as f64;
-        let lo = self.edges[0];
-        let hi = *self.edges.last().expect("edges checked non-empty above");
-        let sx = |x: f64| MARGIN_L + (x - lo) / (hi - lo).max(1e-12) * pw;
-        doc.rect(MARGIN_L, MARGIN_T, pw, ph, "#fbfbfb", Some("#444444"));
-        for (k, &c) in self.counts.iter().enumerate() {
-            let x0 = sx(self.edges[k]);
-            let x1 = sx(self.edges[k + 1]);
-            let h = ph * c as f64 / max.max(1.0);
-            doc.rect(
-                x0 + 0.5,
-                MARGIN_T + ph - h,
-                (x1 - x0 - 1.0).max(0.5),
-                h,
-                PALETTE[0],
-                None,
-            );
-        }
-        for t in ticks(lo, hi, 6) {
-            doc.text(sx(t), MARGIN_T + ph + 16.0, &fmt_tick(t), 11.0, "middle");
-        }
-        for t in ticks(0.0, max, 5) {
-            let y = MARGIN_T + ph * (1.0 - t / max.max(1.0));
-            doc.text(MARGIN_L - 7.0, y + 4.0, &fmt_tick(t), 11.0, "end");
-        }
-        doc.text(width / 2.0, 18.0, &self.title, 14.0, "middle");
-        doc.text(
-            MARGIN_L + pw / 2.0,
-            height - 14.0,
-            &self.x_label,
-            12.0,
-            "middle",
-        );
-        doc.vtext(18.0, MARGIN_T + ph / 2.0, &self.y_label, 12.0);
-        Ok(doc.finish())
-    }
-}
-
-#[cfg(test)]
-mod histogram_tests {
-    use super::*;
-
-    #[test]
-    fn bins_cover_all_values() {
-        let values: Vec<f64> = (0..100).map(|k| k as f64).collect();
-        let h = Histogram::from_values("h", "x", &values, 10);
-        assert_eq!(h.counts.iter().sum::<u64>(), 100);
-        assert_eq!(h.counts.len(), 10);
-        for c in &h.counts {
-            assert_eq!(*c, 10);
-        }
-    }
-
-    #[test]
-    fn degenerate_inputs_do_not_panic() {
-        let h = Histogram::from_values("h", "x", &[], 5);
-        assert_eq!(h.counts.iter().sum::<u64>(), 0);
-        let h2 = Histogram::from_values("h", "x", &[3.0, 3.0, 3.0], 4);
-        assert_eq!(h2.counts.iter().sum::<u64>(), 3);
-        assert!(h2.render(300.0, 200.0).contains("</svg>"));
-    }
-
-    #[test]
-    fn renders_bars() {
-        let h = Histogram::from_values("h", "x", &[1.0, 2.0, 2.5, 9.0], 4);
-        let svg = h.render(400.0, 300.0);
-        // Background + frame + ≥3 nonzero bars.
-        assert!(svg.matches("<rect").count() >= 5);
-    }
-
-    #[test]
-    fn empty_edges_error_instead_of_index_panic() {
-        // Regression: a directly-constructed histogram with no edges
-        // used to die on `edges.last().unwrap()`.
-        let h = Histogram {
-            title: String::new(),
-            x_label: String::new(),
-            y_label: String::new(),
-            edges: vec![],
-            counts: vec![],
-        };
-        let err = h.try_render(300.0, 200.0).unwrap_err();
-        assert_eq!(
-            err,
-            ReportError::EmptyData {
-                what: "histogram edges"
-            }
-        );
-    }
-
-    #[test]
-    fn edge_count_mismatch_is_reported() {
-        let h = Histogram {
-            title: String::new(),
-            x_label: String::new(),
-            y_label: String::new(),
-            edges: vec![0.0, 1.0],
-            counts: vec![3, 4],
-        };
-        let err = h.try_render(300.0, 200.0).unwrap_err();
-        assert!(err.to_string().contains("edge/count mismatch"), "{err}");
-    }
-}

@@ -86,12 +86,6 @@ impl CsvWriter {
     pub fn finish(&self) -> &str {
         &self.buf
     }
-
-    /// Writes the CSV text to `path`, surfacing the I/O error (missing
-    /// or unwritable directory, ...) instead of panicking.
-    pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, &self.buf)
-    }
 }
 
 /// One in-flight record of a [`CsvWriter::record_with`] call.
@@ -199,30 +193,5 @@ mod tests {
         w.record_with(|r| {
             r.field("only");
         });
-    }
-
-    #[test]
-    fn write_to_surfaces_io_errors() {
-        let mut w = CsvWriter::new();
-        w.record(&["a", "b"]);
-        // A path whose parent is a regular file can never be written.
-        let dir = std::env::temp_dir().join("leo_report_csv_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let blocker = dir.join("not_a_dir");
-        std::fs::write(&blocker, "file").expect("blocker");
-        let err = w.write_to(&blocker.join("out.csv")).unwrap_err();
-        assert!(
-            matches!(
-                err.kind(),
-                std::io::ErrorKind::NotADirectory | std::io::ErrorKind::NotFound
-            ),
-            "{err:?}"
-        );
-        // And a writable path round-trips.
-        let ok = dir.join("out.csv");
-        w.write_to(&ok).expect("write");
-        assert_eq!(std::fs::read_to_string(&ok).unwrap(), "a,b\n");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,18 +1,18 @@
 //! Error type for renderers that can reject their input.
 //!
 //! The paper pipeline always hands renderers well-formed data, so the
-//! `render()` methods keep their infallible signatures; the
-//! `try_render()` variants return [`ReportError`] instead of panicking,
-//! for callers (imports, scenario transforms) that cannot prove their
-//! data non-empty up front.
+//! `render()` methods keep their infallible signatures;
+//! [`Heatmap::try_render`](crate::chart::Heatmap::try_render) returns
+//! [`ReportError`] instead of panicking, for callers that cannot prove
+//! their grid well-shaped up front.
 
 /// Why a renderer rejected its input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReportError {
-    /// The renderer was handed no data at all (zero rows, no bin
-    /// edges, ...); `what` names the missing piece.
+    /// The renderer was handed no data at all (zero rows or columns);
+    /// `what` names the missing piece.
     EmptyData {
-        /// What was empty, e.g. `"histogram edges"`.
+        /// What was empty, e.g. `"heatmap rows"`.
         what: &'static str,
     },
     /// Two dimensions that must agree did not.

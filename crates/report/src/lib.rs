@@ -15,15 +15,12 @@
 pub mod chart;
 pub mod csv;
 pub mod error;
-pub mod markdown;
 pub mod num;
 pub mod spark;
 pub mod svg;
 pub mod table;
 
-pub use chart::{Heatmap, Histogram, LineChart, PointMap, Series};
-pub use csv::{CsvRow, CsvWriter};
-pub use error::ReportError;
-pub use markdown::{Align, MarkdownTable};
+pub use chart::{Heatmap, LineChart, PointMap, Series};
+pub use csv::CsvWriter;
 pub use spark::sparkline;
 pub use table::TextTable;

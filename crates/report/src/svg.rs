@@ -36,16 +36,6 @@ impl SvgDoc {
         doc
     }
 
-    /// Document width, px.
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
-    /// Document height, px.
-    pub fn height(&self) -> f64 {
-        self.height
-    }
-
     /// Pre-reserves body capacity; element-heavy renders (the ~20k-dot
     /// point map) call this once instead of doubling a megabyte string.
     pub fn reserve(&mut self, bytes: usize) {

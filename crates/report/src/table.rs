@@ -1,7 +1,5 @@
 //! Aligned plain-text tables.
 
-use crate::error::ReportError;
-
 /// A simple text table with a header row and aligned columns.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
@@ -31,32 +29,6 @@ impl TextTable {
         );
         self.rows.push(cells.to_vec());
         self
-    }
-
-    /// Convenience: appends a row of displayable values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&strings)
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Like [`TextTable::render`], but rejects a table with zero data
-    /// rows — printing a header over nothing usually means an upstream
-    /// computation silently produced no results.
-    pub fn try_render(&self) -> Result<String, ReportError> {
-        if self.rows.is_empty() {
-            return Err(ReportError::EmptyData { what: "table rows" });
-        }
-        Ok(self.render())
     }
 
     /// Renders the table: title, rule, header, rule, rows. Numeric-
@@ -157,24 +129,5 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = TextTable::new("", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn zero_rows_error_gracefully() {
-        let t = TextTable::new("empty", &["a", "b"]);
-        let err = t.try_render().unwrap_err();
-        assert_eq!(err, ReportError::EmptyData { what: "table rows" });
-        let mut filled = TextTable::new("t", &["a"]);
-        filled.row(&["1".into()]);
-        assert_eq!(filled.try_render().unwrap(), filled.render());
-    }
-
-    #[test]
-    fn row_display_converts() {
-        let mut t = TextTable::new("", &["x", "y"]);
-        t.row_display(&[1.5, 2.25]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-        assert!(t.render().contains("2.25"));
     }
 }

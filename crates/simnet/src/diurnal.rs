@@ -37,11 +37,6 @@ impl DiurnalProfile {
         ])
     }
 
-    /// A flat profile (useful for analytic cross-checks).
-    pub fn flat() -> Self {
-        DiurnalProfile::new([1.0; 24])
-    }
-
     /// Demand weight at a continuous time-of-day in hours `[0, 24)`,
     /// linearly interpolated between hourly samples.
     pub fn weight_at(&self, hour_of_day: f64) -> f64 {
@@ -50,21 +45,6 @@ impl DiurnalProfile {
         let j = (i + 1) % 24;
         let t = h - h.floor();
         self.weights[i] * (1.0 - t) + self.weights[j] * t
-    }
-
-    /// The hour with peak demand.
-    pub fn busy_hour(&self) -> usize {
-        self.weights
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-
-    /// Mean weight over the day (the average-to-peak demand ratio).
-    pub fn mean_weight(&self) -> f64 {
-        self.weights.iter().sum::<f64>() / 24.0
     }
 }
 
@@ -75,9 +55,10 @@ mod tests {
     #[test]
     fn residential_peak_is_normalized_and_in_the_evening() {
         let p = DiurnalProfile::residential();
-        let bh = p.busy_hour();
-        assert!((19..=21).contains(&bh), "busy hour {bh}");
-        assert_eq!(p.weight_at(bh as f64), 1.0);
+        assert_eq!(p.weight_at(20.0), 1.0);
+        for h in 0..24 {
+            assert!(p.weight_at(h as f64) <= 1.0, "hour {h}");
+        }
     }
 
     #[test]
@@ -103,19 +84,5 @@ mod tests {
         let p = DiurnalProfile::residential();
         assert!((p.weight_at(24.0) - p.weight_at(0.0)).abs() < 1e-12);
         assert!((p.weight_at(-1.0) - p.weight_at(23.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flat_profile_is_constant() {
-        let p = DiurnalProfile::flat();
-        assert_eq!(p.mean_weight(), 1.0);
-        assert_eq!(p.weight_at(13.37), 1.0);
-    }
-
-    #[test]
-    fn mean_weight_is_between_trough_and_peak() {
-        let p = DiurnalProfile::residential();
-        let m = p.mean_weight();
-        assert!((0.3..0.9).contains(&m), "mean {m}");
     }
 }

@@ -131,97 +131,3 @@ mod tests {
         assert!((rates[1] - 35.0).abs() < 1e-12);
     }
 }
-
-/// Weighted max-min fairness: flow `i` receives rate proportional to
-/// `weights[i]` until its cap binds (weighted water-filling). Used to
-/// model mixed plan tiers sharing one beam (e.g. Priority subscribers
-/// at weight 2 alongside Residential at weight 1).
-pub fn weighted_max_min_fair(capacity: f64, caps: &[f64], weights: &[f64]) -> Vec<f64> {
-    assert!(capacity >= 0.0, "negative capacity");
-    assert_eq!(caps.len(), weights.len(), "caps/weights length mismatch");
-    let n = caps.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    for (&c, &w) in caps.iter().zip(weights) {
-        assert!(
-            c >= 0.0 && c.is_finite(),
-            "caps must be finite and non-negative"
-        );
-        assert!(w > 0.0 && w.is_finite(), "weights must be positive");
-    }
-    // Water-fill on the normalized level `cap/weight`.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        (caps[a] / weights[a])
-            .partial_cmp(&(caps[b] / weights[b]))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut rates = vec![0.0; n];
-    let mut remaining = capacity;
-    let mut weight_left: f64 = weights.iter().sum();
-    for (k, &i) in order.iter().enumerate() {
-        let level = remaining / weight_left;
-        if caps[i] <= level * weights[i] {
-            rates[i] = caps[i];
-            remaining -= caps[i];
-            weight_left -= weights[i];
-        } else {
-            for &j in &order[k..] {
-                rates[j] = level * weights[j];
-            }
-            return rates;
-        }
-    }
-    rates
-}
-
-#[cfg(test)]
-mod weighted_tests {
-    use super::*;
-
-    #[test]
-    fn reduces_to_unweighted_with_equal_weights() {
-        let caps = [5.0, 50.0, 100.0, 3.0];
-        let w = [1.0; 4];
-        let a = weighted_max_min_fair(60.0, &caps, &w);
-        let b = max_min_fair(60.0, &caps);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn double_weight_doubles_the_share() {
-        let rates = weighted_max_min_fair(90.0, &[1000.0, 1000.0, 1000.0], &[1.0, 1.0, 2.0]);
-        assert!((rates[0] - 22.5).abs() < 1e-12);
-        assert!((rates[1] - 22.5).abs() < 1e-12);
-        assert!((rates[2] - 45.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn caps_still_bind() {
-        let rates = weighted_max_min_fair(90.0, &[10.0, 1000.0], &[5.0, 1.0]);
-        assert!((rates[0] - 10.0).abs() < 1e-12);
-        assert!((rates[1] - 80.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn conservation_weighted() {
-        let caps = [5.0, 40.0, 100.0, 100.0];
-        let w = [1.0, 2.0, 1.0, 3.0];
-        let rates = weighted_max_min_fair(120.0, &caps, &w);
-        let total: f64 = rates.iter().sum();
-        let cap_total: f64 = caps.iter().sum();
-        assert!((total - 120.0f64.min(cap_total)).abs() < 1e-9);
-        for (r, c) in rates.iter().zip(caps.iter()) {
-            assert!(*r <= c + 1e-12);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mismatched_inputs_panic() {
-        let _ = weighted_max_min_fair(10.0, &[1.0], &[1.0, 2.0]);
-    }
-}

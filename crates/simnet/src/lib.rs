@@ -31,8 +31,6 @@ pub mod qoe;
 pub mod sim;
 pub mod workload;
 
-pub use diurnal::DiurnalProfile;
-pub use fairshare::{max_min_fair, weighted_max_min_fair};
+pub use fairshare::max_min_fair;
 pub use qoe::{busy_hour_experiment, QoeReport};
-pub use sim::{CellSim, FlowRecord, SimConfig};
-pub use workload::SizeDistribution;
+pub use sim::{CellSim, SimConfig};

@@ -139,43 +139,3 @@ mod tests {
         assert_eq!(r.full_speed_fraction, 0.0);
     }
 }
-
-#[cfg(test)]
-mod tail_weight {
-    use super::*;
-    use crate::sim::{CellSim, SimConfig};
-    use crate::workload::SizeDistribution;
-
-    /// At matched offered load, heavier-tailed flow sizes degrade the
-    /// experience of the *unlucky* flows (elephants monopolize the
-    /// queue for long stretches) even when the mean stays put — the
-    /// reason oversubscription planning can't rely on average load
-    /// alone. A 2-hour busy-hour trace is noisy (a single elephant
-    /// shifts p10 by several Mbps), so the comparison averages over
-    /// independent seeds rather than trusting one realization.
-    #[test]
-    fn heavy_tails_hurt_the_low_percentiles() {
-        let seeds = [31u64, 32, 33, 34, 35];
-        let mut p10_light = 0.0;
-        let mut p10_heavy = 0.0;
-        for &seed in &seeds {
-            let mut base = SimConfig::oversubscribed_cell(0.5, 30.0, seed);
-            base.duration_h = 2.0;
-            let light = CellSim::new(base.clone()).run();
-            let mut heavy_cfg = base.clone();
-            heavy_cfg.sizes = SizeDistribution::heavy_tailed_default();
-            let heavy = CellSim::new(heavy_cfg.clone()).run();
-            let r_light = summarize(30.0, &base, &light);
-            let r_heavy = summarize(30.0, &heavy_cfg, &heavy);
-            assert!(r_heavy.flows > 100 && r_light.flows > 100);
-            p10_light += r_light.p10_mbps / seeds.len() as f64;
-            p10_heavy += r_heavy.p10_mbps / seeds.len() as f64;
-        }
-        // Medians are close (same load), but the heavy tail's p10 is
-        // no better on average.
-        assert!(
-            p10_heavy <= p10_light + 5.0,
-            "heavy p10 {p10_heavy} vs light {p10_light}"
-        );
-    }
-}

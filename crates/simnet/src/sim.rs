@@ -14,6 +14,7 @@
 //! time-stepping error.
 
 use crate::diurnal::DiurnalProfile;
+use crate::workload;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
@@ -31,8 +32,6 @@ pub struct SimConfig {
     /// standard ISP planning figure (2–3 Mbps for residential fixed
     /// broadband).
     pub busy_hour_mbps_per_sub: f64,
-    /// Flow-size distribution.
-    pub sizes: crate::workload::SizeDistribution,
     /// Diurnal demand profile.
     pub profile: DiurnalProfile,
     /// Simulation start, hours from midnight.
@@ -54,7 +53,6 @@ impl SimConfig {
             plan_rate_mbps: plan,
             subscribers: (capacity_gbps * 1000.0 * oversub / plan).floor() as u64,
             busy_hour_mbps_per_sub: 2.5,
-            sizes: crate::workload::SizeDistribution::residential_default(),
             profile: DiurnalProfile::residential(),
             start_hour: 19.0,
             duration_h: 3.0,
@@ -118,7 +116,7 @@ impl CellSim {
     /// Creates a simulator.
     pub fn new(cfg: SimConfig) -> Self {
         assert!(cfg.capacity_gbps > 0.0 && cfg.plan_rate_mbps > 0.0);
-        assert!(cfg.duration_h > 0.0 && cfg.sizes.mean_bits() > 0.0);
+        assert!(cfg.duration_h > 0.0);
         CellSim { cfg }
     }
 
@@ -130,7 +128,7 @@ impl CellSim {
             * self.cfg.busy_hour_mbps_per_sub
             * 1e6
             * self.cfg.profile.weight_at(hour);
-        offered_bps / self.cfg.sizes.mean_bits()
+        offered_bps / workload::mean_bits()
     }
 
     /// Runs the simulation, returning every flow that *completed*
@@ -142,7 +140,6 @@ impl CellSim {
         let span_s = cfg.duration_h * 3600.0;
         let cap_bps = cfg.capacity_gbps * 1e9;
         let plan_bps = cfg.plan_rate_mbps * 1e6;
-        let sample_size = |rng: &mut StdRng| -> f64 { cfg.sizes.sample(rng) };
         // Peak arrival intensity for thinning.
         let lambda_max = (0..=(cfg.duration_h.ceil() as u32))
             .map(|h| self.lambda(h as f64 * 3600.0))
@@ -190,7 +187,7 @@ impl CellSim {
                 // Advance virtual time, then admit the flow.
                 v += rate * (arrival_t - t);
                 t = arrival_t;
-                let size = sample_size(&mut rng);
+                let size = workload::sample(&mut rng);
                 active.push(Completion {
                     v_done: v + size,
                     arrival_s: t,
@@ -286,7 +283,7 @@ mod tests {
         // At the busy window the profile ≈ 1; expected count:
         let expect =
             cfg.subscribers as f64 * cfg.busy_hour_mbps_per_sub * 1e6 * 3600.0 * cfg.duration_h
-                / cfg.sizes.mean_bits()
+                / workload::mean_bits()
                 * 0.97; // profile average over 19:00–20:00
         let got = records.len() as f64;
         assert!(
@@ -314,7 +311,7 @@ mod littles_law {
     #[test]
     fn littles_law_holds_under_flat_load() {
         let mut cfg = SimConfig::oversubscribed_cell(0.5, 20.0, 99);
-        cfg.profile = DiurnalProfile::flat();
+        cfg.profile = DiurnalProfile::new([1.0; 24]);
         cfg.start_hour = 0.0;
         cfg.duration_h = 6.0;
         let sim = CellSim::new(cfg.clone());

@@ -1,113 +1,35 @@
-//! Flow-size distributions.
+//! Flow-size distribution.
 //!
 //! Internet flow sizes are famously heavy-tailed ("mice and
-//! elephants"). The simulator supports two standard models:
-//!
-//! * **Lognormal** — the default; matches the body of measured
-//!   residential traffic well and has all moments finite.
-//! * **Bounded Pareto** — the classic heavy-tail model; the truncation
-//!   keeps the mean finite even for tail exponents `α ≤ 1`.
-//!
-//! Both are parameterized to a target mean so the offered-load
-//! arithmetic (`λ = offered_bps / E[S]`) holds regardless of shape —
-//! letting experiments isolate the effect of *tail weight* on QoE at
-//! fixed load.
+//! elephants"). The simulator draws them from one **lognormal**
+//! (25 MB mean, σ = 1.5), which matches the body of measured
+//! residential traffic well and has all moments finite. It is
+//! parameterized to a target mean so the offered-load arithmetic
+//! (`λ = offered_bps / E[S]`) holds.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// A flow-size distribution over sizes in **bits**.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SizeDistribution {
-    /// Lognormal with the given mean (MB) and log-space σ.
-    LogNormal {
-        /// Mean flow size, megabytes.
-        mean_mb: f64,
-        /// Shape: standard deviation of `ln(size)`.
-        sigma: f64,
-    },
-    /// Pareto truncated to `[min_mb, max_mb]` with tail exponent
-    /// `alpha`.
-    BoundedPareto {
-        /// Tail exponent (smaller = heavier tail).
-        alpha: f64,
-        /// Lower bound, megabytes.
-        min_mb: f64,
-        /// Upper bound, megabytes.
-        max_mb: f64,
-    },
-}
+/// Mean flow size of the residential lognormal, megabytes.
+const FLOW_MEAN_MB: f64 = 25.0;
+/// Shape of the residential lognormal: standard deviation of `ln(size)`.
+const FLOW_SIGMA: f64 = 1.5;
 
 const MB_TO_BITS: f64 = 8e6;
 
-impl SizeDistribution {
-    /// The residential default: 25 MB mean, σ = 1.5.
-    pub fn residential_default() -> Self {
-        SizeDistribution::LogNormal {
-            mean_mb: 25.0,
-            sigma: 1.5,
-        }
-    }
+/// Expected flow size, bits.
+pub fn mean_bits() -> f64 {
+    FLOW_MEAN_MB * MB_TO_BITS
+}
 
-    /// A heavy-tailed alternative with (approximately) the same mean as
-    /// [`SizeDistribution::residential_default`]: α = 1.2 over
-    /// [6 MB, 2 GB] has mean ≈ 25 MB.
-    pub fn heavy_tailed_default() -> Self {
-        SizeDistribution::BoundedPareto {
-            alpha: 1.2,
-            min_mb: 6.0,
-            max_mb: 2048.0,
-        }
-    }
-
-    /// Expected flow size, bits.
-    pub fn mean_bits(&self) -> f64 {
-        match *self {
-            SizeDistribution::LogNormal { mean_mb, .. } => mean_mb * MB_TO_BITS,
-            SizeDistribution::BoundedPareto {
-                alpha,
-                min_mb,
-                max_mb,
-            } => {
-                // E[S] for bounded Pareto on [L, H]:
-                // α L^α (H^{1−α} − L^{1−α}) / ((1−α)(1 − (L/H)^α)), α ≠ 1.
-                let (l, h) = (min_mb * MB_TO_BITS, max_mb * MB_TO_BITS);
-                if (alpha - 1.0).abs() < 1e-9 {
-                    // α = 1: E[S] = ln(H/L) · L·H/(H−L).
-                    (h / l).ln() * l * h / (h - l)
-                } else {
-                    alpha * l.powf(alpha) * (h.powf(1.0 - alpha) - l.powf(1.0 - alpha))
-                        / ((1.0 - alpha) * (1.0 - (l / h).powf(alpha)))
-                }
-            }
-        }
-    }
-
-    /// Samples one flow size, bits.
-    pub fn sample(&self, rng: &mut StdRng) -> f64 {
-        match *self {
-            SizeDistribution::LogNormal { mean_mb, sigma } => {
-                let mean_bits = mean_mb * MB_TO_BITS;
-                let mu = mean_bits.ln() - sigma * sigma / 2.0;
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                (mu + sigma * z).exp()
-            }
-            SizeDistribution::BoundedPareto {
-                alpha,
-                min_mb,
-                max_mb,
-            } => {
-                // Inverse-CDF sampling of the truncated Pareto.
-                let (l, h) = (min_mb * MB_TO_BITS, max_mb * MB_TO_BITS);
-                let u: f64 = rng.gen_range(0.0..1.0);
-                let la = l.powf(-alpha);
-                let ha = h.powf(-alpha);
-                (la - u * (la - ha)).powf(-1.0 / alpha)
-            }
-        }
-    }
+/// Samples one flow size, bits.
+pub fn sample(rng: &mut StdRng) -> f64 {
+    let sigma = FLOW_SIGMA;
+    let mu = mean_bits().ln() - sigma * sigma / 2.0;
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    (mu + sigma * z).exp()
 }
 
 #[cfg(test)]
@@ -115,87 +37,18 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn sample_mean(d: &SizeDistribution, n: usize, seed: u64) -> f64 {
+    fn sample_mean(n: usize, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64
+        (0..n).map(|_| sample(&mut rng)).sum::<f64>() / n as f64
     }
 
     #[test]
     fn lognormal_mean_matches_parameter() {
-        let d = SizeDistribution::residential_default();
-        let got = sample_mean(&d, 200_000, 1);
-        let expect = d.mean_bits();
+        let got = sample_mean(200_000, 1);
+        let expect = mean_bits();
         assert!(
             (got - expect).abs() / expect < 0.05,
             "got {got} expect {expect}"
-        );
-    }
-
-    #[test]
-    fn pareto_mean_matches_closed_form() {
-        let d = SizeDistribution::BoundedPareto {
-            alpha: 1.5,
-            min_mb: 1.0,
-            max_mb: 1000.0,
-        };
-        let got = sample_mean(&d, 400_000, 2);
-        let expect = d.mean_bits();
-        assert!(
-            (got - expect).abs() / expect < 0.05,
-            "got {got} expect {expect}"
-        );
-    }
-
-    #[test]
-    fn heavy_default_mean_is_near_25_mb() {
-        let mean_mb = SizeDistribution::heavy_tailed_default().mean_bits() / MB_TO_BITS;
-        assert!((mean_mb - 25.0).abs() < 5.0, "mean {mean_mb} MB");
-    }
-
-    #[test]
-    fn pareto_respects_bounds() {
-        let d = SizeDistribution::BoundedPareto {
-            alpha: 0.9,
-            min_mb: 2.0,
-            max_mb: 10.0,
-        };
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..10_000 {
-            let s = d.sample(&mut rng);
-            assert!((2.0 * MB_TO_BITS - 1e-6..=10.0 * MB_TO_BITS + 1e-6).contains(&s));
-        }
-    }
-
-    #[test]
-    fn alpha_one_special_case() {
-        let d = SizeDistribution::BoundedPareto {
-            alpha: 1.0,
-            min_mb: 1.0,
-            max_mb: 100.0,
-        };
-        let analytic = d.mean_bits();
-        let got = sample_mean(&d, 200_000, 4);
-        assert!((got - analytic).abs() / analytic < 0.05);
-    }
-
-    #[test]
-    fn pareto_is_heavier_tailed_than_lognormal() {
-        // At matched means, the Pareto's 99.9th percentile dwarfs the
-        // lognormal's.
-        let ln = SizeDistribution::residential_default();
-        let par = SizeDistribution::heavy_tailed_default();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut a: Vec<f64> = (0..50_000).map(|_| ln.sample(&mut rng)).collect();
-        let mut b: Vec<f64> = (0..50_000).map(|_| par.sample(&mut rng)).collect();
-        a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        let p999 = |v: &Vec<f64>| v[(v.len() as f64 * 0.999) as usize];
-        // σ=1.5 lognormal is itself fat; the Pareto tail still wins.
-        assert!(
-            p999(&b) > p999(&a),
-            "pareto {} lognormal {}",
-            p999(&b),
-            p999(&a)
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the flow-level simulator.
 
-use leo_simnet::{max_min_fair, weighted_max_min_fair, CellSim, SimConfig};
+use leo_simnet::{max_min_fair, CellSim, SimConfig};
 use proptest::prelude::*;
 
 fn caps() -> impl Strategy<Value = Vec<f64>> {
@@ -42,21 +42,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn weighted_fairshare_scales_with_weights(capacity in 1.0..500.0f64,
-                                              n in 2usize..20,
-                                              w in 1.1..5.0f64) {
-        // Two classes of uncapped flows: class B carries weight w and
-        // must receive exactly w× class A's rate.
-        let caps = vec![1e9; n * 2];
-        let mut weights = vec![1.0; n];
-        weights.extend(std::iter::repeat_n(w, n));
-        let rates = weighted_max_min_fair(capacity, &caps, &weights);
-        let a = rates[0];
-        let b = rates[n];
-        prop_assert!((b - w * a).abs() < 1e-6, "a={a} b={b} w={w}");
     }
 
     #[test]

@@ -45,8 +45,7 @@
 #                             throughput), then `divide history` of the
 #                             newest warm run against the ledger's
 #                             prior median. Either exits 3 when a
-#                             metric is worse by more than
-#                             $BENCH_GATE_PCT percent (20).
+#                             metric is worse by more than 20%.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -262,10 +261,10 @@ fi
 # baseline skips this), then the newest warm run, which the runs above
 # appended to $ledger, against the median of its predecessors (same
 # command/scale/threads; the first invocation has nothing to gate
-# against and passes). Time metrics under BENCH_GATE_MIN_MS never gate:
-# at paper scale the few-millisecond stages are scheduler noise.
+# against and passes). Time metrics under 10 ms never gate: at paper
+# scale the few-millisecond stages are scheduler noise.
 if [ $gate -eq 1 ]; then
-    gate_flags=(--max-regress-pct "${BENCH_GATE_PCT:-20}" --min-wall-ms "${BENCH_GATE_MIN_MS:-10}")
+    gate_flags=(--max-regress-pct 20 --min-wall-ms 10)
     if git show HEAD:BENCH_tier1.json > "$work/bench-base.json" 2>/dev/null; then
         echo "[bench] gating BENCH_tier1.json against HEAD's"
         ./target/release/divide report --baseline "$work/bench-base.json" \

@@ -29,9 +29,9 @@ echo "[chaos] fault-free reference run (prewarms the shared cache)"
 "$BIN" --scale small all --out "$ref" --cache "$cache" -q >/dev/null
 
 # Plan templates cycled over the seeds. Sites chosen to hit every
-# choke point: artifact writes (all three io.* phases), warm-cache
-# decode, the ledger appender, a stage abort, and worker-chunk panic/
-# delay on the pool.
+# choke point: artifact writes (all three io.* phases, plus a panic
+# mid-write), warm-cache decode, the ledger appender, a stage abort,
+# and worker-chunk panic/delay on the pool.
 templates=(
     "io.write:p=0.4"
     "io.rename:nth=2"
@@ -41,6 +41,7 @@ templates=(
     "stage.fig3:nth=1"
     "pool.chunk:nth=3,mode=panic"
     "pool.chunk:nth=2,mode=delay,delay_ms=20"
+    "io.fsync:nth=1,mode=panic"
 )
 
 fail() {

@@ -9,7 +9,7 @@
 //! single package:
 //!
 //! * [`geomath`] — geodesy and spherical geometry primitives
-//! * [`hexgrid`] — hierarchical hexagonal service-cell grid (H3-like)
+//! * [`hexgrid`] — multi-resolution hexagonal service-cell grid (H3-like)
 //! * [`orbit`] — Walker constellations, propagation, coverage, density
 //! * [`demand`] — synthetic broadband-map and income datasets
 //! * [`capacity`] — Starlink spectrum/beam capacity model

@@ -189,7 +189,7 @@ fn lifeline_subsidy_value_is_applied_exactly() {
     assert!(
         (without.monthly_usd
             - with.monthly_usd
-            - starlink_divide_repro::demand::LIFELINE_SUBSIDY_USD)
+            - starlink_divide_repro::demand::plans::LIFELINE_SUBSIDY_USD)
             .abs()
             < 1e-9
     );
