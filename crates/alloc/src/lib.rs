@@ -41,28 +41,52 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
-static TRACKING: AtomicBool = AtomicBool::new(false);
+/// The four counters every allocation or free writes, on a 64-byte
+/// line of their own: unaligned, a mark every allocation reads could
+/// share their line, and two allocating threads then bounced two lines.
+#[repr(align(64))]
+struct Counters {
+    alloc_calls: AtomicU64,
+    dealloc_calls: AtomicU64,
+    allocated_bytes: AtomicU64,
+    freed_bytes: AtomicU64,
+}
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static DEALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-/// The rebasable high-water mark: [`rebase_span_peak`] resets it to
-/// the live heap size so a top-level span measures its *own* peak,
-/// not a taller one left behind by an earlier stage.
-static SPAN_PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+/// What each allocation reads but seldom writes, on a second line of
+/// its own.
+#[repr(align(64))]
+struct Marks {
+    tracking: AtomicBool,
+    peak_bytes: AtomicU64,
+    /// The rebasable high-water mark: [`rebase_span_peak`] resets it
+    /// to the live heap size so a top-level span measures its *own*
+    /// peak, not a taller one left behind by an earlier stage.
+    span_peak_bytes: AtomicU64,
+}
+
+static COUNTERS: Counters = Counters {
+    alloc_calls: AtomicU64::new(0),
+    dealloc_calls: AtomicU64::new(0),
+    allocated_bytes: AtomicU64::new(0),
+    freed_bytes: AtomicU64::new(0),
+};
+
+static MARKS: Marks = Marks {
+    tracking: AtomicBool::new(false),
+    peak_bytes: AtomicU64::new(0),
+    span_peak_bytes: AtomicU64::new(0),
+};
 
 /// Turns allocation tracking on or off for the whole process. Off by
 /// default; the CLI enables it at startup unless `DIVIDE_OBS=off` (or
 /// `DIVIDE_ALLOC=off`) holds.
 pub fn set_tracking(on: bool) {
-    TRACKING.store(on, Relaxed);
+    MARKS.tracking.store(on, Relaxed);
 }
 
 /// Whether allocation tracking is currently enabled.
 pub fn tracking() -> bool {
-    TRACKING.load(Relaxed)
+    MARKS.tracking.load(Relaxed)
 }
 
 /// A point-in-time copy of the allocator counters.
@@ -91,7 +115,7 @@ pub struct AllocStats {
 /// allocated before tracking was enabled legitimately push `freed`
 /// past `allocated`; readers clamp at zero.
 fn current_raw() -> i64 {
-    ALLOCATED_BYTES.load(Relaxed) as i64 - FREED_BYTES.load(Relaxed) as i64
+    COUNTERS.allocated_bytes.load(Relaxed) as i64 - COUNTERS.freed_bytes.load(Relaxed) as i64
 }
 
 /// Reads every counter. Values move concurrently with the read, so the
@@ -99,12 +123,12 @@ fn current_raw() -> i64 {
 /// exactly what monotone before/after deltas need.
 pub fn stats() -> AllocStats {
     AllocStats {
-        alloc_calls: ALLOC_CALLS.load(Relaxed),
-        dealloc_calls: DEALLOC_CALLS.load(Relaxed),
-        allocated_bytes: ALLOCATED_BYTES.load(Relaxed),
-        freed_bytes: FREED_BYTES.load(Relaxed),
+        alloc_calls: COUNTERS.alloc_calls.load(Relaxed),
+        dealloc_calls: COUNTERS.dealloc_calls.load(Relaxed),
+        allocated_bytes: COUNTERS.allocated_bytes.load(Relaxed),
+        freed_bytes: COUNTERS.freed_bytes.load(Relaxed),
         current_bytes: current_raw().max(0) as u64,
-        peak_bytes: PEAK_BYTES.load(Relaxed),
+        peak_bytes: MARKS.peak_bytes.load(Relaxed),
     }
 }
 
@@ -118,14 +142,14 @@ pub fn stats() -> AllocStats {
 /// the rebase is quiescent.
 pub fn rebase_span_peak() -> u64 {
     let now = current_raw().max(0) as u64;
-    SPAN_PEAK_BYTES.store(now, Relaxed);
+    MARKS.span_peak_bytes.store(now, Relaxed);
     now
 }
 
 /// The highest the live heap has been since the last
 /// [`rebase_span_peak`] (process lifetime if never rebased).
 pub fn span_peak_bytes() -> u64 {
-    SPAN_PEAK_BYTES.load(Relaxed)
+    MARKS.span_peak_bytes.load(Relaxed)
 }
 
 /// Load-then-CAS maximum: the common no-new-peak case is a single
@@ -137,23 +161,23 @@ fn bump_max(slot: &AtomicU64, value: u64) {
 }
 
 fn on_alloc(bytes: usize) {
-    ALLOC_CALLS.fetch_add(1, Relaxed);
-    let allocated = ALLOCATED_BYTES.fetch_add(bytes as u64, Relaxed) + bytes as u64;
+    COUNTERS.alloc_calls.fetch_add(1, Relaxed);
+    let allocated = COUNTERS.allocated_bytes.fetch_add(bytes as u64, Relaxed) + bytes as u64;
     // Live heap after this allocation, from the cumulative counters
     // (plain loads, no third RMW). The FREED load racing a concurrent
     // free can only make `now` smaller — an undercounted peak sample,
     // never an inflated one — and the next allocation resamples.
-    let now = allocated as i64 - FREED_BYTES.load(Relaxed) as i64;
+    let now = allocated as i64 - COUNTERS.freed_bytes.load(Relaxed) as i64;
     if now > 0 {
         let now = now as u64;
-        bump_max(&PEAK_BYTES, now);
-        bump_max(&SPAN_PEAK_BYTES, now);
+        bump_max(&MARKS.peak_bytes, now);
+        bump_max(&MARKS.span_peak_bytes, now);
     }
 }
 
 fn on_dealloc(bytes: usize) {
-    DEALLOC_CALLS.fetch_add(1, Relaxed);
-    FREED_BYTES.fetch_add(bytes as u64, Relaxed);
+    COUNTERS.dealloc_calls.fetch_add(1, Relaxed);
+    COUNTERS.freed_bytes.fetch_add(bytes as u64, Relaxed);
 }
 
 /// The tracking allocator. Declare it as the global allocator:
@@ -187,7 +211,7 @@ impl Default for TrackingAlloc {
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
-        if !ptr.is_null() && TRACKING.load(Relaxed) {
+        if !ptr.is_null() && MARKS.tracking.load(Relaxed) {
             on_alloc(layout.size());
         }
         ptr
@@ -195,7 +219,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() && TRACKING.load(Relaxed) {
+        if !ptr.is_null() && MARKS.tracking.load(Relaxed) {
             on_alloc(layout.size());
         }
         ptr
@@ -203,14 +227,14 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        if TRACKING.load(Relaxed) {
+        if MARKS.tracking.load(Relaxed) {
             on_dealloc(layout.size());
         }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = System.realloc(ptr, layout, new_size);
-        if !new_ptr.is_null() && TRACKING.load(Relaxed) {
+        if !new_ptr.is_null() && MARKS.tracking.load(Relaxed) {
             // One alloc of the new block plus one free of the old:
             // call counts stay balanced and `current` moves by the
             // size delta.

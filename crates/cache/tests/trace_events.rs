@@ -1,18 +1,18 @@
 //! Cache events on the timeline: a corrupt snapshot must surface as a
 //! `cache.invalid` instant *followed by* the regeneration span — the
 //! exact sequence ISSUE/DESIGN promise `--trace` users they will see
-//! in Perfetto. Integration test so the recorder state is this
-//! process's alone.
+//! in Perfetto. The test records into its own `ObsScope`.
 
 use leo_cache::snapshot::{dataset_key, DatasetCache, DATASET_KIND};
 use leo_demand::dataset::SynthConfig;
-use leo_trace::EventKind;
+use leo_obs::trace::{self, EventKind};
 
 #[test]
 fn corrupt_snapshot_marks_invalid_then_regenerates() {
     leo_obs::set_enabled(true);
-    leo_trace::set_enabled(true);
-    leo_trace::reset();
+    let scope = leo_obs::scope::ObsScope::new();
+    let _g = scope.enter();
+    trace::start();
 
     let dir = std::env::temp_dir().join(format!("leo_cache_trace_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -29,10 +29,10 @@ fn corrupt_snapshot_marks_invalid_then_regenerates() {
 
     // A unique marker so the assertions below only look at events this
     // load recorded, not the cold generation's.
-    leo_trace::instant("t_trace.marker");
+    trace::instant("t_trace.marker");
     let _ = cache.load_or_generate(&cfg);
 
-    let lanes = leo_trace::snapshot();
+    let lanes = trace::snapshot();
     let lane = lanes
         .iter()
         .find(|l| l.events.iter().any(|e| e.name == "t_trace.marker"))

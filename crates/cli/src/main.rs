@@ -93,15 +93,11 @@ of the earlier values, which for report is the baseline record):
   --min-wall-ms MS     time metrics below MS in both runs never gate (5)
 
 environment (a switch is off when empty, 0, off or false, in any case):
-  DIVIDE_OBS           switch: off disables spans/metrics collection
-  DIVIDE_TRACE         switch: 1|on|true enables tracing, any other
-                       value names the trace file
+  DIVIDE_OBS           switch: off disables spans, metrics and --trace
   DIVIDE_ALLOC         switch: off disables allocation tracking (heap
                        telemetry in manifest, ledger, and trace)
   DIVIDE_LEDGER        switch: run-ledger destination; off disables the
                        append (default: <cache>/runs.jsonl)
-  DIVIDE_FAULT         fault plan applied when --fault-plan is absent
-                       (same SPEC grammar)
   DIVIDE_POOL_TIMEOUT_MS
                        worker-pool watchdog: per-fan-out deadline in
                        milliseconds; a stalled fan-out reports the
@@ -291,12 +287,10 @@ fn main() {
         };
         std::process::exit(history_cmd::run(&path, &gate));
     }
-    // Fault injection: the --fault-plan flag wins, then $DIVIDE_FAULT.
-    // An unparsable plan is a usage error (exit 2) — silently running
-    // *without* the faults a chaos harness asked for would make every
-    // "survived the plan" result meaningless.
-    let fault_spec =
-        fault_spec.or_else(|| std::env::var("DIVIDE_FAULT").ok().filter(|v| !v.is_empty()));
+    // Fault injection (--fault-plan). An unparsable plan is a usage
+    // error (exit 2) — silently running *without* the faults a chaos
+    // harness asked for would make every "survived the plan" result
+    // meaningless.
     if let Some(spec) = fault_spec {
         match leo_fault::FaultPlan::parse(&spec) {
             Ok(plan) => {
@@ -333,25 +327,10 @@ fn main() {
     }
     // Clean up registered temp files and exit 130 on SIGINT/SIGTERM.
     leo_fault::signal::install();
-    // The --trace flag wins; otherwise $DIVIDE_TRACE enables tracing
-    // (1/on/true) or names the trace file directly (any other value).
-    // This is the only reader of $DIVIDE_TRACE.
-    if trace.is_none() {
-        if let Switch::On(v) = Switch::env("DIVIDE_TRACE") {
-            let on_word = ["1", "on", "true"]
-                .iter()
-                .any(|w| v.trim().eq_ignore_ascii_case(w));
-            trace = Some(if on_word {
-                None
-            } else {
-                Some(PathBuf::from(v))
-            });
-        }
-    }
     // Explicit flag wins; otherwise leo-parallel falls back to
     // available parallelism.
     leo_parallel::set_global_threads(threads);
-    // The manifest must describe this invocation only.
+    // The manifest and trace must describe this invocation only.
     leo_obs::reset();
     // Allocation tracking piggybacks on observability: when spans are
     // collected (and DIVIDE_ALLOC doesn't opt out), turn the tracking
@@ -372,8 +351,7 @@ fn main() {
     leo_parallel::pool::prewarm(leo_parallel::effective_threads());
     if trace.is_some() {
         if leo_obs::enabled() {
-            leo_trace::set_enabled(true);
-            leo_trace::reset();
+            leo_obs::trace::start();
         } else {
             leo_obs::log_warn!("--trace ignored: observability is off (DIVIDE_OBS)");
             trace = None;
@@ -467,9 +445,10 @@ fn main() {
     if let Some(dest) = trace {
         let chrome = dest.unwrap_or_else(|| out.join("trace.json"));
         let folded = chrome.with_extension("folded");
+        let lanes = leo_obs::trace::snapshot();
         for (path, result) in [
-            (&chrome, leo_trace::export::write_chrome(&chrome)),
-            (&folded, leo_trace::export::write_folded(&folded)),
+            (&chrome, leo_trace::export::write_chrome(&chrome, &lanes)),
+            (&folded, leo_trace::export::write_folded(&folded, &lanes)),
         ] {
             match result {
                 Ok(()) => leo_obs::log_info!("wrote {}", path.display()),

@@ -590,7 +590,7 @@ fn trace_flag_writes_chrome_trace_with_worker_lanes_and_folded_stacks() {
 }
 
 #[test]
-fn trace_file_argument_and_env_var_choose_the_destination() {
+fn trace_file_argument_chooses_the_destination_and_removed_env_vars_do_nothing() {
     let dir = tmp("trace_dest");
     let custom = dir.join("custom_timeline.json");
     let out = run(divide()
@@ -613,21 +613,25 @@ fn trace_file_argument_and_env_var_choose_the_destination() {
         "default destination unused when FILE given"
     );
 
+    // The removed DIVIDE_TRACE and DIVIDE_FAULT variables do nothing:
+    // no trace files, and no fault (under --fault-plan, this plan
+    // aborts table1 with exit 1).
     let env_dir = tmp("trace_env");
-    let out = run(divide()
-        .args(["--scale", "small", "--no-cache", "--out"])
-        .arg(&env_dir)
-        .env("DIVIDE_TRACE", "1")
-        .arg("table1"));
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        env_dir.join("trace.json").is_file(),
-        "DIVIDE_TRACE=1 enables the default destination"
-    );
+    let removed = [
+        ("DIVIDE_TRACE", "1"),
+        ("DIVIDE_FAULT", "seed=1;stage.table1:nth=1"),
+    ];
+    for (var, value) in removed {
+        let out = run(divide()
+            .args(["--scale", "small", "--no-cache", "--out"])
+            .arg(&env_dir)
+            .env(var, value)
+            .arg("table1"));
+        assert_eq!(out.status.code(), Some(0), "{var}: {out:?}");
+        for name in ["trace.json", "trace.folded"] {
+            assert!(!env_dir.join(name).exists(), "{var} alone wrote {name}");
+        }
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&env_dir);
@@ -639,7 +643,6 @@ fn no_trace_flag_writes_no_trace_files() {
     let out = run(divide()
         .args(["--scale", "small", "--no-cache", "--out"])
         .arg(&dir)
-        .env_remove("DIVIDE_TRACE")
         .arg("table1"));
     assert!(out.status.success());
     assert!(!dir.join("trace.json").exists());

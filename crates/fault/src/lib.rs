@@ -482,12 +482,6 @@ pub fn degrade(subsystem: &str, reason: &str) {
         .or_insert_with(|| reason.to_string());
 }
 
-/// True iff [`degrade`] was called for `subsystem`.
-#[must_use]
-pub fn is_degraded(subsystem: &str) -> bool {
-    lock(&DEGRADED).contains_key(subsystem)
-}
-
 /// All degraded subsystems with their first failure reason, sorted.
 #[must_use]
 pub fn degraded_snapshot() -> Vec<(String, String)> {
@@ -643,10 +637,9 @@ mod tests {
     fn degradation_registry_keeps_first_reason() {
         let _guard = lock(&TEST_LOCK);
         reset();
-        assert!(!is_degraded("ledger"));
+        assert!(degraded_snapshot().is_empty());
         degrade("ledger", "disk full");
         degrade("ledger", "later noise");
-        assert!(is_degraded("ledger"));
         assert_eq!(
             degraded_snapshot(),
             vec![("ledger".to_string(), "disk full".to_string())]

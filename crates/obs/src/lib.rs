@@ -2,23 +2,24 @@
 //!
 //! The workspace's observability substrate: hierarchical timing
 //! [`span`]s, named [`metrics`] counters, per-stage worker-pool
-//! attribution, handle-based [`scope`] contexts that own every
-//! registry (with a process-default scope backing the free-function
-//! API), JSON [`manifest`] emission for reproducible runs, the leveled
-//! stderr [`log`]ger behind the `divide` CLI, process [`resource`]
-//! telemetry (allocator hook + RSS sampling), and the append-only
-//! run-history [`ledger`].
+//! attribution, the [`trace`] timeline, handle-based [`scope`]
+//! contexts that own every registry (with a process-default scope
+//! backing the free-function API), JSON [`manifest`] emission for
+//! reproducible runs, the leveled stderr [`log`]ger behind the
+//! `divide` CLI, process [`resource`] telemetry (allocator hook + RSS
+//! sampling), and the append-only run-history [`ledger`].
 //!
 //! ## The determinism contract
 //!
 //! Instrumentation must **never** perturb artifact bytes. Everything in
-//! this crate therefore only *observes*: spans and counters accumulate
-//! into scope-owned registries that are read back exclusively by the
-//! run manifest (and the ledger line projected from it) — never by the
-//! model, the dataset generator, or the renderers. `tests/determinism.rs`
-//! asserts the contract end to end: a run with observability enabled
-//! produces byte-identical CSVs/SVGs to one with `DIVIDE_OBS=off`, at 1
-//! and 4 worker threads.
+//! this crate therefore only *observes*: spans, counters and timeline
+//! events accumulate into scope-owned registries that are read back
+//! exclusively by the run manifest (and the ledger line projected from
+//! it) and the trace export — never by the model, the dataset
+//! generator, or the renderers. `tests/determinism.rs` asserts the
+//! contract end to end: a run with observability enabled, traced or
+//! not, produces byte-identical CSVs/SVGs to one with `DIVIDE_OBS=off`,
+//! at 1 and 4 worker threads.
 //!
 //! ## Switching it off
 //!
@@ -40,12 +41,12 @@ pub mod metrics;
 pub mod resource;
 pub mod scope;
 pub mod span;
+pub mod trace;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// An on/off environment switch — `DIVIDE_OBS`, `DIVIDE_ALLOC`,
-/// `DIVIDE_LEDGER` and `DIVIDE_TRACE` — read the one way they all
-/// share.
+/// An on/off environment switch — `DIVIDE_OBS`, `DIVIDE_ALLOC` and
+/// `DIVIDE_LEDGER` — read the one way they all share.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Switch {
     /// Not set (or not Unicode): the switch's default applies.
@@ -103,12 +104,13 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Clears every observability registry (spans, counters, parallel
-/// attribution) of the calling thread's current scope; live span
-/// guards still record when they drop. Runs that reuse one process for
-/// several measured phases call this between phases; the CLI calls it
-/// once at startup so a manifest only covers its own invocation.
+/// attribution) of the calling thread's current scope and drops its
+/// timeline; live span guards still record when they drop. Runs that
+/// reuse one process for several measured phases call this between
+/// phases; the CLI calls it once at startup so a manifest only covers
+/// its own invocation.
 pub fn reset() {
-    scope::with_reg(|reg| *reg = scope::Registries::default());
+    scope::current_scope().update(|reg| *reg = scope::Registries::default());
 }
 
 /// Opens a timing span and returns its RAII guard; the span ends when

@@ -2,9 +2,10 @@
 //! measurement registry.
 //!
 //! An [`ObsScope`] owns the storage the rest of this crate writes
-//! into — the span registry, the allocator registry, the counters and
-//! the per-stage parallel attribution — behind one lock. The free
-//! functions in [`crate::span`] and [`crate::metrics`] record into
+//! into — the span registry, the allocator registry, the counters, the
+//! per-stage parallel attribution and the trace timeline — behind one
+//! lock. The free functions in [`crate::span`], [`crate::metrics`] and
+//! [`crate::trace`] record into
 //! whichever scope is *current* on the calling thread; threads that
 //! never entered a scope fall back to a lazily created process-default
 //! scope, which preserves the pre-scope, global-statics behaviour byte
@@ -24,9 +25,11 @@
 //! propagation protocol: the pool itself stays observability-agnostic.
 
 use crate::span::{SpanAllocStats, SpanStats};
+use crate::trace::{LaneSnapshot, Timeline};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Everything a scope owns behind its single registry lock. One lock
@@ -43,6 +46,8 @@ pub(crate) struct Registries {
     /// Attribution root (a top-level span path, `stage.*` in the
     /// pipeline) → accumulated fan-out statistics.
     pub(crate) parallel: BTreeMap<String, StageParallel>,
+    /// The trace timeline, once [`crate::trace::start`] started it.
+    pub(crate) timeline: Option<Timeline>,
 }
 
 impl Registries {
@@ -92,7 +97,16 @@ pub struct StageParallel {
 /// share the same storage; dropping the last handle drops the data.
 #[derive(Clone)]
 pub struct ObsScope {
-    reg: Arc<Mutex<Registries>>,
+    inner: Arc<ScopeInner>,
+}
+
+struct ScopeInner {
+    reg: Mutex<Registries>,
+    /// Mirrors `reg.timeline.is_some()`, so an untraced span boundary
+    /// costs one relaxed load instead of a lock. Relaxed is enough: the
+    /// flag publishes nothing, since the timeline is only touched under
+    /// the lock, and a stale read records or skips one boundary.
+    tracing: AtomicBool,
 }
 
 /// The ambient observability state of one thread: which scope it
@@ -122,6 +136,12 @@ impl ThreadCtx {
             alloc_spans: true,
         }
     }
+
+    /// Whether the thread's current scope has a started timeline.
+    fn tracing(&self) -> bool {
+        let scope = self.scope.as_ref().unwrap_or_else(|| default_scope());
+        scope.inner.tracing.load(Ordering::Relaxed)
+    }
 }
 
 thread_local! {
@@ -145,8 +165,16 @@ pub(crate) fn current_scope() -> ObsScope {
 /// Runs `f` under the current scope's registry lock.
 pub(crate) fn with_reg<R>(f: impl FnOnce(&mut Registries) -> R) -> R {
     let scope = current_scope();
-    let mut reg = scope.reg.lock();
+    let mut reg = scope.inner.reg.lock();
     f(&mut reg)
+}
+
+/// Runs `f` on the current scope's timeline, if observability is on
+/// and the timeline started.
+pub(crate) fn with_timeline(f: impl FnOnce(&mut Timeline)) {
+    if crate::enabled() && CTX.with(|c| c.borrow().tracing()) {
+        with_reg(|reg| reg.timeline.as_mut().map(f));
+    }
 }
 
 /// Pushed-span bookkeeping returned by [`push_span`].
@@ -156,6 +184,8 @@ pub(crate) struct PushedSpan {
     /// Whether the span may carry allocator accounting (top of the
     /// default ambient context only; see [`ThreadCtx::alloc_spans`]).
     pub(crate) alloc_top: bool,
+    /// Whether the current scope's timeline is started.
+    pub(crate) traced: bool,
 }
 
 /// Computes the path of a span named `name` (nesting under the
@@ -175,6 +205,7 @@ pub(crate) fn push_span(name: &str) -> PushedSpan {
         PushedSpan {
             path,
             alloc_top: top && c.alloc_spans,
+            traced: c.tracing(),
         }
     })
 }
@@ -207,8 +238,20 @@ impl ObsScope {
     /// Creates a scope with empty registries.
     pub fn new() -> ObsScope {
         ObsScope {
-            reg: Arc::new(Mutex::new(Registries::default())),
+            inner: Arc::new(ScopeInner {
+                reg: Mutex::new(Registries::default()),
+                tracing: AtomicBool::new(false),
+            }),
         }
+    }
+
+    /// Runs `f` on this scope's registries, then syncs the timeline
+    /// flag with whether `f` left a timeline in place.
+    pub(crate) fn update(&self, f: impl FnOnce(&mut Registries)) {
+        let mut reg = self.inner.reg.lock();
+        f(&mut reg);
+        let tracing = &self.inner.tracing;
+        tracing.store(reg.timeline.is_some(), Ordering::Relaxed);
     }
 
     /// Makes this scope current on the calling thread until the guard
@@ -227,15 +270,17 @@ impl ObsScope {
     }
 
     /// A point-in-time copy of everything recorded into this scope:
-    /// spans, counters and parallel attribution, isolated from every
-    /// other scope (empty when observability is disabled).
+    /// spans, counters, parallel attribution and the timeline,
+    /// isolated from every other scope (empty when observability is
+    /// disabled).
     pub fn snapshot(&self) -> ScopeSnapshot {
-        let reg = self.reg.lock();
+        let reg = self.inner.reg.lock();
         ScopeSnapshot {
             spans: reg.spans.clone(),
             allocs: reg.span_allocs.clone(),
             counters: reg.counters.clone(),
             parallel: reg.parallel.clone(),
+            timeline: crate::trace::lanes(&reg.timeline),
         }
     }
 }
@@ -378,6 +423,8 @@ pub struct ScopeSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Attribution root → parallel stats.
     pub parallel: BTreeMap<String, StageParallel>,
+    /// The timeline's lanes (empty unless it was started).
+    pub timeline: Vec<LaneSnapshot>,
 }
 
 #[cfg(test)]

@@ -14,52 +14,17 @@
 //! nest under the owning `stage.*` span instead of becoming orphan
 //! roots. Threads outside any scope record into the process-default
 //! scope, which preserves the historical global-registry behaviour.
+//! Once the scope's [`crate::trace`] timeline is started, each span
+//! boundary also lands there, with the registry's own `Instant`.
 //!
 //! Everything is a no-op while [`crate::enabled`] is false; the spans
-//! only ever feed the run manifest, never the computation (the
-//! determinism contract in the crate docs).
+//! only ever feed the run manifest and the trace export, never the
+//! computation (the determinism contract in the crate docs).
 
 use crate::scope;
-use parking_lot::Mutex;
+use crate::trace::{self, EventKind};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-
-/// Which boundary of a span's lifetime a [`SpanSink`] call reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanPhase {
-    /// The span just opened; the `Instant` is its start.
-    Begin,
-    /// The span just closed; the `Instant` is its end.
-    End,
-}
-
-/// A span sink observes every span boundary with the span's *leaf*
-/// name and the **same** `Instant` the registry times with — a
-/// downstream timeline (leo-trace) therefore agrees with [`SpanStats`]
-/// totals to the nanosecond. A plain `fn` pointer: sinks must be
-/// global and capture nothing.
-pub type SpanSink = fn(SpanPhase, &str, Instant);
-
-static SINK: Mutex<Option<SpanSink>> = Mutex::new(None);
-/// Fast-path flag mirroring `SINK.is_some()`, so the overwhelmingly
-/// common no-sink case costs one relaxed load instead of a lock.
-static SINK_SET: AtomicBool = AtomicBool::new(false);
-
-/// Installs (`Some`) or removes (`None`) the process-wide span sink.
-pub fn set_sink(sink: Option<SpanSink>) {
-    *SINK.lock() = sink;
-    SINK_SET.store(sink.is_some(), Ordering::Relaxed);
-}
-
-fn notify_sink(phase: SpanPhase, leaf: &str, at: Instant) {
-    if !SINK_SET.load(Ordering::Relaxed) {
-        return;
-    }
-    if let Some(sink) = *SINK.lock() {
-        sink(phase, leaf, at);
-    }
-}
 
 /// Accumulated statistics of one span path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +85,8 @@ pub struct SpanGuard {
     path: Option<String>,
     start: Instant,
     alloc_begin: Option<AllocBegin>,
+    /// Whether the span opened on a started timeline (its End goes too).
+    traced: bool,
 }
 
 /// Opens a span named `name` nested under this thread's innermost live
@@ -130,6 +97,7 @@ pub fn enter(name: &str) -> SpanGuard {
             path: None,
             start: Instant::now(),
             alloc_begin: None,
+            traced: false,
         };
     }
     let pushed = scope::push_span(name);
@@ -151,11 +119,14 @@ pub fn enter(name: &str) -> SpanGuard {
         None
     };
     let start = Instant::now();
-    notify_sink(SpanPhase::Begin, name, start);
+    if pushed.traced {
+        trace::span_boundary(name, EventKind::Begin, start);
+    }
     SpanGuard {
         path: Some(pushed.path),
         start,
         alloc_begin,
+        traced: pushed.traced,
     }
 }
 
@@ -164,8 +135,10 @@ impl Drop for SpanGuard {
         if let Some(path) = self.path.take() {
             let end = Instant::now();
             let ns = end.saturating_duration_since(self.start).as_nanos() as u64;
-            let leaf = path.rsplit('/').next().unwrap_or(&path);
-            notify_sink(SpanPhase::End, leaf, end);
+            if self.traced {
+                let leaf = path.rsplit('/').next().unwrap_or(&path);
+                trace::span_boundary(leaf, EventKind::End, end);
+            }
             scope::pop_span();
             // Read the allocator outside the registry lock, then fold
             // timing and heap stats in under a single lock hold (the
@@ -263,46 +236,9 @@ mod tests {
         assert_eq!(stats_under("t_off.span").len(), before);
     }
 
-    /// A capture buffer for the sink test; `SpanSink` is a plain fn
-    /// pointer, so the sink writes into a static instead of a closure.
-    static SINK_LOG: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-    fn capture_sink(phase: SpanPhase, leaf: &str, _at: Instant) {
-        SINK_LOG.lock().push(format!("{phase:?}:{leaf}"));
-    }
-
-    #[test]
-    fn sink_sees_span_boundaries_with_leaf_names() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
-        set_sink(Some(capture_sink));
-        SINK_LOG.lock().clear();
-        {
-            let _outer = enter("t_sinkspan.outer");
-            let _inner = enter("child");
-        }
-        set_sink(None);
-        let log = SINK_LOG.lock().clone();
-        assert_eq!(
-            log,
-            vec![
-                "Begin:t_sinkspan.outer",
-                "Begin:child",
-                "End:child",
-                "End:t_sinkspan.outer",
-            ]
-        );
-        // With the sink removed, boundaries go nowhere.
-        SINK_LOG.lock().clear();
-        {
-            let _s = enter("t_sinkspan.after");
-        }
-        assert!(SINK_LOG.lock().is_empty());
-    }
-
     /// A deterministic fake allocator for hook tests: `read` advances
     /// a static counter so begin/end deltas are nonzero.
-    static FAKE_TICKS: Mutex<u64> = Mutex::new(0);
+    static FAKE_TICKS: parking_lot::Mutex<u64> = parking_lot::Mutex::new(0);
 
     fn fake_read() -> crate::resource::AllocReading {
         let mut ticks = FAKE_TICKS.lock();

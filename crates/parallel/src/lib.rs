@@ -73,11 +73,12 @@
 //! renders both as the per-stage `parallel` section, the one record of
 //! pool work — written once per fan-out, never per item, and dropped
 //! entirely when observability is off. `Memo` hits and misses count
-//! under `parallel.memo_*`. When the `leo-trace` timeline recorder is
-//! on, each completed chunk additionally lands as one complete event
-//! on its worker-index lane (chunk index, item range, busy duration,
-//! owning span path), so `--trace` shows the fan-out shape per worker
-//! and folded stacks telescope worker time under the owning stage.
+//! under `parallel.memo_*`. When the owning scope's timeline is started
+//! (`leo_obs::trace`), each completed chunk additionally lands as one
+//! complete event on its worker-index lane (chunk index, item range,
+//! busy duration, owning span path), so `--trace` shows the fan-out
+//! shape per worker and folded stacks telescope worker time under the
+//! owning stage.
 //! The record and trace events feed the run manifest and trace export
 //! only; they can never perturb results (the determinism contract
 //! holds with observability and tracing on or off).
@@ -150,8 +151,8 @@ pub fn effective_threads() -> usize {
 /// Default minimum estimated per-chunk duration that justifies
 /// dispatching to the pool. Dispatch costs single-digit microseconds
 /// per chunk; at 100 µs of work per chunk that overhead is noise,
-/// while the sliver-sized fan-outs visible in the `leo-trace` worker
-/// lanes (tens of microseconds total) stay serial.
+/// while the sliver-sized fan-outs visible in the trace's worker lanes
+/// (tens of microseconds total) stay serial.
 const DEFAULT_SERIAL_THRESHOLD_NS: u64 = 100_000;
 
 /// How much leading work the probe may time before extrapolating a
@@ -280,7 +281,6 @@ where
         }
     }
     let base = prefix.len();
-    let tracing = leo_trace::enabled();
     // Capture the caller's scope and innermost span path so chunk
     // bodies (and their trace events) attribute under the owning
     // `stage.*` span on whichever thread they execute; inert and free
@@ -302,9 +302,7 @@ where
             .map(|(k, x)| f(lo + k, x))
             .collect();
         let w1 = Instant::now();
-        if tracing {
-            leo_trace::worker_chunk(w, "parallel.par_map", ctx.parent(), w0, w1, lo, hi);
-        }
+        leo_obs::trace::worker_chunk(w, "parallel.par_map", ctx.parent(), w0, w1, lo, hi);
         *slots[w].lock() = Some((out, w1.saturating_duration_since(w0).as_nanos() as u64));
     });
     let mut out = prefix;
@@ -634,28 +632,30 @@ mod tests {
     #[test]
     fn fanouts_record_worker_chunk_trace_events() {
         leo_obs::set_enabled(true);
-        leo_trace::set_enabled(true);
-        // 103 items over 4 workers → chunks (0,26) (26,52) (52,78)
-        // (78,103); a length no other test uses, so concurrent tests
-        // recording chunks cannot alias these ranges.
-        let items: Vec<u64> = (0..103).collect();
-        let _ = with_serial_threshold(0, || with_threads(4, || par_map(&items, |_, &x| x + 1)));
-        let lanes = leo_trace::snapshot();
-        let chunk_on = |label: &str, lo: u64, hi: u64| {
-            lanes.iter().any(|lane| {
-                lane.label == label
-                    && lane.events.iter().any(|e| {
-                        matches!(e.kind, leo_trace::EventKind::Complete { .. })
-                            && e.name == "parallel.par_map"
-                            && e.args.contains(&("lo", lo))
-                            && e.args.contains(&("hi", hi))
-                    })
-            })
+        let scope = leo_obs::scope::ObsScope::new();
+        {
+            let _guard = scope.enter();
+            leo_obs::trace::start();
+            // 103 items over 4 workers → chunks (0,26) (26,52) (52,78)
+            // (78,103), one per worker lane.
+            let items: Vec<u64> = (0..103).collect();
+            let _ = with_serial_threshold(0, || with_threads(4, || par_map(&items, |_, &x| x + 1)));
+        }
+        let lanes = scope.snapshot().timeline;
+        let chunk = |label: &str| {
+            let event = &lanes.iter().find(|l| l.label == label)?.events[0];
+            Some((event.name.as_str(), event.args.clone()))
         };
-        assert!(chunk_on("worker-0", 0, 26), "{lanes:?}");
-        assert!(chunk_on("worker-3", 78, 103), "{lanes:?}");
-        leo_trace::set_enabled(false);
-        leo_trace::reset();
+        let par_map = "parallel.par_map";
+        assert_eq!(lanes.len(), 4, "{lanes:?}");
+        assert_eq!(
+            chunk("worker-0"),
+            Some((par_map, vec![("chunk", 0), ("lo", 0), ("hi", 26)]))
+        );
+        assert_eq!(
+            chunk("worker-3"),
+            Some((par_map, vec![("chunk", 3), ("lo", 78), ("hi", 103)]))
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Trace exporters: Chrome Trace Event JSON and folded flamegraph
-//! stacks, both rendered through `leo_obs::json` (no serde anywhere in
-//! the workspace).
+//! stacks of a timeline's lanes (`leo_obs::trace::snapshot`), both
+//! rendered through `leo_obs::json` (no serde anywhere in the
+//! workspace).
 //!
 //! ## `trace.json` — Chrome Trace Event format
 //!
@@ -27,8 +28,8 @@
 //! frames, so worker busy time telescopes under the dispatching stage
 //! in a flamegraph rather than floating as lane-level orphans).
 
-use crate::{Event, EventKind};
 use leo_obs::json::Json;
+use leo_obs::trace::{Event, EventKind, LaneSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -65,10 +66,8 @@ fn event_json(tid: usize, ev: &Event) -> Json {
     e
 }
 
-/// Renders the current trace snapshot as a Chrome Trace Event
-/// document.
-pub fn chrome_trace() -> Json {
-    let lanes = crate::snapshot();
+/// Renders `lanes` as a Chrome Trace Event document.
+pub fn chrome_trace(lanes: &[LaneSnapshot]) -> Json {
     let mut events = vec![Json::obj()
         .set("name", "process_name")
         .set("ph", "M")
@@ -95,11 +94,11 @@ pub fn chrome_trace() -> Json {
         .set("displayTimeUnit", "ms")
 }
 
-/// Renders the current trace snapshot as folded flamegraph stacks
-/// (exclusive nanoseconds, sorted by stack string).
-pub fn folded_stacks() -> String {
+/// Renders `lanes` as folded flamegraph stacks (exclusive
+/// nanoseconds, sorted by stack string).
+pub fn folded_stacks(lanes: &[LaneSnapshot]) -> String {
     let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-    for lane in crate::snapshot() {
+    for lane in lanes {
         let mut stack: Vec<String> = vec![lane.label.clone()];
         // Timestamp since which the current stack has been the one
         // running; only attributed while at least one span is open.
@@ -115,8 +114,8 @@ pub fn folded_stacks() -> String {
                     since = ev.ts_ns;
                 }
                 EventKind::End => {
-                    // An End with no open span (its Begin predates a
-                    // reset) is dropped rather than underflowing.
+                    // An End with no open span (its Begin predates the
+                    // timeline) is dropped rather than underflowing.
                     if stack.len() > 1 {
                         *totals.entry(stack.join(";")).or_default() +=
                             ev.ts_ns.saturating_sub(since);
@@ -152,61 +151,74 @@ pub fn folded_stacks() -> String {
 
 /// Writes [`chrome_trace`] to `path` (compact JSON — paper-scale
 /// traces stay small, but pretty-printing would triple the bytes).
-pub fn write_chrome(path: &Path) -> std::io::Result<()> {
-    let mut body = chrome_trace().render();
+pub fn write_chrome(path: &Path, lanes: &[LaneSnapshot]) -> std::io::Result<()> {
+    let mut body = chrome_trace(lanes).render();
     body.push('\n');
     leo_fault::safe_io::write_atomic(path, body.as_bytes())
 }
 
 /// Writes [`folded_stacks`] to `path` (atomic tmp+rename, like every
 /// artifact writer).
-pub fn write_folded(path: &Path) -> std::io::Result<()> {
-    leo_fault::safe_io::write_atomic(path, folded_stacks().as_bytes())
+pub fn write_folded(path: &Path, lanes: &[LaneSnapshot]) -> std::io::Result<()> {
+    leo_fault::safe_io::write_atomic(path, folded_stacks(lanes).as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_lock;
-    use std::time::{Duration, Instant};
 
-    /// Builds a small deterministic trace: outer(0..100µs) containing
-    /// inner(20..60µs), one instant, an unparented worker chunk of
-    /// 30µs plus a 20µs chunk owned by `outer`.
-    fn record_fixture() -> Instant {
-        leo_obs::set_enabled(true);
-        crate::set_enabled(true);
-        crate::reset();
-        let epoch = crate::ensure_epoch();
-        let at = |us: u64| epoch + Duration::from_micros(us);
-        crate::begin("outer", at(0));
-        crate::begin("inner", at(20));
-        crate::end("inner", at(60));
-        crate::instant("cache.hit");
-        crate::end("outer", at(100));
-        crate::worker_chunk(0, "parallel.par_map", None, at(10), at(40), 0, 50);
-        crate::worker_chunk(
-            1,
-            "parallel.par_map",
-            Some("outer"),
-            at(50),
-            at(70),
-            50,
-            100,
-        );
-        crate::counter_at("heap_bytes", &[("bytes", 4096)], at(50));
-        epoch
+    /// An event at `us` microseconds.
+    fn ev(us: u64, name: &str, kind: EventKind, args: &[(&'static str, u64)]) -> Event {
+        Event {
+            ts_ns: us * 1000,
+            name: name.to_string(),
+            kind,
+            args: args.to_vec(),
+            parent: None,
+        }
+    }
+
+    /// A small fixed trace: outer(0..100µs) containing inner(20..60µs),
+    /// one instant, an unparented worker chunk of 30µs plus a 20µs
+    /// chunk owned by `outer`, and one heap sample.
+    fn fixture() -> Vec<LaneSnapshot> {
+        use EventKind::{Begin, Counter, End, Instant};
+        let lane = |label: &str, events| LaneSnapshot {
+            label: label.to_string(),
+            events,
+        };
+        let chunk = |us, dur_us: u64, lo, hi| {
+            let kind = EventKind::Complete {
+                dur_ns: dur_us * 1000,
+            };
+            ev(us, "parallel.par_map", kind, &[("lo", lo), ("hi", hi)])
+        };
+        let mut owned = chunk(50, 20, 50, 100);
+        owned.parent = Some("outer".to_string());
+        let heap = ev(50, "heap_bytes", Counter, &[("bytes", 4096)]);
+        vec![
+            lane(
+                "main",
+                vec![
+                    ev(0, "outer", Begin, &[]),
+                    ev(20, "inner", Begin, &[]),
+                    ev(60, "inner", End, &[]),
+                    ev(70, "cache.hit", Instant, &[]),
+                    ev(100, "outer", End, &[]),
+                ],
+            ),
+            lane("worker-0", vec![chunk(10, 30, 0, 50)]),
+            lane("worker-1", vec![owned]),
+            lane("mem", vec![heap]),
+        ]
     }
 
     #[test]
     fn chrome_trace_has_lanes_events_and_metadata() {
-        let _lock = test_lock();
-        record_fixture();
-        let doc = chrome_trace();
-        let rendered = doc.render();
+        let rendered = chrome_trace(&fixture()).render();
         // Object form with the traceEvents array.
         assert!(rendered.starts_with("{\"traceEvents\":["));
-        // Thread-name metadata for both lanes.
+        // Thread-name metadata for the lanes.
         assert!(rendered.contains("\"thread_name\""));
         assert!(rendered.contains("\"worker-0\""));
         // B/E pair for the outer span, X for the chunk, i for the hit.
@@ -224,65 +236,51 @@ mod tests {
         assert!(rendered.contains("\"ph\":\"C\""));
         assert!(rendered.contains("\"mem\""));
         assert!(rendered.contains("\"bytes\":4096"));
-        crate::set_enabled(false);
-        crate::reset();
     }
 
     #[test]
     fn folded_stacks_ignore_counter_samples() {
-        let _lock = test_lock();
-        record_fixture();
-        let folded = folded_stacks();
+        let folded = folded_stacks(&fixture());
         assert!(!folded.contains("heap_bytes"), "{folded}");
         assert!(!folded.contains("mem;"), "{folded}");
-        crate::set_enabled(false);
-        crate::reset();
     }
 
     #[test]
     fn folded_stacks_telescope_to_span_totals() {
-        let _lock = test_lock();
-        record_fixture();
-        let folded = folded_stacks();
+        let folded = folded_stacks(&fixture());
         let mut totals = std::collections::BTreeMap::new();
         for line in folded.lines() {
             let (stack, ns) = line.rsplit_once(' ').expect("stack ns");
             totals.insert(stack.to_string(), ns.parse::<u64>().expect("ns"));
         }
-        let lane = crate::snapshot()[0].label.clone();
         // outer ran 100µs total: 60µs exclusive + inner's 40µs.
-        assert_eq!(totals[&format!("{lane};outer")], 60_000);
-        assert_eq!(totals[&format!("{lane};outer;inner")], 40_000);
+        assert_eq!(totals["main;outer"], 60_000);
+        assert_eq!(totals["main;outer;inner"], 40_000);
         assert_eq!(totals["worker-0;parallel.par_map"], 30_000);
         // The chunk dispatched from inside `outer` telescopes under
         // its owning span's frames on the worker lane.
         assert_eq!(totals["worker-1;outer;parallel.par_map"], 20_000);
         let outer_total: u64 = totals
             .iter()
-            .filter(|(k, _)| k.starts_with(&format!("{lane};outer")))
+            .filter(|(k, _)| k.starts_with("main;outer"))
             .map(|(_, v)| v)
             .sum();
         assert_eq!(outer_total, 100_000, "exclusive segments telescope");
-        crate::set_enabled(false);
-        crate::reset();
     }
 
     #[test]
     fn writers_create_parent_directories() {
-        let _lock = test_lock();
-        record_fixture();
+        let lanes = fixture();
         let dir = std::env::temp_dir().join(format!("leo_trace_export_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let json_path = dir.join("nested/trace.json");
         let folded_path = dir.join("nested/trace.folded");
-        write_chrome(&json_path).expect("chrome");
-        write_folded(&folded_path).expect("folded");
+        write_chrome(&json_path, &lanes).expect("chrome");
+        write_folded(&folded_path, &lanes).expect("folded");
         assert!(std::fs::read_to_string(&json_path)
             .unwrap()
             .contains("traceEvents"));
         assert!(!std::fs::read_to_string(&folded_path).unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-        crate::set_enabled(false);
-        crate::reset();
     }
 }

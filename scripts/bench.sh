@@ -87,8 +87,9 @@ for threads in 1 4; do
 done
 
 # One overhead leg: $pairs adjacent on/off pairs of the warm
-# single-threaded run, the "on" side under the environment in $2 and
-# the "off" side under $3 (space-separated VAR=value words). Each run's
+# single-threaded run, the "on" side under the environment in $2 plus
+# the extra flags in $4 and the "off" side under $3 plus $5
+# (space-separated VAR=value words and flag words). Each run's
 # manifest is kept as ab-<leg>-<side>-<pair>.json, and both sides must
 # reproduce the warm run's artifacts. The score is the median of the
 # per-pair CPU-time deltas:
@@ -105,16 +106,17 @@ done
 #     a pair share the host's performance phase so a bimodal CPU floor
 #     cancels, and the median discards the pairs a phase change splits.
 pairs=10
-ab() { # $1 = leg, $2 = on-side environment, $3 = off-side environment
-    local leg=$1 pair order side vars
+ab() { # $1 = leg, $2/$3 = on/off environment, $4/$5 = on/off flags
+    local leg=$1 pair order side vars flags
     echo "[bench] $leg on/off: divide --scale paper all --threads 1 (warm, $pairs pairs)"
     for pair in $(seq "$pairs"); do
         if [ $((pair % 2)) -eq 1 ]; then order="on off"; else order="off on"; fi
         for side in $order; do
-            if [ "$side" = on ]; then vars=$2; else vars=$3; fi
-            # $vars is deliberately unquoted: one word per assignment.
+            if [ "$side" = on ]; then vars=$2 flags=${4:-}; else vars=$3 flags=${5:-}; fi
+            # $vars and $flags are deliberately unquoted: one word per
+            # assignment or flag.
             env $vars ./target/release/divide --scale paper all --out "$work/ab-$leg-$side" \
-                --cache "$work/cache-1" --threads 1 -q >/dev/null
+                --cache "$work/cache-1" --threads 1 -q $flags >/dev/null
             cp "$work/ab-$leg-$side/run_manifest.json" "$work/ab-$leg-$side-$pair.json"
         done
     done
@@ -124,11 +126,11 @@ ab() { # $1 = leg, $2 = on-side environment, $3 = off-side environment
             || { echo "[bench] $leg $side changed artifact bytes" >&2; exit 1; }
     done
 }
-ab trace "DIVIDE_TRACE=1" "DIVIDE_TRACE=off"
+ab trace "" "" "--trace"
 ab alloc "DIVIDE_ALLOC=on" "DIVIDE_ALLOC=off"
 # Every fault site probes the engine on every call; an inert plan (p=0,
 # so nothing ever fires) adds one hash-and-compare per probe.
-ab fault "DIVIDE_FAULT=seed=1;io.write:p=0,mode=err" "DIVIDE_FAULT="
+ab fault "" "" "--fault-plan seed=1;io.write:p=0,mode=err"
 # The allocator is off on both sides so only the scope machinery (span
 # stack, the registry lock, counters, scope propagation through the
 # pool) is in the delta.

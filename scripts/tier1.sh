@@ -411,11 +411,9 @@ grep -q 'no-cache' <<<"$help_out"
 grep -q 'trace' <<<"$help_out"
 grep -q 'report' <<<"$help_out"
 grep -q 'history' <<<"$help_out"
-grep -q DIVIDE_TRACE <<<"$help_out"
 grep -q DIVIDE_ALLOC <<<"$help_out"
 grep -q DIVIDE_LEDGER <<<"$help_out"
 grep -q 'fault-plan' <<<"$help_out"
-grep -q DIVIDE_FAULT <<<"$help_out"
 grep -q DIVIDE_POOL_TIMEOUT_MS <<<"$help_out"
 grep -q 'exit codes' <<<"$help_out"
 

@@ -17,8 +17,9 @@
 //! * [`model`] — the paper's analytical model (findings F1–F4)
 //! * [`simnet`] — flow-level oversubscription QoE simulator
 //! * [`report`] — tables, CSV, and SVG figure rendering
-//! * [`obs`] — spans, metrics, run manifests, leveled logging
-//! * [`trace`] — timeline recorder with Chrome-trace/flamegraph export
+//! * [`obs`] — spans, metrics, the trace timeline, run manifests,
+//!   leveled logging
+//! * [`trace`] — Chrome-trace/flamegraph export of the `obs` timeline
 //! * [`cache`] — content-addressed dataset snapshots for warm runs
 //! * [`alloc_track`] — tracking global-allocator wrapper (heap telemetry)
 

@@ -188,15 +188,15 @@ fn resource_telemetry_does_not_perturb_artifact_bytes() {
 /// change a single artifact byte, at any thread count.
 #[test]
 fn tracing_does_not_perturb_artifact_bytes() {
-    use starlink_divide_repro::{obs, trace};
+    use starlink_divide_repro::obs::{self, scope::ObsScope};
 
     obs::set_enabled(true);
-    trace::set_enabled(true);
-    trace::reset();
-    let traced_1 = artifact_bytes(1);
-    let traced_4 = artifact_bytes(4);
-    trace::set_enabled(false);
-    trace::reset();
+    let scope = ObsScope::new();
+    let (traced_1, traced_4) = {
+        let _g = scope.enter();
+        obs::trace::start();
+        (artifact_bytes(1), artifact_bytes(4))
+    };
     let plain_1 = artifact_bytes(1);
     let plain_4 = artifact_bytes(4);
 

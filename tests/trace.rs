@@ -1,49 +1,57 @@
-//! The timeline recorder's disabled-path contract (DESIGN.md §10):
-//! with no `--trace` the recorder allocates no lanes and records no
-//! events, and `DIVIDE_OBS=off` wins even when tracing was requested —
-//! at every thread count. One sequential test, because the recorder is
-//! process-global state.
+//! The timeline's disabled-path contract (DESIGN.md §10), end to end:
+//! without a started timeline the pipeline records no trace events,
+//! and `DIVIDE_OBS=off` wins over a started one — at 1 and 4 threads.
+//! Each run records into its own `ObsScope`, so nothing else in the
+//! process can add to or clear what it checks.
 
 use starlink_divide_repro::demand::dataset::{BroadbandDataset, SynthConfig};
 use starlink_divide_repro::model::{coverage_sweep, PaperModel};
-use starlink_divide_repro::parallel::with_threads;
-use starlink_divide_repro::{obs, trace};
+use starlink_divide_repro::obs::{self, scope::ObsScope, scope::ScopeSnapshot};
+use starlink_divide_repro::parallel::{with_serial_threshold, with_threads};
 
 /// Dataset generation plus the fig-2 sweep — the two heaviest span- and
-/// fanout-instrumented paths in the pipeline.
-fn run_pipeline(threads: usize) {
-    with_threads(threads, || {
-        let model = PaperModel::new(BroadbandDataset::generate(&SynthConfig::small()));
-        let _ = coverage_sweep::sweep(&model);
-    });
+/// fanout-instrumented paths in the pipeline — at 1 and 4 threads, with
+/// every fan-out through the pool, into a private scope whose timeline
+/// is started if `traced`.
+fn run_pipeline(traced: bool) -> ScopeSnapshot {
+    let scope = ObsScope::new();
+    let _g = scope.enter();
+    if traced {
+        obs::trace::start();
+    }
+    for threads in [1, 4] {
+        with_serial_threshold(0, || {
+            with_threads(threads, || {
+                let model = PaperModel::new(BroadbandDataset::generate(&SynthConfig::small()));
+                let _ = coverage_sweep::sweep(&model);
+            })
+        });
+    }
+    scope.snapshot()
 }
 
 #[test]
 fn recorder_stays_empty_unless_both_obs_and_trace_are_on() {
-    // No --trace: spans and fanouts run, the recorder stays untouched.
-    trace::set_enabled(false);
-    trace::reset();
     obs::set_enabled(true);
-    run_pipeline(1);
-    run_pipeline(4);
-    assert_eq!(trace::lane_count(), 0, "no lanes without --trace");
-    assert_eq!(trace::event_count(), 0, "no events without --trace");
+    let untraced = run_pipeline(false);
+    assert!(!untraced.spans.is_empty(), "the pipeline recorded no spans");
+    assert!(untraced.timeline.is_empty(), "no lanes without --trace");
 
     // Tracing requested but observability off: the kill switch wins.
     obs::set_enabled(false);
-    trace::set_enabled(true);
-    run_pipeline(1);
-    run_pipeline(4);
-    assert!(!trace::enabled(), "DIVIDE_OBS=off must win over --trace");
-    assert_eq!(trace::lane_count(), 0, "no lanes under DIVIDE_OBS=off");
-    assert_eq!(trace::event_count(), 0, "no events under DIVIDE_OBS=off");
-
-    // Both on: the same pipeline now fills the timeline.
+    let silenced = run_pipeline(true);
     obs::set_enabled(true);
-    run_pipeline(4);
-    assert!(trace::event_count() > 0, "events recorded when enabled");
-    assert!(trace::lane_count() >= 1, "at least the main lane exists");
+    assert!(
+        silenced.timeline.is_empty(),
+        "no lanes under DIVIDE_OBS=off"
+    );
 
-    trace::set_enabled(false);
-    trace::reset();
+    // Both on: the same pipeline fills the timeline, worker lanes too.
+    let labels: Vec<String> = run_pipeline(true)
+        .timeline
+        .into_iter()
+        .filter(|lane| !lane.events.is_empty())
+        .map(|lane| lane.label)
+        .collect();
+    assert!(labels.iter().any(|l| l == "worker-3"), "{labels:?}");
 }
