@@ -12,8 +12,10 @@
 //! exact-preserving prefilters) run against the reference twins shared
 //! with `leo-orbit`'s property tests, on the `divide` CLI's own inputs.
 //! So do the paper-scale Fig 1 map render (the exact fixed-precision
-//! number writer against `write!`) and the one-pass strict bound (against
-//! the per-spread loop shared with `starlink-divide`'s tests).
+//! number writer against `write!`), the one-pass strict bound (against
+//! the per-spread loop shared with `starlink-divide`'s tests) and the
+//! certified demand-cell order (against the exact scoring loop shared
+//! with `leo-demand`'s tests).
 //!
 //! The run ends with a machine-readable `KERNELS_JSON: {...}` line of
 //! per-kernel medians; `scripts/bench.sh` copies it into
@@ -21,6 +23,8 @@
 
 #[path = "../../orbit/tests/naive/mod.rs"]
 mod naive;
+#[path = "../../demand/tests/naive/mod.rs"]
+mod naive_rank;
 #[path = "../../core/tests/naive/mod.rs"]
 mod naive_strict;
 
@@ -29,6 +33,7 @@ use leo_bench::shared_model;
 use leo_cache::{decode_dataset, encode_dataset};
 use leo_demand::counties::SeatIndex;
 use leo_demand::counts::CountCalibration;
+use leo_demand::dataset::rank_candidates;
 use leo_demand::field::SmoothField;
 use leo_demand::geography::{distance_to_nearest_metro_km, METRO_CENTERS};
 use leo_geomath::{great_circle_distance_km, pre_distance_km, GeoBBox, LatLng, PrePoint};
@@ -84,7 +89,8 @@ fn probes(n: usize) -> Vec<LatLng> {
 }
 
 /// The pre-rewrite field kernel: raw haversine per bump, nothing
-/// hoisted. Bump parameters mirror `SmoothField::new`'s distribution.
+/// hoisted. Bumps are drawn exactly as `SmoothField::new` draws them,
+/// so the two fields agree bit for bit.
 struct NaiveField {
     bumps: Vec<(LatLng, f64, f64)>,
 }
@@ -98,7 +104,7 @@ impl NaiveField {
                     rng.gen_range(bbox.lat_min..bbox.lat_max),
                     rng.gen_range(bbox.lng_min..bbox.lng_max),
                 );
-                let scale = rng.gen_range(scale_km.0..scale_km.1);
+                let scale = rng.gen_range(scale_km.0..=scale_km.1);
                 let amplitude = rng.gen_range(0.0..1.0f64);
                 (center, scale, amplitude)
             })
@@ -484,6 +490,28 @@ fn bench_kernels(c: &mut Criterion) {
     });
     group.finish();
 
+    // Kernel 12: the paper-scale demand-cell order — approximate scores
+    // with exact re-scoring of near-ties versus the exact score of
+    // every cell, checked equal before any timing. One thread, as the
+    // twin is serial.
+    let (grid, conus_bbox, candidates) = naive_rank::paper_candidates();
+    let certified_order =
+        || leo_parallel::with_threads(1, || rank_candidates(7, &conus_bbox, &grid, &candidates));
+    assert!(
+        naive_rank::same_ranking(
+            &certified_order(),
+            &naive_rank::naive_rank(7, &conus_bbox, &grid, &candidates)
+        ),
+        "certified order diverged from the exact scoring loop"
+    );
+    let mut group = c.benchmark_group("kernels/score_order");
+    group.sample_size(10);
+    group.bench_function("exact", |b| {
+        b.iter(|| black_box(naive_rank::naive_rank(7, &conus_bbox, &grid, &candidates)))
+    });
+    group.bench_function("certified", |b| b.iter(|| black_box(certified_order())));
+    group.finish();
+
     // Snapshot codec throughput over the shared test-scale dataset.
     let payload = encode_dataset(ds);
     let mut group = c.benchmark_group("cache");
@@ -503,6 +531,11 @@ fn bench_kernels(c: &mut Criterion) {
             hoisted_value(&hoisted, p).to_bits(),
             naive_field.value(p).to_bits(),
             "hoisted field diverged at {p}"
+        );
+        assert_eq!(
+            real_field.value(p).to_bits(),
+            naive_field.value(p).to_bits(),
+            "SmoothField diverged from the raw-haversine field at {p}"
         );
         assert_eq!(
             distance_to_nearest_metro_km(p).to_bits(),
@@ -654,6 +687,9 @@ fn bench_kernels(c: &mut Criterion) {
     let strict_ms = median_ms(11, || {
         black_box(strict::strict_table(black_box(&paper)));
     });
+    let score_order_ms = median_ms(11, || {
+        black_box(certified_order());
+    });
     println!(
         "KERNELS_JSON: {{\"sweep_row_scan_ms\":{sweep_ms:.6},\
          \"unserved_fold_ms\":{fold_ms:.6},\
@@ -666,7 +702,8 @@ fn bench_kernels(c: &mut Criterion) {
          \"coverage_ms\":{coverage_ms:.6},\
          \"user_gateway_path_ms\":{path_ms:.6},\
          \"point_map_render_ms\":{map_ms:.6},\
-         \"strict_table_ms\":{strict_ms:.6}}}",
+         \"strict_table_ms\":{strict_ms:.6},\
+         \"score_order_ms\":{score_order_ms:.6}}}",
         mb / (decode_ms / 1e3)
     );
 }

@@ -22,10 +22,10 @@
 
 use crate::counties::{generate_seats, remoteness_ranking, County, SeatIndex};
 use crate::counts::CountCalibration;
-use crate::field::SmoothField;
+use crate::field::{SmoothField, SCORE_EPS, SCORE_EPS_MAX_BUMPS, SCORE_EPS_MIN_SCALE_KM};
 use crate::geography;
 use crate::income::assign_county_incomes;
-use leo_geomath::LatLng;
+use leo_geomath::{GeoBBox, LatLng};
 use leo_hexgrid::{CellId, GeoHexGrid, STARLINK_RESOLUTION};
 use leo_parallel::{mix64, par_map, Memo};
 use rand::rngs::StdRng;
@@ -311,45 +311,23 @@ impl BroadbandDataset {
         }
 
         // -- Regular cells ------------------------------------------------
-        // Score every candidate cell: smooth rural-cluster field plus a
-        // remoteness ramp plus seeded jitter; demand concentrates where
-        // the score is high. The jitter comes from a per-cell stream
-        // (`mix64` of the seed and the cell id) rather than one
-        // sequential RNG, so the scoring can fan out across workers and
-        // still produce bit-identical scores at any thread count.
-        let bbox = *poly.bbox();
-        let field = SmoothField::new(config.seed, &bbox, 80, (80.0, 450.0));
-        let jitter_seed = config.seed.wrapping_mul(0x9E37_79B9);
+        // Rank every candidate cell; demand concentrates at the top.
         let candidates: Vec<CellId> = us_cells
             .iter()
             .copied()
             .filter(|id| !counts_by_cell.contains_key(id))
             .collect();
-        let scored: Vec<(f64, CellId, LatLng)> = {
+        let ranked = {
             let _span = leo_obs::span!("demand.score_cells");
-            let mut scored = par_map(&candidates, |_, &id| {
-                let c = grid.cell_center(id);
-                let remote = geography::distance_to_nearest_metro_km(&c);
-                let mut rng = StdRng::seed_from_u64(mix64(jitter_seed, id.as_u64()));
-                let score =
-                    field.value(&c) + 0.6 * (remote / 400.0).min(2.0) + rng.gen_range(0.0..0.35);
-                (score, id, c)
-            });
-            // Highest score first; ties broken by cell id for determinism.
-            scored.sort_by(|a, b| {
-                b.0.partial_cmp(&a.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-            });
-            scored
+            rank_candidates(config.seed, poly.bbox(), &grid, &candidates)
         };
 
         let counts = config.calibration.regular_counts(); // ascending
         assert!(
-            counts.len() <= scored.len(),
+            counts.len() <= ranked.len(),
             "calibration demands {} cells but only {} are available",
             counts.len(),
-            scored.len()
+            ranked.len()
         );
         // Latitude-banded assignment. The un(der)served long tail in
         // the paper's data lives in the mid-latitude rural-poverty belt
@@ -379,7 +357,7 @@ impl BroadbandDataset {
         let min_lat = [35.5, 33.7, f64::NEG_INFINITY];
         let mut band_cells: [std::collections::VecDeque<leo_hexgrid::CellId>; 3] =
             Default::default();
-        for &(_, id, center) in &scored {
+        for &(id, center) in &ranked {
             let lat = center.lat_deg();
             // Each cell is eligible for the *narrowest* band it
             // satisfies, keeping northern cells available for big
@@ -531,6 +509,91 @@ impl BroadbandDataset {
         }
         out
     }
+}
+
+/// Bump count and radius range (km) of the demand field. [`SCORE_EPS`]
+/// is derived for fields inside these limits.
+const FIELD_BUMPS: usize = 80;
+const FIELD_SCALE_KM: (f64, f64) = (80.0, 450.0);
+const _: () =
+    assert!(FIELD_BUMPS <= SCORE_EPS_MAX_BUMPS && FIELD_SCALE_KM.0 >= SCORE_EPS_MIN_SCALE_KM);
+
+/// Ranks candidate cells for demand: highest score first, ties broken
+/// by cell id. A cell's score is a smooth rural-cluster field over
+/// `bbox` plus a remoteness ramp plus seeded jitter. The jitter comes
+/// from a per-cell stream (`mix64` of the seed and the cell id) rather
+/// than one sequential RNG, so the scoring fans out across workers and
+/// the order is the same at any thread count.
+///
+/// The order is exactly that of sorting the exact scores
+/// ([`SmoothField::value`]). Each cell is scored with
+/// [`SmoothField::approx_value`], within [`SCORE_EPS`] of its exact
+/// score, and [`certify_order`] re-scores exactly only the cells whose
+/// neighbours in the order are too close to call (DESIGN.md §18).
+pub fn rank_candidates(
+    seed: u64,
+    bbox: &GeoBBox,
+    grid: &GeoHexGrid,
+    candidates: &[CellId],
+) -> Vec<(CellId, LatLng)> {
+    let field = SmoothField::new(seed, bbox, FIELD_BUMPS, FIELD_SCALE_KM);
+    let jitter_seed = seed.wrapping_mul(0x9E37_79B9);
+    let score = |id: CellId, c: &LatLng, field_value: f64| {
+        let remote = geography::distance_to_nearest_metro_km(c);
+        let mut rng = StdRng::seed_from_u64(mix64(jitter_seed, id.as_u64()));
+        field_value + 0.6 * (remote / 400.0).min(2.0) + rng.gen_range(0.0..0.35)
+    };
+    let mut scored = par_map(candidates, |_, &id| {
+        let c = grid.cell_center(id);
+        (score(id, &c, field.approx_value(c.to_unit_vec())), id, c)
+    });
+    sort_by_score(&mut scored);
+    let exact = certify_order(&mut scored, SCORE_EPS, |id, c| score(id, c, field.value(c)));
+    leo_obs::metrics::counter_add("demand.cells_scored", candidates.len() as u64);
+    leo_obs::metrics::counter_add("demand.score_exact", exact);
+    scored.into_iter().map(|(_, id, c)| (id, c)).collect()
+}
+
+/// Sorts highest score first, ties broken by cell id.
+fn sort_by_score<T>(scored: &mut [(f64, CellId, T)]) {
+    scored.sort_by(|a, b| {
+        b.0.partial_cmp(&a.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.1.cmp(&b.1))
+    });
+}
+
+/// Turns an order by approximate scores into the order by exact ones.
+///
+/// `scored` must be sorted highest score first, ties by id, and each
+/// score must be within `eps` of what `exact` returns for its item.
+/// Every maximal run of neighbours whose adjacent gaps are at most
+/// `2·eps` is re-scored with `exact` and re-sorted. Across a wider gap
+/// the exact scores already differ in the same direction, so the
+/// result is the order a sort by `(exact score desc, id asc)` gives.
+/// Returns the number of exact evaluations.
+pub fn certify_order<T>(
+    scored: &mut [(f64, CellId, T)],
+    eps: f64,
+    mut exact: impl FnMut(CellId, &T) -> f64,
+) -> u64 {
+    let mut rescored = 0;
+    let mut start = 0;
+    for end in 1..=scored.len() {
+        if end < scored.len() && scored[end - 1].0 - scored[end].0 <= 2.0 * eps {
+            continue;
+        }
+        let run = &mut scored[start..end];
+        if run.len() > 1 {
+            for item in run.iter_mut() {
+                item.0 = exact(item.1, &item.2);
+            }
+            sort_by_score(run);
+            rescored += run.len() as u64;
+        }
+        start = end;
+    }
+    rescored
 }
 
 #[cfg(test)]

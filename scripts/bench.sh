@@ -29,7 +29,8 @@
 # harness's KERNELS_JSON line (Fig 2 row scan, unserved fold,
 # stratified sampling, bulk centers, snapshot encode/decode, the
 # orbit density, coverage and gateway-path kernels, the paper-scale
-# Fig 1 map render and the strict-bound table).
+# Fig 1 map render, the strict-bound table and the certified
+# demand-cell order).
 #
 # The canonical warm runs append to a persistent run ledger
 # (BENCH_LEDGER, default .bench-runs.jsonl at the repo root,

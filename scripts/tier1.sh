@@ -210,7 +210,38 @@ for run in "$paper1" "$paper2"; do
         || { echo "[tier1] a large artifact in $run differs from $digests" >&2; exit 1; }
 done
 echo "[tier1] fig1_map.svg and dataset_cells.csv match their committed digests"
-rm -rf "$paper_cache" "$paper1" "$paper2"
+# The cold run ranks the demand cells by certified approximate scores
+# (DESIGN.md §18): only near-ties take the exact score, so the exact
+# re-scores stay a sliver of the cells scored.
+python3 - "$paper1/run_manifest.json" <<'PY'
+import json, sys
+
+counters = json.load(open(sys.argv[1]))["metrics"]["counters"]
+scored = counters.get("demand.cells_scored", 0)
+exact = counters.get("demand.score_exact", 0)
+assert scored > 30000, counters
+assert exact <= scored // 100, f"{exact} exact re-scores of {scored} cells"
+print(f"[tier1] {exact} of {scored} demand cells re-scored exactly")
+PY
+# A cold run at another thread count must write the same snapshots
+# and fig2 artifacts as the cold 1-thread run.
+paper4="$work/paper4"
+paper4_cache="$work/paper4_cache"
+./target/release/divide --scale paper --threads 4 fig2 --out "$paper4" --cache "$paper4_cache" -q >/dev/null
+snaps=0
+for snap in "$paper4_cache"/*.snap; do
+    cmp -s "$snap" "$paper_cache/$(basename "$snap")" \
+        || { echo "[tier1] $(basename "$snap") differs between cold 4- and 1-thread runs" >&2; exit 1; }
+    snaps=$((snaps + 1))
+done
+[ -n "$(ls "$paper4_cache"/dataset-*.snap 2>/dev/null)" ] && [ "$snaps" -ge 2 ] \
+    || { echo "[tier1] the cold 4-thread run wrote $snaps snapshots" >&2; exit 1; }
+for f in results/fig2_*; do
+    cmp -s "$f" "$paper4/$(basename "$f")" \
+        || { echo "[tier1] $f differs from a cold 4-thread paper-scale run" >&2; exit 1; }
+done
+echo "[tier1] cold 4-thread fig2 matches: $snaps snapshots and every results/fig2_* file"
+rm -rf "$paper_cache" "$paper1" "$paper2" "$paper4_cache" "$paper4"
 
 echo "[tier1] stale-schema snapshot fails closed and regenerates"
 # Rewind the on-disk dataset container to schema v1 (the little-endian
