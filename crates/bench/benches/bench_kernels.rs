@@ -2,11 +2,11 @@
 //! snapshot-cache PR (hoisted-trig Gaussian field, tile-pruned metro
 //! distance, bucket-grid county-seat lookup) plus the data-oriented
 //! kernels of the columnar-layout PR (Fig 2 row scan, the contiguous
-//! unserved fold, monotone stratified sampling, bulk cell centers) and
-//! snapshot encode/decode throughput. Each rewritten kernel runs
-//! against an inline replica of the pre-rewrite code, and the
-//! regression gates assert the pair is *bit-identical* — the speedups
-//! must come for free.
+//! unserved fold, monotone stratified sampling), the cell centers
+//! `polyfill` carries, and snapshot encode/decode throughput. Each
+//! rewritten kernel runs against an inline replica of the pre-rewrite
+//! code, and the regression gates assert the pair is *bit-identical* —
+//! the speedups must come for free.
 //!
 //! The orbit-validate and latency kernels (hoisted Walker ephemeris with
 //! exact-preserving prefilters) run against the reference twins shared
@@ -35,8 +35,9 @@ use leo_demand::counties::SeatIndex;
 use leo_demand::counts::CountCalibration;
 use leo_demand::dataset::rank_candidates;
 use leo_demand::field::SmoothField;
-use leo_demand::geography::{distance_to_nearest_metro_km, METRO_CENTERS};
+use leo_demand::geography::{self, distance_to_nearest_metro_km, METRO_CENTERS};
 use leo_geomath::{great_circle_distance_km, pre_distance_km, GeoBBox, LatLng, PrePoint};
+use leo_hexgrid::STARLINK_RESOLUTION;
 use leo_orbit::coverage::{coverage, CoverageConfig};
 use leo_orbit::density::empirical_density_factor;
 use leo_orbit::gateway::{conus_gateways, Gateway};
@@ -388,26 +389,29 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| black_box(curve.stratified_values(black_box(n_samples))))
     });
 
-    // Kernel 7: bulk cell centers — the run-hoisted column builder
-    // versus a per-id projection call.
-    let ids = &ds.cols.cell;
-    let (mut lat_col, mut lng_col) = (Vec::new(), Vec::new());
-    c.bench_function("kernels/cell_centers/per_id", |b| {
+    // Kernel 7: cell centers carried by `polyfill` — the paper-scale
+    // CONUS fill, whose centers are the points its containment test
+    // was made at — versus the same fill followed by a `cell_center`
+    // call per id, the path a cold generate took before it carried
+    // them. Checked bit-identical before any timing.
+    let conus = geography::conus_polygon();
+    let fill = || ds.grid.polyfill(&conus, STARLINK_RESOLUTION);
+    for (id, center) in fill() {
+        let c = ds.grid.cell_center(id);
+        assert_eq!(center.lat_deg().to_bits(), c.lat_deg().to_bits(), "{id}");
+        assert_eq!(center.lng_deg().to_bits(), c.lng_deg().to_bits(), "{id}");
+    }
+    let mut group = c.benchmark_group("kernels/cell_centers");
+    group.sample_size(10);
+    group.bench_function("per_id", |b| {
         b.iter(|| {
-            for &id in ids.iter() {
+            for (id, _) in fill() {
                 black_box(ds.grid.cell_center(id));
             }
         })
     });
-    c.bench_function("kernels/cell_centers/bulk", |b| {
-        b.iter(|| {
-            lat_col.clear();
-            lng_col.clear();
-            ds.grid
-                .cell_centers_into(black_box(ids), &mut lat_col, &mut lng_col);
-            black_box((&lat_col, &lng_col));
-        })
-    });
+    group.bench_function("polyfill", |b| b.iter(|| black_box(fill())));
+    group.finish();
 
     // Kernel 8: the Monte-Carlo density estimator — hoisted ephemeris
     // with the sin-latitude prefilter versus full propagation of every
@@ -494,21 +498,20 @@ fn bench_kernels(c: &mut Criterion) {
     // with exact re-scoring of near-ties versus the exact score of
     // every cell, checked equal before any timing. One thread, as the
     // twin is serial.
-    let (grid, conus_bbox, candidates) = naive_rank::paper_candidates();
-    let certified_order =
-        || leo_parallel::with_threads(1, || rank_candidates(7, &conus_bbox, &grid, &candidates));
+    let (grid, conus_bbox, us_cells, candidates) = naive_rank::paper_candidates();
+    let certified_order = || {
+        leo_parallel::with_threads(1, || {
+            rank_candidates(7, &conus_bbox, &us_cells, &candidates)
+        })
+    };
+    let exact_order = || naive_rank::naive_rank(7, &conus_bbox, &grid, &us_cells, &candidates);
     assert!(
-        naive_rank::same_ranking(
-            &certified_order(),
-            &naive_rank::naive_rank(7, &conus_bbox, &grid, &candidates)
-        ),
+        naive_rank::same_ranking(&us_cells, &certified_order(), &exact_order()),
         "certified order diverged from the exact scoring loop"
     );
     let mut group = c.benchmark_group("kernels/score_order");
     group.sample_size(10);
-    group.bench_function("exact", |b| {
-        b.iter(|| black_box(naive_rank::naive_rank(7, &conus_bbox, &grid, &candidates)))
-    });
+    group.bench_function("exact", |b| b.iter(|| black_box(exact_order())));
     group.bench_function("certified", |b| b.iter(|| black_box(certified_order())));
     group.finish();
 
@@ -583,23 +586,6 @@ fn bench_kernels(c: &mut Criterion) {
             "stratified diverged at {i}"
         );
     }
-    lat_col.clear();
-    lng_col.clear();
-    ds.grid.cell_centers_into(ids, &mut lat_col, &mut lng_col);
-    for (i, &id) in ids.iter().enumerate() {
-        let c = ds.grid.cell_center(id);
-        assert_eq!(
-            lat_col[i].to_bits(),
-            c.lat_deg().to_bits(),
-            "center lat {i}"
-        );
-        assert_eq!(
-            lng_col[i].to_bits(),
-            c.lng_deg().to_bits(),
-            "center lng {i}"
-        );
-    }
-
     // Orbit-kernel gates: same bits as the reference twins on the
     // inputs `divide orbit-validate` and `divide latency` use.
     for lat in DENSITY_LATS {
@@ -657,12 +643,8 @@ fn bench_kernels(c: &mut Criterion) {
     let stratified_ms = median_ms(31, || {
         black_box(curve.stratified_values(black_box(n_samples)));
     });
-    let centers_ms = median_ms(31, || {
-        let mut lat = Vec::new();
-        let mut lng = Vec::new();
-        ds.grid
-            .cell_centers_into(black_box(ids), &mut lat, &mut lng);
-        black_box((lat, lng));
+    let centers_ms = median_ms(11, || {
+        black_box(fill());
     });
     let encode_ms = median_ms(31, || {
         black_box(encode_dataset(black_box(ds)));
@@ -694,7 +676,7 @@ fn bench_kernels(c: &mut Criterion) {
         "KERNELS_JSON: {{\"sweep_row_scan_ms\":{sweep_ms:.6},\
          \"unserved_fold_ms\":{fold_ms:.6},\
          \"stratified_sample_ms\":{stratified_ms:.6},\
-         \"cell_centers_ms\":{centers_ms:.6},\
+         \"polyfill_centers_ms\":{centers_ms:.6},\
          \"snapshot_encode_ms\":{encode_ms:.6},\
          \"snapshot_decode_ms\":{decode_ms:.6},\
          \"decode_mib_per_s\":{:.3},\

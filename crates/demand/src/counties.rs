@@ -67,28 +67,31 @@ const SEAT_RINGS: [f64; 7] = [80.0, 160.0, 320.0, 640.0, 1280.0, 2560.0, 5120.0]
 ///
 /// Seats are fixed at construction, so the index precomputes each
 /// seat's geocentric unit vector and hoisted haversine trigonometry
-/// and stores seat ids in a flat lat/lng bucket grid. A query walks
-/// the grid window in expanding rings, *selects* by dot product (five
-/// flops per candidate, no trig), then re-ranks the near-best
-/// candidates with the exact haversine so the returned id matches the
-/// one the full trig scan would have picked.
+/// and stores the seats in a flat lat/lng bucket grid (compressed
+/// rows: one id and unit-vector array in tile order, plus each tile's
+/// start). A query walks the grid window in expanding rings, *selects*
+/// by dot product (five flops per candidate, no trig), then re-ranks
+/// the near-best candidates with the exact haversine so the returned
+/// id matches the one the full trig scan would have picked.
 #[derive(Debug)]
 pub struct SeatIndex {
     seats: Vec<LatLng>,
-    units: Vec<Vec3>,
     pres: Vec<PrePoint>,
     lat_min: f64,
     lng_min: f64,
     nlat: usize,
     nlng: usize,
-    /// Seat ids per tile, row-major `ti * nlng + tj`.
-    buckets: Vec<Vec<u32>>,
+    /// Tile `t` (row-major `ti * nlng + tj`) holds
+    /// `tile_ids[tile_start[t]..tile_start[t + 1]]`, in seat order.
+    tile_start: Vec<u32>,
+    tile_ids: Vec<u32>,
+    /// Unit vector of the seat at the same slot of `tile_ids`.
+    tile_units: Vec<Vec3>,
 }
 
 impl SeatIndex {
     /// Builds the lookup over `seats`.
     pub fn new(seats: Vec<LatLng>) -> Self {
-        let units: Vec<Vec3> = seats.iter().map(LatLng::to_unit_vec).collect();
         let pres: Vec<PrePoint> = seats.iter().map(PrePoint::new).collect();
         let mut lat_lo = f64::INFINITY;
         let mut lat_hi = f64::NEG_INFINITY;
@@ -116,21 +119,42 @@ impl SeatIndex {
             let tj = (((s.lng_deg() - lng_min) / SEAT_TILE_DEG) as usize).min(nlng - 1);
             buckets[ti * nlng + tj].push(i as u32);
         }
+        // Flatten the buckets, keeping tile order and, within a tile,
+        // seat order: the order a window scan visits them in.
+        let mut tile_start = vec![0u32];
+        let mut tile_ids = Vec::with_capacity(seats.len());
+        for bucket in buckets {
+            tile_ids.extend(bucket);
+            tile_start.push(tile_ids.len() as u32);
+        }
+        let tile_units = tile_ids
+            .iter()
+            .map(|&i| seats[i as usize].to_unit_vec())
+            .collect();
         SeatIndex {
             seats,
-            units,
             pres,
             lat_min,
             lng_min,
             nlat,
             nlng,
-            buckets,
+            tile_start,
+            tile_ids,
+            tile_units,
         }
     }
 
-    /// Visits every seat id whose tile intersects the window of
-    /// `radius_km` around `p` (conservatively padded).
-    fn for_each_in_window(&self, p: &LatLng, radius_km: f64, f: &mut impl FnMut(u32)) {
+    /// Visits, as `(dot, id)`, every seat whose tile intersects the
+    /// window of `radius_km` around `p` (conservatively padded), with
+    /// the dot product of its unit vector and `qu`. Tiles are visited
+    /// row by row, each row's tiles as one contiguous slot range.
+    fn for_each_in_window(
+        &self,
+        p: &LatLng,
+        qu: Vec3,
+        radius_km: f64,
+        f: &mut impl FnMut(f64, u32),
+    ) {
         let lat_pad = radius_km / KM_PER_DEG;
         let cos_lat = p.lat_rad().cos().max(0.05);
         let lng_pad = radius_km / (KM_PER_DEG * cos_lat);
@@ -152,58 +176,44 @@ impl SeatIndex {
             self.nlng,
         );
         for ti in ti_lo..=ti_hi {
-            for tj in tj_lo..=tj_hi {
-                for &id in &self.buckets[ti * self.nlng + tj] {
-                    f(id);
-                }
+            let row = ti * self.nlng;
+            let slots =
+                self.tile_start[row + tj_lo] as usize..self.tile_start[row + tj_hi + 1] as usize;
+            for (&id, &u) in self.tile_ids[slots.clone()]
+                .iter()
+                .zip(&self.tile_units[slots])
+            {
+                f(qu.dot(u), id);
             }
         }
-    }
-
-    /// Exact-haversine re-rank of the candidates whose dot product came
-    /// within [`DOT_RERANK_MARGIN`] of the best: returns the id the
-    /// full haversine scan would have returned (strict `<`, scan
-    /// order), at the cost of a handful of trig evaluations.
-    fn rerank(&self, q: &PrePoint, best_dot: f64, near: &[(f64, u32)]) -> u32 {
-        let mut best: Option<(f64, u32)> = None;
-        for &(dot, id) in near {
-            if dot > best_dot - DOT_RERANK_MARGIN {
-                let d = pre_distance_km(q, &self.pres[id as usize]);
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, id));
-                }
-            }
-        }
-        best.map_or(0, |(_, id)| id)
     }
 
     /// The id of the seat nearest to `p`.
     ///
     /// Expanding-radius search: with ~3,100 seats over CONUS the mean
     /// seat spacing is ~50 km, so the first ring nearly always hits.
+    ///
+    /// The re-rank takes every scanned candidate whose dot product is
+    /// within [`DOT_RERANK_MARGIN`] of the best, in scan order, and
+    /// returns the one with the least exact haversine distance (strict
+    /// `<`, so the first in scan order wins a tie). Instead of keeping
+    /// the scanned candidates, it re-scans the same windows in the
+    /// same order once the best dot product is known.
     pub fn nearest(&self, p: &LatLng) -> u32 {
         let q = UnitPoint::new(p);
         let qu = q.unit();
-        // Best-so-far by dot (max = nearest), plus every candidate that
-        // came within the re-rank margin of the best *at scan time* —
-        // a superset of those within the margin of the final best.
-        let mut best: Option<(f64, u32)> = None;
-        let mut near: Vec<(f64, u32)> = Vec::new();
-        for radius in SEAT_RINGS {
-            self.for_each_in_window(p, radius, &mut |id| {
-                let d = qu.dot(self.units[id as usize]);
-                if best.is_none_or(|(bd, _)| d > bd - DOT_RERANK_MARGIN) {
-                    near.push((d, id));
-                }
-                if best.is_none_or(|(bd, _)| d > bd) {
-                    best = Some((d, id));
+        let mut best: Option<f64> = None;
+        for (ring, &radius) in SEAT_RINGS.iter().enumerate() {
+            self.for_each_in_window(p, qu, radius, &mut |d, _| {
+                if best.is_none_or(|bd| d > bd) {
+                    best = Some(d);
                 }
             });
             // A hit is only conclusive if it's closer than the scanned
             // radius (a nearer seat could lie just outside otherwise).
-            if let Some((bd, _)) = best {
+            if let Some(bd) = best {
                 if bd >= dot_for_radius_km(radius) {
-                    return self.rerank(q.pre(), bd, &near);
+                    return self.rerank(p, &q, bd, &SEAT_RINGS[..=ring]);
                 }
             }
         }
@@ -218,6 +228,26 @@ impl SeatIndex {
                 |acc, x| if x.0 < acc.0 { x } else { acc },
             );
         id as u32
+    }
+
+    /// Exact-haversine re-rank over the windows of `rings`, scanned in
+    /// order: of the seats whose dot product came within
+    /// [`DOT_RERANK_MARGIN`] of `best_dot`, the one the full haversine
+    /// scan would have returned, at the cost of a handful of trig
+    /// evaluations.
+    fn rerank(&self, p: &LatLng, q: &UnitPoint, best_dot: f64, rings: &[f64]) -> u32 {
+        let mut best: Option<(f64, u32)> = None;
+        for &radius in rings {
+            self.for_each_in_window(p, q.unit(), radius, &mut |dot, id| {
+                if dot > best_dot - DOT_RERANK_MARGIN {
+                    let d = pre_distance_km(q.pre(), &self.pres[id as usize]);
+                    if best.is_none_or(|(bd, _)| d < bd) {
+                        best = Some((d, id));
+                    }
+                }
+            });
+        }
+        best.map_or(0, |(_, id)| id)
     }
 
     /// The seats.
@@ -319,6 +349,66 @@ mod tests {
         for &(lat, lng) in &[(70.0, -150.0), (-10.0, -98.0), (39.0, 20.0)] {
             let p = LatLng::new(lat, lng);
             assert_eq!(idx.nearest(&p), brute_nearest(&seats, &p), "({lat},{lng})");
+        }
+    }
+
+    /// The query `SeatIndex::nearest` replaced: one scan that keeps
+    /// every candidate within the re-rank margin of the best so far in
+    /// a list, then re-ranks the list.
+    fn nearest_with_candidate_list(idx: &SeatIndex, p: &LatLng) -> u32 {
+        let q = UnitPoint::new(p);
+        let mut best: Option<(f64, u32)> = None;
+        let mut near: Vec<(f64, u32)> = Vec::new();
+        for radius in SEAT_RINGS {
+            idx.for_each_in_window(p, q.unit(), radius, &mut |d, id| {
+                if best.is_none_or(|(bd, _)| d > bd - DOT_RERANK_MARGIN) {
+                    near.push((d, id));
+                }
+                if best.is_none_or(|(bd, _)| d > bd) {
+                    best = Some((d, id));
+                }
+            });
+            if let Some((bd, _)) = best {
+                if bd >= dot_for_radius_km(radius) {
+                    let mut pick: Option<(f64, u32)> = None;
+                    for &(dot, id) in &near {
+                        if dot > bd - DOT_RERANK_MARGIN {
+                            let d = pre_distance_km(q.pre(), &idx.pres[id as usize]);
+                            if pick.is_none_or(|(pd, _)| d < pd) {
+                                pick = Some((d, id));
+                            }
+                        }
+                    }
+                    return pick.map_or(0, |(_, id)| id);
+                }
+            }
+        }
+        brute_nearest(idx.seats(), p)
+    }
+
+    #[test]
+    fn rescanning_rerank_matches_the_candidate_list_including_ties() {
+        // Every seventh seat appears twice, so some queries tie exactly
+        // between two ids; the lower id must win, as in the brute scan.
+        let poly = conus_polygon();
+        let mut seats = generate_seats(17, 400, &poly);
+        let copies: Vec<LatLng> = seats.iter().step_by(7).copied().collect();
+        seats.extend(copies);
+        let idx = SeatIndex::new(seats.clone());
+        let mut probes = seats.clone();
+        let mut lat = 24.5;
+        while lat < 49.5 {
+            let mut lng = -125.0;
+            while lng < -66.0 {
+                probes.push(LatLng::new(lat, lng));
+                lng += 0.9;
+            }
+            lat += 0.7;
+        }
+        for p in &probes {
+            let got = idx.nearest(p);
+            assert_eq!(got, nearest_with_candidate_list(&idx, p), "{p}");
+            assert_eq!(got, brute_nearest(&seats, p), "{p}");
         }
     }
 

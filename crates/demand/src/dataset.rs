@@ -30,7 +30,7 @@ use leo_hexgrid::{CellId, GeoHexGrid, STARLINK_RESOLUTION};
 use leo_parallel::{mix64, par_map, Memo};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Configuration for dataset synthesis.
@@ -117,15 +117,20 @@ pub struct DatasetColumns {
 }
 
 impl DatasetColumns {
+    /// Empty columns with room for `n` cells.
+    pub fn with_capacity(n: usize) -> Self {
+        DatasetColumns {
+            cell: Vec::with_capacity(n),
+            lat_deg: Vec::with_capacity(n),
+            lng_deg: Vec::with_capacity(n),
+            locations: Vec::with_capacity(n),
+            county: Vec::with_capacity(n),
+        }
+    }
+
     /// Builds columns from a row-major cell slice.
     pub fn from_cells(cells: &[CellDemand]) -> Self {
-        let mut cols = DatasetColumns {
-            cell: Vec::with_capacity(cells.len()),
-            lat_deg: Vec::with_capacity(cells.len()),
-            lng_deg: Vec::with_capacity(cells.len()),
-            locations: Vec::with_capacity(cells.len()),
-            county: Vec::with_capacity(cells.len()),
-        };
+        let mut cols = DatasetColumns::with_capacity(cells.len());
         for c in cells {
             cols.cell.push(c.cell);
             cols.lat_deg.push(c.center.lat_deg());
@@ -296,37 +301,44 @@ impl BroadbandDataset {
         let _span = leo_obs::span!("demand.generate");
         let grid = GeoHexGrid::starlink();
         let poly = geography::conus_polygon();
+        // Every US cell with its center, sorted by id. A cell is named
+        // by its position in this list from here on: the center is
+        // computed once, here, and every later step reads it.
         let us_cells = {
             let _span = leo_obs::span!("demand.polyfill");
             grid.polyfill(&poly, STARLINK_RESOLUTION)
         };
         let us_cell_count = us_cells.len();
+        // Locations per US cell, by position; 0 marks a cell without
+        // demand.
+        let mut counts = vec![0u64; us_cell_count];
 
         // -- Anchor cells -------------------------------------------------
-        let mut counts_by_cell: HashMap<CellId, u64> = HashMap::new();
         for a in &config.calibration.anchors {
             let id = grid.cell_for(&LatLng::new(a.lat, a.lng), STARLINK_RESOLUTION);
-            let prev = counts_by_cell.insert(id, a.count);
-            assert!(prev.is_none(), "anchor cells collide at {id}");
+            let pos = us_cells
+                .binary_search_by_key(&id, |&(cell, _)| cell)
+                .unwrap_or_else(|_| panic!("anchor {a:?} lies outside the CONUS polygon"));
+            assert!(a.count > 0, "anchor {a:?} has no locations");
+            assert!(counts[pos] == 0, "anchor cells collide at {id}");
+            counts[pos] = a.count;
         }
 
         // -- Regular cells ------------------------------------------------
         // Rank every candidate cell; demand concentrates at the top.
-        let candidates: Vec<CellId> = us_cells
-            .iter()
-            .copied()
-            .filter(|id| !counts_by_cell.contains_key(id))
+        let candidates: Vec<u32> = (0..us_cell_count as u32)
+            .filter(|&pos| counts[pos as usize] == 0)
             .collect();
         let ranked = {
             let _span = leo_obs::span!("demand.score_cells");
-            rank_candidates(config.seed, poly.bbox(), &grid, &candidates)
+            rank_candidates(config.seed, poly.bbox(), &us_cells, &candidates)
         };
 
-        let counts = config.calibration.regular_counts(); // ascending
+        let regular = config.calibration.regular_counts(); // ascending
         assert!(
-            counts.len() <= ranked.len(),
+            regular.len() <= ranked.len(),
             "calibration demands {} cells but only {} are available",
-            counts.len(),
+            regular.len(),
             ranked.len()
         );
         // Latitude-banded assignment. The un(der)served long tail in
@@ -355,10 +367,9 @@ impl BroadbandDataset {
             }
         };
         let min_lat = [35.5, 33.7, f64::NEG_INFINITY];
-        let mut band_cells: [std::collections::VecDeque<leo_hexgrid::CellId>; 3] =
-            Default::default();
-        for &(id, center) in &ranked {
-            let lat = center.lat_deg();
+        let mut band_cells: [VecDeque<u32>; 3] = Default::default();
+        for &pos in &ranked {
+            let lat = us_cells[pos as usize].1.lat_deg();
             // Each cell is eligible for the *narrowest* band it
             // satisfies, keeping northern cells available for big
             // counts: walk bands from most to least restrictive.
@@ -369,23 +380,19 @@ impl BroadbandDataset {
             } else {
                 2
             };
-            band_cells[band].push_back(id);
+            band_cells[band].push_back(pos);
         }
         // Largest counts first, each drawing from its band, falling
         // back to stricter (more northern) bands when its own runs dry.
-        for &count in counts.iter().rev() {
+        for &count in regular.iter().rev() {
             let want = band_for_count(count);
-            let mut placed = false;
             // A southern-band count may use a northern cell, never the
             // reverse.
-            for band in (0..=want).rev() {
-                if let Some(id) = band_cells[band].pop_front() {
-                    counts_by_cell.insert(id, count);
-                    placed = true;
-                    break;
-                }
-            }
-            assert!(placed, "ran out of cells for count {count}");
+            let pos = (0..=want)
+                .rev()
+                .find_map(|band| band_cells[band].pop_front())
+                .unwrap_or_else(|| panic!("ran out of cells for count {count}"));
+            counts[pos as usize] = count;
         }
 
         // -- Counties -----------------------------------------------------
@@ -393,25 +400,27 @@ impl BroadbandDataset {
         let _county_span = leo_obs::span!("demand.counties");
         let seats = generate_seats(config.seed ^ 0xC0FFEE, config.n_counties, &poly);
         let seat_index = SeatIndex::new(seats);
-        // Sort the demand cells before the parallel Voronoi lookup so
-        // the fan-out works over a deterministic, ordered slice (the
-        // HashMap's iteration order must never reach the output).
-        let mut demand: Vec<(CellId, u64)> = counts_by_cell.into_iter().collect();
-        demand.sort_unstable_by_key(|&(cell, _)| cell);
-        // Build the columns directly: ids and counts unzip from the
-        // sorted pairs, centers come from the bulk hexgrid kernel, and
-        // only the Voronoi county lookup (the expensive part) fans out.
-        let cell_ids: Vec<CellId> = demand.iter().map(|&(cell, _)| cell).collect();
-        let locations: Vec<u64> = demand.iter().map(|&(_, n)| n).collect();
-        let mut lat_deg = Vec::new();
-        let mut lng_deg = Vec::new();
-        grid.cell_centers_into(&cell_ids, &mut lat_deg, &mut lng_deg);
-        let county: Vec<u32> = par_map(&demand, |i, _| {
-            seat_index.nearest(&LatLng::from_canonical_degrees(lat_deg[i], lng_deg[i]))
+        // The demand columns in one pass over the US cells, already in
+        // id order; only the Voronoi county lookup (the expensive part)
+        // fans out.
+        let mut cols = DatasetColumns::with_capacity(counts.iter().filter(|&&n| n > 0).count());
+        for (&(cell, center), &n) in us_cells.iter().zip(&counts) {
+            if n > 0 {
+                cols.cell.push(cell);
+                cols.lat_deg.push(center.lat_deg());
+                cols.lng_deg.push(center.lng_deg());
+                cols.locations.push(n);
+            }
+        }
+        cols.county = par_map(&cols.cell, |i, _| {
+            seat_index.nearest(&LatLng::from_canonical_degrees(
+                cols.lat_deg[i],
+                cols.lng_deg[i],
+            ))
         });
 
         let mut county_weights = vec![0u64; config.n_counties];
-        for (&c, &n) in county.iter().zip(&locations) {
+        for (&c, &n) in cols.county.iter().zip(&cols.locations) {
             county_weights[c as usize] += n;
         }
         let ranking = remoteness_ranking(config.seed, seat_index.seats());
@@ -430,13 +439,6 @@ impl BroadbandDataset {
             .collect();
         drop(_county_span);
 
-        let cols = DatasetColumns {
-            cell: cell_ids,
-            lat_deg,
-            lng_deg,
-            locations,
-            county,
-        };
         let ds = Self::from_columns(grid, cols, us_cell_count, counties);
         leo_obs::metrics::counter_add("demand.us_cells", ds.us_cell_count as u64);
         leo_obs::metrics::counter_add("demand.cells", ds.cells.len() as u64);
@@ -519,11 +521,14 @@ const _: () =
     assert!(FIELD_BUMPS <= SCORE_EPS_MAX_BUMPS && FIELD_SCALE_KM.0 >= SCORE_EPS_MIN_SCALE_KM);
 
 /// Ranks candidate cells for demand: highest score first, ties broken
-/// by cell id. A cell's score is a smooth rural-cluster field over
-/// `bbox` plus a remoteness ramp plus seeded jitter. The jitter comes
-/// from a per-cell stream (`mix64` of the seed and the cell id) rather
-/// than one sequential RNG, so the scoring fans out across workers and
-/// the order is the same at any thread count.
+/// by cell id. `cells` holds cells with their centers (the output of
+/// [`GeoHexGrid::polyfill`]), `candidates` the positions in `cells` to
+/// rank, and the result is those positions in rank order. A cell's
+/// score is a smooth rural-cluster field over `bbox` plus a remoteness
+/// ramp plus seeded jitter. The jitter comes from a per-cell stream
+/// (`mix64` of the seed and the cell id) rather than one sequential
+/// RNG, so the scoring fans out across workers and the order is the
+/// same at any thread count.
 ///
 /// The order is exactly that of sorting the exact scores
 /// ([`SmoothField::value`]). Each cell is scored with
@@ -533,9 +538,9 @@ const _: () =
 pub fn rank_candidates(
     seed: u64,
     bbox: &GeoBBox,
-    grid: &GeoHexGrid,
-    candidates: &[CellId],
-) -> Vec<(CellId, LatLng)> {
+    cells: &[(CellId, LatLng)],
+    candidates: &[u32],
+) -> Vec<u32> {
     let field = SmoothField::new(seed, bbox, FIELD_BUMPS, FIELD_SCALE_KM);
     let jitter_seed = seed.wrapping_mul(0x9E37_79B9);
     let score = |id: CellId, c: &LatLng, field_value: f64| {
@@ -543,24 +548,44 @@ pub fn rank_candidates(
         let mut rng = StdRng::seed_from_u64(mix64(jitter_seed, id.as_u64()));
         field_value + 0.6 * (remote / 400.0).min(2.0) + rng.gen_range(0.0..0.35)
     };
-    let mut scored = par_map(candidates, |_, &id| {
-        let c = grid.cell_center(id);
-        (score(id, &c, field.approx_value(c.to_unit_vec())), id, c)
+    let mut scored = par_map(candidates, |_, &pos| {
+        let (id, c) = cells[pos as usize];
+        (score(id, &c, field.approx_value(c.to_unit_vec())), id, pos)
     });
     sort_by_score(&mut scored);
-    let exact = certify_order(&mut scored, SCORE_EPS, |id, c| score(id, c, field.value(c)));
+    let exact = certify_order(&mut scored, SCORE_EPS, |id, &pos| {
+        let c = &cells[pos as usize].1;
+        score(id, c, field.value(c))
+    });
     leo_obs::metrics::counter_add("demand.cells_scored", candidates.len() as u64);
     leo_obs::metrics::counter_add("demand.score_exact", exact);
-    scored.into_iter().map(|(_, id, c)| (id, c)).collect()
+    scored.into_iter().map(|(_, _, pos)| pos).collect()
 }
 
-/// Sorts highest score first, ties broken by cell id.
+/// Sorts highest score first, ties broken by cell id: the order of
+/// `partial_cmp` on the scores, then the ids.
+///
+/// The sort is by one `u128` key per item ([`score_key`]). It is
+/// unstable, which gives the same order because no two items share
+/// both score and id. Every score must be finite and non-negative, as
+/// demand scores are.
 fn sort_by_score<T>(scored: &mut [(f64, CellId, T)]) {
-    scored.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.1.cmp(&b.1))
-    });
+    assert!(
+        scored.iter().all(|s| s.0.is_finite() && s.0 >= 0.0),
+        "a demand score is negative or not finite"
+    );
+    scored.sort_unstable_by_key(|&(score, id, _)| score_key(score, id));
+}
+
+/// The sort key of a finite, non-negative score and its id: ascending
+/// keys are descending scores, then ascending ids. The bits of such a
+/// score grow with its value, so the key puts their complement above
+/// the id.
+fn score_key(score: f64, id: CellId) -> u128 {
+    // `partial_cmp` calls −0.0 and +0.0 equal, and an empty field sum
+    // is −0.0: give both the key of +0.0.
+    let bits = if score == 0.0 { 0 } else { score.to_bits() };
+    (u128::from(!bits) << 64) | u128::from(id.as_u64())
 }
 
 /// Turns an order by approximate scores into the order by exact ones.
@@ -571,7 +596,8 @@ fn sort_by_score<T>(scored: &mut [(f64, CellId, T)]) {
 /// `2·eps` is re-scored with `exact` and re-sorted. Across a wider gap
 /// the exact scores already differ in the same direction, so the
 /// result is the order a sort by `(exact score desc, id asc)` gives.
-/// Returns the number of exact evaluations.
+/// Ids must be distinct and scores finite and non-negative. Returns the
+/// number of exact evaluations.
 pub fn certify_order<T>(
     scored: &mut [(f64, CellId, T)],
     eps: f64,
@@ -691,6 +717,67 @@ mod tests {
             let rebinned = ds.grid.cell_for(&loc.position, STARLINK_RESOLUTION);
             assert_eq!(rebinned, loc.cell);
         }
+    }
+
+    #[test]
+    fn center_columns_equal_cell_center_bit_for_bit() {
+        let ds = small();
+        for i in 0..ds.cols.len() {
+            let c = ds.grid.cell_center(ds.cols.cell[i]);
+            assert_eq!(ds.cols.lat_deg[i].to_bits(), c.lat_deg().to_bits(), "{i}");
+            assert_eq!(ds.cols.lng_deg[i].to_bits(), c.lng_deg().to_bits(), "{i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lies outside the CONUS polygon")]
+    fn an_anchor_outside_the_polygon_fails_fast() {
+        let mut config = SynthConfig::small();
+        // The Atlantic, 500 km east of Cape Hatteras.
+        config.calibration.anchors[2].lat = 35.0;
+        config.calibration.anchors[2].lng = -70.0;
+        BroadbandDataset::generate(&config);
+    }
+
+    #[test]
+    fn the_score_key_orders_like_partial_cmp_then_id() {
+        let id = |v: u64| CellId::from_u64(v).unwrap();
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let cases: [&[(f64, u64)]; 5] = [
+            // Equal scores, different ids.
+            &[(1.5, 9), (1.5, 3), (1.5, 7), (2.0, 8)],
+            // +0.0 against −0.0: equal, so the id decides.
+            &[
+                (0.0, 4),
+                (-0.0, 2),
+                (0.0, 1),
+                (-0.0, 3),
+                (f64::MIN_POSITIVE, 5),
+            ],
+            // Adjacent floats, a subnormal and the extremes.
+            &[(1.0, 1), (up(1.0), 2), (up(up(1.0)), 3), (up(1.0), 0)],
+            &[(f64::MAX, 3), (5e-324, 5), (0.0, 6), (f64::MIN_POSITIVE, 1)],
+            &[],
+        ];
+        for case in cases {
+            let mut keyed: Vec<(f64, CellId, ())> =
+                case.iter().map(|&(s, i)| (s, id(i), ())).collect();
+            let mut compared = keyed.clone();
+            sort_by_score(&mut keyed);
+            compared.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+            let ids = |v: &[(f64, CellId, ())]| v.iter().map(|x| x.1).collect::<Vec<_>>();
+            assert_eq!(ids(&keyed), ids(&compared), "{case:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "negative or not finite")]
+    fn a_non_finite_score_fails_the_sort() {
+        let mut scored = vec![
+            (1.0, CellId::from_u64(1).unwrap(), ()),
+            (f64::NAN, CellId::from_u64(2).unwrap(), ()),
+        ];
+        sort_by_score(&mut scored);
     }
 
     #[test]

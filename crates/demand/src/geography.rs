@@ -219,6 +219,7 @@ pub fn distance_to_nearest_metro_km(p: &LatLng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leo_geomath::{AzimuthalEqualArea, PlanePoint};
 
     #[test]
     fn conus_polygon_is_valid_and_plausibly_sized() {
@@ -228,6 +229,54 @@ mod tests {
         assert!(
             (7.0e6..9.0e6).contains(&area),
             "CONUS area {area:.3e} km² out of range"
+        );
+    }
+
+    #[test]
+    fn containment_matches_the_full_edge_scan_on_a_dense_sweep() {
+        // The scan `GeoPolygon::contains` replaced, rebuilt from the
+        // polygon's public parts: its bbox, the equal-area projection
+        // tangent at the bbox center, and every edge of the ring.
+        let poly = conus_polygon();
+        let proj = AzimuthalEqualArea::new(poly.bbox().center());
+        let ring: Vec<PlanePoint> = poly.ring().iter().map(|v| proj.forward(v)).collect();
+        let full_scan = |p: &LatLng| {
+            if !poly.bbox().contains(p) {
+                return false;
+            }
+            let q = proj.forward(p);
+            let mut inside = false;
+            let mut j = ring.len() - 1;
+            for i in 0..ring.len() {
+                let (pi, pj) = (ring[i], ring[j]);
+                if (pi.y > q.y) != (pj.y > q.y) {
+                    let x_int = pj.x + (q.y - pj.y) / (pi.y - pj.y) * (pi.x - pj.x);
+                    if q.x < x_int {
+                        inside = !inside;
+                    }
+                }
+                j = i;
+            }
+            inside
+        };
+        let mut probes: Vec<LatLng> = poly.ring().to_vec();
+        for i in 0..=300 {
+            for j in 0..=700 {
+                probes.push(LatLng::new(
+                    24.0 + 26.0 * i as f64 / 300.0,
+                    -126.0 + 60.0 * j as f64 / 700.0,
+                ));
+            }
+        }
+        let mut inside = 0;
+        for p in &probes {
+            assert_eq!(poly.contains(p), full_scan(p), "{p}");
+            inside += usize::from(poly.contains(p));
+        }
+        assert!(
+            inside > probes.len() / 3,
+            "{inside} of {} inside",
+            probes.len()
         );
     }
 

@@ -56,36 +56,44 @@ impl QuantileCurve {
     }
 
     /// Stratified inverse-CDF sampling: `Q((i + 0.5) / n)` for every
-    /// `i in 0..n`, in one forward walk. Because the sample points are
-    /// monotone, the anchor segment advances with a two-pointer instead
-    /// of the per-sample `windows` search [`QuantileCurve::value`]
-    /// does, and the segment's logs are hoisted — the inner loop is a
-    /// branch-light fused multiply-add plus `exp`. Bit-identical to
-    /// calling `value` per point (same expression, same operand order).
+    /// `i in 0..n`, in one forward walk (`monotone_values`).
+    /// Bit-identical to calling [`QuantileCurve::value`] per point.
     pub fn stratified_values(&self, n: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(n);
-        if n == 0 {
-            return out;
-        }
+        self.monotone_values((0..n).map(|i| (i as f64 + 0.5) / n as f64))
+            .collect()
+    }
+
+    /// `Q(u)` for each of a non-decreasing sequence of points in
+    /// `[0, 1]`. Because the points are monotone, the anchor segment
+    /// advances with a two-pointer instead of the per-point `windows`
+    /// search [`QuantileCurve::value`] does, and the segment's logs are
+    /// hoisted — the inner loop is a branch-light multiply-add plus
+    /// `exp`. The segment is the first one whose upper anchor is at or
+    /// above `u`, and the value the same expression in the same operand
+    /// order, so each result equals `value(u)` bit for bit.
+    fn monotone_values<'a>(
+        &'a self,
+        us: impl Iterator<Item = f64> + 'a,
+    ) -> impl Iterator<Item = f64> + 'a {
         let last_idx = self.anchors.len() - 2;
+        // Segment `i`: its bounds, the log at its lower anchor and the
+        // log rise across it.
+        let segment = |i: usize| {
+            let (u0, v0) = self.anchors[i];
+            let (u1, v1) = self.anchors[i + 1];
+            let ln_v0 = v0.ln();
+            (u0, u1, ln_v0, v1.ln() - ln_v0)
+        };
         let mut idx = 0usize;
-        let (mut u0, mut v0) = self.anchors[0];
-        let (mut u1, mut v1) = self.anchors[1];
-        let mut ln_v0 = v0.ln();
-        let mut dln = v1.ln() - ln_v0;
-        for i in 0..n {
-            let u = (i as f64 + 0.5) / n as f64;
+        let (mut u0, mut u1, mut ln_v0, mut dln) = segment(0);
+        us.map(move |u| {
             while idx < last_idx && u > u1 {
                 idx += 1;
-                (u0, v0) = self.anchors[idx];
-                (u1, v1) = self.anchors[idx + 1];
-                ln_v0 = v0.ln();
-                dln = v1.ln() - ln_v0;
+                (u0, u1, ln_v0, dln) = segment(idx);
             }
             let t = if u1 > u0 { (u - u0) / (u1 - u0) } else { 0.0 };
-            out.push((ln_v0 + t * dln).exp());
-        }
-        out
+            (ln_v0 + t * dln).exp()
+        })
     }
 
     /// Inverse evaluation: the `u` at which the curve reaches `value`
@@ -114,12 +122,15 @@ impl QuantileCurve {
     }
 
     /// Mean of the calibrated distribution, by numerical quadrature of
-    /// `∫₀¹ Q(u) du` (midpoint rule, `steps` panels).
+    /// `∫₀¹ Q(u) du` (midpoint rule, `steps` panels). The midpoints
+    /// are monotone, so one forward walk (`monotone_values`) evaluates
+    /// them; the sum runs left to right over `Q(u)·h`, as a per-point
+    /// `value` loop would, so the result is bit-identical to one.
     pub fn mean(&self, steps: u32) -> f64 {
         assert!(steps > 0);
         let h = 1.0 / steps as f64;
-        (0..steps)
-            .map(|k| self.value((k as f64 + 0.5) * h) * h)
+        self.monotone_values((0..steps).map(|k| (k as f64 + 0.5) * h))
+            .map(|v| v * h)
             .sum()
     }
 }
@@ -199,6 +210,25 @@ mod tests {
             for (i, &v) in bulk.iter().enumerate() {
                 let u = (i as f64 + 0.5) / n as f64;
                 assert_eq!(v.to_bits(), c.value(u).to_bits(), "n={n} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn mean_matches_the_per_point_midpoint_sum_bit_for_bit() {
+        let curves = [
+            crate::counts::CountCalibration::paper().curve,
+            crate::income::income_curve(),
+        ];
+        for (i, c) in curves.iter().enumerate() {
+            for steps in [1u32, 7, 1_000, 200_000] {
+                let h = 1.0 / steps as f64;
+                let per_point: f64 = (0..steps).map(|k| c.value((k as f64 + 0.5) * h) * h).sum();
+                assert_eq!(
+                    c.mean(steps).to_bits(),
+                    per_point.to_bits(),
+                    "curve {i}, {steps} steps"
+                );
             }
         }
     }

@@ -17,9 +17,10 @@ use leo_parallel::mix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The grid, the CONUS bounding box and the cells `generate` ranks at
-/// paper scale: every CONUS cell except the six anchors.
-pub fn paper_candidates() -> (GeoHexGrid, GeoBBox, Vec<CellId>) {
+/// The grid, the CONUS bounding box, every CONUS cell with the center
+/// `polyfill` carries for it, and the positions of the cells
+/// `generate` ranks at paper scale: every cell except the six anchors.
+pub fn paper_candidates() -> (GeoHexGrid, GeoBBox, Vec<(CellId, LatLng)>, Vec<u32>) {
     let grid = GeoHexGrid::starlink();
     let poly = geography::conus_polygon();
     let anchors: Vec<CellId> = CountCalibration::paper()
@@ -27,12 +28,11 @@ pub fn paper_candidates() -> (GeoHexGrid, GeoBBox, Vec<CellId>) {
         .iter()
         .map(|a| grid.cell_for(&LatLng::new(a.lat, a.lng), STARLINK_RESOLUTION))
         .collect();
-    let cells = grid
-        .polyfill(&poly, STARLINK_RESOLUTION)
-        .into_iter()
-        .filter(|id| !anchors.contains(id))
+    let cells = grid.polyfill(&poly, STARLINK_RESOLUTION);
+    let candidates = (0..cells.len() as u32)
+        .filter(|&pos| !anchors.contains(&cells[pos as usize].0))
         .collect();
-    (grid, *poly.bbox(), cells)
+    (grid, *poly.bbox(), cells, candidates)
 }
 
 /// The demand field `generate` scores cells with.
@@ -50,17 +50,21 @@ pub fn score(seed: u64, id: CellId, c: &LatLng, field_value: f64) -> f64 {
 }
 
 /// Reference `rank_candidates`: the exact score of every candidate,
-/// highest first, ties broken by cell id.
+/// highest first, ties broken by cell id. Only the ids of `cells` are
+/// read; each center is computed afresh with `cell_center`, so a
+/// comparison also checks the centers `polyfill` carries.
 pub fn naive_rank(
     seed: u64,
     bbox: &GeoBBox,
     grid: &GeoHexGrid,
-    candidates: &[CellId],
+    cells: &[(CellId, LatLng)],
+    candidates: &[u32],
 ) -> Vec<(CellId, LatLng)> {
     let field = field(seed, bbox);
     let mut scored: Vec<(f64, CellId, LatLng)> = candidates
         .iter()
-        .map(|&id| {
+        .map(|&pos| {
+            let id = cells[pos as usize].0;
             let c = grid.cell_center(id);
             (score(seed, id, &c, field.value(&c)), id, c)
         })
@@ -73,11 +77,16 @@ pub fn naive_rank(
     scored.into_iter().map(|(_, id, c)| (id, c)).collect()
 }
 
-/// True when two rankings hold the same cells in the same order, with
-/// bit-identical centers.
-pub fn same_ranking(a: &[(CellId, LatLng)], b: &[(CellId, LatLng)]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|((ia, ca), (ib, cb))| {
+/// True when the positions `ranked` into `cells` name the cells of
+/// `reference` in the same order, with bit-identical centers.
+pub fn same_ranking(
+    cells: &[(CellId, LatLng)],
+    ranked: &[u32],
+    reference: &[(CellId, LatLng)],
+) -> bool {
+    ranked.len() == reference.len()
+        && ranked.iter().zip(reference).all(|(&pos, (ib, cb))| {
+            let (ia, ca) = &cells[pos as usize];
             ia == ib
                 && ca.lat_deg().to_bits() == cb.lat_deg().to_bits()
                 && ca.lng_deg().to_bits() == cb.lng_deg().to_bits()

@@ -13,21 +13,22 @@ use proptest::prelude::*;
 
 #[test]
 fn rank_candidates_matches_the_exact_twin_on_fixed_seeds() {
-    let (grid, bbox, cells) = naive::paper_candidates();
-    assert!(cells.len() > 30_000, "{} candidates", cells.len());
+    let (grid, bbox, cells, candidates) = naive::paper_candidates();
+    assert!(candidates.len() > 30_000, "{} candidates", candidates.len());
     for seed in [7, 2, 2024] {
-        let fast = rank_candidates(seed, &bbox, &grid, &cells);
-        let slow = naive::naive_rank(seed, &bbox, &grid, &cells);
-        assert!(naive::same_ranking(&fast, &slow), "seed {seed}");
+        let fast = rank_candidates(seed, &bbox, &cells, &candidates);
+        let slow = naive::naive_rank(seed, &bbox, &grid, &cells, &candidates);
+        assert!(naive::same_ranking(&cells, &fast, &slow), "seed {seed}");
     }
 }
 
 #[test]
 fn approximate_scores_are_within_eps_on_the_paper_candidates() {
-    let (grid, bbox, cells) = naive::paper_candidates();
+    let (grid, bbox, cells, candidates) = naive::paper_candidates();
     let field = naive::field(7, &bbox);
     let mut worst = 0.0f64;
-    for &id in &cells {
+    for &pos in &candidates {
+        let id = cells[pos as usize].0;
         let c = grid.cell_center(id);
         let approx = naive::score(7, id, &c, field.approx_value(c.to_unit_vec()));
         let exact = naive::score(7, id, &c, field.value(&c));

@@ -123,38 +123,6 @@ impl GeoHexGrid {
         self.proj.inverse(&t.project(&id.coord()))
     }
 
-    /// Computes the centers of a batch of cells into parallel
-    /// latitude/longitude columns, appending to `lat_deg`/`lng_deg`.
-    ///
-    /// Bit-identical to calling [`GeoHexGrid::cell_center`] per id, but
-    /// the per-resolution transform lookup is hoisted out of the loop
-    /// for runs of same-resolution ids (the demand dataset is entirely
-    /// resolution 5), leaving a straight-line project → inverse walk
-    /// over the id slice. This is the column-building kernel for the
-    /// data-oriented dataset layout and the snapshot import path.
-    pub fn cell_centers_into(
-        &self,
-        ids: &[CellId],
-        lat_deg: &mut Vec<f64>,
-        lng_deg: &mut Vec<f64>,
-    ) {
-        lat_deg.reserve(ids.len());
-        lng_deg.reserve(ids.len());
-        let mut i = 0;
-        while i < ids.len() {
-            let res = ids[i].resolution();
-            let t = self.res[res as usize];
-            let mut j = i;
-            while j < ids.len() && ids[j].resolution() == res {
-                let c = self.proj.inverse(&t.project(&ids[j].coord()));
-                lat_deg.push(c.lat_deg());
-                lng_deg.push(c.lng_deg());
-                j += 1;
-            }
-            i = j;
-        }
-    }
-
     /// The six boundary vertices of a cell, counterclockwise.
     pub fn cell_boundary(&self, id: CellId) -> [LatLng; 6] {
         let t = &self.res[id.resolution() as usize];
@@ -177,10 +145,14 @@ impl GeoHexGrid {
             .collect()
     }
 
-    /// All cells at resolution `res` whose centers fall inside `poly`.
+    /// All cells at resolution `res` whose centers fall inside `poly`,
+    /// each with its center.
     ///
-    /// Returned sorted by identifier for determinism.
-    pub fn polyfill(&self, poly: &GeoPolygon, res: u8) -> Vec<CellId> {
+    /// Returned sorted by identifier for determinism. Each center is
+    /// the point the containment test was made at, the same expression
+    /// [`GeoHexGrid::cell_center`] evaluates, so it equals
+    /// `cell_center(id)` bit for bit.
+    pub fn polyfill(&self, poly: &GeoPolygon, res: u8) -> Vec<(CellId, LatLng)> {
         let t = &self.res[res as usize];
         // Project the polygon ring to this grid's plane and take its
         // bbox, padded by one cell spacing.
@@ -208,30 +180,20 @@ impl GeoHexGrid {
             PlanePoint::new(xmax, ymin),
             PlanePoint::new(xmax, ymax),
         ];
-        let mut qmin = i32::MAX;
-        let mut qmax = i32::MIN;
+        let (mut qmin, mut qmax) = (i32::MAX, i32::MIN);
+        let (mut rmin, mut rmax) = (i32::MAX, i32::MIN);
         for c in &corners {
             let a = t.unproject(c);
             qmin = qmin.min(a.q);
             qmax = qmax.max(a.q);
+            rmin = rmin.min(a.r);
+            rmax = rmax.max(a.r);
         }
-        // Conservative slack: the corner scan bounds q on the rotated
-        // lattice only approximately near edges.
-        qmin -= 1;
-        qmax += 1;
         let mut out = Vec::new();
-        for q in qmin..=qmax {
-            // For fixed q, bound r by scanning the bbox corners as well.
-            let mut rmin = i32::MAX;
-            let mut rmax = i32::MIN;
-            for c in &corners {
-                let a = t.unproject(c);
-                rmin = rmin.min(a.r);
-                rmax = rmax.max(a.r);
-            }
-            rmin -= 1;
-            rmax += 1;
-            for r in rmin..=rmax {
+        // Conservative slack: the corner scan bounds q and r on the
+        // rotated lattice only approximately near edges.
+        for q in qmin - 1..=qmax + 1 {
+            for r in rmin - 1..=rmax + 1 {
                 let coord = Axial::new(q, r);
                 let plane = t.project(&coord);
                 if plane.x < xmin || plane.x > xmax || plane.y < ymin || plane.y > ymax {
@@ -239,11 +201,11 @@ impl GeoHexGrid {
                 }
                 let center = self.proj.inverse(&plane);
                 if poly.contains(&center) {
-                    out.push(CellId::pack(res, coord));
+                    out.push((CellId::pack(res, coord), center));
                 }
             }
         }
-        out.sort_unstable();
+        out.sort_unstable_by_key(|&(id, _)| id);
         out
     }
 }
@@ -331,7 +293,7 @@ mod tests {
             (40.0, -100.0),
         ])
         .unwrap();
-        let cells = g.polyfill(&poly, 5);
+        let cells: Vec<CellId> = g.polyfill(&poly, 5).into_iter().map(|(id, _)| id).collect();
         let expect = poly.area_km2() / g.cell_area_km2(5);
         let got = cells.len() as f64;
         let rel = (got - expect).abs() / expect;
@@ -347,24 +309,45 @@ mod tests {
         assert_eq!(sorted, cells);
     }
 
-    #[test]
-    fn bulk_cell_centers_match_scalar_path_bit_for_bit() {
-        let g = grid();
-        // Mixed resolutions exercise the same-resolution run hoisting.
-        let mut ids = Vec::new();
-        for &(lat, lng) in &[(39.5, -98.35), (47.6, -122.33), (25.77, -80.19)] {
-            for res in [5u8, 5, 6, 5] {
-                ids.push(g.cell_for(&LatLng::new(lat, lng), res));
-            }
-        }
-        let mut lat = Vec::new();
-        let mut lng = Vec::new();
-        g.cell_centers_into(&ids, &mut lat, &mut lng);
-        assert_eq!(lat.len(), ids.len());
-        for (i, &id) in ids.iter().enumerate() {
+    /// Asserts that every center `polyfill` returns equals
+    /// `cell_center` of its id bit for bit, and returns the cell count.
+    fn assert_polyfill_centers_exact(g: &GeoHexGrid, poly: &GeoPolygon, res: u8) -> usize {
+        let cells = g.polyfill(poly, res);
+        for &(id, center) in &cells {
+            assert_eq!(id.resolution(), res);
             let c = g.cell_center(id);
-            assert_eq!(lat[i].to_bits(), c.lat_deg().to_bits());
-            assert_eq!(lng[i].to_bits(), c.lng_deg().to_bits());
+            assert_eq!(center.lat_deg().to_bits(), c.lat_deg().to_bits(), "{id}");
+            assert_eq!(center.lng_deg().to_bits(), c.lng_deg().to_bits(), "{id}");
+        }
+        cells.len()
+    }
+
+    #[test]
+    fn polyfill_centers_match_cell_center_bit_for_bit() {
+        let g = grid();
+        // The CONUS bounding box: every CONUS cell at the Starlink
+        // resolution, and then some.
+        let conus = GeoPolygon::from_degrees(&[
+            (24.4, -124.9),
+            (24.4, -66.9),
+            (49.4, -66.9),
+            (49.4, -124.9),
+        ])
+        .unwrap();
+        let n = assert_polyfill_centers_exact(&g, &conus, 5);
+        assert!(n > 31_966, "{n} cells");
+        let small = GeoPolygon::from_degrees(&[
+            (38.0, -100.0),
+            (38.2, -98.9),
+            (39.1, -98.5),
+            (39.0, -99.6),
+        ])
+        .unwrap();
+        for res in [3u8, 7] {
+            assert!(
+                assert_polyfill_centers_exact(&g, &small, res) > 0,
+                "res {res}"
+            );
         }
     }
 

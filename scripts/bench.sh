@@ -27,10 +27,10 @@
 # payload bytes over the warm dataset stage's wall-clock) and a
 # `kernels` section of per-kernel medians parsed from the criterion
 # harness's KERNELS_JSON line (Fig 2 row scan, unserved fold,
-# stratified sampling, bulk centers, snapshot encode/decode, the
-# orbit density, coverage and gateway-path kernels, the paper-scale
-# Fig 1 map render, the strict-bound table and the certified
-# demand-cell order).
+# stratified sampling, polyfill-carried centers, snapshot
+# encode/decode, the orbit density, coverage and gateway-path kernels,
+# the paper-scale Fig 1 map render, the strict-bound table and the
+# certified demand-cell order).
 #
 # The canonical warm runs append to a persistent run ledger
 # (BENCH_LEDGER, default .bench-runs.jsonl at the repo root,

@@ -47,8 +47,15 @@ for src in examples/*.rs; do
         || { echo "[tier1] example $name printed nothing" >&2; exit 1; }
     examples=$((examples + 1))
 done
-[ "$examples" -ge 6 ] || { echo "[tier1] only $examples examples ran" >&2; exit 1; }
+[ "$examples" -ge 7 ] || { echo "[tier1] only $examples examples ran" >&2; exit 1; }
 echo "[tier1] $examples examples ran"
+# The committed artifacts cover one dataset (seed 7, paper scale), and
+# that only through rounded renderings. dataset_digest prints a digest
+# of every column of six datasets (seeds 7, 2 and 2024 at small and
+# paper scale); each must equal its committed digest.
+diff "$work/example_dataset_digest.txt" results/dataset_digests.txt \
+    || { echo "[tier1] a generated dataset differs from results/dataset_digests.txt" >&2; exit 1; }
+echo "[tier1] six dataset digests match results/dataset_digests.txt"
 
 out="$work/smoke"
 
