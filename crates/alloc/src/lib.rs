@@ -84,11 +84,6 @@ pub fn set_tracking(on: bool) {
     MARKS.tracking.store(on, Relaxed);
 }
 
-/// Whether allocation tracking is currently enabled.
-pub fn tracking() -> bool {
-    MARKS.tracking.load(Relaxed)
-}
-
 /// A point-in-time copy of the allocator counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocStats {

@@ -338,14 +338,14 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("kernels/sweep_row/per_point", |b| {
         b.iter(|| {
             row.clear();
-            per_point_fractions(black_box(&sorted), black_box(&limits), &mut row);
+            per_point_fractions(black_box(sorted), black_box(&limits), &mut row);
             black_box(&row);
         })
     });
     c.bench_function("kernels/sweep_row/two_pointer", |b| {
         b.iter(|| {
             row.clear();
-            served_fractions_row(black_box(&sorted), black_box(&limits), &mut row);
+            served_fractions_row(black_box(sorted), black_box(&limits), &mut row);
             black_box(&row);
         })
     });
@@ -558,9 +558,9 @@ fn bench_kernels(c: &mut Criterion) {
     // Columnar-kernel gates: every data-oriented rewrite must agree
     // with its scalar baseline to the last bit.
     let mut scalar_row = Vec::new();
-    per_point_fractions(&sorted, &limits, &mut scalar_row);
+    per_point_fractions(sorted, &limits, &mut scalar_row);
     let mut vector_row = Vec::new();
-    served_fractions_row(&sorted, &limits, &mut vector_row);
+    served_fractions_row(sorted, &limits, &mut vector_row);
     assert_eq!(scalar_row.len(), vector_row.len());
     for (i, (a, b)) in scalar_row.iter().zip(vector_row.iter()).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "row scan diverged at limit {i}");
@@ -632,7 +632,7 @@ fn bench_kernels(c: &mut Criterion) {
     // shim above prints means, trend gating wants medians).
     let sweep_ms = median_ms(31, || {
         let mut out = Vec::with_capacity(limits.len());
-        served_fractions_row(black_box(&sorted), black_box(&limits), &mut out);
+        served_fractions_row(black_box(sorted), black_box(&limits), &mut out);
         black_box(out);
     });
     let fold_ms = median_ms(31, || {

@@ -1,9 +1,9 @@
 //! # leo-bench
 //!
-//! Criterion benchmarks that regenerate every table and figure of the
-//! paper (one bench target per artifact — see `benches/`), plus
-//! substrate micro-benchmarks. The crate's library is a thin shared
-//! harness: dataset caching so the benches measure the experiment, not
+//! Criterion benchmarks of the pipeline's hot kernels, each against
+//! its reference twin (`benches/bench_kernels.rs`; `scripts/bench.sh`
+//! records their medians). The crate's library is a thin shared
+//! harness: dataset caching so the benches measure the kernel, not
 //! dataset synthesis.
 
 #![forbid(unsafe_code)]

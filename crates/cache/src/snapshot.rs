@@ -186,7 +186,7 @@ pub fn encode_dataset(ds: &BroadbandDataset) -> Vec<u8> {
     e.put_f64_slice(&scratch_f);
     let sorted = ds.sorted_counts();
     e.put_len(sorted.len());
-    e.put_u64_slice(&sorted);
+    e.put_u64_slice(sorted);
     e.finish()
 }
 
@@ -426,7 +426,7 @@ mod tests {
             assert_eq!(x.locations, y.locations);
             assert_eq!(x.remoteness_km.to_bits(), y.remoteness_km.to_bits());
         }
-        assert_eq!(*a.sorted_counts(), *b.sorted_counts());
+        assert_eq!(a.sorted_counts(), b.sorted_counts());
     }
 
     #[test]

@@ -231,7 +231,7 @@ proptest! {
             prop_assert_eq!(a.median_income_usd.to_bits(), b.median_income_usd.to_bits());
             prop_assert_eq!(a.locations, b.locations);
         }
-        prop_assert_eq!(&*decoded.sorted_counts(), &*ds.sorted_counts());
+        prop_assert_eq!(decoded.sorted_counts(), ds.sorted_counts());
     }
 
     #[test]

@@ -20,7 +20,6 @@ mod report_cmd;
 use leo_cache::DatasetCache;
 use leo_demand::{BroadbandDataset, SynthConfig};
 use leo_obs::manifest::{self, RunInfo};
-use leo_obs::Switch;
 use leo_report::{CsvWriter, Heatmap, LineChart, PointMap, Series, TextTable};
 use starlink_divide::{
     afford, coverage_sweep, demand_stats, findings, sensitivity, sizing, strict, tail, PaperModel,
@@ -65,6 +64,9 @@ options:
                        <out>/.divide-cache); artifacts are
                        byte-identical warm or cold
   --no-cache           always regenerate; read and write no snapshots
+  --ledger FILE        run ledger: every run appends a line to FILE,
+                       history reads it (default: runs.jsonl in the
+                       cache directory; none with --no-cache)
   --trace[=FILE]       record a timeline and write a Chrome trace
                        (default <out>/trace.json, Perfetto-loadable)
                        plus folded flamegraph stacks (trace.folded);
@@ -85,9 +87,6 @@ of the earlier values, which for report is the baseline record):
                        BENCH_tier1.json (required)
   --candidate FILE     report: 'after' record of the same kind
                        (required)
-  --ledger FILE        history: run ledger to read (default: runs.jsonl
-                       in the resolved cache directory); the newest run
-                       gates against the median of up to 10 predecessors
   --max-regress-pct P  fail when a metric is worse than its baseline by
                        more than P% (20)
   --min-wall-ms MS     time metrics below MS in both runs never gate (5)
@@ -96,19 +95,17 @@ environment (a switch is off when empty, 0, off or false, in any case):
   DIVIDE_OBS           switch: off disables spans, metrics and --trace
   DIVIDE_ALLOC         switch: off disables allocation tracking (heap
                        telemetry in manifest, ledger, and trace)
-  DIVIDE_LEDGER        switch: run-ledger destination; off disables the
-                       append (default: <cache>/runs.jsonl)
-  DIVIDE_POOL_TIMEOUT_MS
-                       worker-pool watchdog: per-fan-out deadline in
-                       milliseconds; a stalled fan-out reports the
-                       stuck chunk/lane and exits 1 (default: 0, wait
-                       forever)
+  DIVIDE_PAR_THRESHOLD_NS
+                       worker-pool serial threshold: fan-outs whose
+                       chunks are estimated to take fewer nanoseconds
+                       run serially; 0 sends every fan-out to the pool
+                       (default: 100000)
 
 exit codes:
   0    success (observability may be degraded; see the manifest's
        'degraded' section)
   1    runtime failure: I/O error after retries, stage abort or
-       panic, pool stall
+       panic
   2    usage error
   3    perf regression detected by report/history
   130  interrupted by SIGINT/SIGTERM (registered temp files cleaned)
@@ -135,7 +132,8 @@ commands:
                   perf regression (see report/history options)
   history         per-stage wall/memory trend table over the run
                   ledger; exit 3 when the newest run regresses vs the
-                  prior median (see report/history options)";
+                  median of up to 10 prior runs (see report/history
+                  options)";
 
 /// Prints the help to stdout and exits 0 (`-h`/`--help`).
 fn help() -> ! {
@@ -273,17 +271,12 @@ fn main() {
         std::process::exit(report_cmd::run(&baseline, &candidate, &gate));
     }
     // `history` likewise: it only reads the ledger. The ledger path
-    // defaults to runs.jsonl in whatever cache directory a normal run
-    // with the same flags/environment would use, so `divide all` and
-    // `divide history` line up without repeating the path.
+    // resolves as for a normal run with the same flags, so `divide all`
+    // and `divide history` line up without repeating the path.
     if command == "history" {
-        let Some(path) = ledger_flag.or_else(|| {
-            resolve_ledger(
-                None,
-                resolve_cache_dir(no_cache, &cache_dir, &out).as_deref(),
-            )
-        }) else {
-            usage("history needs --ledger FILE when caching and DIVIDE_LEDGER are both disabled");
+        let cache = resolve_cache_dir(no_cache, &cache_dir, &out);
+        let Some(path) = resolve_ledger(ledger_flag, cache.as_deref()) else {
+            usage("history needs --ledger FILE with --no-cache");
         };
         std::process::exit(history_cmd::run(&path, &gate));
     }
@@ -315,16 +308,6 @@ fn main() {
             Err(e) => usage(&format!("invalid fault plan: {e}")),
         }
     }
-    // Pool watchdog deadline; 0 or unset waits forever (the default —
-    // a deadline only makes sense when something can wedge a worker).
-    if let Ok(v) = std::env::var("DIVIDE_POOL_TIMEOUT_MS") {
-        if !v.is_empty() && !v.eq_ignore_ascii_case("off") {
-            match v.parse::<u64>() {
-                Ok(ms) => leo_parallel::pool::set_stall_timeout_ms(ms),
-                Err(_) => usage("DIVIDE_POOL_TIMEOUT_MS expects an integer (milliseconds)"),
-            }
-        }
-    }
     // Clean up registered temp files and exit 130 on SIGINT/SIGTERM.
     leo_fault::signal::install();
     // Explicit flag wins; otherwise leo-parallel falls back to
@@ -337,7 +320,7 @@ fn main() {
     // allocator on and register it as the leo-obs resource hook — the
     // hook is the single switch every consumer (manifest, ledger,
     // trace memory lane) keys off.
-    if leo_obs::enabled() && Switch::env("DIVIDE_ALLOC") != Switch::Off {
+    if leo_obs::enabled() && !leo_obs::switched_off("DIVIDE_ALLOC") {
         leo_alloc::set_tracking(true);
         leo_obs::resource::set_alloc_hook(Some(leo_obs::resource::AllocHook {
             read: alloc_reading,
@@ -500,19 +483,11 @@ fn resolve_cache_dir(no_cache: bool, cache_dir: &Option<PathBuf>, out: &Path) ->
     )
 }
 
-/// Run-ledger resolution: --ledger wins, then $DIVIDE_LEDGER (off
-/// disables, anything else is the file path), then runs.jsonl beside
-/// the dataset snapshots in the cache directory. `None` means "no
-/// ledger" — nothing is appended and `history` has nothing to read.
+/// Run-ledger resolution: --ledger wins, then runs.jsonl beside the
+/// dataset snapshots in the cache directory. `None` means "no ledger"
+/// — nothing is appended and `history` has nothing to read.
 fn resolve_ledger(explicit: Option<PathBuf>, cache_dir: Option<&Path>) -> Option<PathBuf> {
-    if explicit.is_some() {
-        return explicit;
-    }
-    match Switch::env("DIVIDE_LEDGER") {
-        Switch::Off => None,
-        Switch::On(path) => Some(PathBuf::from(path)),
-        Switch::Unset => cache_dir.map(|d| d.join("runs.jsonl")),
-    }
+    explicit.or_else(|| cache_dir.map(|d| d.join("runs.jsonl")))
 }
 
 /// What a pipeline stage reads: the model, the artifact directory, and

@@ -2,9 +2,10 @@
 //! usage errors, the `--trace` exporter, every exit code of `divide
 //! report` and `divide history`, the resource-telemetry surface
 //! (manifest alloc/RSS fields, run-ledger appends, the trace memory
-//! lane) together with its `DIVIDE_OBS`/`DIVIDE_ALLOC`/`DIVIDE_LEDGER`
-//! off-switches, and the typed failures of injected faults, including
-//! an aborted run that a plain rerun completes.
+//! lane) together with its `DIVIDE_OBS`/`DIVIDE_ALLOC` off-switches,
+//! the typed failures of injected faults, including an aborted run
+//! that a plain rerun completes, and the removed variables that no
+//! longer do anything.
 
 use leo_obs::json::Json;
 use std::path::{Path, PathBuf};
@@ -218,10 +219,8 @@ fn history_exit_codes_cover_ok_regression_io_and_usage() {
         .arg(dir.join("missing.jsonl")));
     assert_eq!(out.status.code(), Some(1), "unreadable ledger must exit 1");
 
-    // No --ledger, caching and DIVIDE_LEDGER both off: nowhere to read.
-    let out = run(divide()
-        .args(["history", "--no-cache"])
-        .env_remove("DIVIDE_LEDGER"));
+    // No --ledger and no cache: nowhere to read.
+    let out = run(divide().args(["history", "--no-cache"]));
     assert_eq!(
         out.status.code(),
         Some(2),
@@ -232,7 +231,7 @@ fn history_exit_codes_cover_ok_regression_io_and_usage() {
 }
 
 #[test]
-fn runs_append_to_the_ledger_unless_obs_or_ledger_is_off() {
+fn runs_append_to_the_ledger_unless_obs_is_off() {
     let dir = tmp("ledger_append");
     let cache = dir.join("cache");
     let base = |dir: &Path, cache: &Path| {
@@ -241,7 +240,6 @@ fn runs_append_to_the_ledger_unless_obs_or_ledger_is_off() {
             .arg(dir)
             .arg("--cache")
             .arg(cache)
-            .env_remove("DIVIDE_LEDGER")
             .arg("table1");
         c
     };
@@ -304,17 +302,11 @@ fn runs_append_to_the_ledger_unless_obs_or_ledger_is_off() {
     let body = std::fs::read_to_string(&ledger).expect("ledger still there");
     assert_eq!(body.lines().count(), 2, "DIVIDE_OBS=off must not append");
 
-    // DIVIDE_LEDGER=off: same.
-    let out = run(base(&dir, &cache).env("DIVIDE_LEDGER", "off"));
-    assert!(out.status.success());
-    let body = std::fs::read_to_string(&ledger).expect("ledger still there");
-    assert_eq!(body.lines().count(), 2, "DIVIDE_LEDGER=off must not append");
-
-    // DIVIDE_LEDGER=path redirects the append away from the cache.
+    // --ledger FILE redirects the append away from the cache.
     let alt = dir.join("alt.jsonl");
-    let out = run(base(&dir, &cache).env("DIVIDE_LEDGER", &alt));
+    let out = run(base(&dir, &cache).arg("--ledger").arg(&alt));
     assert!(out.status.success());
-    assert!(alt.is_file(), "DIVIDE_LEDGER names the destination");
+    assert!(alt.is_file(), "--ledger names the destination");
     let body = std::fs::read_to_string(&ledger).expect("ledger still there");
     assert_eq!(body.lines().count(), 2, "cache ledger untouched");
 
@@ -324,25 +316,24 @@ fn runs_append_to_the_ledger_unless_obs_or_ledger_is_off() {
 #[test]
 fn off_switches_read_empty_zero_off_and_false_in_any_case() {
     let dir = tmp("switches");
-    // DIVIDE_LEDGER=0 disables the ledger: no ledger file named `0`
-    // under the working directory, and none beside the snapshots.
+    // DIVIDE_ALLOC=0 turns allocation tracking off: no heap telemetry.
     let out = run(divide()
-        .current_dir(&dir)
-        .args(["--scale", "small", "--out", "out"])
-        .env("DIVIDE_LEDGER", "0")
+        .args(["--scale", "small", "--no-cache", "--out"])
+        .arg(dir.join("alloc_off"))
+        .env("DIVIDE_ALLOC", "0")
         .arg("table1"));
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let manifest =
+        std::fs::read_to_string(dir.join("alloc_off/run_manifest.json")).expect("manifest written");
+    let manifest = Json::parse(&manifest).expect("manifest parses");
+    let resources = manifest.get("resources").expect("resources section");
     assert!(
-        !dir.join("0").exists(),
-        "DIVIDE_LEDGER=0 created a ledger named 0"
-    );
-    assert!(
-        !dir.join("out/.divide-cache/runs.jsonl").exists(),
-        "DIVIDE_LEDGER=0 fell back to the default ledger"
+        resources.get("alloc_calls").is_none(),
+        "DIVIDE_ALLOC=0 left heap telemetry on"
     );
 
     // DIVIDE_OBS=OFF turns observability off: no ledger line appended.
@@ -353,7 +344,6 @@ fn off_switches_read_empty_zero_off_and_false_in_any_case() {
         .arg("--cache")
         .arg(&cache)
         .env("DIVIDE_OBS", "OFF")
-        .env_remove("DIVIDE_LEDGER")
         .arg("table1"));
     assert!(out.status.success());
     assert!(
@@ -731,7 +721,6 @@ fn degraded_observability_never_fails_the_run() {
         .arg(&dir)
         .arg("--cache")
         .arg(&cache)
-        .env_remove("DIVIDE_LEDGER")
         .args(["--fault-plan", "seed=9;ledger.append:p=1", "table1"]));
     assert!(
         out.status.success(),
@@ -837,25 +826,51 @@ fn exhausted_write_retries_exit_typed_and_leave_no_tmp() {
 }
 
 #[test]
-fn pool_watchdog_names_the_stalled_lane_and_exits_1() {
-    let dir = tmp("watchdog");
-    let out = run(divide()
-        .args(["--scale", "small", "--no-cache", "--threads", "4", "--out"])
-        .arg(&dir)
-        .env("DIVIDE_PAR_THRESHOLD_NS", "0")
-        .env("DIVIDE_POOL_TIMEOUT_MS", "200")
-        .args([
-            "--fault-plan",
-            // nth=2 is the second dispatched chunk — chunk 1, which
-            // runs on a pool worker (chunk 0 runs on the caller, whose
-            // delay could never stall the rendezvous).
-            "seed=2;pool.chunk:nth=2,mode=delay,delay_ms=10000",
-            "table2",
-        ]));
-    assert_eq!(out.status.code(), Some(1), "stall is a typed failure");
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(stderr.contains("pool watchdog"), "{stderr}");
-    assert!(stderr.contains("worker-1"), "stalled lane named: {stderr}");
+fn removed_env_vars_change_nothing() {
+    let dir = tmp("removed_env");
+    let elsewhere = dir.join("elsewhere.jsonl");
+    // Each row sets one removed variable alone, on a run it used to
+    // change: DIVIDE_LEDGER moved the ledger append to its path, and
+    // DIVIDE_POOL_TIMEOUT_MS=1 armed a watchdog that exited 1 when the
+    // injected 300 ms delay stalled chunk 1 of the first fan-out.
+    let rows: [(&str, &std::ffi::OsStr, &[&str]); 2] = [
+        ("DIVIDE_LEDGER", elsewhere.as_os_str(), &["table1"]),
+        (
+            "DIVIDE_POOL_TIMEOUT_MS",
+            "1".as_ref(),
+            &[
+                "--threads",
+                "4",
+                "--fault-plan",
+                "seed=2;pool.chunk:nth=2,mode=delay,delay_ms=300",
+                "table1",
+            ],
+        ),
+    ];
+    for (i, (var, value, args)) in rows.into_iter().enumerate() {
+        let cache = dir.join(format!("cache{i}"));
+        let out = run(divide()
+            .args(["--scale", "small", "--out"])
+            .arg(dir.join(format!("out{i}")))
+            .arg("--cache")
+            .arg(&cache)
+            .env("DIVIDE_PAR_THRESHOLD_NS", "0")
+            .env(var, value)
+            .args(args));
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{var}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let ledger = std::fs::read_to_string(cache.join("runs.jsonl"));
+        assert_eq!(
+            ledger.map(|body| body.lines().count()).ok(),
+            Some(1),
+            "{var}: the ledger line lands beside the snapshots"
+        );
+    }
+    assert!(!elsewhere.exists(), "DIVIDE_LEDGER created {elsewhere:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -111,7 +111,7 @@ pub fn sweep_over(model: &PaperModel, beamspreads: Vec<u32>, oversubs: Vec<u32>)
         let mut limits = Vec::with_capacity(rhos.len());
         limits.extend(rhos.iter().map(|&rho| max_locations_servable(cap, rho)));
         let mut row = Vec::with_capacity(limits.len());
-        served_fractions_row(&counts, &limits, &mut row);
+        served_fractions_row(counts, &limits, &mut row);
         row
     });
     CoverageSweep {
@@ -170,7 +170,7 @@ mod tests {
     fn unspread_at_cap_serves_all_but_over_cap_cells() {
         let m = model();
         let counts = m.dataset.sorted_counts();
-        let f = fraction_served(m, &counts, Oversubscription::FCC_CAP, Beamspread::ONE);
+        let f = fraction_served(m, counts, Oversubscription::FCC_CAP, Beamspread::ONE);
         // Exactly the 5 over-cap anchor cells are unserved.
         let expect = 1.0 - 5.0 / counts.len() as f64;
         assert!((f - expect).abs() < 1e-9, "f {f} expect {expect}");
@@ -189,10 +189,10 @@ mod tests {
                 .map(|&r| max_locations_servable(cap, Oversubscription::new(r as f64).unwrap()))
                 .collect();
             let mut row = Vec::new();
-            served_fractions_row(&counts, &limits, &mut row);
+            served_fractions_row(counts, &limits, &mut row);
             for (ri, &r) in oversubs.iter().enumerate() {
                 let point =
-                    fraction_served(m, &counts, Oversubscription::new(r as f64).unwrap(), spread);
+                    fraction_served(m, counts, Oversubscription::new(r as f64).unwrap(), spread);
                 assert_eq!(row[ri].to_bits(), point.to_bits(), "b {b} rho {r}");
             }
         }
@@ -227,7 +227,7 @@ mod tests {
     fn full_capacity_no_oversub_serves_small_cells_only() {
         let m = model();
         let counts = m.dataset.sorted_counts();
-        let f = fraction_served(m, &counts, Oversubscription::ONE, Beamspread::ONE);
+        let f = fraction_served(m, counts, Oversubscription::ONE, Beamspread::ONE);
         // 17.325 Gbps at 1:1 = 173 locations; from the calibrated curve
         // F(173) ≈ 0.36 + (log(173/61)/log(552/61))·0.54 ≈ 0.61.
         assert!((0.45..0.75).contains(&f), "f {f}");

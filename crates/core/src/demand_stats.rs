@@ -39,9 +39,9 @@ pub fn demand_stats(model: &PaperModel) -> DemandStats {
         demand_cells: counts.len(),
         us_cells: model.dataset.us_cell_count,
         total_locations: total,
-        p50: quantile_sorted(&counts, 0.50),
-        p90: quantile_sorted(&counts, 0.90),
-        p99: quantile_sorted(&counts, 0.99),
+        p50: quantile_sorted(counts, 0.50),
+        p90: quantile_sorted(counts, 0.90),
+        p99: quantile_sorted(counts, 0.99),
         max: *counts.last().unwrap_or(&0),
         mean: if counts.is_empty() {
             0.0

@@ -47,11 +47,6 @@ impl StrictBound {
     }
 }
 
-/// Computes the strict bound at the FCC 20:1 cap for one beamspread.
-pub fn strict_bound(model: &PaperModel, spread: Beamspread) -> StrictBound {
-    strict_bounds(model, &[spread])[0]
-}
-
 /// The strict-bound table over the paper's beamspread factors.
 pub fn strict_table(model: &PaperModel) -> Vec<StrictBound> {
     let spreads = [1u32, 2, 5, 10, 15].map(|b| Beamspread::new(b).expect("nonzero"));
@@ -125,7 +120,7 @@ mod tests {
         // 36.43° N capped peak: either a southern low-beam coverage
         // cell dominates (paper-scale datasets have cells down to
         // ~25° N) or the peak itself remains binding.
-        let row = strict_bound(model(), Beamspread::new(5).unwrap());
+        let row = strict_bounds(model(), &[Beamspread::new(5).unwrap()])[0];
         assert!(
             row.binding_lat_deg <= 36.5,
             "binding latitude {}",

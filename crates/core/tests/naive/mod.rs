@@ -14,7 +14,7 @@ use leo_capacity::DeploymentPolicy;
 use starlink_divide::strict::StrictBound;
 use starlink_divide::{sizing, PaperModel};
 
-/// Reference `strict_bound` for one beamspread.
+/// Reference strict bound for one beamspread.
 pub fn naive_strict_bound(model: &PaperModel, spread: Beamspread) -> StrictBound {
     let oversub = Oversubscription::FCC_CAP;
     let limit = max_locations_servable(model.capacity.max_cell_capacity_gbps(), oversub);

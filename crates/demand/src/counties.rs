@@ -413,6 +413,25 @@ mod tests {
     }
 
     #[test]
+    fn rerank_takes_the_haversine_winner_of_a_dot_near_tie() {
+        // Two seats about 30 m from the query that the two kernels
+        // order differently: A has the larger dot product (by one ulp),
+        // B the smaller haversine distance (by about 0.7 nm). Only the
+        // re-rank margin admits B to the exact re-rank.
+        let p = LatLng::new(39.5, -98.35);
+        let a = LatLng::new(39.50021475810587, -98.34978836015279);
+        let b = LatLng::new(39.49999293703613, -98.34965047290655);
+        let qu = UnitPoint::new(&p).unit();
+        assert!(
+            qu.dot(a.to_unit_vec()) > qu.dot(b.to_unit_vec()),
+            "A wins on dot"
+        );
+        let seats = vec![a, b];
+        assert_eq!(brute_nearest(&seats, &p), 1, "B wins on haversine");
+        assert_eq!(SeatIndex::new(seats).nearest(&p), 1);
+    }
+
+    #[test]
     fn nearest_of_a_seat_is_itself() {
         // Querying exactly at a seat exercises the re-rank margin (dot
         // ≈ 1.0 admits km-scale neighbors; the exact haversine must

@@ -27,11 +27,11 @@ use crate::geography;
 use crate::income::assign_county_incomes;
 use leo_geomath::{GeoBBox, LatLng};
 use leo_hexgrid::{CellId, GeoHexGrid, STARLINK_RESOLUTION};
-use leo_parallel::{mix64, par_map, Memo};
+use leo_parallel::{mix64, par_map};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Configuration for dataset synthesis.
 #[derive(Debug, Clone)]
@@ -242,7 +242,7 @@ pub struct BroadbandDataset {
     /// first use. The Fig 2 sweep binary-searches this vector at every
     /// grid point; recomputing the 20k-element sort per call dominated
     /// the sweep's profile.
-    sorted: Memo<Vec<u64>>,
+    sorted: OnceLock<Vec<u64>>,
 }
 
 impl BroadbandDataset {
@@ -265,7 +265,7 @@ impl BroadbandDataset {
             us_cell_count,
             counties,
             total_locations,
-            sorted: Memo::new(),
+            sorted: OnceLock::new(),
         }
     }
 
@@ -289,7 +289,7 @@ impl BroadbandDataset {
             us_cell_count,
             counties,
             total_locations,
-            sorted: Memo::new(),
+            sorted: OnceLock::new(),
         }
     }
 
@@ -447,9 +447,9 @@ impl BroadbandDataset {
     }
 
     /// Per-cell location counts, ascending (the Fig 1 distribution).
-    /// Computed once and cached; the returned `Arc` is shared by every
-    /// caller (coverage sweep, tail curves, demand stats).
-    pub fn sorted_counts(&self) -> Arc<Vec<u64>> {
+    /// Computed once and cached; every caller (coverage sweep, tail
+    /// curves, demand stats) borrows the one copy.
+    pub fn sorted_counts(&self) -> &[u64] {
         self.sorted.get_or_init(|| {
             let mut v = self.cols.locations.clone();
             v.sort_unstable();
@@ -465,7 +465,7 @@ impl BroadbandDataset {
     pub fn prime_sorted_counts(&self, sorted: Vec<u64>) {
         debug_assert_eq!(sorted.len(), self.cells.len());
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-        self.sorted.get_or_init(|| sorted);
+        let _ = self.sorted.set(sorted);
     }
 
     /// The cell with the most un(der)served locations.
@@ -857,8 +857,14 @@ mod tests {
         // cells still follow the curve.
         let ds = small();
         let counts = ds.sorted_counts();
-        let p90 = quantile_sorted(&counts, 0.90);
+        let p90 = quantile_sorted(counts, 0.90);
         // Anchors are a larger share at small scale; allow wide bands.
         assert!((300..900).contains(&p90), "p90 {p90}");
+        // The cached view is the per-cell counts sorted ascending, and
+        // every call borrows the same copy.
+        let mut fresh: Vec<u64> = ds.cells.iter().map(|c| c.locations).collect();
+        fresh.sort_unstable();
+        assert_eq!(counts, &fresh[..]);
+        assert!(std::ptr::eq(counts, ds.sorted_counts()));
     }
 }

@@ -84,7 +84,8 @@ pub enum FaultKind {
     Err,
     /// Panic with a deterministic message (exercises unwind safety).
     Panic,
-    /// Sleep `delay_ms`, then continue (exercises watchdogs/timeouts).
+    /// Sleep `delay_ms`, then continue (exercises slow sites: the run
+    /// must still finish with identical bytes).
     Delay,
 }
 
@@ -362,9 +363,9 @@ impl Fault {
         }
     }
 
-    /// Applies the fault inside a pool chunk: `Delay` sleeps (feeding
-    /// the watchdog), `Err` and `Panic` both panic — a chunk has no
-    /// error channel, and the pool's unwind path is the contract.
+    /// Applies the fault inside a pool chunk: `Delay` sleeps, `Err` and
+    /// `Panic` both panic — a chunk has no error channel, and the
+    /// pool's unwind path is the contract.
     pub fn apply_chunk(self) {
         match self.kind {
             FaultKind::Delay => {
@@ -491,8 +492,8 @@ pub fn degraded_snapshot() -> Vec<(String, String)> {
         .collect()
 }
 
-/// Clears the plan, counters, and degradation registry (test harness
-/// and process start).
+/// Clears the plan, counters, and degradation registry (the test
+/// harness's reset between cases).
 pub fn reset() {
     set_plan(None);
     lock(&COUNTERS).clear();

@@ -78,7 +78,6 @@ impl Layout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coord::NEIGHBOR_OFFSETS;
 
     #[test]
     fn area_round_trip() {
@@ -97,7 +96,8 @@ mod tests {
     #[test]
     fn neighbors_are_equidistant() {
         let layout = Layout::new(9.0);
-        for n in NEIGHBOR_OFFSETS {
+        for (q, r) in [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)] {
+            let n = Axial::new(q, r);
             let c = layout.center(&n);
             let d = c.x.hypot(c.y);
             assert!(

@@ -9,9 +9,8 @@
 //! such a system that the paper's analysis actually exercises, from
 //! scratch:
 //!
-//! * **Axial hex coordinates** ([`coord`]) with rings and disks — the
-//!   neighbourhood algebra used when a satellite spreads beams over the
-//!   cells around the peak-demand cell.
+//! * **Axial hex coordinates** ([`coord`]) indexing the cells of one
+//!   resolution, with cube rounding of fractional coordinates.
 //! * **Aperture-7 resolutions**: each resolution's cells cover one
 //!   seventh of the area of the next coarser one, as in H3.
 //! * **Plane layout** ([`layout`]) mapping hex coordinates to planar

@@ -35,15 +35,4 @@ proptest! {
         // And re-binning the center yields the same cell.
         prop_assert_eq!(g.cell_for(&center, res), id);
     }
-
-    #[test]
-    fn neighbors_at_same_resolution_do_not_collide(p in conus_point()) {
-        let g = GeoHexGrid::starlink();
-        let id = g.cell_for(&p, 5);
-        let mut all = g.disk(id, 3);
-        let n = all.len();
-        all.sort_unstable();
-        all.dedup();
-        prop_assert_eq!(all.len(), n);
-    }
 }

@@ -26,7 +26,7 @@
 //! Observability defaults to on and costs a few atomic loads plus one
 //! short mutex hold per span/counter update (never per data item —
 //! `leo-parallel` records once per *fan-out*, on the caller).
-//! `DIVIDE_OBS=off` (any [`Switch::Off`] value) disables every registry
+//! `DIVIDE_OBS=off` (any [`switched_off`] value) disables every registry
 //! at the source, for overhead-sensitive benchmarking; [`set_enabled`]
 //! does the same programmatically.
 
@@ -45,51 +45,34 @@ pub mod trace;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// An on/off environment switch — `DIVIDE_OBS`, `DIVIDE_ALLOC` and
-/// `DIVIDE_LEDGER` — read the one way they all share.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Switch {
-    /// Not set (or not Unicode): the switch's default applies.
-    Unset,
-    /// Empty, `0`, `off` or `false`, trimmed, in any case.
-    Off,
-    /// Any other value, as given: on, or the path the switch names.
-    On(String),
+/// Whether the environment switch `name` — `DIVIDE_OBS` or
+/// `DIVIDE_ALLOC` — is off: set to an empty value, `0`, `off` or
+/// `false`, trimmed, in any case. Unset (or not Unicode) or any other
+/// value leaves it on.
+pub fn switched_off(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| is_off(&v))
 }
 
-impl Switch {
-    /// Classifies one raw value.
-    pub fn parse(value: &str) -> Switch {
-        let v = value.trim();
-        if v.is_empty()
-            || ["0", "off", "false"]
-                .iter()
-                .any(|w| v.eq_ignore_ascii_case(w))
-        {
-            Switch::Off
-        } else {
-            Switch::On(value.to_string())
-        }
-    }
-
-    /// Reads the environment variable `name`.
-    pub fn env(name: &str) -> Switch {
-        std::env::var(name).map_or(Switch::Unset, |v| Switch::parse(&v))
-    }
+fn is_off(value: &str) -> bool {
+    let v = value.trim();
+    v.is_empty()
+        || ["0", "off", "false"]
+            .iter()
+            .any(|w| v.eq_ignore_ascii_case(w))
 }
 
 /// 0 = unresolved (consult `DIVIDE_OBS`), 1 = on, 2 = off.
 static ENABLED: AtomicU8 = AtomicU8::new(0);
 
 /// Whether observability is currently enabled. Resolved from the
-/// `DIVIDE_OBS` [`Switch`] on first call (on unless it is off) and
-/// cached; [`set_enabled`] overrides it.
+/// `DIVIDE_OBS` switch on first call (on unless it is
+/// [`switched_off`]) and cached; [`set_enabled`] overrides it.
 pub fn enabled() -> bool {
     match ENABLED.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
         _ => {
-            let on = Switch::env("DIVIDE_OBS") != Switch::Off;
+            let on = !switched_off("DIVIDE_OBS");
             ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
             on
         }
@@ -139,25 +122,15 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
 
 #[cfg(test)]
 mod tests {
-    use super::Switch;
-
     #[test]
     fn switches_are_off_for_empty_zero_off_and_false_in_any_case() {
         for off in [
             "", "  ", "0", " 0 ", "off", "OFF", " Off\t", "false", "False ",
         ] {
-            assert_eq!(Switch::parse(off), Switch::Off, "{off:?}");
+            assert!(super::is_off(off), "{off:?}");
         }
-        for on in [
-            "1",
-            "on",
-            "TRUE",
-            "00",
-            "offline",
-            "results/0",
-            "/tmp/runs.jsonl",
-        ] {
-            assert_eq!(Switch::parse(on), Switch::On(on.to_string()), "{on:?}");
+        for on in ["1", "on", "TRUE", "00", "offline", "results/0"] {
+            assert!(!super::is_off(on), "{on:?}");
         }
     }
 

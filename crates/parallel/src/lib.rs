@@ -9,16 +9,12 @@
 //! > **Determinism.** For any thread count, the output of a parallel
 //! > computation is bit-identical to the single-threaded run.
 //!
-//! The contract holds because the primitives never let scheduling
-//! order reach the result:
-//!
-//! * [`par_map`], the one fan-out primitive, assigns contiguous index
-//!   chunks to workers and reassembles results **in input order**;
-//!   each element's value depends only on the element (callers derive
-//!   per-element RNG streams via [`mix64`] instead of sharing one
-//!   sequential stream);
-//! * [`Memo`] caches a value computed once; racing initializers both
-//!   compute the same deterministic value, and one wins.
+//! The contract holds because the one fan-out primitive, [`par_map`],
+//! never lets scheduling order reach the result: it assigns contiguous
+//! index chunks to workers and reassembles results **in input order**,
+//! and each element's value depends only on the element (callers
+//! derive per-element RNG streams via [`mix64`] instead of sharing one
+//! sequential stream).
 //!
 //! ## Execution model (the [`pool`] module)
 //!
@@ -72,13 +68,12 @@
 //! overstates real parallelism with synthetic chunks. The manifest
 //! renders both as the per-stage `parallel` section, the one record of
 //! pool work — written once per fan-out, never per item, and dropped
-//! entirely when observability is off. `Memo` hits and misses count
-//! under `parallel.memo_*`. When the owning scope's timeline is started
-//! (`leo_obs::trace`), each completed chunk additionally lands as one
-//! complete event on its worker-index lane (chunk index, item range,
-//! busy duration, owning span path), so `--trace` shows the fan-out
-//! shape per worker and folded stacks telescope worker time under the
-//! owning stage.
+//! entirely when observability is off. When the owning scope's
+//! timeline is started (`leo_obs::trace`), each completed chunk
+//! additionally lands as one complete event on its worker-index lane
+//! (chunk index, item range, busy duration, owning span path), so
+//! `--trace` shows the fan-out shape per worker and folded stacks
+//! telescope worker time under the owning stage.
 //! The record and trace events feed the run manifest and trace export
 //! only; they can never perturb results (the determinism contract
 //! holds with observability and tracing on or off).
@@ -90,10 +85,9 @@ pub mod pool;
 
 pub use leo_fault::mix64;
 use leo_obs::scope::{attribute_fanout, attribute_serial};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Process-wide thread-count setting; 0 means "auto".
@@ -321,70 +315,6 @@ where
     out
 }
 
-/// A lazily-initialized, thread-safe memo cell.
-///
-/// Backs derived dataset views (for example the sorted per-cell count
-/// vector the Fig 2/Fig 3 paths binary-search) so repeated sweeps stop
-/// recomputing them. The cached value is shared via `Arc`; callers
-/// hold it across long computations without keeping any lock.
-pub struct Memo<T> {
-    slot: RwLock<Option<Arc<T>>>,
-}
-
-impl<T> Default for Memo<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Memo<T> {
-    /// Creates an empty memo.
-    pub const fn new() -> Self {
-        Memo {
-            slot: RwLock::new(None),
-        }
-    }
-
-    /// Returns the cached value, computing it with `init` on first
-    /// use. If two threads race the initializer, both compute the same
-    /// deterministic value and one result wins; `init` must therefore
-    /// be pure (every use in this workspace is).
-    pub fn get_or_init(&self, init: impl FnOnce() -> T) -> Arc<T> {
-        if let Some(v) = self.slot.read().as_ref() {
-            if leo_obs::enabled() {
-                leo_obs::metrics::counter_add("parallel.memo_hits", 1);
-            }
-            return Arc::clone(v);
-        }
-        if leo_obs::enabled() {
-            leo_obs::metrics::counter_add("parallel.memo_misses", 1);
-        }
-        let computed = Arc::new(init());
-        let mut slot = self.slot.write();
-        match slot.as_ref() {
-            Some(existing) => Arc::clone(existing),
-            None => {
-                *slot = Some(Arc::clone(&computed));
-                computed
-            }
-        }
-    }
-
-    /// The cached value, if already initialized.
-    pub fn get(&self) -> Option<Arc<T>> {
-        self.slot.read().as_ref().map(Arc::clone)
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for Memo<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.get() {
-            Some(v) => f.debug_tuple("Memo").field(&v).finish(),
-            None => f.write_str("Memo(<uninit>)"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,24 +349,6 @@ mod tests {
             assert_eq!(serial, pooled, "threads={n} pooled");
             assert_eq!(serial, probed, "threads={n} probed");
         }
-    }
-
-    #[test]
-    fn memo_computes_once_and_shares() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let calls = AtomicU32::new(0);
-        let memo: Memo<Vec<u64>> = Memo::new();
-        let a = memo.get_or_init(|| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            vec![1, 2, 3]
-        });
-        let b = memo.get_or_init(|| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            unreachable!("second init must not run")
-        });
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert_eq!(memo.get().unwrap().len(), 3);
     }
 
     #[test]
@@ -496,7 +408,8 @@ mod tests {
             std::thread::current().id(),
             "chunk 0 runs on the caller"
         );
-        assert!(pool::pool_size() >= 3, "a 4-way fan-out keeps 3 workers");
+        let distinct: std::collections::HashSet<_> = first.iter().collect();
+        assert_eq!(distinct.len(), 4, "the caller plus 3 pool workers");
     }
 
     #[test]
@@ -656,20 +569,6 @@ mod tests {
             chunk("worker-3"),
             Some((par_map, vec![("chunk", 3), ("lo", 78), ("hi", 103)]))
         );
-    }
-
-    #[test]
-    fn memo_records_hits_and_misses() {
-        use leo_obs::metrics;
-        leo_obs::set_enabled(true);
-        let hits0 = metrics::counter_value("parallel.memo_hits");
-        let misses0 = metrics::counter_value("parallel.memo_misses");
-        let memo: Memo<u32> = Memo::new();
-        let _ = memo.get_or_init(|| 1);
-        let _ = memo.get_or_init(|| unreachable!());
-        let _ = memo.get_or_init(|| unreachable!());
-        assert!(metrics::counter_value("parallel.memo_misses") > misses0);
-        assert!(metrics::counter_value("parallel.memo_hits") >= hits0 + 2);
     }
 
     #[test]

@@ -34,9 +34,8 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
@@ -49,75 +48,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-fn wait_for<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, dur: Duration) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, dur) {
-        Ok((guard, _)) => guard,
-        Err(poisoned) => poisoned.into_inner().0,
-    }
-}
-
-/// Per-fan-out watchdog deadline in milliseconds; 0 (the default)
-/// disables the watchdog. The CLI wires `DIVIDE_POOL_TIMEOUT_MS` here.
-static STALL_TIMEOUT_MS: AtomicU64 = AtomicU64::new(0);
-
-/// Sets the fan-out watchdog deadline (0 disables).
-pub fn set_stall_timeout_ms(ms: u64) {
-    STALL_TIMEOUT_MS.store(ms, Ordering::Relaxed);
-}
-
-/// The configured fan-out watchdog deadline (0 = off).
-pub fn stall_timeout_ms() -> u64 {
-    STALL_TIMEOUT_MS.load(Ordering::Relaxed)
-}
-
-/// What the watchdog observed when a fan-out blew its deadline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StallReport {
-    /// Total time the caller has waited on this fan-out (ms).
-    pub waited_ms: u64,
-    /// Width of the fan-out.
-    pub n_chunks: usize,
-    /// Chunk indices that have not finished, in order.
-    pub stalled_chunks: Vec<usize>,
-}
-
-impl StallReport {
-    /// The trace lane names of the stalled chunks (chunk `i`
-    /// executes on lane `worker-<i>`; `worker-0` is the caller).
-    pub fn lanes(&self) -> Vec<String> {
-        self.stalled_chunks
-            .iter()
-            .map(|&c| format!("worker-{c}"))
-            .collect()
-    }
-}
-
-/// What to do about a detected stall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallAction {
-    /// Terminate the process with this exit code (the default, code 1).
-    ///
-    /// Exiting — rather than returning an error — is forced by the
-    /// pool's lifetime-erasure invariant: `run_chunks` may not return
-    /// while a stuck worker could still dereference the borrowed task,
-    /// so a stalled fan-out can end only by the worker finishing or
-    /// the process dying. The typed log line + exit code 1 is the
-    /// "typed error instead of a silent hang".
-    Exit(i32),
-    /// Re-arm the deadline and keep waiting (test instrumentation).
-    KeepWaiting,
-}
-
-type StallHandler = fn(&StallReport) -> StallAction;
-
-static STALL_HANDLER: Mutex<Option<StallHandler>> = Mutex::new(None);
-
-/// Overrides what a detected stall does (`None` restores the default
-/// log-and-exit-1). Tests install a `KeepWaiting` recorder.
-pub fn set_stall_handler(handler: Option<StallHandler>) {
-    *lock(&STALL_HANDLER) = handler;
 }
 
 /// Sequential dispatch counter behind `pool.chunk` injection call
@@ -140,9 +70,6 @@ struct Job {
     done: Condvar,
     /// First panic payload caught in any chunk; resumed on the caller.
     panic: Mutex<Option<PanicPayload>>,
-    /// Per-chunk completion flags (set even on panic), so the watchdog
-    /// can name exactly which chunks are stuck.
-    completed: Vec<AtomicBool>,
     /// Base `pool.chunk` injection index for this fan-out (chunk `c`
     /// checks index `base + c`); `None` when no fault plan is active.
     fault_base: Option<u64>,
@@ -174,8 +101,8 @@ impl Job {
                     if let Some(fault) =
                         leo_fault::should_fire_at("pool.chunk", base + chunk as u64)
                     {
-                        // Delay sleeps here (feeding the watchdog);
-                        // err/panic unwind into the catch below.
+                        // Delay sleeps here; err/panic unwind into
+                        // the catch below.
                         fault.apply_chunk();
                     }
                 }
@@ -188,7 +115,6 @@ impl Job {
                 *slot = Some(payload);
             }
         }
-        self.completed[chunk].store(true, Ordering::Release);
         let mut pending = lock(&self.pending);
         *pending -= 1;
         if *pending == 0 {
@@ -210,13 +136,6 @@ static POOL: Mutex<Vec<Arc<Mailbox>>> = Mutex::new(Vec::new());
 
 /// Mirror of `POOL.len()` readable without the lock.
 static POOL_SIZE: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of persistent pool workers spawned so far (process-wide and
-/// monotone; the calling thread of a fan-out is not counted). A
-/// `--threads N` run settles at `N - 1`.
-pub fn pool_size() -> usize {
-    POOL_SIZE.load(Ordering::Relaxed)
-}
 
 /// Spawns the pool workers a `threads`-wide fan-out will use, so the
 /// first paper-scale fan-out doesn't pay thread creation. The CLI
@@ -293,7 +212,6 @@ pub(crate) fn run_chunks(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
         pending: Mutex::new(n_chunks),
         done: Condvar::new(),
         panic: Mutex::new(None),
-        completed: (0..n_chunks).map(|_| AtomicBool::new(false)).collect(),
         fault_base,
     });
     if n_chunks > 1 {
@@ -305,71 +223,15 @@ pub(crate) fn run_chunks(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
         }
     }
     job.run(0);
-    rendezvous(&job, n_chunks);
+    // The rendezvous: block until every chunk has finished.
+    let mut pending = lock(&job.pending);
+    while *pending > 0 {
+        pending = wait(&job.done, pending);
+    }
+    drop(pending);
     let panicked = lock(&job.panic).take();
     if let Some(payload) = panicked {
         std::panic::resume_unwind(payload);
-    }
-}
-
-/// Blocks until every chunk of `job` has finished. With a watchdog
-/// deadline configured, detects stuck chunks, names them (chunk and
-/// lane), and applies the stall handler — by default a typed error
-/// line and `exit(1)`, because returning early would dangle the
-/// borrowed task (see [`StallAction::Exit`]).
-fn rendezvous(job: &Job, n_chunks: usize) {
-    let timeout_ms = stall_timeout_ms();
-    let mut pending = lock(&job.pending);
-    if timeout_ms == 0 {
-        while *pending > 0 {
-            pending = wait(&job.done, pending);
-        }
-        return;
-    }
-    let per_wait = Duration::from_millis(timeout_ms);
-    let mut deadline = Instant::now() + per_wait;
-    let mut waited_ms = timeout_ms;
-    while *pending > 0 {
-        let now = Instant::now();
-        if now < deadline {
-            pending = wait_for(&job.done, pending, deadline - now);
-            continue;
-        }
-        let stalled_chunks: Vec<usize> = (0..n_chunks)
-            .filter(|&c| !job.completed[c].load(Ordering::Acquire))
-            .collect();
-        drop(pending);
-        let report = StallReport {
-            waited_ms,
-            n_chunks,
-            stalled_chunks,
-        };
-        if leo_obs::enabled() {
-            leo_obs::metrics::counter_add("parallel.pool_stalls", 1);
-        }
-        let handler = *lock(&STALL_HANDLER);
-        let action = match handler {
-            Some(h) => h(&report),
-            None => StallAction::Exit(1),
-        };
-        match action {
-            StallAction::Exit(code) => {
-                leo_obs::log_error!(
-                    "pool watchdog: fan-out of {} chunks stalled after {} ms: chunk(s) {:?} (lane(s) {:?}) never finished; exiting {}",
-                    report.n_chunks,
-                    report.waited_ms,
-                    report.stalled_chunks,
-                    report.lanes(),
-                    code
-                );
-                std::process::exit(code);
-            }
-            StallAction::KeepWaiting => {
-                deadline = Instant::now() + per_wait;
-                waited_ms += timeout_ms;
-                pending = lock(&job.pending);
-            }
-        }
     }
 }
 
@@ -402,44 +264,10 @@ mod tests {
     #[test]
     fn prewarm_spawns_workers_up_front() {
         prewarm(3);
-        assert!(pool_size() >= 2, "prewarm(3) keeps >= 2 pool workers");
-    }
-
-    /// Reports captured by the `KeepWaiting` test handler (watchdog
-    /// state is process-global, so the recorder is too).
-    static STALL_REPORTS: Mutex<Vec<StallReport>> = Mutex::new(Vec::new());
-
-    fn record_and_wait(report: &StallReport) -> StallAction {
-        lock(&STALL_REPORTS).push(report.clone());
-        StallAction::KeepWaiting
-    }
-
-    #[test]
-    fn watchdog_names_the_stalled_chunk_and_lane() {
-        // Width 5 tags this fan-out's reports; other tests in this
-        // binary never fan out 5 wide while a watchdog is armed.
-        const WIDTH: usize = 5;
-        set_stall_handler(Some(record_and_wait));
-        set_stall_timeout_ms(40);
-        run_chunks(WIDTH, &|c| {
-            if c == 3 {
-                std::thread::sleep(Duration::from_millis(220));
-            }
-        });
-        set_stall_timeout_ms(0);
-        set_stall_handler(None);
-        let reports: Vec<StallReport> = lock(&STALL_REPORTS)
-            .drain(..)
-            .filter(|r| r.n_chunks == WIDTH)
-            .collect();
         assert!(
-            !reports.is_empty(),
-            "a 220 ms chunk under a 40 ms deadline trips the watchdog"
+            POOL_SIZE.load(Ordering::Relaxed) >= 2,
+            "prewarm(3) keeps >= 2 pool workers"
         );
-        let last = reports.last().expect("nonempty");
-        assert_eq!(last.stalled_chunks, vec![3], "only chunk 3 is stuck");
-        assert_eq!(last.lanes(), vec!["worker-3".to_string()]);
-        assert!(last.waited_ms >= 40);
     }
 
     #[test]

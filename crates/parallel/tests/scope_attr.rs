@@ -119,12 +119,10 @@ fn pool_work_is_recorded_once_in_the_stage_parallel_section() {
         let leaf = path.rsplit('/').next().unwrap_or(path);
         assert!(!leaf.starts_with("parallel."), "chunk span {path}");
     }
-    // ...and no pool counters besides pool growth and the memo's.
+    // ...and no pool counter besides pool growth.
     for name in snap.counters.keys() {
         assert!(
-            !name.starts_with("parallel.")
-                || name == "parallel.pool_spawned_threads"
-                || name.starts_with("parallel.memo_"),
+            !name.starts_with("parallel.") || name == "parallel.pool_spawned_threads",
             "pool counter {name}"
         );
     }

@@ -17,8 +17,6 @@
 //! Modules:
 //!
 //! * [`diurnal`] — the 24-hour residential demand profile;
-//! * [`fairshare`] — max-min fair (water-filling) rate allocation with
-//!   per-flow caps;
 //! * [`sim`] — the event-driven processor-sharing engine;
 //! * [`qoe`] — the oversubscription → service-quality experiment.
 
@@ -26,11 +24,9 @@
 #![warn(missing_docs)]
 
 pub mod diurnal;
-pub mod fairshare;
 pub mod qoe;
 pub mod sim;
 pub mod workload;
 
-pub use fairshare::max_min_fair;
 pub use qoe::{busy_hour_experiment, QoeReport};
 pub use sim::{CellSim, SimConfig};

@@ -113,12 +113,15 @@ mod tests {
 
     #[test]
     fn light_oversubscription_is_fine() {
-        let r = &busy_hour_experiment(0.5, &[5.0], 7)[0];
-        assert!(
-            r.full_speed_fraction > 0.8,
-            "at 5:1 only {} at full speed",
-            r.full_speed_fraction
-        );
+        // Up to the FCC's 20:1 benchmark most flows run at full speed.
+        for r in busy_hour_experiment(0.5, &[5.0, 20.0], 7) {
+            assert!(
+                r.full_speed_fraction > 0.8,
+                "at {}:1 only {} at full speed",
+                r.oversub,
+                r.full_speed_fraction
+            );
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn main() {
             if n > budget {
                 continue;
             }
-            let frac = coverage_sweep::fraction_served(&model, &counts, oversub, spread);
+            let frac = coverage_sweep::fraction_served(&model, counts, oversub, spread);
             // Locations served: every cell within the spread capacity,
             // plus partial service up to the limit elsewhere.
             let cell_limit = max_locations_servable(

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Bench harness: paper-scale cold and warm cached runs of the full
-# pipeline (`divide --scale paper all`) at 1 and 4 worker threads, read
-# from each run's run_manifest.json and merged into BENCH_tier1.json at
-# the repo root. The warm runs must be pure cache hits; the JSON
-# records both wall-clocks so the snapshot cache's win is a tracked
-# number, not an anecdote. The JSON also carries a `host` section
+# pipeline (`divide --scale paper all`) at 1 worker thread and at one
+# per CPU (`nproc`, at least 2), read from each run's
+# run_manifest.json and merged into BENCH_tier1.json at the repo root.
+# The warm runs must be pure cache hits; the JSON records both
+# wall-clocks so the snapshot cache's win is a tracked number, not an
+# anecdote. The JSON also carries a `host` section
 # (cpu_cores, kernel) so numbers from different boxes are never
 # compared blind.
 #
@@ -17,11 +18,13 @@
 #   fault      inert fault plan vs none             < 1% (DESIGN.md §13)
 #   obs_scope  DIVIDE_OBS on vs off, allocator off  < 2% (DESIGN.md §15)
 #
-# The JSON also records `thread_scaling` — the threads_4/threads_1
-# wall-clock ratios (cold and warm). On hosts with >= 4 cores a ratio
-# >= 1.0 means adding workers made the run *slower* (the negative
-# scaling bug ROADMAP item 1 tracked) and the script fails. Below 4
-# cores the check is skipped: the ratio is recorded but meaningless.
+# The JSON also records `thread_scaling` — the threads_N/threads_1
+# wall-clock ratios (cold and warm), N = one worker per CPU, so the
+# wide leg never oversubscribes the host. On hosts with >= 4 cores a
+# ratio >= 1.0 means adding workers made the run *slower* (the
+# negative scaling bug ROADMAP item 1 tracked) and the script fails.
+# Below 4 cores the check is skipped: the ratio is recorded but
+# meaningless.
 #
 # The JSON further records `decode_throughput_mbps` (warm snapshot
 # payload bytes over the warm dataset stage's wall-clock) and a
@@ -33,8 +36,9 @@
 # certified demand-cell order).
 #
 # The canonical warm runs append to a persistent run ledger
-# (BENCH_LEDGER, default .bench-runs.jsonl at the repo root,
-# gitignored) so successive bench invocations build a history.
+# (--ledger .bench-runs.jsonl at the repo root, gitignored) so
+# successive bench invocations build a history; every other run
+# appends to its own throwaway cache directory.
 #
 # Usage:
 #   scripts/bench.sh          regenerate BENCH_tier1.json
@@ -64,21 +68,22 @@ cargo build --release -p divide-cli
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-# Measurement runs must not pollute the trend ledger; only the
-# canonical warm runs below opt back in.
-ledger="${BENCH_LEDGER:-.bench-runs.jsonl}"
-export DIVIDE_LEDGER=off
+ledger=.bench-runs.jsonl
+# One worker per CPU, at least 2: more would oversubscribe the host
+# and measure the scheduler, not the pool.
+cores="$(nproc 2>/dev/null || echo 1)"
+wide=$((cores > 2 ? cores : 2))
 
-for threads in 1 4; do
+for threads in 1 "$wide"; do
     cachedir="$work/cache-$threads"
     for phase in cold warm; do
         echo "[bench] divide --scale paper all --threads $threads ($phase)"
-        if [ "$phase" = warm ]; then
-            run_ledger="$ledger"
-        else
-            run_ledger=off
-        fi
-        DIVIDE_LEDGER="$run_ledger" ./target/release/divide --scale paper all \
+        # Only the canonical warm runs append to the trend ledger; the
+        # others land in their cache directory's runs.jsonl.
+        ledger_flag=""
+        [ "$phase" = warm ] && ledger_flag="--ledger $ledger"
+        # $ledger_flag is deliberately unquoted: zero or two words.
+        ./target/release/divide --scale paper all $ledger_flag \
             --out "$work/$phase-$threads" --cache "$cachedir" --threads "$threads" -q >/dev/null
     done
     # Warm must be byte-identical to cold — a bench that changed the
@@ -147,10 +152,10 @@ sed -n 's/^KERNELS_JSON: //p' "$work/kernels.out" > "$work/kernels.json"
 [ -s "$work/kernels.json" ] \
     || { echo "[bench] bench_kernels printed no KERNELS_JSON line" >&2; exit 1; }
 
-python3 - "$work" BENCH_tier1.json "$pairs" <<'PY'
+python3 - "$work" BENCH_tier1.json "$pairs" "$wide" <<'PY'
 import json, os, platform, statistics, sys
 
-work, out_path, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+work, out_path, pairs, wide = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 # Overhead budgets in percent of CPU time; None records a leg without
 # gating it.
 BUDGETS = {"trace": None, "alloc": 2.0, "fault": 1.0, "obs_scope": 2.0}
@@ -169,7 +174,7 @@ result = {
     "host": {"cpu_cores": os.cpu_count() or 1, "kernel": platform.release()},
     "runs": {},
 }
-for threads in (1, 4):
+for threads in (1, wide):
     cold = manifest(f"cold-{threads}/run_manifest.json")
     warm = manifest(f"warm-{threads}/run_manifest.json")
     wc, res = warm["metrics"]["counters"], warm["resources"]
@@ -199,13 +204,13 @@ for leg in BUDGETS:
         off = cost(manifest(f"ab-{leg}-off-{pair}.json"))
         deltas.append(100.0 * (on - off) / off)
     result[f"{leg}_overhead_pct"] = round(statistics.median(deltas), 2)
-# Thread scaling: 4-thread wall over 1-thread wall. < 1.0 means the
+# Thread scaling: wide wall over 1-thread wall. < 1.0 means the
 # worker pool is paying off; >= 1.0 is the negative-scaling regression
 # the pool was built to fix (gated below on hosts with enough cores).
-t1, t4 = result["runs"]["threads_1"], result["runs"]["threads_4"]
+t1, tn = result["runs"]["threads_1"], result["runs"][f"threads_{wide}"]
 result["thread_scaling"] = {
-    "cold": round(t4["cold_wall_ms"] / t1["cold_wall_ms"], 4),
-    "warm": round(t4["warm_wall_ms"] / t1["warm_wall_ms"], 4),
+    "cold": round(tn["cold_wall_ms"] / t1["cold_wall_ms"], 4),
+    "warm": round(tn["warm_wall_ms"] / t1["warm_wall_ms"], 4),
 }
 # End-to-end warm decode throughput: snapshot payload bytes read over
 # the single-threaded warm dataset stage's wall-clock (MB/s) — the
@@ -224,7 +229,7 @@ for name, run in result["runs"].items():
           f"warm {run['warm_wall_ms']:.0f} ms ({run['warm_speedup']:.2f}x), "
           f"peak rss {run['peak_rss_kb']} kB")
 scaling = result["thread_scaling"]
-print(f"[bench] thread scaling (threads_4 / threads_1): "
+print(f"[bench] thread scaling (threads_{wide} / threads_1): "
       f"cold {scaling['cold']:.2f}x, warm {scaling['warm']:.2f}x")
 print(f"[bench] warm decode throughput: {result['decode_throughput_mbps']:.1f} MB/s; "
       f"snapshot_decode median {result['kernels']['snapshot_decode_ms']:.3f} ms")
@@ -241,18 +246,17 @@ if over:
 print("[bench] overhead budgets passed")
 PY
 
-# Negative-scaling gate: with >= 4 physical cores, 4 threads must beat
-# 1 thread on both the cold and warm paper-scale runs.
-cores="$(nproc 2>/dev/null || echo 1)"
+# Negative-scaling gate: with >= 4 cores, one worker per core must
+# beat 1 thread on both the cold and warm paper-scale runs.
 if [ "$cores" -ge 4 ]; then
-    python3 - BENCH_tier1.json <<'PY'
+    python3 - BENCH_tier1.json "$wide" <<'PY'
 import json, sys
 
 scaling = json.load(open(sys.argv[1]))["thread_scaling"]
 bad = {k: v for k, v in scaling.items() if v >= 1.0}
 if bad:
-    sys.exit(f"[bench] negative thread scaling: {bad} (threads_4 should be faster)")
-print("[bench] thread-scaling gate passed: 4 threads beat 1 thread")
+    sys.exit(f"[bench] negative thread scaling: {bad} (threads_{sys.argv[2]} should be faster)")
+print(f"[bench] thread-scaling gate passed: {sys.argv[2]} threads beat 1 thread")
 PY
 else
     echo "[bench] $cores core(s) < 4: thread-scaling gate skipped (ratio recorded only)"

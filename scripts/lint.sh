@@ -79,4 +79,36 @@ if bad or stale:
 print(f"[lint] unwrap deny-list clean ({len(used)} allowlisted)")
 PY
 
+echo "[lint] every DIVIDE_* variable the code reads is in divide --help"
+# HELP in crates/cli/src/main.rs is the one list of every option. A
+# variable is read where its name appears as a string literal in
+# non-test crate code; HELP must list exactly those.
+python3 - <<'PY'
+import pathlib, re, sys
+
+main = pathlib.Path("crates/cli/src/main.rs").read_text()
+help_text = main.split('const HELP: &str = "', 1)[1].split('";', 1)[0]
+listed = set(re.findall(r"\bDIVIDE_[A-Z_]+", help_text))
+
+read = {}
+for f in sorted(pathlib.Path("crates").glob("*/src/**/*.rs")):
+    for line in f.read_text().split("#[cfg(test)]", 1)[0].splitlines():
+        if line.strip().startswith("//"):
+            continue
+        for name in re.findall(r'"(DIVIDE_[A-Z_]+)"', line):
+            read.setdefault(name, str(f))
+
+missing = sorted(set(read) - listed)
+stale = sorted(listed - set(read))
+for name in missing:
+    print(f"[lint] {read[name]} reads {name}, which divide --help omits",
+          file=sys.stderr)
+for name in stale:
+    print(f"[lint] divide --help lists {name}, which no code reads",
+          file=sys.stderr)
+if missing or stale:
+    sys.exit(1)
+print(f"[lint] divide --help lists all {len(read)} DIVIDE_* variables")
+PY
+
 echo "[lint] OK"

@@ -369,10 +369,9 @@ assert stage_par["dataset"]["chunks"] >= 4, stage_par["dataset"]
 for name, par in stage_par.items():
     assert sum(par["per_worker_busy_ns"]) == par["busy_ns"], (name, par)
 # No second copy of it: metrics hold counters only, no parallel.*
-# counter besides pool growth, stalls and the memo, and no chunk spans.
+# counter besides pool growth, and no chunk spans.
 assert sorted(manifest["metrics"]) == ["counters"], sorted(manifest["metrics"])
-pool_counters = {"parallel.pool_spawned_threads", "parallel.pool_stalls",
-                 "parallel.memo_hits", "parallel.memo_misses"}
+pool_counters = {"parallel.pool_spawned_threads"}
 extra = [c for c in counters if c.startswith("parallel.") and c not in pool_counters]
 assert not extra, extra
 
@@ -450,9 +449,7 @@ grep -q 'trace' <<<"$help_out"
 grep -q 'report' <<<"$help_out"
 grep -q 'history' <<<"$help_out"
 grep -q DIVIDE_ALLOC <<<"$help_out"
-grep -q DIVIDE_LEDGER <<<"$help_out"
 grep -q 'fault-plan' <<<"$help_out"
-grep -q DIVIDE_POOL_TIMEOUT_MS <<<"$help_out"
 grep -q 'exit codes' <<<"$help_out"
 
 echo "[tier1] OK"

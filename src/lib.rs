@@ -13,7 +13,7 @@
 //! * [`orbit`] — Walker constellations, propagation, coverage, density
 //! * [`demand`] — synthetic broadband-map and income datasets
 //! * [`capacity`] — Starlink spectrum/beam capacity model
-//! * [`parallel`] — deterministic worker pool and memoization layer
+//! * [`parallel`] — deterministic worker pool
 //! * [`model`] — the paper's analytical model (findings F1–F4)
 //! * [`simnet`] — flow-level oversubscription QoE simulator
 //! * [`report`] — tables, CSV, and SVG figure rendering
