@@ -33,7 +33,7 @@ use leo_bench::shared_model;
 use leo_cache::{decode_dataset, encode_dataset};
 use leo_demand::counties::SeatIndex;
 use leo_demand::counts::CountCalibration;
-use leo_demand::dataset::rank_candidates;
+use leo_demand::dataset::{rank_candidates, CellDemand};
 use leo_demand::field::SmoothField;
 use leo_demand::geography::{self, distance_to_nearest_metro_km, METRO_CENTERS};
 use leo_geomath::{great_circle_distance_km, pre_distance_km, GeoBBox, LatLng, PrePoint};
@@ -351,14 +351,14 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     // Kernel 5: the sensitivity/tail unserved fold — a branch-free
-    // saturating fold over the contiguous counts column versus the
-    // row-major struct walk.
+    // saturating fold over the contiguous counts column versus a walk
+    // over a row-major copy of the cells.
     let fold_limits = [0u64, 61, 1_733, 3_465];
+    let rows: Vec<CellDemand> = ds.rows().collect();
     c.bench_function("kernels/unserved_fold/row_major", |b| {
         b.iter(|| {
             for &limit in &fold_limits {
-                let v: u64 = ds
-                    .cells
+                let v: u64 = rows
                     .iter()
                     .map(|cell| cell.locations.saturating_sub(limit))
                     .sum();
@@ -566,8 +566,7 @@ fn bench_kernels(c: &mut Criterion) {
         assert_eq!(a.to_bits(), b.to_bits(), "row scan diverged at limit {i}");
     }
     for &limit in &fold_limits {
-        let scalar: u64 = ds
-            .cells
+        let scalar: u64 = rows
             .iter()
             .map(|cell| cell.locations.saturating_sub(limit))
             .sum();

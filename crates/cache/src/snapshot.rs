@@ -11,8 +11,9 @@
 //!
 //! **`dataset`** — `us_cell_count` and `n_cells`, then the five cell
 //! columns (`cell id` u64, `locations` u64, `lat` f64, `lng` f64,
-//! `county` u32 + pad) mirroring
-//! [`DatasetColumns`](leo_demand::dataset::DatasetColumns); then
+//! `county` u32 + pad): the dataset's id column
+//! [`BroadbandDataset::cells`] and its four value columns
+//! [`DatasetColumns`]; then
 //! `n_counties` and the five county columns (`seat lat`, `seat lng`,
 //! `income`, `locations`, `remoteness`); then the pre-sorted per-cell
 //! count view so a warm run skips even the Fig 1 sort. Cell centers are
@@ -142,7 +143,7 @@ fn take_column_len(
 /// Encodes a dataset into the schema-v2 columnar payload.
 pub fn encode_dataset(ds: &BroadbandDataset) -> Vec<u8> {
     let cols = &ds.cols;
-    let n = cols.len();
+    let n = ds.cells.len();
     let nc = ds.counties.len();
     // Header + five cell columns (36 B/cell + prefixes) + five county
     // columns + the sorted-count column.
@@ -153,7 +154,7 @@ pub fn encode_dataset(ds: &BroadbandDataset) -> Vec<u8> {
     e.put_len(n);
     // One transient u64 view of the ids; every other column is written
     // straight from the dataset's resident columns.
-    let ids: Vec<u64> = cols.cell.iter().map(|c| c.as_u64()).collect();
+    let ids: Vec<u64> = ds.cells.iter().map(|c| c.as_u64()).collect();
     e.put_u64_slice(&ids);
     e.put_len(n);
     e.put_u64_slice(&cols.locations);
@@ -193,8 +194,7 @@ pub fn encode_dataset(ds: &BroadbandDataset) -> Vec<u8> {
 /// Decodes a schema-v2 columnar dataset payload. The grid is rebuilt
 /// from its fixed construction (`GeoHexGrid::starlink`); cell centers
 /// are *not* recomputed — the stored canonical degrees are validated
-/// and reconstituted bit-for-bit, so decode is a handful of bulk column
-/// reads plus one row-major materialization pass.
+/// and kept bit-for-bit, so decode is a handful of bulk column reads.
 pub fn decode_dataset(payload: &[u8]) -> Result<BroadbandDataset, DecodeError> {
     let mut d = Decoder::new(payload);
     let grid = GeoHexGrid::starlink();
@@ -204,9 +204,9 @@ pub fn decode_dataset(payload: &[u8]) -> Result<BroadbandDataset, DecodeError> {
     let n_cells = d.take_len(36)?;
     take_column_len(&mut d, n_cells, 8)?;
     let ids = d.take_u64_vec(n_cells)?;
-    let mut cell = Vec::with_capacity(n_cells);
+    let mut cells = Vec::with_capacity(n_cells);
     for raw in ids {
-        cell.push(CellId::from_u64(raw).ok_or(DecodeError::Invalid("bad cell id"))?);
+        cells.push(CellId::from_u64(raw).ok_or(DecodeError::Invalid("bad cell id"))?);
     }
     take_column_len(&mut d, n_cells, 8)?;
     let locations = d.take_u64_vec(n_cells)?;
@@ -262,13 +262,12 @@ pub fn decode_dataset(payload: &[u8]) -> Result<BroadbandDataset, DecodeError> {
     }
     d.expect_empty()?;
     let cols = DatasetColumns {
-        cell,
         lat_deg,
         lng_deg,
         locations,
         county,
     };
-    let ds = BroadbandDataset::from_columns(grid, cols, us_cell_count, counties);
+    let ds = BroadbandDataset::from_columns(grid, cells, cols, us_cell_count, counties);
     ds.prime_sorted_counts(sorted);
     Ok(ds)
 }
@@ -410,7 +409,7 @@ mod tests {
         assert_eq!(a.us_cell_count, b.us_cell_count);
         assert_eq!(a.total_locations, b.total_locations);
         assert_eq!(a.cells.len(), b.cells.len());
-        for (x, y) in a.cells.iter().zip(b.cells.iter()) {
+        for (x, y) in a.rows().zip(b.rows()) {
             assert_eq!(x.cell, y.cell);
             assert_eq!(x.locations, y.locations);
             assert_eq!(x.county, y.county);
@@ -521,7 +520,7 @@ mod tests {
     fn dataset_column_length_mismatch_is_rejected() {
         let ds = BroadbandDataset::generate(&SynthConfig::small());
         let payload = encode_dataset(&ds);
-        let n = ds.cols.len() as u64;
+        let n = ds.cells.len() as u64;
         // The cell-id column's length prefix sits right after the
         // us_cell_count and n_cells header words.
         let mut sheared = payload.clone();

@@ -210,6 +210,7 @@ proptest! {
         }
         let ds = BroadbandDataset::from_columns(
             leo_hexgrid::GeoHexGrid::starlink(),
+            base.cells.clone(),
             cols,
             base.us_cell_count,
             counties,
@@ -217,8 +218,7 @@ proptest! {
         let decoded = decode_dataset(&encode_dataset(&ds)).unwrap();
         prop_assert_eq!(decoded.us_cell_count, ds.us_cell_count);
         prop_assert_eq!(decoded.total_locations, ds.total_locations);
-        prop_assert_eq!(decoded.cols.cell.len(), ds.cols.cell.len());
-        prop_assert_eq!(&decoded.cols.cell, &ds.cols.cell);
+        prop_assert_eq!(&decoded.cells, &ds.cells);
         prop_assert_eq!(&decoded.cols.locations, &ds.cols.locations);
         prop_assert_eq!(&decoded.cols.county, &ds.cols.county);
         for (a, b) in decoded.cols.lat_deg.iter().zip(ds.cols.lat_deg.iter()) {

@@ -99,7 +99,8 @@ environment (a switch is off when empty, 0, off or false, in any case):
                        worker-pool serial threshold: fan-outs whose
                        chunks are estimated to take fewer nanoseconds
                        run serially; 0 sends every fan-out to the pool
-                       (default: 100000)
+                       (default: 100000; anything but a whole number
+                       is a usage error)
 
 exit codes:
   0    success (observability may be degraded; see the manifest's
@@ -263,6 +264,11 @@ fn main() {
     if !known && !matches!(command.as_str(), "all" | "report" | "history") {
         usage(&format!("unknown command {command:?}"));
     }
+    // A serial threshold the pool cannot read is a usage error, like
+    // --threads 0, not a silent fallback to the default.
+    if let Err(e) = leo_parallel::env_serial_threshold() {
+        usage(&e);
+    }
     // `report` only reads two JSON records — no dataset, no output
     // directory, no instrumentation of its own.
     if command == "report" {
@@ -344,8 +350,8 @@ fn main() {
         leo_obs::log_error!("cannot create output directory {}: {e}", out.display());
         std::process::exit(1);
     }
-    // Remove *.tmp staging files orphaned by a previous crashed or
-    // killed run (only provably-dead owners; see safe_io).
+    // Remove *.tmp.<pid> staging files orphaned by a previous crashed
+    // or killed run (only provably-dead owners; see safe_io).
     let swept = leo_fault::safe_io::sweep_orphan_tmp(&out);
 
     let resolved_cache = resolve_cache_dir(no_cache, &cache_dir, &out);

@@ -66,15 +66,33 @@ fn usage_errors_exit_2_before_any_work() {
         ("empty --trace=", &["--trace=", "table1"]),
         ("no command", &[]),
     ];
-    for (i, (case, args)) in cases.iter().enumerate() {
+    // A bad DIVIDE_PAR_THRESHOLD_NS fails like a bad flag.
+    let thresholds = [
+        ("non-numeric threshold", "abc"),
+        ("negative threshold", "-5"),
+    ];
+    let runs = cases.iter().map(|&(case, args)| (case, args, None)).chain(
+        thresholds
+            .iter()
+            .map(|&(case, ns)| (case, &["table1"][..], Some(ns))),
+    );
+    for (i, (case, args, threshold)) in runs.enumerate() {
         let out_dir = dir.join(format!("out{i}"));
-        let out = run(divide()
+        let mut cmd = divide();
+        if let Some(ns) = threshold {
+            cmd.env("DIVIDE_PAR_THRESHOLD_NS", ns);
+        }
+        let out = run(cmd
             .args(["--scale", "small", "--out"])
             .arg(&out_dir)
-            .args(*args));
+            .args(args));
         assert_eq!(out.status.code(), Some(2), "{case}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-        assert!(stderr.starts_with("divide: "), "{case}: {stderr}");
+        let prefix = match threshold {
+            Some(_) => "divide: DIVIDE_PAR_THRESHOLD_NS=",
+            None => "divide: ",
+        };
+        assert!(stderr.starts_with(prefix), "{case}: {stderr}");
         assert!(!out_dir.exists(), "{case}: work started before the error");
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -37,9 +37,10 @@ pub fn finding1(model: &PaperModel) -> Finding1 {
     let peak = model.dataset.peak_cell();
     let over_cap: Vec<u64> = model
         .dataset
-        .cells
+        .cols
+        .locations
         .iter()
-        .map(|c| c.locations)
+        .copied()
         .filter(|&l| l > limit)
         .collect();
     let over_cap_locations: u64 = over_cap.iter().sum();

@@ -73,7 +73,7 @@ pub(crate) fn constellation_size_at_factor(
 
 /// The binding (peak) cell of a deployment policy: the cell whose
 /// *served* demand is largest.
-pub fn binding_cell(model: &PaperModel, policy: DeploymentPolicy) -> &CellDemand {
+pub fn binding_cell(model: &PaperModel, policy: DeploymentPolicy) -> CellDemand {
     match policy {
         DeploymentPolicy::FullService => model.dataset.peak_cell(),
         DeploymentPolicy::OversubCap(cap) => {

@@ -62,19 +62,19 @@ fn strict_bounds(model: &PaperModel, spreads: &[Beamspread]) -> Vec<StrictBound>
     // (size, latitude, beams, locations) of each spread's binding cell;
     // the strict `>` keeps the first cell to reach the maximum.
     let mut best = vec![(0u64, 0.0f64, 0u32, 0u64); spreads.len()];
-    for c in &model.dataset.cells {
-        let served = c.locations.min(limit);
+    let cols = &model.dataset.cols;
+    for (&locations, &lat) in cols.locations.iter().zip(&cols.lat_deg) {
+        let served = locations.min(limit);
         let beams = beams_required(&model.capacity, served, oversub)
             .expect("served fits by construction")
             .max(1); // every covered cell holds at least a beam share
-        let lat = c.center.lat_deg();
         let Some(d) = density_factor(lat, SIZING_INCLINATION_DEG) else {
             continue; // never overflown: no requirement
         };
         for (b, &spread) in best.iter_mut().zip(spreads) {
             let n = sizing::constellation_size_at_factor(model, d, beams, spread);
             if n > b.0 {
-                *b = (n, lat, beams, c.locations);
+                *b = (n, lat, beams, locations);
             }
         }
     }

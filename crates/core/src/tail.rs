@@ -64,14 +64,15 @@ pub fn tail_curve(
     // Candidate peak cells: served demand needs ≥ 2 dedicated beams.
     // Each imposes a static bound (constellation needed while it is
     // served). Per-cell bounds are independent, so the scan fans out.
-    let mut candidates: Vec<(u64, u64)> = par_map(&model.dataset.cells, |_, c| {
-        let served = c.locations.min(limit);
+    let cols = &model.dataset.cols;
+    let mut candidates: Vec<(u64, u64)> = par_map(&cols.locations, |i, &locations| {
+        let served = locations.min(limit);
         let beams = beams_required(&model.capacity, served, oversub)
             .expect("served demand fits by construction");
         if beams < 2 {
             return None;
         }
-        let bound = sizing::constellation_size_at(model, c.center.lat_deg(), beams, spread)
+        let bound = sizing::constellation_size_at(model, cols.lat_deg[i], beams, spread)
             .expect("CONUS latitude");
         Some((bound, served))
     })
@@ -80,7 +81,7 @@ pub fn tail_curve(
     .collect();
     // Partial-service excess is unserved from the start — one
     // branch-free fold over the contiguous counts column.
-    let baseline = model.dataset.cols.unserved_above(limit);
+    let baseline = cols.unserved_above(limit);
 
     // Binding-first order; dropping the argmax cell each step keeps
     // the curve monotone by construction.

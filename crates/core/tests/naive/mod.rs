@@ -20,7 +20,7 @@ pub fn naive_strict_bound(model: &PaperModel, spread: Beamspread) -> StrictBound
     let limit = max_locations_servable(model.capacity.max_cell_capacity_gbps(), oversub);
     let paper = sizing::constellation_size(model, DeploymentPolicy::fcc_capped(), spread);
     let mut best = (0u64, 0.0f64, 0u32, 0u64);
-    for c in &model.dataset.cells {
+    for c in model.dataset.rows() {
         let served = c.locations.min(limit);
         let beams = beams_required(&model.capacity, served, oversub)
             .expect("served fits by construction")

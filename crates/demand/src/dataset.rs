@@ -11,6 +11,12 @@
 //!    seat (Voronoi), and calibrate county incomes;
 //! 5. optionally scatter individual location points inside each cell.
 //!
+//! The dataset keeps its demand cells once, as columns: the ascending
+//! id column [`BroadbandDataset::cells`] and the value columns
+//! [`DatasetColumns`] parallel to it. A [`CellDemand`] row is built on
+//! demand ([`BroadbandDataset::cell`], [`BroadbandDataset::rows`]) and
+//! never stored (DESIGN.md §14).
+//!
 //! Everything is deterministic in the seed **and in the thread count**:
 //! two runs of the same config produce identical datasets, which the
 //! statistical pins and benches rely on. The expensive stages (cell
@@ -67,7 +73,9 @@ impl SynthConfig {
     }
 }
 
-/// A service cell with demand.
+/// One demand cell as a row: its id, center, count and county. The
+/// dataset stores its cells as columns; [`BroadbandDataset::cell`] and
+/// [`BroadbandDataset::rows`] build rows from them on demand.
 #[derive(Debug, Clone, Copy)]
 pub struct CellDemand {
     /// The hex cell.
@@ -91,21 +99,18 @@ pub struct Location {
     pub county: u32,
 }
 
-/// Column-major (struct-of-arrays) layout of the demand cells.
+/// The value columns of the demand cells (struct-of-arrays).
 ///
-/// Every vector is parallel: index `i` across all five columns is the
-/// same cell as `BroadbandDataset::cells[i]`, and cells stay sorted by
-/// cell id. The row-major `CellDemand` view remains the ergonomic API;
-/// the columns exist so the hot scans — the Fig 2 served-fraction
+/// Every vector is parallel to [`BroadbandDataset::cells`]: index `i`
+/// of each column belongs to cell `cells[i]`, so the columns are in
+/// ascending cell-id order. The hot scans — the Fig 2 served-fraction
 /// sweep, the sensitivity unserved folds, the Fig 1 CDF/map series —
-/// run over contiguous `u64`/`f64` slices that LLVM can autovectorize
-/// instead of striding through 40-byte structs. The columnar snapshot
-/// container (`leo-cache` LEOSNAP v2) persists exactly these vectors,
-/// so warm decode is a handful of bulk reads.
+/// run over these contiguous `u64`/`f64` slices, which LLVM can
+/// autovectorize. The columnar snapshot container (`leo-cache` LEOSNAP
+/// v2) persists exactly these vectors, so warm decode is a handful of
+/// bulk reads.
 #[derive(Debug, Clone, Default)]
 pub struct DatasetColumns {
-    /// Cell ids, strictly ascending.
-    pub cell: Vec<CellId>,
     /// Cell-center latitudes, degrees.
     pub lat_deg: Vec<f64>,
     /// Cell-center longitudes, degrees.
@@ -120,66 +125,11 @@ impl DatasetColumns {
     /// Empty columns with room for `n` cells.
     pub fn with_capacity(n: usize) -> Self {
         DatasetColumns {
-            cell: Vec::with_capacity(n),
             lat_deg: Vec::with_capacity(n),
             lng_deg: Vec::with_capacity(n),
             locations: Vec::with_capacity(n),
             county: Vec::with_capacity(n),
         }
-    }
-
-    /// Builds columns from a row-major cell slice.
-    pub fn from_cells(cells: &[CellDemand]) -> Self {
-        let mut cols = DatasetColumns::with_capacity(cells.len());
-        for c in cells {
-            cols.cell.push(c.cell);
-            cols.lat_deg.push(c.center.lat_deg());
-            cols.lng_deg.push(c.center.lng_deg());
-            cols.locations.push(c.locations);
-            cols.county.push(c.county);
-        }
-        cols
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cell.len()
-    }
-
-    /// True when there are no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cell.is_empty()
-    }
-
-    /// True when all five columns have the same length (every valid
-    /// instance does; decode paths check before constructing).
-    pub fn is_consistent(&self) -> bool {
-        let n = self.cell.len();
-        self.lat_deg.len() == n
-            && self.lng_deg.len() == n
-            && self.locations.len() == n
-            && self.county.len() == n
-    }
-
-    /// The row-major view of cell `i`. The center is reconstituted
-    /// from the stored canonical degrees bit-for-bit.
-    pub fn get(&self, i: usize) -> CellDemand {
-        CellDemand {
-            cell: self.cell[i],
-            center: LatLng::from_canonical_degrees(self.lat_deg[i], self.lng_deg[i]),
-            locations: self.locations[i],
-            county: self.county[i],
-        }
-    }
-
-    /// Iterates the cells as row-major views.
-    pub fn iter(&self) -> impl Iterator<Item = CellDemand> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// Total un(der)served locations (Σ over the counts column).
-    pub fn total_locations(&self) -> u64 {
-        self.locations.iter().sum()
     }
 
     /// Σ max(locations − limit, 0): locations left unserved when every
@@ -192,32 +142,6 @@ impl DatasetColumns {
             .map(|&c| c.saturating_sub(limit))
             .sum()
     }
-
-    /// Index of the cell with the most locations (ties broken toward
-    /// the larger cell id, matching `max_by_key` on `(locations, cell)`).
-    pub fn peak_index(&self) -> Option<usize> {
-        self.peak_index_at_most(u64::MAX)
-    }
-
-    /// Index of the cell with the most locations at or below `limit` —
-    /// the binding cell of a capped deployment scenario.
-    pub fn peak_index_at_most(&self, limit: u64) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for i in 0..self.locations.len() {
-            if self.locations[i] > limit {
-                continue;
-            }
-            best = match best {
-                Some(b)
-                    if (self.locations[b], self.cell[b]) >= (self.locations[i], self.cell[i]) =>
-                {
-                    Some(b)
-                }
-                _ => Some(i),
-            };
-        }
-        best
-    }
 }
 
 /// The synthetic national broadband dataset.
@@ -225,11 +149,10 @@ impl DatasetColumns {
 pub struct BroadbandDataset {
     /// The service-cell grid.
     pub grid: GeoHexGrid,
-    /// Demand cells (≥ 1 un(der)served location), sorted by cell id.
-    pub cells: Vec<CellDemand>,
-    /// Column-major mirror of `cells` for the vectorizable hot scans.
-    /// Always consistent with `cells`; both are built by the
-    /// constructors and never mutated afterwards.
+    /// Ids of the demand cells (≥ 1 un(der)served location), strictly
+    /// ascending.
+    pub cells: Vec<CellId>,
+    /// The cells' centers, counts and counties, parallel to `cells`.
     pub cols: DatasetColumns,
     /// Total number of US service cells (including zero-demand cells,
     /// which still require coverage beams).
@@ -246,42 +169,28 @@ pub struct BroadbandDataset {
 }
 
 impl BroadbandDataset {
-    /// Assembles a dataset from already-built parts (import paths and
-    /// scenario transforms). The total location count and the lazy
-    /// sorted-counts cache are derived here so every construction site
-    /// stays consistent.
-    pub fn from_parts(
-        grid: GeoHexGrid,
-        cells: Vec<CellDemand>,
-        us_cell_count: usize,
-        counties: Vec<County>,
-    ) -> Self {
-        let cols = DatasetColumns::from_cells(&cells);
-        let total_locations = cols.total_locations();
-        BroadbandDataset {
-            grid,
-            cells,
-            cols,
-            us_cell_count,
-            counties,
-            total_locations,
-            sorted: OnceLock::new(),
-        }
-    }
-
-    /// Assembles a dataset directly from columns (the snapshot decode
-    /// path): the row-major `cells` view is materialized in one pass,
-    /// so decode never touches the grid's projection math. The columns
-    /// must be consistent and sorted by cell id.
+    /// Assembles a dataset from its cell ids and the value columns
+    /// parallel to them. This is the one constructor: generation,
+    /// snapshot decode and the buildout scenario all end here. The ids
+    /// must be strictly ascending. The total location count and the
+    /// lazy sorted-counts cache are derived here.
     pub fn from_columns(
         grid: GeoHexGrid,
+        cells: Vec<CellId>,
         cols: DatasetColumns,
         us_cell_count: usize,
         counties: Vec<County>,
     ) -> Self {
-        debug_assert!(cols.is_consistent());
-        let cells: Vec<CellDemand> = cols.iter().collect();
-        let total_locations = cols.total_locations();
+        let n = cells.len();
+        debug_assert!(
+            cols.lat_deg.len() == n
+                && cols.lng_deg.len() == n
+                && cols.locations.len() == n
+                && cols.county.len() == n,
+            "columns are not parallel to the cell ids"
+        );
+        debug_assert!(cells.windows(2).all(|w| w[0] < w[1]));
+        let total_locations = cols.locations.iter().sum();
         BroadbandDataset {
             grid,
             cells,
@@ -403,16 +312,18 @@ impl BroadbandDataset {
         // The demand columns in one pass over the US cells, already in
         // id order; only the Voronoi county lookup (the expensive part)
         // fans out.
-        let mut cols = DatasetColumns::with_capacity(counts.iter().filter(|&&n| n > 0).count());
+        let n_cells = counts.iter().filter(|&&n| n > 0).count();
+        let mut cells = Vec::with_capacity(n_cells);
+        let mut cols = DatasetColumns::with_capacity(n_cells);
         for (&(cell, center), &n) in us_cells.iter().zip(&counts) {
             if n > 0 {
-                cols.cell.push(cell);
+                cells.push(cell);
                 cols.lat_deg.push(center.lat_deg());
                 cols.lng_deg.push(center.lng_deg());
                 cols.locations.push(n);
             }
         }
-        cols.county = par_map(&cols.cell, |i, _| {
+        cols.county = par_map(&cells, |i, _| {
             seat_index.nearest(&LatLng::from_canonical_degrees(
                 cols.lat_deg[i],
                 cols.lng_deg[i],
@@ -439,7 +350,7 @@ impl BroadbandDataset {
             .collect();
         drop(_county_span);
 
-        let ds = Self::from_columns(grid, cols, us_cell_count, counties);
+        let ds = Self::from_columns(grid, cells, cols, us_cell_count, counties);
         leo_obs::metrics::counter_add("demand.us_cells", ds.us_cell_count as u64);
         leo_obs::metrics::counter_add("demand.cells", ds.cells.len() as u64);
         leo_obs::metrics::counter_add("demand.locations", ds.total_locations);
@@ -468,19 +379,40 @@ impl BroadbandDataset {
         let _ = self.sorted.set(sorted);
     }
 
+    /// Demand cell `i` as a row. The center is reconstituted from the
+    /// stored canonical degrees bit-for-bit.
+    pub fn cell(&self, i: usize) -> CellDemand {
+        CellDemand {
+            cell: self.cells[i],
+            center: LatLng::from_canonical_degrees(self.cols.lat_deg[i], self.cols.lng_deg[i]),
+            locations: self.cols.locations[i],
+            county: self.cols.county[i],
+        }
+    }
+
+    /// The demand cells as rows, in ascending id order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = CellDemand> + '_ {
+        (0..self.cells.len()).map(move |i| self.cell(i))
+    }
+
     /// The cell with the most un(der)served locations.
-    pub fn peak_cell(&self) -> &CellDemand {
-        let i = self
-            .cols
-            .peak_index()
-            .expect("dataset has at least one cell");
-        &self.cells[i]
+    pub fn peak_cell(&self) -> CellDemand {
+        self.peak_cell_at_most(u64::MAX)
+            .expect("dataset has at least one cell")
     }
 
     /// The cell with the most locations at or below `limit` — the
-    /// binding cell of a capped deployment scenario.
-    pub fn peak_cell_at_most(&self, limit: u64) -> Option<&CellDemand> {
-        self.cols.peak_index_at_most(limit).map(|i| &self.cells[i])
+    /// binding cell of a capped deployment scenario. Ties go to the
+    /// larger cell id, which is the later position.
+    pub fn peak_cell_at_most(&self, limit: u64) -> Option<CellDemand> {
+        let (i, _) = self
+            .cols
+            .locations
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n <= limit)
+            .max_by_key(|&(i, &n)| (n, i))?;
+        Some(self.cell(i))
     }
 
     /// Scatters individual location points inside each cell
@@ -491,7 +423,8 @@ impl BroadbandDataset {
     pub fn scatter_locations(&self, seed: u64) -> Vec<Location> {
         let _span = leo_obs::span!("demand.scatter");
         let inradius = self.grid.center_spacing_km(STARLINK_RESOLUTION) / 2.0 * 0.95;
-        let per_cell = par_map(&self.cells, |_, c| {
+        let per_cell = par_map(&self.cells, |i, _| {
+            let c = self.cell(i);
             let mut rng = StdRng::seed_from_u64(mix64(seed, c.cell.as_u64()));
             (0..c.locations)
                 .map(|_| {
@@ -636,7 +569,7 @@ mod tests {
         let ds = small();
         assert_eq!(ds.total_locations, 120_000);
         assert_eq!(
-            ds.cells.iter().map(|c| c.locations).sum::<u64>(),
+            ds.rows().map(|c| c.locations).sum::<u64>(),
             ds.total_locations
         );
         assert!(ds.us_cell_count > ds.cells.len());
@@ -666,15 +599,15 @@ mod tests {
     fn cells_are_sorted_and_unique() {
         let ds = small();
         for w in ds.cells.windows(2) {
-            assert!(w[0].cell < w[1].cell);
+            assert!(w[0] < w[1]);
         }
     }
 
     #[test]
     fn counties_cover_all_cells() {
         let ds = small();
-        for c in &ds.cells {
-            assert!((c.county as usize) < ds.counties.len());
+        for &county in &ds.cols.county {
+            assert!((county as usize) < ds.counties.len());
         }
         let assigned: u64 = ds.counties.iter().map(|c| c.locations).sum();
         assert_eq!(assigned, ds.total_locations);
@@ -684,8 +617,7 @@ mod tests {
     fn incomes_are_calibrated_by_weight() {
         let ds = small();
         let below: u64 = ds
-            .cells
-            .iter()
+            .rows()
             .filter(|c| ds.counties[c.county as usize].median_income_usd < 72_000.0)
             .map(|c| c.locations)
             .sum();
@@ -698,12 +630,9 @@ mod tests {
     fn generation_is_deterministic() {
         let a = small();
         let b = small();
-        assert_eq!(a.cells.len(), b.cells.len());
-        for (x, y) in a.cells.iter().zip(b.cells.iter()) {
-            assert_eq!(x.cell, y.cell);
-            assert_eq!(x.locations, y.locations);
-            assert_eq!(x.county, y.county);
-        }
+        assert_eq!(a.cells, b.cells);
+        assert_eq!(a.cols.locations, b.cols.locations);
+        assert_eq!(a.cols.county, b.cols.county);
     }
 
     #[test]
@@ -722,8 +651,8 @@ mod tests {
     #[test]
     fn center_columns_equal_cell_center_bit_for_bit() {
         let ds = small();
-        for i in 0..ds.cols.len() {
-            let c = ds.grid.cell_center(ds.cols.cell[i]);
+        for (i, &cell) in ds.cells.iter().enumerate() {
+            let c = ds.grid.cell_center(cell);
             assert_eq!(ds.cols.lat_deg[i].to_bits(), c.lat_deg().to_bits(), "{i}");
             assert_eq!(ds.cols.lng_deg[i].to_bits(), c.lng_deg().to_bits(), "{i}");
         }
@@ -781,36 +710,15 @@ mod tests {
     }
 
     #[test]
-    fn columns_mirror_cells_bit_for_bit() {
-        let ds = small();
-        assert!(ds.cols.is_consistent());
-        assert_eq!(ds.cols.len(), ds.cells.len());
-        for (i, c) in ds.cells.iter().enumerate() {
-            let v = ds.cols.get(i);
-            assert_eq!(v.cell, c.cell);
-            assert_eq!(v.locations, c.locations);
-            assert_eq!(v.county, c.county);
-            assert_eq!(v.center.lat_deg().to_bits(), c.center.lat_deg().to_bits());
-            assert_eq!(v.center.lng_deg().to_bits(), c.center.lng_deg().to_bits());
-        }
-        assert_eq!(ds.cols.total_locations(), ds.total_locations);
-    }
-
-    #[test]
     fn columnar_peak_scans_match_row_major_scans() {
         let ds = small();
         let peak = ds.peak_cell();
-        let naive = ds
-            .cells
-            .iter()
-            .max_by_key(|c| (c.locations, c.cell))
-            .unwrap();
+        let naive = ds.rows().max_by_key(|c| (c.locations, c.cell)).unwrap();
         assert_eq!(peak.cell, naive.cell);
         for limit in [0, 100, 3465, 5000, u64::MAX] {
             let a = ds.peak_cell_at_most(limit).map(|c| c.cell);
             let b = ds
-                .cells
-                .iter()
+                .rows()
                 .filter(|c| c.locations <= limit)
                 .max_by_key(|c| (c.locations, c.cell))
                 .map(|c| c.cell);
@@ -822,32 +730,8 @@ mod tests {
     fn columnar_unserved_fold_matches_row_major_fold() {
         let ds = small();
         for limit in [0u64, 1, 61, 552, 1437, 5998, u64::MAX] {
-            let naive: u64 = ds
-                .cells
-                .iter()
-                .map(|c| c.locations.saturating_sub(limit))
-                .sum();
+            let naive: u64 = ds.rows().map(|c| c.locations.saturating_sub(limit)).sum();
             assert_eq!(ds.cols.unserved_above(limit), naive, "limit {limit}");
-        }
-    }
-
-    #[test]
-    fn from_columns_round_trips_from_parts() {
-        let ds = small();
-        let rebuilt = BroadbandDataset::from_columns(
-            ds.grid.clone(),
-            ds.cols.clone(),
-            ds.us_cell_count,
-            ds.counties.clone(),
-        );
-        assert_eq!(rebuilt.total_locations, ds.total_locations);
-        assert_eq!(rebuilt.cells.len(), ds.cells.len());
-        for (a, b) in rebuilt.cells.iter().zip(ds.cells.iter()) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.locations, b.locations);
-            assert_eq!(a.county, b.county);
-            assert_eq!(a.center.lat_deg().to_bits(), b.center.lat_deg().to_bits());
-            assert_eq!(a.center.lng_deg().to_bits(), b.center.lng_deg().to_bits());
         }
     }
 
@@ -862,7 +746,7 @@ mod tests {
         assert!((300..900).contains(&p90), "p90 {p90}");
         // The cached view is the per-cell counts sorted ascending, and
         // every call borrows the same copy.
-        let mut fresh: Vec<u64> = ds.cells.iter().map(|c| c.locations).collect();
+        let mut fresh: Vec<u64> = ds.rows().map(|c| c.locations).collect();
         fresh.sort_unstable();
         assert_eq!(counts, &fresh[..]);
         assert!(std::ptr::eq(counts, ds.sorted_counts()));

@@ -1,21 +1,14 @@
-//! Dataset serialization: CSV export and import.
+//! Dataset serialization: CSV export.
 //!
-//! The generated dataset is deterministic, but regenerating it costs
-//! seconds (CONUS polyfill + county Voronoi); downstream analyses and
-//! non-Rust tooling also want the data as plain tables. Two files
-//! capture everything derived state can be rebuilt from:
+//! Downstream analyses and non-Rust tooling want the generated dataset
+//! as plain tables. Two files capture it:
 //!
-//! * `cells.csv` — `cell_id,lat,lng,locations,county`
-//! * `counties.csv` — `county_id,lat,lng,median_income,locations,remoteness_km`
-//!
-//! `import` reconstructs a [`BroadbandDataset`] from the two tables
-//! (the grid is rebuilt from its fixed parameters), and round-trips
-//! exactly.
+//! * `cells.csv` — `cell_id,lat,lng,locations,county`, one row per
+//!   demand cell in ascending id order, written straight from the
+//!   dataset's columns;
+//! * `counties.csv` — `county_id,lat,lng,median_income,locations,remoteness_km`.
 
-use crate::counties::County;
-use crate::dataset::{BroadbandDataset, CellDemand};
-use leo_geomath::LatLng;
-use leo_hexgrid::{CellId, GeoHexGrid};
+use crate::dataset::BroadbandDataset;
 use std::fmt::Write as _;
 
 /// Serializes the per-cell table.
@@ -25,15 +18,16 @@ pub fn cells_to_csv(ds: &BroadbandDataset) -> String {
     // digits); reserving once skips the doubling reallocations of a
     // megabyte-sized string.
     out.reserve(ds.cells.len() * 56);
-    for c in &ds.cells {
+    let cols = &ds.cols;
+    for (i, cell) in ds.cells.iter().enumerate() {
         let _ = writeln!(
             out,
             "{},{:.7},{:.7},{},{}",
-            c.cell.as_u64(),
-            c.center.lat_deg(),
-            c.center.lng_deg(),
-            c.locations,
-            c.county
+            cell.as_u64(),
+            cols.lat_deg[i],
+            cols.lng_deg[i],
+            cols.locations[i],
+            cols.county[i]
         );
     }
     out
@@ -57,221 +51,14 @@ pub fn counties_to_csv(ds: &BroadbandDataset) -> String {
     out
 }
 
-/// Errors from [`import`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ImportError {
-    /// A row had the wrong number of fields or a bad header.
-    Malformed {
-        /// Which table.
-        table: &'static str,
-        /// 1-based line number.
-        line: usize,
-    },
-    /// A numeric field failed to parse.
-    BadNumber {
-        /// Which table.
-        table: &'static str,
-        /// 1-based line number.
-        line: usize,
-        /// The offending field text.
-        field: String,
-    },
-    /// A cell referenced a county id beyond the county table.
-    DanglingCounty {
-        /// The bad county id.
-        county: u32,
-    },
-}
-
-impl std::fmt::Display for ImportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ImportError::Malformed { table, line } => {
-                write!(f, "{table}.csv line {line}: malformed row")
-            }
-            ImportError::BadNumber { table, line, field } => {
-                write!(f, "{table}.csv line {line}: bad number {field:?}")
-            }
-            ImportError::DanglingCounty { county } => {
-                write!(f, "cells reference unknown county {county}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ImportError {}
-
-fn parse<T: std::str::FromStr>(
-    table: &'static str,
-    line: usize,
-    field: &str,
-) -> Result<T, ImportError> {
-    field.parse().map_err(|_| ImportError::BadNumber {
-        table,
-        line,
-        field: field.to_string(),
-    })
-}
-
-/// Reconstructs a dataset from the two CSV tables, recomputing
-/// aggregate fields. The US-cell count is recomputed from the CONUS
-/// polygon as at generation time.
-pub fn import(cells_csv: &str, counties_csv: &str) -> Result<BroadbandDataset, ImportError> {
-    let grid = GeoHexGrid::starlink();
-
-    let mut counties = Vec::new();
-    for (i, row) in counties_csv.lines().enumerate() {
-        if i == 0 {
-            if !row.starts_with("county_id,") {
-                return Err(ImportError::Malformed {
-                    table: "counties",
-                    line: 1,
-                });
-            }
-            continue;
-        }
-        let f: Vec<&str> = row.split(',').collect();
-        if f.len() != 6 {
-            return Err(ImportError::Malformed {
-                table: "counties",
-                line: i + 1,
-            });
-        }
-        counties.push(County {
-            id: parse("counties", i + 1, f[0])?,
-            seat: LatLng::new(
-                parse("counties", i + 1, f[1])?,
-                parse("counties", i + 1, f[2])?,
-            ),
-            median_income_usd: parse("counties", i + 1, f[3])?,
-            locations: parse("counties", i + 1, f[4])?,
-            remoteness_km: parse("counties", i + 1, f[5])?,
-        });
-    }
-
-    let mut cells = Vec::new();
-    for (i, row) in cells_csv.lines().enumerate() {
-        if i == 0 {
-            if !row.starts_with("cell_id,") {
-                return Err(ImportError::Malformed {
-                    table: "cells",
-                    line: 1,
-                });
-            }
-            continue;
-        }
-        let f: Vec<&str> = row.split(',').collect();
-        if f.len() != 5 {
-            return Err(ImportError::Malformed {
-                table: "cells",
-                line: i + 1,
-            });
-        }
-        let raw: u64 = parse("cells", i + 1, f[0])?;
-        let cell = CellId::from_u64(raw).ok_or(ImportError::BadNumber {
-            table: "cells",
-            line: i + 1,
-            field: f[0].to_string(),
-        })?;
-        let county: u32 = parse("cells", i + 1, f[4])?;
-        if county as usize >= counties.len() {
-            return Err(ImportError::DanglingCounty { county });
-        }
-        cells.push(CellDemand {
-            cell,
-            center: LatLng::new(parse("cells", i + 1, f[1])?, parse("cells", i + 1, f[2])?),
-            locations: parse("cells", i + 1, f[3])?,
-            county,
-        });
-    }
-    cells.sort_by_key(|c| c.cell);
-    let us_cell_count = grid
-        .polyfill(
-            &crate::geography::conus_polygon(),
-            leo_hexgrid::STARLINK_RESOLUTION,
-        )
-        .len();
-    Ok(BroadbandDataset::from_parts(
-        grid,
-        cells,
-        us_cell_count,
-        counties,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::SynthConfig;
 
-    fn small() -> BroadbandDataset {
-        BroadbandDataset::generate(&SynthConfig::small())
-    }
-
-    #[test]
-    fn round_trip_preserves_everything() {
-        let ds = small();
-        let cells = cells_to_csv(&ds);
-        let counties = counties_to_csv(&ds);
-        let back = import(&cells, &counties).expect("round trip");
-        assert_eq!(back.total_locations, ds.total_locations);
-        assert_eq!(back.cells.len(), ds.cells.len());
-        assert_eq!(back.counties.len(), ds.counties.len());
-        assert_eq!(back.us_cell_count, ds.us_cell_count);
-        for (a, b) in ds.cells.iter().zip(back.cells.iter()) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.locations, b.locations);
-            assert_eq!(a.county, b.county);
-            assert!((a.center.lat_deg() - b.center.lat_deg()).abs() < 1e-6);
-        }
-        for (a, b) in ds.counties.iter().zip(back.counties.iter()) {
-            assert_eq!(a.id, b.id);
-            assert!((a.median_income_usd - b.median_income_usd).abs() < 0.01);
-            assert_eq!(a.locations, b.locations);
-        }
-    }
-
-    #[test]
-    fn rejects_malformed_header() {
-        let err = import("nope\n", "county_id,a,b,c,d,e\n").unwrap_err();
-        assert!(matches!(
-            err,
-            ImportError::Malformed {
-                table: "cells",
-                line: 1
-            }
-        ));
-    }
-
-    #[test]
-    fn rejects_bad_numbers() {
-        let cells = "cell_id,lat,lng,locations,county\nxyz,1,2,3,0\n";
-        let counties = "county_id,lat,lng,median_income,locations,remoteness_km\n0,1,2,3,4,5\n";
-        let err = import(cells, counties).unwrap_err();
-        assert!(matches!(
-            err,
-            ImportError::BadNumber {
-                table: "cells",
-                line: 2,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn rejects_dangling_county() {
-        let ds = small();
-        let cells = cells_to_csv(&ds);
-        // Only one county row: every cell referencing county ≥ 1 dangles.
-        let counties =
-            "county_id,lat,lng,median_income,locations,remoteness_km\n0,39,-98,60000,10,100\n";
-        let err = import(&cells, counties).unwrap_err();
-        assert!(matches!(err, ImportError::DanglingCounty { .. }));
-    }
-
     #[test]
     fn csv_has_expected_shape() {
-        let ds = small();
+        let ds = BroadbandDataset::generate(&SynthConfig::small());
         let csv = cells_to_csv(&ds);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), ds.cells.len() + 1);

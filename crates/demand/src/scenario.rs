@@ -7,7 +7,7 @@
 //! regenerated under that scenario. (It operates on the aggregate
 //! tables; the grid and county geometry are shared unchanged.)
 
-use crate::dataset::{BroadbandDataset, CellDemand};
+use crate::dataset::{BroadbandDataset, DatasetColumns};
 
 /// A fiber/fixed-wireless buildout that serves up to `per_cell`
 /// locations in every cell — the "easy" locations first, mirroring how
@@ -16,25 +16,25 @@ use crate::dataset::{BroadbandDataset, CellDemand};
 /// exactly the paper's diminishing-returns story from the terrestrial
 /// side.
 pub fn terrestrial_buildout(base: &BroadbandDataset, per_cell: u64) -> BroadbandDataset {
-    let cells: Vec<CellDemand> = base
-        .cells
-        .iter()
-        .filter_map(|c| {
-            let left = c.locations.saturating_sub(per_cell);
-            (left > 0).then_some(CellDemand {
-                locations: left,
-                ..*c
-            })
-        })
-        .collect();
+    let mut cells = Vec::new();
+    let mut cols = DatasetColumns::default();
     let mut counties = base.counties.clone();
     for c in &mut counties {
         c.locations = 0;
     }
-    for cell in &cells {
-        counties[cell.county as usize].locations += cell.locations;
+    for c in base.rows() {
+        let left = c.locations.saturating_sub(per_cell);
+        if left == 0 {
+            continue;
+        }
+        cells.push(c.cell);
+        cols.lat_deg.push(c.center.lat_deg());
+        cols.lng_deg.push(c.center.lng_deg());
+        cols.locations.push(left);
+        cols.county.push(c.county);
+        counties[c.county as usize].locations += left;
     }
-    BroadbandDataset::from_parts(base.grid.clone(), cells, base.us_cell_count, counties)
+    BroadbandDataset::from_columns(base.grid.clone(), cells, cols, base.us_cell_count, counties)
 }
 
 #[cfg(test)]

@@ -134,11 +134,12 @@ pub fn retrying<T>(site: &str, mut op: impl FnMut() -> io::Result<T>) -> io::Res
     Err(last_err.unwrap_or_else(|| io::Error::other(format!("{site}: operation failed"))))
 }
 
-/// Removes orphaned staging files in `dir` (non-recursive): names
-/// containing `.tmp` whose pid suffix is missing, unparseable-but-
-/// empty, or names a process that no longer exists. Files staged by
-/// live processes (including this one) are left alone. Returns the
-/// number removed (also counted under `fault.tmp_swept`).
+/// Removes orphaned staging files in `dir` (non-recursive): names of
+/// the [`tmp_path`] form `<name>.tmp.<pid>` whose pid names a process
+/// that no longer exists. Files staged by live processes (including
+/// this one) and every other name, a bare `<name>.tmp` too, are left
+/// alone. Returns the number removed (also counted under
+/// `fault.tmp_swept`).
 pub fn sweep_orphan_tmp(dir: &Path) -> u64 {
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -150,19 +151,14 @@ pub fn sweep_orphan_tmp(dir: &Path) -> u64 {
             continue;
         }
         let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let Some(pos) = name.rfind(".tmp") else {
+        let Some(pid) = name
+            .to_string_lossy()
+            .rsplit_once(".tmp.")
+            .and_then(|(_, pid)| pid.parse::<u32>().ok())
+        else {
             continue;
         };
-        let suffix = &name[pos + ".tmp".len()..];
-        let stale = if suffix.is_empty() {
-            true
-        } else if let Some(pid) = suffix.strip_prefix('.').and_then(|s| s.parse::<u32>().ok()) {
-            pid != std::process::id() && !pid_alive(pid)
-        } else {
-            // ".tmp" embedded in an unrelated name (e.g. ".tmpl"): not ours.
-            false
-        };
+        let stale = pid != std::process::id() && !pid_alive(pid);
         if stale && fs::remove_file(entry.path()).is_ok() {
             swept += 1;
         }
@@ -310,7 +306,7 @@ mod tests {
         let dir = tmp_dir("sweep");
         // Dead-pid temp: pids are capped well below u32::MAX on Linux.
         fs::write(dir.join("a.csv.tmp.4294967294"), b"x").expect("write");
-        // Suffix-less temp from a pre-pid-suffix writer.
+        // A bare `.tmp` name is a user's file: no writer stages one.
         fs::write(dir.join("b.json.tmp"), b"x").expect("write");
         // Our own in-flight temp must survive.
         let own = format!("c.csv.tmp.{}", std::process::id());
@@ -318,13 +314,13 @@ mod tests {
         // Unrelated names must survive.
         fs::write(dir.join("report.tmpl"), b"x").expect("write");
         fs::write(dir.join("data.csv"), b"x").expect("write");
-        assert_eq!(sweep_orphan_tmp(&dir), 2);
+        assert_eq!(sweep_orphan_tmp(&dir), 1);
         assert!(!dir.join("a.csv.tmp.4294967294").exists());
-        assert!(!dir.join("b.json.tmp").exists());
+        assert!(dir.join("b.json.tmp").exists());
         assert!(dir.join(&own).exists());
         assert!(dir.join("report.tmpl").exists());
         assert!(dir.join("data.csv").exists());
-        assert_eq!(crate::counter_value("fault.tmp_swept"), 2);
+        assert_eq!(crate::counter_value("fault.tmp_swept"), 1);
         crate::reset();
         let _ = fs::remove_dir_all(&dir);
     }

@@ -176,20 +176,33 @@ pub fn with_serial_threshold<R>(ns: u64, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-fn env_serial_threshold() -> Option<u64> {
-    std::env::var("DIVIDE_PAR_THRESHOLD_NS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
+/// Reads `DIVIDE_PAR_THRESHOLD_NS`: `Ok(None)` when it is unset or
+/// empty, `Ok(Some(ns))` for a whole number of nanoseconds (surrounding
+/// whitespace allowed), and an error naming the variable and its value
+/// otherwise. The CLI rejects a bad value up front; in-process callers
+/// go through [`effective_serial_threshold_ns`], which falls back to
+/// the default.
+pub fn env_serial_threshold() -> Result<Option<u64>, String> {
+    let Some(raw) = std::env::var_os("DIVIDE_PAR_THRESHOLD_NS") else {
+        return Ok(None);
+    };
+    let value = raw.to_string_lossy();
+    match value.trim() {
+        "" => Ok(None),
+        v => v.parse().map(Some).map_err(|_| {
+            format!("DIVIDE_PAR_THRESHOLD_NS={value:?} is not a whole number of nanoseconds")
+        }),
+    }
 }
 
 /// The serial threshold in effect on this thread: the
-/// [`with_serial_threshold`] override, else `DIVIDE_PAR_THRESHOLD_NS`,
-/// else [`DEFAULT_SERIAL_THRESHOLD_NS`]. Fan-outs whose estimated
-/// per-chunk duration falls below it run serially.
+/// [`with_serial_threshold`] override, else `DIVIDE_PAR_THRESHOLD_NS`
+/// when it parses, else [`DEFAULT_SERIAL_THRESHOLD_NS`]. Fan-outs whose
+/// estimated per-chunk duration falls below it run serially.
 pub fn effective_serial_threshold_ns() -> u64 {
     SERIAL_THRESHOLD_OVERRIDE
         .with(Cell::get)
-        .or_else(env_serial_threshold)
+        .or_else(|| env_serial_threshold().ok().flatten())
         .unwrap_or(DEFAULT_SERIAL_THRESHOLD_NS)
 }
 

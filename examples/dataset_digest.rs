@@ -17,9 +17,9 @@ use starlink_divide_repro::demand::{BroadbandDataset, SynthConfig};
 fn digest(ds: &BroadbandDataset) -> u64 {
     let mut h = KeyHasher::new();
     let cols = &ds.cols;
-    h.write_u64(cols.len() as u64);
-    for i in 0..cols.len() {
-        h.write_u64(cols.cell[i].as_u64());
+    h.write_u64(ds.cells.len() as u64);
+    for (i, cell) in ds.cells.iter().enumerate() {
+        h.write_u64(cell.as_u64());
         h.write_f64(cols.lat_deg[i]);
         h.write_f64(cols.lng_deg[i]);
         h.write_u64(cols.locations[i]);

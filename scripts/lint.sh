@@ -13,6 +13,13 @@ for manifest in Cargo.toml benchmark/Cargo.toml; do
     cargo metadata --offline --locked --format-version 1 --manifest-path "$manifest" >/dev/null
 done
 
+echo "[lint] cargo check --locked benchmark/Cargo.toml"
+# The benchmark reads the workspace crates' public API; a change that
+# breaks it fails here, not only in the benchmark's own build. The
+# target dir sits under target/, so nothing is written in benchmark/.
+cargo check --offline --locked --quiet --manifest-path benchmark/Cargo.toml \
+    --target-dir target/benchmark-check
+
 echo "[lint] bash -n scripts/*.sh"
 # Syntax-checks every script, including bench.sh, which tier-1 never
 # runs.

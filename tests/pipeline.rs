@@ -13,7 +13,7 @@ use starlink_divide_repro::hexgrid::{STARLINK_CELL_AREA_KM2, STARLINK_RESOLUTION
 fn every_demand_cell_center_is_inside_conus() {
     let m = model();
     let poly = geography::conus_polygon();
-    for c in &m.dataset.cells {
+    for c in m.dataset.rows() {
         assert!(
             poly.contains(&c.center),
             "cell {} center {} outside CONUS",
@@ -45,7 +45,7 @@ fn scattered_locations_rebin_exactly() {
         *counts.entry(cell).or_insert(0u64) += 1;
     }
     assert_eq!(counts.len(), m.dataset.cells.len());
-    for c in &m.dataset.cells {
+    for c in m.dataset.rows() {
         assert_eq!(counts.get(&c.cell), Some(&c.locations), "cell {}", c.cell);
     }
 }
@@ -53,7 +53,7 @@ fn scattered_locations_rebin_exactly() {
 #[test]
 fn county_assignment_is_nearest_seat() {
     let m = model();
-    for c in m.dataset.cells.iter().step_by(37) {
+    for c in m.dataset.rows().step_by(37) {
         let assigned = &m.dataset.counties[c.county as usize];
         let d_assigned = great_circle_distance_km(&c.center, &assigned.seat);
         // No other county seat may be closer.
@@ -75,7 +75,7 @@ fn county_location_totals_are_consistent() {
     let m = model();
     let total: u64 = m.dataset.counties.iter().map(|c| c.locations).sum();
     assert_eq!(total, m.dataset.total_locations);
-    let per_cell: u64 = m.dataset.cells.iter().map(|c| c.locations).sum();
+    let per_cell: u64 = m.dataset.rows().map(|c| c.locations).sum();
     assert_eq!(per_cell, m.dataset.total_locations);
 }
 
@@ -84,7 +84,7 @@ fn multi_beam_cells_respect_latitude_bands() {
     // The calibration routes multi-beam-class cells to mid latitudes
     // (DESIGN.md §4); the sizing model's correctness depends on it.
     let m = model();
-    for c in &m.dataset.cells {
+    for c in m.dataset.rows() {
         if c.locations >= 1733 {
             assert!(
                 c.center.lat_deg() >= 35.4,
@@ -106,8 +106,7 @@ fn anchor_cells_are_present_and_unique() {
     let m = model();
     let mut over_cap: Vec<u64> = m
         .dataset
-        .cells
-        .iter()
+        .rows()
         .map(|c| c.locations)
         .filter(|&l| l > 3465)
         .collect();
@@ -133,11 +132,8 @@ fn grid_cells_have_uniform_area() {
     // The equal-area construction: boundary polygons of far-apart cells
     // enclose the same area.
     let m = model();
-    let ids = [
-        m.dataset.cells.first().unwrap().cell,
-        m.dataset.cells[m.dataset.cells.len() / 2].cell,
-        m.dataset.cells.last().unwrap().cell,
-    ];
+    let cells = &m.dataset.cells;
+    let ids = [cells[0], cells[cells.len() / 2], cells[cells.len() - 1]];
     for id in ids {
         let boundary = m.dataset.grid.cell_boundary(id);
         let poly = starlink_divide_repro::geomath::GeoPolygon::new(boundary.to_vec()).unwrap();
