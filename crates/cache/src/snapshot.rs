@@ -152,10 +152,11 @@ pub fn encode_dataset(ds: &BroadbandDataset) -> Vec<u8> {
     e.put_len(ds.us_cell_count);
     e.put_len(n);
     e.put_len(n);
-    // One transient u64 view of the ids; every other column is written
-    // straight from the dataset's resident columns.
-    let ids: Vec<u64> = ds.cells.iter().map(|c| c.as_u64()).collect();
-    e.put_u64_slice(&ids);
+    // Every cell column is written straight from the dataset's
+    // resident columns, the ids one by one.
+    for cell in &ds.cells {
+        e.put_u64(cell.as_u64());
+    }
     e.put_len(n);
     e.put_u64_slice(&cols.locations);
     e.put_len(n);
@@ -203,11 +204,13 @@ pub fn decode_dataset(payload: &[u8]) -> Result<BroadbandDataset, DecodeError> {
         .map_err(|_| DecodeError::Invalid("us_cell_count overflows"))?;
     let n_cells = d.take_len(36)?;
     take_column_len(&mut d, n_cells, 8)?;
-    let ids = d.take_u64_vec(n_cells)?;
-    let mut cells = Vec::with_capacity(n_cells);
-    for raw in ids {
-        cells.push(CellId::from_u64(raw).ok_or(DecodeError::Invalid("bad cell id"))?);
-    }
+    // Mapped in place: a `CellId` is a `u64`, so the collect reuses the
+    // id vector's allocation.
+    let cells = d
+        .take_u64_vec(n_cells)?
+        .into_iter()
+        .map(|raw| CellId::from_u64(raw).ok_or(DecodeError::Invalid("bad cell id")))
+        .collect::<Result<Vec<_>, _>>()?;
     take_column_len(&mut d, n_cells, 8)?;
     let locations = d.take_u64_vec(n_cells)?;
     take_column_len(&mut d, n_cells, 8)?;

@@ -9,7 +9,6 @@
 //! [`crate::income`], ordered by remoteness so rural counties skew
 //! poor, as in the Census data the paper uses.
 
-use crate::geography;
 use leo_geomath::{
     dot_for_radius_km, pre_distance_km, GeoPolygon, LatLng, PrePoint, UnitPoint, Vec3,
     DOT_RERANK_MARGIN,
@@ -258,13 +257,14 @@ impl SeatIndex {
 
 /// Orders county ids from most to least remote, with seeded jitter so
 /// the income gradient isn't a perfect function of metro distance.
-pub fn remoteness_ranking(seed: u64, seats: &[LatLng]) -> Vec<usize> {
+/// The `i`-th distance is county `i`'s: from its seat to the nearest
+/// metro anchor ([`crate::geography::distance_to_nearest_metro_km`]).
+pub fn remoteness_ranking(seed: u64, remoteness_km: impl IntoIterator<Item = f64>) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(seed ^ RANK_SEED_SALT);
-    let mut scored: Vec<(f64, usize)> = seats
-        .iter()
+    let mut scored: Vec<(f64, usize)> = remoteness_km
+        .into_iter()
         .enumerate()
-        .map(|(i, s)| {
-            let remote = geography::distance_to_nearest_metro_km(s);
+        .map(|(i, remote)| {
             // ±15% multiplicative jitter.
             let jitter = 1.0 + rng.gen_range(-0.15..0.15);
             (-remote * jitter, i)
@@ -280,7 +280,7 @@ const RANK_SEED_SALT: u64 = 0x5eed_c0de;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geography::conus_polygon;
+    use crate::geography::{conus_polygon, distance_to_nearest_metro_km};
 
     #[test]
     fn seats_fall_inside_the_polygon() {
@@ -444,11 +444,15 @@ mod tests {
         }
     }
 
+    fn remoteness(seats: &[LatLng]) -> Vec<f64> {
+        seats.iter().map(distance_to_nearest_metro_km).collect()
+    }
+
     #[test]
     fn remoteness_ranking_is_a_permutation() {
         let poly = conus_polygon();
         let seats = generate_seats(3, 200, &poly);
-        let rank = remoteness_ranking(3, &seats);
+        let rank = remoteness_ranking(3, remoteness(&seats));
         let mut sorted = rank.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..200).collect::<Vec<_>>());
@@ -458,7 +462,7 @@ mod tests {
     fn remote_counties_rank_before_metro_counties() {
         // Construct two synthetic seats: one in Wyoming, one in Manhattan.
         let seats = vec![LatLng::new(41.0, -108.5), LatLng::new(40.7, -74.0)];
-        let rank = remoteness_ranking(1, &seats);
+        let rank = remoteness_ranking(1, remoteness(&seats));
         assert_eq!(rank[0], 0, "Wyoming should rank most remote");
     }
 }

@@ -117,7 +117,7 @@ impl CountCalibration {
     /// non-anchor share of the total.
     pub fn regular_cell_count(&self) -> usize {
         let regular_total = (self.total_locations - self.anchor_total()) as f64;
-        (regular_total / self.curve.mean(200_000)).round() as usize
+        (regular_total / self.curve.mean()).round() as usize
     }
 
     /// Generates the non-anchor per-cell counts: stratified inverse-CDF
@@ -232,6 +232,15 @@ mod tests {
         let n = c.regular_cell_count();
         // The published statistics imply ~20k demand cells.
         assert!((15_000..26_000).contains(&n), "n_cells {n}");
+    }
+
+    #[test]
+    fn regular_cell_counts_are_pinned() {
+        // T/mean is 20,343.80 at paper scale and 412.26 at small scale,
+        // far from a rounding boundary: a mean that moves in its tenth
+        // digit cannot move either count.
+        assert_eq!(CountCalibration::paper().regular_cell_count(), 20_344);
+        assert_eq!(CountCalibration::small().regular_cell_count(), 412);
     }
 
     #[test]

@@ -19,21 +19,21 @@
 //!
 //! Everything is deterministic in the seed **and in the thread count**:
 //! two runs of the same config produce identical datasets, which the
-//! statistical pins and benches rely on. The expensive stages (cell
-//! scoring, county assignment, location scatter) fan out through
-//! `leo-parallel`, and every random draw comes from a per-cell stream
-//! derived with [`leo_parallel::mix64`] — the value drawn for a cell
-//! depends only on `(seed, cell id)`, never on which worker visited it
-//! or in what order.
+//! statistical pins and benches rely on. The expensive stages (the
+//! polyfill's lattice rows, cell scoring, county assignment, location
+//! scatter) fan out through `leo-parallel`, and every random draw comes
+//! from a per-cell stream derived with [`leo_parallel::mix64`] — the
+//! value drawn for a cell depends only on `(seed, cell id)`, never on
+//! which worker visited it or in what order.
 
 use crate::counties::{generate_seats, remoteness_ranking, County, SeatIndex};
 use crate::counts::CountCalibration;
 use crate::field::{SmoothField, SCORE_EPS, SCORE_EPS_MAX_BUMPS, SCORE_EPS_MIN_SCALE_KM};
 use crate::geography;
 use crate::income::assign_county_incomes;
-use leo_geomath::{GeoBBox, LatLng};
+use leo_geomath::{GeoBBox, GeoPolygon, LatLng};
 use leo_hexgrid::{CellId, GeoHexGrid, STARLINK_RESOLUTION};
-use leo_parallel::{mix64, par_map};
+use leo_parallel::{mix64, par_append, par_map};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -122,16 +122,6 @@ pub struct DatasetColumns {
 }
 
 impl DatasetColumns {
-    /// Empty columns with room for `n` cells.
-    pub fn with_capacity(n: usize) -> Self {
-        DatasetColumns {
-            lat_deg: Vec::with_capacity(n),
-            lng_deg: Vec::with_capacity(n),
-            locations: Vec::with_capacity(n),
-            county: Vec::with_capacity(n),
-        }
-    }
-
     /// Σ max(locations − limit, 0): locations left unserved when every
     /// cell can serve at most `limit`. This is the sensitivity / tail
     /// hot fold — one branch-free pass over the contiguous counts
@@ -215,7 +205,7 @@ impl BroadbandDataset {
         // computed once, here, and every later step reads it.
         let us_cells = {
             let _span = leo_obs::span!("demand.polyfill");
-            grid.polyfill(&poly, STARLINK_RESOLUTION)
+            polyfill_on_pool(&grid, &poly)
         };
         let us_cell_count = us_cells.len();
         // Locations per US cell, by position; 0 marks a cell without
@@ -311,10 +301,16 @@ impl BroadbandDataset {
         let seat_index = SeatIndex::new(seats);
         // The demand columns in one pass over the US cells, already in
         // id order; only the Voronoi county lookup (the expensive part)
-        // fans out.
+        // fans out. Its `par_map` output is the county column, so that
+        // column is not reserved here.
         let n_cells = counts.iter().filter(|&&n| n > 0).count();
         let mut cells = Vec::with_capacity(n_cells);
-        let mut cols = DatasetColumns::with_capacity(n_cells);
+        let mut cols = DatasetColumns {
+            lat_deg: Vec::with_capacity(n_cells),
+            lng_deg: Vec::with_capacity(n_cells),
+            locations: Vec::with_capacity(n_cells),
+            county: Vec::new(),
+        };
         for (&(cell, center), &n) in us_cells.iter().zip(&counts) {
             if n > 0 {
                 cells.push(cell);
@@ -334,20 +330,26 @@ impl BroadbandDataset {
         for (&c, &n) in cols.county.iter().zip(&cols.locations) {
             county_weights[c as usize] += n;
         }
-        let ranking = remoteness_ranking(config.seed, seat_index.seats());
-        let incomes = assign_county_incomes(&county_weights, &ranking);
-        let counties: Vec<County> = seat_index
+        // The county table first, each seat's metro distance computed
+        // once in it: the remoteness ranking that orders the incomes
+        // reads the distances from the table, and the incomes fill it.
+        let mut counties: Vec<County> = seat_index
             .seats()
             .iter()
             .enumerate()
             .map(|(i, seat)| County {
                 id: i as u32,
                 seat: *seat,
-                median_income_usd: incomes[i],
+                median_income_usd: 0.0,
                 locations: county_weights[i],
                 remoteness_km: geography::distance_to_nearest_metro_km(seat),
             })
             .collect();
+        let ranking = remoteness_ranking(config.seed, counties.iter().map(|c| c.remoteness_km));
+        let incomes = assign_county_incomes(&county_weights, &ranking);
+        for (county, income) in counties.iter_mut().zip(incomes) {
+            county.median_income_usd = income;
+        }
         drop(_county_span);
 
         let ds = Self::from_columns(grid, cells, cols, us_cell_count, counties);
@@ -444,6 +446,18 @@ impl BroadbandDataset {
         }
         out
     }
+}
+
+/// [`GeoHexGrid::polyfill`] of `poly` at the Starlink resolution, with
+/// its lattice rows fanned out over the worker pool. Each chunk of rows
+/// appends its cells to one buffer, and the buffers join in row order,
+/// so the sort by id gets the serial scan's sequence and the result is
+/// `polyfill`'s bit for bit at any thread count.
+pub fn polyfill_on_pool(grid: &GeoHexGrid, poly: &GeoPolygon) -> Vec<(CellId, LatLng)> {
+    let rows = grid.polyfill_rows(poly, STARLINK_RESOLUTION);
+    let mut cells = par_append(rows.count(), |row, out| rows.scan(row, out));
+    cells.sort_unstable_by_key(|&(id, _)| id);
+    cells
 }
 
 /// Bump count and radius range (km) of the demand field. [`SCORE_EPS`]
@@ -655,6 +669,26 @@ mod tests {
             let c = ds.grid.cell_center(cell);
             assert_eq!(ds.cols.lat_deg[i].to_bits(), c.lat_deg().to_bits(), "{i}");
             assert_eq!(ds.cols.lng_deg[i].to_bits(), c.lng_deg().to_bits(), "{i}");
+        }
+    }
+
+    #[test]
+    fn pooled_row_fan_out_equals_polyfill_bit_for_bit() {
+        use leo_parallel::{with_serial_threshold, with_threads};
+        let grid = GeoHexGrid::starlink();
+        let poly = geography::conus_polygon();
+        let bits = |cells: &[(CellId, LatLng)]| -> Vec<(CellId, u64, u64)> {
+            cells
+                .iter()
+                .map(|&(id, c)| (id, c.lat_deg().to_bits(), c.lng_deg().to_bits()))
+                .collect()
+        };
+        let serial = bits(&grid.polyfill(&poly, STARLINK_RESOLUTION));
+        for threads in [1, 2, 4] {
+            let pooled = with_serial_threshold(0, || {
+                with_threads(threads, || polyfill_on_pool(&grid, &poly))
+            });
+            assert_eq!(bits(&pooled), serial, "threads {threads}");
         }
     }
 

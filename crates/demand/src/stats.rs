@@ -121,16 +121,22 @@ impl QuantileCurve {
         u0 + t * (u1 - u0)
     }
 
-    /// Mean of the calibrated distribution, by numerical quadrature of
-    /// `∫₀¹ Q(u) du` (midpoint rule, `steps` panels). The midpoints
-    /// are monotone, so one forward walk (`monotone_values`) evaluates
-    /// them; the sum runs left to right over `Q(u)·h`, as a per-point
-    /// `value` loop would, so the result is bit-identical to one.
-    pub fn mean(&self, steps: u32) -> f64 {
-        assert!(steps > 0);
-        let h = 1.0 / steps as f64;
-        self.monotone_values((0..steps).map(|k| (k as f64 + 0.5) * h))
-            .map(|v| v * h)
+    /// Mean of the calibrated distribution: `∫₀¹ Q(u) du`, exactly.
+    /// On a segment from `(u0, v0)` to `(u1, v1)` the curve is
+    /// `v0·(v1/v0)^t` with `t = (u − u0)/(u1 − u0)`, which integrates to
+    /// `(u1 − u0)(v1 − v0)/(ln v1 − ln v0)`, or to `(u1 − u0)·v0` where
+    /// the segment is flat. The segments are summed left to right.
+    pub fn mean(&self) -> f64 {
+        self.anchors
+            .windows(2)
+            .map(|w| {
+                let ((u0, v0), (u1, v1)) = (w[0], w[1]);
+                if v1 > v0 {
+                    (u1 - u0) * (v1 - v0) / (v1.ln() - v0.ln())
+                } else {
+                    (u1 - u0) * v0
+                }
+            })
             .sum()
     }
 }
@@ -214,33 +220,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mean_matches_the_per_point_midpoint_sum_bit_for_bit() {
-        let curves = [
-            crate::counts::CountCalibration::paper().curve,
-            crate::income::income_curve(),
-        ];
-        for (i, c) in curves.iter().enumerate() {
-            for steps in [1u32, 7, 1_000, 200_000] {
-                let h = 1.0 / steps as f64;
-                let per_point: f64 = (0..steps).map(|k| c.value((k as f64 + 0.5) * h) * h).sum();
-                assert_eq!(
-                    c.mean(steps).to_bits(),
-                    per_point.to_bits(),
-                    "curve {i}, {steps} steps"
-                );
-            }
-        }
+    /// `∫₀¹ Q(u) du` by the midpoint rule with `steps` panels, summed
+    /// left to right.
+    fn midpoint_mean(c: &QuantileCurve, steps: u32) -> f64 {
+        let h = 1.0 / steps as f64;
+        (0..steps).map(|k| c.value((k as f64 + 0.5) * h) * h).sum()
     }
 
     #[test]
-    fn mean_converges() {
-        let c = curve();
-        let coarse = c.mean(1_000);
-        let fine = c.mean(100_000);
-        assert!((coarse - fine).abs() / fine < 1e-3);
-        // Sanity: mean of this demand curve sits in the low hundreds.
-        assert!((150.0..350.0).contains(&fine), "mean {fine}");
+    fn mean_is_the_integral_of_the_curve() {
+        let curves = [
+            crate::counts::CountCalibration::paper().curve,
+            crate::income::income_curve(),
+            curve(),
+            // A flat segment integrates to its width times its value.
+            QuantileCurve::new(vec![(0.0, 2.0), (0.5, 2.0), (1.0, 8.0)]),
+        ];
+        for (i, c) in curves.iter().enumerate() {
+            let exact = c.mean();
+            let rel = |steps| (midpoint_mean(c, steps) - exact).abs() / exact;
+            assert!(rel(200_000) < 1e-8, "curve {i}: {}", rel(200_000));
+            assert!(rel(1_000) < 1e-3, "curve {i}: {}", rel(1_000));
+        }
+        let flat = QuantileCurve::new(vec![(0.0, 3.0), (1.0, 3.0)]);
+        assert_eq!(flat.mean(), 3.0);
+        // Sanity: the mean of this demand curve sits in the low hundreds.
+        assert!((150.0..350.0).contains(&curve().mean()));
     }
 
     #[test]

@@ -140,8 +140,24 @@ impl GeoHexGrid {
     /// Returned sorted by identifier for determinism. Each center is
     /// the point the containment test was made at, the same expression
     /// [`GeoHexGrid::cell_center`] evaluates, so it equals
-    /// `cell_center(id)` bit for bit.
+    /// `cell_center(id)` bit for bit. This is the serial composition of
+    /// [`GeoHexGrid::polyfill_rows`]: every row scanned in order, then
+    /// one sort by id.
     pub fn polyfill(&self, poly: &GeoPolygon, res: u8) -> Vec<(CellId, LatLng)> {
+        let rows = self.polyfill_rows(poly, res);
+        let mut out = Vec::new();
+        for row in 0..rows.count() {
+            rows.scan(row, &mut out);
+        }
+        out.sort_unstable_by_key(|&(id, _)| id);
+        out
+    }
+
+    /// The lattice scan behind [`GeoHexGrid::polyfill`], split into
+    /// rows of constant `q` that can be scanned independently (and
+    /// concurrently). The projected bbox and the `r`-range are computed
+    /// here, once.
+    pub fn polyfill_rows<'a>(&'a self, poly: &'a GeoPolygon, res: u8) -> PolyfillRows<'a> {
         let t = &self.res[res as usize];
         // Project the polygon ring to this grid's plane and take its
         // bbox, padded by one cell spacing.
@@ -178,24 +194,63 @@ impl GeoHexGrid {
             rmin = rmin.min(a.r);
             rmax = rmax.max(a.r);
         }
-        let mut out = Vec::new();
         // Conservative slack: the corner scan bounds q and r on the
         // rotated lattice only approximately near edges.
-        for q in qmin - 1..=qmax + 1 {
-            for r in rmin - 1..=rmax + 1 {
-                let coord = Axial::new(q, r);
-                let plane = t.project(&coord);
-                if plane.x < xmin || plane.x > xmax || plane.y < ymin || plane.y > ymax {
-                    continue;
-                }
-                let center = self.proj.inverse(&plane);
-                if poly.contains(&center) {
-                    out.push((CellId::pack(res, coord), center));
-                }
+        PolyfillRows {
+            grid: self,
+            poly,
+            res,
+            bbox: [xmin, xmax, ymin, ymax],
+            q_lo: qmin - 1,
+            q_hi: qmax + 1,
+            r_lo: rmin - 1,
+            r_hi: rmax + 1,
+        }
+    }
+}
+
+/// The rows of one polyfill scan ([`GeoHexGrid::polyfill_rows`]). Row
+/// `k` is the lattice line `q = q_lo + k` over the scan's `r`-range.
+/// Scanning every row in order and sorting the cells by id gives
+/// [`GeoHexGrid::polyfill`]'s output; rows share no state, so they may
+/// be scanned on any thread in any order.
+#[derive(Debug, Clone, Copy)]
+pub struct PolyfillRows<'a> {
+    grid: &'a GeoHexGrid,
+    poly: &'a GeoPolygon,
+    res: u8,
+    /// The padded plane bbox: `[xmin, xmax, ymin, ymax]`.
+    bbox: [f64; 4],
+    q_lo: i32,
+    q_hi: i32,
+    r_lo: i32,
+    r_hi: i32,
+}
+
+impl PolyfillRows<'_> {
+    /// Number of rows.
+    pub fn count(&self) -> usize {
+        (self.q_hi - self.q_lo + 1) as usize
+    }
+
+    /// Appends the cells of row `row` whose centers fall inside the
+    /// polygon, each with its center, in ascending `r`.
+    pub fn scan(&self, row: usize, out: &mut Vec<(CellId, LatLng)>) {
+        debug_assert!(row < self.count(), "row {row} of {}", self.count());
+        let t = &self.grid.res[self.res as usize];
+        let [xmin, xmax, ymin, ymax] = self.bbox;
+        let q = self.q_lo + row as i32;
+        for r in self.r_lo..=self.r_hi {
+            let coord = Axial::new(q, r);
+            let plane = t.project(&coord);
+            if plane.x < xmin || plane.x > xmax || plane.y < ymin || plane.y > ymax {
+                continue;
+            }
+            let center = self.grid.proj.inverse(&plane);
+            if self.poly.contains(&center) {
+                out.push((CellId::pack(self.res, coord), center));
             }
         }
-        out.sort_unstable_by_key(|&(id, _)| id);
-        out
     }
 }
 

@@ -23,6 +23,8 @@
 //!   DESIGN.md records this as a behaviour-preserving substitution.
 //! * **Region fill** ([`grid::GeoHexGrid::polyfill`]): all cells whose
 //!   centers fall inside a polygon, used to enumerate US service cells.
+//!   [`grid::GeoHexGrid::polyfill_rows`] exposes the same scan as
+//!   independent lattice rows, so a caller can spread them over threads.
 //!
 //! Identifiers pack (resolution, q, r) into a `u64` ([`cell::CellId`]),
 //! mirroring H3's 64-bit index ergonomics.
@@ -36,7 +38,7 @@ pub mod grid;
 pub mod layout;
 
 pub use cell::CellId;
-pub use grid::GeoHexGrid;
+pub use grid::{GeoHexGrid, PolyfillRows};
 
 /// Average area of an H3 resolution-5 cell, km² — the paper's service
 /// cell size. Our equal-area construction makes every cell exactly this

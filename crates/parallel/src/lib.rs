@@ -9,12 +9,13 @@
 //! > **Determinism.** For any thread count, the output of a parallel
 //! > computation is bit-identical to the single-threaded run.
 //!
-//! The contract holds because the one fan-out primitive, [`par_map`],
-//! never lets scheduling order reach the result: it assigns contiguous
-//! index chunks to workers and reassembles results **in input order**,
-//! and each element's value depends only on the element (callers
-//! derive per-element RNG streams via [`mix64`] instead of sharing one
-//! sequential stream).
+//! The contract holds because the fan-out primitives, [`par_map`] and
+//! its append form [`par_append`] (each item appends zero or more
+//! outputs), share one core that never lets scheduling order reach the
+//! result: it assigns contiguous index chunks to workers and
+//! reassembles results **in input order**, and each element's value
+//! depends only on the element (callers derive per-element RNG streams
+//! via [`mix64`] instead of sharing one sequential stream).
 //!
 //! ## Execution model (the [`pool`] module)
 //!
@@ -243,14 +244,57 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    fan_out(items.len(), "parallel.par_map", 1, |i, out: &mut Vec<R>| {
+        out.push(f(i, &items[i]));
+    })
+}
+
+/// Runs `f(i, out)` for every `i` in `0..n` in parallel on the worker
+/// pool, where each call appends any number of outputs to `out`.
+/// Returns every output in index order: exactly what one serial loop
+/// of `f` over `0..n` into one vector appends.
+///
+/// Each chunk appends to one growing buffer of its own, and the chunk
+/// buffers are joined in chunk order. The serial path (one worker, at
+/// most one item, or a sub-threshold probe) appends straight into the
+/// returned vector. Probe, chunk plan, trace lanes and stage
+/// attribution are [`par_map`]'s. Panics in `f` propagate to the
+/// caller.
+pub fn par_append<R, F>(n: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, &mut Vec<R>) + Sync,
+{
+    fan_out(n, "parallel.par_append", 0, f)
+}
+
+/// The one fan-out core behind [`par_map`] and [`par_append`]:
+/// `step(i, out)` appends item `i`'s outputs to `out`, for `i` in
+/// `0..n`, and the result is every output in index order. A chunk's
+/// buffer starts with room for `reserve_per_item` outputs per item
+/// (`par_map`'s one, so its chunks allocate once at their exact size).
+/// Chunk events land on the trace's worker lanes under `name`.
+fn fan_out<R, S>(n: usize, name: &'static str, reserve_per_item: usize, step: S) -> Vec<R>
+where
+    R: Send,
+    S: Fn(usize, &mut Vec<R>) + Sync,
+{
+    let run = |range: std::ops::Range<usize>, out: &mut Vec<R>| {
+        for i in range {
+            step(i, out);
+        }
+    };
     let workers = effective_threads();
-    if workers <= 1 || items.len() <= 1 {
-        let out: Vec<R> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        attribute_serial(items.len() as u64);
+    if workers <= 1 || n <= 1 {
+        let mut out = Vec::with_capacity(n * reserve_per_item);
+        run(0..n, &mut out);
+        attribute_serial(n as u64);
         return out;
     }
     let threshold = effective_serial_threshold_ns();
     let mut prefix: Vec<R> = Vec::new();
+    // Items the probe has run; their outputs are in `prefix`.
+    let mut probed = 0;
     if threshold > 0 {
         // Timed probe: run items off the front until ~PROBE_BUDGET_NS
         // has passed, then extrapolate one chunk's duration. Too small
@@ -266,35 +310,34 @@ where
         // path by a whole item.
         let p0 = Instant::now();
         let mut elapsed = 0u64;
-        while prefix.len() < items.len() {
-            let i = prefix.len();
-            prefix.push(f(i, &items[i]));
+        while probed < n {
+            step(probed, &mut prefix);
+            probed += 1;
             elapsed = p0.elapsed().as_nanos() as u64;
             if elapsed >= PROBE_BUDGET_NS {
                 break;
             }
         }
-        let chunk_items = (items.len() / workers).max(1) as u64;
-        let per_chunk = (elapsed / prefix.len() as u64).saturating_mul(chunk_items);
-        if prefix.len() == items.len() || per_chunk < threshold {
-            for (i, item) in items.iter().enumerate().skip(prefix.len()) {
-                prefix.push(f(i, item));
-            }
-            attribute_serial(items.len() as u64);
+        let chunk_items = (n / workers).max(1) as u64;
+        let per_chunk = (elapsed / probed as u64).saturating_mul(chunk_items);
+        if probed == n || per_chunk < threshold {
+            run(probed..n, &mut prefix);
+            attribute_serial(n as u64);
             return prefix;
         }
-        if items.len() > workers {
+        if n > workers {
             prefix.clear();
+            probed = 0;
         }
     }
-    let base = prefix.len();
+    let base = probed;
     // Capture the caller's scope and innermost span path so chunk
     // bodies (and their trace events) attribute under the owning
     // `stage.*` span on whichever thread they execute; inert and free
     // when observability is off.
     let ctx = leo_obs::scope::ObsContext::current();
     let t0 = Instant::now();
-    let plan: Vec<(usize, usize)> = chunks(items.len() - base, workers)
+    let plan: Vec<(usize, usize)> = chunks(n - base, workers)
         .into_iter()
         .map(|(lo, hi)| (lo + base, hi + base))
         .collect();
@@ -303,28 +346,25 @@ where
         let _obs_ctx = ctx.enter();
         let (lo, hi) = plan[w];
         let w0 = Instant::now();
-        let out: Vec<R> = items[lo..hi]
-            .iter()
-            .enumerate()
-            .map(|(k, x)| f(lo + k, x))
-            .collect();
+        let mut out = Vec::with_capacity((hi - lo) * reserve_per_item);
+        run(lo..hi, &mut out);
         let w1 = Instant::now();
-        leo_obs::trace::worker_chunk(w, "parallel.par_map", ctx.parent(), w0, w1, lo, hi);
+        leo_obs::trace::worker_chunk(w, name, ctx.parent(), w0, w1, lo, hi);
         *slots[w].lock() = Some((out, w1.saturating_duration_since(w0).as_nanos() as u64));
     });
+    let joined: usize = slots
+        .iter()
+        .map(|slot| slot.lock().as_ref().map_or(0, |(chunk, _)| chunk.len()))
+        .sum();
     let mut out = prefix;
-    out.reserve(items.len() - base);
+    out.reserve(joined);
     let mut busy = Vec::with_capacity(plan.len());
     for slot in &slots {
         let (chunk, busy_ns) = slot.lock().take().expect("every chunk completed");
         out.extend(chunk);
         busy.push(busy_ns);
     }
-    attribute_fanout(
-        (items.len() - base) as u64,
-        &busy,
-        t0.elapsed().as_nanos() as u64,
-    );
+    attribute_fanout((n - base) as u64, &busy, t0.elapsed().as_nanos() as u64);
     out
 }
 
@@ -361,6 +401,30 @@ mod tests {
             let probed = with_threads(n, || par_map(&items, |i, &x| x * 3 + i as u64));
             assert_eq!(serial, pooled, "threads={n} pooled");
             assert_eq!(serial, probed, "threads={n} probed");
+        }
+    }
+
+    #[test]
+    fn par_append_matches_a_serial_loop_for_any_thread_count() {
+        // Item i appends i % 5 outputs: none for every fifth item, up
+        // to four for the others.
+        let emit = |i: usize, out: &mut Vec<u64>| {
+            for k in 0..i % 5 {
+                out.push((i * 10 + k) as u64);
+            }
+        };
+        for n in [0usize, 1, 2, 7, 1000] {
+            let mut serial = Vec::new();
+            for i in 0..n {
+                emit(i, &mut serial);
+            }
+            for threads in [1, 2, 3, 8] {
+                let pooled =
+                    with_serial_threshold(0, || with_threads(threads, || par_append(n, emit)));
+                let probed = with_threads(threads, || par_append(n, emit));
+                assert_eq!(serial, pooled, "n={n} threads={threads} pooled");
+                assert_eq!(serial, probed, "n={n} threads={threads} probed");
+            }
         }
     }
 
@@ -515,6 +579,18 @@ mod tests {
         let serial = with_threads(1, || par_map(&items, slow));
         let probed = with_serial_threshold(1, || with_threads(16, || par_map(&items, slow)));
         assert_eq!(serial, probed);
+        // The append form keeps the prefix too, counted in items, not
+        // outputs: item i appends i + 1 of them.
+        let emit = |i: usize, out: &mut Vec<u64>| {
+            for _ in 0..=i {
+                out.push(slow(i, &items[i]));
+            }
+        };
+        let serial = with_threads(1, || par_append(items.len(), emit));
+        let probed =
+            with_serial_threshold(1, || with_threads(16, || par_append(items.len(), emit)));
+        assert_eq!(serial, probed);
+        assert_eq!(serial.len(), 10);
     }
 
     /// The parallel section `run` leaves under `stage.t_attr` in a
@@ -553,6 +629,14 @@ mod tests {
         assert_eq!((attr.items, attr.chunks), (100, 4));
         assert_eq!(attr.per_worker_busy_ns.len(), 4);
         assert_eq!(attr.per_worker_busy_ns.iter().sum::<u64>(), attr.busy_ns);
+        // The append form is attributed the same way, in items.
+        let attr = stage_parallel(|| {
+            let _ = with_serial_threshold(0, || {
+                with_threads(4, || par_append(100, |i, out| out.extend(0..i % 3)))
+            });
+        });
+        assert_eq!((attr.fanouts, attr.serial_calls), (1, 0));
+        assert_eq!((attr.items, attr.chunks), (100, 4));
     }
 
     #[test]

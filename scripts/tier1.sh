@@ -248,6 +248,18 @@ for f in results/fig2_*; do
         || { echo "[tier1] $f differs from a cold 4-thread paper-scale run" >&2; exit 1; }
 done
 echo "[tier1] cold 4-thread fig2 matches: $snaps snapshots and every results/fig2_* file"
+# The cold generate fans out three times at 4 threads: the polyfill
+# rows, the scoring and the county lookup (DESIGN.md §19). A fan-out
+# that falls back to serial shows up as a serial call here.
+python3 - "$paper4/run_manifest.json" <<'PY'
+import json, sys
+
+stages = {s["name"]: s for s in json.load(open(sys.argv[1]))["stages"]}
+par = stages["dataset"]["parallel"]
+assert (par["fanouts"], par["serial_calls"]) == (3, 0), par
+print(f"[tier1] cold 4-thread dataset stage: {par['fanouts']} fan-outs, "
+      f"{par['serial_calls']} serial calls")
+PY
 rm -rf "$paper_cache" "$paper1" "$paper2" "$paper4_cache" "$paper4"
 
 echo "[tier1] stale-schema snapshot fails closed and regenerates"
