@@ -16,14 +16,13 @@
 mod compare;
 mod history_cmd;
 mod report_cmd;
+mod stages;
 
 use leo_cache::DatasetCache;
 use leo_demand::{BroadbandDataset, SynthConfig};
 use leo_obs::manifest::{self, RunInfo};
-use leo_report::{CsvWriter, Heatmap, LineChart, PointMap, Series, TextTable};
-use starlink_divide::{
-    afford, coverage_sweep, demand_stats, findings, sensitivity, sizing, strict, tail, PaperModel,
-};
+use stages::{Ctx, Output, STAGES};
+use starlink_divide::PaperModel;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -76,7 +75,7 @@ options:
                        seed=N;site:p=F|nth=N[,mode=err|panic|delay]
                        [,delay_ms=N]  sites: io.write io.rename
                        io.fsync cache.decode ledger.append pool.chunk
-                       stage.<name>
+                       stage.<name> (dataset or a command)
   --quiet, -q          only warnings and errors on stderr
   -v, --verbose        debug-level progress on stderr
   -h, --help           print this help and exit
@@ -293,6 +292,13 @@ fn main() {
     if let Some(spec) = fault_spec {
         match leo_fault::FaultPlan::parse(&spec) {
             Ok(plan) => {
+                // Likewise for a stage fault that could never fire.
+                let known = |n: &str| n == "dataset" || STAGES.iter().any(|(s, _)| *s == n);
+                for site in plan.rules.iter().map(|r| &r.site) {
+                    if site.strip_prefix("stage.").is_some_and(|n| !known(n)) {
+                        usage(&format!("invalid fault plan: {site} names no stage"));
+                    }
+                }
                 leo_obs::log_info!("fault plan active: {plan}");
                 leo_fault::set_plan(Some(plan));
                 // With faults active, injected panics are an expected
@@ -379,26 +385,11 @@ fn main() {
         ),
         None => leo_obs::log_info!("generating {scale}-scale dataset (cache disabled)..."),
     }
-    // The dataset build runs outside stage() but fans out on the
-    // worker pool, so an injected pool.chunk panic would otherwise
-    // unwind straight through main (exit 101, untyped).
-    let model = {
-        let _stage = leo_obs::span!("stage.dataset");
-        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let ds = match &cache {
-                Some(c) => c.load_or_generate(&cfg),
-                None => BroadbandDataset::generate(&cfg),
-            };
-            PaperModel::new(ds)
-        }));
-        match built {
-            Ok(model) => model,
-            Err(_) => {
-                leo_obs::log_error!("dataset build aborted; no artifacts written");
-                std::process::exit(1);
-            }
-        }
-    };
+    // The dataset build is a stage too, so a pool.chunk panic exits typed.
+    let model = stage("dataset", || match &cache {
+        Some(c) => PaperModel::new(c.load_or_generate(&cfg)),
+        None => PaperModel::new(BroadbandDataset::generate(&cfg)),
+    });
     leo_obs::log_info!(
         "dataset: {} locations in {} demand cells ({} US cells)",
         model.dataset.total_locations,
@@ -408,13 +399,12 @@ fn main() {
 
     let ctx = Ctx {
         model: &model,
-        out: &out,
         cache: cache.as_ref(),
         cfg: &cfg,
     };
     for (name, run) in STAGES {
         if command == "all" || command == *name {
-            stage(name, || run(&ctx));
+            stage(name, || emit(&out, |o| run(&ctx, o)));
         }
     }
 
@@ -496,41 +486,8 @@ fn resolve_ledger(explicit: Option<PathBuf>, cache_dir: Option<&Path>) -> Option
     explicit.or_else(|| cache_dir.map(|d| d.join("runs.jsonl")))
 }
 
-/// What a pipeline stage reads: the model, the artifact directory, and
-/// the snapshot cache and config (Fig 2 snapshots its sweep rows).
-struct Ctx<'a> {
-    model: &'a PaperModel,
-    out: &'a Path,
-    cache: Option<&'a DatasetCache>,
-    cfg: &'a SynthConfig,
-}
-
-/// A pipeline stage's body.
-type StageFn = fn(&Ctx);
-
-/// Every pipeline stage, in `all` order. The up-front command check,
-/// single-stage dispatch and `all` all read this one table.
-const STAGES: &[(&str, StageFn)] = &[
-    ("table1", |c| table1(c.model)),
-    ("table2", |c| table2(c.model, c.out)),
-    ("fig1", |c| fig1(c.model, c.out)),
-    ("fig2", |c| fig2(c.model, c.out, c.cache, c.cfg)),
-    ("fig3", |c| fig3(c.model, c.out)),
-    ("fig4", |c| fig4(c.model, c.out)),
-    ("findings", |c| findings_cmd(c.model)),
-    ("qoe", |c| qoe(c.out)),
-    ("orbit-validate", |c| orbit_validate(c.out)),
-    ("strict", |c| strict_cmd(c.model, c.out)),
-    ("sensitivity", |c| sensitivity_cmd(c.model, c.out)),
-    ("latency", |c| latency(c.out)),
-    ("uplink", |c| uplink(c.model)),
-    ("cost", |c| cost_cmd(c.model, c.out)),
-    ("timeline", |c| timeline_cmd(c.model)),
-    ("export", |c| export(c.model, c.out)),
-];
-
-/// Runs one pipeline stage under a `stage.<name>` span; the manifest's
-/// per-stage wall-clock table is derived from exactly these spans.
+/// Runs the dataset build or one command under a `stage.<name>` span;
+/// the manifest's per-stage wall-clock table is derived from these spans.
 ///
 /// Robustness wrapping: an active fault plan may inject a
 /// `stage.<name>` fault (delay, typed error, or panic), and any panic
@@ -538,7 +495,7 @@ const STAGES: &[(&str, StageFn)] = &[
 /// exit 1 instead of unwinding through main. An interrupted run is
 /// recovered by rerunning it: every artifact lands atomically, so the
 /// rerun overwrites whole files only.
-fn stage(name: &str, f: impl FnOnce()) {
+fn stage<T>(name: &str, f: impl FnOnce() -> T) -> T {
     let _span = leo_obs::span::enter(&format!("stage.{name}"));
     leo_obs::log_debug!("stage {name}");
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -549,11 +506,10 @@ fn stage(name: &str, f: impl FnOnce()) {
                 }
             }
         }
-        f();
-        Ok(())
+        Ok(f())
     }));
     match outcome {
-        Ok(Ok(())) => {}
+        Ok(Ok(value)) => value,
         Ok(Err(e)) => {
             leo_obs::log_error!("stage {name} aborted: {e}");
             std::process::exit(1);
@@ -566,356 +522,15 @@ fn stage(name: &str, f: impl FnOnce()) {
     }
 }
 
-fn strict_cmd(model: &PaperModel, out: &Path) {
-    let rows = strict::strict_table(model);
-    let mut t = TextTable::new(
-        "EXT-STRICT: paper lower bound vs strict all-cells bound (20:1 cap)",
-        &[
-            "beamspread",
-            "paper bound",
-            "strict bound",
-            "underestimate",
-            "binding lat",
-            "beams",
-        ],
-    );
-    let mut csv = CsvWriter::new();
-    csv.record(&[
-        "beamspread",
-        "paper",
-        "strict",
-        "binding_lat",
-        "binding_beams",
-    ]);
-    for r in &rows {
-        t.row(&[
-            r.beamspread.to_string(),
-            r.paper_bound.to_string(),
-            r.strict_bound.to_string(),
-            format!("{:.1}%", 100.0 * r.underestimate_fraction()),
-            format!("{:.2}", r.binding_lat_deg),
-            r.binding_beams.to_string(),
-        ]);
-        csv.record_display(&[
-            r.beamspread as f64,
-            r.paper_bound as f64,
-            r.strict_bound as f64,
-            r.binding_lat_deg,
-            r.binding_beams as f64,
-        ]);
+/// Fills a stage's output, prints its text, then writes its files in the
+/// order pushed: inside the stage's span and catch, like the stage body.
+fn emit(out: &Path, fill: impl FnOnce(&mut Output)) {
+    let mut o = Output::default();
+    fill(&mut o);
+    print!("{}", o.text);
+    for (name, content) in o.files {
+        write(out, name, &content);
     }
-    print!("{}", t.render());
-    write(out, "strict_bound.csv", csv.finish());
-}
-
-fn sensitivity_cmd(model: &PaperModel, out: &Path) {
-    let effs = sensitivity::efficiency_sweep(model, &[3.0, 3.5, 4.0, 4.5, 5.0, 5.5]);
-    let mut t = TextTable::new(
-        "ABL-EFF: spectral-efficiency ablation",
-        &[
-            "bps/Hz",
-            "cell Gbps",
-            "peak oversub",
-            "shed at 20:1",
-            "b=2 capped",
-        ],
-    );
-    let mut csv = CsvWriter::new();
-    csv.record(&[
-        "bps_hz",
-        "cell_gbps",
-        "peak_oversub",
-        "unserved_at_cap",
-        "b2_capped",
-    ]);
-    for r in &effs {
-        t.row(&[
-            format!("{:.1}", r.bps_hz),
-            format!("{:.2}", r.cell_capacity_gbps),
-            format!("{:.1}:1", r.peak_oversub),
-            r.unserved_at_cap.to_string(),
-            r.b2_capped.to_string(),
-        ]);
-        csv.record_display(&[
-            r.bps_hz,
-            r.cell_capacity_gbps,
-            r.peak_oversub,
-            r.unserved_at_cap as f64,
-            r.b2_capped as f64,
-        ]);
-    }
-    print!("{}", t.render());
-    write(out, "ablation_efficiency.csv", csv.finish());
-
-    let sizes = sensitivity::cell_size_sweep(model, &[4, 5, 6]);
-    let mut t2 = TextTable::new(
-        "ABL-CELL: service-cell resolution ablation (b=2, 20:1)",
-        &["resolution", "cell km^2", "satellites"],
-    );
-    for r in &sizes {
-        t2.row(&[
-            r.resolution.to_string(),
-            format!("{:.1}", r.cell_area_km2),
-            r.b2_capped.to_string(),
-        ]);
-    }
-    print!("{}", t2.render());
-
-    let ths = sensitivity::threshold_sweep(model, &[0.01, 0.02, 0.03, 0.05]);
-    let mut t3 = TextTable::new(
-        "ABL-AFF: affordability-threshold ablation (Starlink Residential)",
-        &["threshold", "unaffordable", "fraction"],
-    );
-    for r in &ths {
-        t3.row(&[
-            format!("{:.0}%", 100.0 * r.threshold),
-            r.unaffordable.to_string(),
-            format!("{:.1}%", 100.0 * r.fraction),
-        ]);
-    }
-    print!("{}", t3.render());
-
-    let programs = starlink_divide::subsidy::program_table(model);
-    let mut t4 = TextTable::new(
-        "EXT-SUBSIDY: subsidy program to make each plan affordable everywhere",
-        &[
-            "plan",
-            "$/month",
-            "recipients",
-            "mean $/mo",
-            "max $/mo",
-            "program $/yr",
-        ],
-    );
-    for p in &programs {
-        t4.row(&[
-            p.plan.name.to_string(),
-            format!("{:.2}", p.plan.monthly_usd),
-            p.recipients.to_string(),
-            format!("{:.2}", p.mean_monthly_usd),
-            format!("{:.2}", p.max_monthly_usd),
-            format!("{:.1}M", p.annual_cost_usd / 1e6),
-        ]);
-    }
-    print!("{}", t4.render());
-}
-
-fn latency(out: &Path) {
-    use leo_orbit::gateway::conus_gateways;
-    use leo_orbit::isl::{user_gateway_path, IslTopology, PathMode};
-    use leo_orbit::WalkerShell;
-
-    let topo = IslTopology::plus_grid(WalkerShell::starlink_gen1_shell1());
-    let gws = conus_gateways();
-    let users = [
-        ("rural Montana", leo_geomath::LatLng::new(47.0, -109.0)),
-        (
-            "peak-demand cell (SE Missouri)",
-            leo_geomath::LatLng::new(37.0, -89.5),
-        ),
-        ("Appalachia", leo_geomath::LatLng::new(37.5, -81.5)),
-        (
-            "offshore Atlantic (600 km)",
-            leo_geomath::LatLng::new(38.0, -60.0),
-        ),
-        (
-            "mid-Atlantic (2,800 km)",
-            leo_geomath::LatLng::new(35.0, -38.0),
-        ),
-    ];
-    let mut t = TextTable::new(
-        "EXT-LAT: one-way user->gateway latency, bent pipe vs ISL relay (Gen1 shell)",
-        &["user", "bent-pipe ms", "ISL ms", "ISL hops"],
-    );
-    let mut csv = CsvWriter::new();
-    csv.record(&["user", "bent_pipe_ms", "isl_ms", "isl_hops"]);
-    for (name, u) in &users {
-        // Average over several epochs to smooth constellation phase.
-        let mut bp_acc = Vec::new();
-        let mut isl_acc = Vec::new();
-        let mut hop_acc = Vec::new();
-        for k in 0..8 {
-            let t_s = k as f64 * 731.0;
-            if let Some(p) = user_gateway_path(&topo, &gws, u, t_s, PathMode::BentPipe) {
-                bp_acc.push(p.latency_ms);
-            }
-            if let Some(p) = user_gateway_path(&topo, &gws, u, t_s, PathMode::IslRelay) {
-                isl_acc.push(p.latency_ms);
-                hop_acc.push(p.isl_hops as f64);
-            }
-        }
-        let mean = |v: &Vec<f64>| {
-            if v.is_empty() {
-                f64::NAN
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
-        let fmt = |x: f64, n: usize, total: usize| {
-            if x.is_nan() {
-                "unreachable".to_string()
-            } else if n < total {
-                format!("{x:.1} ({n}/{total} epochs)")
-            } else {
-                format!("{x:.1}")
-            }
-        };
-        t.row(&[
-            name.to_string(),
-            fmt(mean(&bp_acc), bp_acc.len(), 8),
-            fmt(mean(&isl_acc), isl_acc.len(), 8),
-            format!("{:.1}", mean(&hop_acc)),
-        ]);
-        csv.record(&[
-            name.to_string(),
-            format!("{:.2}", mean(&bp_acc)),
-            format!("{:.2}", mean(&isl_acc)),
-            format!("{:.2}", mean(&hop_acc)),
-        ]);
-    }
-    print!("{}", t.render());
-    write(out, "latency_paths.csv", csv.finish());
-}
-
-fn cost_cmd(model: &PaperModel, out: &Path) {
-    use leo_capacity::beamspread::Beamspread;
-    use leo_capacity::Oversubscription;
-    use starlink_divide::cost::{
-        average_cost_per_location_year, marginal_cost_curve, FleetCostModel,
-    };
-    let fleet = FleetCostModel::starlink_estimate();
-    let rho = Oversubscription::FCC_CAP;
-    let mut t = TextTable::new(
-        "EXT-COST: annualized marginal cost of the demand tail ($1.5M/sat, 5-yr life)",
-        &[
-            "beamspread",
-            "segment locs",
-            "marginal sats",
-            "$/location/yr",
-            "fleet avg $/loc/yr",
-        ],
-    );
-    let mut csv = CsvWriter::new();
-    csv.record(&[
-        "beamspread",
-        "segment",
-        "locations",
-        "satellites",
-        "usd_per_location_year",
-    ]);
-    for b in [1u32, 5, 15] {
-        let spread = Beamspread::new(b).expect("nonzero");
-        let avg = average_cost_per_location_year(model, &fleet, rho, spread);
-        for (i, seg) in marginal_cost_curve(model, &fleet, rho, spread, 3)
-            .iter()
-            .enumerate()
-        {
-            t.row(&[
-                b.to_string(),
-                seg.locations.to_string(),
-                seg.satellites.to_string(),
-                format!("{:.0}", seg.usd_per_location_year),
-                if i == 0 {
-                    format!("{avg:.0}")
-                } else {
-                    String::new()
-                },
-            ]);
-            csv.record_display(&[
-                b as f64,
-                i as f64,
-                seg.locations as f64,
-                seg.satellites as f64,
-                seg.usd_per_location_year,
-            ]);
-        }
-    }
-    print!("{}", t.render());
-    println!("(a $120/month subscription pays $1,440/year)");
-    write(out, "cost_marginal.csv", csv.finish());
-}
-
-fn timeline_cmd(model: &PaperModel) {
-    use starlink_divide::deployment::{timeline, LaunchModel};
-    let launch = LaunchModel::current_estimate();
-    let mut t = TextTable::new(
-        format!(
-            "EXT-TIME: years to reach each requirement at {:.0} sats/yr, {:.0}-yr life              (steady-state ceiling {:.0})",
-            launch.sats_per_year,
-            launch.lifetime_years,
-            launch.steady_state_fleet()
-        ),
-        &["beamspread", "required (20:1)", "years to reach"],
-    );
-    for row in timeline(model, &launch) {
-        t.row(&[
-            row.beamspread.to_string(),
-            row.required.to_string(),
-            match row.years {
-                Some(0.0) => "already met".to_string(),
-                Some(y) => format!("{y:.1}"),
-                None => "never (above ceiling)".to_string(),
-            },
-        ]);
-    }
-    print!("{}", t.render());
-    let four_x = LaunchModel {
-        sats_per_year: 8_000.0,
-        ..launch
-    };
-    let b2 = timeline(model, &four_x)
-        .into_iter()
-        .find(|r| r.beamspread == 2)
-        .expect("b=2 present");
-    println!(
-        "(at 4x cadence — 8,000/yr — the b=2 requirement takes {})",
-        b2.years
-            .map(|y| format!("{y:.1} years"))
-            .unwrap_or_else(|| "forever".into())
-    );
-}
-
-fn uplink(model: &PaperModel) {
-    use leo_capacity::uplink::{binding_direction, PolarizationReuse, UplinkModel};
-    let peak = model.dataset.peak_cell().locations;
-    let mut t = TextTable::new(
-        "EXT-UL: does the uplink bind? (20 Mbps/location requirement)",
-        &[
-            "polarization",
-            "UL Gbps/cell",
-            "peak UL oversub",
-            "UL locs at 20:1",
-            "binding direction",
-        ],
-    );
-    for reuse in [PolarizationReuse::Single, PolarizationReuse::Dual] {
-        let ul = UplinkModel::starlink(&model.capacity, reuse);
-        t.row(&[
-            format!("{reuse:?}"),
-            format!("{:.2}", ul.max_cell_capacity_gbps()),
-            format!("{:.1}:1", ul.required_oversubscription(peak)),
-            ul.max_locations_servable(20.0).to_string(),
-            format!("{:?}", binding_direction(&model.capacity, &ul, peak)),
-        ]);
-    }
-    print!("{}", t.render());
-    println!(
-        "(downlink peak requirement: {:.1}:1 — the paper's F1)",
-        leo_capacity::required_oversubscription(peak, model.capacity.max_cell_capacity_gbps())
-    );
-}
-
-fn export(model: &PaperModel, out: &Path) {
-    write(
-        out,
-        "dataset_cells.csv",
-        &leo_demand::export::cells_to_csv(&model.dataset),
-    );
-    write(
-        out,
-        "dataset_counties.csv",
-        &leo_demand::export::counties_to_csv(&model.dataset),
-    );
 }
 
 fn write(out: &Path, name: &str, content: &str) {
@@ -931,396 +546,6 @@ fn write(out: &Path, name: &str, content: &str) {
     leo_obs::metrics::counter_add("io.write_calls", 1);
     leo_obs::metrics::counter_add("io.bytes_written", content.len() as u64);
     leo_obs::log_info!("wrote {}", path.display());
-}
-
-fn table1(model: &PaperModel) {
-    let m = &model.capacity;
-    let mut bands = TextTable::new(
-        "Table 1a: Starlink downlink spectrum (Schedule S)",
-        &["band (GHz)", "width (MHz)", "beams", "usage"],
-    );
-    for b in m.bands() {
-        bands.row(&[
-            format!("{:.1}-{:.2}", b.lo_ghz, b.hi_ghz),
-            format!("{:.0}", b.width_mhz()),
-            b.beams.to_string(),
-            format!("{:?}", b.usage),
-        ]);
-    }
-    print!("{}", bands.render());
-
-    let peak = model.dataset.peak_cell();
-    let mut t = TextTable::new(
-        "Table 1b: Single-satellite capacity model",
-        &["parameter", "value"],
-    );
-    t.row(&[
-        "UT downlink spectrum".into(),
-        format!("{:.0} MHz", m.ut_downlink_mhz()),
-    ]);
-    t.row(&[
-        "Spectral efficiency".into(),
-        format!("{:.1} bps/Hz", m.spectral_efficiency_bps_hz),
-    ]);
-    t.row(&[
-        "Max per-cell capacity".into(),
-        format!("{:.3} Gbps", m.max_cell_capacity_gbps()),
-    ]);
-    t.row(&[
-        "UT beams / total beams".into(),
-        format!("{} / {}", m.ut_beams(), m.total_beams()),
-    ]);
-    t.row(&["Peak cell users".into(), peak.locations.to_string()]);
-    t.row(&[
-        "FCC throughput requirement".into(),
-        "100/20 Mbps (DL/UL)".into(),
-    ]);
-    t.row(&[
-        "Peak cell DL demand".into(),
-        format!("{:.1} Gbps", peak.locations as f64 * 0.1),
-    ]);
-    t.row(&[
-        "Max DL oversubscription".into(),
-        format!(
-            "{:.1}:1",
-            leo_capacity::required_oversubscription(peak.locations, m.max_cell_capacity_gbps())
-        ),
-    ]);
-    print!("{}", t.render());
-}
-
-fn table2(model: &PaperModel, out: &Path) {
-    let rows = sizing::table2(model);
-    let mut t = TextTable::new(
-        "Table 2: Predicted constellation size vs beamspread",
-        &["beamspread", "full service", "max 20:1 oversub"],
-    );
-    let mut csv = CsvWriter::new();
-    csv.record(&["beamspread", "full_service", "capped_20_1"]);
-    for r in &rows {
-        t.row(&[
-            r.beamspread.to_string(),
-            r.full_service.to_string(),
-            r.capped.to_string(),
-        ]);
-        csv.record_display(&[r.beamspread as u64, r.full_service, r.capped]);
-    }
-    print!("{}", t.render());
-    write(out, "table2.csv", csv.finish());
-}
-
-fn fig1(model: &PaperModel, out: &Path) {
-    let stats = demand_stats::demand_stats(model);
-    let mut t = TextTable::new(
-        "Figure 1: distribution of un(der)served locations per cell",
-        &["statistic", "value"],
-    );
-    t.row(&["demand cells".into(), stats.demand_cells.to_string()]);
-    t.row(&["US cells".into(), stats.us_cells.to_string()]);
-    t.row(&["total locations".into(), stats.total_locations.to_string()]);
-    t.row(&["p50".into(), stats.p50.to_string()]);
-    t.row(&["p90".into(), stats.p90.to_string()]);
-    t.row(&["p99".into(), stats.p99.to_string()]);
-    t.row(&["max".into(), stats.max.to_string()]);
-    print!("{}", t.render());
-
-    let cdf = demand_stats::cdf_series(model, 400);
-    let mut csv = CsvWriter::new();
-    csv.record(&["locations_per_cell", "cumulative_probability"]);
-    for &(x, p) in &cdf {
-        csv.record_display(&[x as f64, p]);
-    }
-    write(out, "fig1_cdf.csv", csv.finish());
-
-    let mut chart = LineChart::new(
-        "Fig 1: CDF of US un(der)served locations per service cell",
-        "# of locations per cell",
-        "cumulative probability",
-    );
-    chart.push(Series::line(
-        "locations/cell",
-        cdf.iter().map(|&(x, p)| (x as f64, p)).collect(),
-    ));
-    write(out, "fig1_cdf.svg", &chart.render(720.0, 440.0));
-
-    let map = PointMap {
-        title: "Fig 1: un(der)served locations per Starlink service cell".into(),
-        points: demand_stats::map_series(model),
-    };
-    write(out, "fig1_map.svg", &map.render(900.0, 560.0));
-}
-
-fn fig2(model: &PaperModel, out: &Path, cache: Option<&DatasetCache>, cfg: &SynthConfig) {
-    // The sweep rows are derived purely from the dataset + capacity
-    // model, so they snapshot under a key chained off the dataset's.
-    let s = match cache {
-        Some(c) => c.sweep(cfg, model),
-        None => coverage_sweep::sweep(model),
-    };
-    let mut csv = CsvWriter::new();
-    csv.record(&["beamspread", "oversubscription", "fraction_served"]);
-    for (bi, &b) in s.beamspreads.iter().enumerate() {
-        for (ri, &r) in s.oversubs.iter().enumerate() {
-            csv.record_display(&[b as f64, r as f64, s.fraction[bi][ri]]);
-        }
-    }
-    write(out, "fig2_sweep.csv", csv.finish());
-    let h = Heatmap {
-        title: "Fig 2: fraction of US cells served".into(),
-        x_label: "oversubscription factor".into(),
-        y_label: "beamspread factor".into(),
-        xs: s.oversubs.clone(),
-        ys: s.beamspreads.clone(),
-        values: s.fraction.clone(),
-    };
-    write(out, "fig2_heatmap.svg", &h.render(760.0, 460.0));
-    println!(
-        "Figure 2: fraction served at (b=1, rho=20): {:.4}; at (b=14, rho=5): {:.4}",
-        s.at(1, 20).unwrap_or(f64::NAN),
-        s.at(14, 5).unwrap_or(f64::NAN)
-    );
-}
-
-fn fig3(model: &PaperModel, out: &Path) {
-    let curves = tail::figure3(model, 70_000);
-    let mut csv = CsvWriter::new();
-    csv.record(&[
-        "beamspread",
-        "oversubscription",
-        "locations_unserved",
-        "constellation_size",
-    ]);
-    let mut chart = LineChart::new(
-        "Fig 3: constellation size vs locations left unserved",
-        "locations left unserved by Starlink",
-        "size of constellation (satellites)",
-    );
-    chart.reverse_x = true;
-    for c in &curves {
-        for p in &c.points {
-            csv.record_display(&[
-                c.beamspread as f64,
-                c.oversub,
-                p.unserved as f64,
-                p.constellation as f64,
-            ]);
-        }
-        chart.push(Series::steps(
-            format!("b={}, oversub {:.0}:1", c.beamspread, c.oversub),
-            c.points
-                .iter()
-                .map(|p| (p.unserved as f64, p.constellation as f64))
-                .collect(),
-        ));
-    }
-    write(out, "fig3_tail.csv", csv.finish());
-    write(out, "fig3_tail.svg", &chart.render(820.0, 480.0));
-    for c in &curves {
-        println!(
-            "Figure 3: b={:>2} rho={:>2.0}: serve-all={} satellites, first step saves {}",
-            c.beamspread,
-            c.oversub,
-            c.points.first().map(|p| p.constellation).unwrap_or(0),
-            c.points
-                .first()
-                .zip(c.points.get(1))
-                .map(|(a, b)| a.constellation - b.constellation)
-                .unwrap_or(0),
-        );
-    }
-}
-
-fn fig4(model: &PaperModel, out: &Path) {
-    let results = afford::figure4(model);
-    let mut t = TextTable::new(
-        "Figure 4 / F4: locations unable to afford service (2% rule)",
-        &["plan", "$/month", "unaffordable", "fraction"],
-    );
-    let mut csv = CsvWriter::new();
-    csv.record(&[
-        "plan",
-        "monthly_usd",
-        "income_proportion",
-        "cumulative_locations",
-    ]);
-    let mut chart = LineChart::new(
-        "Fig 4: un(der)served locations unable to afford service",
-        "proportion of median income",
-        "locations unable to afford (count)",
-    );
-    for r in &results {
-        let price = format!("{:.2}", r.plan.monthly_usd);
-        t.row(&[
-            r.plan.name.to_string(),
-            price.clone(),
-            r.unaffordable_locations.to_string(),
-            format!("{:.1}%", 100.0 * r.unaffordable_fraction()),
-        ]);
-        // Complementary-CDF style series as in the paper: number of
-        // locations for which the plan costs MORE than x of income.
-        let total = r.total_locations;
-        let mut pts: Vec<(f64, f64)> = r
-            .cdf
-            .iter()
-            .map(|&(p, cum)| (p, (total - cum) as f64))
-            .collect();
-        pts.insert(0, (0.0, total as f64));
-        chart.push(Series::steps(r.plan.name, pts));
-        // The CDF has thousands of points per plan; stream each record
-        // into the writer, the proportion through the exact fixed writer.
-        for &(p, cum) in &r.cdf {
-            csv.record_with(|row| {
-                row.field(r.plan.name).field(&price).fixed(p, 5).field(cum);
-            });
-        }
-    }
-    print!("{}", t.render());
-    write(out, "fig4_affordability.csv", csv.finish());
-    write(out, "fig4_affordability.svg", &chart.render(820.0, 480.0));
-}
-
-fn findings_cmd(model: &PaperModel) {
-    let f1 = findings::finding1(model);
-    let f2 = findings::finding2(model);
-    let f3 = findings::finding3(model);
-    let f4 = findings::finding4(model);
-    println!(
-        "F1: peak cell has {} locations demanding {:.1} Gbps -> {:.1}:1 oversubscription;",
-        f1.peak_locations, f1.peak_demand_gbps, f1.peak_oversub
-    );
-    println!(
-        "    {} cells ({} locations) exceed the 20:1 capacity; capping at 20:1 sheds {}",
-        f1.over_cap_cells, f1.over_cap_locations, f1.unserved_at_cap
-    );
-    println!(
-        "    locations and serves {:.2}% of the total.",
-        100.0 * f1.served_fraction_at_cap
-    );
-    println!(
-        "F2: serving all cells at <=20:1 with beamspread 2 needs {} satellites",
-        f2.required_b2_capped
-    );
-    println!(
-        "    ({} more than the current ~{}).",
-        f2.additional_needed, f2.current_size
-    );
-    println!(
-        "F3: the final {} locations cost {} additional satellites (b=5, 20:1).",
-        f3.tail_locations, f3.marginal_satellites
-    );
-    println!(
-        "F4: {} of {} locations cannot afford Starlink Residential;",
-        f4.unaffordable_residential, f4.total_locations
-    );
-    println!(
-        "    {} cannot even with Lifeline; cable plans are affordable at {:.2}% of locations.",
-        f4.unaffordable_with_lifeline,
-        100.0 * f4.cable_affordable_fraction
-    );
-}
-
-fn qoe(out: &Path) {
-    let oversubs = [5.0, 10.0, 20.0, 35.0];
-    let reports = leo_simnet::busy_hour_experiment(1.0, &oversubs, 7);
-    let mut t = TextTable::new(
-        "EXT-QOE: busy-hour service quality vs oversubscription (1 Gbps beam share)",
-        &[
-            "oversub",
-            "subs",
-            "flows",
-            "mean Mbps",
-            "median Mbps",
-            "p10 Mbps",
-            "full-speed %",
-        ],
-    );
-    let mut csv = CsvWriter::new();
-    csv.record(&[
-        "oversub",
-        "subscribers",
-        "flows",
-        "mean_mbps",
-        "median_mbps",
-        "p10_mbps",
-        "full_speed_fraction",
-    ]);
-    for r in &reports {
-        t.row(&[
-            format!("{:.0}:1", r.oversub),
-            r.subscribers.to_string(),
-            r.flows.to_string(),
-            format!("{:.1}", r.mean_mbps),
-            format!("{:.1}", r.median_mbps),
-            format!("{:.1}", r.p10_mbps),
-            format!("{:.1}%", 100.0 * r.full_speed_fraction),
-        ]);
-        csv.record_display(&[
-            r.oversub,
-            r.subscribers as f64,
-            r.flows as f64,
-            r.mean_mbps,
-            r.median_mbps,
-            r.p10_mbps,
-            r.full_speed_fraction,
-        ]);
-    }
-    print!("{}", t.render());
-    write(out, "qoe_oversub.csv", csv.finish());
-}
-
-fn orbit_validate(out: &Path) {
-    use leo_orbit::coverage::{coverage, expected_in_view, CoverageConfig};
-    use leo_orbit::WalkerShell;
-
-    let mut t = TextTable::new(
-        "EXT-COV: analytic density factor vs Monte-Carlo (53 deg, 550 km shell)",
-        &["latitude", "analytic d", "empirical d", "rel err"],
-    );
-    let shell = WalkerShell::new(550.0, 53.0, 36, 20, 11);
-    let mut csv = CsvWriter::new();
-    csv.record(&["latitude", "analytic", "empirical"]);
-    for lat in [0.0f64, 10.0, 20.0, 30.0, 37.0, 45.0, 50.0] {
-        let analytic = leo_orbit::density_factor(lat, 53.0).unwrap();
-        let empirical = leo_orbit::density::empirical_density_factor(&shell, lat, 2.0, 257);
-        t.row(&[
-            format!("{lat:.0}"),
-            format!("{analytic:.4}"),
-            format!("{empirical:.4}"),
-            format!("{:.2}%", 100.0 * (empirical - analytic).abs() / analytic),
-        ]);
-        csv.record_display(&[lat, analytic, empirical]);
-    }
-    print!("{}", t.render());
-    write(out, "orbit_density.csv", csv.finish());
-
-    let shells = WalkerShell::starlink_current_2025();
-    let points = [
-        leo_geomath::LatLng::new(39.5, -98.35),
-        leo_geomath::LatLng::new(25.8, -80.2),
-        leo_geomath::LatLng::new(47.6, -122.3),
-        leo_geomath::LatLng::new(37.0, -89.5),
-    ];
-    let stats = coverage(&shells, &points, &CoverageConfig::default());
-    let mut t2 = TextTable::new(
-        "EXT-COV: coverage of the ~8000-satellite constellation (min elev 25 deg)",
-        &[
-            "point",
-            "min in view",
-            "mean in view",
-            "analytic mean",
-            "availability",
-        ],
-    );
-    for (p, s) in points.iter().zip(&stats) {
-        t2.row(&[
-            format!("{p}"),
-            s.min_in_view.to_string(),
-            format!("{:.1}", s.mean_in_view),
-            format!("{:.1}", expected_in_view(&shells, p.lat_deg(), 25.0)),
-            format!("{:.0}%", 100.0 * s.availability),
-        ]);
-    }
-    print!("{}", t2.render());
 }
 
 #[cfg(test)]

@@ -64,6 +64,10 @@ fn usage_errors_exit_2_before_any_work() {
         ("zero threads", &["--threads", "0", "table1"]),
         ("trailing --threads", &["table1", "--threads"]),
         ("empty --trace=", &["--trace=", "table1"]),
+        (
+            "fault plan names no stage",
+            &["--fault-plan", "seed=1;stage.fig9:nth=1", "table1"],
+        ),
         ("no command", &[]),
     ];
     // A bad DIVIDE_PAR_THRESHOLD_NS fails like a bad flag.
@@ -695,9 +699,20 @@ fn a_plain_rerun_completes_an_aborted_run_byte_identically() {
         String::from_utf8_lossy(&out.stderr)
     );
 
+    // The dataset build is a stage too: aborting it leaves no file.
+    let dir = tmp("rerun_cut");
+    let out = run(divide()
+        .args(["--scale", "small", "--no-cache", "--out"])
+        .arg(&dir)
+        .args(["--fault-plan", "seed=3;stage.dataset:nth=1", "all"]));
+    assert_eq!(out.status.code(), Some(1), "injected dataset abort exits 1");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(stderr.contains("stage dataset aborted"), "{stderr}");
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("read out dir").collect();
+    assert!(left.is_empty(), "aborted dataset stage left {left:?}");
+
     // Abort the run at stage fig3 via an injected stage fault: earlier
     // stages' artifacts are on disk, later ones don't exist.
-    let dir = tmp("rerun_cut");
     let out = run(divide()
         .args(["--scale", "small", "--no-cache", "--out"])
         .arg(&dir)

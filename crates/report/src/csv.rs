@@ -86,6 +86,11 @@ impl CsvWriter {
     pub fn finish(&self) -> &str {
         &self.buf
     }
+
+    /// The CSV text, moved out of the writer.
+    pub fn into_string(self) -> String {
+        self.buf
+    }
 }
 
 /// One in-flight record of a [`CsvWriter::record_with`] call.
@@ -132,6 +137,7 @@ mod tests {
         let mut w = CsvWriter::new();
         w.record(&["a", "b"]).record(&["1", "2"]);
         assert_eq!(w.finish(), "a,b\n1,2\n");
+        assert_eq!(w.into_string(), "a,b\n1,2\n");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 # all` and assert the robustness contract (DESIGN.md §13) — every run
 # either produces artifacts byte-identical to a fault-free reference or
 # exits with a typed nonzero code; never a raw panic, never a torn or
-# partial artifact, never a leftover *.tmp staging file.
+# partial artifact, never a leftover *.tmp staging file. Each plan
+# prints one line with its plan and exit code, so two builds' logs can
+# be diffed plan by plan.
 #
 #   CHAOS_PLANS=N   number of seeded plans to run (default 20)
 #
@@ -110,6 +112,7 @@ PY
     else
         typed=$((typed + 1))
     fi
+    echo "[chaos] plan $i \"$plan\": exit $code"
     rm -rf "$out"
 done
 echo "[chaos] $PLANS plans: $identical survived byte-identical, $typed failed typed"

@@ -192,13 +192,20 @@ diff -r --exclude run_manifest.json "$cold" "$nocache" \
 echo "[tier1] paper-scale runs reproduce the committed results/ byte for byte"
 # The committed artifacts are the oracle: a cold 1-thread run and a
 # warm 2-thread run (sharing one snapshot cache) must both regenerate
-# every committed CSV and SVG exactly. paper_run.txt is a console log,
-# not an artifact, so it is not compared.
+# every committed CSV and SVG exactly, and print exactly the console
+# text committed as results/paper_run.txt.
 paper_cache="$work/paper_cache"
 paper1="$work/paper1"
 paper2="$work/paper2"
-./target/release/divide --scale paper --threads 1 all --out "$paper1" --cache "$paper_cache" -q >/dev/null
-./target/release/divide --scale paper --threads 2 all --out "$paper2" --cache "$paper_cache" -q >/dev/null
+./target/release/divide --scale paper --threads 1 all --out "$paper1" --cache "$paper_cache" -q \
+    >"$work/paper1.stdout"
+./target/release/divide --scale paper --threads 2 all --out "$paper2" --cache "$paper_cache" -q \
+    >"$work/paper2.stdout"
+for run in paper1 paper2; do
+    cmp -s results/paper_run.txt "$work/$run.stdout" \
+        || { echo "[tier1] $run's stdout differs from results/paper_run.txt" >&2; exit 1; }
+done
+echo "[tier1] stdout at 1 thread (cold) and 2 threads (warm) matches results/paper_run.txt"
 compared=0
 for f in results/*.csv results/*.svg; do
     for run in "$paper1" "$paper2"; do
