@@ -2,7 +2,8 @@
 //!
 //! Reads the append-only `runs.jsonl` ledger (`leo-obs/run-ledger/v3`,
 //! see `leo_obs::ledger`), filters it to runs *comparable* with the
-//! newest one (same command, scale, and thread count), and hands the
+//! newest one (same command, scale and thread count, and the same
+//! dataset source: generated or loaded from a snapshot), and hands the
 //! newest run plus up to [`LAST`] predecessors to the shared gate in
 //! [`crate::compare`]. Each line is a run manifest without its span
 //! tree, so it goes through the same [`compare::record`] reader as
@@ -25,22 +26,39 @@ fn metrics_of(runs: &[&Json]) -> Vec<Metric> {
 }
 
 /// A short identity string for the header: command/scale/threads of
-/// the newest run.
+/// the newest run, and whether it generated the dataset.
 fn identity(rec: &Json) -> String {
     format!(
-        "{} --scale {} ({} threads)",
+        "{} --scale {} ({} threads, dataset {})",
         rec.get("command").and_then(Json::as_str).unwrap_or("?"),
         rec.get("scale").and_then(Json::as_str).unwrap_or("?"),
         rec.get("threads")
             .and_then(Json::as_u64)
             .map_or("?".to_string(), |t| t.to_string()),
+        if generated(rec) {
+            "generated"
+        } else {
+            "loaded"
+        },
     )
+}
+
+/// Whether the run generated the dataset: only a generate counts
+/// `demand.locations`; a snapshot load does not. A generate's
+/// `dataset` wall is a different measurement from a load's, so the two
+/// never share a baseline.
+fn generated(rec: &Json) -> bool {
+    rec.get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("demand.locations"))
+        .is_some()
 }
 
 fn same_identity(a: &Json, b: &Json) -> bool {
     ["command", "scale", "threads"]
         .iter()
         .all(|key| a.get(key) == b.get(key))
+        && generated(a) == generated(b)
 }
 
 /// How many predecessors of the newest run form its baseline.
@@ -119,6 +137,19 @@ mod tests {
         rec(schema, "all", wall, Json::obj().set("parallel", parallel))
     }
 
+    /// `rec` for a run that generated the dataset when `generated`,
+    /// else loaded it from a snapshot: a generate counts
+    /// `demand.locations`.
+    fn rec_source(generated: bool, dataset_ms: f64) -> Json {
+        let counters = if generated {
+            Json::obj().set("demand.locations", 4_670_000u64)
+        } else {
+            Json::obj().set("cache.hit", 1u64)
+        };
+        rec(ledger::SCHEMA, "all", dataset_ms * 2.0, Json::obj())
+            .set("metrics", Json::obj().set("counters", counters))
+    }
+
     #[test]
     fn metric_rows_cover_stages_and_run_level() {
         let run = |wall, heap: u64| {
@@ -151,6 +182,39 @@ mod tests {
         let b = rec(ledger::SCHEMA, "fig2", 5.0, Json::obj());
         assert!(same_identity(&a, &a));
         assert!(!same_identity(&a, &b));
+        // A run that generated the dataset is not comparable with one
+        // that loaded it.
+        let (cold, warm) = (rec_source(true, 40.0), rec_source(false, 0.2));
+        assert!(same_identity(&cold, &rec_source(true, 44.0)));
+        assert!(!same_identity(&cold, &warm));
+        assert_eq!(
+            identity(&warm),
+            "all --scale small (2 threads, dataset loaded)"
+        );
+    }
+
+    #[test]
+    fn a_regenerate_is_judged_against_earlier_generates_only() {
+        use std::io::Write;
+        let dir = std::env::temp_dir().join(format!("divide_history_src_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("runs.jsonl");
+        // Cold (dataset 40 ms), warm (0.2 ms), then a regenerate
+        // (44 ms): against the cold run alone it is +10%; against the
+        // median of the cold and the warm run it would read +119%.
+        let mut file = std::fs::File::create(&path).unwrap();
+        for (generated, dataset_ms) in [(true, 40.0), (false, 0.2), (true, 44.0)] {
+            writeln!(file, "{}", rec_source(generated, dataset_ms).render()).unwrap();
+        }
+        drop(file);
+        // The CLI's default gate.
+        let gate = Gate {
+            max_regress_pct: 20.0,
+            min_wall_ms: 5.0,
+        };
+        assert_eq!(run(&path, &gate), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

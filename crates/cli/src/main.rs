@@ -94,12 +94,6 @@ environment (a switch is off when empty, 0, off or false, in any case):
   DIVIDE_OBS           switch: off disables spans, metrics and --trace
   DIVIDE_ALLOC         switch: off disables allocation tracking (heap
                        telemetry in manifest, ledger, and trace)
-  DIVIDE_PAR_THRESHOLD_NS
-                       worker-pool serial threshold: fan-outs whose
-                       chunks are estimated to take fewer nanoseconds
-                       run serially; 0 sends every fan-out to the pool
-                       (default: 100000; anything but a whole number
-                       is a usage error)
 
 exit codes:
   0    success (observability may be degraded; see the manifest's
@@ -262,11 +256,6 @@ fn main() {
     let known = STAGES.iter().any(|(name, _)| *name == command);
     if !known && !matches!(command.as_str(), "all" | "report" | "history") {
         usage(&format!("unknown command {command:?}"));
-    }
-    // A serial threshold the pool cannot read is a usage error, like
-    // --threads 0, not a silent fallback to the default.
-    if let Err(e) = leo_parallel::env_serial_threshold() {
-        usage(&e);
     }
     // `report` only reads two JSON records — no dataset, no output
     // directory, no instrumentation of its own.

@@ -70,33 +70,15 @@ fn usage_errors_exit_2_before_any_work() {
         ),
         ("no command", &[]),
     ];
-    // A bad DIVIDE_PAR_THRESHOLD_NS fails like a bad flag.
-    let thresholds = [
-        ("non-numeric threshold", "abc"),
-        ("negative threshold", "-5"),
-    ];
-    let runs = cases.iter().map(|&(case, args)| (case, args, None)).chain(
-        thresholds
-            .iter()
-            .map(|&(case, ns)| (case, &["table1"][..], Some(ns))),
-    );
-    for (i, (case, args, threshold)) in runs.enumerate() {
+    for (i, (case, args)) in cases.iter().enumerate() {
         let out_dir = dir.join(format!("out{i}"));
-        let mut cmd = divide();
-        if let Some(ns) = threshold {
-            cmd.env("DIVIDE_PAR_THRESHOLD_NS", ns);
-        }
-        let out = run(cmd
+        let out = run(divide()
             .args(["--scale", "small", "--out"])
             .arg(&out_dir)
-            .args(args));
+            .args(*args));
         assert_eq!(out.status.code(), Some(2), "{case}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-        let prefix = match threshold {
-            Some(_) => "divide: DIVIDE_PAR_THRESHOLD_NS=",
-            None => "divide: ",
-        };
-        assert!(stderr.starts_with(prefix), "{case}: {stderr}");
+        assert!(stderr.starts_with("divide: "), "{case}: {stderr}");
         assert!(!out_dir.exists(), "{case}: work started before the error");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -266,8 +248,9 @@ fn runs_append_to_the_ledger_unless_obs_is_off() {
         c
     };
 
-    // Two normal runs append two schema-tagged records.
-    for _ in 0..2 {
+    // Three normal runs append three schema-tagged records: the first
+    // generates the dataset, the other two load its snapshot.
+    for _ in 0..3 {
         let out = run(&mut base(&dir, &cache));
         assert!(
             out.status.success(),
@@ -278,7 +261,7 @@ fn runs_append_to_the_ledger_unless_obs_is_off() {
     let ledger = cache.join("runs.jsonl");
     let body = std::fs::read_to_string(&ledger).expect("runs.jsonl appended");
     let lines: Vec<&str> = body.lines().collect();
-    assert_eq!(lines.len(), 2, "one record per run: {body}");
+    assert_eq!(lines.len(), 3, "one record per run: {body}");
     for line in &lines {
         let rec = Json::parse(line).expect("ledger line parses");
         assert_eq!(
@@ -302,9 +285,11 @@ fn runs_append_to_the_ledger_unless_obs_is_off() {
         assert!(rec.get("spans").is_none(), "no span tree: {line}");
     }
 
-    // `history` over its own appends: two comparable runs, exit 0. The
-    // thresholds cannot trip, so the check is about plumbing and exit
-    // codes, not the wall-clock noise between two real runs.
+    // `history` over its own appends: the newest run loaded the
+    // dataset, so it is gated against the other load and the generate
+    // is left out. The thresholds cannot trip, so the check is about
+    // plumbing and exit codes, not the wall-clock noise between two
+    // real runs.
     let out = run(divide().args(["history", "--ledger"]).arg(&ledger).args([
         "--max-regress-pct",
         "1000000",
@@ -317,12 +302,18 @@ fn runs_append_to_the_ledger_unless_obs_is_off() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("dataset loaded"), "{stdout}");
+    assert!(
+        stdout.contains("over 2 run(s), 1 other run(s) ignored"),
+        "{stdout}"
+    );
 
     // DIVIDE_OBS=off: run succeeds, nothing is appended.
     let out = run(base(&dir, &cache).env("DIVIDE_OBS", "off"));
     assert!(out.status.success());
     let body = std::fs::read_to_string(&ledger).expect("ledger still there");
-    assert_eq!(body.lines().count(), 2, "DIVIDE_OBS=off must not append");
+    assert_eq!(body.lines().count(), 3, "DIVIDE_OBS=off must not append");
 
     // --ledger FILE redirects the append away from the cache.
     let alt = dir.join("alt.jsonl");
@@ -330,7 +321,7 @@ fn runs_append_to_the_ledger_unless_obs_is_off() {
     assert!(out.status.success());
     assert!(alt.is_file(), "--ledger names the destination");
     let body = std::fs::read_to_string(&ledger).expect("ledger still there");
-    assert_eq!(body.lines().count(), 2, "cache ledger untouched");
+    assert_eq!(body.lines().count(), 3, "cache ledger untouched");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -517,10 +508,6 @@ fn trace_flag_writes_chrome_trace_with_worker_lanes_and_folded_stacks() {
             "--out",
         ])
         .arg(&dir)
-        // Disable the serial-threshold probe so every fan-out goes
-        // through the pool: worker lanes must exist on any host, no
-        // matter how fast its chunks run.
-        .env("DIVIDE_PAR_THRESHOLD_NS", "0")
         .arg("table1"));
     assert!(
         out.status.success(),
@@ -863,11 +850,13 @@ fn removed_env_vars_change_nothing() {
     let dir = tmp("removed_env");
     let elsewhere = dir.join("elsewhere.jsonl");
     // Each row sets one removed variable alone, on a run it used to
-    // change: DIVIDE_LEDGER moved the ledger append to its path, and
+    // change: DIVIDE_LEDGER moved the ledger append to its path,
     // DIVIDE_POOL_TIMEOUT_MS=1 armed a watchdog that exited 1 when the
-    // injected 300 ms delay stalled chunk 1 of the first fan-out.
-    let rows: [(&str, &std::ffi::OsStr, &[&str]); 2] = [
+    // injected 300 ms delay stalled chunk 1 of the first fan-out, and a
+    // non-numeric DIVIDE_PAR_THRESHOLD_NS was a usage error (exit 2).
+    let rows: [(&str, &std::ffi::OsStr, &[&str]); 3] = [
         ("DIVIDE_LEDGER", elsewhere.as_os_str(), &["table1"]),
+        ("DIVIDE_PAR_THRESHOLD_NS", "abc".as_ref(), &["table1"]),
         (
             "DIVIDE_POOL_TIMEOUT_MS",
             "1".as_ref(),
@@ -887,7 +876,6 @@ fn removed_env_vars_change_nothing() {
             .arg(dir.join(format!("out{i}")))
             .arg("--cache")
             .arg(&cache)
-            .env("DIVIDE_PAR_THRESHOLD_NS", "0")
             .env(var, value)
             .args(args));
         assert_eq!(

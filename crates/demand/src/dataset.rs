@@ -674,7 +674,7 @@ mod tests {
 
     #[test]
     fn pooled_row_fan_out_equals_polyfill_bit_for_bit() {
-        use leo_parallel::{with_serial_threshold, with_threads};
+        use leo_parallel::with_threads;
         let grid = GeoHexGrid::starlink();
         let poly = geography::conus_polygon();
         let bits = |cells: &[(CellId, LatLng)]| -> Vec<(CellId, u64, u64)> {
@@ -685,9 +685,7 @@ mod tests {
         };
         let serial = bits(&grid.polyfill(&poly, STARLINK_RESOLUTION));
         for threads in [1, 2, 4] {
-            let pooled = with_serial_threshold(0, || {
-                with_threads(threads, || polyfill_on_pool(&grid, &poly))
-            });
+            let pooled = with_threads(threads, || polyfill_on_pool(&grid, &poly));
             assert_eq!(bits(&pooled), serial, "threads {threads}");
         }
     }

@@ -10,7 +10,7 @@ use leo_demand::dataset::{certify_order, polyfill_on_pool, rank_candidates};
 use leo_demand::field::SCORE_EPS;
 use leo_demand::geography::conus_polygon;
 use leo_hexgrid::{CellId, GeoHexGrid};
-use leo_parallel::{with_serial_threshold, with_threads};
+use leo_parallel::with_threads;
 use proptest::prelude::*;
 
 #[test]
@@ -20,9 +20,7 @@ fn the_row_fan_out_matches_the_single_loop_scan() {
     assert!(reference.len() > 31_000, "{} cells", reference.len());
     let grid = GeoHexGrid::starlink();
     for threads in [1, 3] {
-        let rows = with_serial_threshold(0, || {
-            with_threads(threads, || polyfill_on_pool(&grid, &poly))
-        });
+        let rows = with_threads(threads, || polyfill_on_pool(&grid, &poly));
         assert!(naive::same_cells(&rows, &reference), "threads {threads}");
     }
 }

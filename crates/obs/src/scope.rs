@@ -76,8 +76,8 @@ impl Registries {
 pub struct StageParallel {
     /// Pooled fan-outs dispatched while this span owned the caller.
     pub fanouts: u64,
-    /// Fan-out requests that ran serially (below threshold, one
-    /// worker, or nested inside a pool chunk).
+    /// Fan-out requests that ran serially (one worker, at most one
+    /// item, or nested inside a pool chunk).
     pub serial_calls: u64,
     /// Items processed across fan-outs and serial calls.
     pub items: u64,
@@ -390,8 +390,8 @@ pub fn attribute_fanout(items: u64, busy_ns: &[u64], wall_ns: u64) {
     });
 }
 
-/// Records one serial fan-out request (one worker, one item, or a
-/// sub-threshold probe) against the caller's owning top-level span.
+/// Records one serial fan-out request (one worker or at most one item)
+/// against the caller's owning top-level span.
 /// Called by `leo-parallel` once per serial execution.
 pub fn attribute_serial(items: u64) {
     if !crate::enabled() {

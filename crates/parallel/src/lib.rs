@@ -27,27 +27,17 @@
 //! this crate started with made `--threads 4` *slower* than
 //! `--threads 1` at paper scale.
 //!
-//! Two guards keep pool overhead away from work that can't amortize
-//! it:
+//! A fan-out goes to the pool exactly when the effective thread count
+//! is at least 2 and it has at least 2 items; otherwise it runs as one
+//! serial loop on the caller. Item count and thread count alone decide
+//! — never a clock — so the same run records the same fan-outs, chunk
+//! plans and `pool.chunk` fault indices every time, and every item runs
+//! exactly once.
 //!
-//! * **Serial threshold.** Every fan-out of two or more items starts
-//!   with a short timed probe (~10 µs of leading items) that estimates
-//!   one chunk's duration; fan-outs whose chunks would run under the
-//!   threshold ([`effective_serial_threshold_ns`]: a
-//!   [`with_serial_threshold`] override, else
-//!   `DIVIDE_PAR_THRESHOLD_NS`, else 100 µs; 0 disables the probe)
-//!   finish serially — reusing the probed prefix — instead of paying
-//!   dispatch for sliver-sized chunks. This covers wide-but-shallow
-//!   fan-outs too (a handful of items over more workers): on a warm
-//!   cache those are exactly the calls whose per-item work has
-//!   collapsed to microseconds, and dispatching them used to make the
-//!   warm run *slower* with more threads.
-//! * **Nested flattening.** While a chunk runs, the thread-count
-//!   override is pinned to 1, so a nested `par_map` inside a pool
-//!   worker executes serially instead of oversubscribing the host.
-//!
-//! Neither guard can affect results: every item's value is independent
-//! of where (and how often) it is computed.
+//! While a chunk runs, the thread-count override is pinned to 1, so a
+//! nested `par_map` inside a chunk executes serially instead of
+//! oversubscribing the host. This cannot affect results: every item's
+//! value is independent of where it is computed.
 //!
 //! Thread-count resolution (highest priority first): a thread-local
 //! override ([`with_threads`], used by the determinism tests), the
@@ -64,9 +54,9 @@
 //! join the caller attributes the fan-out (items, chunks, per-worker
 //! busy and idle nanoseconds) to its owning top-level span (`stage.*`
 //! in the pipeline) via `leo_obs::scope::attribute_fanout`; serial
-//! executions (one worker, single-item input, or sub-threshold work)
-//! go through `attribute_serial` instead, so the record never
-//! overstates real parallelism with synthetic chunks. The manifest
+//! executions (one worker or a single-item input) go through
+//! `attribute_serial` instead, so the record never overstates real
+//! parallelism with synthetic chunks. The manifest
 //! renders both as the per-stage `parallel` section, the one record of
 //! pool work — written once per fan-out, never per item, and dropped
 //! entirely when observability is off. When the owning scope's
@@ -143,70 +133,6 @@ pub fn effective_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Default minimum estimated per-chunk duration that justifies
-/// dispatching to the pool. Dispatch costs single-digit microseconds
-/// per chunk; at 100 µs of work per chunk that overhead is noise,
-/// while the sliver-sized fan-outs visible in the trace's worker lanes
-/// (tens of microseconds total) stay serial.
-const DEFAULT_SERIAL_THRESHOLD_NS: u64 = 100_000;
-
-/// How much leading work the probe may time before extrapolating a
-/// chunk estimate. Bounds probe overhead for fan-outs of cheap items
-/// and keeps the measurement above clock granularity.
-const PROBE_BUDGET_NS: u64 = 10_000;
-
-thread_local! {
-    /// Per-thread serial-threshold override.
-    static SERIAL_THRESHOLD_OVERRIDE: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with the serial threshold forced to `ns` nanoseconds on
-/// this thread. `0` disables the probe (every eligible fan-out goes
-/// through the pool — how the determinism and pool tests pin the
-/// parallel path); a huge value forces every probed fan-out serial.
-/// Restores the previous value even if `f` panics.
-pub fn with_serial_threshold<R>(ns: u64, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<u64>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SERIAL_THRESHOLD_OVERRIDE.with(|cell| cell.set(self.0));
-        }
-    }
-    let prev = SERIAL_THRESHOLD_OVERRIDE.with(|cell| cell.replace(Some(ns)));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Reads `DIVIDE_PAR_THRESHOLD_NS`: `Ok(None)` when it is unset or
-/// empty, `Ok(Some(ns))` for a whole number of nanoseconds (surrounding
-/// whitespace allowed), and an error naming the variable and its value
-/// otherwise. The CLI rejects a bad value up front; in-process callers
-/// go through [`effective_serial_threshold_ns`], which falls back to
-/// the default.
-pub fn env_serial_threshold() -> Result<Option<u64>, String> {
-    let Some(raw) = std::env::var_os("DIVIDE_PAR_THRESHOLD_NS") else {
-        return Ok(None);
-    };
-    let value = raw.to_string_lossy();
-    match value.trim() {
-        "" => Ok(None),
-        v => v.parse().map(Some).map_err(|_| {
-            format!("DIVIDE_PAR_THRESHOLD_NS={value:?} is not a whole number of nanoseconds")
-        }),
-    }
-}
-
-/// The serial threshold in effect on this thread: the
-/// [`with_serial_threshold`] override, else `DIVIDE_PAR_THRESHOLD_NS`
-/// when it parses, else [`DEFAULT_SERIAL_THRESHOLD_NS`]. Fan-outs whose
-/// estimated per-chunk duration falls below it run serially.
-pub fn effective_serial_threshold_ns() -> u64 {
-    SERIAL_THRESHOLD_OVERRIDE
-        .with(Cell::get)
-        .or_else(|| env_serial_threshold().ok().flatten())
-        .unwrap_or(DEFAULT_SERIAL_THRESHOLD_NS)
-}
-
 /// Splits `len` items into at most `workers` contiguous chunks of
 /// near-equal size. Returns `(start, end)` index pairs in order.
 fn chunks(len: usize, workers: usize) -> Vec<(usize, usize)> {
@@ -231,8 +157,7 @@ type ChunkSlot<T> = Mutex<Option<(T, u64)>>;
 /// Maps `f` over `items` in parallel on the persistent worker pool,
 /// preserving input order in the output. `f` receives `(index, &item)`
 /// so callers can derive per-element seeds. Runs serially when the
-/// effective thread count is 1, the input has at most one item, or the
-/// probe estimates sub-threshold chunks (see the crate docs); the
+/// effective thread count is 1 or the input has at most one item; the
 /// serial loop is the reference path the determinism tests compare
 /// against.
 ///
@@ -255,11 +180,10 @@ where
 /// of `f` over `0..n` into one vector appends.
 ///
 /// Each chunk appends to one growing buffer of its own, and the chunk
-/// buffers are joined in chunk order. The serial path (one worker, at
-/// most one item, or a sub-threshold probe) appends straight into the
-/// returned vector. Probe, chunk plan, trace lanes and stage
-/// attribution are [`par_map`]'s. Panics in `f` propagate to the
-/// caller.
+/// buffers are joined in chunk order. The serial path (one worker or
+/// at most one item) appends straight into the returned vector. Chunk
+/// plan, trace lanes and stage attribution are [`par_map`]'s. Panics in
+/// `f` propagate to the caller.
 pub fn par_append<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -291,56 +215,13 @@ where
         attribute_serial(n as u64);
         return out;
     }
-    let threshold = effective_serial_threshold_ns();
-    let mut prefix: Vec<R> = Vec::new();
-    // Items the probe has run; their outputs are in `prefix`.
-    let mut probed = 0;
-    if threshold > 0 {
-        // Timed probe: run items off the front until ~PROBE_BUDGET_NS
-        // has passed, then extrapolate one chunk's duration. Too small
-        // to amortize a dispatch → finish serially, reusing the prefix
-        // (nothing is computed twice on the serial path). Big enough →
-        // fan out. Deep fan-outs (more items than workers) discard the
-        // ≤10 µs prefix so chunk boundaries (and the worker-lane
-        // trace) are identical to an unprobed run; wide-but-shallow
-        // fan-outs (at most one item per worker, e.g. a handful of
-        // figure curves) keep the prefix and fan out only the
-        // remainder, because there a single probed item can be the
-        // dominant cost and recomputing it would stretch the critical
-        // path by a whole item.
-        let p0 = Instant::now();
-        let mut elapsed = 0u64;
-        while probed < n {
-            step(probed, &mut prefix);
-            probed += 1;
-            elapsed = p0.elapsed().as_nanos() as u64;
-            if elapsed >= PROBE_BUDGET_NS {
-                break;
-            }
-        }
-        let chunk_items = (n / workers).max(1) as u64;
-        let per_chunk = (elapsed / probed as u64).saturating_mul(chunk_items);
-        if probed == n || per_chunk < threshold {
-            run(probed..n, &mut prefix);
-            attribute_serial(n as u64);
-            return prefix;
-        }
-        if n > workers {
-            prefix.clear();
-            probed = 0;
-        }
-    }
-    let base = probed;
     // Capture the caller's scope and innermost span path so chunk
     // bodies (and their trace events) attribute under the owning
     // `stage.*` span on whichever thread they execute; inert and free
     // when observability is off.
     let ctx = leo_obs::scope::ObsContext::current();
     let t0 = Instant::now();
-    let plan: Vec<(usize, usize)> = chunks(n - base, workers)
-        .into_iter()
-        .map(|(lo, hi)| (lo + base, hi + base))
-        .collect();
+    let plan = chunks(n, workers);
     let slots: Vec<ChunkSlot<Vec<R>>> = plan.iter().map(|_| Mutex::new(None)).collect();
     pool::run_chunks(plan.len(), &|w| {
         let _obs_ctx = ctx.enter();
@@ -356,15 +237,14 @@ where
         .iter()
         .map(|slot| slot.lock().as_ref().map_or(0, |(chunk, _)| chunk.len()))
         .sum();
-    let mut out = prefix;
-    out.reserve(joined);
+    let mut out = Vec::with_capacity(joined);
     let mut busy = Vec::with_capacity(plan.len());
     for slot in &slots {
         let (chunk, busy_ns) = slot.lock().take().expect("every chunk completed");
         out.extend(chunk);
         busy.push(busy_ns);
     }
-    attribute_fanout((n - base) as u64, &busy, t0.elapsed().as_nanos() as u64);
+    attribute_fanout(n as u64, &busy, t0.elapsed().as_nanos() as u64);
     out
 }
 
@@ -393,14 +273,8 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let serial = with_threads(1, || par_map(&items, |i, &x| x * 3 + i as u64));
         for n in [2, 3, 8, 64] {
-            // Forced through the pool (threshold 0), and with the
-            // probe free to choose — bit-identical either way.
-            let pooled = with_serial_threshold(0, || {
-                with_threads(n, || par_map(&items, |i, &x| x * 3 + i as u64))
-            });
-            let probed = with_threads(n, || par_map(&items, |i, &x| x * 3 + i as u64));
-            assert_eq!(serial, pooled, "threads={n} pooled");
-            assert_eq!(serial, probed, "threads={n} probed");
+            let pooled = with_threads(n, || par_map(&items, |i, &x| x * 3 + i as u64));
+            assert_eq!(serial, pooled, "threads={n}");
         }
     }
 
@@ -419,11 +293,8 @@ mod tests {
                 emit(i, &mut serial);
             }
             for threads in [1, 2, 3, 8] {
-                let pooled =
-                    with_serial_threshold(0, || with_threads(threads, || par_append(n, emit)));
-                let probed = with_threads(threads, || par_append(n, emit));
-                assert_eq!(serial, pooled, "n={n} threads={threads} pooled");
-                assert_eq!(serial, probed, "n={n} threads={threads} probed");
+                let pooled = with_threads(threads, || par_append(n, emit));
+                assert_eq!(serial, pooled, "n={n} threads={threads}");
             }
         }
     }
@@ -459,21 +330,8 @@ mod tests {
     }
 
     #[test]
-    fn serial_threshold_resolution_nests_and_restores() {
-        with_serial_threshold(0, || {
-            assert_eq!(effective_serial_threshold_ns(), 0);
-            with_serial_threshold(50, || assert_eq!(effective_serial_threshold_ns(), 50));
-            assert_eq!(effective_serial_threshold_ns(), 0);
-        });
-    }
-
-    #[test]
     fn pool_reuses_the_same_worker_threads() {
-        let ids = || {
-            with_serial_threshold(0, || {
-                with_threads(4, || par_map(&[(); 64], |_, _| std::thread::current().id()))
-            })
-        };
+        let ids = || with_threads(4, || par_map(&[(); 64], |_, _| std::thread::current().id()));
         let first = ids();
         let second = ids();
         // Chunk i is statically assigned to pool worker i-1, so two
@@ -492,14 +350,12 @@ mod tests {
     #[test]
     fn pool_worker_panics_propagate_and_leave_the_pool_usable() {
         let caught = std::panic::catch_unwind(|| {
-            with_serial_threshold(0, || {
-                with_threads(4, || {
-                    par_map(&[0u8; 64], |i, _| {
-                        if i >= 48 {
-                            panic!("chunk panic");
-                        }
-                        i
-                    })
+            with_threads(4, || {
+                par_map(&[0u8; 64], |i, _| {
+                    if i >= 48 {
+                        panic!("chunk panic");
+                    }
+                    i
                 })
             })
         });
@@ -507,90 +363,47 @@ mod tests {
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "chunk panic");
         // The worker that caught the panic keeps serving fan-outs.
-        let out = with_serial_threshold(0, || with_threads(4, || par_map(&[0u8; 64], |i, _| i)));
+        let out = with_threads(4, || par_map(&[0u8; 64], |i, _| i));
         assert_eq!(out, (0..64).collect::<Vec<usize>>());
     }
 
     #[test]
     fn nested_fanouts_flatten_to_serial_inside_pool_chunks() {
-        let out = with_serial_threshold(0, || {
-            with_threads(4, || {
-                par_map(&[10u64, 20, 30, 40], |_, &x| {
-                    let me = std::thread::current().id();
-                    assert_eq!(effective_threads(), 1, "chunks must see a serial world");
-                    let inner =
-                        par_map(&[1u64, 2, 3], |_, &y| (x + y, std::thread::current().id()));
-                    assert!(
-                        inner.iter().all(|&(_, id)| id == me),
-                        "nested fan-out left its worker"
-                    );
-                    inner.into_iter().map(|(v, _)| v).sum::<u64>()
-                })
+        let out = with_threads(4, || {
+            par_map(&[10u64, 20, 30, 40], |_, &x| {
+                let me = std::thread::current().id();
+                assert_eq!(effective_threads(), 1, "chunks must see a serial world");
+                let inner = par_map(&[1u64, 2, 3], |_, &y| (x + y, std::thread::current().id()));
+                assert!(
+                    inner.iter().all(|&(_, id)| id == me),
+                    "nested fan-out left its worker"
+                );
+                inner.into_iter().map(|(v, _)| v).sum::<u64>()
             })
         });
         assert_eq!(out, vec![36, 66, 96, 126]);
     }
 
     #[test]
-    fn sub_threshold_fanouts_run_serially_on_the_caller() {
-        let me = std::thread::current().id();
-        // A huge threshold forces the probe's serial verdict no matter
-        // how slow the host is.
-        let ids = with_serial_threshold(u64::MAX, || {
-            with_threads(4, || {
-                par_map(&[0u8; 64], |_, _| std::thread::current().id())
-            })
-        });
-        assert!(
-            ids.iter().all(|&id| id == me),
-            "sub-threshold work left the caller"
-        );
-    }
-
-    #[test]
-    fn shallow_sub_threshold_fanouts_run_serially_on_the_caller() {
-        let me = std::thread::current().id();
-        // Fewer items than workers: the probe must still run and still
-        // reach the serial verdict for cheap items — this is the warm
-        // figure-sweep shape (a handful of microsecond rows across
-        // many workers) that used to dispatch unconditionally.
-        let ids = with_serial_threshold(u64::MAX, || {
-            with_threads(8, || par_map(&[0u8; 3], |_, _| std::thread::current().id()))
-        });
-        assert!(
-            ids.iter().all(|&id| id == me),
-            "shallow sub-threshold work left the caller"
-        );
-    }
-
-    #[test]
-    fn shallow_over_threshold_fanouts_keep_the_probed_prefix() {
-        // Fewer expensive items than workers: the probe computes item 0,
-        // the pool computes the rest; results must match the serial
-        // reference exactly (the prefix is kept, not recomputed).
-        let slow = |i: usize, &x: &u64| {
+    fn every_item_runs_exactly_once() {
+        // Six items of at least 50 µs each over two workers, through
+        // both faces of the core: each index is computed once, on
+        // whichever worker its chunk lands.
+        let calls: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
+        let slow = |i: usize| {
+            calls[i].fetch_add(1, Ordering::Relaxed);
             let t0 = Instant::now();
-            while t0.elapsed().as_micros() < 200 {
+            while t0.elapsed().as_micros() < 50 {
                 std::hint::black_box(i);
             }
-            x * 2 + i as u64
+            i
         };
-        let items = [5u64, 7, 9, 11];
-        let serial = with_threads(1, || par_map(&items, slow));
-        let probed = with_serial_threshold(1, || with_threads(16, || par_map(&items, slow)));
-        assert_eq!(serial, probed);
-        // The append form keeps the prefix too, counted in items, not
-        // outputs: item i appends i + 1 of them.
-        let emit = |i: usize, out: &mut Vec<u64>| {
-            for _ in 0..=i {
-                out.push(slow(i, &items[i]));
-            }
-        };
-        let serial = with_threads(1, || par_append(items.len(), emit));
-        let probed =
-            with_serial_threshold(1, || with_threads(16, || par_append(items.len(), emit)));
-        assert_eq!(serial, probed);
-        assert_eq!(serial.len(), 10);
+        let mapped = with_threads(2, || par_map(&calls, |i, _| slow(i)));
+        let appended = with_threads(2, || par_append(calls.len(), |i, out| out.push(slow(i))));
+        let expected: Vec<usize> = (0..6).collect();
+        assert_eq!((mapped, appended), (expected.clone(), expected));
+        let counts: Vec<usize> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(counts, vec![2; 6], "calls per index over the two fan-outs");
     }
 
     /// The parallel section `run` leaves under `stage.t_attr` in a
@@ -611,18 +424,21 @@ mod tests {
         let attr = stage_parallel(|| {
             let _ = with_threads(1, || par_map(&[1u64; 10], |_, &x| x));
             let _ = with_threads(4, || par_map(&[1u64], |_, &x| x));
+            // Item and thread counts alone pick the path: two trivial
+            // items on two threads pool however little each costs.
+            let _ = with_threads(2, || par_map(&[1u64, 2], |_, &x| x));
         });
         // One-worker and one-item executions count as serial calls,
         // never as synthetic one-chunk fan-outs.
-        assert_eq!((attr.serial_calls, attr.fanouts, attr.chunks), (2, 0, 0));
-        assert_eq!(attr.items, 11);
+        assert_eq!((attr.serial_calls, attr.fanouts, attr.chunks), (2, 1, 2));
+        assert_eq!(attr.items, 13);
     }
 
     #[test]
     fn pooled_fanouts_are_attributed_to_the_owning_stage() {
         let items: Vec<u64> = (0..100).collect();
         let attr = stage_parallel(|| {
-            let _ = with_serial_threshold(0, || with_threads(4, || par_map(&items, |_, &x| x + 1)));
+            let _ = with_threads(4, || par_map(&items, |_, &x| x + 1));
         });
         // 100 items across 4 workers → one fan-out of 4 chunks.
         assert_eq!((attr.fanouts, attr.serial_calls), (1, 0));
@@ -631,9 +447,7 @@ mod tests {
         assert_eq!(attr.per_worker_busy_ns.iter().sum::<u64>(), attr.busy_ns);
         // The append form is attributed the same way, in items.
         let attr = stage_parallel(|| {
-            let _ = with_serial_threshold(0, || {
-                with_threads(4, || par_append(100, |i, out| out.extend(0..i % 3)))
-            });
+            let _ = with_threads(4, || par_append(100, |i, out| out.extend(0..i % 3)));
         });
         assert_eq!((attr.fanouts, attr.serial_calls), (1, 0));
         assert_eq!((attr.items, attr.chunks), (100, 4));
@@ -649,7 +463,7 @@ mod tests {
             // 103 items over 4 workers → chunks (0,26) (26,52) (52,78)
             // (78,103), one per worker lane.
             let items: Vec<u64> = (0..103).collect();
-            let _ = with_serial_threshold(0, || with_threads(4, || par_map(&items, |_, &x| x + 1)));
+            let _ = with_threads(4, || par_map(&items, |_, &x| x + 1));
         }
         let lanes = scope.snapshot().timeline;
         let chunk = |label: &str| {

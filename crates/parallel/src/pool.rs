@@ -52,8 +52,9 @@ fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
 
 /// Sequential dispatch counter behind `pool.chunk` injection call
 /// indices. Advanced only on the fan-out caller (fan-outs are serial:
-/// nested ones are flattened), so chunk `c` of the `k`-th instrumented
-/// fan-out gets the same index at any `--threads` width.
+/// nested ones are flattened), and which fan-outs pool depends on item
+/// and thread counts alone, so chunk `c` of the `k`-th pooled fan-out
+/// gets the same index on every run at a given `--threads` width.
 static CHUNK_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// One fan-out in flight: the lifetime-erased chunk task plus the

@@ -5,7 +5,7 @@
 //! zero-cost through the pool.
 
 use leo_obs::scope::{ObsScope, ScopeSnapshot};
-use leo_parallel::{mix64, par_map, with_serial_threshold, with_threads};
+use leo_parallel::{mix64, par_map, with_threads};
 use std::collections::BTreeMap;
 
 /// Serializes tests in this binary: they flip the process-wide
@@ -26,9 +26,7 @@ fn pipeline(tag: &str, threads: usize) -> (u64, ScopeSnapshot) {
         let _stage = leo_obs::span!("stage.sim");
         leo_obs::metrics::counter_add(&format!("{tag}.runs"), 1);
         let items: Vec<u64> = (0..257).collect();
-        let out = with_serial_threshold(0, || {
-            with_threads(threads, || par_map(&items, |i, &x| mix64(x, i as u64)))
-        });
+        let out = with_threads(threads, || par_map(&items, |i, &x| mix64(x, i as u64)));
         out.iter().fold(0u64, |acc, &v| acc ^ v)
     };
     (out, scope.snapshot())

@@ -60,7 +60,7 @@ for i in $(seq 1 "$PLANS"); do
     out="$scratch/run$i"
     errfile="$scratch/run$i.stderr"
     set +e
-    DIVIDE_PAR_THRESHOLD_NS=0 "$BIN" --threads 4 --scale small all \
+    "$BIN" --threads 4 --scale small all \
         --out "$out" --cache "$cache" --fault-plan "$plan" -q \
         >"$scratch/run$i.stdout" 2>"$errfile"
     code=$?

@@ -68,18 +68,12 @@ for f in fig1_cdf.csv fig2_sweep.csv fig3_tail.csv fig4_affordability.csv table2
     [ -s "$out/$f" ] || { echo "[tier1] missing artifact: $f" >&2; exit 1; }
 done
 
-# At small scale every fan-out is tiny, so the serial-threshold probe
-# (or a 1-thread host) must route at least some of them off the pool —
-# and account for them as serial calls in the stages' parallel
-# sections. Read this manifest now: the fig2 run below overwrites it.
+# Read this manifest now: the fig2 run below overwrites it.
 python3 - "$out/run_manifest.json" <<'PY'
 import json, sys
 
 manifest = json.load(open(sys.argv[1]))
 counters = manifest["metrics"]["counters"]
-serial = sum(s.get("parallel", {}).get("serial_calls", 0) for s in manifest["stages"])
-assert serial >= 1, manifest["stages"]
-print(f"[tier1] {serial} serial fan-outs accounted in the stages' parallel sections")
 
 # Resource telemetry (DESIGN.md §12): every stage carries positive
 # allocator deltas, the resources section carries heap + RSS peaks,
@@ -188,6 +182,23 @@ nocache="$work/nocache"
 ./target/release/divide --scale small all --out "$nocache" --no-cache -q
 diff -r --exclude run_manifest.json "$cold" "$nocache" \
     || { echo "[tier1] --no-cache artifacts differ" >&2; exit 1; }
+# Item and thread counts alone decide whether a fan-out pools, so two
+# runs doing the same computation at the same thread count record the
+# same pool work in every stage.
+python3 - "$cold/run_manifest.json" "$nocache/run_manifest.json" <<'PY'
+import json, sys
+
+def pool_work(path):
+    keys = ("fanouts", "serial_calls", "chunks", "items")
+    return {s["name"]: tuple(s.get("parallel", {}).get(k) for k in keys)
+            for s in json.load(open(path))["stages"]}
+
+cold, nocache = pool_work(sys.argv[1]), pool_work(sys.argv[2])
+assert cold == nocache, {n: (cold.get(n), nocache.get(n))
+                         for n in cold.keys() | nocache.keys()
+                         if cold.get(n) != nocache.get(n)}
+print(f"[tier1] cold and --no-cache runs record the same pool work in all {len(cold)} stages")
+PY
 
 echo "[tier1] paper-scale runs reproduce the committed results/ byte for byte"
 # The committed artifacts are the oracle: a cold 1-thread run and a
@@ -299,10 +310,8 @@ PY
 
 echo "[tier1] --trace writes a valid Chrome trace without touching artifacts"
 traced="$work/traced"
-# Threshold 0 disables the serial-threshold probe so every fan-out is
-# forced through the pool — worker lanes must exist however fast the
-# host runs small-scale chunks.
-DIVIDE_PAR_THRESHOLD_NS=0 \
+# Every fan-out of two or more items pools at --threads 4, so the
+# worker lanes exist however fast the host runs small-scale chunks.
 ./target/release/divide --scale small all --out "$traced" --no-cache \
     --threads 4 --trace -q
 diff -r --exclude run_manifest.json --exclude trace.json --exclude trace.folded \
@@ -378,7 +387,7 @@ assert worker_parented >= 1, \
     "no worker chunk telescoped under a stage.* parent frame"
 
 # Per-stage parallel attribution (DESIGN.md §15) is the one record of
-# pool work: with the probe off every fan-out pools, so the dataset
+# pool work: every fan-out of two or more items pools, so the dataset
 # stage carries a parallel section with pooled fan-outs and >= 4 chunks.
 stage_par = {s["name"]: s["parallel"] for s in manifest["stages"]
              if "parallel" in s}
@@ -425,9 +434,12 @@ if ./target/release/divide report \
     exit 1
 fi
 
-echo "[tier1] divide history trends over the cold+warm ledger"
-# The cold and warm runs above share $cachedir, so its ledger holds two
-# comparable records; a healthy pair must render a table and exit 0.
+echo "[tier1] divide history trends over the cold, warm and regenerate ledger"
+# The cold, warm and stale-schema runs above share $cachedir, so its
+# ledger holds three records. The newest, the stale-schema run,
+# regenerated the dataset, so history judges it against the earlier
+# run that also generated it (the cold run) and leaves the warm run
+# out; a healthy ledger must render a table and exit 0.
 # Lenient thresholds on purpose: this smoke checks plumbing and exit
 # codes, not this box's perf (scripts/bench.sh owns that) — with the
 # defaults, scheduler noise on a loaded host can swing a small stage

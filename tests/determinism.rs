@@ -203,16 +203,13 @@ fn tracing_does_not_perturb_artifact_bytes() {
 
 /// The persistent worker pool must uphold the same contract as the
 /// scoped-thread implementation it replaced: artifacts bit-identical
-/// at any worker count. The serial threshold is pinned to 0 so every
-/// fan-out is forced through the pool — the test can't silently pass
-/// on the probe's serial fallback.
+/// at any worker count. Every fan-out of two or more items goes
+/// through the pool at 2 and 8 threads.
 #[test]
 fn worker_pool_artifacts_are_bit_identical_at_1_2_8_threads() {
-    use starlink_divide_repro::parallel::with_serial_threshold;
-
     let one = artifact_bytes(1);
-    let two = with_serial_threshold(0, || artifact_bytes(2));
-    let eight = with_serial_threshold(0, || artifact_bytes(8));
+    let two = artifact_bytes(2);
+    let eight = artifact_bytes(8);
     assert_eq!(one, two, "pool at 2 threads diverged from serial");
     assert_eq!(one, eight, "pool at 8 threads diverged from serial");
 }

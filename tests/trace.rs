@@ -7,12 +7,11 @@
 use starlink_divide_repro::demand::dataset::{BroadbandDataset, SynthConfig};
 use starlink_divide_repro::model::{coverage_sweep, PaperModel};
 use starlink_divide_repro::obs::{self, scope::ObsScope, scope::ScopeSnapshot};
-use starlink_divide_repro::parallel::{with_serial_threshold, with_threads};
+use starlink_divide_repro::parallel::with_threads;
 
 /// Dataset generation plus the fig-2 sweep — the two heaviest span- and
-/// fanout-instrumented paths in the pipeline — at 1 and 4 threads, with
-/// every fan-out through the pool, into a private scope whose timeline
-/// is started if `traced`.
+/// fanout-instrumented paths in the pipeline — at 1 and 4 threads, into
+/// a private scope whose timeline is started if `traced`.
 fn run_pipeline(traced: bool) -> ScopeSnapshot {
     let scope = ObsScope::new();
     let _g = scope.enter();
@@ -20,11 +19,9 @@ fn run_pipeline(traced: bool) -> ScopeSnapshot {
         obs::trace::start();
     }
     for threads in [1, 4] {
-        with_serial_threshold(0, || {
-            with_threads(threads, || {
-                let model = PaperModel::new(BroadbandDataset::generate(&SynthConfig::small()));
-                let _ = coverage_sweep::sweep(&model);
-            })
+        with_threads(threads, || {
+            let model = PaperModel::new(BroadbandDataset::generate(&SynthConfig::small()));
+            let _ = coverage_sweep::sweep(&model);
         });
     }
     scope.snapshot()
