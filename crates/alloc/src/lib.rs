@@ -3,12 +3,23 @@
 //! A tracking wrapper around the system allocator. Installed as the
 //! `#[global_allocator]` of the `divide` binary (and of the
 //! determinism test harness), it counts every allocation and
-//! deallocation and maintains the live heap size plus two high-water
-//! marks — one for the whole process, one rebasable per pipeline stage
-//! — all in relaxed atomics. Only cumulative counters are written on
-//! the hot path (two RMW operations per `malloc`, two per `free`; the
-//! live heap size is *derived* as `allocated - freed` at read time),
-//! and nothing at all is touched while tracking is off.
+//! deallocation and maintains the live heap size plus high-water marks
+//! — one for the whole process, and one rebasable mark per [`Lane`] —
+//! all in relaxed atomics. Only cumulative counters are written on the
+//! hot path (two RMW operations per `malloc`, two per `free`; live heap
+//! sizes are *derived* as `allocated - freed` at read time), and
+//! nothing at all is touched while tracking is off.
+//!
+//! ## Lanes
+//!
+//! A run can compute on two lanes at once (the CLI's `all`): the main
+//! lane and a side lane. Each lane has its own counters and its own
+//! rebasable span peak, so a stage measured on one lane sees only the
+//! blocks allocated (and the frees made) on that lane. A thread's lane
+//! is a thread-local that defaults to [`Lane::Main`]; [`with_lane`]
+//! switches it for a closure. The process totals ([`stats`]) are the
+//! sums over the lanes, and the process peak is the highest their
+//! summed live heap has been.
 //!
 //! ## Why a wrapper, not a custom allocator
 //!
@@ -31,51 +42,96 @@
 //!
 //! The tracking path must never allocate (it would recurse into
 //! itself) and never panic. It touches only `static` atomics with
-//! `Relaxed` ordering — cross-thread *ordering* of individual updates
-//! is irrelevant because only monotone sums and maxima are derived
-//! from them.
+//! `Relaxed` ordering and one `const`-initialised thread-local cell
+//! (no destructor, so it is readable for the whole life of a thread) —
+//! cross-thread *ordering* of individual updates is irrelevant because
+//! only monotone sums and maxima are derived from them.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
-/// The four counters every allocation or free writes, on a 64-byte
-/// line of their own: unaligned, a mark every allocation reads could
-/// share their line, and two allocating threads then bounced two lines.
+/// The lane a thread's allocations and frees are counted on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// The default: the caller and every pool worker.
+    Main = 0,
+    /// A second stream of work beside the main lane.
+    Side = 1,
+}
+
+/// One lane's counters and span peak, on a 64-byte line of their own:
+/// each lane is written by its own threads, so two lanes allocating at
+/// once never bounce a shared line.
 #[repr(align(64))]
-struct Counters {
+struct LaneCounters {
     alloc_calls: AtomicU64,
     dealloc_calls: AtomicU64,
     allocated_bytes: AtomicU64,
     freed_bytes: AtomicU64,
-}
-
-/// What each allocation reads but seldom writes, on a second line of
-/// its own.
-#[repr(align(64))]
-struct Marks {
-    tracking: AtomicBool,
-    peak_bytes: AtomicU64,
     /// The rebasable high-water mark: [`rebase_span_peak`] resets it
-    /// to the live heap size so a top-level span measures its *own*
+    /// to the lane's live heap so a top-level span measures its *own*
     /// peak, not a taller one left behind by an earlier stage.
     span_peak_bytes: AtomicU64,
 }
 
-static COUNTERS: Counters = Counters {
-    alloc_calls: AtomicU64::new(0),
-    dealloc_calls: AtomicU64::new(0),
-    allocated_bytes: AtomicU64::new(0),
-    freed_bytes: AtomicU64::new(0),
-};
+impl LaneCounters {
+    const fn new() -> Self {
+        LaneCounters {
+            alloc_calls: AtomicU64::new(0),
+            dealloc_calls: AtomicU64::new(0),
+            allocated_bytes: AtomicU64::new(0),
+            freed_bytes: AtomicU64::new(0),
+            span_peak_bytes: AtomicU64::new(0),
+        }
+    }
+
+    /// The lane's live heap: signed, because a lane can free blocks
+    /// another lane allocated (or that predate tracking), which pushes
+    /// `freed` past `allocated`; readers clamp at zero.
+    fn current_raw(&self) -> i64 {
+        self.allocated_bytes.load(Relaxed) as i64 - self.freed_bytes.load(Relaxed) as i64
+    }
+}
+
+static LANES: [LaneCounters; 2] = [LaneCounters::new(), LaneCounters::new()];
+
+/// What each allocation reads but seldom writes, on a line of its own.
+#[repr(align(64))]
+struct Marks {
+    tracking: AtomicBool,
+    peak_bytes: AtomicU64,
+}
 
 static MARKS: Marks = Marks {
     tracking: AtomicBool::new(false),
     peak_bytes: AtomicU64::new(0),
-    span_peak_bytes: AtomicU64::new(0),
 };
+
+thread_local! {
+    static LANE: Cell<Lane> = const { Cell::new(Lane::Main) };
+}
+
+fn lane() -> &'static LaneCounters {
+    &LANES[LANE.try_with(Cell::get).unwrap_or(Lane::Main) as usize]
+}
+
+/// Runs `f` with the calling thread's allocations and frees counted on
+/// `lane`, and restores the thread's previous lane afterwards, also
+/// when `f` panics.
+pub fn with_lane<R>(lane: Lane, f: impl FnOnce() -> R) -> R {
+    struct Restore(Lane);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            LANE.with(|cell| cell.set(self.0));
+        }
+    }
+    let _restore = Restore(LANE.with(|cell| cell.replace(lane)));
+    f()
+}
 
 /// Turns allocation tracking on or off for the whole process. Off by
 /// default; the CLI enables it at startup unless `DIVIDE_OBS=off` (or
@@ -100,79 +156,97 @@ pub struct AllocStats {
     /// Live heap bytes right now (clamped at zero: frees of
     /// pre-tracking blocks cannot take it negative).
     pub current_bytes: u64,
-    /// The highest `current_bytes` has ever been.
+    /// The highest `current_bytes` has been: since process start for
+    /// [`stats`], since the last [`rebase_span_peak`] for
+    /// [`lane_stats`].
     pub peak_bytes: u64,
 }
 
-/// The live heap size is not its own counter: it is derived as
-/// `allocated - freed` at read time, which keeps one RMW off both
-/// halves of the allocator hot path. Signed because frees of blocks
-/// allocated before tracking was enabled legitimately push `freed`
-/// past `allocated`; readers clamp at zero.
-fn current_raw() -> i64 {
-    COUNTERS.allocated_bytes.load(Relaxed) as i64 - COUNTERS.freed_bytes.load(Relaxed) as i64
+/// The process's live heap: the lanes' live heaps summed.
+fn process_current_raw() -> i64 {
+    LANES.iter().map(LaneCounters::current_raw).sum()
 }
 
-/// Reads every counter. Values move concurrently with the read, so the
+/// Reads the process totals: every counter summed over the lanes, and
+/// the process peak. Values move concurrently with the read, so the
 /// fields are each individually accurate but not a consistent cut —
 /// exactly what monotone before/after deltas need.
 pub fn stats() -> AllocStats {
+    let sum = |field: fn(&LaneCounters) -> &AtomicU64| -> u64 {
+        LANES.iter().map(|l| field(l).load(Relaxed)).sum()
+    };
     AllocStats {
-        alloc_calls: COUNTERS.alloc_calls.load(Relaxed),
-        dealloc_calls: COUNTERS.dealloc_calls.load(Relaxed),
-        allocated_bytes: COUNTERS.allocated_bytes.load(Relaxed),
-        freed_bytes: COUNTERS.freed_bytes.load(Relaxed),
-        current_bytes: current_raw().max(0) as u64,
+        alloc_calls: sum(|l| &l.alloc_calls),
+        dealloc_calls: sum(|l| &l.dealloc_calls),
+        allocated_bytes: sum(|l| &l.allocated_bytes),
+        freed_bytes: sum(|l| &l.freed_bytes),
+        current_bytes: process_current_raw().max(0) as u64,
         peak_bytes: MARKS.peak_bytes.load(Relaxed),
     }
 }
 
-/// Rebases the span high-water mark to the live heap size and returns
-/// that size. Called at every top-level span boundary by `leo-obs` so
-/// [`span_peak_bytes`] measures the peak *within* the span.
+/// Reads the calling thread's lane: its own counters, its live heap,
+/// and its span peak as `peak_bytes`.
+pub fn lane_stats() -> AllocStats {
+    let l = lane();
+    AllocStats {
+        alloc_calls: l.alloc_calls.load(Relaxed),
+        dealloc_calls: l.dealloc_calls.load(Relaxed),
+        allocated_bytes: l.allocated_bytes.load(Relaxed),
+        freed_bytes: l.freed_bytes.load(Relaxed),
+        current_bytes: l.current_raw().max(0) as u64,
+        peak_bytes: l.span_peak_bytes.load(Relaxed),
+    }
+}
+
+/// Rebases the calling thread's lane's span high-water mark to that
+/// lane's live heap and returns it. Called at every top-level span
+/// boundary by `leo-obs` so [`span_peak_bytes`] measures the peak
+/// *within* the span.
 ///
 /// The plain store can race with a concurrent allocation's `fetch_max`
-/// and momentarily lose its bump; top-level spans open on the main
-/// thread between stages, when the worker pool is idle, so in practice
-/// the rebase is quiescent.
+/// on the same lane and momentarily lose its bump; top-level spans open
+/// between stages, when the lane's pool workers are idle, so in
+/// practice the rebase is quiescent.
 pub fn rebase_span_peak() -> u64 {
-    let now = current_raw().max(0) as u64;
-    MARKS.span_peak_bytes.store(now, Relaxed);
+    let l = lane();
+    let now = l.current_raw().max(0) as u64;
+    l.span_peak_bytes.store(now, Relaxed);
     now
 }
 
-/// The highest the live heap has been since the last
-/// [`rebase_span_peak`] (process lifetime if never rebased).
+/// The highest the calling thread's lane's live heap has been since
+/// the lane's last [`rebase_span_peak`] (since process start if never
+/// rebased).
 pub fn span_peak_bytes() -> u64 {
-    MARKS.span_peak_bytes.load(Relaxed)
+    lane().span_peak_bytes.load(Relaxed)
 }
 
 /// Load-then-CAS maximum: the common no-new-peak case is a single
 /// relaxed load, keeping the hot path cheap.
-fn bump_max(slot: &AtomicU64, value: u64) {
-    if slot.load(Relaxed) < value {
-        slot.fetch_max(value, Relaxed);
+fn bump_max(slot: &AtomicU64, value: i64) {
+    if value > 0 && slot.load(Relaxed) < value as u64 {
+        slot.fetch_max(value as u64, Relaxed);
     }
 }
 
 fn on_alloc(bytes: usize) {
-    COUNTERS.alloc_calls.fetch_add(1, Relaxed);
-    let allocated = COUNTERS.allocated_bytes.fetch_add(bytes as u64, Relaxed) + bytes as u64;
-    // Live heap after this allocation, from the cumulative counters
-    // (plain loads, no third RMW). The FREED load racing a concurrent
-    // free can only make `now` smaller — an undercounted peak sample,
+    let l = lane();
+    l.alloc_calls.fetch_add(1, Relaxed);
+    let allocated = l.allocated_bytes.fetch_add(bytes as u64, Relaxed) + bytes as u64;
+    // Live heaps after this allocation, from the cumulative counters
+    // (plain loads, no third RMW). A `freed` load racing a concurrent
+    // free can only make a sample smaller — an undercounted peak,
     // never an inflated one — and the next allocation resamples.
-    let now = allocated as i64 - COUNTERS.freed_bytes.load(Relaxed) as i64;
-    if now > 0 {
-        let now = now as u64;
-        bump_max(&MARKS.peak_bytes, now);
-        bump_max(&MARKS.span_peak_bytes, now);
-    }
+    let lane_now = allocated as i64 - l.freed_bytes.load(Relaxed) as i64;
+    bump_max(&l.span_peak_bytes, lane_now);
+    bump_max(&MARKS.peak_bytes, process_current_raw());
 }
 
 fn on_dealloc(bytes: usize) {
-    COUNTERS.dealloc_calls.fetch_add(1, Relaxed);
-    COUNTERS.freed_bytes.fetch_add(bytes as u64, Relaxed);
+    let l = lane();
+    l.dealloc_calls.fetch_add(1, Relaxed);
+    l.freed_bytes.fetch_add(bytes as u64, Relaxed);
 }
 
 /// The tracking allocator. Declare it as the global allocator:
@@ -337,6 +411,53 @@ mod tests {
         set_tracking(false);
         assert_eq!(peak, base + 100 * 1024);
         assert!(stats().peak_bytes >= 1 << 20);
+    }
+
+    #[test]
+    fn lanes_count_their_own_blocks_and_sum_to_the_process_totals() {
+        let _lock = test_lock();
+        set_tracking(true);
+        let before = stats();
+        // Both lanes hold their blocks at the same time: the barrier
+        // is passed only once each lane has allocated all of its own.
+        let held = std::sync::Barrier::new(2);
+        let run = |lane: Lane, sizes: &[usize]| {
+            with_lane(lane, || {
+                let base = rebase_span_peak();
+                let start = lane_stats();
+                let blocks: Vec<Block> = sizes.iter().map(|&b| Block::new(b)).collect();
+                held.wait();
+                let rise = span_peak_bytes() - base;
+                let during = lane_stats();
+                drop(blocks);
+                held.wait();
+                (
+                    during.alloc_calls - start.alloc_calls,
+                    during.allocated_bytes - start.allocated_bytes,
+                    rise,
+                )
+            })
+        };
+        let (main, side) = std::thread::scope(|s| {
+            let side = s.spawn(|| run(Lane::Side, &[300 * 1024, 200 * 1024]));
+            (
+                run(Lane::Main, &[64 * 1024; 4]),
+                side.join().expect("side lane"),
+            )
+        });
+        let after = stats();
+        set_tracking(false);
+        assert_eq!(main, (4, 256 * 1024, 256 * 1024), "main lane");
+        assert_eq!(side, (2, 500 * 1024, 500 * 1024), "side lane");
+        assert_eq!(after.alloc_calls - before.alloc_calls, 6);
+        assert_eq!(after.dealloc_calls - before.dealloc_calls, 6);
+        assert_eq!(after.allocated_bytes - before.allocated_bytes, 756 * 1024);
+        assert_eq!(after.current_bytes, before.current_bytes);
+        // The lane that allocates last samples the summed live heap
+        // with at least its own 500 KiB (its own writes are always
+        // visible to it) on top of the other lane's baseline.
+        assert!(after.peak_bytes >= before.current_bytes + 500 * 1024);
+        assert_eq!(LANE.with(Cell::get), Lane::Main, "with_lane restores");
     }
 
     #[test]

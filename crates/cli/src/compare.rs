@@ -347,6 +347,7 @@ mod tests {
             seed: 7,
             threads: 2,
             argv: vec!["divide".into(), "fig2".into()],
+            stages: vec!["dataset".into(), "fig2".into()],
         };
         let manifest = run_manifest(&info, 25.0);
         let line = leo_obs::ledger::project(&manifest, 1_700_000_000);

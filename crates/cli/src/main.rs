@@ -21,9 +21,11 @@ mod stages;
 use leo_cache::DatasetCache;
 use leo_demand::{BroadbandDataset, SynthConfig};
 use leo_obs::manifest::{self, RunInfo};
-use stages::{Ctx, Output, STAGES};
+use stages::{Ctx, Lane, Output, Stage, STAGES};
 use starlink_divide::PaperModel;
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// The tracking allocator wrapping `std::alloc::System`. Tracking is
@@ -33,9 +35,17 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: leo_alloc::TrackingAlloc = leo_alloc::TrackingAlloc::new();
 
-/// Adapts `leo_alloc` counters to the `leo-obs` hook shape.
+/// Adapts `leo_alloc`'s process totals to the `leo-obs` hook shape.
 fn alloc_reading() -> leo_obs::resource::AllocReading {
-    let s = leo_alloc::stats();
+    reading(leo_alloc::stats())
+}
+
+/// Adapts the calling thread's `leo_alloc` lane to the hook shape.
+fn lane_reading() -> leo_obs::resource::AllocReading {
+    reading(leo_alloc::lane_stats())
+}
+
+fn reading(s: leo_alloc::AllocStats) -> leo_obs::resource::AllocReading {
     leo_obs::resource::AllocReading {
         alloc_calls: s.alloc_calls,
         dealloc_calls: s.dealloc_calls,
@@ -57,8 +67,10 @@ options:
   --out DIR            artifact output directory (default: results/)
   --threads N          worker-pool size (default: available
                        parallelism): N-1 persistent workers are
-                       spawned once and reused by every fan-out;
-                       output is identical for every N
+                       spawned once and reused by every fan-out; at
+                       N >= 2, all computes qoe, orbit-validate and
+                       latency on the last worker beside the other
+                       stages; output is identical for every N
   --cache DIR          dataset snapshot cache directory (default:
                        <out>/.divide-cache); artifacts are
                        byte-identical warm or cold
@@ -253,7 +265,7 @@ fn main() {
         ));
     }
     // Reject unknown commands *before* the expensive dataset build.
-    let known = STAGES.iter().any(|(name, _)| *name == command);
+    let known = STAGES.iter().any(|(name, _, _)| *name == command);
     if !known && !matches!(command.as_str(), "all" | "report" | "history") {
         usage(&format!("unknown command {command:?}"));
     }
@@ -282,7 +294,7 @@ fn main() {
         match leo_fault::FaultPlan::parse(&spec) {
             Ok(plan) => {
                 // Likewise for a stage fault that could never fire.
-                let known = |n: &str| n == "dataset" || STAGES.iter().any(|(s, _)| *s == n);
+                let known = |n: &str| n == "dataset" || STAGES.iter().any(|(s, _, _)| *s == n);
                 for site in plan.rules.iter().map(|r| &r.site) {
                     if site.strip_prefix("stage.").is_some_and(|n| !known(n)) {
                         usage(&format!("invalid fault plan: {site} names no stage"));
@@ -325,6 +337,7 @@ fn main() {
         leo_alloc::set_tracking(true);
         leo_obs::resource::set_alloc_hook(Some(leo_obs::resource::AllocHook {
             read: alloc_reading,
+            read_lane: lane_reading,
             rebase_span_peak: leo_alloc::rebase_span_peak,
             span_peak: leo_alloc::span_peak_bytes,
         }));
@@ -375,10 +388,16 @@ fn main() {
         None => leo_obs::log_info!("generating {scale}-scale dataset (cache disabled)..."),
     }
     // The dataset build is a stage too, so a pool.chunk panic exits typed.
-    let model = stage("dataset", || match &cache {
-        Some(c) => PaperModel::new(c.load_or_generate(&cfg)),
-        None => PaperModel::new(BroadbandDataset::generate(&cfg)),
-    });
+    let model = settle(
+        "dataset",
+        caught("dataset", || {
+            injected("dataset")?;
+            Ok(match &cache {
+                Some(c) => PaperModel::new(c.load_or_generate(&cfg)),
+                None => PaperModel::new(BroadbandDataset::generate(&cfg)),
+            })
+        }),
+    );
     leo_obs::log_info!(
         "dataset: {} locations in {} demand cells ({} US cells)",
         model.dataset.total_locations,
@@ -391,18 +410,20 @@ fn main() {
         cache: cache.as_ref(),
         cfg: &cfg,
     };
-    for (name, run) in STAGES {
-        if command == "all" || command == *name {
-            stage(name, || emit(&out, |o| run(&ctx, o)));
-        }
-    }
+    let selected: Vec<&Stage> = STAGES
+        .iter()
+        .filter(|(name, _, _)| command == "all" || command == *name)
+        .collect();
+    run_stages(&ctx, &out, &selected);
 
+    let ran = std::iter::once("dataset").chain(selected.iter().map(|(name, _, _)| *name));
     let info = RunInfo {
         command,
         scale,
         seed,
         threads: leo_parallel::effective_threads(),
         argv,
+        stages: ran.map(String::from).collect(),
     };
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     // The trace export runs before the manifest so its failure (counted
@@ -475,51 +496,168 @@ fn resolve_ledger(explicit: Option<PathBuf>, cache_dir: Option<&Path>) -> Option
     explicit.or_else(|| cache_dir.map(|d| d.join("runs.jsonl")))
 }
 
-/// Runs the dataset build or one command under a `stage.<name>` span;
-/// the manifest's per-stage wall-clock table is derived from these spans.
+/// A stage's outcome, kept until its turn: its value, or why it
+/// aborted.
+type Ran<T> = Result<T, Abort>;
+
+/// Why a stage aborted.
+enum Abort {
+    /// An injected `stage.<name>` error.
+    Err(std::io::Error),
+    /// A panic, injected or genuine; the panic hook already reported
+    /// its payload.
+    Panic,
+}
+
+/// Runs the selected command stages (DESIGN.md §13). When both lanes
+/// have a body to compute, the side lane computes the bodies of the
+/// [`Lane::Side`] stages, in rank order, on the worker pool's last
+/// worker (`leo_parallel::beside`), while the main lane computes the
+/// others on the caller with one thread fewer. Otherwise every body
+/// runs on the main lane at full width. Either way the main lane prints
+/// and writes each output at its turn, in [`STAGES`] order: while a
+/// side stage's turn waits on its body, the main lane computes its next
+/// bodies ahead and holds their outputs.
 ///
-/// Robustness wrapping: an active fault plan may inject a
-/// `stage.<name>` fault (delay, typed error, or panic), and any panic
-/// that escapes the stage body — injected or genuine — becomes a typed
-/// exit 1 instead of unwinding through main. An interrupted run is
-/// recovered by rerunning it: every artifact lands atomically, so the
-/// rerun overwrites whole files only.
-fn stage<T>(name: &str, f: impl FnOnce() -> T) -> T {
-    let _span = leo_obs::span::enter(&format!("stage.{name}"));
-    leo_obs::log_debug!("stage {name}");
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if leo_fault::active() {
-            if let Some(fault) = leo_fault::should_fire(&format!("stage.{name}")) {
-                if let Some(e) = fault.apply_io() {
-                    return Err(e);
+/// A failed stage ends the run at its turn, after every earlier stage's
+/// output and before any of its own or a later stage's. The side lane
+/// sends its results in `STAGES` order, holding one computed early
+/// until those before it are sent, and stops once it has sent a
+/// failure; the main lane stops computing at its own first failure. So
+/// the main lane meets any side failure before it could wait for a
+/// result the side lane will not send.
+fn run_stages(ctx: &Ctx, out: &Path, selected: &[&Stage]) {
+    let side_rank = |stage: &Stage| match stage.1 {
+        Lane::Side(rank) => Some(rank),
+        Lane::Main => None,
+    };
+    let has_side = selected.iter().any(|s| side_rank(s).is_some());
+    let split = has_side && selected.iter().any(|s| side_rank(s).is_none());
+    let on_side = |stage: &Stage| split && side_rank(stage).is_some();
+    let (to_main, from_side) = mpsc::channel();
+    let side_lane = move || {
+        leo_alloc::with_lane(leo_alloc::Lane::Side, || {
+            let side: Vec<&Stage> = selected.iter().copied().filter(|s| on_side(s)).collect();
+            let mut by_rank: Vec<usize> = (0..side.len()).collect();
+            by_rank.sort_by_key(|&i| side_rank(side[i]));
+            let mut done: Vec<Option<Ran<Output>>> = side.iter().map(|_| None).collect();
+            let mut sent = 0;
+            for i in by_rank {
+                done[i] = Some(body(ctx, side[i]));
+                while let Some(ran) = done.get_mut(sent).and_then(Option::take) {
+                    let failed = ran.is_err();
+                    if to_main.send(ran).is_err() || failed {
+                        return;
+                    }
+                    sent += 1;
                 }
             }
+        })
+    };
+    let main_lane = || {
+        let mut bodies = selected.iter().filter(|s| !on_side(s));
+        let mut held = VecDeque::new();
+        let mut failed = false;
+        for stage @ (name, _, _) in selected {
+            let ran = loop {
+                let ready = if on_side(stage) {
+                    from_side.try_recv().ok()
+                } else {
+                    held.pop_front()
+                };
+                if let Some(ran) = ready {
+                    break ran;
+                }
+                // Not ready: compute the next main body ahead, or, with
+                // none left to compute, wait for the side lane.
+                match bodies.next().filter(|_| !failed) {
+                    Some(next) => {
+                        let ran = body(ctx, next);
+                        failed = ran.is_err();
+                        held.push_back(ran);
+                    }
+                    None => {
+                        break from_side
+                            .recv()
+                            .expect("the side lane reports each stage up to its first failure")
+                    }
+                }
+            };
+            emit(name, out, settle(name, ran));
         }
-        Ok(f())
-    }));
-    match outcome {
-        Ok(Ok(value)) => value,
-        Ok(Err(e)) => {
+    };
+    if split {
+        leo_parallel::beside(side_lane, main_lane);
+    } else {
+        main_lane();
+    }
+}
+
+/// Computes one command stage's output under its span and catch.
+fn body(ctx: &Ctx, (name, _, run): &Stage) -> Ran<Output> {
+    caught(name, || {
+        injected(name)?;
+        let mut o = Output::default();
+        run(ctx, &mut o);
+        Ok(o)
+    })
+}
+
+/// Runs one part of stage `name` — the dataset build, a command's body,
+/// or the print and writes of its output — under a `stage.<name>` span;
+/// the manifest's per-stage wall-clock table is derived from these
+/// spans. This is the CLI's only `catch_unwind`: a panic that escapes —
+/// injected or genuine — becomes an [`Abort`] instead of unwinding
+/// through its lane.
+fn caught<T>(name: &str, f: impl FnOnce() -> Ran<T>) -> Ran<T> {
+    let _span = leo_obs::span::enter(&format!("stage.{name}"));
+    leo_obs::log_debug!("stage {name}");
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or(Err(Abort::Panic))
+}
+
+/// Fires any `stage.<name>` fault of an active plan before a body runs:
+/// a delay sleeps here, a typed error returns, a panic unwinds into the
+/// body's catch.
+fn injected(name: &str) -> Ran<()> {
+    if leo_fault::active() {
+        let fault = leo_fault::should_fire(&format!("stage.{name}"));
+        if let Some(e) = fault.and_then(|f| f.apply_io()) {
+            return Err(Abort::Err(e));
+        }
+    }
+    Ok(())
+}
+
+/// Reports stage `name`'s outcome on the main lane at its turn: its
+/// value, or a typed exit 1. An interrupted run is recovered by
+/// rerunning it: every artifact lands atomically, so the rerun
+/// overwrites whole files only.
+fn settle<T>(name: &str, ran: Ran<T>) -> T {
+    match ran {
+        Ok(value) => value,
+        Err(Abort::Err(e)) => {
             leo_obs::log_error!("stage {name} aborted: {e}");
             std::process::exit(1);
         }
-        Err(_) => {
-            // The panic hook already reported the payload.
+        Err(Abort::Panic) => {
             leo_obs::log_error!("stage {name} aborted by panic");
             std::process::exit(1);
         }
     }
 }
 
-/// Fills a stage's output, prints its text, then writes its files in the
-/// order pushed: inside the stage's span and catch, like the stage body.
-fn emit(out: &Path, fill: impl FnOnce(&mut Output)) {
-    let mut o = Output::default();
-    fill(&mut o);
-    print!("{}", o.text);
-    for (name, content) in o.files {
-        write(out, name, &content);
-    }
+/// Prints a stage's text, then writes its files in the order pushed,
+/// under the stage's span and catch: a panic mid-write still ends as a
+/// typed exit 1, and the stage's record counts its I/O.
+fn emit(name: &str, out: &Path, o: Output) {
+    let written = caught(name, || {
+        print!("{}", o.text);
+        for (file, content) in &o.files {
+            write(out, file, content);
+        }
+        Ok(())
+    });
+    settle(name, written);
 }
 
 fn write(out: &Path, name: &str, content: &str) {
@@ -550,7 +688,7 @@ mod tests {
             .lines()
             .filter_map(|line| line.strip_prefix("  ")?.split_whitespace().next())
             .collect();
-        let every = STAGES.iter().map(|(name, _)| *name);
+        let every = STAGES.iter().map(|(name, _, _)| *name);
         for name in every.chain(["all", "report", "history"]) {
             assert!(listed.contains(&name), "--help omits {name}: {listed:?}");
         }

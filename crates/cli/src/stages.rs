@@ -33,25 +33,46 @@ impl Output {
 /// A pipeline stage's body.
 pub type StageFn = fn(&Ctx, &mut Output);
 
+/// Which lane computes a stage's body when `all` runs both lanes
+/// (DESIGN.md §13). Its output is printed and written on the main lane
+/// either way, in [`STAGES`] order.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    Main,
+    /// The side lane, on the worker pool's last worker, which computes
+    /// its stages in ascending rank. Only stages that read nothing from
+    /// [`Ctx`] go there. `orbit-validate` ranks first so that `qoe`'s
+    /// simulation heap builds up after `fig1`'s render on the main lane
+    /// has peaked: in `STAGES` order the two peaks could overlap, and 3
+    /// of 1,900 warm paper runs at 2 threads rose 1.3–1.6 MB above the
+    /// usual peak RSS (DESIGN.md §13).
+    Side(u8),
+}
+
+use Lane::{Main, Side};
+
+/// One row of [`STAGES`]: a command's name, its lane, its body.
+pub type Stage = (&'static str, Lane, StageFn);
+
 /// Every pipeline stage, in `all` order. The up-front command check,
 /// single-stage dispatch and `all` all read this one table.
-pub const STAGES: &[(&str, StageFn)] = &[
-    ("table1", |c, o| table1(c.model, o)),
-    ("table2", |c, o| table2(c.model, o)),
-    ("fig1", |c, o| fig1(c.model, o)),
-    ("fig2", fig2),
-    ("fig3", |c, o| fig3(c.model, o)),
-    ("fig4", |c, o| fig4(c.model, o)),
-    ("findings", |c, o| findings_cmd(c.model, o)),
-    ("qoe", |_, o| qoe(o)),
-    ("orbit-validate", |_, o| orbit_validate(o)),
-    ("strict", |c, o| strict_cmd(c.model, o)),
-    ("sensitivity", |c, o| sensitivity_cmd(c.model, o)),
-    ("latency", |_, o| latency(o)),
-    ("uplink", |c, o| uplink(c.model, o)),
-    ("cost", |c, o| cost_cmd(c.model, o)),
-    ("timeline", |c, o| timeline_cmd(c.model, o)),
-    ("export", |c, o| export(c.model, o)),
+pub const STAGES: &[Stage] = &[
+    ("table1", Main, |c, o| table1(c.model, o)),
+    ("table2", Main, |c, o| table2(c.model, o)),
+    ("fig1", Main, |c, o| fig1(c.model, o)),
+    ("fig2", Main, fig2),
+    ("fig3", Main, |c, o| fig3(c.model, o)),
+    ("fig4", Main, |c, o| fig4(c.model, o)),
+    ("findings", Main, |c, o| findings_cmd(c.model, o)),
+    ("qoe", Side(1), |_, o| qoe(o)),
+    ("orbit-validate", Side(0), |_, o| orbit_validate(o)),
+    ("strict", Main, |c, o| strict_cmd(c.model, o)),
+    ("sensitivity", Main, |c, o| sensitivity_cmd(c.model, o)),
+    ("latency", Side(2), |_, o| latency(o)),
+    ("uplink", Main, |c, o| uplink(c.model, o)),
+    ("cost", Main, |c, o| cost_cmd(c.model, o)),
+    ("timeline", Main, |c, o| timeline_cmd(c.model, o)),
+    ("export", Main, |c, o| export(c.model, o)),
 ];
 
 fn strict_cmd(model: &PaperModel, o: &mut Output) {
@@ -813,7 +834,7 @@ mod tests {
             cfg: &cfg,
         };
         let mut names = Vec::new();
-        for (stage, run) in STAGES {
+        for (stage, _, run) in STAGES {
             let mut o = Output::default();
             run(&ctx, &mut o);
             assert!(

@@ -715,10 +715,110 @@ fn a_plain_rerun_completes_an_aborted_run_byte_identically() {
         "aborted stage left no artifact"
     );
 
+    // A panic on the side lane ends the run at its turn too. At 2
+    // threads orbit-validate computes on the pool worker beside the
+    // main lane, which may have computed later stages ahead; still
+    // every artifact of table1 through qoe is written, and none of
+    // orbit-validate's own or of any later stage's.
+    let side = tmp("rerun_side");
+    let out = run(divide()
+        .args(["--scale", "small", "--no-cache", "--threads", "2", "--out"])
+        .arg(&side)
+        .args([
+            "--fault-plan",
+            "seed=3;stage.orbit-validate:nth=1,mode=panic",
+            "all",
+        ]));
+    assert_eq!(out.status.code(), Some(1), "side-lane panic exits 1");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(
+        stderr.contains("stage orbit-validate aborted"),
+        "typed abort: {stderr}"
+    );
+    for name in [
+        "table2.csv",
+        "fig1_cdf.csv",
+        "fig1_cdf.svg",
+        "fig1_map.svg",
+        "fig2_sweep.csv",
+        "fig2_heatmap.svg",
+        "fig3_tail.csv",
+        "fig3_tail.svg",
+        "fig4_affordability.csv",
+        "fig4_affordability.svg",
+        "qoe_oversub.csv",
+    ] {
+        let got = std::fs::read(side.join(name)).unwrap_or_default();
+        let want = std::fs::read(reference.join(name)).expect("reference artifact");
+        assert!(got == want, "{name} is missing or differs after the abort");
+    }
+    for name in [
+        "orbit_density.csv",
+        "strict_bound.csv",
+        "ablation_efficiency.csv",
+        "latency_paths.csv",
+        "cost_marginal.csv",
+        "dataset_cells.csv",
+        "dataset_counties.csv",
+    ] {
+        assert!(!side.join(name).exists(), "aborted run wrote {name}");
+    }
+
     // A plain rerun into the same directory completes the run, and its
     // artifacts match an uninterrupted run byte for byte.
+    for dir in [&dir, &side] {
+        let out = run(divide()
+            .args(["--scale", "small", "--no-cache", "--out"])
+            .arg(dir)
+            .arg("all"));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_dirs_identical(&reference, dir, &["run_manifest.json"]);
+    }
+
+    let _ = std::fs::remove_dir_all(&reference);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&side);
+}
+
+/// The stages `divide all` runs, in `STAGES` order
+/// (`crates/cli/src/stages.rs`), after the dataset build.
+const ALL_STAGES: [&str; 17] = [
+    "dataset",
+    "table1",
+    "table2",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "findings",
+    "qoe",
+    "orbit-validate",
+    "strict",
+    "sensitivity",
+    "latency",
+    "uplink",
+    "cost",
+    "timeline",
+    "export",
+];
+
+#[test]
+fn all_runs_its_side_lane_on_the_pool_worker_and_records_every_stage_once_in_order() {
+    let dir = tmp("lanes");
     let out = run(divide()
-        .args(["--scale", "small", "--no-cache", "--out"])
+        .args([
+            "--scale",
+            "small",
+            "--threads",
+            "2",
+            "--no-cache",
+            "--trace",
+            "--out",
+        ])
         .arg(&dir)
         .arg("all"));
     assert!(
@@ -726,9 +826,59 @@ fn a_plain_rerun_completes_an_aborted_run_byte_identically() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_dirs_identical(&reference, &dir, &["run_manifest.json"]);
 
-    let _ = std::fs::remove_dir_all(&reference);
+    // Span events land on exactly two lanes: the caller's and the one
+    // pool worker a 2-thread run prewarms. A side lane on a thread of
+    // its own would show a third.
+    let body = std::fs::read_to_string(dir.join("trace.json")).expect("trace.json");
+    let doc = Json::parse(&body).expect("trace.json parses");
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        panic!("traceEvents array expected");
+    };
+    let field = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).map(str::to_string);
+    let lane_of: std::collections::BTreeMap<u64, String> = events
+        .iter()
+        .filter(|e| field(e, "name").as_deref() == Some("thread_name"))
+        .filter_map(|e| Some((e.get("tid")?.as_u64()?, field(e.get("args")?, "name")?)))
+        .collect();
+    let span_lanes: std::collections::BTreeSet<&str> = events
+        .iter()
+        .filter(|e| matches!(field(e, "ph").as_deref(), Some("B" | "E")))
+        .filter_map(|e| Some(lane_of.get(&e.get("tid")?.as_u64()?)?.as_str()))
+        .collect();
+    assert_eq!(
+        span_lanes.into_iter().collect::<Vec<_>>(),
+        ["leo-par-0", "main"]
+    );
+
+    // The manifest lists each stage once, in STAGES order. A command
+    // stage records its body and its output as two calls, each with
+    // allocation stats from its own lane; the side lane's fan-outs, and
+    // at 2 threads the main lane's, run serially.
+    let manifest =
+        Json::parse(&std::fs::read_to_string(dir.join("run_manifest.json")).expect("manifest"))
+            .expect("manifest parses");
+    let Some(Json::Arr(stages)) = manifest.get("stages") else {
+        panic!("stages array expected");
+    };
+    let names: Vec<String> = stages.iter().filter_map(|s| field(s, "name")).collect();
+    assert_eq!(names, ALL_STAGES);
+    for stage in stages {
+        let name = field(stage, "name").unwrap_or_default();
+        let calls = stage.get("calls").and_then(Json::as_u64);
+        assert_eq!(calls, Some(if name == "dataset" { 1 } else { 2 }), "{name}");
+        for key in ["alloc_bytes", "alloc_count", "peak_heap_delta"] {
+            let value = stage.get(key).and_then(Json::as_u64).unwrap_or(0);
+            assert!(value > 0, "{name}: {key} = {value}");
+        }
+        if name != "dataset" {
+            let pooled = stage
+                .get("parallel")
+                .and_then(|p| p.get("fanouts"))
+                .and_then(Json::as_u64);
+            assert!(matches!(pooled, None | Some(0)), "{name}: {pooled:?}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -130,6 +130,7 @@ mod tests {
             seed: 7,
             threads: 2,
             argv: vec!["divide".into(), "all".into()],
+            stages: vec!["dataset".into()],
         };
         let manifest = run_manifest(&info, 42.0);
         let line = project(&manifest, 1_700_000_000);

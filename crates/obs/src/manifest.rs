@@ -51,18 +51,23 @@ pub struct RunInfo {
     pub threads: usize,
     /// The raw argument vector, for exact replay.
     pub argv: Vec<String>,
+    /// The stages the run ran, in run order. The manifest lists each
+    /// one that recorded a `stage.<name>` span, in this order.
+    pub stages: Vec<String>,
 }
 
-/// Spans whose top-level path starts with `stage.`, in execution
-/// order — the per-stage wall-clock table of the manifest.
-fn stage_spans(spans: &BTreeMap<String, SpanStats>) -> Vec<(String, SpanStats)> {
-    let mut stages: Vec<(String, SpanStats)> = spans
+/// The top-level `stage.<name>` span of each of `order`'s stages, in
+/// that order — the per-stage wall-clock table of the manifest. Spans
+/// record completion order, but a stage's span can close on either of
+/// two lanes and more than once (its body, then its output), so only
+/// the run's own order lists the stages the same way on every run.
+fn stage_spans<'a>(
+    spans: &'a BTreeMap<String, SpanStats>,
+    order: &'a [String],
+) -> impl Iterator<Item = (&'a str, &'a SpanStats)> {
+    order
         .iter()
-        .filter(|(path, _)| !path.contains('/') && path.starts_with("stage."))
-        .map(|(path, &s)| (path["stage.".len()..].to_string(), s))
-        .collect();
-    stages.sort_by_key(|&(_, s)| s.seq);
-    stages
+        .filter_map(|name| Some((name.as_str(), spans.get(&format!("stage.{name}"))?)))
 }
 
 fn ns_to_ms(ns: u64) -> f64 {
@@ -170,9 +175,9 @@ pub fn run_manifest(info: &RunInfo, wall_ms: f64) -> Json {
     let parallel = crate::scope::parallel_snapshot();
     let mut stages = Json::Arr(Vec::new());
     if let Json::Arr(items) = &mut stages {
-        for (name, stats) in stage_spans(&spans) {
+        for (name, stats) in stage_spans(&spans, &info.stages) {
             let mut stage = Json::obj()
-                .set("name", name.as_str())
+                .set("name", name)
                 .set("wall_ms", ns_to_ms(stats.total_ns))
                 .set("calls", stats.count);
             if let Some(a) = allocs.get(&format!("stage.{name}")) {
@@ -240,6 +245,7 @@ mod tests {
             seed: 7,
             threads: 4,
             argv: vec!["divide".into(), "fig2".into()],
+            stages: vec!["dataset".into(), "fig2".into()],
         }
     }
 
@@ -248,12 +254,13 @@ mod tests {
         let _lock = crate::test_lock();
         crate::set_enabled(true);
         crate::reset();
+        // fig2's span closes first, as a second lane's can.
+        {
+            let _stage = span::enter("stage.fig2");
+        }
         {
             let _stage = span::enter("stage.dataset");
             let _inner = span::enter("demand.generate");
-        }
-        {
-            let _stage = span::enter("stage.fig2");
         }
         crate::metrics::counter_add("t_manifest.counter", 3);
         // A command name that is not also a stage name, so the textual
@@ -268,7 +275,8 @@ mod tests {
         ] {
             assert!(m.get(key).is_some(), "missing key {key}");
         }
-        // Stages in execution order, stripped of the prefix.
+        // Stages in the run's order, stripped of the prefix, whichever
+        // span closed first.
         let rendered = m.render();
         let dataset_at = rendered.find("\"dataset\"").expect("dataset stage");
         let fig2_at = rendered.find("\"fig2\"").expect("fig2 stage");

@@ -33,17 +33,25 @@ pub struct AllocReading {
     pub peak_bytes: u64,
 }
 
-/// The allocator hook: three capture-free `fn` pointers into whatever
-/// tracking allocator the binary installed.
+/// The allocator hook: four capture-free `fn` pointers into whatever
+/// tracking allocator the binary installed. The allocator counts each
+/// lane of work apart (`leo_alloc::Lane`); the process readings are
+/// the sums over the lanes, and the span readings are the calling
+/// thread's lane's own.
 #[derive(Clone, Copy)]
 pub struct AllocHook {
-    /// Reads the current counters.
+    /// Reads the process counters, for the manifest's `resources` and
+    /// the trace's `mem` lane.
     pub read: fn() -> AllocReading,
-    /// Rebases the span high-water mark to the live heap size and
-    /// returns that size. Called when a top-level span opens.
+    /// Reads the calling thread's lane counters. Read when a top-level
+    /// span opens and closes.
+    pub read_lane: fn() -> AllocReading,
+    /// Rebases the calling thread's lane's span high-water mark to
+    /// that lane's live heap and returns it. Called when a top-level
+    /// span opens.
     pub rebase_span_peak: fn() -> u64,
-    /// The high-water mark since the last rebase. Read when a
-    /// top-level span closes.
+    /// The calling thread's lane's high-water mark since its last
+    /// rebase. Read when a top-level span closes.
     pub span_peak: fn() -> u64,
 }
 
@@ -263,6 +271,7 @@ mod tests {
         let _lock = crate::test_lock();
         set_alloc_hook(Some(AllocHook {
             read: fake_read,
+            read_lane: fake_read,
             rebase_span_peak: fake_rebase,
             span_peak: fake_span_peak,
         }));

@@ -120,10 +120,11 @@ struct ThreadCtx {
     /// Parent path for spans opened with an empty stack (set inside a
     /// pool chunk so worker spans nest under the dispatching caller).
     base: Option<String>,
-    /// Whether top-level spans on this thread may use the process-wide
-    /// allocator watermark. Only the default ambient context may: the
-    /// watermark cannot nest, so entered scopes and pool chunks skip
-    /// heap accounting instead of corrupting each other's peaks.
+    /// Whether top-level spans on this thread may use their lane's
+    /// allocator watermark. Only the default ambient context and a
+    /// second lane's top-level context ([`ObsContext::enter_top_level`])
+    /// may: a watermark cannot nest, so entered scopes and pool chunks
+    /// skip heap accounting instead of corrupting each other's peaks.
     alloc_spans: bool,
 }
 
@@ -332,14 +333,32 @@ impl ObsContext {
     /// the captured parent path becomes the base for any spans the
     /// chunk body opens. A no-op guard when the context is inert.
     pub fn enter(&self) -> ScopeGuard {
+        self.install(false)
+    }
+
+    /// Installs the captured scope as a second top-level context, for
+    /// a lane of work that runs beside the caller rather than inside
+    /// one of its spans: spans opened under the guard start a stack of
+    /// their own (no base path), and top-level ones carry allocation
+    /// accounting on the thread's own allocator lane. A no-op guard
+    /// when the context is inert.
+    pub fn enter_top_level(&self) -> ScopeGuard {
+        self.install(true)
+    }
+
+    fn install(&self, top_level: bool) -> ScopeGuard {
         let Some(inner) = &self.inner else {
             return ScopeGuard { prev: None };
         };
         let fresh = ThreadCtx {
             scope: Some(inner.scope.clone()),
             stack: Vec::new(),
-            base: inner.parent.clone(),
-            alloc_spans: false,
+            base: if top_level {
+                None
+            } else {
+                inner.parent.clone()
+            },
+            alloc_spans: top_level,
         };
         let prev = CTX.with(|c| std::mem::replace(&mut *c.borrow_mut(), fresh));
         ScopeGuard { prev: Some(prev) }
@@ -522,6 +541,33 @@ mod tests {
             cap.spans.keys().collect::<Vec<_>>()
         );
         assert_eq!(cap.counters["t_ctx.worker"], 1);
+    }
+
+    #[test]
+    fn a_top_level_context_records_its_own_roots_into_the_callers_scope() {
+        let _lock = crate::test_lock();
+        crate::set_enabled(true);
+        let scope = ObsScope::new();
+        let ctx = {
+            let _g = scope.enter();
+            let _stage = crate::span::enter("stage.t_main");
+            ObsContext::current()
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _g = ctx.enter_top_level();
+                let _stage = crate::span::enter("stage.t_side");
+                attribute_serial(3);
+                assert!(
+                    CTX.with(|c| c.borrow().alloc_spans),
+                    "a top-level context keeps allocation accounting on"
+                );
+            });
+        });
+        let cap = scope.snapshot();
+        let roots: Vec<&String> = cap.spans.keys().collect();
+        assert_eq!(roots, ["stage.t_main", "stage.t_side"]);
+        assert_eq!(cap.parallel["stage.t_side"].serial_calls, 1);
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub struct SpanStats {
     /// Slowest call, nanoseconds.
     pub max_ns: u64,
     /// Registry-wide completion order of the path's first call — lets
-    /// the manifest list stages in execution order, which a BTreeMap
-    /// of paths alone cannot recover.
+    /// the manifest's span tree list siblings in execution order, which
+    /// a BTreeMap of paths alone cannot recover.
     pub seq: u64,
 }
 
@@ -55,11 +55,12 @@ impl SpanStats {
 /// Accumulated allocator statistics of one **top-level** span path.
 ///
 /// Only top-level spans (opened with an empty stack) carry allocator
-/// accounting: the tracking allocator keeps a single process-wide
-/// rebasable high-water mark, which cannot nest — and the pipeline's
-/// `stage.*` spans, the ones the manifest reports, all run serially on
-/// the main thread at depth zero, so that one watermark is exactly
-/// enough (DESIGN.md §12).
+/// accounting: the tracking allocator keeps one rebasable high-water
+/// mark per lane of work, which cannot nest — and the pipeline's
+/// `stage.*` spans, the ones the manifest reports, run at depth zero,
+/// one at a time on each lane, so one watermark per lane is exactly
+/// enough (DESIGN.md §12). A span reads its own thread's lane, so the
+/// counters and peak it records never include the other lane's work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanAllocStats {
     /// Bytes allocated while the span was open, summed across calls.
@@ -101,13 +102,13 @@ pub fn enter(name: &str) -> SpanGuard {
         };
     }
     let pushed = scope::push_span(name);
-    // Only top-level spans of the default ambient context carry heap
-    // accounting: the allocator keeps a single rebasable high-water
-    // mark (see SpanAllocStats docs), which cannot be shared between
+    // Only top-level spans of a context with accounting on carry heap
+    // stats: the allocator keeps one rebasable high-water mark per lane
+    // (see SpanAllocStats docs), which cannot be shared between
     // concurrent scopes or pool chunks.
     let alloc_begin = if pushed.alloc_top {
         crate::resource::alloc_hook().map(|hook| {
-            let reading = (hook.read)();
+            let reading = (hook.read_lane)();
             (hook.rebase_span_peak)();
             AllocBegin {
                 alloc_calls: reading.alloc_calls,
@@ -146,7 +147,7 @@ impl Drop for SpanGuard {
             // contended acquisitions per span exit).
             let alloc = match (self.alloc_begin.take(), crate::resource::alloc_hook()) {
                 (Some(begin), Some(hook)) => {
-                    let reading = (hook.read)();
+                    let reading = (hook.read_lane)();
                     let span_peak = (hook.span_peak)();
                     Some((
                         reading
@@ -264,6 +265,7 @@ mod tests {
         crate::set_enabled(true);
         crate::resource::set_alloc_hook(Some(crate::resource::AllocHook {
             read: fake_read,
+            read_lane: fake_read,
             rebase_span_peak: fake_rebase,
             span_peak: fake_span_peak,
         }));

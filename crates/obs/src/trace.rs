@@ -316,6 +316,7 @@ mod tests {
         };
         crate::resource::set_alloc_hook(Some(crate::resource::AllocHook {
             read: reading,
+            read_lane: reading,
             rebase_span_peak: || 2048,
             span_peak: || 2048,
         }));

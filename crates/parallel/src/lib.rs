@@ -39,6 +39,12 @@
 //! oversubscribing the host. This cannot affect results: every item's
 //! value is independent of where it is computed.
 //!
+//! [`beside`] is the one primitive that is not a fan-out: it runs a
+//! whole closure on the pool's last worker while the caller runs
+//! another with one thread fewer, so two independent streams of work
+//! share the pool without a thread of their own (the CLI's `all` runs
+//! its side lane this way).
+//!
 //! Thread-count resolution (highest priority first): a thread-local
 //! override ([`with_threads`], used by the determinism tests), the
 //! process-wide setting ([`set_global_threads`], wired to the CLI's
@@ -147,6 +153,54 @@ fn chunks(len: usize, workers: usize) -> Vec<(usize, usize)> {
         start += size;
     }
     out
+}
+
+/// Runs `side` on the worker pool's last worker while the caller runs
+/// `main` with one thread fewer, and returns both results once both
+/// have finished.
+///
+/// At `n` effective threads, `side` runs on pool worker `n − 2` — the
+/// last one [`pool::prewarm`]`(n)` spawned, so no thread is spawned for
+/// it — with nested fan-outs serial. `main` sees `n − 1` threads, so
+/// its fan-outs use the caller and workers `0..n − 2` and never queue
+/// behind `side`. At one thread both run on the caller, `side` first,
+/// so `main` may consume what `side` produced.
+///
+/// `side` records into the caller's observability scope as a top-level
+/// context of its own (`ObsContext::enter_top_level`): its spans are
+/// roots with allocation accounting on, not children of whatever span
+/// the caller has open, and its serial fan-outs are attributed to its
+/// own root span.
+///
+/// A panic on either side resumes on the caller only after both have
+/// finished, `main`'s first.
+pub fn beside<RS, RM>(side: impl FnOnce() -> RS + Send, main: impl FnOnce() -> RM) -> (RS, RM)
+where
+    RS: Send,
+{
+    let ctx = leo_obs::scope::ObsContext::current();
+    let side = Mutex::new(Some(side));
+    let side_out = Mutex::new(None);
+    let run_side = |_: usize| {
+        let _obs_ctx = ctx.enter_top_level();
+        let side = side.lock().take().expect("the side closure runs once");
+        *side_out.lock() = Some(side());
+    };
+    let threads = effective_threads();
+    let mut main_out = None;
+    if threads <= 1 {
+        let side_panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_side(0)));
+        main_out = Some(main());
+        if let Err(payload) = side_panic {
+            std::panic::resume_unwind(payload);
+        }
+    } else {
+        pool::run_beside(threads - 2, &run_side, || {
+            main_out = Some(with_threads(threads - 1, main));
+        });
+    }
+    let side_out = side_out.into_inner().expect("the side closure returned");
+    (side_out, main_out.expect("the main closure returned"))
 }
 
 /// One chunk's result slot: the chunk output plus its busy-time in
@@ -382,6 +436,131 @@ mod tests {
             })
         });
         assert_eq!(out, vec![36, 66, 96, 126]);
+    }
+
+    /// The calling thread's name.
+    fn thread_name() -> String {
+        std::thread::current().name().unwrap_or("").to_string()
+    }
+
+    #[test]
+    fn beside_runs_the_side_on_the_last_worker_and_main_one_thread_narrower() {
+        for n in [2usize, 3, 4] {
+            let (side, main) = with_threads(n, || {
+                beside(
+                    || {
+                        let me = std::thread::current().id();
+                        let nested = par_map(&[0u8; 8], |_, _| std::thread::current().id());
+                        let serial = nested.iter().all(|&id| id == me);
+                        (thread_name(), effective_threads(), serial)
+                    },
+                    || {
+                        let ids = par_map(&[0u8; 64], |_, _| thread_name());
+                        let distinct: std::collections::BTreeSet<String> =
+                            ids.into_iter().collect();
+                        (effective_threads(), distinct)
+                    },
+                )
+            });
+            let worker = format!("leo-par-{}", n - 2);
+            assert_eq!(side, (worker.clone(), 1, true), "threads={n}");
+            assert_eq!(main.0, n - 1, "threads={n}: the caller keeps n - 1 threads");
+            assert_eq!(main.1.len(), n - 1, "threads={n}: {:?}", main.1);
+            assert!(
+                !main.1.contains(&worker),
+                "threads={n}: main used the side worker"
+            );
+        }
+        // One thread: both on the caller, the side first.
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let ((), ()) = with_threads(1, || {
+            beside(
+                || order.lock().push(("side", std::thread::current().id())),
+                || order.lock().push(("main", std::thread::current().id())),
+            )
+        });
+        assert_eq!(order.into_inner(), [("side", caller), ("main", caller)]);
+    }
+
+    #[test]
+    fn beside_resumes_a_panic_only_after_both_sides_finished() {
+        use std::sync::atomic::AtomicBool;
+        let slow = || {
+            let t0 = Instant::now();
+            while t0.elapsed().as_millis() < 20 {
+                std::hint::black_box(0);
+            }
+        };
+        for threads in [1usize, 2] {
+            // The side panics while the main side is still running, and
+            // the other way round; the caller sees the panic only once
+            // the other side has finished.
+            let finished = AtomicBool::new(false);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_threads(threads, || {
+                    beside(
+                        || panic!("side panic"),
+                        || {
+                            slow();
+                            finished.store(true, Ordering::SeqCst);
+                        },
+                    )
+                })
+            }));
+            let payload = caught.expect_err("the side's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"side panic"));
+            assert!(
+                finished.load(Ordering::SeqCst),
+                "threads={threads}: main finished first"
+            );
+
+            let finished = AtomicBool::new(false);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_threads(threads, || {
+                    beside(
+                        || {
+                            slow();
+                            finished.store(true, Ordering::SeqCst);
+                        },
+                        || panic!("main panic"),
+                    )
+                })
+            }));
+            let payload = caught.expect_err("the main side's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"main panic"));
+            assert!(
+                finished.load(Ordering::SeqCst),
+                "threads={threads}: side finished first"
+            );
+        }
+        // The pool still serves both kinds of job.
+        let (side, main) = with_threads(2, || beside(|| 1, || par_map(&[1, 2], |_, &x| x)));
+        assert_eq!((side, main), (1, vec![1, 2]));
+    }
+
+    #[test]
+    fn beside_records_the_side_as_a_root_of_the_callers_scope() {
+        leo_obs::set_enabled(true);
+        let scope = leo_obs::scope::ObsScope::new();
+        {
+            let _guard = scope.enter();
+            let _stage = leo_obs::span!("stage.t_main");
+            with_threads(2, || {
+                beside(
+                    || {
+                        let _stage = leo_obs::span!("stage.t_side");
+                        let _ = par_map(&[1u64, 2, 3], |_, &x| x);
+                    },
+                    || (),
+                )
+            });
+        }
+        let snap = scope.snapshot();
+        let roots: Vec<&String> = snap.spans.keys().collect();
+        assert_eq!(roots, ["stage.t_main", "stage.t_side"]);
+        let side = &snap.parallel["stage.t_side"];
+        assert_eq!((side.fanouts, side.serial_calls, side.items), (0, 1, 3));
     }
 
     #[test]

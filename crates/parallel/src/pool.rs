@@ -30,7 +30,14 @@
 //! borrowed task can never be observed by a worker after
 //! [`run_chunks`] returns.
 //!
+//! The same mailboxes carry the one job that is not a fan-out:
+//! [`run_beside`] queues a whole closure on one worker, the last one
+//! [`beside`] may use, and the caller runs a second closure meanwhile.
+//! It spawns no thread of its own: the worker is one [`prewarm`]
+//! already started.
+//!
 //! [`par_map`]: crate::par_map
+//! [`beside`]: crate::beside
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,20 +59,22 @@ fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
 
 /// Sequential dispatch counter behind `pool.chunk` injection call
 /// indices. Advanced only on the fan-out caller (fan-outs are serial:
-/// nested ones are flattened), and which fan-outs pool depends on item
-/// and thread counts alone, so chunk `c` of the `k`-th pooled fan-out
-/// gets the same index on every run at a given `--threads` width.
+/// nested ones are flattened, and a side job's are serial too), and
+/// which fan-outs pool depends on item and thread counts alone, so
+/// chunk `c` of the `k`-th pooled fan-out gets the same index on every
+/// run at a given `--threads` width.
 static CHUNK_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// One fan-out in flight: the lifetime-erased chunk task plus the
-/// rendezvous state its caller blocks on.
+/// One fan-out (or side job) in flight: the lifetime-erased chunk task
+/// plus the rendezvous state its caller blocks on.
 struct Job {
     /// Points at the closure held on the caller's stack frame. Only
     /// dereferenced by [`Job::run`], which can only execute while
-    /// `pending > 0`; [`run_chunks`] does not return until `pending`
-    /// reaches zero, so the referent is always alive when read.
+    /// `pending > 0`; the job's creator does not return until
+    /// [`Job::join`] saw `pending` reach zero, so the referent is
+    /// always alive when read.
     task: *const (dyn Fn(usize) + Sync),
-    /// Chunks not yet finished (counts the caller's chunk 0 too).
+    /// Chunks not yet finished (counts a fan-out caller's chunk 0 too).
     pending: Mutex<usize>,
     /// Signalled when `pending` reaches zero.
     done: Condvar,
@@ -88,12 +97,38 @@ unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 impl Job {
+    /// A job of `pending` chunks of `task`, erasing the borrow's
+    /// lifetime.
+    ///
+    /// # Safety
+    ///
+    /// The caller must not return — normally or by unwinding — before
+    /// [`Job::join`] has returned: workers dereference `task` until the
+    /// last chunk finishes, and only the rendezvous observes that.
+    #[allow(unsafe_code)]
+    unsafe fn new(
+        task: &(dyn Fn(usize) + Sync),
+        pending: usize,
+        fault_base: Option<u64>,
+    ) -> Arc<Job> {
+        // SAFETY: the caller upholds the contract above, so `task`
+        // outlives every dereference through the erased pointer.
+        let task: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
+        Arc::new(Job {
+            task,
+            pending: Mutex::new(pending),
+            done: Condvar::new(),
+            panic: Mutex::new(None),
+            fault_base,
+        })
+    }
+
     /// Executes one chunk with nested fan-outs forced serial, catches
     /// any panic into the job's panic slot, then signals completion.
     fn run(&self, chunk: usize) {
-        // SAFETY: `pending` still counts this chunk, so the caller of
-        // `run_chunks` is blocked (or about to block) in its
-        // rendezvous and the closure is alive.
+        // SAFETY: `pending` still counts this chunk, so the job's
+        // creator is blocked (or about to block) in `join` and the
+        // closure is alive.
         #[allow(unsafe_code)]
         let task = unsafe { &*self.task };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -121,6 +156,24 @@ impl Job {
         if *pending == 0 {
             self.done.notify_all();
         }
+    }
+
+    /// Queues chunk `chunk` on pool worker `worker`, which must exist.
+    fn send(self: &Arc<Self>, pool: &[Arc<Mailbox>], worker: usize, chunk: usize) {
+        let mailbox = &pool[worker];
+        lock(&mailbox.queue).push_back((Arc::clone(self), chunk));
+        mailbox.ready.notify_one();
+    }
+
+    /// The rendezvous: blocks until every chunk has finished, then
+    /// returns the first panic any of them caught.
+    fn join(&self) -> Option<PanicPayload> {
+        let mut pending = lock(&self.pending);
+        while *pending > 0 {
+            pending = wait(&self.done, pending);
+        }
+        drop(pending);
+        lock(&self.panic).take()
     }
 }
 
@@ -192,14 +245,6 @@ fn ensure_workers(n: usize) {
 pub(crate) fn run_chunks(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     debug_assert!(n_chunks >= 1);
     ensure_workers(n_chunks.saturating_sub(1));
-    // SAFETY (lifetime erasure): the raw pointer is only dereferenced
-    // by `Job::run` while `pending > 0`, and this function only
-    // returns — normally or by `resume_unwind` — after the rendezvous
-    // below observed `pending == 0`. The caller's own chunk runs
-    // through `Job::run` too, so even its panic is deferred past the
-    // rendezvous. `task` therefore strictly outlives every dereference.
-    #[allow(unsafe_code)]
-    let task: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
     // Reserve the fan-out's injection indices up front, on the caller:
     // dispatch order is serial and deterministic even though chunk
     // execution is not. One relaxed load when no plan is active.
@@ -208,30 +253,42 @@ pub(crate) fn run_chunks(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     } else {
         None
     };
-    let job = Arc::new(Job {
-        task,
-        pending: Mutex::new(n_chunks),
-        done: Condvar::new(),
-        panic: Mutex::new(None),
-        fault_base,
-    });
+    // SAFETY: this function only returns — normally or by
+    // `resume_unwind` — after `join` below. The caller's own chunk runs
+    // through `Job::run` too, so even its panic is deferred past the
+    // rendezvous.
+    #[allow(unsafe_code)]
+    let job = unsafe { Job::new(task, n_chunks, fault_base) };
     if n_chunks > 1 {
         let pool = lock(&POOL);
         for chunk in 1..n_chunks {
-            let mailbox = &pool[chunk - 1];
-            lock(&mailbox.queue).push_back((Arc::clone(&job), chunk));
-            mailbox.ready.notify_one();
+            job.send(&pool, chunk - 1, chunk);
         }
     }
     job.run(0);
-    // The rendezvous: block until every chunk has finished.
-    let mut pending = lock(&job.pending);
-    while *pending > 0 {
-        pending = wait(&job.done, pending);
+    if let Some(payload) = job.join() {
+        std::panic::resume_unwind(payload);
     }
-    drop(pending);
-    let panicked = lock(&job.panic).take();
-    if let Some(payload) = panicked {
+}
+
+/// Runs `side` on pool worker `worker` while the caller runs `main`,
+/// and returns once both have finished. `side` runs as a one-chunk job:
+/// nested fan-outs inside it are serial, it has no `pool.chunk` fault
+/// site, and its panic is caught on the worker. A panic in either
+/// resumes on the caller after the rendezvous, `main`'s first.
+pub(crate) fn run_beside(worker: usize, side: &(dyn Fn(usize) + Sync), main: impl FnOnce()) {
+    ensure_workers(worker + 1);
+    // SAFETY: `main` runs under `catch_unwind`, so nothing unwinds out
+    // of this function before `join` below.
+    #[allow(unsafe_code)]
+    let job = unsafe { Job::new(side, 1, None) };
+    job.send(&lock(&POOL), worker, 0);
+    let main = catch_unwind(AssertUnwindSafe(main));
+    let side = job.join();
+    if let Err(payload) = main {
+        std::panic::resume_unwind(payload);
+    }
+    if let Some(payload) = side {
         std::panic::resume_unwind(payload);
     }
 }

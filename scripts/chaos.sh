@@ -120,21 +120,37 @@ echo "[chaos] $PLANS plans: $identical survived byte-identical, $typed failed ty
 echo "[chaos] interrupt-then-rerun leg"
 # An aborted run leaves whole artifacts of the stages before the abort
 # and nothing of the rest; rerunning the same command into the same
-# --out completes it.
+# --out completes it. At 2 threads qoe computes on the side lane while
+# the main lane computes later stages ahead, so this checks that no
+# output is written before its turn.
 rout="$scratch/rerun"
 errfile="$scratch/rerun.stderr"
 plan="seed=99;stage.qoe:nth=1"
 set +e
-"$BIN" --scale small all --out "$rout" --cache "$cache" \
+"$BIN" --threads 2 --scale small all --out "$rout" --cache "$cache" \
     --fault-plan "$plan" -q >/dev/null 2>"$errfile"
 code=$?
 set -e
 [ "$code" -eq 1 ] || fail "interrupted run expected exit 1, got $code"
 leftover="$(find "$rout" "$cache" -name '*.tmp*' 2>/dev/null || true)"
 [ -z "$leftover" ] || fail "leftover staging files after the interrupt: $leftover"
-[ ! -e "$rout/qoe_oversub.csv" ] || fail "aborted stage qoe wrote qoe_oversub.csv"
+# The artifacts of the stages before qoe (table1 through findings).
+before="table2.csv fig1_cdf.csv fig1_cdf.svg fig1_map.svg fig2_sweep.csv
+        fig2_heatmap.svg fig3_tail.csv fig3_tail.svg fig4_affordability.csv
+        fig4_affordability.svg"
+for f in $before; do
+    cmp -s "$ref/$f" "$rout/$f" || fail "aborted run lacks $f of a stage before qoe"
+done
+# Every other artifact is qoe's or a later stage's.
+for path in "$ref"/*; do
+    f="$(basename "$path")"
+    case " $(echo $before) run_manifest.json " in
+        *" $f "*) ;;
+        *) [ ! -e "$rout/$f" ] || fail "aborted run wrote $f of qoe or a later stage" ;;
+    esac
+done
 plan="rerun without faults"
-"$BIN" --scale small all --out "$rout" --cache "$cache" -q \
+"$BIN" --threads 2 --scale small all --out "$rout" --cache "$cache" -q \
     >/dev/null 2>"$errfile" \
     || fail "rerun failed"
 diff -r --exclude run_manifest.json "$ref" "$rout" >/dev/null \

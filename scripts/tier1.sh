@@ -217,6 +217,20 @@ for run in paper1 paper2; do
         || { echo "[tier1] $run's stdout differs from results/paper_run.txt" >&2; exit 1; }
 done
 echo "[tier1] stdout at 1 thread (cold) and 2 threads (warm) matches results/paper_run.txt"
+# The manifest lists each stage once, in the run's order: the dataset
+# build, then STAGES (crates/cli/src/stages.rs), however the two lanes
+# of a 2-thread run interleave.
+python3 - "$paper1/run_manifest.json" "$paper2/run_manifest.json" <<'PY'
+import json, sys
+
+want = ["dataset", "table1", "table2", "fig1", "fig2", "fig3", "fig4", "findings",
+        "qoe", "orbit-validate", "strict", "sensitivity", "latency", "uplink",
+        "cost", "timeline", "export"]
+for path in sys.argv[1:]:
+    got = [s["name"] for s in json.load(open(path))["stages"]]
+    assert got == want, (path, got)
+print("[tier1] paper manifests at 1 and 2 threads list dataset, then STAGES in order")
+PY
 compared=0
 for f in results/*.csv results/*.svg; do
     for run in "$paper1" "$paper2"; do
@@ -358,14 +372,29 @@ assert all(v == 0 for v in balance.values()), f"unbalanced B/E: {balance}"
 # 50 us of slack; the shared-timestamp design makes it exact today).
 manifest = json.load(open(f"{traced}/run_manifest.json"))
 
+# The manifest lists each stage once: the dataset build, then STAGES.
+assert [s["name"] for s in manifest["stages"]] == [
+    "dataset", "table1", "table2", "fig1", "fig2", "fig3", "fig4", "findings",
+    "qoe", "orbit-validate", "strict", "sensitivity", "latency", "uplink",
+    "cost", "timeline", "export"], [s["name"] for s in manifest["stages"]]
+
+# At --threads 4 `all` computes qoe, orbit-validate and latency on a
+# side lane: the pool's last worker, leo-par-2, a named lane of its own.
+side = "leo-par-2"
+assert side in lanes, f"missing side lane {side}: {sorted(lanes)}"
+
 # --threads 4 must have spawned the 3 persistent workers behind lanes
 # worker-1..worker-3.
 counters = manifest["metrics"]["counters"]
 assert counters.get("parallel.pool_spawned_threads", 0) >= 3, counters
-# Main lane only: worker-lane chunks now carry their owning stage's
-# span path as parent frames (so flamegraphs telescope), and that busy
-# time is already inside the stage's inclusive main-lane total.
+# Thread lanes only, main and side: a top-level span's calls ran on
+# one or both of them (a side stage's body on the side lane, its output
+# on main), and their folded time sums to the manifest's total.
+# Worker-lane chunks carry their owning stage's span path as parent
+# frames (so flamegraphs telescope), and that busy time is already
+# inside the stage's inclusive total on the lane that dispatched it.
 folded = collections.defaultdict(int)
+side_stages = set()
 worker_parented = 0
 for line in open(f"{traced}/trace.folded"):
     stack, ns = line.rsplit(" ", 1)
@@ -374,8 +403,10 @@ for line in open(f"{traced}/trace.folded"):
         if any(f.startswith("stage.") for f in frames[1:]):
             worker_parented += 1
         continue
-    if frames[0] != "main":
+    if frames[0] not in ("main", side):
         continue
+    if frames[0] == side:
+        side_stages.add(frames[1])
     for frame in set(frames[1:]):
         folded[frame] += int(ns)
 for span in manifest["spans"]:
@@ -385,6 +416,7 @@ for span in manifest["spans"]:
         f"span {name}: manifest {total} ns vs folded {got} ns"
 assert worker_parented >= 1, \
     "no worker chunk telescoped under a stage.* parent frame"
+assert side_stages == {"stage.qoe", "stage.orbit-validate", "stage.latency"}, side_stages
 
 # Per-stage parallel attribution (DESIGN.md §15) is the one record of
 # pool work: every fan-out of two or more items pools, so the dataset

@@ -144,8 +144,7 @@ fn resource_telemetry_does_not_perturb_artifact_bytes() {
     use starlink_divide_repro::obs::resource::{self, AllocHook, AllocReading};
     use starlink_divide_repro::{alloc_track, obs};
 
-    fn read() -> AllocReading {
-        let s = alloc_track::stats();
+    fn reading(s: alloc_track::AllocStats) -> AllocReading {
         AllocReading {
             alloc_calls: s.alloc_calls,
             dealloc_calls: s.dealloc_calls,
@@ -158,7 +157,8 @@ fn resource_telemetry_does_not_perturb_artifact_bytes() {
     obs::set_enabled(true);
     alloc_track::set_tracking(true);
     resource::set_alloc_hook(Some(AllocHook {
-        read,
+        read: || reading(alloc_track::stats()),
+        read_lane: || reading(alloc_track::lane_stats()),
         rebase_span_peak: alloc_track::rebase_span_peak,
         span_peak: alloc_track::span_peak_bytes,
     }));
