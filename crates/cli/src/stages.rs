@@ -45,7 +45,9 @@ pub enum Lane {
     /// simulation heap builds up after `fig1`'s render on the main lane
     /// has peaked: in `STAGES` order the two peaks could overlap, and 3
     /// of 1,900 warm paper runs at 2 threads rose 1.3–1.6 MB above the
-    /// usual peak RSS (DESIGN.md §13).
+    /// usual peak RSS (DESIGN.md §13). `qoe` streams its flows and keeps
+    /// 8 bytes of each, so its heap now peaks at 0.9 MB rather than
+    /// 2.4 MB and an overlap that still happens costs less.
     Side(u8),
 }
 

@@ -48,15 +48,21 @@ impl Default for CoverageConfig {
 
 /// One shell's coverage invariants: its ephemeris, its cap angle, the
 /// latitude band its satellites must be in to reach any point, and the
-/// dot-product floor below which a satellite is certainly out of a
-/// point's view.
+/// dot-product bounds that decide a pair without the exact test.
 struct ShellCover {
     eph: WalkerEphemeris,
     lambda: f64,
     band: SinLatBand,
+    /// [`visibility::cap_dot_floor`] of the points' bounding cap widened
+    /// by the cap angle, compared against `hub · ecef`: below it, the
+    /// satellite is certainly out of every point's view.
+    hub_floor: f64,
     /// [`visibility::cap_dot_floor`] at the orbit radius, compared
-    /// against `p̂ · ecef`.
+    /// against `p̂ · ecef`: below it, certainly out of view.
     dot_floor: f64,
+    /// [`visibility::cap_dot_ceiling`] at the orbit radius: at or above
+    /// it, certainly in view.
+    dot_ceiling: f64,
 }
 
 /// A ground point with its unit vector and haversine trigonometry
@@ -67,17 +73,45 @@ struct Ground {
     unit: Vec3,
 }
 
+/// The ground points' bounding cap: a hub direction and an angular
+/// radius (`spread`) no point lies beyond. When the points' unit
+/// vectors sum to near zero (no points, or a set such as an antipodal
+/// pair) there is no hub: the zero vector and an infinite spread, whose
+/// floor of −∞ rules nothing out.
+fn bounding_cap(ground: &[Ground]) -> (Vec3, f64) {
+    let sum = ground.iter().fold(Vec3::default(), |s, g| {
+        Vec3::new(s.x + g.unit.x, s.y + g.unit.y, s.z + g.unit.z)
+    });
+    if sum.norm() <= 1e-9 {
+        return (Vec3::default(), f64::INFINITY);
+    }
+    let hub = sum.normalized();
+    let min_dot = ground
+        .iter()
+        .map(|g| hub.dot(g.unit))
+        .fold(f64::INFINITY, f64::min);
+    // Rounded up: the dots are within about 1e-15 of the true cosines,
+    // and lowering the smallest by the far larger slack before the
+    // `acos` bounds every point's true angle from the hub.
+    let spread = (min_dot - visibility::CAP_DOT_SLACK).max(-1.0).acos();
+    (hub, spread)
+}
+
 /// Computes coverage statistics for each ground point under the union
 /// of `shells`.
 ///
-/// Complexity is `O(time_samples × satellites)` for propagation plus
-/// `O(time_samples × band satellites × points)` dot products, where the
-/// band satellites are those within one cap angle of the points'
-/// latitude range. Only pairs within the cap angle plus a 1e-6 rad
-/// margin (`visibility::cap_dot_floor`) build a sub-satellite point and
-/// run the exact haversine test, so the integer in-view counts are
-/// exactly those of testing every pair. A full 8k-satellite
-/// constellation over a few dozen points runs in tens of milliseconds.
+/// Complexity is `O(time_samples × satellites)` for propagation plus,
+/// per time sample, one dot product per band satellite (those within
+/// one cap angle of the points' latitude range) against the points'
+/// bounding cap, and `points` dot products per satellite that cap does
+/// not rule out. A pair is decided by its dot product alone when it is
+/// farther than the cap angle plus a 1e-6 rad margin
+/// (`visibility::cap_dot_floor`) or nearer than the cap angle minus it
+/// (`visibility::cap_dot_ceiling`); only pairs within the margin of
+/// the rim build a sub-satellite point and run the exact haversine
+/// test, so the integer in-view counts are exactly those of testing
+/// every pair. A full 8k-satellite constellation over a few dozen
+/// points runs in a few milliseconds.
 pub fn coverage(
     shells: &[WalkerShell],
     points: &[LatLng],
@@ -90,26 +124,30 @@ pub fn coverage(
         .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
             (lo.min(p.lat_deg()), hi.max(p.lat_deg()))
         });
-    let covers: Vec<ShellCover> = shells
-        .iter()
-        .map(|s| {
-            let eph = WalkerEphemeris::new(s);
-            let lambda =
-                visibility::coverage_cap_angle_rad(eph.altitude_km(), cfg.min_elevation_deg);
-            ShellCover {
-                band: SinLatBand::new(lat_min - lambda.to_degrees(), lat_max + lambda.to_degrees()),
-                dot_floor: visibility::cap_dot_floor(eph.radius_km(), lambda),
-                eph,
-                lambda,
-            }
-        })
-        .collect();
     let ground: Vec<Ground> = points
         .iter()
         .map(|p| Ground {
             lat_deg: p.lat_deg(),
             pre: PrePoint::new(p),
             unit: p.to_unit_vec(),
+        })
+        .collect();
+    let (hub, spread) = bounding_cap(&ground);
+    let covers: Vec<ShellCover> = shells
+        .iter()
+        .map(|s| {
+            let eph = WalkerEphemeris::new(s);
+            let lambda =
+                visibility::coverage_cap_angle_rad(eph.altitude_km(), cfg.min_elevation_deg);
+            let radius = eph.radius_km();
+            ShellCover {
+                band: SinLatBand::new(lat_min - lambda.to_degrees(), lat_max + lambda.to_degrees()),
+                hub_floor: visibility::cap_dot_floor(radius, lambda + spread),
+                dot_floor: visibility::cap_dot_floor(radius, lambda),
+                dot_ceiling: visibility::cap_dot_ceiling(radius, lambda),
+                eph,
+                lambda,
+            }
         })
         .collect();
     let sats: usize = covers.iter().map(|c| c.eph.len()).sum();
@@ -126,13 +164,21 @@ pub fn coverage(
         for c in &covers {
             let epoch = c.eph.at(t);
             for i in 0..c.eph.len() {
-                if !c.band.may_contain(epoch.sin_lat(i)) {
+                if !c.band.contains(epoch.sin_lat(i)) {
                     continue;
                 }
                 let approx = epoch.ecef_approx(i);
+                if hub.dot(approx) < c.hub_floor {
+                    continue;
+                }
                 let mut ssp: Option<(LatLng, PrePoint)> = None;
                 for (count, g) in counts.iter_mut().zip(&ground) {
-                    if g.unit.dot(approx) < c.dot_floor {
+                    let dot = g.unit.dot(approx);
+                    if dot < c.dot_floor {
+                        continue;
+                    }
+                    if dot >= c.dot_ceiling {
+                        *count += 1;
                         continue;
                     }
                     exact += 1;

@@ -83,11 +83,14 @@ pub fn constellation_size_for_factor(required_sats_per_km2: f64, d: f64) -> f64 
 /// Converges to [`density_factor`] as samples grow; the orbit-validate
 /// experiment and tests compare the two.
 ///
-/// Each sample first takes a `sin φ = sin i · sin u` latitude
-/// prefilter with no transcendental per sample; only samples it cannot
-/// rule out propagate in 3-D and run the exact band test, so the
-/// in-band count is the one a full propagation of every sample gives
-/// (see [`crate::ephemeris`]).
+/// Each sample first takes a `sin φ = sin i · sin u` latitude test with
+/// no transcendental per sample, against the band's sine bounds widened
+/// and narrowed by a margin; only samples between the two propagate in
+/// 3-D and run the exact band test, so the in-band count is the one a
+/// full propagation of every sample gives (see [`crate::ephemeris`]).
+///
+/// The band clamps to the poles: a band reaching past ±90° counts the
+/// samples up to the pole and divides by the area up to the pole.
 pub fn empirical_density_factor(
     shell: &WalkerShell,
     lat_deg: f64,
@@ -101,6 +104,7 @@ pub fn empirical_density_factor(
     let n = eph.len() as f64;
     let period = eph.period_s();
     let band = SinLatBand::new(lat_deg - band_deg, lat_deg + band_deg);
+    let certain = band.inner();
     // Time samples are independent; hits are integer counts, so the
     // parallel fold is exact and thread-count-invariant.
     let samples: Vec<u32> = (0..time_samples).collect();
@@ -108,7 +112,12 @@ pub fn empirical_density_factor(
         let epoch = eph.at(period * k as f64 / time_samples as f64);
         let (mut in_band, mut exact) = (0u64, 0u64);
         for i in 0..eph.len() {
-            if !band.may_contain(epoch.sin_lat(i)) {
+            let sin_lat = epoch.sin_lat(i);
+            if !band.contains(sin_lat) {
+                continue;
+            }
+            if certain.contains(sin_lat) {
+                in_band += 1;
                 continue;
             }
             exact += 1;
@@ -126,9 +135,12 @@ pub fn empirical_density_factor(
     leo_obs::metrics::counter_add("orbit.mc_in_band", in_band);
     let frac = in_band as f64 / (n * time_samples as f64);
     // Convert band occupancy to a density factor: the band covers
-    // area 2πR²·(sin(φ+Δ) − sin(φ−Δ)) ≈ fraction of Earth's surface.
-    let lo = (lat_deg - band_deg).to_radians().sin();
-    let hi = (lat_deg + band_deg).to_radians().sin();
+    // area 2πR²·(sin(φ+Δ) − sin(φ−Δ)), a fraction (sin(φ+Δ) − sin(φ−Δ))/2
+    // of Earth's surface, with both edges clamped to the poles as the
+    // count is.
+    let sin_edge = |deg: f64| deg.clamp(-90.0, 90.0).to_radians().sin();
+    let lo = sin_edge(lat_deg - band_deg);
+    let hi = sin_edge(lat_deg + band_deg);
     let band_area_fraction = (hi - lo) / 2.0;
     frac / band_area_fraction
 }
@@ -211,6 +223,18 @@ mod tests {
             let rel = (empirical - analytic).abs() / analytic;
             assert!(rel < 0.05, "lat {lat}: empirical {empirical} vs {analytic}");
         }
+    }
+
+    #[test]
+    fn band_past_the_pole_divides_by_the_area_up_to_the_pole() {
+        // [87°, 91°] clamps to [87°, 90°], which holds 6° of every 360°
+        // of a polar orbit: the factor is (1/60) / ((1 − sin 87°)/2),
+        // not the 12% larger value the unclamped sin 91° edge gives.
+        let shell = WalkerShell::new(550.0, 90.0, 12, 12, 5);
+        let got = empirical_density_factor(&shell, 89.0, 2.0, 3593);
+        let want = (6.0 / 360.0) / ((1.0 - 87f64.to_radians().sin()) / 2.0);
+        assert!((want - 24.3).abs() < 0.05, "{want}");
+        assert!((got - want).abs() / want < 0.01, "{got} vs {want}");
     }
 
     #[test]

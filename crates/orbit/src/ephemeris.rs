@@ -37,18 +37,20 @@
 //! latitude differ by rounding only. A `SinLatBand` widens a latitude
 //! band by `SIN_LAT_MARGIN` = 1e-9 in sine space, three orders of
 //! magnitude beyond that rounding. A satellite it rejects is therefore
-//! outside the band under the exact test too, and only satellites it
-//! admits need the exact path.
+//! outside the band under the exact test too. Its inner band narrows
+//! the band by the same margin, so a satellite inside that one is in
+//! the band under the exact test too, and only satellites between the
+//! two need the exact path.
 
 use crate::frames;
 use crate::propagate::{eci_position, CircularOrbit};
 use crate::walker::WalkerShell;
 use leo_geomath::{LatLng, Vec3};
 
-/// Sine-space slack of [`SinLatBand`]: far above the rounding gap
-/// between [`Epoch::sin_lat`] and the sine of the propagated latitude,
-/// far below any band width the kernels use.
-pub(crate) const SIN_LAT_MARGIN: f64 = 1e-9;
+/// Sine-space slack of the latitude-band prefilters: far above the
+/// rounding gap between [`Epoch::sin_lat`] and the sine of the
+/// propagated latitude, far below any band width the kernels use.
+pub const SIN_LAT_MARGIN: f64 = 1e-9;
 
 /// Largest phase `|n·t|` (radians) for which [`Epoch`] derives its
 /// prefilter positions by angle addition; the phase's own rounding
@@ -214,9 +216,12 @@ impl Epoch<'_> {
     }
 }
 
-/// A latitude band `[lo, hi]` (degrees) as conservative bounds on the
-/// sine of latitude, widened by [`SIN_LAT_MARGIN`]. Bounds outside
-/// ±90° clamp to the poles, where the sine is still monotone.
+/// Bounds `[lo, hi]` on the sine of latitude. [`SinLatBand::new`]
+/// widens a latitude band by [`SIN_LAT_MARGIN`], so a satellite whose
+/// [`Epoch::sin_lat`] it does not contain is certainly outside the band;
+/// [`SinLatBand::inner`] narrows it by as much, so a satellite whose
+/// `sin_lat` that one contains is certainly inside. Bounds outside ±90°
+/// clamp to the poles, where the sine is still monotone.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SinLatBand {
     lo: f64,
@@ -224,7 +229,7 @@ pub(crate) struct SinLatBand {
 }
 
 impl SinLatBand {
-    /// The band between latitudes `lo_deg` and `hi_deg`.
+    /// The band between latitudes `lo_deg` and `hi_deg`, widened.
     pub(crate) fn new(lo_deg: f64, hi_deg: f64) -> Self {
         let sin = |deg: f64| deg.clamp(-90.0, 90.0).to_radians().sin();
         SinLatBand {
@@ -233,10 +238,19 @@ impl SinLatBand {
         }
     }
 
-    /// False only when a point with this latitude sine is certainly
-    /// outside the band.
+    /// The same band narrowed by [`SIN_LAT_MARGIN`] instead of widened:
+    /// the bounds move inward by twice the margin. Empty when the band
+    /// is thinner than that.
+    pub(crate) fn inner(&self) -> Self {
+        SinLatBand {
+            lo: self.lo + 2.0 * SIN_LAT_MARGIN,
+            hi: self.hi - 2.0 * SIN_LAT_MARGIN,
+        }
+    }
+
+    /// Whether the bounds hold this latitude sine.
     #[inline]
-    pub(crate) fn may_contain(&self, sin_lat: f64) -> bool {
+    pub(crate) fn contains(&self, sin_lat: f64) -> bool {
         sin_lat >= self.lo && sin_lat <= self.hi
     }
 }
@@ -302,12 +316,30 @@ mod tests {
     #[test]
     fn sin_lat_band_widens_and_clamps() {
         let band = SinLatBand::new(30.0, 40.0);
-        assert!(band.may_contain(35f64.to_radians().sin()));
-        assert!(band.may_contain(30f64.to_radians().sin()));
-        assert!(!band.may_contain(29.9f64.to_radians().sin()));
-        assert!(!band.may_contain(40.1f64.to_radians().sin()));
+        assert!(band.contains(35f64.to_radians().sin()));
+        assert!(band.contains(30f64.to_radians().sin()));
+        assert!(!band.contains(29.9f64.to_radians().sin()));
+        assert!(!band.contains(40.1f64.to_radians().sin()));
         let polar = SinLatBand::new(80.0, 95.0);
-        assert!(polar.may_contain(1.0));
-        assert!(!SinLatBand::new(f64::NAN, 10.0).may_contain(0.0));
+        assert!(polar.contains(1.0));
+        assert!(!SinLatBand::new(f64::NAN, 10.0).contains(0.0));
+    }
+
+    #[test]
+    fn inner_band_narrows_by_the_margin() {
+        let band = SinLatBand::new(30.0, 40.0);
+        let inner = band.inner();
+        let (lo, hi) = (30f64.to_radians().sin(), 40f64.to_radians().sin());
+        assert!(inner.contains(35f64.to_radians().sin()));
+        assert!(inner.contains(lo + 2.0 * SIN_LAT_MARGIN));
+        assert!(!inner.contains(lo + SIN_LAT_MARGIN / 2.0));
+        assert!(!inner.contains(hi - SIN_LAT_MARGIN / 2.0));
+        assert!(band.contains(hi + SIN_LAT_MARGIN / 2.0));
+        // The pole stays in the margin: never certain.
+        assert!(!SinLatBand::new(80.0, 95.0).inner().contains(1.0));
+        // Thinner than twice the margin: nothing is certain.
+        let thin = SinLatBand::new(30.0, 30.0).inner();
+        assert!(!thin.contains(lo));
+        assert!(!SinLatBand::new(f64::NAN, 10.0).inner().contains(0.0));
     }
 }

@@ -28,15 +28,16 @@ pub fn coverage_cap_angle_rad(altitude_km: f64, elev_deg: f64) -> f64 {
     (ratio * eps.cos()).clamp(-1.0, 1.0).acos() - eps
 }
 
-/// Angular slack (radians) of [`cap_dot_floor`]: far beyond the
-/// rounding of the dot product and of the exact central-angle and
-/// elevation tests, far below any cap angle.
-pub(crate) const CAP_DOT_MARGIN_RAD: f64 = 1e-6;
+/// Angular slack (radians) of [`cap_dot_floor`] and [`cap_dot_ceiling`]:
+/// far beyond the rounding of the dot product and of the exact
+/// central-angle and elevation tests, far below any cap angle.
+pub const CAP_DOT_MARGIN_RAD: f64 = 1e-6;
 
-/// Further slack of [`cap_dot_floor`], as a fraction of the radius: it
-/// covers the error of a prefilter position (under 1e-8 km, see
-/// [`crate::ephemeris`]) and keeps the floor conservative even for a cap
-/// angle near zero, where the cosine is flat.
+/// Further slack of [`cap_dot_floor`] and [`cap_dot_ceiling`], as a
+/// fraction of the radius: it covers the error of a prefilter position
+/// (under 1e-8 km, see [`crate::ephemeris`]) and keeps both bounds
+/// conservative even for a cap angle near zero, where the cosine is
+/// flat.
 pub(crate) const CAP_DOT_SLACK: f64 = 1e-9;
 
 /// Dot-product floor of a conservative coverage-cap prefilter. For a
@@ -51,6 +52,20 @@ pub(crate) fn cap_dot_floor(radius: f64, lambda: f64) -> f64 {
         radius * (reach.cos() - CAP_DOT_SLACK)
     } else {
         f64::NEG_INFINITY
+    }
+}
+
+/// Dot-product ceiling of the same cap, the mirror of
+/// [`cap_dot_floor`]: `û · p` at or above it means the central angle is
+/// below `lambda` by more than [`CAP_DOT_MARGIN_RAD`], so the exact test
+/// would accept the pair as well. Caps no wider than the margin get no
+/// ceiling.
+pub(crate) fn cap_dot_ceiling(radius: f64, lambda: f64) -> f64 {
+    let reach = lambda - CAP_DOT_MARGIN_RAD;
+    if reach > 0.0 && reach < std::f64::consts::PI {
+        radius * (reach.cos() + CAP_DOT_SLACK)
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -103,6 +118,19 @@ mod tests {
         // (24) binds long before footprint does.
         let area = coverage_cap_area_km2(550.0, STARLINK_MIN_ELEVATION_DEG);
         assert!((area / 1e6 - 2.77).abs() < 0.05, "area {area}");
+    }
+
+    #[test]
+    fn dot_floor_and_ceiling_bracket_the_cap_rim() {
+        let lambda = coverage_cap_angle_rad(550.0, STARLINK_MIN_ELEVATION_DEG);
+        let r = EARTH_RADIUS_KM + 550.0;
+        let (floor, ceiling) = (cap_dot_floor(r, lambda), cap_dot_ceiling(r, lambda));
+        let dot = |angle: f64| r * angle.cos();
+        assert!(dot(lambda - 2.0 * CAP_DOT_MARGIN_RAD) >= ceiling);
+        assert!(dot(lambda) < ceiling && dot(lambda) >= floor);
+        assert!(dot(lambda + 2.0 * CAP_DOT_MARGIN_RAD) < floor);
+        // A cap no wider than the margin has no certain inside.
+        assert_eq!(cap_dot_ceiling(r, CAP_DOT_MARGIN_RAD), f64::INFINITY);
     }
 
     #[test]

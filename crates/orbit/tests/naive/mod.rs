@@ -34,8 +34,8 @@ pub fn naive_density(shell: &WalkerShell, lat_deg: f64, band_deg: f64, time_samp
         })
         .sum();
     let frac = in_band as f64 / (n * time_samples as f64);
-    let lo = (lat_deg - band_deg).to_radians().sin();
-    let hi = (lat_deg + band_deg).to_radians().sin();
+    let lo = (lat_deg - band_deg).clamp(-90.0, 90.0).to_radians().sin();
+    let hi = (lat_deg + band_deg).clamp(-90.0, 90.0).to_radians().sin();
     frac / ((hi - lo) / 2.0)
 }
 

@@ -121,9 +121,10 @@ mod hoisted {
     use super::*;
     use leo_orbit::coverage::{coverage, CoverageConfig};
     use leo_orbit::density::empirical_density_factor;
-    use leo_orbit::ephemeris::WalkerEphemeris;
+    use leo_orbit::ephemeris::{WalkerEphemeris, SIN_LAT_MARGIN};
     use leo_orbit::gateway::{conus_gateways, nearest_gateway, GATEWAY_MIN_ELEVATION_DEG};
     use leo_orbit::isl::{user_gateway_path, IslTopology, PathMode};
+    use leo_orbit::visibility::CAP_DOT_MARGIN_RAD;
     use rand::rngs::StdRng;
     use rand::Rng;
     use std::ops::Range;
@@ -263,6 +264,125 @@ mod hoisted {
             let fast = coverage(&[s], &[rim, ssp], &cfg);
             let slow = naive_coverage(&[s], &[rim, ssp], &cfg);
             prop_assert!(same_coverage(&fast, &slow), "{:?} vs {:?}", fast, slow);
+        }
+
+        #[test]
+        fn coverage_matches_its_twin_at_the_certain_in_view_edge(
+            s in Shells,
+            pick in 0.0..1.0f64,
+            bearing in 0.0..360.0f64,
+            nudge in -4i32..5,
+            min_elevation_deg in Edgy { range: 0.0..60.0, edges: &[0.0, 89.99, 89.999] },
+        ) {
+            // Points one margin inside one satellite's cap rim at t = 0,
+            // nudged across the dot-product ceiling that counts a pair in
+            // view without the exact test, next to points one margin
+            // outside the rim (the floor) and on the rim itself. Near
+            // 90° of elevation the cap angle is a few margins wide, where
+            // the cosine is flat and only the slack keeps the ceiling
+            // above the rim.
+            let i = (pick * s.total() as f64) as usize;
+            let ssp = s.satellites()[i].orbit.subsatellite(0.0);
+            let lambda = coverage_cap_angle_rad(s.altitude_km, min_elevation_deg);
+            let at = |angle: f64, turn: f64| {
+                let angle = angle + f64::from(nudge) * 1e-12;
+                leo_geomath::destination(&ssp, bearing + turn, angle * EARTH_RADIUS_KM)
+            };
+            let pts = [
+                at(lambda - CAP_DOT_MARGIN_RAD, 0.0),
+                at(lambda + CAP_DOT_MARGIN_RAD, 120.0),
+                at(lambda, 240.0),
+            ];
+            let cfg = CoverageConfig { min_elevation_deg, time_samples: 1, span_s: 1.0 };
+            for n in 1..=pts.len() {
+                let fast = coverage(&[s], &pts[..n], &cfg);
+                let slow = naive_coverage(&[s], &pts[..n], &cfg);
+                prop_assert!(same_coverage(&fast, &slow), "{:?} vs {:?}", fast, slow);
+            }
+        }
+
+        #[test]
+        fn coverage_matches_its_twin_on_the_point_caps_rim(
+            s in Shells,
+            pick in 0.0..1.0f64,
+            bearing in 0.0..360.0f64,
+            nudge in -4i32..5,
+            half_gap in Edgy { range: 0.0..0.05, edges: &[0.0, 1e-9, 1e-7, 1e-5, 1e-4] },
+            min_elevation_deg in 0.0..60.0f64,
+        ) {
+            // Two points on one great circle through a satellite's
+            // sub-satellite point at t = 0: the nearer on the
+            // satellite's cap rim, the farther `2 · half_gap` beyond it.
+            // Their hub lies midway, so the rim of the points' bounding
+            // cap widened by the cap angle passes through the satellite,
+            // where the one-per-satellite hub test must not reject it.
+            let i = (pick * s.total() as f64) as usize;
+            let ssp = s.satellites()[i].orbit.subsatellite(0.0);
+            let lambda = coverage_cap_angle_rad(s.altitude_km, min_elevation_deg);
+            let rim = lambda * (1.0 + f64::from(nudge) * 1e-15);
+            let pts = [
+                leo_geomath::destination(&ssp, bearing, rim * EARTH_RADIUS_KM),
+                leo_geomath::destination(&ssp, bearing, (rim + 2.0 * half_gap) * EARTH_RADIUS_KM),
+            ];
+            let cfg = CoverageConfig { min_elevation_deg, time_samples: 1, span_s: 1.0 };
+            let fast = coverage(&[s], &pts, &cfg);
+            let slow = naive_coverage(&[s], &pts, &cfg);
+            prop_assert!(same_coverage(&fast, &slow), "{:?} vs {:?}", fast, slow);
+        }
+
+        #[test]
+        fn coverage_matches_its_twin_for_antipodal_points(
+            shells in proptest::collection::vec(Shells, 1..3),
+            pick in 0.0..1.0f64,
+            bearing in 0.0..360.0f64,
+            nudge in -4i32..5,
+            extra in points(),
+            min_elevation_deg in 0.0..60.0f64,
+            time_samples in 1u32..8,
+        ) {
+            // Antipodal pairs sum to about zero, so the points have no
+            // hub and no bounding cap; one pair sits on a satellite's
+            // cap rim at t = 0.
+            let s = shells[0];
+            let i = (pick * s.total() as f64) as usize;
+            let ssp = s.satellites()[i].orbit.subsatellite(0.0);
+            let lambda = coverage_cap_angle_rad(s.altitude_km, min_elevation_deg);
+            let km = lambda * EARTH_RADIUS_KM * (1.0 + f64::from(nudge) * 1e-15);
+            let antipode = |p: &LatLng| LatLng::new(-p.lat_deg(), p.lng_deg() + 180.0);
+            let mut pts = vec![leo_geomath::destination(&ssp, bearing, km)];
+            pts.extend(extra);
+            let pts: Vec<LatLng> = pts.iter().flat_map(|p| [*p, antipode(p)]).collect();
+            let cfg = CoverageConfig { min_elevation_deg, time_samples, span_s: 5731.0 };
+            let fast = coverage(&shells, &pts, &cfg);
+            let slow = naive_coverage(&shells, &pts, &cfg);
+            prop_assert!(same_coverage(&fast, &slow), "{:?} vs {:?}", fast, slow);
+        }
+
+        #[test]
+        fn density_matches_its_twin_at_the_certain_band_edge(
+            s in Shells,
+            pick in 0.0..1.0f64,
+            band in 0.01..10.0f64,
+            upper in 0u32..2,
+            half_margins in -6i32..7,
+        ) {
+            // A band whose sine bound sits `half_margins` half-margins
+            // beyond one satellite's latitude sine at t = 0 (short of it
+            // when negative). At +2 the satellite is on the edge of the
+            // inner band, which counts it in band without the exact
+            // test; at −2 on the edge of the widened band; between the
+            // two it takes the exact test.
+            let i = (pick * s.total() as f64) as usize;
+            let lat = s.satellites()[i].orbit.subsatellite(0.0).lat_deg();
+            let step = f64::from(half_margins) * SIN_LAT_MARGIN / 2.0;
+            let toward = if upper == 1 { step } else { -step };
+            let edge = (lat.to_radians().sin() + toward).clamp(-1.0, 1.0).asin().to_degrees();
+            let centre = if upper == 1 { edge - band } else { edge + band };
+            for samples in [1, 2] {
+                let fast = empirical_density_factor(&s, centre, band, samples);
+                let slow = naive_density(&s, centre, band, samples);
+                prop_assert_eq!(fast.to_bits(), slow.to_bits(), "{} vs {}", fast, slow);
+            }
         }
 
         #[test]

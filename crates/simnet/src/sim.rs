@@ -135,6 +135,16 @@ impl CellSim {
     /// within the span (flows still active at the end are discarded —
     /// a small right-censoring the QoE layer tolerates).
     pub fn run(&self) -> Vec<FlowRecord> {
+        let mut records = Vec::new();
+        self.for_each_completion(|r| records.push(r));
+        records
+    }
+
+    /// Runs the simulation, handing each flow that completed within the
+    /// span to `sink` in completion order — the flows [`CellSim::run`]
+    /// returns, without holding them, so a caller that keeps one number
+    /// per flow keeps only that.
+    pub fn for_each_completion(&self, mut sink: impl FnMut(FlowRecord)) {
         let cfg = &self.cfg;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let span_s = cfg.duration_h * 3600.0;
@@ -149,7 +159,6 @@ impl CellSim {
         let mut t = 0.0f64; // seconds
         let mut v = 0.0f64; // cumulative per-flow virtual service, bits
         let mut active: BinaryHeap<Completion> = BinaryHeap::new();
-        let mut records = Vec::new();
 
         // Next accepted arrival time, via Poisson thinning.
         let next_arrival = |rng: &mut StdRng, mut from: f64| -> f64 {
@@ -202,14 +211,13 @@ impl CellSim {
                 v += rate * (completion_t - t);
                 t = completion_t;
                 let done = active.pop().expect("peeked above");
-                records.push(FlowRecord {
+                sink(FlowRecord {
                     arrival_h: cfg.start_hour + done.arrival_s / 3600.0,
                     size_bits: done.size_bits,
                     duration_s: t - done.arrival_s,
                 });
             }
         }
-        records
     }
 }
 

@@ -262,6 +262,22 @@ assert scored > 30000, counters
 assert exact <= scored // 100, f"{exact} exact re-scores of {scored} cells"
 print(f"[tier1] {exact} of {scored} demand cells re-scored exactly")
 PY
+# The orbit Monte-Carlo kernels decide almost every sample by their
+# prefilters (DESIGN.md §16): the work and the in-band count are
+# pinned, and the exact path stays a sliver of the samples.
+python3 - "$paper1/run_manifest.json" "$paper2/run_manifest.json" <<'PY'
+import json, sys
+
+for path in sys.argv[1:]:
+    counters = json.load(open(path))["metrics"]["counters"]
+    samples = counters.get("orbit.mc_samples", 0)
+    in_band = counters.get("orbit.mc_in_band", 0)
+    exact = counters.get("orbit.mc_exact", 0)
+    assert samples == 1807280, (path, counters)
+    assert in_band == 48034, (path, counters)
+    assert exact <= samples // 1000, f"{path}: {exact} exact orbit tests of {samples} samples"
+print(f"[tier1] orbit: {samples} samples, {in_band} in band, {exact} exact tests at 1 and 2 threads")
+PY
 # A cold run at another thread count must write the same snapshots
 # and fig2 artifacts as the cold 1-thread run.
 paper4="$work/paper4"
