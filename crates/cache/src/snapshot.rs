@@ -45,6 +45,7 @@ use crate::key::KeyHasher;
 use crate::store::{SnapshotStore, SCHEMA_VERSION};
 use leo_demand::counties::County;
 use leo_demand::dataset::{BroadbandDataset, DatasetColumns, SynthConfig};
+use leo_fault::safe_io::Batch;
 use leo_geomath::LatLng;
 use leo_hexgrid::{CellId, GeoHexGrid};
 use starlink_divide::coverage_sweep::{self, CoverageSweep};
@@ -323,17 +324,21 @@ pub fn decode_sweep(payload: &[u8]) -> Result<CoverageSweep, DecodeError> {
 }
 
 /// The high-level cache the CLI drives: load-or-generate for the
-/// dataset and the Fig 2 sweep, over one [`SnapshotStore`].
+/// dataset and the Fig 2 sweep, over one [`SnapshotStore`]. Each new
+/// snapshot is staged into `batch`: it lands when the batch commits,
+/// and never if the batch is dropped.
 #[derive(Debug, Clone)]
-pub struct DatasetCache {
+pub struct DatasetCache<'a> {
     store: SnapshotStore,
+    batch: &'a Batch,
 }
 
-impl DatasetCache {
-    /// A cache rooted at `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
+impl<'a> DatasetCache<'a> {
+    /// A cache rooted at `dir` that stages its new snapshots into `batch`.
+    pub fn new(dir: impl Into<PathBuf>, batch: &'a Batch) -> Self {
         DatasetCache {
             store: SnapshotStore::new(dir),
+            batch,
         }
     }
 
@@ -342,10 +347,15 @@ impl DatasetCache {
         &self.store
     }
 
+    fn save(&self, kind: &str, key: u64, payload: &[u8]) {
+        self.store
+            .stage(kind, key, SCHEMA_VERSION, payload, self.batch);
+    }
+
     /// Loads the dataset for `cfg` from a warm snapshot, or generates
-    /// and persists it. A warm load never runs the generator (no
-    /// `demand.generate` span appears); any verification or decode
-    /// failure silently falls back to generation.
+    /// it and stages its snapshot. A warm load never runs the
+    /// generator (no `demand.generate` span appears); any verification
+    /// or decode failure silently falls back to generation.
     pub fn load_or_generate(&self, cfg: &SynthConfig) -> BroadbandDataset {
         let key = dataset_key(cfg);
         // Zero-copy: decode borrows the payload straight from the
@@ -368,13 +378,13 @@ impl DatasetCache {
             let _span = leo_obs::span!("cache.encode");
             encode_dataset(&ds)
         };
-        self.store.save(DATASET_KIND, key, SCHEMA_VERSION, &payload);
+        self.save(DATASET_KIND, key, &payload);
         ds
     }
 
-    /// Loads the Fig 2 sweep from a warm snapshot, or computes and
-    /// persists it. `model` must be built over the dataset `cfg`
-    /// describes (the key chains both).
+    /// Loads the Fig 2 sweep from a warm snapshot, or computes it and
+    /// stages its snapshot. `model` must be built over the dataset
+    /// `cfg` describes (the key chains both).
     pub fn sweep(&self, cfg: &SynthConfig, model: &PaperModel) -> CoverageSweep {
         let key = sweep_key(cfg, model);
         if let Some(loaded) = self.store.load_payload(FIG2_KIND, key, SCHEMA_VERSION) {
@@ -390,8 +400,7 @@ impl DatasetCache {
             }
         }
         let s = coverage_sweep::sweep(model);
-        self.store
-            .save(FIG2_KIND, key, SCHEMA_VERSION, &encode_sweep(&s));
+        self.save(FIG2_KIND, key, &encode_sweep(&s));
         s
     }
 }
@@ -400,6 +409,7 @@ impl DatasetCache {
 mod tests {
     use super::*;
     use std::fs;
+    use std::path::Path;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -438,17 +448,31 @@ mod tests {
         assert_datasets_bit_equal(&ds, &decoded);
     }
 
+    /// Runs `f` on a cache over `dir`, then commits the snapshots it
+    /// staged.
+    fn committed<T>(dir: &Path, f: impl FnOnce(&DatasetCache) -> T) -> T {
+        let batch = Batch::new();
+        let value = f(&DatasetCache::new(dir, &batch));
+        batch.commit().expect("commit the staged snapshots");
+        value
+    }
+
     #[test]
     fn load_or_generate_is_warm_on_second_call() {
         let dir = tmp_dir("warm");
-        let cache = DatasetCache::new(&dir);
         let cfg = SynthConfig::small();
-        let cold = cache.load_or_generate(&cfg);
-        assert!(cache
-            .store()
-            .path_for(DATASET_KIND, dataset_key(&cfg))
-            .exists());
-        let warm = cache.load_or_generate(&cfg);
+        let path = SnapshotStore::new(&dir).path_for(DATASET_KIND, dataset_key(&cfg));
+        // A staged snapshot lands only when its batch commits.
+        let dropped = Batch::new();
+        let _ = DatasetCache::new(&dir, &dropped).load_or_generate(&cfg);
+        drop(dropped);
+        assert!(!path.exists(), "a dropped batch left a snapshot");
+        let batch = Batch::new();
+        let cold = DatasetCache::new(&dir, &batch).load_or_generate(&cfg);
+        assert!(!path.exists(), "a snapshot landed before the commit");
+        assert_eq!(batch.commit().expect("commit"), 1);
+        assert!(path.exists());
+        let warm = committed(&dir, |c| c.load_or_generate(&cfg));
         assert_datasets_bit_equal(&cold, &warm);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -456,15 +480,14 @@ mod tests {
     #[test]
     fn corrupt_snapshot_regenerates_identically() {
         let dir = tmp_dir("corrupt");
-        let cache = DatasetCache::new(&dir);
         let cfg = SynthConfig::small();
-        let cold = cache.load_or_generate(&cfg);
-        let path = cache.store().path_for(DATASET_KIND, dataset_key(&cfg));
+        let cold = committed(&dir, |c| c.load_or_generate(&cfg));
+        let path = SnapshotStore::new(&dir).path_for(DATASET_KIND, dataset_key(&cfg));
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
-        let regen = cache.load_or_generate(&cfg);
+        let regen = committed(&dir, |c| c.load_or_generate(&cfg));
         assert_datasets_bit_equal(&cold, &regen);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -485,11 +508,10 @@ mod tests {
     #[test]
     fn sweep_round_trips_and_caches() {
         let dir = tmp_dir("sweep");
-        let cache = DatasetCache::new(&dir);
         let cfg = SynthConfig::small();
-        let model = PaperModel::new(cache.load_or_generate(&cfg));
-        let cold = cache.sweep(&cfg, &model);
-        let warm = cache.sweep(&cfg, &model);
+        let model = PaperModel::new(committed(&dir, |c| c.load_or_generate(&cfg)));
+        let cold = committed(&dir, |c| c.sweep(&cfg, &model));
+        let warm = committed(&dir, |c| c.sweep(&cfg, &model));
         assert_eq!(cold.beamspreads, warm.beamspreads);
         assert_eq!(cold.oversubs, warm.oversubs);
         for (ra, rb) in cold.fraction.iter().zip(warm.fraction.iter()) {
@@ -582,19 +604,17 @@ mod tests {
     #[test]
     fn v1_schema_container_on_disk_invalidates_and_regenerates() {
         let dir = tmp_dir("v1schema");
-        let cache = DatasetCache::new(&dir);
+        let store = SnapshotStore::new(&dir);
         let cfg = SynthConfig::small();
-        let cold = cache.load_or_generate(&cfg);
+        let cold = committed(&dir, |c| c.load_or_generate(&cfg));
         let key = dataset_key(&cfg);
         // Simulate a snapshot left by a pre-columnar build: same key
         // path, container schema field = 1. The address never changes
         // with the schema *file-name-wise* — only the key hash does —
         // so fail-closed at the container check is the real guard.
-        cache
-            .store()
-            .save(DATASET_KIND, key, 1, &encode_dataset(&cold));
+        store.save(DATASET_KIND, key, 1, &encode_dataset(&cold));
         let invalid0 = leo_obs::metrics::counter_value("cache.invalid");
-        let regen = cache.load_or_generate(&cfg);
+        let regen = committed(&dir, |c| c.load_or_generate(&cfg));
         // `>`: other tests in this binary also exercise invalidation
         // concurrently; the process-global counter only ever grows.
         assert!(
@@ -604,8 +624,7 @@ mod tests {
         assert_datasets_bit_equal(&cold, &regen);
         // The regeneration re-saved a v2 container: the next load is a
         // clean hit again.
-        assert!(cache
-            .store()
+        assert!(store
             .load_payload(DATASET_KIND, key, SCHEMA_VERSION)
             .is_some());
         let _ = fs::remove_dir_all(&dir);

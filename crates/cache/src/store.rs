@@ -23,14 +23,19 @@
 //! into a `log_warn!` + `None`, which callers answer by regenerating;
 //! a snapshot is never trusted and never causes a panic.
 //!
-//! Writes are best-effort and atomic-ish: payload goes to a
-//! process-unique `.tmp` file first, then renames over the final path,
-//! so a crashed writer can't leave a half-written `.snap` behind and
+//! Writes are best-effort and atomic: payload goes to a process-unique
+//! `.tmp.<pid>` file first, then renames over the final path, so a
+//! crashed writer can't leave a half-written `.snap` behind and
 //! concurrent `divide` processes can't observe each other's partial
-//! writes. A failed write warns and moves on — caching is an
-//! optimization, never a correctness dependency.
+//! writes. [`SnapshotStore::save`] does that at once; a
+//! [`crate::DatasetCache`] stages its snapshots into a
+//! `leo_fault::safe_io::Batch` instead, whose commit fsyncs and renames
+//! them (the CLI commits it right after the run's artifacts). A failed
+//! write — here, or in the CLI's commit of that batch — warns and moves
+//! on: caching is an optimization, never a correctness dependency.
 
 use crate::key::fnv1a64;
+use leo_fault::safe_io::Batch;
 use std::fmt;
 use std::fs;
 use std::io::ErrorKind;
@@ -302,15 +307,35 @@ impl SnapshotStore {
         }
     }
 
-    /// Saves a snapshot payload (best-effort: failures warn, the run
-    /// continues uncached). The write goes through
-    /// `leo_fault::safe_io::write_atomic` — staged to a process-unique
-    /// temp file, fsynced, renamed into place, with bounded retry on
-    /// transient (or injected) errors.
+    /// Saves a snapshot payload, durable when this returns
+    /// (best-effort: failures warn, the run continues uncached). The
+    /// write goes through `leo_fault::safe_io::write_atomic` — staged to
+    /// a process-unique temp file, fsynced, renamed into place, with
+    /// bounded retry on transient (or injected) errors.
     pub fn save(&self, kind: &str, key: u64, schema: u32, payload: &[u8]) {
+        self.write(kind, key, schema, payload, leo_fault::safe_io::write_atomic);
+    }
+
+    /// Stages a snapshot payload into `batch` instead: it lands when the
+    /// batch commits, and never if the batch is dropped. A staging
+    /// failure warns and the run continues uncached, as a save's does.
+    pub(crate) fn stage(&self, kind: &str, key: u64, schema: u32, payload: &[u8], batch: &Batch) {
+        self.write(kind, key, schema, payload, |path, bytes| {
+            batch.stage(path, bytes)
+        });
+    }
+
+    fn write(
+        &self,
+        kind: &str,
+        key: u64,
+        schema: u32,
+        payload: &[u8],
+        write: impl FnOnce(&Path, &[u8]) -> std::io::Result<()>,
+    ) {
         let bytes = encode_container(schema, key, payload);
         let path = self.path_for(kind, key);
-        if let Err(e) = leo_fault::safe_io::write_atomic(&path, &bytes) {
+        if let Err(e) = write(&path, &bytes) {
             leo_obs::log_warn!("cache: cannot write {}: {e}", path.display());
             return;
         }

@@ -5,6 +5,7 @@
 
 use leo_cache::snapshot::{dataset_key, DatasetCache, DATASET_KIND};
 use leo_demand::dataset::SynthConfig;
+use leo_fault::safe_io::Batch;
 use leo_obs::trace::{self, EventKind};
 
 #[test]
@@ -16,12 +17,15 @@ fn corrupt_snapshot_marks_invalid_then_regenerates() {
 
     let dir = std::env::temp_dir().join(format!("leo_cache_trace_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cache = DatasetCache::new(&dir);
     let cfg = SynthConfig::small();
 
-    // Cold generation, then corrupt the snapshot's payload bytes.
+    // Cold generation, its snapshot committed, then corrupt the
+    // snapshot's payload bytes.
+    let batch = Batch::new();
+    let cache = DatasetCache::new(&dir, &batch);
     let _ = cache.load_or_generate(&cfg);
     let path = cache.store().path_for(DATASET_KIND, dataset_key(&cfg));
+    batch.commit().expect("commit the snapshot");
     let mut bytes = std::fs::read(&path).expect("snapshot written");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
@@ -30,7 +34,7 @@ fn corrupt_snapshot_marks_invalid_then_regenerates() {
     // A unique marker so the assertions below only look at events this
     // load recorded, not the cold generation's.
     trace::instant("t_trace.marker");
-    let _ = cache.load_or_generate(&cfg);
+    let _ = DatasetCache::new(&dir, &Batch::new()).load_or_generate(&cfg);
 
     let lanes = trace::snapshot();
     let lane = lanes

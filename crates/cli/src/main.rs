@@ -20,6 +20,7 @@ mod stages;
 
 use leo_cache::DatasetCache;
 use leo_demand::{BroadbandDataset, SynthConfig};
+use leo_fault::safe_io::Batch;
 use leo_obs::manifest::{self, RunInfo};
 use stages::{Ctx, Lane, Output, Stage, STAGES};
 use starlink_divide::PaperModel;
@@ -372,7 +373,12 @@ fn main() {
         leo_obs::log_info!("removed {swept} orphaned .tmp file(s) from a previous run");
     }
     let ledger_path = resolve_ledger(ledger_flag, resolved_cache.as_deref());
-    let cache = resolved_cache.map(DatasetCache::new);
+    // Every artifact of the run is staged into `batch` and every new
+    // snapshot into `snapshots`; both land in the commit after the last
+    // stage, the snapshots best-effort (DESIGN.md §13).
+    let batch = Batch::new();
+    let snapshots = Batch::new();
+    let cache = resolved_cache.map(|dir| DatasetCache::new(dir, &snapshots));
 
     let cfg = if scale == "paper" {
         SynthConfig::paper()
@@ -390,7 +396,7 @@ fn main() {
     // The dataset build is a stage too, so a pool.chunk panic exits typed.
     let model = settle(
         "dataset",
-        caught("dataset", || {
+        caught("stage.dataset", || {
             injected("dataset")?;
             Ok(match &cache {
                 Some(c) => PaperModel::new(c.load_or_generate(&cfg)),
@@ -414,7 +420,8 @@ fn main() {
         .iter()
         .filter(|(name, _, _)| command == "all" || command == *name)
         .collect();
-    run_stages(&ctx, &out, &selected);
+    run_stages(&ctx, &out, &batch, &selected);
+    commit(batch, snapshots);
 
     let ran = std::iter::once("dataset").chain(selected.iter().map(|(name, _, _)| *name));
     let info = RunInfo {
@@ -429,7 +436,7 @@ fn main() {
     // The trace export runs before the manifest so its failure (counted
     // via leo_fault::degrade) lands in the manifest's `degraded`
     // section. No observability writer can fail the run: the artifacts
-    // themselves already landed, and a dead ledger/trace/manifest file
+    // themselves were committed, and a dead ledger/trace/manifest file
     // degrades bookkeeping, not results.
     if let Some(dest) = trace {
         let chrome = dest.unwrap_or_else(|| out.join("trace.json"));
@@ -500,22 +507,23 @@ fn resolve_ledger(explicit: Option<PathBuf>, cache_dir: Option<&Path>) -> Option
 /// aborted.
 type Ran<T> = Result<T, Abort>;
 
-/// Why a stage aborted.
+/// Why a stage, or the commit, aborted.
 enum Abort {
-    /// An injected `stage.<name>` error.
+    /// An injected `stage.<name>` error, or the commit's I/O error.
     Err(std::io::Error),
     /// A panic, injected or genuine; the panic hook already reported
     /// its payload.
     Panic,
 }
 
-/// Runs the selected command stages (DESIGN.md §13). When both lanes
+/// Runs the selected command stages (DESIGN.md §13), staging their files
+/// into `batch`. When both lanes
 /// have a body to compute, the side lane computes the bodies of the
 /// [`Lane::Side`] stages, in rank order, on the worker pool's last
 /// worker (`leo_parallel::beside`), while the main lane computes the
 /// others on the caller with one thread fewer. Otherwise every body
 /// runs on the main lane at full width. Either way the main lane prints
-/// and writes each output at its turn, in [`STAGES`] order: while a
+/// and stages each output at its turn, in [`STAGES`] order: while a
 /// side stage's turn waits on its body, the main lane computes its next
 /// bodies ahead and holds their outputs.
 ///
@@ -526,7 +534,7 @@ enum Abort {
 /// failure; the main lane stops computing at its own first failure. So
 /// the main lane meets any side failure before it could wait for a
 /// result the side lane will not send.
-fn run_stages(ctx: &Ctx, out: &Path, selected: &[&Stage]) {
+fn run_stages(ctx: &Ctx, out: &Path, batch: &Batch, selected: &[&Stage]) {
     let side_rank = |stage: &Stage| match stage.1 {
         Lane::Side(rank) => Some(rank),
         Lane::Main => None,
@@ -583,7 +591,7 @@ fn run_stages(ctx: &Ctx, out: &Path, selected: &[&Stage]) {
                     }
                 }
             };
-            emit(name, out, settle(name, ran));
+            emit(name, out, batch, settle(name, ran));
         }
     };
     if split {
@@ -595,7 +603,7 @@ fn run_stages(ctx: &Ctx, out: &Path, selected: &[&Stage]) {
 
 /// Computes one command stage's output under its span and catch.
 fn body(ctx: &Ctx, (name, _, run): &Stage) -> Ran<Output> {
-    caught(name, || {
+    caught(&format!("stage.{name}"), || {
         injected(name)?;
         let mut o = Output::default();
         run(ctx, &mut o);
@@ -603,15 +611,16 @@ fn body(ctx: &Ctx, (name, _, run): &Stage) -> Ran<Output> {
     })
 }
 
-/// Runs one part of stage `name` — the dataset build, a command's body,
-/// or the print and writes of its output — under a `stage.<name>` span;
-/// the manifest's per-stage wall-clock table is derived from these
-/// spans. This is the CLI's only `catch_unwind`: a panic that escapes —
-/// injected or genuine — becomes an [`Abort`] instead of unwinding
-/// through its lane.
-fn caught<T>(name: &str, f: impl FnOnce() -> Ran<T>) -> Ran<T> {
-    let _span = leo_obs::span::enter(&format!("stage.{name}"));
-    leo_obs::log_debug!("stage {name}");
+/// Runs one part of the run under the top-level span `span`: a part of
+/// stage `<name>` — the dataset build, a command's body, or the print
+/// and staging of its output — under `stage.<name>`, from which the
+/// manifest's per-stage wall-clock table is derived, or the commit
+/// under `commit`. This is the CLI's only `catch_unwind`: a panic that
+/// escapes — injected or genuine — becomes an [`Abort`] instead of
+/// unwinding through its lane.
+fn caught<T>(span: &str, f: impl FnOnce() -> Ran<T>) -> Ran<T> {
+    let _span = leo_obs::span::enter(span);
+    leo_obs::log_debug!("{span}");
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or(Err(Abort::Panic))
 }
 
@@ -629,50 +638,76 @@ fn injected(name: &str) -> Ran<()> {
 }
 
 /// Reports stage `name`'s outcome on the main lane at its turn: its
-/// value, or a typed exit 1. An interrupted run is recovered by
-/// rerunning it: every artifact lands atomically, so the rerun
-/// overwrites whole files only.
+/// value, or a typed exit 1. A run that ends before its commit leaves
+/// `--out` and the cache as they were; rerunning it redoes the run.
 fn settle<T>(name: &str, ran: Ran<T>) -> T {
     match ran {
         Ok(value) => value,
-        Err(Abort::Err(e)) => {
-            leo_obs::log_error!("stage {name} aborted: {e}");
-            std::process::exit(1);
-        }
-        Err(Abort::Panic) => {
-            leo_obs::log_error!("stage {name} aborted by panic");
-            std::process::exit(1);
-        }
+        Err(Abort::Err(e)) => fail(&format!("stage {name} aborted: {e}")),
+        Err(Abort::Panic) => fail(&format!("stage {name} aborted by panic")),
     }
 }
 
-/// Prints a stage's text, then writes its files in the order pushed,
+/// Ends the run with exit 1 after removing every file it staged.
+/// `process::exit` runs no destructors, so the batch cannot remove them
+/// itself, but the signal handler's slot table lists each staged path.
+fn fail(why: &str) -> ! {
+    leo_obs::log_error!("{why}");
+    leo_fault::signal::remove_registered();
+    std::process::exit(1);
+}
+
+/// Prints a stage's text, then stages its files in the order pushed,
 /// under the stage's span and catch: a panic mid-write still ends as a
 /// typed exit 1, and the stage's record counts its I/O.
-fn emit(name: &str, out: &Path, o: Output) {
-    let written = caught(name, || {
+fn emit(name: &str, out: &Path, batch: &Batch, o: Output) {
+    let staged = caught(&format!("stage.{name}"), || {
         print!("{}", o.text);
         for (file, content) in &o.files {
-            write(out, file, content);
+            stage(out, batch, file, content);
         }
         Ok(())
     });
-    settle(name, written);
+    settle(name, staged);
 }
 
-fn write(out: &Path, name: &str, content: &str) {
+fn stage(out: &Path, batch: &Batch, name: &str, content: &str) {
     let path = out.join(name);
-    // Atomic tmp+rename with bounded retry: a crash or injected fault
-    // mid-write can never leave a torn artifact under the final name.
-    if let Err(e) = leo_fault::safe_io::write_atomic(&path, content.as_bytes()) {
-        leo_obs::log_error!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
+    // Staged under a temp name with bounded retry; nothing lands under
+    // the final name before the commit.
+    if let Err(e) = batch.stage(&path, content.as_bytes()) {
+        fail(&format!("cannot write {}: {e}", path.display()));
     }
     // Artifact writes join the uniform io.* metric family the snapshot
     // store feeds, so the manifest accounts for all file traffic.
     leo_obs::metrics::counter_add("io.write_calls", 1);
     leo_obs::metrics::counter_add("io.bytes_written", content.len() as u64);
-    leo_obs::log_info!("wrote {}", path.display());
+    leo_obs::log_info!("staged {}", path.display());
+}
+
+/// Makes the run's staged files durable, then visible, under the
+/// top-level `commit` span and the CLI's catch: first the artifacts,
+/// then the new snapshots (`Batch::commit` each). It is no stage, so the
+/// manifest's stage list stays `dataset` followed by [`STAGES`]. An
+/// artifact failure exits 1 and drops the snapshots unlanded; a failed
+/// fsync fails before any rename, so `--out` and the cache stay as they
+/// were. A snapshot failure warns and degrades `cache`: the artifacts
+/// have landed, and the next run regenerates what the cache lacks.
+fn commit(artifacts: Batch, snapshots: Batch) {
+    let committed = caught("commit", || {
+        let files = artifacts.commit().map_err(Abort::Err)?;
+        let snaps = snapshots.commit().unwrap_or_else(|e| {
+            leo_obs::log_warn!("cache: cannot write {e}");
+            leo_fault::degrade("cache", &e.to_string());
+            0
+        });
+        Ok((files, snaps))
+    });
+    match committed {
+        Ok((files, snaps)) => leo_obs::log_info!("committed {files} files and {snaps} snapshots"),
+        Err(Abort::Err(e)) => fail(&format!("cannot write {e}")),
+        Err(Abort::Panic) => fail("commit aborted by panic"),
+    }
 }
 
 #[cfg(test)]

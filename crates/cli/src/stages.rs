@@ -1,6 +1,7 @@
 //! The stages behind `divide`'s commands (DESIGN.md §13). A stage reads
-//! [`Ctx`] and fills an [`Output`]; it never prints or touches the disk:
-//! `main` prints and writes, in [`STAGES`] order, inside the stage's span.
+//! [`Ctx`] and fills an [`Output`]; it never prints or writes a file:
+//! `main` prints and stages the files, in [`STAGES`] order, inside the
+//! stage's span, and commits them all after the last stage.
 #![deny(clippy::print_stdout)]
 
 use leo_report::{CsvWriter, Heatmap, LineChart, PointMap, Series, TextTable};
@@ -9,10 +10,11 @@ use starlink_divide::{
 };
 use std::fmt::Write as _;
 
-/// What a stage reads: the model, plus the cache and config Fig 2's sweep uses.
+/// What a stage reads: the model, plus the cache and config Fig 2's
+/// sweep uses (a cold sweep stages its snapshot into the run's commit).
 pub struct Ctx<'a> {
     pub model: &'a PaperModel,
-    pub cache: Option<&'a leo_cache::DatasetCache>,
+    pub cache: Option<&'a leo_cache::DatasetCache<'a>>,
     pub cfg: &'a leo_demand::SynthConfig,
 }
 

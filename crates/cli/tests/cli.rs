@@ -4,8 +4,9 @@
 //! (manifest alloc/RSS fields, run-ledger appends, the trace memory
 //! lane) together with its `DIVIDE_OBS`/`DIVIDE_ALLOC` off-switches,
 //! the typed failures of injected faults, including an aborted run
-//! that a plain rerun completes, and the removed variables that no
-//! longer do anything.
+//! that leaves its output and cache as they were and that a plain
+//! rerun completes, and the removed variables that no longer do
+//! anything.
 
 use leo_obs::json::Json;
 use std::path::{Path, PathBuf};
@@ -673,6 +674,32 @@ fn assert_dirs_identical(a: &Path, b: &Path, exclude: &[&str]) {
     }
 }
 
+/// Every file under `dir`, recursively, by path relative to `dir`: its
+/// bytes and, on Unix, its inode, which a rename over the file replaces
+/// even when the bytes are the same.
+fn tree(dir: &Path) -> std::collections::BTreeMap<PathBuf, (Vec<u8>, u64)> {
+    let mut files = std::collections::BTreeMap::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(at) = pending.pop() {
+        for entry in std::fs::read_dir(&at).expect("read dir").flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("read file");
+                let meta = entry.metadata().expect("metadata");
+                #[cfg(unix)]
+                let inode = std::os::unix::fs::MetadataExt::ino(&meta);
+                #[cfg(not(unix))]
+                let inode = meta.len();
+                let name = path.strip_prefix(dir).expect("inside").to_path_buf();
+                files.insert(name, (bytes, inode));
+            }
+        }
+    }
+    files
+}
+
 #[test]
 fn a_plain_rerun_completes_an_aborted_run_byte_identically() {
     let reference = tmp("rerun_ref");
@@ -686,82 +713,35 @@ fn a_plain_rerun_completes_an_aborted_run_byte_identically() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // The dataset build is a stage too: aborting it leaves no file.
+    // A run that aborts before its commit leaves no file: not the
+    // dataset stage's, not qoe's on the main lane at 1 thread, and not
+    // orbit-validate's on the side lane at 2 threads, where the main
+    // lane may have staged the outputs of every stage before it.
     let dir = tmp("rerun_cut");
-    let out = run(divide()
-        .args(["--scale", "small", "--no-cache", "--out"])
-        .arg(&dir)
-        .args(["--fault-plan", "seed=3;stage.dataset:nth=1", "all"]));
-    assert_eq!(out.status.code(), Some(1), "injected dataset abort exits 1");
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(stderr.contains("stage dataset aborted"), "{stderr}");
-    let left: Vec<_> = std::fs::read_dir(&dir).expect("read out dir").collect();
-    assert!(left.is_empty(), "aborted dataset stage left {left:?}");
-
-    // Abort the run at stage fig3 via an injected stage fault: earlier
-    // stages' artifacts are on disk, later ones don't exist.
-    let out = run(divide()
-        .args(["--scale", "small", "--no-cache", "--out"])
-        .arg(&dir)
-        .args(["--fault-plan", "seed=3;stage.fig3:nth=1", "all"]));
-    assert_eq!(out.status.code(), Some(1), "injected stage abort exits 1");
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(
-        stderr.contains("stage fig3 aborted"),
-        "typed abort: {stderr}"
-    );
-    assert!(
-        !dir.join("fig3_tail.csv").exists(),
-        "aborted stage left no artifact"
-    );
-
-    // A panic on the side lane ends the run at its turn too. At 2
-    // threads orbit-validate computes on the pool worker beside the
-    // main lane, which may have computed later stages ahead; still
-    // every artifact of table1 through qoe is written, and none of
-    // orbit-validate's own or of any later stage's.
     let side = tmp("rerun_side");
-    let out = run(divide()
-        .args(["--scale", "small", "--no-cache", "--threads", "2", "--out"])
-        .arg(&side)
-        .args([
-            "--fault-plan",
+    for (out_dir, threads, plan, aborted) in [
+        (&dir, "1", "seed=3;stage.dataset:nth=1", "dataset"),
+        (&dir, "1", "seed=3;stage.qoe:nth=1", "qoe"),
+        (
+            &side,
+            "2",
             "seed=3;stage.orbit-validate:nth=1,mode=panic",
-            "all",
-        ]));
-    assert_eq!(out.status.code(), Some(1), "side-lane panic exits 1");
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(
-        stderr.contains("stage orbit-validate aborted"),
-        "typed abort: {stderr}"
-    );
-    for name in [
-        "table2.csv",
-        "fig1_cdf.csv",
-        "fig1_cdf.svg",
-        "fig1_map.svg",
-        "fig2_sweep.csv",
-        "fig2_heatmap.svg",
-        "fig3_tail.csv",
-        "fig3_tail.svg",
-        "fig4_affordability.csv",
-        "fig4_affordability.svg",
-        "qoe_oversub.csv",
+            "orbit-validate",
+        ),
     ] {
-        let got = std::fs::read(side.join(name)).unwrap_or_default();
-        let want = std::fs::read(reference.join(name)).expect("reference artifact");
-        assert!(got == want, "{name} is missing or differs after the abort");
-    }
-    for name in [
-        "orbit_density.csv",
-        "strict_bound.csv",
-        "ablation_efficiency.csv",
-        "latency_paths.csv",
-        "cost_marginal.csv",
-        "dataset_cells.csv",
-        "dataset_counties.csv",
-    ] {
-        assert!(!side.join(name).exists(), "aborted run wrote {name}");
+        let out = run(divide()
+            .args(["--scale", "small", "--no-cache", "--threads", threads])
+            .arg("--out")
+            .arg(out_dir)
+            .args(["--fault-plan", plan, "all"]));
+        assert_eq!(out.status.code(), Some(1), "{plan}: typed abort exits 1");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(
+            stderr.contains(&format!("stage {aborted} aborted")),
+            "{plan}: {stderr}"
+        );
+        let left = tree(out_dir);
+        assert!(left.is_empty(), "{plan} left {:?}", left.keys());
     }
 
     // A plain rerun into the same directory completes the run, and its
@@ -782,6 +762,78 @@ fn a_plain_rerun_completes_an_aborted_run_byte_identically() {
     let _ = std::fs::remove_dir_all(&reference);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&side);
+}
+
+#[test]
+fn a_failed_run_leaves_its_output_and_cache_as_they_were() {
+    // A complete run fills --out and its default cache inside it:
+    // artifacts, the manifest, the snapshots and the ledger.
+    let dir = tmp("unchanged");
+    let out = run(divide()
+        .args(["--scale", "small", "--out"])
+        .arg(&dir)
+        .arg("all"));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let before = tree(&dir);
+    assert!(before.keys().any(|p| p.ends_with("runs.jsonl")));
+    assert!(before
+        .keys()
+        .any(|p| p.extension() == Some("snap".as_ref())));
+
+    // Each rerun fails at a different point: a main-lane stage abort,
+    // a side-lane panic, and a failed fsync in the commit itself (the
+    // third file staged, fig1_cdf.svg on this warm run).
+    for (threads, plan, said) in [
+        ("1", "seed=5;stage.export:nth=1", "stage export aborted"),
+        (
+            "2",
+            "seed=5;stage.orbit-validate:nth=1,mode=panic",
+            "stage orbit-validate aborted",
+        ),
+        ("1", "seed=5;io.fsync:nth=3", "cannot write"),
+    ] {
+        let out = run(divide()
+            .args(["--scale", "small", "--threads", threads, "--out"])
+            .arg(&dir)
+            .args(["--fault-plan", plan, "all"]));
+        assert_eq!(out.status.code(), Some(1), "{plan}: exits 1");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(stderr.contains(said), "{plan}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{plan}: {stderr}");
+        let after = tree(&dir);
+        assert_eq!(
+            after.keys().collect::<Vec<_>>(),
+            before.keys().collect::<Vec<_>>(),
+            "{plan}: the set of files changed"
+        );
+        for (path, file) in &before {
+            assert!(after[path] == *file, "{plan}: {path:?} was rewritten");
+        }
+    }
+
+    // A cold run that fails leaves no snapshot in its fresh cache.
+    let cold = tmp("unchanged_cold");
+    let cache = cold.join("cache");
+    let out = run(divide()
+        .args(["--scale", "small", "--out"])
+        .arg(cold.join("out"))
+        .arg("--cache")
+        .arg(&cache)
+        .args(["--fault-plan", "seed=5;stage.export:nth=1", "all"]));
+    assert_eq!(out.status.code(), Some(1));
+    let left = tree(&cold);
+    assert!(
+        left.is_empty(),
+        "the failed cold run left {:?}",
+        left.keys()
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&cold);
 }
 
 /// The stages `divide all` runs, in `STAGES` order
@@ -879,6 +931,16 @@ fn all_runs_its_side_lane_on_the_pool_worker_and_records_every_stage_once_in_ord
             assert!(matches!(pooled, None | Some(0)), "{name}: {pooled:?}");
         }
     }
+    // The run's one commit is a top-level span of its own, and no stage.
+    let Some(Json::Arr(spans)) = manifest.get("spans") else {
+        panic!("spans array expected");
+    };
+    let commits: Vec<Option<u64>> = spans
+        .iter()
+        .filter(|s| field(s, "name").as_deref() == Some("commit"))
+        .map(|s| s.get("calls").and_then(Json::as_u64))
+        .collect();
+    assert_eq!(commits, [Some(1)]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -942,6 +1004,56 @@ fn degraded_observability_never_fails_the_run() {
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&clean);
+}
+
+#[test]
+fn a_failed_snapshot_commit_warns_and_keeps_the_artifacts() {
+    let reference = tmp("snap_fail_ref");
+    let out = run(divide()
+        .args(["--scale", "small", "--no-cache", "--out"])
+        .arg(&reference)
+        .arg("all"));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // A cold `all` commits its 18 artifacts, then its two new
+    // snapshots: fsync call 19 is the dataset snapshot's.
+    let dir = tmp("snap_fail");
+    let cache = dir.join("cache");
+    let out = run(divide()
+        .args(["--scale", "small", "--out"])
+        .arg(&dir)
+        .arg("--cache")
+        .arg(&cache)
+        .args(["--fault-plan", "seed=6;io.fsync:nth=19", "all"]));
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(
+        out.status.success(),
+        "a cache write must not fail the run: {stderr}"
+    );
+    assert!(
+        stderr.contains("cache: cannot write") && stderr.contains(".snap"),
+        "{stderr}"
+    );
+    assert_dirs_identical(&reference, &dir, &["run_manifest.json"]);
+    // The failed fsync drops both snapshots; the ledger line lands.
+    let cached: Vec<PathBuf> = tree(&cache).into_keys().collect();
+    assert_eq!(cached, [PathBuf::from("runs.jsonl")]);
+    let manifest =
+        Json::parse(&std::fs::read_to_string(dir.join("run_manifest.json")).expect("manifest"))
+            .expect("manifest parses");
+    let reason = manifest
+        .get("degraded")
+        .and_then(|d| d.get("cache"))
+        .and_then(Json::as_str)
+        .unwrap_or("");
+    assert!(reason.contains("injected fault at io.fsync"), "{reason:?}");
+
+    let _ = std::fs::remove_dir_all(&reference);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

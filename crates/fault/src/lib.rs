@@ -18,8 +18,9 @@
 //!
 //! The crate also hosts the shared hardening this injection forces:
 //!
-//! * [`safe_io`] — atomic tmp+rename artifact writes with bounded
-//!   retry-and-backoff, plus orphaned-temp sweeping;
+//! * [`safe_io`] — a run's files staged and committed together (fsync
+//!   all, then rename in order) and the one-file atomic write, with
+//!   bounded retry-and-backoff, plus orphaned-temp sweeping;
 //! * [`signal`] — a minimal async-signal-safe SIGINT/SIGTERM hook that
 //!   unlinks registered temp paths and exits 130;
 //! * a `fault.*` / `degraded.*` counter family and a degradation

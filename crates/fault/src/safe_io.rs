@@ -1,6 +1,7 @@
-//! Crash-safe artifact IO: atomic tmp+rename writes with bounded
-//! retry-and-backoff, a generic retry wrapper for append-style
-//! protocols, and startup sweeping of orphaned temp files.
+//! Crash-safe artifact IO: files staged during a run and committed
+//! together ([`Batch`]), the one-file [`write_atomic`] built on the same
+//! steps, bounded retry-and-backoff, a generic retry wrapper for
+//! append-style protocols, and startup sweeping of orphaned temp files.
 //!
 //! Every write here passes through the `io.write` / `io.fsync` /
 //! `io.rename` injection sites, so the fault plans in `chaos.sh`
@@ -10,6 +11,7 @@ use std::fs;
 use std::io;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Total attempts per write (1 initial + 2 retries).
@@ -26,6 +28,32 @@ fn backoff(attempt: u32) {
     std::thread::sleep(Duration::from_millis(ms));
 }
 
+/// Runs `op` up to [`ATTEMPTS`] times with the deterministic backoff
+/// between attempts (counted under `fault.retries`), and surfaces the
+/// last error.
+fn attempts<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    let mut last_err: Option<io::Error> = None;
+    for attempt in 0..ATTEMPTS {
+        if attempt > 0 {
+            backoff(attempt);
+        }
+        match op() {
+            Ok(v) => return Ok(v),
+            Err(e) => last_err = Some(e),
+        }
+    }
+    Err(last_err.unwrap_or_else(|| io::Error::other("no attempt made")))
+}
+
+/// Passes injection site `site`: an injected error returns, a delay
+/// sleeps, a panic unwinds, exactly where a real failure would.
+fn pass(site: &str) -> io::Result<()> {
+    match crate::should_fire(site).and_then(crate::Fault::apply_io) {
+        Some(e) => Err(e),
+        None => Ok(()),
+    }
+}
+
 /// The temp path a write of `path` stages through:
 /// `<file_name>.tmp.<pid>` in the same directory, so the final rename
 /// never crosses a filesystem and the pid suffix lets
@@ -39,77 +67,199 @@ pub fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(format!("{name}.tmp.{}", std::process::id()))
 }
 
-/// Writes `bytes` to `path` atomically: parent dirs are created, the
-/// payload is staged to [`tmp_path`], fsynced, and renamed into place.
-/// Transient failures are retried up to [`ATTEMPTS`] times with
-/// deterministic backoff (counted under `fault.retries`); the staged
-/// temp is registered with [`crate::signal`] so SIGINT/SIGTERM cannot
-/// leave it behind, and is removed on final failure or a panic.
-/// Readers therefore see either the old bytes or the new bytes, never
-/// a torn file.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    let tmp = tmp_path(path);
-    let mut staged = Staged {
-        tmp: &tmp,
-        renamed: false,
-        _signal: crate::signal::register_tmp(&tmp),
-    };
-    let mut last_err: Option<io::Error> = None;
-    for attempt in 0..ATTEMPTS {
-        if attempt > 0 {
-            backoff(attempt);
-        }
-        match write_attempt(path, &tmp, bytes) {
-            Ok(()) => {
-                staged.renamed = true;
-                return Ok(());
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.unwrap_or_else(|| io::Error::other("atomic write failed")))
+/// Files staged during a run and made durable and visible together
+/// (DESIGN.md §13). [`Batch::stage`] writes each file to its
+/// [`tmp_path`] and starts its writeback; [`Batch::commit`] fsyncs every
+/// staged file, then renames each into place, both in staging order.
+/// Nothing is visible under a final name before the commit, and a batch
+/// dropped without a commit removes every file it staged.
+#[derive(Debug, Default)]
+pub struct Batch {
+    staged: Mutex<Vec<Staged>>,
 }
 
-/// A staged temp file that is removed on drop unless it was renamed
-/// into place: one guard covers the error return and a panic unwinding
-/// out of an injection site. It also holds the temp's signal-cleanup
+impl Batch {
+    /// An empty batch.
+    #[must_use]
+    pub fn new() -> Batch {
+        Batch::default()
+    }
+
+    /// Stages `bytes` for `path`: creates the parent directories, writes
+    /// `<name>.tmp.<pid>` behind `io.write` (retried up to [`ATTEMPTS`]
+    /// times), registers the temp with [`crate::signal`] and starts its
+    /// writeback without waiting for it. The file stays open until the
+    /// commit. On error nothing is staged and no temp is left.
+    pub fn stage(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let mut staged = Staged::new(path)?;
+        attempts(|| staged.write(bytes))?;
+        staged.start_writeback();
+        crate::lock(&self.staged).push(staged);
+        Ok(())
+    }
+
+    /// Makes every staged file durable, then visible. First each file is
+    /// fsynced in staging order behind `io.fsync`; a failed fsync is not
+    /// retried (the kernel may already have dropped the pages, and a
+    /// second fsync could report success for data that never reached
+    /// the disk), so the commit fails before any rename and every staged
+    /// file is removed. Then each file is renamed into place in staging
+    /// order behind `io.rename`, retried up to [`ATTEMPTS`] times; a
+    /// rename that still fails leaves the earlier files renamed and
+    /// removes the rest. Returns the number of files committed; an
+    /// error names the file it failed on.
+    pub fn commit(self) -> io::Result<usize> {
+        // A push is the only update under the lock, so a vector that a
+        // panicking holder poisoned is still whole.
+        let mut staged = self
+            .staged
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        for file in &staged {
+            file.fsync().map_err(|e| file.failed(e))?;
+        }
+        for file in &mut staged {
+            attempts(|| file.rename()).map_err(|e| file.failed(e))?;
+        }
+        Ok(staged.len())
+    }
+}
+
+/// One file staged under its [`tmp_path`], taken through the three steps
+/// every write here shares: write, fsync, rename. Its temp is removed on
+/// drop unless it was renamed into place, so one guard covers an error
+/// return, a batch dropped without a commit and a panic unwinding out of
+/// an injection site. It also holds the temp's signal-cleanup
 /// registration, released after the removal.
-struct Staged<'a> {
-    tmp: &'a Path,
+#[derive(Debug)]
+struct Staged {
+    path: PathBuf,
+    tmp: PathBuf,
+    file: Option<fs::File>,
     renamed: bool,
     _signal: crate::signal::TmpGuard,
 }
 
-impl Drop for Staged<'_> {
+impl Staged {
+    /// Creates `path`'s parent directories and registers its temp for
+    /// signal cleanup; nothing is written yet.
+    fn new(path: &Path) -> io::Result<Staged> {
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                fs::create_dir_all(parent)?;
+            }
+        }
+        let tmp = tmp_path(path);
+        Ok(Staged {
+            _signal: crate::signal::register_tmp(&tmp),
+            path: path.to_path_buf(),
+            tmp,
+            file: None,
+            renamed: false,
+        })
+    }
+
+    /// One write attempt: (re)creates the temp and writes `bytes`.
+    fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
+        pass("io.write")?;
+        let mut file = fs::File::create(&self.tmp)?;
+        file.write_all(bytes)?;
+        self.file = Some(file);
+        Ok(())
+    }
+
+    /// Starts writing the temp's dirty pages back without waiting for
+    /// them, so a later fsync finds them on their way (`sys::start_writeback`).
+    fn start_writeback(&self) {
+        if let Some(file) = &self.file {
+            sys::start_writeback(file);
+        }
+    }
+
+    /// Flushes the written temp to the disk.
+    fn fsync(&self) -> io::Result<()> {
+        pass("io.fsync")?;
+        match &self.file {
+            Some(file) => file.sync_all(),
+            None => Err(io::Error::other("fsync of a file never written")),
+        }
+    }
+
+    /// Closes the temp and renames it over the final name.
+    fn rename(&mut self) -> io::Result<()> {
+        pass("io.rename")?;
+        self.file = None;
+        fs::rename(&self.tmp, &self.path)?;
+        self.renamed = true;
+        Ok(())
+    }
+
+    /// `e`, prefixed with the final path it failed on.
+    fn failed(&self, e: io::Error) -> io::Error {
+        io::Error::new(e.kind(), format!("{}: {e}", self.path.display()))
+    }
+}
+
+impl Drop for Staged {
     fn drop(&mut self) {
         if !self.renamed {
-            let _ = fs::remove_file(self.tmp);
+            self.file = None;
+            let _ = fs::remove_file(&self.tmp);
         }
     }
 }
 
-/// One staged-write attempt; each step passes its injection site first
-/// so an injected fault takes the identical error path a real one would.
-fn write_attempt(path: &Path, tmp: &Path, bytes: &[u8]) -> io::Result<()> {
-    if let Some(e) = crate::should_fire("io.write").and_then(crate::Fault::apply_io) {
-        return Err(e);
+/// Early writeback. The build is offline (no `libc` crate), so this
+/// declares the one symbol it needs, as [`crate::signal`] does.
+#[cfg(target_os = "linux")]
+mod sys {
+    use std::os::raw::{c_int, c_uint};
+    use std::os::unix::io::AsRawFd;
+
+    const SYNC_FILE_RANGE_WRITE: c_uint = 2;
+
+    extern "C" {
+        fn sync_file_range(fd: c_int, offset: i64, nbytes: i64, flags: c_uint) -> c_int;
     }
-    let mut file = fs::File::create(tmp)?;
-    file.write_all(bytes)?;
-    if let Some(e) = crate::should_fire("io.fsync").and_then(crate::Fault::apply_io) {
-        return Err(e);
+
+    /// `sync_file_range(fd, 0, 0, SYNC_FILE_RANGE_WRITE)`: starts
+    /// writeback of every dirty page of `file` and returns without
+    /// waiting. Only a hint, so its result is ignored: the commit's
+    /// fsync is what makes the file durable.
+    pub fn start_writeback(file: &std::fs::File) {
+        // SAFETY: the descriptor belongs to `file`, which outlives the
+        // call; the call reads and writes no memory of this process.
+        unsafe {
+            sync_file_range(file.as_raw_fd(), 0, 0, SYNC_FILE_RANGE_WRITE);
+        }
     }
-    file.sync_all()?;
-    drop(file);
-    if let Some(e) = crate::should_fire("io.rename").and_then(crate::Fault::apply_io) {
-        return Err(e);
-    }
-    fs::rename(tmp, path)
+}
+
+/// Early writeback is a Linux call; elsewhere the commit's fsync does
+/// all the flushing.
+#[cfg(not(target_os = "linux"))]
+mod sys {
+    pub fn start_writeback(_file: &std::fs::File) {}
+}
+
+/// Writes `bytes` to `path` atomically and durably before it returns: a
+/// batch of one file, staged and committed at once. Parent dirs are
+/// created; the payload is written to [`tmp_path`], fsynced and renamed
+/// into place. Unlike a [`Batch`], the whole write, fsync and rename
+/// sequence is retried up to [`ATTEMPTS`] times (counted under
+/// `fault.retries`): the caller's bytes are still at hand, so a retry
+/// rewrites the temp from scratch instead of fsyncing it again. The
+/// temp is registered with [`crate::signal`] so SIGINT/SIGTERM cannot
+/// leave it behind, and is removed on final failure or a panic. Readers
+/// therefore see either the old bytes or the new bytes, never a torn
+/// file.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut staged = Staged::new(path)?;
+    attempts(|| {
+        staged.write(bytes)?;
+        staged.fsync()?;
+        staged.rename()
+    })
 }
 
 /// Runs `op` under the bounded retry-and-backoff policy, checking the
@@ -117,21 +267,10 @@ fn write_attempt(path: &Path, tmp: &Path, bytes: &[u8]) -> io::Result<()> {
 /// already atomic per operation (the ledger's `O_APPEND` single
 /// `write_all`) and only need the retry half of [`write_atomic`].
 pub fn retrying<T>(site: &str, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
-    let mut last_err: Option<io::Error> = None;
-    for attempt in 0..ATTEMPTS {
-        if attempt > 0 {
-            backoff(attempt);
-        }
-        if let Some(e) = crate::should_fire(site).and_then(crate::Fault::apply_io) {
-            last_err = Some(e);
-            continue;
-        }
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.unwrap_or_else(|| io::Error::other(format!("{site}: operation failed"))))
+    attempts(|| {
+        pass(site)?;
+        op()
+    })
 }
 
 /// Removes orphaned staging files in `dir` (non-recursive): names of
@@ -269,6 +408,127 @@ mod tests {
         );
         assert!(!path.exists(), "no artifact after the panic");
         assert!(no_tmp_left(&dir), "no staging file after the panic");
+        crate::reset();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .expect("read test dir")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn twenty_staged_files_hold_twenty_signal_slots_until_the_commit() {
+        let _guard = lock_registry();
+        crate::reset();
+        let dir = tmp_dir("batch20");
+        // A cold paper `all` stages 18 artifacts and 2 snapshots.
+        let batch = Batch::new();
+        for i in 0..20 {
+            batch
+                .stage(
+                    &dir.join(format!("f{i:02}.csv")),
+                    format!("{i}\n").as_bytes(),
+                )
+                .expect("stage");
+        }
+        const _: () = assert!(20 <= crate::signal::SLOTS);
+        for staged in crate::lock(&batch.staged).iter() {
+            assert!(staged._signal.registered(), "{:?} has no slot", staged.tmp);
+            assert!(staged.tmp.exists() && !staged.path.exists());
+        }
+        assert_eq!(batch.commit().expect("commit"), 20);
+        let want: Vec<String> = (0..20).map(|i| format!("f{i:02}.csv")).collect();
+        assert_eq!(names(&dir), want);
+        assert_eq!(fs::read(dir.join("f07.csv")).expect("readable"), b"7\n");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_batch_dropped_without_a_commit_leaves_no_file() {
+        let _guard = lock_registry();
+        crate::reset();
+        let dir = tmp_dir("dropped");
+        let batch = Batch::new();
+        for name in ["a.csv", "b.svg", "nested/c.snap"] {
+            batch.stage(&dir.join(name), b"x\n").expect("stage");
+        }
+        drop(batch);
+        assert_eq!(names(&dir), ["nested"]);
+        assert!(names(&dir.join("nested")).is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_fsync_fails_the_commit_before_any_rename() {
+        let _guard = lock_registry();
+        crate::reset();
+        crate::set_plan(Some(
+            FaultPlan::parse("seed=1;io.fsync:nth=3").expect("plan"),
+        ));
+        let dir = tmp_dir("fsync");
+        let batch = Batch::new();
+        for name in ["a.csv", "b.csv", "c.csv", "d.csv"] {
+            batch.stage(&dir.join(name), b"x\n").expect("stage");
+        }
+        let err = batch.commit().expect_err("the third fsync fails");
+        assert!(err.to_string().contains("c.csv"), "{err}");
+        assert!(names(&dir).is_empty(), "left {:?}", names(&dir));
+        // Not retried: the kernel may have dropped the pages already.
+        assert_eq!(crate::counter_value("fault.retries"), 0);
+        assert_eq!(crate::counter_value("fault.injected.io.fsync"), 1);
+        crate::reset();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_rename_recovers_through_the_retry() {
+        let _guard = lock_registry();
+        crate::reset();
+        crate::set_plan(Some(
+            FaultPlan::parse("seed=1;io.rename:nth=2").expect("plan"),
+        ));
+        let dir = tmp_dir("rename");
+        let batch = Batch::new();
+        for name in ["a.csv", "b.csv", "c.csv"] {
+            batch
+                .stage(&dir.join(name), name.as_bytes())
+                .expect("stage");
+        }
+        assert_eq!(batch.commit().expect("the retry recovers"), 3);
+        assert_eq!(names(&dir), ["a.csv", "b.csv", "c.csv"]);
+        assert_eq!(fs::read(dir.join("b.csv")).expect("readable"), b"b.csv");
+        assert_eq!(crate::counter_value("fault.retries"), 1);
+        assert_eq!(crate::counter_value("fault.injected.io.rename"), 1);
+        crate::reset();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fault_indices_follow_staging_order() {
+        let _guard = lock_registry();
+        crate::reset();
+        // Write call 1 (b's first attempt) fails and is retried as call
+        // 2, so c writes as call 3; fsync calls run a, b, c at commit.
+        crate::set_plan(Some(
+            FaultPlan::parse("seed=1;io.write:nth=2;io.fsync:nth=3").expect("plan"),
+        ));
+        let dir = tmp_dir("order");
+        let batch = Batch::new();
+        for name in ["a.csv", "b.csv", "c.csv"] {
+            batch.stage(&dir.join(name), b"x\n").expect("stage");
+        }
+        assert_eq!(crate::counter_value("fault.retries"), 1);
+        let err = batch.commit().expect_err("c's fsync fails");
+        let msg = err.to_string();
+        assert!(msg.contains("c.csv"), "{msg}");
+        assert!(msg.contains("injected fault at io.fsync (call 2)"), "{msg}");
+        assert!(names(&dir).is_empty(), "left {:?}", names(&dir));
         crate::reset();
         let _ = fs::remove_dir_all(&dir);
     }

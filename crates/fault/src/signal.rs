@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 /// Exit status for a signal-interrupted run (128 + SIGINT).
 pub const EXIT_INTERRUPTED: i32 = 130;
 
-const SLOTS: usize = 64;
+pub(crate) const SLOTS: usize = 64;
 
 // Const-item repeat: `AtomicUsize` is not `Copy`, and inline-const
 // array initializers need a newer toolchain than our MSRV.
@@ -50,6 +50,19 @@ mod sys {
 /// Async-signal-safe by construction (see module docs).
 #[cfg(unix)]
 extern "C" fn on_signal(_signum: std::os::raw::c_int) {
+    remove_registered();
+    // SAFETY: `_exit` is async-signal-safe and diverges.
+    unsafe { sys::_exit(EXIT_INTERRUPTED) }
+}
+
+/// Unlinks every registered staging file: the signal handler's cleanup
+/// (only atomic loads and `unlink(2)`), and the same for a process about
+/// to end through `std::process::exit`, which runs no destructors — the
+/// files a [`crate::safe_io::Batch`] staged are all in the slot table,
+/// so they go even though the batch is never dropped. The slots stay
+/// taken; the process is ending. A no-op off Unix.
+pub fn remove_registered() {
+    #[cfg(unix)]
     for slot in TMP_SLOTS.iter() {
         let ptr = slot.load(Ordering::Acquire);
         if ptr != 0 {
@@ -61,8 +74,6 @@ extern "C" fn on_signal(_signum: std::os::raw::c_int) {
             }
         }
     }
-    // SAFETY: `_exit` is async-signal-safe and diverges.
-    unsafe { sys::_exit(EXIT_INTERRUPTED) }
 }
 
 /// Installs the SIGINT/SIGTERM handler (idempotent; no-op off Unix).
@@ -86,8 +97,18 @@ pub fn install() {
 
 /// Clears a registered slot on drop (see [`register_tmp`]).
 #[must_use]
+#[derive(Debug)]
 pub struct TmpGuard {
     slot: Option<usize>,
+}
+
+impl TmpGuard {
+    /// True when the path holds a slot, so a signal or
+    /// [`remove_registered`] unlinks it.
+    #[cfg(test)]
+    pub(crate) fn registered(&self) -> bool {
+        self.slot.is_some()
+    }
 }
 
 impl Drop for TmpGuard {

@@ -8,11 +8,11 @@
 use crate::num::{push_fixed, push_hex_byte};
 use std::fmt::Write as _;
 
-/// An SVG document under construction.
+/// An SVG document under construction: the whole document so far, from
+/// its `<svg>` header on, in one buffer that [`SvgDoc::finish`] closes
+/// and hands over without a copy.
 #[derive(Debug, Clone)]
 pub struct SvgDoc {
-    width: f64,
-    height: f64,
     body: String,
 }
 
@@ -28,10 +28,12 @@ impl SvgDoc {
     /// background.
     pub fn new(width: f64, height: f64) -> Self {
         let mut doc = SvgDoc {
-            width,
-            height,
             body: String::new(),
         };
+        let _ = writeln!(
+            doc.body,
+            "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width:.0}\" height=\"{height:.0}\" viewBox=\"0 0 {width:.0} {height:.0}\">"
+        );
         doc.rect(0.0, 0.0, width, height, "#ffffff", None);
         doc
     }
@@ -129,12 +131,10 @@ impl SvgDoc {
         let _ = writeln!(self.body, ")\">{}</text>", esc(content));
     }
 
-    /// Serializes the document.
-    pub fn finish(&self) -> String {
-        format!(
-            "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{:.0}\" viewBox=\"0 0 {:.0} {:.0}\">\n{}</svg>\n",
-            self.width, self.height, self.width, self.height, self.body
-        )
+    /// Closes the document and returns it.
+    pub fn finish(mut self) -> String {
+        self.body.push_str("</svg>\n");
+        self.body
     }
 }
 
@@ -197,7 +197,7 @@ mod tests {
     fn polyline_requires_two_points() {
         let mut d = SvgDoc::new(10.0, 10.0);
         d.polyline(&[(1.0, 1.0)], "#000", 1.0);
-        assert!(!d.finish().contains("polyline"));
+        assert!(!d.clone().finish().contains("polyline"));
         d.polyline(&[(1.0, 1.0), (2.0, 2.0)], "#000", 1.0);
         assert!(d.finish().contains("polyline"));
     }
@@ -228,6 +228,34 @@ mod tests {
             640.0, 480.5, 640.0, 480.5
         );
         assert_eq!(doc.finish(), want);
+    }
+
+    #[test]
+    fn a_whole_document_matches_the_old_finish_template() {
+        // `finish` used to wrap the body in one `format!` of this
+        // template, copying the whole body; `new` now writes the header
+        // and `finish` the trailer, with the bytes unchanged. Ties,
+        // a negative zero and a NaN exercise the header's rounding.
+        for (w, h) in [
+            (640.0, 480.0),
+            (0.5, 2.5),
+            (-0.0, 1.0e7 + 0.5),
+            (f64::NAN, 3.4999),
+        ] {
+            let mut doc = SvgDoc::new(w, h);
+            doc.circle(1.0, 2.0, 3.0, "#333");
+            doc.text(4.0, 5.0, "a < b", 10.0, "start");
+            let body = format!(
+                "<rect x=\"0.00\" y=\"0.00\" width=\"{w:.2}\" height=\"{h:.2}\" fill=\"#ffffff\"/>\n\
+                 <circle cx=\"1.00\" cy=\"2.00\" r=\"3.00\" fill=\"#333\"/>\n\
+                 <text x=\"4.00\" y=\"5.00\" font-size=\"10\" font-family=\"sans-serif\" text-anchor=\"start\">a &lt; b</text>\n"
+            );
+            let old = format!(
+                "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{:.0}\" viewBox=\"0 0 {:.0} {:.0}\">\n{}</svg>\n",
+                w, h, w, h, body
+            );
+            assert_eq!(doc.finish(), old, "{w} x {h}");
+        }
     }
 
     fn ramp_color(t: f64) -> String {

@@ -31,9 +31,10 @@ echo "[chaos] fault-free reference run (prewarms the shared cache)"
 "$BIN" --scale small all --out "$ref" --cache "$cache" -q >/dev/null
 
 # Plan templates cycled over the seeds. Sites chosen to hit every
-# choke point: artifact writes (all three io.* phases, plus a panic
-# mid-write), warm-cache decode, the ledger appender, a stage abort,
-# and worker-chunk panic/delay on the pool.
+# choke point: artifact writes (io.write at staging, io.fsync and
+# io.rename at the commit, plus a panic mid-commit), warm-cache decode,
+# the ledger appender, a stage abort, and worker-chunk panic/delay on
+# the pool.
 templates=(
     "io.write:p=0.4"
     "io.rename:nth=2"
@@ -118,37 +119,27 @@ done
 echo "[chaos] $PLANS plans: $identical survived byte-identical, $typed failed typed"
 
 echo "[chaos] interrupt-then-rerun leg"
-# An aborted run leaves whole artifacts of the stages before the abort
-# and nothing of the rest; rerunning the same command into the same
-# --out completes it. At 2 threads qoe computes on the side lane while
-# the main lane computes later stages ahead, so this checks that no
-# output is written before its turn.
+# A run that aborts before its commit leaves no file behind: every
+# artifact is staged until the commit after the last stage, so the
+# output directory stays empty and the cache keeps its exact files
+# (no snapshot, no ledger line). At 2 threads qoe computes on the side
+# lane while the main lane stages the outputs of the stages before it,
+# so this checks that staged files never land. Rerunning the same
+# command into the same --out completes the run.
 rout="$scratch/rerun"
 errfile="$scratch/rerun.stderr"
 plan="seed=99;stage.qoe:nth=1"
+cache_before="$(cd "$cache" && find . -type f -exec sha256sum {} + | sort)"
 set +e
 "$BIN" --threads 2 --scale small all --out "$rout" --cache "$cache" \
     --fault-plan "$plan" -q >/dev/null 2>"$errfile"
 code=$?
 set -e
 [ "$code" -eq 1 ] || fail "interrupted run expected exit 1, got $code"
-leftover="$(find "$rout" "$cache" -name '*.tmp*' 2>/dev/null || true)"
-[ -z "$leftover" ] || fail "leftover staging files after the interrupt: $leftover"
-# The artifacts of the stages before qoe (table1 through findings).
-before="table2.csv fig1_cdf.csv fig1_cdf.svg fig1_map.svg fig2_sweep.csv
-        fig2_heatmap.svg fig3_tail.csv fig3_tail.svg fig4_affordability.csv
-        fig4_affordability.svg"
-for f in $before; do
-    cmp -s "$ref/$f" "$rout/$f" || fail "aborted run lacks $f of a stage before qoe"
-done
-# Every other artifact is qoe's or a later stage's.
-for path in "$ref"/*; do
-    f="$(basename "$path")"
-    case " $(echo $before) run_manifest.json " in
-        *" $f "*) ;;
-        *) [ ! -e "$rout/$f" ] || fail "aborted run wrote $f of qoe or a later stage" ;;
-    esac
-done
+left="$(find "$rout" -type f 2>/dev/null || true)"
+[ -z "$left" ] || fail "aborted run left files in its output: $left"
+[ "$(cd "$cache" && find . -type f -exec sha256sum {} + | sort)" = "$cache_before" ] \
+    || fail "aborted run changed the cache"
 plan="rerun without faults"
 "$BIN" --threads 2 --scale small all --out "$rout" --cache "$cache" -q \
     >/dev/null 2>"$errfile" \

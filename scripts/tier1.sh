@@ -201,26 +201,29 @@ print(f"[tier1] cold and --no-cache runs record the same pool work in all {len(c
 PY
 
 echo "[tier1] paper-scale runs reproduce the committed results/ byte for byte"
-# The committed artifacts are the oracle: a cold 1-thread run and a
-# warm 2-thread run (sharing one snapshot cache) must both regenerate
-# every committed CSV and SVG exactly, and print exactly the console
-# text committed as results/paper_run.txt.
+# The committed artifacts are the oracle: a cold 1-thread run, a warm
+# 2-thread run and a warm 8-thread run (sharing one snapshot cache) must
+# all regenerate every committed CSV and SVG exactly, and print exactly
+# the console text committed as results/paper_run.txt.
 paper_cache="$work/paper_cache"
 paper1="$work/paper1"
 paper2="$work/paper2"
+paper8="$work/paper8"
 ./target/release/divide --scale paper --threads 1 all --out "$paper1" --cache "$paper_cache" -q \
     >"$work/paper1.stdout"
 ./target/release/divide --scale paper --threads 2 all --out "$paper2" --cache "$paper_cache" -q \
     >"$work/paper2.stdout"
-for run in paper1 paper2; do
+./target/release/divide --scale paper --threads 8 all --out "$paper8" --cache "$paper_cache" -q \
+    >"$work/paper8.stdout"
+for run in paper1 paper2 paper8; do
     cmp -s results/paper_run.txt "$work/$run.stdout" \
         || { echo "[tier1] $run's stdout differs from results/paper_run.txt" >&2; exit 1; }
 done
-echo "[tier1] stdout at 1 thread (cold) and 2 threads (warm) matches results/paper_run.txt"
+echo "[tier1] stdout at 1 thread (cold), 2 and 8 threads (warm) matches results/paper_run.txt"
 # The manifest lists each stage once, in the run's order: the dataset
 # build, then STAGES (crates/cli/src/stages.rs), however the two lanes
 # of a 2-thread run interleave.
-python3 - "$paper1/run_manifest.json" "$paper2/run_manifest.json" <<'PY'
+python3 - "$paper1/run_manifest.json" "$paper2/run_manifest.json" "$paper8/run_manifest.json" <<'PY'
 import json, sys
 
 want = ["dataset", "table1", "table2", "fig1", "fig2", "fig3", "fig4", "findings",
@@ -229,22 +232,22 @@ want = ["dataset", "table1", "table2", "fig1", "fig2", "fig3", "fig4", "findings
 for path in sys.argv[1:]:
     got = [s["name"] for s in json.load(open(path))["stages"]]
     assert got == want, (path, got)
-print("[tier1] paper manifests at 1 and 2 threads list dataset, then STAGES in order")
+print("[tier1] paper manifests at 1, 2 and 8 threads list dataset, then STAGES in order")
 PY
 compared=0
 for f in results/*.csv results/*.svg; do
-    for run in "$paper1" "$paper2"; do
+    for run in "$paper1" "$paper2" "$paper8"; do
         cmp -s "$f" "$run/$(basename "$f")" \
             || { echo "[tier1] $f differs from a fresh paper-scale run ($run)" >&2; exit 1; }
     done
     compared=$((compared + 1))
 done
 [ "$compared" -ge 16 ] || { echo "[tier1] only $compared committed artifacts compared" >&2; exit 1; }
-echo "[tier1] $compared committed artifacts match at 1 thread (cold) and 2 threads (warm)"
+echo "[tier1] $compared committed artifacts match at 1 thread (cold), 2 and 8 threads (warm)"
 # The two large artifacts stay out of git (.gitignore); their SHA-256
 # digests are committed instead and pinned the same way.
 digests="$PWD/results/large_artifacts.sha256"
-for run in "$paper1" "$paper2"; do
+for run in "$paper1" "$paper2" "$paper8"; do
     (cd "$run" && sha256sum --quiet -c "$digests") \
         || { echo "[tier1] a large artifact in $run differs from $digests" >&2; exit 1; }
 done
@@ -308,7 +311,7 @@ assert (par["fanouts"], par["serial_calls"]) == (3, 0), par
 print(f"[tier1] cold 4-thread dataset stage: {par['fanouts']} fan-outs, "
       f"{par['serial_calls']} serial calls")
 PY
-rm -rf "$paper_cache" "$paper1" "$paper2" "$paper4_cache" "$paper4"
+rm -rf "$paper_cache" "$paper1" "$paper2" "$paper8" "$paper4_cache" "$paper4"
 
 echo "[tier1] stale-schema snapshot fails closed and regenerates"
 # Rewind the on-disk dataset container to schema v1 (the little-endian
