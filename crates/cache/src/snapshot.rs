@@ -50,7 +50,8 @@ use leo_geomath::LatLng;
 use leo_hexgrid::{CellId, GeoHexGrid};
 use starlink_divide::coverage_sweep::{self, CoverageSweep};
 use starlink_divide::PaperModel;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Snapshot kind for the generated dataset.
 pub const DATASET_KIND: &str = "dataset";
@@ -325,20 +326,23 @@ pub fn decode_sweep(payload: &[u8]) -> Result<CoverageSweep, DecodeError> {
 
 /// The high-level cache the CLI drives: load-or-generate for the
 /// dataset and the Fig 2 sweep, over one [`SnapshotStore`]. Each new
-/// snapshot is staged into `batch`: it lands when the batch commits,
-/// and never if the batch is dropped.
-#[derive(Debug, Clone)]
-pub struct DatasetCache<'a> {
+/// snapshot is staged into the cache's own batch: it lands when
+/// [`DatasetCache::commit`] runs, and never if the cache is dropped.
+#[derive(Debug)]
+pub struct DatasetCache {
     store: SnapshotStore,
-    batch: &'a Batch,
+    batch: Batch,
+    /// Payload bytes in `batch`, counted when it commits.
+    staged_bytes: AtomicU64,
 }
 
-impl<'a> DatasetCache<'a> {
-    /// A cache rooted at `dir` that stages its new snapshots into `batch`.
-    pub fn new(dir: impl Into<PathBuf>, batch: &'a Batch) -> Self {
+impl DatasetCache {
+    /// A cache rooted at `dir`, with nothing staged.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
         DatasetCache {
             store: SnapshotStore::new(dir),
-            batch,
+            batch: Batch::new(),
+            staged_bytes: AtomicU64::new(0),
         }
     }
 
@@ -348,8 +352,22 @@ impl<'a> DatasetCache<'a> {
     }
 
     fn save(&self, kind: &str, key: u64, payload: &[u8]) {
-        self.store
-            .stage(kind, key, SCHEMA_VERSION, payload, self.batch);
+        let stage = |path: &Path, bytes: &[u8]| self.batch.stage(path, bytes);
+        if self.store.write(kind, key, SCHEMA_VERSION, payload, stage) {
+            self.staged_bytes.fetch_add(payload.len() as u64, Relaxed);
+        }
+    }
+
+    /// Commits the staged snapshots (`Batch::commit`: all durable, then
+    /// all visible), and only then counts their payload bytes as
+    /// `cache.bytes_written`. Returns how many landed.
+    pub fn commit(self) -> std::io::Result<usize> {
+        let landed = self.batch.commit()?;
+        if landed > 0 {
+            let bytes = self.staged_bytes.into_inner();
+            leo_obs::metrics::counter_add("cache.bytes_written", bytes);
+        }
+        Ok(landed)
     }
 
     /// Loads the dataset for `cfg` from a warm snapshot, or generates
@@ -451,9 +469,9 @@ mod tests {
     /// Runs `f` on a cache over `dir`, then commits the snapshots it
     /// staged.
     fn committed<T>(dir: &Path, f: impl FnOnce(&DatasetCache) -> T) -> T {
-        let batch = Batch::new();
-        let value = f(&DatasetCache::new(dir, &batch));
-        batch.commit().expect("commit the staged snapshots");
+        let cache = DatasetCache::new(dir);
+        let value = f(&cache);
+        cache.commit().expect("commit the staged snapshots");
         value
     }
 
@@ -462,15 +480,13 @@ mod tests {
         let dir = tmp_dir("warm");
         let cfg = SynthConfig::small();
         let path = SnapshotStore::new(&dir).path_for(DATASET_KIND, dataset_key(&cfg));
-        // A staged snapshot lands only when its batch commits.
-        let dropped = Batch::new();
-        let _ = DatasetCache::new(&dir, &dropped).load_or_generate(&cfg);
-        drop(dropped);
-        assert!(!path.exists(), "a dropped batch left a snapshot");
-        let batch = Batch::new();
-        let cold = DatasetCache::new(&dir, &batch).load_or_generate(&cfg);
+        // A staged snapshot lands only when its cache commits.
+        let _ = DatasetCache::new(&dir).load_or_generate(&cfg);
+        assert!(!path.exists(), "a dropped cache left a snapshot");
+        let cache = DatasetCache::new(&dir);
+        let cold = cache.load_or_generate(&cfg);
         assert!(!path.exists(), "a snapshot landed before the commit");
-        assert_eq!(batch.commit().expect("commit"), 1);
+        assert_eq!(cache.commit().expect("commit"), 1);
         assert!(path.exists());
         let warm = committed(&dir, |c| c.load_or_generate(&cfg));
         assert_datasets_bit_equal(&cold, &warm);

@@ -28,14 +28,13 @@
 //! crashed writer can't leave a half-written `.snap` behind and
 //! concurrent `divide` processes can't observe each other's partial
 //! writes. [`SnapshotStore::save`] does that at once; a
-//! [`crate::DatasetCache`] stages its snapshots into a
-//! `leo_fault::safe_io::Batch` instead, whose commit fsyncs and renames
-//! them (the CLI commits it right after the run's artifacts). A failed
-//! write — here, or in the CLI's commit of that batch — warns and moves
-//! on: caching is an optimization, never a correctness dependency.
+//! [`crate::DatasetCache`] stages its snapshots into a batch of its own
+//! instead, which [`crate::DatasetCache::commit`] fsyncs and renames
+//! (the CLI commits it right after the run's artifacts). A failed
+//! write — here, or in that commit — warns and moves on: caching is an
+//! optimization, never a correctness dependency.
 
 use crate::key::fnv1a64;
-use leo_fault::safe_io::Batch;
 use std::fmt;
 use std::fs;
 use std::io::ErrorKind;
@@ -313,35 +312,31 @@ impl SnapshotStore {
     /// a process-unique temp file, fsynced, renamed into place, with
     /// bounded retry on transient (or injected) errors.
     pub fn save(&self, kind: &str, key: u64, schema: u32, payload: &[u8]) {
-        self.write(kind, key, schema, payload, leo_fault::safe_io::write_atomic);
+        if self.write(kind, key, schema, payload, leo_fault::safe_io::write_atomic) {
+            leo_obs::metrics::counter_add("cache.bytes_written", payload.len() as u64);
+        }
     }
 
-    /// Stages a snapshot payload into `batch` instead: it lands when the
-    /// batch commits, and never if the batch is dropped. A staging
-    /// failure warns and the run continues uncached, as a save's does.
-    pub(crate) fn stage(&self, kind: &str, key: u64, schema: u32, payload: &[u8], batch: &Batch) {
-        self.write(kind, key, schema, payload, |path, bytes| {
-            batch.stage(path, bytes)
-        });
-    }
-
-    fn write(
+    /// Writes a snapshot's container through `write` (a save, or a
+    /// `Batch::stage`) and counts it in the `io.*` family; a failure
+    /// warns, and the run continues uncached. Returns whether it wrote.
+    pub(crate) fn write(
         &self,
         kind: &str,
         key: u64,
         schema: u32,
         payload: &[u8],
         write: impl FnOnce(&Path, &[u8]) -> std::io::Result<()>,
-    ) {
+    ) -> bool {
         let bytes = encode_container(schema, key, payload);
         let path = self.path_for(kind, key);
         if let Err(e) = write(&path, &bytes) {
             leo_obs::log_warn!("cache: cannot write {}: {e}", path.display());
-            return;
+            return false;
         }
-        leo_obs::metrics::counter_add("cache.bytes_written", payload.len() as u64);
         leo_obs::metrics::counter_add("io.write_calls", 1);
         leo_obs::metrics::counter_add("io.bytes_written", bytes.len() as u64);
+        true
     }
 }
 

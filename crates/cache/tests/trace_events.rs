@@ -5,7 +5,6 @@
 
 use leo_cache::snapshot::{dataset_key, DatasetCache, DATASET_KIND};
 use leo_demand::dataset::SynthConfig;
-use leo_fault::safe_io::Batch;
 use leo_obs::trace::{self, EventKind};
 
 #[test]
@@ -21,11 +20,10 @@ fn corrupt_snapshot_marks_invalid_then_regenerates() {
 
     // Cold generation, its snapshot committed, then corrupt the
     // snapshot's payload bytes.
-    let batch = Batch::new();
-    let cache = DatasetCache::new(&dir, &batch);
+    let cache = DatasetCache::new(&dir);
     let _ = cache.load_or_generate(&cfg);
     let path = cache.store().path_for(DATASET_KIND, dataset_key(&cfg));
-    batch.commit().expect("commit the snapshot");
+    cache.commit().expect("commit the snapshot");
     let mut bytes = std::fs::read(&path).expect("snapshot written");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
@@ -34,7 +32,7 @@ fn corrupt_snapshot_marks_invalid_then_regenerates() {
     // A unique marker so the assertions below only look at events this
     // load recorded, not the cold generation's.
     trace::instant("t_trace.marker");
-    let _ = DatasetCache::new(&dir, &Batch::new()).load_or_generate(&cfg);
+    let _ = DatasetCache::new(&dir).load_or_generate(&cfg);
 
     let lanes = trace::snapshot();
     let lane = lanes

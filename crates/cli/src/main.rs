@@ -18,13 +18,15 @@ mod history_cmd;
 mod report_cmd;
 mod stages;
 
+use leo_alloc::Lane;
 use leo_cache::DatasetCache;
 use leo_demand::{BroadbandDataset, SynthConfig};
 use leo_fault::safe_io::Batch;
 use leo_obs::manifest::{self, RunInfo};
-use stages::{Ctx, Lane, Output, Stage, STAGES};
+use stages::{Ctx, Output, Stage, STAGES};
 use starlink_divide::PaperModel;
 use std::collections::VecDeque;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Instant;
@@ -374,11 +376,10 @@ fn main() {
     }
     let ledger_path = resolve_ledger(ledger_flag, resolved_cache.as_deref());
     // Every artifact of the run is staged into `batch` and every new
-    // snapshot into `snapshots`; both land in the commit after the last
-    // stage, the snapshots best-effort (DESIGN.md §13).
+    // snapshot into the cache's own batch; both land in the commit after
+    // the last stage, the snapshots best-effort (DESIGN.md §13).
     let batch = Batch::new();
-    let snapshots = Batch::new();
-    let cache = resolved_cache.map(|dir| DatasetCache::new(dir, &snapshots));
+    let cache = resolved_cache.map(DatasetCache::new);
 
     let cfg = if scale == "paper" {
         SynthConfig::paper()
@@ -420,8 +421,8 @@ fn main() {
         .iter()
         .filter(|(name, _, _)| command == "all" || command == *name)
         .collect();
-    run_stages(&ctx, &out, &batch, &selected);
-    commit(batch, snapshots);
+    run_stages(&ctx, &out, &batch, &selected, &mut std::io::stdout());
+    commit(batch, cache);
 
     let ran = std::iter::once("dataset").chain(selected.iter().map(|(name, _, _)| *name));
     let info = RunInfo {
@@ -516,10 +517,10 @@ enum Abort {
     Panic,
 }
 
-/// Runs the selected command stages (DESIGN.md §13), staging their files
-/// into `batch`. When both lanes
+/// Runs the selected command stages (DESIGN.md §13), printing their text
+/// to `console` and staging their files into `batch`. When both lanes
 /// have a body to compute, the side lane computes the bodies of the
-/// [`Lane::Side`] stages, in rank order, on the worker pool's last
+/// [`Lane::Side`] stages, in [`STAGES`] order, on the worker pool's last
 /// worker (`leo_parallel::beside`), while the main lane computes the
 /// others on the caller with one thread fewer. Otherwise every body
 /// runs on the main lane at full width. Either way the main lane prints
@@ -529,40 +530,27 @@ enum Abort {
 ///
 /// A failed stage ends the run at its turn, after every earlier stage's
 /// output and before any of its own or a later stage's. The side lane
-/// sends its results in `STAGES` order, holding one computed early
-/// until those before it are sent, and stops once it has sent a
-/// failure; the main lane stops computing at its own first failure. So
-/// the main lane meets any side failure before it could wait for a
-/// result the side lane will not send.
-fn run_stages(ctx: &Ctx, out: &Path, batch: &Batch, selected: &[&Stage]) {
-    let side_rank = |stage: &Stage| match stage.1 {
-        Lane::Side(rank) => Some(rank),
-        Lane::Main => None,
-    };
-    let has_side = selected.iter().any(|s| side_rank(s).is_some());
-    let split = has_side && selected.iter().any(|s| side_rank(s).is_none());
-    let on_side = |stage: &Stage| split && side_rank(stage).is_some();
+/// sends each result as soon as it is computed and stops once it has
+/// sent a failure; the main lane stops computing at its own first
+/// failure. So the main lane meets any side failure before it could
+/// wait for a result the side lane will not send.
+fn run_stages(ctx: &Ctx, out: &Path, batch: &Batch, selected: &[&Stage], console: &mut dyn Write) {
+    let split =
+        selected.iter().any(|s| s.1 == Lane::Side) && selected.iter().any(|s| s.1 == Lane::Main);
+    let on_side = |stage: &Stage| split && stage.1 == Lane::Side;
     let (to_main, from_side) = mpsc::channel();
     let side_lane = move || {
-        leo_alloc::with_lane(leo_alloc::Lane::Side, || {
-            let side: Vec<&Stage> = selected.iter().copied().filter(|s| on_side(s)).collect();
-            let mut by_rank: Vec<usize> = (0..side.len()).collect();
-            by_rank.sort_by_key(|&i| side_rank(side[i]));
-            let mut done: Vec<Option<Ran<Output>>> = side.iter().map(|_| None).collect();
-            let mut sent = 0;
-            for i in by_rank {
-                done[i] = Some(body(ctx, side[i]));
-                while let Some(ran) = done.get_mut(sent).and_then(Option::take) {
-                    let failed = ran.is_err();
-                    if to_main.send(ran).is_err() || failed {
-                        return;
-                    }
-                    sent += 1;
+        leo_alloc::with_lane(Lane::Side, || {
+            for stage in selected.iter().filter(|s| on_side(s)) {
+                let ran = body(ctx, stage);
+                let failed = ran.is_err();
+                if to_main.send(ran).is_err() || failed {
+                    return;
                 }
             }
         })
     };
-    let main_lane = || {
+    let mut main_lane = || {
         let mut bodies = selected.iter().filter(|s| !on_side(s));
         let mut held = VecDeque::new();
         let mut failed = false;
@@ -591,7 +579,7 @@ fn run_stages(ctx: &Ctx, out: &Path, batch: &Batch, selected: &[&Stage]) {
                     }
                 }
             };
-            emit(name, out, batch, settle(name, ran));
+            emit(name, out, batch, console, settle(name, ran));
         }
     };
     if split {
@@ -657,12 +645,13 @@ fn fail(why: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Prints a stage's text, then stages its files in the order pushed,
-/// under the stage's span and catch: a panic mid-write still ends as a
-/// typed exit 1, and the stage's record counts its I/O.
-fn emit(name: &str, out: &Path, batch: &Batch, o: Output) {
+/// Writes a stage's text to `console`, then stages its files in the
+/// order pushed, under the stage's span and catch: a failed console
+/// write or a panic mid-write still ends as a typed exit 1, and the
+/// stage's record counts its I/O.
+fn emit(name: &str, out: &Path, batch: &Batch, console: &mut dyn Write, o: Output) {
     let staged = caught(&format!("stage.{name}"), || {
-        print!("{}", o.text);
+        console.write_all(o.text.as_bytes()).map_err(Abort::Err)?;
         for (file, content) in &o.files {
             stage(out, batch, file, content);
         }
@@ -686,21 +675,24 @@ fn stage(out: &Path, batch: &Batch, name: &str, content: &str) {
 }
 
 /// Makes the run's staged files durable, then visible, under the
-/// top-level `commit` span and the CLI's catch: first the artifacts,
-/// then the new snapshots (`Batch::commit` each). It is no stage, so the
-/// manifest's stage list stays `dataset` followed by [`STAGES`]. An
-/// artifact failure exits 1 and drops the snapshots unlanded; a failed
-/// fsync fails before any rename, so `--out` and the cache stay as they
-/// were. A snapshot failure warns and degrades `cache`: the artifacts
-/// have landed, and the next run regenerates what the cache lacks.
-fn commit(artifacts: Batch, snapshots: Batch) {
+/// top-level `commit` span and the CLI's catch: first the artifacts
+/// (`Batch::commit`), then the cache's new snapshots
+/// (`DatasetCache::commit`). It is no stage, so the manifest's stage
+/// list stays `dataset` followed by [`STAGES`]. An artifact failure
+/// exits 1 and drops the snapshots unlanded; a failed fsync fails before
+/// any rename, so `--out` and the cache stay as they were. A snapshot
+/// failure warns and degrades `cache`: the artifacts have landed, and
+/// the next run regenerates what the cache lacks.
+fn commit(artifacts: Batch, cache: Option<DatasetCache>) {
     let committed = caught("commit", || {
         let files = artifacts.commit().map_err(Abort::Err)?;
-        let snaps = snapshots.commit().unwrap_or_else(|e| {
-            leo_obs::log_warn!("cache: cannot write {e}");
-            leo_fault::degrade("cache", &e.to_string());
-            0
-        });
+        let snaps = cache
+            .map_or(Ok(0), DatasetCache::commit)
+            .unwrap_or_else(|e| {
+                leo_obs::log_warn!("cache: cannot write {e}");
+                leo_fault::degrade("cache", &e.to_string());
+                0
+            });
         Ok((files, snaps))
     });
     match committed {
@@ -712,7 +704,13 @@ fn commit(artifacts: Batch, snapshots: Batch) {
 
 #[cfg(test)]
 mod tests {
-    use super::{HELP, STAGES};
+    use super::{commit, run_stages, HELP, STAGES};
+    use crate::stages::{Ctx, Stage};
+    use leo_alloc::Lane::{self, Main, Side};
+    use leo_demand::SynthConfig;
+    use leo_fault::safe_io::Batch;
+    use starlink_divide::PaperModel;
+    use std::collections::BTreeMap;
 
     #[test]
     fn help_lists_every_command() {
@@ -726,6 +724,115 @@ mod tests {
         let every = STAGES.iter().map(|(name, _, _)| *name);
         for name in every.chain(["all", "report", "history"]) {
             assert!(listed.contains(&name), "--help omits {name}: {listed:?}");
+        }
+    }
+
+    /// The `--threads` paragraph says which stages `all` computes beside
+    /// the others: it names a row of [`STAGES`] exactly when the row's
+    /// lane is [`Side`].
+    #[test]
+    fn help_names_exactly_the_side_lane_stages() {
+        let (_, rest) = HELP
+            .split_once("\n  --threads N")
+            .expect("a --threads option");
+        let (paragraph, _) = rest.split_once("\n  --").expect("an option after it");
+        let words: Vec<&str> = paragraph
+            .split(|c: char| !(c.is_alphanumeric() || c == '-'))
+            .collect();
+        for (name, lane, _) in STAGES {
+            assert_eq!(
+                words.contains(name),
+                *lane == Side,
+                "--threads help must name {name} exactly when its lane is Side: {paragraph:?}"
+            );
+        }
+    }
+
+    /// A run's console text and every file it committed, by name.
+    type Produced = (String, BTreeMap<String, Vec<u8>>);
+
+    /// Runs `stages` through `run_stages` at `threads`, in a private
+    /// observability scope, staging into a fresh directory and
+    /// committing.
+    fn run_all(ctx: &Ctx, stages: &[Stage], threads: usize, label: &str) -> Produced {
+        let dir = std::env::temp_dir().join(format!(
+            "divide_lanes_{label}_{threads}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let scope = leo_obs::scope::ObsScope::new();
+        let _in_scope = scope.enter();
+        let selected: Vec<&Stage> = stages.iter().collect();
+        let mut console = Vec::new();
+        leo_parallel::with_threads(threads, || {
+            let batch = Batch::new();
+            run_stages(ctx, &dir, &batch, &selected, &mut console);
+            commit(batch, None);
+        });
+        let mut files = BTreeMap::new();
+        for entry in std::fs::read_dir(&dir).expect("read the run's directory") {
+            let path = entry.expect("entry").path();
+            let name = path.file_name().expect("a file name").to_string_lossy();
+            files.insert(name.into_owned(), std::fs::read(&path).expect("read"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        (
+            String::from_utf8(console).expect("UTF-8 console text"),
+            files,
+        )
+    }
+
+    /// `STAGES` with each row's lane replaced by `lane(row index)`.
+    fn relaned(lane: impl Fn(usize) -> Lane) -> Vec<Stage> {
+        let rows = STAGES.iter().enumerate();
+        rows.map(|(i, &(name, _, run))| (name, lane(i), run))
+            .collect()
+    }
+
+    /// SplitMix64: a seeded bit source, so each assignment repeats.
+    fn mix(seed: u64) -> u64 {
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Any lane column prints and writes what one lane does: the
+    /// committed table and four seeded random assignments, each at 1, 2
+    /// and 4 threads, must equal an all-main run at 1 thread, console
+    /// text and every file byte for byte.
+    #[test]
+    fn every_lane_assignment_prints_and_writes_what_one_lane_does() {
+        let model = PaperModel::test_scale();
+        let cfg = SynthConfig::small();
+        let ctx = Ctx {
+            model: &model,
+            cache: None,
+            cfg: &cfg,
+        };
+        let want = run_all(&ctx, &relaned(|_| Main), 1, "main");
+        assert_eq!(want.1.len(), 18, "{:?}", want.1.keys());
+        let mut assignments = vec![("committed".to_string(), STAGES.to_vec())];
+        for seed in 1..=4u64 {
+            let bits = mix(seed);
+            let lanes = relaned(|i| if bits >> i & 1 == 1 { Side } else { Main });
+            let sides = lanes.iter().filter(|s| s.1 == Side).count();
+            assert!(
+                0 < sides && sides < lanes.len(),
+                "seed {seed} fills one lane"
+            );
+            assignments.push((format!("seed{seed}"), lanes));
+        }
+        for (label, lanes) in &assignments {
+            let side: Vec<&str> = lanes.iter().filter(|s| s.1 == Side).map(|s| s.0).collect();
+            for threads in [1, 2, 4] {
+                let got = run_all(&ctx, lanes, threads, label);
+                assert!(
+                    got == want,
+                    "{label} (side lane: {side:?}) at {threads} threads differs from one lane"
+                );
+            }
         }
     }
 }

@@ -4,6 +4,7 @@
 //! stage's span, and commits them all after the last stage.
 #![deny(clippy::print_stdout)]
 
+use leo_alloc::Lane::{self, Main, Side};
 use leo_report::{CsvWriter, Heatmap, LineChart, PointMap, Series, TextTable};
 use starlink_divide::{
     afford, coverage_sweep, demand_stats, findings, sensitivity, sizing, strict, tail, PaperModel,
@@ -14,7 +15,7 @@ use std::fmt::Write as _;
 /// sweep uses (a cold sweep stages its snapshot into the run's commit).
 pub struct Ctx<'a> {
     pub model: &'a PaperModel,
-    pub cache: Option<&'a leo_cache::DatasetCache<'a>>,
+    pub cache: Option<&'a leo_cache::DatasetCache>,
     pub cfg: &'a leo_demand::SynthConfig,
 }
 
@@ -35,27 +36,10 @@ impl Output {
 /// A pipeline stage's body.
 pub type StageFn = fn(&Ctx, &mut Output);
 
-/// Which lane computes a stage's body when `all` runs both lanes
-/// (DESIGN.md §13). Its output is printed and written on the main lane
-/// either way, in [`STAGES`] order.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub enum Lane {
-    Main,
-    /// The side lane, on the worker pool's last worker, which computes
-    /// its stages in ascending rank. Only stages that read nothing from
-    /// [`Ctx`] go there. `orbit-validate` ranks first so that `qoe`'s
-    /// simulation heap builds up after `fig1`'s render on the main lane
-    /// has peaked: in `STAGES` order the two peaks could overlap, and 3
-    /// of 1,900 warm paper runs at 2 threads rose 1.3–1.6 MB above the
-    /// usual peak RSS (DESIGN.md §13). `qoe` streams its flows and keeps
-    /// 8 bytes of each, so its heap now peaks at 0.9 MB rather than
-    /// 2.4 MB and an overlap that still happens costs less.
-    Side(u8),
-}
-
-use Lane::{Main, Side};
-
-/// One row of [`STAGES`]: a command's name, its lane, its body.
+/// One row of [`STAGES`]: a command's name, the lane that computes its
+/// body when `all` runs both lanes (DESIGN.md §13), its body. Either lane
+/// may compute any row, since both read the same [`Ctx`]; the output is
+/// printed and written on the main lane either way, in [`STAGES`] order.
 pub type Stage = (&'static str, Lane, StageFn);
 
 /// Every pipeline stage, in `all` order. The up-front command check,
@@ -68,11 +52,11 @@ pub const STAGES: &[Stage] = &[
     ("fig3", Main, |c, o| fig3(c.model, o)),
     ("fig4", Main, |c, o| fig4(c.model, o)),
     ("findings", Main, |c, o| findings_cmd(c.model, o)),
-    ("qoe", Side(1), |_, o| qoe(o)),
-    ("orbit-validate", Side(0), |_, o| orbit_validate(o)),
+    ("qoe", Side, |_, o| qoe(o)),
+    ("orbit-validate", Side, |_, o| orbit_validate(o)),
     ("strict", Main, |c, o| strict_cmd(c.model, o)),
     ("sensitivity", Main, |c, o| sensitivity_cmd(c.model, o)),
-    ("latency", Side(2), |_, o| latency(o)),
+    ("latency", Side, |_, o| latency(o)),
     ("uplink", Main, |c, o| uplink(c.model, o)),
     ("cost", Main, |c, o| cost_cmd(c.model, o)),
     ("timeline", Main, |c, o| timeline_cmd(c.model, o)),

@@ -784,6 +784,18 @@ fn a_failed_run_leaves_its_output_and_cache_as_they_were() {
         .keys()
         .any(|p| p.extension() == Some("snap".as_ref())));
 
+    let unchanged = |what: &str| {
+        let after = tree(&dir);
+        assert_eq!(
+            after.keys().collect::<Vec<_>>(),
+            before.keys().collect::<Vec<_>>(),
+            "{what}: the set of files changed"
+        );
+        for (path, file) in &before {
+            assert!(after[path] == *file, "{what}: {path:?} was rewritten");
+        }
+    };
+
     // Each rerun fails at a different point: a main-lane stage abort,
     // a side-lane panic, and a failed fsync in the commit itself (the
     // third file staged, fig1_cdf.svg on this warm run).
@@ -804,15 +816,21 @@ fn a_failed_run_leaves_its_output_and_cache_as_they_were() {
         let stderr = String::from_utf8_lossy(&out.stderr).to_string();
         assert!(stderr.contains(said), "{plan}: {stderr}");
         assert!(!stderr.contains("panicked at"), "{plan}: {stderr}");
-        let after = tree(&dir);
-        assert_eq!(
-            after.keys().collect::<Vec<_>>(),
-            before.keys().collect::<Vec<_>>(),
-            "{plan}: the set of files changed"
-        );
-        for (path, file) in &before {
-            assert!(after[path] == *file, "{plan}: {path:?} was rewritten");
-        }
+        unchanged(plan);
+    }
+    // A console write that fails ends the run as the typed abort of the
+    // stage whose text it was, not as a panic.
+    if let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        let out = run(divide()
+            .args(["--scale", "small", "--out"])
+            .arg(&dir)
+            .arg("all")
+            .stdout(full));
+        assert_eq!(out.status.code(), Some(1), "stdout on /dev/full: exits 1");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(stderr.contains("stage table1 aborted: "), "{stderr}");
+        assert!(!stderr.contains("panicked at"), "{stderr}");
+        unchanged("stdout on /dev/full");
     }
 
     // A cold run that fails leaves no snapshot in its fresh cache.
@@ -1051,6 +1069,14 @@ fn a_failed_snapshot_commit_warns_and_keeps_the_artifacts() {
         .and_then(Json::as_str)
         .unwrap_or("");
     assert!(reason.contains("injected fault at io.fsync"), "{reason:?}");
+    // Neither snapshot landed, so the cache wrote nothing.
+    let written = manifest
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("cache.bytes_written"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    assert_eq!(written, 0, "cache.bytes_written counts unlanded snapshots");
 
     let _ = std::fs::remove_dir_all(&reference);
     let _ = std::fs::remove_dir_all(&dir);

@@ -220,7 +220,6 @@ fn worker_pool_artifacts_are_bit_identical_at_1_2_8_threads() {
 /// in-process twin of `scripts/tier1.sh`'s cold/warm `diff -r`.
 #[test]
 fn warm_snapshot_artifacts_are_bit_identical_to_cold() {
-    use leo_fault::safe_io::Batch;
     use starlink_divide_repro::cache::DatasetCache;
 
     let dir = std::env::temp_dir().join(format!("divide_determinism_cache_{}", std::process::id()));
@@ -230,8 +229,7 @@ fn warm_snapshot_artifacts_are_bit_identical_to_cold() {
     // A cached render stages its new snapshots and commits them after.
     let render = |threads: usize, cached: bool| {
         with_threads(threads, || {
-            let batch = Batch::new();
-            let cache = DatasetCache::new(&dir, &batch);
+            let cache = DatasetCache::new(&dir);
             let ds = if cached {
                 cache.load_or_generate(&cfg)
             } else {
@@ -255,7 +253,7 @@ fn warm_snapshot_artifacts_are_bit_identical_to_cold() {
             for &(x, p) in &demand_stats::cdf_series(&model, 400) {
                 fig1.record_display(&[x as f64, p]);
             }
-            batch.commit().expect("commit the staged snapshots");
+            cache.commit().expect("commit the staged snapshots");
             (fig1.finish().to_string(), fig2.finish().to_string())
         })
     };
@@ -287,7 +285,6 @@ fn warm_snapshot_artifacts_are_bit_identical_to_cold() {
 /// sensitivity fold) must agree with a scalar walk over the rows.
 #[test]
 fn columnar_views_mirror_rows_cold_warm_and_across_threads() {
-    use leo_fault::safe_io::Batch;
     use starlink_divide_repro::cache::DatasetCache;
 
     let dir = std::env::temp_dir().join(format!("divide_determinism_cols_{}", std::process::id()));
@@ -331,10 +328,10 @@ fn columnar_views_mirror_rows_cold_warm_and_across_threads() {
     check_kernels(&cold, "cold serial");
     let cold_8 = with_threads(8, || BroadbandDataset::generate(&cfg));
     check_kernels(&cold_8, "cold 8-thread");
-    let batch = Batch::new();
-    let _seed = DatasetCache::new(&dir, &batch).load_or_generate(&cfg); // seeds the snapshot
-    batch.commit().expect("commit the snapshot");
-    let warm = DatasetCache::new(&dir, &Batch::new()).load_or_generate(&cfg); // decodes schema v2
+    let seeding = DatasetCache::new(&dir);
+    let _seed = seeding.load_or_generate(&cfg); // seeds the snapshot
+    seeding.commit().expect("commit the snapshot");
+    let warm = DatasetCache::new(&dir).load_or_generate(&cfg); // decodes schema v2
     check_kernels(&warm, "warm decode");
     check_same(&cold, &warm, "warm");
     check_same(&cold, &cold_8, "8 threads");
