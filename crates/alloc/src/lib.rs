@@ -7,8 +7,9 @@
 //! — one for the whole process, and one rebasable mark per [`Lane`] —
 //! all in relaxed atomics. Only cumulative counters are written on the
 //! hot path (two RMW operations per `malloc`, two per `free`; live heap
-//! sizes are *derived* as `allocated - freed` at read time), and
-//! nothing at all is touched while tracking is off.
+//! sizes are *derived* as `allocated - freed` at read time). An
+//! installed `TrackingAlloc` always counts, from the first allocation
+//! of the process on.
 //!
 //! ## Lanes
 //!
@@ -26,17 +27,16 @@
 //! The goal is *attribution*, not a faster heap: the run manifest wants
 //! to answer "how many bytes did `stage.fig2` allocate and how far did
 //! the heap rise while it ran". Every request is forwarded verbatim to
-//! [`std::alloc::System`]; with tracking disabled (the default, and the
-//! `DIVIDE_OBS=off` path) the wrapper is a single relaxed load on top
-//! of the system allocator.
+//! [`std::alloc::System`]; the counting adds a few relaxed atomic
+//! operations on top.
 //!
 //! ## The determinism contract
 //!
 //! Identical to `leo-obs`'s: this crate only *observes*. The counters
 //! are read back exclusively by the observability layer (manifest,
 //! ledger, trace counter lane); nothing in the pipeline ever branches
-//! on them, so artifact bytes are independent of tracking being on or
-//! off (`tests/determinism.rs` asserts it end to end).
+//! on them, so artifact bytes are independent of whether anything
+//! reads them (`tests/determinism.rs` asserts it end to end).
 //!
 //! ## Safety
 //!
@@ -52,7 +52,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// The lane a thread's allocations and frees are counted on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,8 +90,8 @@ impl LaneCounters {
     }
 
     /// The lane's live heap: signed, because a lane can free blocks
-    /// another lane allocated (or that predate tracking), which pushes
-    /// `freed` past `allocated`; readers clamp at zero.
+    /// another lane allocated, which pushes `freed` past `allocated`;
+    /// readers clamp at zero.
     fn current_raw(&self) -> i64 {
         self.allocated_bytes.load(Relaxed) as i64 - self.freed_bytes.load(Relaxed) as i64
     }
@@ -102,12 +102,10 @@ static LANES: [LaneCounters; 2] = [LaneCounters::new(), LaneCounters::new()];
 /// What each allocation reads but seldom writes, on a line of its own.
 #[repr(align(64))]
 struct Marks {
-    tracking: AtomicBool,
     peak_bytes: AtomicU64,
 }
 
 static MARKS: Marks = Marks {
-    tracking: AtomicBool::new(false),
     peak_bytes: AtomicU64::new(0),
 };
 
@@ -133,13 +131,6 @@ pub fn with_lane<R>(lane: Lane, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Turns allocation tracking on or off for the whole process. Off by
-/// default; the CLI enables it at startup unless `DIVIDE_OBS=off` (or
-/// `DIVIDE_ALLOC=off`) holds.
-pub fn set_tracking(on: bool) {
-    MARKS.tracking.store(on, Relaxed);
-}
-
 /// A point-in-time copy of the allocator counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocStats {
@@ -153,8 +144,8 @@ pub struct AllocStats {
     pub allocated_bytes: u64,
     /// Cumulative bytes returned across all deallocations.
     pub freed_bytes: u64,
-    /// Live heap bytes right now (clamped at zero: frees of
-    /// pre-tracking blocks cannot take it negative).
+    /// Live heap bytes right now (clamped at zero: a lane's frees of
+    /// blocks another lane allocated cannot take it negative).
     pub current_bytes: u64,
     /// The highest `current_bytes` has been: since process start for
     /// [`stats`], since the last [`rebase_span_peak`] for
@@ -256,8 +247,7 @@ fn on_dealloc(bytes: usize) {
 /// static ALLOC: leo_alloc::TrackingAlloc = leo_alloc::TrackingAlloc::new();
 /// ```
 ///
-/// Tracking starts disabled; call [`set_tracking`]`(true)` to begin
-/// counting.
+/// It counts from the first allocation of the process on.
 pub struct TrackingAlloc;
 
 impl TrackingAlloc {
@@ -280,7 +270,7 @@ impl Default for TrackingAlloc {
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
-        if !ptr.is_null() && MARKS.tracking.load(Relaxed) {
+        if !ptr.is_null() {
             on_alloc(layout.size());
         }
         ptr
@@ -288,7 +278,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() && MARKS.tracking.load(Relaxed) {
+        if !ptr.is_null() {
             on_alloc(layout.size());
         }
         ptr
@@ -296,14 +286,12 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        if MARKS.tracking.load(Relaxed) {
-            on_dealloc(layout.size());
-        }
+        on_dealloc(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = System.realloc(ptr, layout, new_size);
-        if !new_ptr.is_null() && MARKS.tracking.load(Relaxed) {
+        if !new_ptr.is_null() {
             // One alloc of the new block plus one free of the old:
             // call counts stay balanced and `current` moves by the
             // size delta.
@@ -369,13 +357,11 @@ mod tests {
     #[test]
     fn tracking_counts_allocations_and_bytes() {
         let _lock = test_lock();
-        set_tracking(true);
         let before = stats();
         let block = Block::new(64 * 1024);
         let during = stats();
         drop(block);
         let after = stats();
-        set_tracking(false);
         assert_eq!(during.alloc_calls, before.alloc_calls + 1);
         assert_eq!(during.allocated_bytes, before.allocated_bytes + 64 * 1024);
         assert_eq!(during.current_bytes, before.current_bytes + 64 * 1024);
@@ -386,19 +372,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracking_counts_nothing() {
-        let _lock = test_lock();
-        set_tracking(false);
-        let before = stats();
-        drop(Block::new(256 * 1024));
-        let after = stats();
-        assert_eq!(before, after);
-    }
-
-    #[test]
     fn span_peak_rebases_to_live_heap() {
         let _lock = test_lock();
-        set_tracking(true);
         // Raise the process peak well above the live heap...
         drop(Block::new(1 << 20));
         // ...then rebase: the span peak restarts from `current`, far
@@ -408,7 +383,6 @@ mod tests {
         let small = Block::new(100 * 1024);
         let peak = span_peak_bytes();
         drop(small);
-        set_tracking(false);
         assert_eq!(peak, base + 100 * 1024);
         assert!(stats().peak_bytes >= 1 << 20);
     }
@@ -416,7 +390,6 @@ mod tests {
     #[test]
     fn lanes_count_their_own_blocks_and_sum_to_the_process_totals() {
         let _lock = test_lock();
-        set_tracking(true);
         let before = stats();
         // Both lanes hold their blocks at the same time: the barrier
         // is passed only once each lane has allocated all of its own.
@@ -446,7 +419,6 @@ mod tests {
             )
         });
         let after = stats();
-        set_tracking(false);
         assert_eq!(main, (4, 256 * 1024, 256 * 1024), "main lane");
         assert_eq!(side, (2, 500 * 1024, 500 * 1024), "side lane");
         assert_eq!(after.alloc_calls - before.alloc_calls, 6);
@@ -463,12 +435,10 @@ mod tests {
     #[test]
     fn realloc_keeps_call_counts_balanced() {
         let _lock = test_lock();
-        set_tracking(true);
         let before = stats();
         let block = Block::new(1024).grow(65 * 1024);
         drop(block);
         let after = stats();
-        set_tracking(false);
         // Every grow pairs an alloc with a free, so the two allocations
         // and two frees balance and the live heap is back where it was.
         assert_eq!(after.alloc_calls - before.alloc_calls, 2);

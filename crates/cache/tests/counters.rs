@@ -1,16 +1,15 @@
 //! Cache observability: hit/miss/invalid counters and byte totals.
 //!
 //! Kept in its own integration-test binary (= its own process) because
-//! `leo-obs` metrics are process-global: the store's unit tests run
-//! with obs disabled, and this file is the only test that enables it,
-//! so the counter assertions can be exact.
+//! the process-default scope's counters are process-global: this file
+//! is the only test in its process that records into them, so the
+//! counter assertions can be exact.
 
 use leo_cache::{SnapshotStore, SCHEMA_VERSION};
 use std::fs;
 
 #[test]
 fn counters_track_hits_misses_and_invalids() {
-    leo_obs::set_enabled(true);
     leo_obs::reset();
     let dir = std::env::temp_dir().join(format!("leo_cache_counters_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);

@@ -9,7 +9,6 @@ use leo_obs::trace::{self, EventKind};
 
 #[test]
 fn corrupt_snapshot_marks_invalid_then_regenerates() {
-    leo_obs::set_enabled(true);
     let scope = leo_obs::scope::ObsScope::new();
     let _g = scope.enter();
     trace::start();

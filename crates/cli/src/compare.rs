@@ -332,7 +332,6 @@ mod tests {
         // apart from every other test's.
         let scope = leo_obs::scope::ObsScope::new();
         let _in_scope = scope.enter();
-        leo_obs::set_enabled(true);
         {
             let _stage = leo_obs::span!("stage.dataset");
             leo_obs::scope::attribute_fanout(64, &[3_000_000, 5_000_000], 9);

@@ -31,10 +31,9 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Instant;
 
-/// The tracking allocator wrapping `std::alloc::System`. Tracking is
-/// off until `main` turns it on (observability enabled and
-/// `DIVIDE_ALLOC` not off), so the disabled path costs one relaxed
-/// load per allocation.
+/// The tracking allocator wrapping `std::alloc::System`. It counts
+/// every allocation of the process; `main` registers it as the
+/// `leo-obs` allocator hook.
 #[global_allocator]
 static ALLOC: leo_alloc::TrackingAlloc = leo_alloc::TrackingAlloc::new();
 
@@ -104,11 +103,6 @@ of the earlier values, which for report is the baseline record):
   --max-regress-pct P  fail when a metric is worse than its baseline by
                        more than P% (20)
   --min-wall-ms MS     time metrics below MS in both runs never gate (5)
-
-environment (a switch is off when empty, 0, off or false, in any case):
-  DIVIDE_OBS           switch: off disables spans, metrics and --trace
-  DIVIDE_ALLOC         switch: off disables allocation tracking (heap
-                       telemetry in manifest, ledger, and trace)
 
 exit codes:
   0    success (observability may be degraded; see the manifest's
@@ -331,31 +325,21 @@ fn main() {
     leo_parallel::set_global_threads(threads);
     // The manifest and trace must describe this invocation only.
     leo_obs::reset();
-    // Allocation tracking piggybacks on observability: when spans are
-    // collected (and DIVIDE_ALLOC doesn't opt out), turn the tracking
-    // allocator on and register it as the leo-obs resource hook — the
-    // hook is the single switch every consumer (manifest, ledger,
-    // trace memory lane) keys off.
-    if leo_obs::enabled() && !leo_obs::switched_off("DIVIDE_ALLOC") {
-        leo_alloc::set_tracking(true);
-        leo_obs::resource::set_alloc_hook(Some(leo_obs::resource::AllocHook {
-            read: alloc_reading,
-            read_lane: lane_reading,
-            rebase_span_peak: leo_alloc::rebase_span_peak,
-            span_peak: leo_alloc::span_peak_bytes,
-        }));
-    }
+    // Register the tracking allocator as the leo-obs resource hook,
+    // which every memory field (manifest, ledger, trace memory lane)
+    // reads.
+    leo_obs::resource::set_alloc_hook(Some(leo_obs::resource::AllocHook {
+        read: alloc_reading,
+        read_lane: lane_reading,
+        rebase_span_peak: leo_alloc::rebase_span_peak,
+        span_peak: leo_alloc::span_peak_bytes,
+    }));
     // Spawn the persistent worker pool up front (after the metrics
     // reset, so `parallel.pool_spawned_threads` lands in the manifest)
     // so the first paper-scale fan-out doesn't pay thread creation.
     leo_parallel::pool::prewarm(leo_parallel::effective_threads());
     if trace.is_some() {
-        if leo_obs::enabled() {
-            leo_obs::trace::start();
-        } else {
-            leo_obs::log_warn!("--trace ignored: observability is off (DIVIDE_OBS)");
-            trace = None;
-        }
+        leo_obs::trace::start();
     }
     if let Err(e) = std::fs::create_dir_all(&out) {
         leo_obs::log_error!("cannot create output directory {}: {e}", out.display());
@@ -460,20 +444,18 @@ fn main() {
     // The ledger line is a projection of the manifest. A failed append
     // rebuilds the manifest so the failure lands in its `degraded`
     // section and `degraded.ledger` counter.
-    if leo_obs::enabled() {
-        if let Some(path) = &ledger_path {
-            let ts = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            let line = leo_obs::ledger::project(&run_manifest, ts);
-            match leo_obs::ledger::append(path, &line) {
-                Ok(()) => leo_obs::log_info!("appended run to {}", path.display()),
-                Err(e) => {
-                    leo_obs::log_warn!("cannot append to {}: {e}", path.display());
-                    leo_fault::degrade("ledger", &e.to_string());
-                    run_manifest = manifest::run_manifest(&info, wall_ms);
-                }
+    if let Some(path) = &ledger_path {
+        let ts = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_secs())
+            .unwrap_or(0);
+        let line = leo_obs::ledger::project(&run_manifest, ts);
+        match leo_obs::ledger::append(path, &line) {
+            Ok(()) => leo_obs::log_info!("appended run to {}", path.display()),
+            Err(e) => {
+                leo_obs::log_warn!("cannot append to {}: {e}", path.display());
+                leo_fault::degrade("ledger", &e.to_string());
+                run_manifest = manifest::run_manifest(&info, wall_ms);
             }
         }
     }

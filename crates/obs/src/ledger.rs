@@ -118,7 +118,6 @@ mod tests {
     #[test]
     fn line_is_the_manifest_without_spans_plus_ts_unix() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         crate::reset();
         {
             let _stage = crate::span::enter("stage.dataset");

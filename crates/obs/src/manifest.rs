@@ -252,7 +252,6 @@ mod tests {
     #[test]
     fn manifest_has_required_keys_and_stages() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         crate::reset();
         // fig2's span closes first, as a second lane's can.
         {
@@ -290,7 +289,6 @@ mod tests {
     #[test]
     fn manifest_metrics_hold_only_counters() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         crate::reset();
         crate::metrics::counter_add("t_manifest.only", 1);
         let rendered = run_manifest(&info(), 1.0).render_pretty();

@@ -6,10 +6,9 @@
 //! current [`crate::scope::ObsScope`] (the process-default scope when
 //! none was entered), under the scope's one registry lock. Every
 //! update happens once per instrumented call — per sweep, per cache
-//! access, per file written — never per data item. All updates are
-//! no-ops while [`crate::enabled`] is false, and values are only ever
-//! read back by the run manifest — counters can never perturb artifact
-//! bytes.
+//! access, per file written — never per data item. Values are only
+//! ever read back by the run manifest — counters can never perturb
+//! artifact bytes.
 
 use crate::scope;
 use std::collections::BTreeMap;
@@ -17,9 +16,6 @@ use std::collections::BTreeMap;
 /// Adds `delta` to the named counter (creating it at zero) in the
 /// current scope.
 pub fn counter_add(name: &str, delta: u64) {
-    if !crate::enabled() {
-        return;
-    }
     scope::with_reg(|reg| match reg.counters.get_mut(name) {
         Some(v) => *v += delta,
         None => {
@@ -46,19 +42,8 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         counter_add("t_m.counter", 2);
         counter_add("t_m.counter", 3);
         assert_eq!(counter_value("t_m.counter"), 5);
-    }
-
-    #[test]
-    fn disabled_updates_are_dropped() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(false);
-        counter_add("t_m.off", 9);
-        crate::set_enabled(true);
-        assert_eq!(counter_value("t_m.off"), 0);
-        assert!(!snapshot().contains_key("t_m.off"));
     }
 }

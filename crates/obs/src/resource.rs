@@ -60,8 +60,7 @@ static HOOK: Mutex<Option<AllocHook>> = Mutex::new(None);
 static HOOK_SET: AtomicBool = AtomicBool::new(false);
 
 /// Installs (`Some`) or removes (`None`) the process-wide allocator
-/// hook. The `divide` binary installs it at startup unless telemetry
-/// is disabled.
+/// hook. The `divide` binary installs it at startup.
 pub fn set_alloc_hook(hook: Option<AllocHook>) {
     *HOOK.lock() = hook;
     HOOK_SET.store(hook.is_some(), Ordering::Relaxed);
@@ -132,8 +131,8 @@ const USER_HZ: f64 = 100.0;
 /// Total CPU time (all live threads) consumed by the process so far,
 /// in milliseconds. Unlike wall-clock it is almost immune to
 /// scheduler preemption on a loaded host, which makes it the right
-/// basis for overhead comparisons (`scripts/bench.sh` scores the
-/// allocator A/B on it). `None` on non-Linux targets or if the
+/// basis for overhead comparisons (`scripts/bench.sh` scores its
+/// trace and fault A/Bs on it). `None` on non-Linux targets or if the
 /// pseudo-files are unreadable.
 ///
 /// Prefers summing `/proc/self/task/*/schedstat` (nanosecond-precise

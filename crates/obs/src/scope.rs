@@ -170,10 +170,9 @@ pub(crate) fn with_reg<R>(f: impl FnOnce(&mut Registries) -> R) -> R {
     f(&mut reg)
 }
 
-/// Runs `f` on the current scope's timeline, if observability is on
-/// and the timeline started.
+/// Runs `f` on the current scope's timeline, if it started.
 pub(crate) fn with_timeline(f: impl FnOnce(&mut Timeline)) {
-    if crate::enabled() && CTX.with(|c| c.borrow().tracing()) {
+    if CTX.with(|c| c.borrow().tracing()) {
         with_reg(|reg| reg.timeline.as_mut().map(f));
     }
 }
@@ -222,16 +221,15 @@ pub(crate) fn pop_span() {
 /// context is exited.
 #[must_use = "the scope is only current until this guard drops"]
 pub struct ScopeGuard {
-    prev: Option<ThreadCtx>,
+    prev: ThreadCtx,
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            CTX.with(|c| {
-                *c.borrow_mut() = prev;
-            });
-        }
+        let prev = std::mem::replace(&mut self.prev, ThreadCtx::ambient());
+        CTX.with(|c| {
+            *c.borrow_mut() = prev;
+        });
     }
 }
 
@@ -267,13 +265,12 @@ impl ObsScope {
             alloc_spans: false,
         };
         let prev = CTX.with(|c| std::mem::replace(&mut *c.borrow_mut(), fresh));
-        ScopeGuard { prev: Some(prev) }
+        ScopeGuard { prev }
     }
 
     /// A point-in-time copy of everything recorded into this scope:
     /// spans, counters, parallel attribution and the timeline,
-    /// isolated from every other scope (empty when observability is
-    /// disabled).
+    /// isolated from every other scope.
     pub fn snapshot(&self) -> ScopeSnapshot {
         let reg = self.inner.reg.lock();
         ScopeSnapshot {
@@ -294,12 +291,8 @@ impl Default for ObsScope {
 
 /// The observability context a fan-out caller hands to its chunks:
 /// the scope to record into plus the parent span path chunks nest
-/// under. Inert (and free) when observability is disabled.
+/// under.
 pub struct ObsContext {
-    inner: Option<CtxInner>,
-}
-
-struct CtxInner {
     scope: ObsScope,
     parent: Option<String>,
 }
@@ -307,31 +300,27 @@ struct CtxInner {
 impl ObsContext {
     /// Captures the calling thread's scope and innermost span path.
     pub fn current() -> ObsContext {
-        if !crate::enabled() {
-            return ObsContext { inner: None };
-        }
-        let inner = CTX.with(|c| {
+        CTX.with(|c| {
             let c = c.borrow();
-            CtxInner {
+            ObsContext {
                 scope: match &c.scope {
                     Some(scope) => scope.clone(),
                     None => default_scope().clone(),
                 },
                 parent: c.stack.last().cloned().or_else(|| c.base.clone()),
             }
-        });
-        ObsContext { inner: Some(inner) }
+        })
     }
 
     /// The span path chunk work should nest under, if any.
     pub fn parent(&self) -> Option<&str> {
-        self.inner.as_ref().and_then(|i| i.parent.as_deref())
+        self.parent.as_deref()
     }
 
     /// Installs the context on the executing thread for the duration
     /// of the returned guard: the captured scope becomes current and
     /// the captured parent path becomes the base for any spans the
-    /// chunk body opens. A no-op guard when the context is inert.
+    /// chunk body opens.
     pub fn enter(&self) -> ScopeGuard {
         self.install(false)
     }
@@ -340,28 +329,20 @@ impl ObsContext {
     /// a lane of work that runs beside the caller rather than inside
     /// one of its spans: spans opened under the guard start a stack of
     /// their own (no base path), and top-level ones carry allocation
-    /// accounting on the thread's own allocator lane. A no-op guard
-    /// when the context is inert.
+    /// accounting on the thread's own allocator lane.
     pub fn enter_top_level(&self) -> ScopeGuard {
         self.install(true)
     }
 
     fn install(&self, top_level: bool) -> ScopeGuard {
-        let Some(inner) = &self.inner else {
-            return ScopeGuard { prev: None };
-        };
         let fresh = ThreadCtx {
-            scope: Some(inner.scope.clone()),
+            scope: Some(self.scope.clone()),
             stack: Vec::new(),
-            base: if top_level {
-                None
-            } else {
-                inner.parent.clone()
-            },
+            base: if top_level { None } else { self.parent.clone() },
             alloc_spans: top_level,
         };
         let prev = CTX.with(|c| std::mem::replace(&mut *c.borrow_mut(), fresh));
-        ScopeGuard { prev: Some(prev) }
+        ScopeGuard { prev }
     }
 }
 
@@ -387,9 +368,6 @@ fn attribution_root() -> Option<String> {
 /// only completes when every chunk joins. Called by `leo-parallel`
 /// once per fan-out, on the caller, after the join.
 pub fn attribute_fanout(items: u64, busy_ns: &[u64], wall_ns: u64) {
-    if !crate::enabled() {
-        return;
-    }
     let Some(root) = attribution_root() else {
         return;
     };
@@ -413,9 +391,6 @@ pub fn attribute_fanout(items: u64, busy_ns: &[u64], wall_ns: u64) {
 /// against the caller's owning top-level span.
 /// Called by `leo-parallel` once per serial execution.
 pub fn attribute_serial(items: u64) {
-    if !crate::enabled() {
-        return;
-    }
     let Some(root) = attribution_root() else {
         return;
     };
@@ -453,7 +428,6 @@ mod tests {
     #[test]
     fn scopes_isolate_counters_and_spans() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         let a = ObsScope::new();
         let b = ObsScope::new();
         {
@@ -478,7 +452,6 @@ mod tests {
     #[test]
     fn entering_a_scope_restores_the_previous_context() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         let outer = crate::span::enter("t_restore.outer");
         {
             let scope = ObsScope::new();
@@ -499,8 +472,6 @@ mod tests {
 
     #[test]
     fn counters_sum_exactly_across_threads() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
         let scope = ObsScope::new();
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -517,8 +488,6 @@ mod tests {
 
     #[test]
     fn context_propagates_scope_and_parent_across_threads() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
         let scope = ObsScope::new();
         let ctx = {
             let _g = scope.enter();
@@ -546,7 +515,6 @@ mod tests {
     #[test]
     fn a_top_level_context_records_its_own_roots_into_the_callers_scope() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         let scope = ObsScope::new();
         let ctx = {
             let _g = scope.enter();
@@ -572,8 +540,6 @@ mod tests {
 
     #[test]
     fn fanout_attribution_lands_under_the_owning_root() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
         let scope = ObsScope::new();
         {
             let _g = scope.enter();
@@ -593,25 +559,5 @@ mod tests {
         // Pool work is recorded in the parallel section only: the span
         // tree holds the stage span and no chunk spans.
         assert_eq!(cap.spans.keys().collect::<Vec<_>>(), ["stage.t_attr"]);
-    }
-
-    #[test]
-    fn disabled_context_is_inert() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(false);
-        let ctx = ObsContext::current();
-        assert!(ctx.parent().is_none());
-        {
-            let _g = ctx.enter();
-            crate::metrics::counter_add("t_inert.n", 1);
-        }
-        let scope = ObsScope::new();
-        {
-            let _g = scope.enter();
-            crate::metrics::counter_add("t_inert.m", 1);
-        }
-        crate::set_enabled(true);
-        assert!(scope.snapshot().counters.is_empty());
-        assert_eq!(crate::metrics::counter_value("t_inert.n"), 0);
     }
 }

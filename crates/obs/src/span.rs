@@ -17,9 +17,8 @@
 //! Once the scope's [`crate::trace`] timeline is started, each span
 //! boundary also lands there, with the registry's own `Instant`.
 //!
-//! Everything is a no-op while [`crate::enabled`] is false; the spans
-//! only ever feed the run manifest and the trace export, never the
-//! computation (the determinism contract in the crate docs).
+//! The spans only ever feed the run manifest and the trace export,
+//! never the computation (the determinism contract in the crate docs).
 
 use crate::scope;
 use crate::trace::{self, EventKind};
@@ -79,11 +78,10 @@ struct AllocBegin {
     current_bytes: u64,
 }
 
-/// The RAII guard of a live span; records on drop. Inert (and free)
-/// when observability is disabled.
+/// The RAII guard of a live span; records on drop.
 #[must_use = "a span ends when its guard drops; bind it with `let _span = ...`"]
 pub struct SpanGuard {
-    path: Option<String>,
+    path: String,
     start: Instant,
     alloc_begin: Option<AllocBegin>,
     /// Whether the span opened on a started timeline (its End goes too).
@@ -93,14 +91,6 @@ pub struct SpanGuard {
 /// Opens a span named `name` nested under this thread's innermost live
 /// span, if any. Prefer the [`crate::span!`] macro.
 pub fn enter(name: &str) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard {
-            path: None,
-            start: Instant::now(),
-            alloc_begin: None,
-            traced: false,
-        };
-    }
     let pushed = scope::push_span(name);
     // Only top-level spans of a context with accounting on carry heap
     // stats: the allocator keeps one rebasable high-water mark per lane
@@ -124,7 +114,7 @@ pub fn enter(name: &str) -> SpanGuard {
         trace::span_boundary(name, EventKind::Begin, start);
     }
     SpanGuard {
-        path: Some(pushed.path),
+        path: pushed.path,
         start,
         alloc_begin,
         traced: pushed.traced,
@@ -133,42 +123,41 @@ pub fn enter(name: &str) -> SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(path) = self.path.take() {
-            let end = Instant::now();
-            let ns = end.saturating_duration_since(self.start).as_nanos() as u64;
-            if self.traced {
-                let leaf = path.rsplit('/').next().unwrap_or(&path);
-                trace::span_boundary(leaf, EventKind::End, end);
-            }
-            scope::pop_span();
-            // Read the allocator outside the registry lock, then fold
-            // timing and heap stats in under a single lock hold (the
-            // old separate REGISTRY/ALLOC_REGISTRY locks cost two
-            // contended acquisitions per span exit).
-            let alloc = match (self.alloc_begin.take(), crate::resource::alloc_hook()) {
-                (Some(begin), Some(hook)) => {
-                    let reading = (hook.read_lane)();
-                    let span_peak = (hook.span_peak)();
-                    Some((
-                        reading
-                            .allocated_bytes
-                            .saturating_sub(begin.allocated_bytes),
-                        reading.alloc_calls.saturating_sub(begin.alloc_calls),
-                        span_peak.saturating_sub(begin.current_bytes),
-                    ))
-                }
-                _ => None,
-            };
-            scope::with_reg(|reg| {
-                if let Some((bytes, calls, peak_delta)) = alloc {
-                    let stats = reg.span_allocs.entry(path.clone()).or_default();
-                    stats.alloc_bytes = stats.alloc_bytes.saturating_add(bytes);
-                    stats.alloc_count = stats.alloc_count.saturating_add(calls);
-                    stats.peak_heap_delta = stats.peak_heap_delta.max(peak_delta);
-                }
-                reg.record_span(&path, ns);
-            });
+        let path = &self.path;
+        let end = Instant::now();
+        let ns = end.saturating_duration_since(self.start).as_nanos() as u64;
+        if self.traced {
+            let leaf = path.rsplit('/').next().unwrap_or(path);
+            trace::span_boundary(leaf, EventKind::End, end);
         }
+        scope::pop_span();
+        // Read the allocator outside the registry lock, then fold
+        // timing and heap stats in under a single lock hold (the
+        // old separate REGISTRY/ALLOC_REGISTRY locks cost two
+        // contended acquisitions per span exit).
+        let alloc = match (self.alloc_begin.take(), crate::resource::alloc_hook()) {
+            (Some(begin), Some(hook)) => {
+                let reading = (hook.read_lane)();
+                let span_peak = (hook.span_peak)();
+                Some((
+                    reading
+                        .allocated_bytes
+                        .saturating_sub(begin.allocated_bytes),
+                    reading.alloc_calls.saturating_sub(begin.alloc_calls),
+                    span_peak.saturating_sub(begin.current_bytes),
+                ))
+            }
+            _ => None,
+        };
+        scope::with_reg(|reg| {
+            if let Some((bytes, calls, peak_delta)) = alloc {
+                let stats = reg.span_allocs.entry(path.clone()).or_default();
+                stats.alloc_bytes = stats.alloc_bytes.saturating_add(bytes);
+                stats.alloc_count = stats.alloc_count.saturating_add(calls);
+                stats.peak_heap_delta = stats.peak_heap_delta.max(peak_delta);
+            }
+            reg.record_span(path, ns);
+        });
     }
 }
 
@@ -199,7 +188,6 @@ mod tests {
     #[test]
     fn spans_nest_into_paths() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         {
             let _outer = enter("t_nest.outer");
             let _inner = enter("child");
@@ -214,7 +202,6 @@ mod tests {
     #[test]
     fn stats_accumulate_min_max() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         for _ in 0..3 {
             let _s = enter("t_acc.span");
         }
@@ -222,19 +209,6 @@ mod tests {
         assert_eq!(s.count, 3);
         assert!(s.min_ns <= s.max_ns);
         assert!(s.total_ns >= s.max_ns);
-    }
-
-    #[test]
-    fn disabled_spans_record_nothing() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
-        let before = stats_under("t_off.span").len();
-        crate::set_enabled(false);
-        {
-            let _s = enter("t_off.span");
-        }
-        crate::set_enabled(true);
-        assert_eq!(stats_under("t_off.span").len(), before);
     }
 
     /// A deterministic fake allocator for hook tests: `read` advances
@@ -262,7 +236,6 @@ mod tests {
     #[test]
     fn top_level_spans_capture_alloc_deltas_nested_do_not() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         crate::resource::set_alloc_hook(Some(crate::resource::AllocHook {
             read: fake_read,
             read_lane: fake_read,
@@ -295,7 +268,6 @@ mod tests {
     #[test]
     fn sibling_spans_share_a_parent() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         {
             let _p = enter("t_sib.parent");
             {

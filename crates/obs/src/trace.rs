@@ -1,10 +1,9 @@
 //! The trace timeline: *when* each span ran, and on *which* lane. It is
 //! one more registry of [`crate::scope::ObsScope`]: off until [`start`],
-//! dropped by [`crate::reset`], silent while [`crate::enabled`] is
-//! false. Span boundaries land on their thread's lane with the span
-//! registry's own `Instant`s, so folded stacks agree with
-//! [`crate::span::SpanStats`] to the nanosecond, and sample heap and RSS
-//! onto the `mem` lane. Worker chunks get one lane per worker index.
+//! dropped by [`crate::reset`]. Span boundaries land on their thread's
+//! lane with the span registry's own `Instant`s, so folded stacks agree
+//! with [`crate::span::SpanStats`] to the nanosecond, and sample heap
+//! and RSS onto the `mem` lane. Worker chunks get one lane per worker index.
 //! `leo-trace` exports a [`snapshot`]. Without a timeline, a span
 //! boundary costs one relaxed atomic load.
 
@@ -139,8 +138,8 @@ pub fn start() {
 
 /// Records a span boundary at `at` on this thread's lane. The heap and
 /// RSS samples for the `mem` lane are read before the registry lock,
-/// and only while an allocator hook is installed: the hook is the
-/// master switch for memory telemetry (`DIVIDE_ALLOC=off` removes it).
+/// and only while an allocator hook is installed: without the hook
+/// there is no memory telemetry.
 pub(crate) fn span_boundary(name: &str, kind: EventKind, at: Instant) {
     let heap = crate::resource::alloc_hook().map(|hook| (hook.read)().current_bytes);
     let rss = heap
@@ -236,7 +235,6 @@ mod tests {
     #[test]
     fn spans_instants_and_chunks_land_on_their_lanes() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         let lanes = record(true, record_every_kind);
         assert_eq!(
             events(&lanes),
@@ -257,20 +255,13 @@ mod tests {
     }
 
     #[test]
-    fn nothing_is_recorded_before_start_or_while_obs_is_off() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
+    fn nothing_is_recorded_before_start() {
         assert!(record(false, record_every_kind).is_empty());
-        crate::set_enabled(false);
-        let silenced = record(true, record_every_kind);
-        crate::set_enabled(true);
-        assert!(silenced.is_empty(), "{silenced:?}");
     }
 
     #[test]
     fn scopes_keep_their_timelines_apart() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         let a = ObsScope::new();
         let b = record(true, || {
             drop(crate::span::enter("t_apart.b"));
@@ -286,8 +277,6 @@ mod tests {
 
     #[test]
     fn reset_drops_the_timeline() {
-        let _lock = crate::test_lock();
-        crate::set_enabled(true);
         let lanes = record(true, || {
             instant("t_reset.before");
             crate::reset();
@@ -303,7 +292,6 @@ mod tests {
     #[test]
     fn span_boundaries_sample_memory_onto_the_mem_lane() {
         let _lock = crate::test_lock();
-        crate::set_enabled(true);
         let span = || drop(crate::span::enter("t_mem.span"));
         // Without a hook: spans alone, no mem lane.
         assert!(!record(true, span).iter().any(|l| l.label == "mem"));

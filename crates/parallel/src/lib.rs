@@ -64,16 +64,15 @@
 //! `attribute_serial` instead, so the record never overstates real
 //! parallelism with synthetic chunks. The manifest
 //! renders both as the per-stage `parallel` section, the one record of
-//! pool work — written once per fan-out, never per item, and dropped
-//! entirely when observability is off. When the owning scope's
-//! timeline is started (`leo_obs::trace`), each completed chunk
-//! additionally lands as one complete event on its worker-index lane
-//! (chunk index, item range, busy duration, owning span path), so
-//! `--trace` shows the fan-out shape per worker and folded stacks
-//! telescope worker time under the owning stage.
+//! pool work — written once per fan-out, never per item. When the
+//! owning scope's timeline is started (`leo_obs::trace`), each
+//! completed chunk additionally lands as one complete event on its
+//! worker-index lane (chunk index, item range, busy duration, owning
+//! span path), so `--trace` shows the fan-out shape per worker and
+//! folded stacks telescope worker time under the owning stage.
 //! The record and trace events feed the run manifest and trace export
 //! only; they can never perturb results (the determinism contract
-//! holds with observability and tracing on or off).
+//! holds traced or not).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -271,8 +270,7 @@ where
     }
     // Capture the caller's scope and innermost span path so chunk
     // bodies (and their trace events) attribute under the owning
-    // `stage.*` span on whichever thread they execute; inert and free
-    // when observability is off.
+    // `stage.*` span on whichever thread they execute.
     let ctx = leo_obs::scope::ObsContext::current();
     let t0 = Instant::now();
     let plan = chunks(n, workers);
@@ -541,7 +539,6 @@ mod tests {
 
     #[test]
     fn beside_records_the_side_as_a_root_of_the_callers_scope() {
-        leo_obs::set_enabled(true);
         let scope = leo_obs::scope::ObsScope::new();
         {
             let _guard = scope.enter();
@@ -588,7 +585,6 @@ mod tests {
     /// The parallel section `run` leaves under `stage.t_attr` in a
     /// scope of its own.
     fn stage_parallel(run: impl FnOnce()) -> leo_obs::scope::StageParallel {
-        leo_obs::set_enabled(true);
         let scope = leo_obs::scope::ObsScope::new();
         {
             let _guard = scope.enter();
@@ -634,7 +630,6 @@ mod tests {
 
     #[test]
     fn fanouts_record_worker_chunk_trace_events() {
-        leo_obs::set_enabled(true);
         let scope = leo_obs::scope::ObsScope::new();
         {
             let _guard = scope.enter();

@@ -230,9 +230,7 @@ fn ensure_workers(n: usize) {
             .spawn(move || worker_loop(&theirs))
             .expect("spawn pool worker");
         pool.push(mailbox);
-        if leo_obs::enabled() {
-            leo_obs::metrics::counter_add("parallel.pool_spawned_threads", 1);
-        }
+        leo_obs::metrics::counter_add("parallel.pool_spawned_threads", 1);
     }
     POOL_SIZE.store(pool.len(), Ordering::Relaxed);
 }

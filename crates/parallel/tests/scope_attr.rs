@@ -1,15 +1,14 @@
 //! Scoped-observability integration tests across the pool boundary
 //! (DESIGN.md §15): concurrent scopes stay isolated and deterministic,
-//! worker attribution is thread-count-invariant, pool work has one
-//! record (the stage's parallel section), and `DIVIDE_OBS=off` stays
-//! zero-cost through the pool.
+//! worker attribution is thread-count-invariant, and pool work has one
+//! record (the stage's parallel section).
 
 use leo_obs::scope::{ObsScope, ScopeSnapshot};
 use leo_parallel::{mix64, par_map, with_threads};
 use std::collections::BTreeMap;
 
-/// Serializes tests in this binary: they flip the process-wide
-/// observability flag and share the worker pool's default scope.
+/// Serializes tests in this binary: they share the worker pool and
+/// the process-default scope.
 fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -53,7 +52,6 @@ fn work_counters(snap: &ScopeSnapshot) -> BTreeMap<String, u64> {
 #[test]
 fn concurrent_scopes_are_isolated_and_match_serial() {
     let _lock = test_lock();
-    leo_obs::set_enabled(true);
     // Serial references, one per request tag.
     let (ref_a, snap_a) = pipeline("t_a", 1);
     let (ref_b, snap_b) = pipeline("t_b", 1);
@@ -83,7 +81,6 @@ fn concurrent_scopes_are_isolated_and_match_serial() {
 #[test]
 fn scope_contents_are_identical_across_thread_counts() {
     let _lock = test_lock();
-    leo_obs::set_enabled(true);
     let (ref_out, ref_snap) = pipeline("t_n", 1);
     let (ref_spans, ref_counters) = (span_counts(&ref_snap), work_counters(&ref_snap));
     assert_eq!(ref_counters.get("t_n.runs"), Some(&1), "{ref_counters:?}");
@@ -99,7 +96,6 @@ fn scope_contents_are_identical_across_thread_counts() {
 #[test]
 fn pool_work_is_recorded_once_in_the_stage_parallel_section() {
     let _lock = test_lock();
-    leo_obs::set_enabled(true);
     let (_, snap) = pipeline("t_rec", 4);
     let attr = snap
         .parallel
@@ -124,18 +120,4 @@ fn pool_work_is_recorded_once_in_the_stage_parallel_section() {
             "pool counter {name}"
         );
     }
-}
-
-#[test]
-fn disabled_observability_is_inert_through_the_pool() {
-    let _lock = test_lock();
-    leo_obs::set_enabled(true);
-    let (reference, _) = pipeline("t_off", 4);
-    leo_obs::set_enabled(false);
-    let (out, snap) = pipeline("t_off", 4);
-    leo_obs::set_enabled(true);
-    assert_eq!(out, reference, "results identical with observability off");
-    assert!(snap.spans.is_empty(), "{:?}", snap.spans.keys());
-    assert!(snap.counters.is_empty());
-    assert!(snap.parallel.is_empty());
 }

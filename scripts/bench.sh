@@ -9,14 +9,12 @@
 # (cpu_cores, kernel) so numbers from different boxes are never
 # compared blind.
 #
-# Four overhead legs share one A/B helper and one estimator (`ab`
+# Two overhead legs share one A/B helper and one estimator (`ab`
 # below) and land in the JSON as `<leg>_overhead_pct`; one budget table
-# gates three of them:
+# gates one of them:
 #
 #   trace      --trace recorder on vs off           recorded, not gated
-#   alloc      tracking allocator on vs off         < 2% (DESIGN.md §12)
 #   fault      inert fault plan vs none             < 1% (DESIGN.md §13)
-#   obs_scope  DIVIDE_OBS on vs off, allocator off  < 2% (DESIGN.md §15)
 #
 # The JSON also records `thread_scaling` — the threads_N/threads_1
 # wall-clock ratios (cold and warm), N = one worker per CPU, so the
@@ -93,9 +91,8 @@ for threads in 1 "$wide"; do
 done
 
 # One overhead leg: $pairs adjacent on/off pairs of the warm
-# single-threaded run, the "on" side under the environment in $2 plus
-# the extra flags in $4 and the "off" side under $3 plus $5
-# (space-separated VAR=value words and flag words). Each run's
+# single-threaded run, the "on" side with the extra flags in $2 and the
+# "off" side with those in $3 (space-separated flag words). Each run's
 # manifest is kept as ab-<leg>-<side>-<pair>.json, and both sides must
 # reproduce the warm run's artifacts. The score is the median of the
 # per-pair CPU-time deltas:
@@ -112,16 +109,15 @@ done
 #     a pair share the host's performance phase so a bimodal CPU floor
 #     cancels, and the median discards the pairs a phase change splits.
 pairs=10
-ab() { # $1 = leg, $2/$3 = on/off environment, $4/$5 = on/off flags
-    local leg=$1 pair order side vars flags
+ab() { # $1 = leg, $2/$3 = on/off flags
+    local leg=$1 pair order side flags
     echo "[bench] $leg on/off: divide --scale paper all --threads 1 (warm, $pairs pairs)"
     for pair in $(seq "$pairs"); do
         if [ $((pair % 2)) -eq 1 ]; then order="on off"; else order="off on"; fi
         for side in $order; do
-            if [ "$side" = on ]; then vars=$2 flags=${4:-}; else vars=$3 flags=${5:-}; fi
-            # $vars and $flags are deliberately unquoted: one word per
-            # assignment or flag.
-            env $vars ./target/release/divide --scale paper all --out "$work/ab-$leg-$side" \
+            if [ "$side" = on ]; then flags=$2; else flags=$3; fi
+            # $flags is deliberately unquoted: one word per flag.
+            ./target/release/divide --scale paper all --out "$work/ab-$leg-$side" \
                 --cache "$work/cache-1" --threads 1 -q $flags >/dev/null
             cp "$work/ab-$leg-$side/run_manifest.json" "$work/ab-$leg-$side-$pair.json"
         done
@@ -132,15 +128,10 @@ ab() { # $1 = leg, $2/$3 = on/off environment, $4/$5 = on/off flags
             || { echo "[bench] $leg $side changed artifact bytes" >&2; exit 1; }
     done
 }
-ab trace "" "" "--trace"
-ab alloc "DIVIDE_ALLOC=on" "DIVIDE_ALLOC=off"
+ab trace "--trace" ""
 # Every fault site probes the engine on every call; an inert plan (p=0,
 # so nothing ever fires) adds one hash-and-compare per probe.
-ab fault "" "" "--fault-plan seed=1;io.write:p=0,mode=err"
-# The allocator is off on both sides so only the scope machinery (span
-# stack, the registry lock, counters, scope propagation through the
-# pool) is in the delta.
-ab obs_scope "DIVIDE_ALLOC=off DIVIDE_OBS=on" "DIVIDE_ALLOC=off DIVIDE_OBS=off"
+ab fault "--fault-plan seed=1;io.write:p=0,mode=err" ""
 
 # Per-kernel medians: bench_kernels ends with a machine-readable
 # KERNELS_JSON line (and asserts each rewritten kernel is bit-identical
@@ -158,7 +149,7 @@ import json, os, platform, statistics, sys
 work, out_path, pairs, wide = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 # Overhead budgets in percent of CPU time; None records a leg without
 # gating it.
-BUDGETS = {"trace": None, "alloc": 2.0, "fault": 1.0, "obs_scope": 2.0}
+BUDGETS = {"trace": None, "fault": 1.0}
 
 def manifest(name):
     with open(f"{work}/{name}") as f:

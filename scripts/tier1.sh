@@ -201,36 +201,44 @@ print(f"[tier1] cold and --no-cache runs record the same pool work in all {len(c
 PY
 
 echo "[tier1] paper-scale runs reproduce the committed results/ byte for byte"
-# The committed artifacts are the oracle: a cold 1-thread run, a warm
-# 2-thread run and a warm 8-thread run (sharing one snapshot cache), and
-# a cold 4-thread run (into a cache of its own) must all regenerate every
-# committed CSV and SVG exactly, and print exactly the console text
-# committed as results/paper_run.txt. At 4 threads the side lane runs
-# beside a 3-thread main lane while the cold dataset's snapshots stage.
+# The committed artifacts are the oracle: paper `all` at 1, 4 and 8
+# threads, each cold and warm, plus a warm 2-thread run, must all
+# regenerate every committed CSV and SVG exactly, and print exactly the
+# console text committed as results/paper_run.txt. The cold 1-, 4- and
+# 8-thread runs each fill a snapshot cache of their own; every warm run
+# reruns on one of them. At 4 threads the side lane runs beside a
+# 3-thread main lane while the cold dataset's snapshots stage.
 paper_cache="$work/paper_cache"
-paper1="$work/paper1"
-paper2="$work/paper2"
-paper8="$work/paper8"
-paper4="$work/paper4"
 paper4_cache="$work/paper4_cache"
-./target/release/divide --scale paper --threads 1 all --out "$paper1" --cache "$paper_cache" -q \
-    >"$work/paper1.stdout"
-./target/release/divide --scale paper --threads 2 all --out "$paper2" --cache "$paper_cache" -q \
-    >"$work/paper2.stdout"
-./target/release/divide --scale paper --threads 8 all --out "$paper8" --cache "$paper_cache" -q \
-    >"$work/paper8.stdout"
-./target/release/divide --scale paper --threads 4 all --out "$paper4" --cache "$paper4_cache" -q \
-    >"$work/paper4.stdout"
-for run in paper1 paper2 paper8 paper4; do
+paper8c_cache="$work/paper8c_cache"
+# "<name> <threads> <cache>", in run order: a warm run follows the
+# cold run that filled its cache.
+paper_runs=(
+    "paper1 1 $paper_cache"
+    "paper2 2 $paper_cache"
+    "paper8 8 $paper_cache"
+    "paper1w 1 $paper_cache"
+    "paper4 4 $paper4_cache"
+    "paper4w 4 $paper4_cache"
+    "paper8c 8 $paper8c_cache"
+)
+paper_dirs=()
+for spec in "${paper_runs[@]}"; do
+    read -r run threads cache <<<"$spec"
+    ./target/release/divide --scale paper --threads "$threads" all --out "$work/$run" \
+        --cache "$cache" -q >"$work/$run.stdout"
     cmp -s results/paper_run.txt "$work/$run.stdout" \
         || { echo "[tier1] $run's stdout differs from results/paper_run.txt" >&2; exit 1; }
+    paper_dirs+=("$work/$run")
 done
-echo "[tier1] stdout at 1 thread (cold), 2 and 8 threads (warm) and 4 threads (cold) matches results/paper_run.txt"
+paper1="$work/paper1"
+paper2="$work/paper2"
+paper4="$work/paper4"
+echo "[tier1] stdout at 1, 4 and 8 threads (cold and warm) and 2 threads (warm) matches results/paper_run.txt"
 # The manifest lists each stage once, in the run's order: the dataset
 # build, then STAGES (crates/cli/src/stages.rs), however the two lanes
-# of a 2-thread run interleave.
-python3 - "$paper1/run_manifest.json" "$paper2/run_manifest.json" "$paper8/run_manifest.json" \
-    "$paper4/run_manifest.json" <<'PY'
+# of a multi-thread run interleave.
+python3 - "${paper_dirs[@]/%//run_manifest.json}" <<'PY'
 import json, sys
 
 want = ["dataset", "table1", "table2", "fig1", "fig2", "fig3", "fig4", "findings",
@@ -239,22 +247,22 @@ want = ["dataset", "table1", "table2", "fig1", "fig2", "fig3", "fig4", "findings
 for path in sys.argv[1:]:
     got = [s["name"] for s in json.load(open(path))["stages"]]
     assert got == want, (path, got)
-print("[tier1] paper manifests at 1, 2, 8 and 4 threads list dataset, then STAGES in order")
+print(f"[tier1] {len(sys.argv) - 1} paper manifests list dataset, then STAGES in order")
 PY
 compared=0
 for f in results/*.csv results/*.svg; do
-    for run in "$paper1" "$paper2" "$paper8" "$paper4"; do
+    for run in "${paper_dirs[@]}"; do
         cmp -s "$f" "$run/$(basename "$f")" \
             || { echo "[tier1] $f differs from a fresh paper-scale run ($run)" >&2; exit 1; }
     done
     compared=$((compared + 1))
 done
 [ "$compared" -ge 16 ] || { echo "[tier1] only $compared committed artifacts compared" >&2; exit 1; }
-echo "[tier1] $compared committed artifacts match at 1 thread (cold), 2 and 8 threads (warm), 4 threads (cold)"
+echo "[tier1] $compared committed artifacts match in all ${#paper_dirs[@]} paper runs"
 # The two large artifacts stay out of git (.gitignore); their SHA-256
 # digests are committed instead and pinned the same way.
 digests="$PWD/results/large_artifacts.sha256"
-for run in "$paper1" "$paper2" "$paper8" "$paper4"; do
+for run in "${paper_dirs[@]}"; do
     (cd "$run" && sha256sum --quiet -c "$digests") \
         || { echo "[tier1] a large artifact in $run differs from $digests" >&2; exit 1; }
 done
@@ -290,15 +298,17 @@ print(f"[tier1] orbit: {samples} samples, {in_band} in band, {exact} exact tests
 PY
 # A cold run at another thread count must write the same snapshots as
 # the cold 1-thread run (its fig2 artifacts were compared above).
-snaps=0
-for snap in "$paper4_cache"/*.snap; do
-    cmp -s "$snap" "$paper_cache/$(basename "$snap")" \
-        || { echo "[tier1] $(basename "$snap") differs between cold 4- and 1-thread runs" >&2; exit 1; }
-    snaps=$((snaps + 1))
+for cache in "$paper4_cache" "$paper8c_cache"; do
+    snaps=0
+    for snap in "$cache"/*.snap; do
+        cmp -s "$snap" "$paper_cache/$(basename "$snap")" \
+            || { echo "[tier1] $snap differs from the cold 1-thread run's" >&2; exit 1; }
+        snaps=$((snaps + 1))
+    done
+    [ -n "$(ls "$cache"/dataset-*.snap 2>/dev/null)" ] && [ "$snaps" -ge 2 ] \
+        || { echo "[tier1] the cold run into $cache wrote $snaps snapshots" >&2; exit 1; }
 done
-[ -n "$(ls "$paper4_cache"/dataset-*.snap 2>/dev/null)" ] && [ "$snaps" -ge 2 ] \
-    || { echo "[tier1] the cold 4-thread run wrote $snaps snapshots" >&2; exit 1; }
-echo "[tier1] cold 4-thread all wrote the cold 1-thread run's $snaps snapshots"
+echo "[tier1] cold 4- and 8-thread all wrote the cold 1-thread run's $snaps snapshots"
 # The cold generate fans out three times at 4 threads: the polyfill
 # rows, the scoring and the county lookup (DESIGN.md §19). A fan-out
 # that falls back to serial shows up as a serial call here.
@@ -311,7 +321,7 @@ assert (par["fanouts"], par["serial_calls"]) == (3, 0), par
 print(f"[tier1] cold 4-thread dataset stage: {par['fanouts']} fan-outs, "
       f"{par['serial_calls']} serial calls")
 PY
-rm -rf "$paper_cache" "$paper1" "$paper2" "$paper8" "$paper4_cache" "$paper4"
+rm -rf "$paper_cache" "$paper4_cache" "$paper8c_cache" "${paper_dirs[@]}"
 
 echo "[tier1] stale-schema snapshot fails closed and regenerates"
 # Rewind the on-disk dataset container to schema v1 (the little-endian
@@ -530,7 +540,11 @@ grep -q 'no-cache' <<<"$help_out"
 grep -q 'trace' <<<"$help_out"
 grep -q 'report' <<<"$help_out"
 grep -q 'history' <<<"$help_out"
-grep -q DIVIDE_ALLOC <<<"$help_out"
+# Instrumentation has one configuration: HELP names no variable. (A
+# bare `! grep` would not stop the script: set -e ignores a negated
+# status.)
+! grep -q DIVIDE_ <<<"$help_out" \
+    || { echo "[tier1] divide --help names a DIVIDE_ variable" >&2; exit 1; }
 grep -q 'fault-plan' <<<"$help_out"
 grep -q 'exit codes' <<<"$help_out"
 

@@ -114,35 +114,14 @@ fn artifact_bytes(threads: usize) -> (String, String, String) {
     })
 }
 
-/// The observability determinism contract (leo-obs crate docs): spans,
-/// metrics, and the logger only *observe* — turning them off must not
-/// change a single artifact byte, at any thread count.
-#[test]
-fn observability_does_not_perturb_artifact_bytes() {
-    use starlink_divide_repro::obs;
-
-    obs::set_enabled(true);
-    let on_1 = artifact_bytes(1);
-    let on_4 = artifact_bytes(4);
-    obs::set_enabled(false);
-    let off_1 = artifact_bytes(1);
-    let off_4 = artifact_bytes(4);
-    obs::set_enabled(true);
-
-    assert_eq!(on_1, off_1, "obs on/off differ at 1 thread");
-    assert_eq!(on_4, off_4, "obs on/off differ at 4 threads");
-    assert_eq!(on_1, on_4, "thread count leaked into artifacts");
-}
-
 /// The resource-telemetry determinism contract (DESIGN.md §12): the
 /// tracking allocator, the span high-water-mark hook, and RSS sampling
-/// only *count* — with telemetry fully on (tracking + hook, as the CLI
-/// installs them), artifact bytes must match a telemetry-off run at
-/// every thread count.
+/// only *count* — with the hook installed (as the CLI installs it),
+/// artifact bytes must match a run without it at every thread count.
 #[test]
 fn resource_telemetry_does_not_perturb_artifact_bytes() {
+    use starlink_divide_repro::alloc_track;
     use starlink_divide_repro::obs::resource::{self, AllocHook, AllocReading};
-    use starlink_divide_repro::{alloc_track, obs};
 
     fn reading(s: alloc_track::AllocStats) -> AllocReading {
         AllocReading {
@@ -154,8 +133,6 @@ fn resource_telemetry_does_not_perturb_artifact_bytes() {
         }
     }
 
-    obs::set_enabled(true);
-    alloc_track::set_tracking(true);
     resource::set_alloc_hook(Some(AllocHook {
         read: || reading(alloc_track::stats()),
         read_lane: || reading(alloc_track::lane_stats()),
@@ -166,16 +143,15 @@ fn resource_telemetry_does_not_perturb_artifact_bytes() {
     let on_4 = artifact_bytes(4);
     assert!(
         alloc_track::stats().alloc_calls > 0,
-        "tracking allocator saw no allocations — the telemetry-on leg measured nothing"
+        "tracking allocator saw no allocations — the hooked leg measured nothing"
     );
 
     resource::set_alloc_hook(None);
-    alloc_track::set_tracking(false);
     let off_1 = artifact_bytes(1);
     let off_4 = artifact_bytes(4);
 
-    assert_eq!(on_1, off_1, "alloc telemetry on/off differ at 1 thread");
-    assert_eq!(on_4, off_4, "alloc telemetry on/off differ at 4 threads");
+    assert_eq!(on_1, off_1, "alloc hook on/off differ at 1 thread");
+    assert_eq!(on_4, off_4, "alloc hook on/off differ at 4 threads");
     assert_eq!(on_1, on_4, "thread count leaked into artifacts");
 }
 
@@ -186,7 +162,6 @@ fn resource_telemetry_does_not_perturb_artifact_bytes() {
 fn tracing_does_not_perturb_artifact_bytes() {
     use starlink_divide_repro::obs::{self, scope::ObsScope};
 
-    obs::set_enabled(true);
     let scope = ObsScope::new();
     let (traced_1, traced_4) = {
         let _g = scope.enter();
